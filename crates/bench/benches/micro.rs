@@ -122,21 +122,35 @@ fn bench_meta(c: &mut Criterion) {
 
 fn bench_pstore(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("pstore-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = pstore::Store::open(&dir).unwrap();
-    let value = vec![0xABu8; 4096];
-    let mut i = 0u64;
-    c.bench_function("pstore/put_4k", |b| {
-        b.iter(|| {
-            store.put(&i.to_le_bytes(), &value).unwrap();
-            i += 1;
+    let page = vec![0xABu8; 64 * 1024];
+    c.bench_function("crc32/64k", |b| {
+        b.iter(|| black_box(pstore::crc32(black_box(&page))));
+    });
+    for (label, size) in [("4k", 4096usize), ("64k", 64 * 1024)] {
+        let value = &page[..size];
+        // A put with its share of the flush a provider issues per 4-page
+        // batch; unflushed, the write buffer's growth would be the cost. A
+        // fresh store per sample bounds what one run leaves in the page cache.
+        c.bench_function(&format!("pstore/put_{label}"), |b| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = pstore::Store::open(&dir).unwrap();
+            let mut i = 0u64;
+            b.iter(|| {
+                store.put(&i.to_le_bytes(), value).unwrap();
+                i += 1;
+                if i.is_multiple_of(4) {
+                    store.flush_buffered().unwrap();
+                }
+            });
         });
-    });
-    store.put(b"probe", &value).unwrap();
-    c.bench_function("pstore/get_4k", |b| {
-        b.iter(|| black_box(store.get(b"probe").unwrap()));
-    });
-    drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = pstore::Store::open(&dir).unwrap();
+        store.put(b"probe", value).unwrap();
+        store.flush_buffered().unwrap();
+        c.bench_function(&format!("pstore/get_{label}"), |b| {
+            b.iter(|| black_box(store.get(b"probe").unwrap()));
+        });
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -181,6 +195,15 @@ fn bench_fabric(c: &mut Criterion) {
             black_box(fx.now())
         });
     });
+    // One live proc, spawned and waited for: what every multi-provider page
+    // batch pays per provider through `run_parallel`.
+    c.bench_function("fabric/live_spawn", |b| {
+        let fx = Fabric::live(ClusterSpec::tiny(1));
+        b.iter(|| {
+            fx.spawn(NodeId(0), "noop", |_| ());
+            fx.run();
+        });
+    });
     c.bench_function("fabric/payload_slice_ghost", |b| {
         let p = Payload::ghost(1 << 30);
         b.iter(|| black_box(p.slice(12345, 4096).len()));
@@ -190,6 +213,12 @@ fn bench_fabric(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_meta, bench_pstore, bench_records, bench_fabric
+    targets = bench_meta, bench_records, bench_fabric
 );
-criterion_main!(benches);
+// Short samples: a `pstore/put_*` sample writes (iterations x value) bytes.
+criterion_group!(
+    name = storage;
+    config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_millis(500)).warm_up_time(std::time::Duration::from_millis(200));
+    targets = bench_pstore
+);
+criterion_main!(benches, storage);

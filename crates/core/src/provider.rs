@@ -397,12 +397,10 @@ impl Provider {
                 for (id, data) in pages {
                     let len = data.len();
                     let res = match &data {
-                        Payload::Bytes(b) => {
-                            let existed = s.contains(&page_key(id));
-                            s.put(&page_key(id), b.as_ref())
-                                .map(|()| !existed)
-                                .map_err(|e| BlobError::persistence(&pb.dir, &e))
-                        }
+                        Payload::Bytes(b) => s
+                            .put(&page_key(id), b.as_ref())
+                            .map(|replaced| !replaced)
+                            .map_err(|e| BlobError::persistence(&pb.dir, &e)),
                         Payload::Ghost(_) => Err(BlobError::Persistence {
                             kind: PersistenceKind::Unsupported,
                             path: pb.dir.display().to_string(),

@@ -91,7 +91,8 @@ impl Fabric {
     }
 
     /// Spawn a process on `node`. In sim mode the process starts when the
-    /// engine first schedules it; in live mode it starts immediately.
+    /// engine first schedules it; in live mode it starts immediately, on a
+    /// reusable worker thread (see [`crate::live`]).
     pub fn spawn<T, F>(&self, node: NodeId, name: impl Into<String>, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
@@ -145,39 +146,32 @@ impl Fabric {
                     .expect("failed to spawn sim process thread");
             }
             FabricInner::Live(core) => {
-                let pid = core.proc_started();
                 let fabric = self.clone();
-                let core2 = core.clone();
                 let r2 = result.clone();
                 let d2 = done.clone();
-                let seed = core.seed ^ pid.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let pname: Arc<str> = name.clone().into();
-                std::thread::Builder::new()
-                    .name(format!("live:{name}"))
-                    .spawn(move || {
-                        let p = Proc {
-                            fabric,
-                            node,
-                            name: pname.clone(),
-                            pid,
-                            parker: Arc::new(Parker::new()),
-                            rng: RefCell::new(StdRng::seed_from_u64(seed)),
-                        };
-                        match std::panic::catch_unwind(AssertUnwindSafe(|| f(&p))) {
-                            Ok(v) => {
-                                *r2.lock() = Some(Ok(v));
-                                d2.set();
-                                core2.proc_finished();
-                            }
-                            Err(e) => {
-                                let msg = panic_msg(e);
-                                *r2.lock() = Some(Err(msg.clone()));
-                                d2.set();
-                                core2.proc_panicked(&pname, msg);
-                            }
-                        }
-                    })
-                    .expect("failed to spawn live process thread");
+                let base_seed = core.seed;
+                let pname: Arc<str> = name.into();
+                core.spawn(pname.clone(), move |pid| {
+                    let p = Proc {
+                        fabric,
+                        node,
+                        name: pname,
+                        pid,
+                        parker: Arc::new(Parker::new()),
+                        rng: RefCell::new(StdRng::seed_from_u64(
+                            base_seed ^ pid.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        )),
+                    };
+                    let outcome =
+                        std::panic::catch_unwind(AssertUnwindSafe(|| f(&p))).map_err(panic_msg);
+                    // The proc's handle to the world goes before anyone can
+                    // learn that the proc has finished.
+                    drop(p);
+                    let panicked = outcome.as_ref().err().cloned();
+                    *r2.lock() = Some(outcome);
+                    d2.set();
+                    panicked
+                });
             }
         }
         JoinHandle { result, done }

@@ -29,10 +29,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::crc::crc32_multi;
+use crate::crc::{crc32, crc32_multi};
 use crate::error::{PStoreError, Result};
 
 const TOMBSTONE: u32 = u32::MAX;
@@ -104,8 +105,10 @@ struct Inner {
     dir: PathBuf,
     opts: StoreOptions,
     index: HashMap<Vec<u8>, Loc>,
-    /// Read handles for sealed + active segments, keyed by id.
-    files: BTreeMap<u64, File>,
+    /// Handles for sealed + active segments, keyed by id. Shared, so a
+    /// reader can take one out from under the store mutex: segments are
+    /// append-only and a handle outlives compaction's unlink.
+    files: BTreeMap<u64, Arc<File>>,
     /// On-disk length per segment.
     seg_len: BTreeMap<u64, u64>,
     active: u64,
@@ -154,7 +157,7 @@ fn load_checkpoint(path: &Path, seg_disk_len: &BTreeMap<u64, u64>) -> Option<Che
     }
     let body = &data[..data.len() - 4];
     let stored_crc = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
-    if crc32_multi(&[body]) != stored_crc {
+    if crc32(body) != stored_crc {
         return None;
     }
     let u32_at = |p: usize| u32::from_le_bytes(body[p..p + 4].try_into().unwrap());
@@ -246,7 +249,7 @@ fn parse_record(
     }
     let key = &data[body..body + key_len];
     let val = &data[body + key_len..end];
-    let actual = crc32_multi(&[&data[pos + 4..pos + 8], &data[pos + 8..pos + 12], key, val]);
+    let actual = crc32(&data[pos + 4..end]);
     if actual != crc {
         return Err(format!(
             "checksum mismatch (stored {crc:#x}, computed {actual:#x})"
@@ -328,7 +331,7 @@ impl Store {
             };
             let Some(start) = start else {
                 seg_len.insert(id, disk_len[&id]);
-                files.insert(id, f);
+                files.insert(id, Arc::new(f));
                 continue;
             };
             let mut data = Vec::new();
@@ -374,7 +377,7 @@ impl Store {
             }
             replayed += (data.len() - start) as u64;
             seg_len.insert(id, data.len() as u64);
-            files.insert(id, f);
+            files.insert(id, Arc::new(f));
         }
 
         let active = match newest {
@@ -385,7 +388,7 @@ impl Store {
                     .append(true)
                     .create(true)
                     .open(seg_path(&dir, 0))?;
-                files.insert(0, f);
+                files.insert(0, Arc::new(f));
                 seg_len.insert(0, 0);
                 0
             }
@@ -413,8 +416,8 @@ impl Store {
         })
     }
 
-    /// Insert or replace `key`.
-    pub fn put(&self, key: &[u8], val: &[u8]) -> Result<()> {
+    /// Insert or replace `key`; returns whether an older value was replaced.
+    pub fn put(&self, key: &[u8], val: &[u8]) -> Result<bool> {
         let mut g = self.inner.lock();
         let inner = &mut *g;
         inner.maybe_rotate()?;
@@ -438,24 +441,36 @@ impl Store {
             inner.flush(true)?;
         }
         inner.maybe_checkpoint()?;
-        Ok(())
+        Ok(old.is_some())
     }
 
     /// Fetch the newest value of `key`.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut g = self.inner.lock();
-        let inner = &mut *g;
-        let Some(loc) = inner.index.get(key).copied() else {
-            return Ok(None);
+        // Only the index lookup (and a copy out of the write buffer, for a
+        // record not yet flushed) needs the store mutex; the read and the
+        // checksum — the bulk of a get — run beside other gets and puts.
+        let (loc, src) = {
+            let g = self.inner.lock();
+            let Some(loc) = g.index.get(key).copied() else {
+                return Ok(None);
+            };
+            (loc, g.record_src(loc))
         };
-        let data = inner.read_record(loc)?;
+        let mut data = src.read(loc)?;
         let (k, v, _) = parse_record(&data, 0).map_err(|detail| PStoreError::Corrupt {
             segment: loc.seg,
             offset: loc.offset,
             detail,
         })?;
         debug_assert_eq!(k, key);
-        Ok(v.map(|v| v.to_vec()))
+        let Some(v) = v else {
+            return Ok(None);
+        };
+        // The value is the record's tail: shift it to the front of the
+        // buffer it was read into rather than copying it into a second one.
+        let val_start = data.len() - v.len();
+        data.drain(..val_start);
+        Ok(Some(data))
     }
 
     /// Remove `key`; returns whether it existed.
@@ -622,7 +637,7 @@ impl Store {
         let mut live = 0u64;
         let mut buf = Vec::new();
         for (key, loc) in locs {
-            let data = inner.read_record(loc)?;
+            let data = inner.record_src(loc).read(loc)?;
             let (_, val, _) = parse_record(&data, 0).map_err(|detail| PStoreError::Corrupt {
                 segment: loc.seg,
                 offset: loc.offset,
@@ -632,7 +647,7 @@ impl Store {
             let rec_len = encode_record(&mut buf, &key, val);
             if cur_len > 0 && cur_len + rec_len > inner.opts.max_segment_bytes {
                 cur_file.sync_all()?;
-                new_files.insert(cur, cur_file);
+                new_files.insert(cur, Arc::new(cur_file));
                 new_lens.insert(cur, cur_len);
                 cur += 1;
                 cur_file = OpenOptions::new()
@@ -655,7 +670,7 @@ impl Store {
             live += rec_len;
         }
         cur_file.sync_all()?;
-        new_files.insert(cur, cur_file);
+        new_files.insert(cur, Arc::new(cur_file));
         new_lens.insert(cur, cur_len);
 
         inner.index = new_index;
@@ -686,16 +701,14 @@ impl Drop for Store {
 
 impl Inner {
     fn flush(&mut self, sync: bool) -> Result<()> {
+        let mut f: &File = self.files.get(&self.active).unwrap();
         if !self.buf.is_empty() {
-            let f = self.files.get_mut(&self.active).unwrap();
             f.write_all(&self.buf)?;
             self.flushed += self.buf.len() as u64;
             self.buf.clear();
-            if sync {
-                f.sync_all()?;
-            }
-        } else if sync {
-            self.files.get_mut(&self.active).unwrap().sync_all()?;
+        }
+        if sync {
+            f.sync_all()?;
         }
         Ok(())
     }
@@ -712,7 +725,7 @@ impl Inner {
             .append(true)
             .create(true)
             .open(seg_path(&self.dir, id))?;
-        self.files.insert(id, f);
+        self.files.insert(id, Arc::new(f));
         self.seg_len.insert(id, 0);
         self.active = id;
         self.flushed = 0;
@@ -747,7 +760,7 @@ impl Inner {
             body.extend_from_slice(&loc.rec_len.to_le_bytes());
             body.extend_from_slice(key);
         }
-        let crc = crc32_multi(&[&body]);
+        let crc = crc32(&body);
         body.extend_from_slice(&crc.to_le_bytes());
 
         let id = self.next_ckpt;
@@ -782,17 +795,35 @@ impl Inner {
         }
     }
 
-    /// Read the raw bytes of the record at `loc`, serving from the write
-    /// buffer when it has not been flushed yet.
-    fn read_record(&mut self, loc: Loc) -> Result<Vec<u8>> {
+    /// Where the record at `loc` is right now: still in the write buffer
+    /// (copied out here, under the caller's lock) or in a segment file.
+    fn record_src(&self, loc: Loc) -> RecordSrc {
         if loc.seg == self.active && loc.offset >= self.flushed {
             let start = (loc.offset - self.flushed) as usize;
-            return Ok(self.buf[start..start + loc.rec_len as usize].to_vec());
+            return RecordSrc::Buffered(self.buf[start..start + loc.rec_len as usize].to_vec());
         }
         let f = self.files.get(&loc.seg).expect("segment file missing");
-        let mut out = vec![0u8; loc.rec_len as usize];
-        f.read_exact_at(&mut out, loc.offset)?;
-        Ok(out)
+        RecordSrc::Segment(f.clone())
+    }
+}
+
+/// A record's raw bytes, or the handle to read them from without the store
+/// mutex (flushed bytes never change and the handle keeps the file alive).
+enum RecordSrc {
+    Buffered(Vec<u8>),
+    Segment(Arc<File>),
+}
+
+impl RecordSrc {
+    fn read(self, loc: Loc) -> Result<Vec<u8>> {
+        match self {
+            RecordSrc::Buffered(data) => Ok(data),
+            RecordSrc::Segment(f) => {
+                let mut out = vec![0u8; loc.rec_len as usize];
+                f.read_exact_at(&mut out, loc.offset)?;
+                Ok(out)
+            }
+        }
     }
 }
 
