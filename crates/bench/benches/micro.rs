@@ -1,6 +1,8 @@
 //! Criterion microbenchmarks of the core data structures: the versioned
 //! segment-tree metadata (plan/traverse), the pstore persistence layer, the
-//! partitioner and record codecs, and the max-min fair-sharing engine.
+//! partitioner and record codecs, the Map/Reduce run path (map-side collect,
+//! sort and combine; streaming merge-reduce), and the max-min fair-sharing
+//! engine.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -181,6 +183,69 @@ fn bench_records(c: &mut Criterion) {
     });
 }
 
+/// `bytes` of Zipf(1) text over `vocabulary` words `w<rank>`, 12 per line
+/// (the shape of the benchmark's `live_wordcount` input).
+fn zipf_text(bytes: usize, vocabulary: usize, seed: u64) -> Vec<u8> {
+    let mut cdf = Vec::with_capacity(vocabulary);
+    let mut acc = 0.0;
+    for r in 1..=vocabulary {
+        acc += 1.0 / r as f64;
+        cdf.push(acc);
+    }
+    let mut state = seed | 1;
+    let mut out = Vec::with_capacity(bytes + 128);
+    let mut in_line = 0;
+    while out.len() < bytes || in_line != 0 {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let u = (state >> 11) as f64 / (1u64 << 53) as f64 * acc;
+        let rank = cdf.partition_point(|&c| c < u).min(vocabulary - 1);
+        out.extend_from_slice(format!("w{rank}").as_bytes());
+        in_line = (in_line + 1) % 12;
+        out.push(if in_line == 0 { b'\n' } else { b' ' });
+    }
+    out
+}
+
+/// The engine's record path on wordcount, without the cluster around it:
+/// what a map task does to one 1 MiB split between reading it and handing
+/// two partitions to the shuffle, and what a reducer does to four fetched
+/// runs.
+fn bench_mapreduce(c: &mut Criterion) {
+    use mapreduce::record::{put_text, reduce_runs, split_records, split_tab, Collector};
+    let fns = workloads::wordcount::user_fns();
+    let map_side = |text: &[u8]| {
+        let mut collectors = [Collector::default(), Collector::default()];
+        for line in split_records(text, 0, text.len() as u64) {
+            let (k, v) = split_tab(line);
+            fns.mapper.map(k, v, &mut |kv| {
+                collectors[mapreduce::partition_for(&kv.key, 2) as usize].push(&kv.key, &kv.value);
+            });
+        }
+        collectors.map(|c| c.into_run(fns.combiner.as_deref()).unwrap())
+    };
+    let text = zipf_text(1 << 20, 50_000, 1);
+    c.bench_function("mapreduce/map_side_1mib", |b| {
+        b.iter(|| black_box(map_side(&text)));
+    });
+    let fetched: Vec<fabric::Payload> = (1..=4)
+        .map(|seed| {
+            let [run, _] = map_side(&zipf_text(1 << 20, 50_000, seed));
+            run
+        })
+        .collect();
+    let runs: Vec<&[u8]> = fetched.iter().map(|run| &run.bytes()[..]).collect();
+    c.bench_function("mapreduce/merge_reduce_4runs", |b| {
+        b.iter(|| {
+            let mut text = Vec::new();
+            let reducer = Some(fns.reducer.as_ref());
+            reduce_runs(&runs, reducer, &mut |k, v| put_text(&mut text, k, v)).unwrap();
+            black_box(text)
+        });
+    });
+}
+
 fn bench_fabric(c: &mut Criterion) {
     use fabric::{ClusterSpec, Fabric, Payload};
     c.bench_function("fabric/100_concurrent_transfers_sim", |b| {
@@ -213,7 +278,7 @@ fn bench_fabric(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_meta, bench_records, bench_fabric
+    targets = bench_meta, bench_records, bench_mapreduce, bench_fabric
 );
 // Short samples: a `pstore/put_*` sample writes (iterations x value) bytes.
 criterion_group!(

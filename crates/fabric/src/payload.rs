@@ -103,6 +103,9 @@ impl Payload {
     /// Concatenate payloads. Mixing real and ghost parts produces a ghost of
     /// the combined length (information about the bytes is already lost).
     pub fn concat(parts: &[Payload]) -> Payload {
+        if let [only] = parts {
+            return only.clone();
+        }
         if parts.iter().any(Payload::is_ghost) {
             return Payload::Ghost(parts.iter().map(Payload::len).sum());
         }
@@ -181,6 +184,14 @@ mod tests {
         assert_eq!(cs[2].len(), 2);
         assert_eq!(Payload::concat(&cs), p);
         assert!(Payload::empty().chunks(4).is_empty());
+    }
+
+    #[test]
+    fn concat_of_one_part_shares_its_buffer() {
+        let p = Payload::from_vec(vec![9; 64]);
+        let one = Payload::concat(std::slice::from_ref(&p));
+        assert_eq!(one.bytes().as_ptr(), p.bytes().as_ptr());
+        assert_eq!(Payload::concat(&[Payload::ghost(5)]), Payload::ghost(5));
     }
 
     #[test]

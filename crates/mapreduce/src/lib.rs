@@ -17,6 +17,12 @@
 //! [`api::GhostProfile`]s for cluster-scale simulations; the engine code is
 //! identical in both cases.
 //!
+//! Intermediate data has one representation from the map collector to the
+//! final reduce — the sorted run of [`record`] — and one group-and-reduce
+//! loop ([`record::reduce_runs`]) behind the per-task combiner, the node
+//! combine and the reducer; owned [`KV`]s exist only at the user-function
+//! boundary.
+//!
 //! Shuffle *bytes* (not just round-trips) are cut by a two-tier combine:
 //! per-task combiners plus a node-local [`shuffle::NodeCombiner`] that
 //! merges a node's whole map share before publication, while reducers

@@ -1,8 +1,17 @@
 //! Map-output storage, the node-local (tier-2) combine stage, and shuffle
 //! serving.
 //!
+//! **One format.** Everything buffered, published and fetched here is a
+//! *sorted run* in the format of [`crate::record`]: refcounted bytes that
+//! are merged as bytes. A flush hands its runs to
+//! [`crate::record::merge_into_run`] — the same group-and-reduce loop the
+//! map task and the reducer use — and publishes the run that comes back;
+//! owned `KV`s exist only inside the user's combiner call. A run that does
+//! not parse fails the flush with an error naming job, node, flush,
+//! partition and task instead of panicking.
+//!
 //! **Two-tier combine.** Tier 1 is Hadoop's classic per-task combiner (run
-//! inside `run_map_task` over one task's buffered output). Tier 2 is the
+//! inside `run_map_task` over one task's collected output). Tier 2 is the
 //! in-node combine stage of Lee et al. ("Hadoop MapReduce Performance
 //! Enhancement Using In-node Combiners"): every node accumulates its map
 //! tasks' partitioned, sorted outputs in a [`NodeCombiner`] buffer; when a
@@ -19,6 +28,15 @@
 //! `MapDone`/`FlushDone` message to the jobtracker, which forwards it to
 //! every reducer's delivery feed (see `tracker.rs`). Reducers fetch and
 //! merge segments as they are announced — shuffle overlaps the map phase.
+//!
+//! **Lock scope.** The buffer lock (one for all nodes and jobs) covers only
+//! bookkeeping: moving the pending set into a numbered flush, recording
+//! where each task went, taking a refcounted snapshot of the runs. The
+//! merge and the combiner run after it is released, so one node's flush
+//! never stalls another node's `add`. Two calls that recombine the same
+//! flush concurrently publish under the same keys in either order — as
+//! they already did when only publication was outside the lock — and
+//! deterministic tasks make both results byte-identical.
 //!
 //! **Idempotence.** Speculative / re-executed map tasks stay idempotent
 //! through the buffer: a same-node re-execution replaces the task's runs
@@ -48,7 +66,7 @@ use fabric::{run_parallel, NodeId, Payload, Proc, TaskFn};
 use parking_lot::Mutex;
 
 use crate::job::JobCtx;
-use crate::record::{decode_kvs, encode_kvs, group_sorted, merge_sorted_runs};
+use crate::record::merge_into_run;
 
 /// Who produced a published segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -322,13 +340,15 @@ struct JobBuffers {
     nodes: BTreeMap<u32, NodeBuffer>,
 }
 
-/// What a flush produced, computed under the buffer lock and applied
-/// (published + counted) after releasing it.
-struct FlushOut {
+/// One flush to merge, combine and publish: decided (and recorded in the
+/// buffer) under the buffer lock, carried out after releasing it.
+struct FlushPlan {
+    seq: u32,
+    /// Refcounted snapshot of the flush set: task → per-partition runs.
+    set: Vec<(u32, Vec<Payload>)>,
+    buffered: u64,
+    /// `None` when recombining an already-announced flush.
     delivery: Option<DeliverySpec>,
-    combined: Vec<(SegmentKey, Payload)>,
-    compute: u64,
-    saved_bytes: u64,
 }
 
 /// The node-local (tier-2) combine stage: accumulates map tasks' partitioned
@@ -363,11 +383,11 @@ impl NodeCombiner {
         ctx: &Arc<JobCtx>,
         task: u32,
         parts: Vec<Payload>,
-    ) -> Vec<DeliverySpec> {
+    ) -> Result<Vec<DeliverySpec>, String> {
         let node = p.node().0;
         let tuning = ctx.conf.shuffle;
         let bytes: u64 = parts.iter().map(Payload::len).sum();
-        let mut flushes: Vec<FlushOut> = Vec::new();
+        let mut flush: Option<FlushPlan> = None;
         {
             let mut jobs = self.jobs.lock();
             let jb = jobs.entry(ctx.id).or_default();
@@ -391,21 +411,14 @@ impl NodeCombiner {
                     let nb = jb.nodes.entry(node).or_default();
                     if let Some(set) = nb.flushed.get_mut(&seq) {
                         set.insert(task, parts);
-                        let set_snapshot: Vec<(u32, Vec<Payload>)> =
+                        let set: Vec<(u32, Vec<Payload>)> =
                             set.iter().map(|(t, r)| (*t, r.clone())).collect();
-                        let mut out = combine_flush(
-                            ctx,
-                            node,
+                        flush = Some(FlushPlan {
                             seq,
-                            &set_snapshot,
-                            set_snapshot
-                                .iter()
-                                .flat_map(|(_, r)| r)
-                                .map(Payload::len)
-                                .sum(),
-                        );
-                        out.delivery = None; // already announced
-                        flushes.push(out);
+                            buffered: set.iter().flat_map(|(_, r)| r).map(Payload::len).sum(),
+                            set,
+                            delivery: None,
+                        });
                         // republished bumps when the publishes replace the
                         // flush's live segments below; count the recombine.
                         self.registry.recombined.fetch_add(1, Ordering::Relaxed);
@@ -427,26 +440,25 @@ impl NodeCombiner {
                         .is_some_and(|n| nb.pending_tasks >= n.max(1));
                     let hit_bytes = tuning.flush_bytes.is_some_and(|b| nb.pending_bytes >= b);
                     if hit_tasks || hit_bytes {
-                        if let Some(out) = flush_pending(ctx, jb, node) {
-                            flushes.push(out);
-                        }
+                        flush = flush_pending(jb, node);
                     }
                 }
             }
         }
-        self.apply_flushes(p, ctx, flushes)
+        Ok(self.run_flush(p, ctx, flush)?.into_iter().collect())
     }
 
     /// Flush whatever the node still buffers for this job (called by the
     /// tracker once the node's map share is complete). Returns the
     /// delivery to announce, or `None` if the buffer was empty.
-    pub fn complete_node(&self, p: &Proc, ctx: &Arc<JobCtx>, node: NodeId) -> Option<DeliverySpec> {
-        let flushes = {
-            let mut jobs = self.jobs.lock();
-            let jb = jobs.entry(ctx.id).or_default();
-            flush_pending(ctx, jb, node.0).into_iter().collect()
-        };
-        self.apply_flushes(p, ctx, flushes).pop()
+    pub fn complete_node(
+        &self,
+        p: &Proc,
+        ctx: &Arc<JobCtx>,
+        node: NodeId,
+    ) -> Result<Option<DeliverySpec>, String> {
+        let flush = flush_pending(self.jobs.lock().entry(ctx.id).or_default(), node.0);
+        self.run_flush(p, ctx, flush)
     }
 
     /// The node lost its local output store: drop its buffers (pending and
@@ -482,47 +494,47 @@ impl NodeCombiner {
         self.jobs.lock().remove(&job);
     }
 
-    /// Charge ghost compute, publish the flush segments and bump counters —
-    /// everything that must happen outside the buffer lock but *before* the
-    /// returned deliveries are announced.
-    fn apply_flushes(
+    /// Merge and combine the planned flush, charge ghost compute, publish
+    /// its segments and bump counters — outside the buffer lock (the merge
+    /// of a node's whole map share must not stall every other node's `add`)
+    /// but *before* the returned delivery is announced.
+    fn run_flush(
         &self,
         p: &Proc,
         ctx: &Arc<JobCtx>,
-        flushes: Vec<FlushOut>,
-    ) -> Vec<DeliverySpec> {
-        let mut deliveries = Vec::new();
-        for out in flushes {
-            if out.compute > 0 {
-                p.compute(p.node(), out.compute);
-            }
-            let fresh = out.delivery.is_some();
-            let n = out.combined.len() as u64;
-            for (key, data) in out.combined {
-                self.registry.publish(key, p.node(), data);
-            }
-            if fresh {
-                self.registry
-                    .combined_segments
-                    .fetch_add(n, Ordering::Relaxed);
-                self.registry
-                    .combine_saved_bytes
-                    .fetch_add(out.saved_bytes, Ordering::Relaxed);
-                let c = &ctx.counters;
-                c.add(&c.combined_segments, n);
-                c.add(&c.combine_saved_bytes, out.saved_bytes);
-            }
-            if let Some(d) = out.delivery {
-                deliveries.push(d);
-            }
+        flush: Option<FlushPlan>,
+    ) -> Result<Option<DeliverySpec>, String> {
+        let Some(flush) = flush else {
+            return Ok(None);
+        };
+        let (combined, compute) = combine_flush(ctx, p.node().0, &flush)?;
+        if compute > 0 {
+            p.compute(p.node(), compute);
         }
-        deliveries
+        let n = combined.len() as u64;
+        let combined_bytes: u64 = combined.iter().map(|(_, data)| data.len()).sum();
+        for (key, data) in combined {
+            self.registry.publish(key, p.node(), data);
+        }
+        if flush.delivery.is_some() {
+            let saved_bytes = flush.buffered.saturating_sub(combined_bytes);
+            self.registry
+                .combined_segments
+                .fetch_add(n, Ordering::Relaxed);
+            self.registry
+                .combine_saved_bytes
+                .fetch_add(saved_bytes, Ordering::Relaxed);
+            let c = &ctx.counters;
+            c.add(&c.combined_segments, n);
+            c.add(&c.combine_saved_bytes, saved_bytes);
+        }
+        Ok(flush.delivery)
     }
 }
 
-/// Move the node's pending set into a new flush and compute its combined
-/// segments. Runs under the buffer lock; does not publish.
-fn flush_pending(ctx: &Arc<JobCtx>, jb: &mut JobBuffers, node: u32) -> Option<FlushOut> {
+/// Move the node's pending set into a new flush: all the bookkeeping a
+/// flush needs under the buffer lock. Neither merges nor publishes.
+fn flush_pending(jb: &mut JobBuffers, node: u32) -> Option<FlushPlan> {
     let nb = jb.nodes.entry(node).or_default();
     if nb.pending.is_empty() {
         return None;
@@ -534,83 +546,67 @@ fn flush_pending(ctx: &Arc<JobCtx>, jb: &mut JobBuffers, node: u32) -> Option<Fl
     nb.pending_bytes = 0;
     nb.pending_tasks = 0;
     let tasks: Vec<u32> = set.keys().copied().collect();
-    let set_snapshot: Vec<(u32, Vec<Payload>)> = set.iter().map(|(t, r)| (*t, r.clone())).collect();
+    let snapshot: Vec<(u32, Vec<Payload>)> = set.iter().map(|(t, r)| (*t, r.clone())).collect();
     for t in &tasks {
         jb.task_loc.insert(*t, (node, Loc::Flushed(seq)));
     }
     nb.flushed.insert(seq, set);
-    let mut out = combine_flush(ctx, node, seq, &set_snapshot, buffered);
-    out.delivery = Some(DeliverySpec {
-        source: SegmentSource::Flush { node, seq },
-        tasks,
-    });
-    Some(out)
+    Some(FlushPlan {
+        seq,
+        set: snapshot,
+        buffered,
+        delivery: Some(DeliverySpec {
+            source: SegmentSource::Flush { node, seq },
+            tasks,
+        }),
+    })
 }
 
-/// Merge + combine one flush's task runs into per-partition segments.
-/// Ghost jobs scale buffered lengths by the profile's combine ratio; real
-/// jobs k-way-merge the sorted runs and run the combiner over the merged
-/// stream (byte-identical to sorting the concatenation when no combiner).
+/// Merge + combine one flush's task runs into per-partition segments (and
+/// the ghost compute to charge). Ghost jobs scale buffered lengths by the
+/// profile's combine ratio; real jobs k-way-merge the sorted runs and run
+/// the combiner over the merged stream (byte-identical to sorting the
+/// concatenation when no combiner).
 fn combine_flush(
     ctx: &Arc<JobCtx>,
     node: u32,
-    seq: u32,
-    set: &[(u32, Vec<Payload>)],
-    buffered: u64,
-) -> FlushOut {
+    flush: &FlushPlan,
+) -> Result<(Vec<(SegmentKey, Payload)>, u64), String> {
     let r = ctx.conf.num_reducers;
-    let has_combiner = ctx.conf.user.combiner.is_some();
+    let combiner = ctx.conf.user.combiner.as_deref();
+    let seq = flush.seq;
     let mut segments = Vec::with_capacity(r as usize);
-    let mut combined_bytes = 0u64;
-    let mut compute = 0u64;
-    if let Some(profile) = ctx.conf.ghost {
-        let ratio = if has_combiner {
-            profile.combine_output_ratio
-        } else {
-            1.0
-        };
-        for i in 0..r {
-            let total: u64 = set
-                .iter()
-                .filter_map(|(_, parts)| parts.get(i as usize))
-                .map(Payload::len)
-                .sum();
-            let out = (total as f64 * ratio) as u64;
-            combined_bytes += out;
-            segments.push((seg_key(ctx.id, node, seq, i), Payload::ghost(out)));
-        }
-        if has_combiner {
-            compute = (buffered as f64 * profile.reduce_cpu_per_byte) as u64;
-        }
-    } else {
-        for i in 0..r {
-            let runs: Vec<Vec<crate::api::KV>> = set
-                .iter()
-                .filter_map(|(_, parts)| parts.get(i as usize))
-                .map(|pl| decode_kvs(pl.bytes()))
-                .collect();
-            let merged = merge_sorted_runs(runs);
-            let data = if let Some(combiner) = &ctx.conf.user.combiner {
-                let mut combined = Vec::new();
-                for (key, values) in group_sorted(merged) {
-                    let mut it = values.iter().map(|v| v.as_slice());
-                    combiner.reduce(&key, &mut it, &mut |kv| combined.push(kv));
-                }
-                combined.sort();
-                encode_kvs(&combined)
+    for i in 0..r {
+        let runs: Vec<(u32, &Payload)> = flush
+            .set
+            .iter()
+            .filter_map(|(task, parts)| Some((*task, parts.get(i as usize)?)))
+            .collect();
+        let data = if let Some(profile) = ctx.conf.ghost {
+            let ratio = if combiner.is_some() {
+                profile.combine_output_ratio
             } else {
-                encode_kvs(&merged)
+                1.0
             };
-            combined_bytes += data.len();
-            segments.push((seg_key(ctx.id, node, seq, i), data));
-        }
+            let total: u64 = runs.iter().map(|(_, run)| run.len()).sum();
+            Payload::ghost((total as f64 * ratio) as u64)
+        } else {
+            let bytes: Vec<&[u8]> = runs.iter().map(|(_, run)| &run.bytes()[..]).collect();
+            merge_into_run(&bytes, combiner).map_err(|e| {
+                let task = runs.get(e.run).map_or("?".into(), |(t, _)| t.to_string());
+                format!(
+                    "job {} node {node} flush {seq} partition {i}: run of task {task}: {e}",
+                    ctx.id
+                )
+            })?
+        };
+        segments.push((seg_key(ctx.id, node, seq, i), data));
     }
-    FlushOut {
-        delivery: None,
-        combined: segments,
-        compute,
-        saved_bytes: buffered.saturating_sub(combined_bytes),
-    }
+    let compute = match (ctx.conf.ghost, combiner) {
+        (Some(profile), Some(_)) => (flush.buffered as f64 * profile.reduce_cpu_per_byte) as u64,
+        _ => 0,
+    };
+    Ok((segments, compute))
 }
 
 fn seg_key(job: u64, node: u32, seq: u32, partition: u32) -> SegmentKey {
@@ -626,6 +622,7 @@ mod tests {
     use super::*;
     use crate::api::{Mapper, Reducer, UserFns, KV};
     use crate::job::{JobConf, JobCounters, OutputMode, ShuffleTuning};
+    use crate::record::{decode_kvs, encode_kvs};
     use dfs::DfsPath;
     use fabric::{ClusterSpec, Fabric};
 
@@ -781,10 +778,13 @@ mod tests {
             // Each task: partition 0 carries a=1, partition 1 carries b=<id+1>.
             for t in 0..2u32 {
                 let parts = vec![enc(&[("a", "1")]), enc(&[("b", &format!("{}", t + 1))])];
-                let got = nc1.add(p, &ctx1, t, parts);
+                let got = nc1.add(p, &ctx1, t, parts).unwrap();
                 assert!(got.is_empty(), "default tuning flushes only at completion");
             }
-            let d = nc1.complete_node(p, &ctx1, p.node()).expect("one flush");
+            let d = nc1
+                .complete_node(p, &ctx1, p.node())
+                .unwrap()
+                .expect("one flush");
             assert_eq!(d.source, SegmentSource::Flush { node: 1, seq: 0 });
             assert_eq!(d.tasks, vec![0, 1]);
             d1.set();
@@ -794,9 +794,12 @@ mod tests {
             done1.wait(p);
             for t in 2..4u32 {
                 let parts = vec![enc(&[("a", "1")]), enc(&[("b", &format!("{}", t + 1))])];
-                nc2.add(p, &ctx2, t, parts);
+                nc2.add(p, &ctx2, t, parts).unwrap();
             }
-            let d = nc2.complete_node(p, &ctx2, p.node()).expect("one flush");
+            let d = nc2
+                .complete_node(p, &ctx2, p.node())
+                .unwrap()
+                .expect("one flush");
             assert_eq!(d.tasks, vec![2, 3]);
 
             // Exactly one combined segment per (node, partition).
@@ -845,17 +848,20 @@ mod tests {
         let (nc1, ctx1, d1, rega) = (nc.clone(), jctx.clone(), done1.clone(), reg.clone());
         let h = fx.spawn(NodeId(1), "node1", move |p| {
             // Pending LWW: second add of task 0 replaces the first.
-            nc1.add(p, &ctx1, 0, vec![enc(&[("a", "1")])]);
-            nc1.add(p, &ctx1, 0, vec![enc(&[("a", "9")])]);
+            nc1.add(p, &ctx1, 0, vec![enc(&[("a", "1")])]).unwrap();
+            nc1.add(p, &ctx1, 0, vec![enc(&[("a", "9")])]).unwrap();
             assert_eq!(rega.republished(), 1, "pending replace counts");
-            let d = nc1.complete_node(p, &ctx1, p.node()).expect("flush");
+            let d = nc1
+                .complete_node(p, &ctx1, p.node())
+                .unwrap()
+                .expect("flush");
             assert_eq!(d.tasks, vec![0]);
             let got = rega.fetch(p, flush_key(1, 0, 0)).unwrap().unwrap();
             assert_eq!(decode_kvs(got.bytes()), vec![KV::new("a", "9")]);
 
             // Flushed recombine: task 0 re-runs after its flush; the
             // combined segment is invalidated and republished in place.
-            nc1.add(p, &ctx1, 0, vec![enc(&[("a", "5")])]);
+            nc1.add(p, &ctx1, 0, vec![enc(&[("a", "5")])]).unwrap();
             assert_eq!(rega.stats().recombined, 1);
             let got = rega.fetch(p, flush_key(1, 0, 0)).unwrap().unwrap();
             assert_eq!(decode_kvs(got.bytes()), vec![KV::new("a", "5")]);
@@ -865,9 +871,9 @@ mod tests {
         // original node's segment stays authoritative.
         let h2 = fx.spawn(NodeId(2), "node2", move |p| {
             done1.wait(p);
-            let d = nc.add(p, &jctx, 0, vec![enc(&[("a", "7")])]);
+            let d = nc.add(p, &jctx, 0, vec![enc(&[("a", "7")])]).unwrap();
             assert!(d.is_empty(), "cross-node duplicate is dropped");
-            assert!(nc.complete_node(p, &jctx, p.node()).is_none());
+            assert!(nc.complete_node(p, &jctx, p.node()).unwrap().is_none());
             let got = reg2.fetch(p, flush_key(1, 0, 0)).unwrap().unwrap();
             assert_eq!(
                 decode_kvs(got.bytes()),
@@ -878,6 +884,28 @@ mod tests {
         fx.run();
         h.take().unwrap();
         h2.take().unwrap();
+    }
+
+    /// A buffered run that does not parse fails the flush with an error
+    /// naming where it came from — no panic, no silently shorter segment.
+    #[test]
+    fn torn_run_fails_the_flush_with_its_origin() {
+        let fx = Fabric::sim(ClusterSpec::tiny(3));
+        let nc = NodeCombiner::new(MapOutputRegistry::new());
+        let jctx = ctx(1, true, ShuffleTuning::default());
+        let h = fx.spawn(NodeId(1), "node1", move |p| {
+            nc.add(p, &jctx, 0, vec![enc(&[("a", "1")])]).unwrap();
+            let torn = enc(&[("a", "1")]).slice(0, 9);
+            nc.add(p, &jctx, 4, vec![torn]).unwrap();
+            let err = nc.complete_node(p, &jctx, p.node()).unwrap_err();
+            assert_eq!(
+                err,
+                "job 1 node 1 flush 0 partition 0: run of task 4: torn segment: \
+                 record at byte 0 needs 10 bytes, segment ends at 9"
+            );
+        });
+        fx.run();
+        h.take().unwrap();
     }
 
     /// Threshold flushes: `flush_tasks` bounds how many tasks a buffer
@@ -898,13 +926,19 @@ mod tests {
         );
         let reg2 = reg.clone();
         let h = fx.spawn(NodeId(1), "node1", move |p| {
-            assert!(nc.add(p, &jctx, 0, vec![enc(&[("a", "1")])]).is_empty());
-            let d = nc.add(p, &jctx, 1, vec![enc(&[("a", "1")])]);
+            assert!(nc
+                .add(p, &jctx, 0, vec![enc(&[("a", "1")])])
+                .unwrap()
+                .is_empty());
+            let d = nc.add(p, &jctx, 1, vec![enc(&[("a", "1")])]).unwrap();
             assert_eq!(d.len(), 1, "second task hits the flush_tasks=2 bound");
             assert_eq!(d[0].tasks, vec![0, 1]);
-            let d = nc.add(p, &jctx, 2, vec![enc(&[("a", "1")])]);
+            let d = nc.add(p, &jctx, 2, vec![enc(&[("a", "1")])]).unwrap();
             assert!(d.is_empty());
-            let fin = nc.complete_node(p, &jctx, p.node()).expect("tail flush");
+            let fin = nc
+                .complete_node(p, &jctx, p.node())
+                .unwrap()
+                .expect("tail flush");
             assert_eq!(fin.source, SegmentSource::Flush { node: 1, seq: 1 });
             assert_eq!(fin.tasks, vec![2]);
             // Two flushes → two combined segments for the one partition.
@@ -936,8 +970,8 @@ mod tests {
         );
         let reg2 = reg.clone();
         let h = fx.spawn(NodeId(1), "node1", move |p| {
-            nc.add(p, &jctx, 0, vec![enc(&[("a", "1")])]); // flushed (threshold 1)
-                                                           // A direct per-task publication on the same node (rerun path).
+            nc.add(p, &jctx, 0, vec![enc(&[("a", "1")])]).unwrap(); // flushed (threshold 1)
+                                                                    // A direct per-task publication on the same node (rerun path).
             reg2.publish(key(7, 0), p.node(), enc(&[("z", "1")]));
             let lost_direct = reg2.drop_host(p.node());
             assert_eq!(lost_direct, vec![(1, 7)]);
@@ -948,7 +982,7 @@ mod tests {
                 "flush segment gone with the host"
             );
             // A fresh run of task 0 lands cleanly (task_loc was cleared).
-            let d = nc.add(p, &jctx, 0, vec![enc(&[("a", "1")])]);
+            let d = nc.add(p, &jctx, 0, vec![enc(&[("a", "1")])]).unwrap();
             assert_eq!(d.len(), 1);
         });
         fx.run();

@@ -10,7 +10,7 @@ use fabric::{NodeId, Payload, Proc};
 use crate::api::{partition_for, KV};
 use crate::job::{JobCtx, OutputMode};
 use crate::record::{
-    decode_kvs, encode_kvs, group_sorted, merge_sorted_runs, sort_and_group, split_records, to_text,
+    merge_into_run, put_text, reduce_runs, split_records, Collector, SegmentError,
 };
 use crate::shuffle::{DeliverySpec, MapOutputRegistry, NodeCombiner, SegmentKey, SegmentSource};
 
@@ -121,7 +121,7 @@ pub fn run_map_task(
         let window = Payload::concat(&parts);
         let window = window.bytes();
 
-        let mut buffers: Vec<Vec<KV>> = (0..r).map(|_| Vec::new()).collect();
+        let mut collectors: Vec<Collector> = (0..r).map(|_| Collector::default()).collect();
         let mut in_records = 0u64;
         let mut out_records = 0u64;
         let mut out_bytes = 0u64;
@@ -131,35 +131,28 @@ pub fn run_map_task(
             conf.user.mapper.map(k, v, &mut |kv: KV| {
                 out_records += 1;
                 out_bytes += kv.encoded_len();
-                buffers[partition_for(&kv.key, r) as usize].push(kv);
+                collectors[partition_for(&kv.key, r) as usize].push(&kv.key, &kv.value);
             });
         }
         counters.add(&counters.map_input_records, in_records);
         counters.add(&counters.map_output_records, out_records);
         counters.add(&counters.map_output_bytes, out_bytes);
 
-        buffers
-            .into_iter()
-            .map(|mut buf| {
-                buf.sort();
-                if let Some(combiner) = &conf.user.combiner {
-                    let grouped = sort_and_group(buf);
-                    let mut combined = Vec::new();
-                    for (key, values) in grouped {
-                        let mut it = values.iter().map(|v| v.as_slice());
-                        combiner.reduce(&key, &mut it, &mut |kv| combined.push(kv));
-                    }
-                    combined.sort();
-                    encode_kvs(&combined)
-                } else {
-                    encode_kvs(&buf)
-                }
-            })
-            .collect()
+        let combiner = conf.user.combiner.as_deref();
+        let mut partitions = Vec::with_capacity(collectors.len());
+        for (i, collected) in collectors.into_iter().enumerate() {
+            partitions.push(collected.into_run(combiner).map_err(|e| {
+                format!(
+                    "job {} map {} partition {i}: tier-1 combine: {e}",
+                    ctx.id, spec.task_id
+                )
+            })?);
+        }
+        partitions
     };
 
     let deliveries = if conf.shuffle.node_combine && !spec.rerun {
-        shuffle.add(p, ctx, spec.task_id, partitions)
+        shuffle.add(p, ctx, spec.task_id, partitions)?
     } else {
         let registry = shuffle.registry();
         for (i, data) in partitions.into_iter().enumerate() {
@@ -183,7 +176,7 @@ pub fn run_map_task(
 
 /// Collapse the reducer's buffered runs once this many accumulate, keeping
 /// reduce-side memory bounded (Hadoop's merge factor, scaled down).
-const MERGE_FANIN: usize = 8;
+pub const MERGE_FANIN: usize = 8;
 
 /// Execute a reduce task: *stream* the shuffle (fetch and merge deliveries
 /// as the jobtracker announces them — no map-phase barrier), then group,
@@ -206,7 +199,9 @@ pub fn run_reduce_task(
     let map_count = spec.map_count as usize;
     let mut obtained = vec![false; map_count];
     let mut obtained_count = 0usize;
-    let mut runs: Vec<Vec<KV>> = Vec::new();
+    // Fetched runs stay refcounted bytes, each beside where it came from
+    // (`None`: an earlier collapse of this reducer's own).
+    let mut runs: Vec<(Option<SegmentSource>, Payload)> = Vec::new();
     let mut ghost_bytes = 0u64;
     while obtained_count < map_count {
         let first = spec
@@ -270,11 +265,13 @@ pub fn run_reduce_task(
             if conf.ghost.is_some() {
                 ghost_bytes += seg.len();
             } else {
-                // Every published segment is fully (key, value)-sorted, so
-                // it joins the incremental k-way merge as one run.
-                runs.push(decode_kvs(seg.bytes()));
+                // Every published segment is a sorted run, so it joins the
+                // incremental k-way merge as it is.
+                runs.push((Some(d.source), seg));
                 if runs.len() >= MERGE_FANIN {
-                    runs = vec![merge_sorted_runs(std::mem::take(&mut runs))];
+                    let merged = merge_into_run(&run_bytes(&runs), None)
+                        .map_err(|e| torn_run(spec, &runs, e))?;
+                    runs = vec![(None, merged)];
                 }
             }
         }
@@ -295,20 +292,21 @@ pub fn run_reduce_task(
         counters.add(&counters.reduce_output_bytes, out);
         Payload::ghost(out)
     } else {
-        let merged = merge_sorted_runs(runs);
-        counters.add(&counters.reduce_input_records, merged.len() as u64);
-        let grouped = group_sorted(merged);
-        let mut out_records = Vec::new();
-        for (key, values) in grouped {
-            let mut it = values.iter().map(|v| v.as_slice());
-            conf.user
-                .reducer
-                .reduce(&key, &mut it, &mut |kv| out_records.push(kv));
-        }
-        counters.add(&counters.reduce_output_records, out_records.len() as u64);
-        let payload = to_text(&out_records);
-        counters.add(&counters.reduce_output_bytes, payload.len());
-        payload
+        let mut text = Vec::new();
+        let mut out_records = 0u64;
+        let in_records = reduce_runs(
+            &run_bytes(&runs),
+            Some(conf.user.reducer.as_ref()),
+            &mut |k, v| {
+                put_text(&mut text, k, v);
+                out_records += 1;
+            },
+        )
+        .map_err(|e| torn_run(spec, &runs, e))?;
+        counters.add(&counters.reduce_input_records, in_records);
+        counters.add(&counters.reduce_output_records, out_records);
+        counters.add(&counters.reduce_output_bytes, text.len() as u64);
+        Payload::from_vec(text)
     };
 
     // Commit.
@@ -339,6 +337,26 @@ pub fn run_reduce_task(
         }
     }
     Ok(())
+}
+
+fn run_bytes(runs: &[(Option<SegmentSource>, Payload)]) -> Vec<&[u8]> {
+    runs.iter().map(|(_, run)| &run.bytes()[..]).collect()
+}
+
+/// A reduce task's error for a fetched segment that does not parse.
+fn torn_run(
+    spec: &ReduceTaskSpec,
+    runs: &[(Option<SegmentSource>, Payload)],
+    e: SegmentError,
+) -> String {
+    let source = match runs.get(e.run) {
+        Some((Some(source), _)) => source.to_string(),
+        _ => "an earlier merge".to_string(),
+    };
+    format!(
+        "job {} reduce {}: segment of {source}: {e}",
+        spec.job.id, spec.partition
+    )
 }
 
 #[cfg(test)]
@@ -423,7 +441,7 @@ mod tests {
             )
             .unwrap();
             assert!(deliveries.is_empty(), "buffered until node completion");
-            deliveries.extend(shuffle.complete_node(p, &ctx, p.node()));
+            deliveries.extend(shuffle.complete_node(p, &ctx, p.node()).unwrap());
             let feed = p.fabric().queue();
             for d in deliveries {
                 feed.send(d);
@@ -513,7 +531,7 @@ mod tests {
             run_map_task(p, &fs, &shuffle, &spec).unwrap();
             assert_eq!(registry.republished(), 1);
             let feed = p.fabric().queue();
-            if let Some(d) = shuffle.complete_node(p, &ctx, p.node()) {
+            if let Some(d) = shuffle.complete_node(p, &ctx, p.node()).unwrap() {
                 feed.send(d);
             }
             run_reduce_task(
@@ -535,6 +553,78 @@ mod tests {
                 out.bytes().as_ref(),
                 b"a\t1\nb\t2,3\n",
                 "republished output must not double-count records"
+            );
+        });
+        fx.run();
+        h.take().unwrap();
+    }
+
+    /// A fetched segment with trailing garbage fails the reduce task with
+    /// an error naming job, partition and source.
+    #[test]
+    fn torn_segment_fails_the_reduce_task_with_its_source() {
+        let fx = Fabric::sim(ClusterSpec::tiny(4));
+        let fs = Bsfs::deploy(
+            &fx,
+            blobseer::BlobSeerConfig::test_small(4096),
+            blobseer::Layout::compact(fx.spec()),
+        )
+        .unwrap();
+        let h = fx.spawn(NodeId(0), "driver", move |p| {
+            let fs: Arc<dyn FileSystem> = Arc::new(fs);
+            let ctx = Arc::new(JobCtx {
+                id: 7,
+                conf: JobConf {
+                    name: "torn".into(),
+                    inputs: vec![],
+                    output_dir: DfsPath::new("/out").unwrap(),
+                    num_reducers: 3,
+                    output_mode: OutputMode::PerReducerFiles,
+                    user: UserFns {
+                        mapper: Arc::new(IdentityMap),
+                        reducer: Arc::new(ConcatReduce),
+                        combiner: None,
+                    },
+                    ghost: None,
+                    shuffle: crate::job::ShuffleTuning::default(),
+                },
+                counters: Arc::new(JobCounters::default()),
+            });
+            let registry = MapOutputRegistry::new();
+            let feed = p.fabric().queue();
+            for (task, tail) in [(0u32, &b""[..]), (1, &b"\x01\0\0"[..])] {
+                let mut seg = crate::record::encode_kvs(&[KV::new("k", "v")])
+                    .bytes()
+                    .to_vec();
+                seg.extend_from_slice(tail);
+                let source = SegmentSource::Task(task);
+                registry.publish(
+                    SegmentKey {
+                        job: ctx.id,
+                        source,
+                        partition: 2,
+                    },
+                    p.node(),
+                    Payload::from_vec(seg),
+                );
+                feed.send(DeliverySpec {
+                    source,
+                    tasks: vec![task],
+                });
+            }
+            let spec = ReduceTaskSpec {
+                job: ctx,
+                partition: 2,
+                map_count: 2,
+                feed,
+            };
+            assert_eq!(
+                run_reduce_task(p, &fs, &registry, &spec),
+                Err(
+                    "job 7 reduce 2: segment of task 1: torn segment: record at byte 10 \
+                     needs 8 bytes, segment ends at 13"
+                        .to_string()
+                )
             );
         });
         fx.run();

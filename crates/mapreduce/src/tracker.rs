@@ -584,8 +584,10 @@ fn maybe_flush_idle_nodes(
         let inbox2 = inbox.clone();
         let ctx = st.ctx.clone();
         fabric.spawn(NodeId(n), format!("combine-flush-{job}-{n}"), move |tp| {
-            let delivery = comb2.complete_node(tp, &ctx, tp.node());
-            inbox2.send(JtMsg::FlushDone { job, delivery });
+            inbox2.send(match comb2.complete_node(tp, &ctx, tp.node()) {
+                Ok(delivery) => JtMsg::FlushDone { job, delivery },
+                Err(detail) => JtMsg::TaskFailed { job, detail },
+            });
         });
     }
 }

@@ -443,3 +443,61 @@ fn ghost_job_at_paper_scale_smoke() {
     assert!(r.elapsed_secs() > 1.0, "moving 3x320MB takes real time");
     assert!(r.elapsed_secs() < 120.0, "took {}s", r.elapsed_secs());
 }
+
+/// The engine's record path may change; what a job publishes may not. The
+/// byte counters and the output file of the shapes above, as the
+/// owned-`KV` engine (PR 12) produced them.
+#[test]
+fn job_counters_and_output_are_pinned() {
+    let run = |nodes: u32, block: u64, reducers: u32, shuffle: ShuffleTuning| {
+        let fx = Fabric::sim(ClusterSpec::tiny(nodes));
+        let bsfs = Bsfs::deploy(
+            &fx,
+            BlobSeerConfig::test_small(block),
+            Layout::compact(fx.spec()),
+        )
+        .unwrap();
+        let fs: Arc<dyn FileSystem> = Arc::new(bsfs);
+        let r = run_wordcount_tuned(
+            fs.clone(),
+            &fx,
+            OutputMode::SharedAppendFile,
+            reducers,
+            shuffle,
+        );
+        let out = read_all_output(fs, &fx, OutputMode::SharedAppendFile);
+        (
+            [
+                r.map_output_bytes,
+                r.shuffle_bytes,
+                r.combine_saved_bytes,
+                r.combined_segments,
+                out.len() as u64,
+            ],
+            Payload::from_vec(out).fingerprint(),
+        )
+    };
+    let tuned = |node_combine, flush_tasks| ShuffleTuning {
+        node_combine,
+        flush_tasks,
+        flush_bytes: None,
+    };
+    // [map_output_bytes, shuffle_bytes, combine_saved_bytes,
+    //  combined_segments, output bytes], output fingerprint.
+    assert_eq!(
+        run(8, 32, 4, ShuffleTuning::default()),
+        ([226, 202, 0, 12, 82], 0x2095_1a3c_1bbf_0331)
+    );
+    assert_eq!(
+        run(2, 8, 2, tuned(true, None)),
+        ([226, 154, 72, 4, 82], 0xb357_c7b2_4994_4639)
+    );
+    assert_eq!(
+        run(2, 8, 2, tuned(false, None)),
+        ([226, 226, 0, 0, 82], 0xb357_c7b2_4994_4639)
+    );
+    assert_eq!(
+        run(2, 8, 2, tuned(true, Some(1))),
+        ([226, 226, 0, 22, 82], 0xb357_c7b2_4994_4639)
+    );
+}

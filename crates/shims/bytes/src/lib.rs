@@ -14,8 +14,10 @@ use std::sync::Arc;
 enum Storage {
     /// Borrowed from a `'static` slice (no refcount traffic at all).
     Static(&'static [u8]),
-    /// Shared ownership of a heap buffer.
-    Shared(Arc<[u8]>),
+    /// Shared ownership of a heap buffer. The `Vec` is kept as it arrived:
+    /// `Arc<[u8]>::from(Vec)` would allocate and copy every byte to put the
+    /// refcount beside them.
+    Shared(Arc<Vec<u8>>),
 }
 
 impl Clone for Storage {
@@ -126,7 +128,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Storage::Shared(Arc::from(v)),
+            data: Storage::Shared(Arc::new(v)),
             start: 0,
             end,
         }
@@ -215,6 +217,15 @@ mod tests {
         // Cloning is refcount-only: the backing pointer is identical.
         let c = b.clone();
         assert_eq!(c.backing().as_ptr(), b.backing().as_ptr());
+    }
+
+    #[test]
+    fn from_vec_takes_the_buffer_without_copying() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.slice(100..).as_ptr(), ptr.wrapping_add(100));
     }
 
     #[test]
