@@ -109,13 +109,26 @@ const SEQUENCES: &[&str] = &["Vec", "VecDeque", "BTreeMap", "BTreeSet"];
 /// (looking through transparent wrappers, but not through ordered sequence
 /// containers).
 pub(crate) fn unordered_names(v: &View) -> Vec<String> {
+    binder_names(v, &["HashMap", "HashSet"], SEQUENCES)
+}
+
+/// Names bound to ordered sequence containers in this file. Used to shadow
+/// the crate-wide union: `shuffle.rs` declares `segments: HashMap<…>`, but a
+/// `let mut segments = Vec::…` local in `task.rs` must not inherit it.
+fn sequence_names(v: &View) -> Vec<String> {
+    binder_names(v, SEQUENCES, &[])
+}
+
+/// Names whose declared type mentions one of `targets`, unless the mention
+/// sits inside one of the `opaque` containers.
+fn binder_names(v: &View, targets: &[&str], opaque: &[&str]) -> Vec<String> {
     let mut names = Vec::new();
     for i in 0..v.toks.len() {
         if !v.is_code(i) {
             continue;
         }
         let Some(t) = v.ident(i) else { continue };
-        if t != "HashMap" && t != "HashSet" {
+        if !targets.contains(&t) {
             continue;
         }
         // Walk left through the type expression (and any `std::collections`
@@ -125,60 +138,11 @@ pub(crate) fn unordered_names(v: &View) -> Vec<String> {
         while j > 0 && steps < 32 {
             steps += 1;
             let k = j - 1;
-            if v.ident(k).is_some_and(|id| SEQUENCES.contains(&id)) {
+            if v.ident(k).is_some_and(|id| opaque.contains(&id)) {
                 break; // wrapped in an ordered container: binder is ordered
             }
             if v.is_punct(k, ':') && k > 0 && v.is_punct(k - 1, ':') {
                 j = k - 1; // a `::` path segment
-                continue;
-            }
-            if v.is_punct(k, ':') {
-                if let Some(name) = v.ident(k.wrapping_sub(1)) {
-                    names.push(name.to_string());
-                }
-                break;
-            }
-            if v.is_punct(k, '=') {
-                if let Some(name) = v.ident(k.wrapping_sub(1)) {
-                    names.push(name.to_string());
-                }
-                break;
-            }
-            let type_ish = v.ident(k).is_some()
-                || v.is_punct(k, '<')
-                || v.is_punct(k, '>')
-                || v.is_punct(k, ',')
-                || v.is_punct(k, '&')
-                || v.is_punct(k, '(');
-            if !type_ish {
-                break;
-            }
-            j = k;
-        }
-    }
-    names
-}
-
-/// Names bound to ordered sequence containers in this file. Used to shadow
-/// the crate-wide union: `shuffle.rs` declares `segments: HashMap<…>`, but a
-/// `let mut segments = Vec::…` local in `task.rs` must not inherit it.
-fn sequence_names(v: &View) -> Vec<String> {
-    let mut names = Vec::new();
-    for i in 0..v.toks.len() {
-        if !v.is_code(i) {
-            continue;
-        }
-        let Some(t) = v.ident(i) else { continue };
-        if !SEQUENCES.contains(&t) {
-            continue;
-        }
-        let mut j = i;
-        let mut steps = 0;
-        while j > 0 && steps < 32 {
-            steps += 1;
-            let k = j - 1;
-            if v.is_punct(k, ':') && k > 0 && v.is_punct(k - 1, ':') {
-                j = k - 1;
                 continue;
             }
             if v.is_punct(k, ':') || v.is_punct(k, '=') {

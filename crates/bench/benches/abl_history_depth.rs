@@ -15,11 +15,12 @@
 //! wall-clock *per tree node written*. A second series does fixed-size
 //! interior overwrites (constant tree depth) where raw per-update cost must
 //! stay flat. Results land in `BENCH_history_depth.json` at the repo root —
-//! the perf-trajectory baseline CI uploads for future PRs to diff.
+//! the perf-trajectory baseline CI uploads, gated through
+//! `bench_suite::baseline` (sim ns/op no worse than 1.25x, DHT puts exact).
 
 use std::time::Instant;
 
-use bench_suite::{json_num, print_table};
+use bench_suite::{print_table, Baseline, Gate};
 use blobseer::{BlobSeer, BlobSeerConfig, Layout};
 use fabric::{ClusterSpec, Fabric, NodeId, Payload};
 
@@ -33,6 +34,23 @@ struct Point {
     wall_ns_per_op: f64,
     sim_ns_per_op: f64,
     puts_per_op: f64,
+}
+
+/// Wall-clock planning cost per metadata tree node written.
+fn per_node(pt: &Point) -> f64 {
+    pt.wall_ns_per_op / pt.puts_per_op.max(1.0)
+}
+
+/// One depth series of the record. Sim time and DHT puts are deterministic
+/// for the fixed seed; wall-clock fields are recorded but never gated.
+fn declare<'a>(record: Baseline<'a, Point>, name: &'static str) -> Baseline<'a, Point> {
+    record
+        .section(name)
+        .axis("depth", |pt| pt.depth)
+        .series("wall_ns_per_op", Gate::Record, 1, |pt| pt.wall_ns_per_op)
+        .series("wall_ns_per_node", Gate::Record, 1, per_node)
+        .series("sim_ns_per_op", Gate::Lower, 1, |pt| pt.sim_ns_per_op)
+        .series("dht_puts_per_op", Gate::Exact, 2, |pt| pt.puts_per_op)
 }
 
 fn deploy() -> (Fabric, BlobSeer) {
@@ -122,65 +140,40 @@ fn main() {
         h.take().unwrap()
     };
 
-    let rows = |pts: &[Point]| -> Vec<Vec<String>> {
-        pts.iter()
-            .map(|pt| {
-                vec![
-                    pt.depth.to_string(),
-                    format!("{:.0}", pt.wall_ns_per_op),
-                    format!("{:.0}", pt.wall_ns_per_op / pt.puts_per_op.max(1.0)),
-                    format!("{:.0}", pt.sim_ns_per_op),
-                    format!("{:.1}", pt.puts_per_op),
-                ]
-            })
-            .collect()
+    let table = |title: &str, pts: &[Point]| {
+        let row = |pt: &Point| {
+            vec![
+                pt.depth.to_string(),
+                format!("{:.0}", pt.wall_ns_per_op),
+                format!("{:.0}", per_node(pt)),
+                format!("{:.0}", pt.sim_ns_per_op),
+                format!("{:.1}", pt.puts_per_op),
+            ]
+        };
+        let headers = [
+            "depth",
+            "wall ns/op",
+            "wall ns/node",
+            "sim ns/op",
+            "DHT puts/op",
+        ];
+        print_table(title, &headers, &pts.iter().map(row).collect::<Vec<_>>());
     };
-    print_table(
+    table(
         "Ablation A4a: append cost vs history depth (1 page per append)",
-        &[
-            "depth",
-            "wall ns/op",
-            "wall ns/node",
-            "sim ns/op",
-            "DHT puts/op",
-        ],
-        &rows(&append_points),
+        &append_points,
     );
-    print_table(
+    table(
         "Ablation A4b: interior-overwrite cost vs history depth (128-page blob, constant tree)",
-        &[
-            "depth",
-            "wall ns/op",
-            "wall ns/node",
-            "sim ns/op",
-            "DHT puts/op",
-        ],
-        &rows(&overwrite_points),
+        &overwrite_points,
     );
 
-    let json = to_json(&append_points, &overwrite_points);
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_history_depth.json"
-    );
-    // Diff BEFORE overwriting: a regressed run must die with the committed
-    // baseline intact, not clobber it and pass on the next invocation. The
-    // fresh numbers land in a `.new` side file first (what CI uploads when
-    // the diff fails, so a deliberate re-record has the data) and are
-    // promoted onto the canonical path only after the diff passes.
-    let new_path = format!("{path}.new");
-    std::fs::write(&new_path, &json).expect("write fresh bench record");
-    match std::fs::read_to_string(path).ok() {
-        None => println!("\nno committed baseline found; this run records the first one"),
-        Some(base) => {
-            diff_series(&base, "append_series", &append_points);
-            diff_series(&base, "overwrite_series", &overwrite_points);
-            println!("\nbaseline diff passed: sim time and DHT puts within tolerance per depth");
-        }
-    }
-    std::fs::write(path, &json).expect("write BENCH_history_depth.json");
-    let _ = std::fs::remove_file(&new_path);
-    println!("wrote {path}");
+    let record = Baseline::new("abl_history_depth")
+        .param("page_size", PS)
+        .param("window", WINDOW);
+    let record = declare(record.sweep(&append_points), "append_series");
+    declare(record.sweep(&overwrite_points), "overwrite_series")
+        .check_and_record("BENCH_history_depth.json");
 
     // Acceptance gates, flat (within 2x) from depth 100 to 10 000 instead
     // of the ~100x a linear rescan would cost. The hard 2x gates use the
@@ -209,7 +202,6 @@ fn main() {
         a100.puts_per_op,
         a10k.puts_per_op,
     );
-    let per_node = |pt: &Point| pt.wall_ns_per_op / pt.puts_per_op.max(1.0);
     assert!(
         per_node(a10k) <= 5.0 * per_node(a100),
         "append planning wall cost per tree node grew {:.0} -> {:.0} ns from depth 100 to 10k",
@@ -228,63 +220,4 @@ fn main() {
         a10k.puts_per_op / a100.puts_per_op,
         per_node(a10k) / per_node(a100),
     );
-}
-
-/// Diff this run's DETERMINISTIC currencies (simulated wire time, DHT node
-/// puts — exact for a fixed seed) against the committed baseline series;
-/// wall-clock fields are recorded but never gated here. A legitimate cost
-/// change re-records the committed JSON deliberately.
-fn diff_series(base: &str, series: &str, pts: &[Point]) {
-    let start = base
-        .find(&format!("\"{series}\""))
-        .expect("baseline series");
-    let seg = &base[start..];
-    let seg = &seg[..seg.find(']').expect("series closes")];
-    for pt in pts {
-        let obj = seg
-            .split('{')
-            .find(|o| json_num(o, "depth") == Some(pt.depth as f64))
-            .unwrap_or_else(|| panic!("baseline {series} lacks depth {}", pt.depth));
-        let base_sim = json_num(obj, "sim_ns_per_op").expect("baseline sim_ns_per_op");
-        let base_puts = json_num(obj, "dht_puts_per_op").expect("baseline dht_puts_per_op");
-        assert!(
-            pt.sim_ns_per_op <= base_sim * 1.25,
-            "{series} depth {}: simulated cost regressed {:.0} -> {:.0} ns/op vs baseline",
-            pt.depth,
-            base_sim,
-            pt.sim_ns_per_op,
-        );
-        assert!(
-            pt.puts_per_op <= base_puts + 2.0,
-            "{series} depth {}: DHT puts regressed {:.2} -> {:.2} per op vs baseline",
-            pt.depth,
-            base_puts,
-            pt.puts_per_op,
-        );
-    }
-}
-
-fn series_json(pts: &[Point]) -> String {
-    let items: Vec<String> = pts
-        .iter()
-        .map(|pt| {
-            format!(
-                "    {{\"depth\": {}, \"wall_ns_per_op\": {:.1}, \"wall_ns_per_node\": {:.1}, \"sim_ns_per_op\": {:.1}, \"dht_puts_per_op\": {:.2}}}",
-                pt.depth,
-                pt.wall_ns_per_op,
-                pt.wall_ns_per_op / pt.puts_per_op.max(1.0),
-                pt.sim_ns_per_op,
-                pt.puts_per_op
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", items.join(",\n"))
-}
-
-fn to_json(appends: &[Point], overwrites: &[Point]) -> String {
-    format!(
-        "{{\n  \"bench\": \"abl_history_depth\",\n  \"page_size\": {PS},\n  \"window\": {WINDOW},\n  \"append_series\": {},\n  \"overwrite_series\": {}\n}}\n",
-        series_json(appends),
-        series_json(overwrites)
-    )
 }

@@ -14,13 +14,13 @@
 //!   checkpointing), while recovery wall time is recorded for the record.
 //!
 //! Results land in `BENCH_durability.json`; the DETERMINISTIC currencies
-//! (simulated ns, replayed bytes) are self-diffed against the committed
-//! baseline at 1.25x. Wall-clock is recorded, never gated.
+//! (simulated ns, replayed bytes) are gated against the committed baseline
+//! at 1.25x (`bench_suite::baseline`). Wall-clock is recorded, never gated.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use bench_suite::{json_num, print_table};
+use bench_suite::{print_table, Baseline, Gate};
 use blobseer::{BlobSeer, BlobSeerConfig, Layout};
 use fabric::{ClusterSpec, Fabric, NodeId, Payload};
 
@@ -171,23 +171,27 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let json = to_json(&retention, &recovery);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_durability.json");
-    // Diff BEFORE overwriting: a regressed run dies with the committed
-    // baseline intact; the fresh numbers sit in a `.new` side file (what CI
-    // uploads on failure) and are promoted only after the diff passes.
-    let new_path = format!("{path}.new");
-    std::fs::write(&new_path, &json).expect("write fresh bench record");
-    match std::fs::read_to_string(path).ok() {
-        None => println!("\nno committed baseline found; this run records the first one"),
-        Some(base) => {
-            diff(&base, &retention, &recovery);
-            println!("\nbaseline diff passed: sim cost and replayed bytes within 1.25x");
-        }
-    }
-    std::fs::write(path, &json).expect("write BENCH_durability.json");
-    let _ = std::fs::remove_file(&new_path);
-    println!("wrote {path}");
+    Baseline::new("durability")
+        .param("page_size", PS)
+        .param("appends", APPENDS)
+        .section("retention_series")
+        .sweep(&retention)
+        .axis("persist", |pt| u8::from(pt.persist))
+        .series("wall_ns_per_op", Gate::Record, 1, |pt| pt.wall_ns_per_op)
+        .series("sim_ns_per_op", Gate::Lower, 1, |pt| pt.sim_ns_per_op)
+        .section("recovery_series")
+        .sweep(&recovery)
+        .axis("checkpoint_bytes", |pt| pt.checkpoint_bytes)
+        .series("provider_replayed_bytes", Gate::Lower, 0, |pt| {
+            pt.provider_replayed_bytes
+        })
+        .series("meta_replayed_bytes", Gate::Lower, 0, |pt| {
+            pt.meta_replayed_bytes
+        })
+        .series("recovery_wall_ns", Gate::Record, 0, |pt| {
+            pt.recovery_wall_ns
+        })
+        .check_and_record("BENCH_durability.json");
 
     // Acceptance gate on the deterministic currency: the tightest cadence
     // must bound replay to well under the no-checkpoint full-log scan, or
@@ -216,81 +220,4 @@ fn main() {
         tight.meta_replayed_bytes,
         tight.checkpoint_bytes,
     );
-}
-
-/// Diff this run's deterministic currencies against the committed baseline:
-/// simulated append cost per backend, replayed bytes per cadence. Wall
-/// fields are recorded but never gated.
-fn diff(base: &str, retention: &[RetentionPoint], recovery: &[RecoveryPoint]) {
-    let series = |name: &str| -> &str {
-        let start = base.find(&format!("\"{name}\"")).expect("baseline series");
-        let seg = &base[start..];
-        &seg[..seg.find(']').expect("series closes")]
-    };
-    let seg = series("retention_series");
-    for pt in retention {
-        let obj = seg
-            .split('{')
-            .find(|o| json_num(o, "persist") == Some(u64::from(pt.persist) as f64))
-            .expect("baseline retention point");
-        let base_sim = json_num(obj, "sim_ns_per_op").expect("baseline sim_ns_per_op");
-        assert!(
-            pt.sim_ns_per_op <= base_sim * 1.25,
-            "retention (persist={}): simulated append cost regressed {:.0} -> {:.0} ns/op",
-            pt.persist,
-            base_sim,
-            pt.sim_ns_per_op,
-        );
-    }
-    let seg = series("recovery_series");
-    for pt in recovery {
-        let obj = seg
-            .split('{')
-            .find(|o| json_num(o, "checkpoint_bytes") == Some(pt.checkpoint_bytes as f64))
-            .unwrap_or_else(|| panic!("baseline lacks cadence {}", pt.checkpoint_bytes));
-        for (key, got) in [
-            ("provider_replayed_bytes", pt.provider_replayed_bytes),
-            ("meta_replayed_bytes", pt.meta_replayed_bytes),
-        ] {
-            let base_v = json_num(obj, key).expect("baseline replay bytes");
-            assert!(
-                got as f64 <= base_v * 1.25,
-                "recovery at cadence {}: {key} regressed {:.0} -> {} B vs baseline",
-                pt.checkpoint_bytes,
-                base_v,
-                got,
-            );
-        }
-    }
-}
-
-fn to_json(retention: &[RetentionPoint], recovery: &[RecoveryPoint]) -> String {
-    let ret: Vec<String> = retention
-        .iter()
-        .map(|pt| {
-            format!(
-                "    {{\"persist\": {}, \"wall_ns_per_op\": {:.1}, \"sim_ns_per_op\": {:.1}}}",
-                u8::from(pt.persist),
-                pt.wall_ns_per_op,
-                pt.sim_ns_per_op
-            )
-        })
-        .collect();
-    let rec: Vec<String> = recovery
-        .iter()
-        .map(|pt| {
-            format!(
-                "    {{\"checkpoint_bytes\": {}, \"provider_replayed_bytes\": {}, \"meta_replayed_bytes\": {}, \"recovery_wall_ns\": {}}}",
-                pt.checkpoint_bytes,
-                pt.provider_replayed_bytes,
-                pt.meta_replayed_bytes,
-                pt.recovery_wall_ns
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"durability\",\n  \"page_size\": {PS},\n  \"appends\": {APPENDS},\n  \"retention_series\": [\n{}\n  ],\n  \"recovery_series\": [\n{}\n  ]\n}}\n",
-        ret.join(",\n"),
-        rec.join(",\n")
-    )
 }

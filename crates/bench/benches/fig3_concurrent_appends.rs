@@ -9,13 +9,11 @@
 //! charge), never a VM-wide lock. The driver records its deterministic
 //! currencies — per-client MB/s, virtual completion seconds, wire
 //! transfers, DHT puts and put-RPCs, all exact for fixed seeds — into
-//! `BENCH_fig3_appends.json` at the repo root and diffs each run against
-//! the committed baseline, so a control-plane regression fails the build
-//! the same way A4 and fig6 regressions do.
+//! `BENCH_fig3_appends.json` at the repo root and gates each run against
+//! the committed baseline (`bench_suite::baseline`), so a control-plane
+//! regression fails the build the same way A4 and fig6 regressions do.
 
-use bench_suite::{fig3_point, fig3_point_detail, json_series, print_table, relative_spread};
-
-const BASELINE_TOLERANCE: f64 = 1.25;
+use bench_suite::{fig3_point_detail, print_table, relative_spread, Baseline, Gate};
 
 fn main() {
     let clients = [1u32, 20, 40, 80, 120, 160, 200, 246];
@@ -28,7 +26,9 @@ fn main() {
         // throughput averages all reps (each rep deterministic on its seed).
         let d0 = fig3_point_detail(n, 1000);
         let avg: f64 = (d0.per_client_mbps
-            + (1..reps).map(|r| fig3_point(n, 1000 + r)).sum::<f64>())
+            + (1..reps)
+                .map(|r| fig3_point_detail(n, 1000 + r).per_client_mbps)
+                .sum::<f64>())
             / reps as f64;
         series.push(avg);
         details.push(d0);
@@ -65,94 +65,15 @@ fn main() {
         "append throughput collapsed under concurrency: retention {retention:.2}"
     );
 
-    // Record the run and diff the deterministic currencies against the
-    // committed baseline. Diff BEFORE overwriting: a regressed run must die
-    // with the committed baseline intact; the fresh numbers land in a
-    // `.new` side file (what CI uploads on failure, so a deliberate
-    // re-record has the data) and are promoted only after the diff passes.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig3_appends.json");
-    let json = to_json(&clients, &series, &details);
-    let new_path = format!("{path}.new");
-    std::fs::write(&new_path, &json).expect("write fresh bench record");
-    match std::fs::read_to_string(path).ok() {
-        None => println!("no committed baseline found; this run records the first one"),
-        Some(base) => diff_against_baseline(&base, &clients, &series, &details),
-    }
-    std::fs::write(path, &json).expect("write BENCH_fig3_appends.json");
-    let _ = std::fs::remove_file(&new_path);
-    println!("wrote {path}");
-}
-
-/// Fail when this run regressed vs the committed baseline, pointwise on the
-/// deterministic currencies: per-client throughput must not fall, and
-/// completion time / wire transfers / put round-trips must not grow, beyond
-/// tolerance. A legitimate cost change re-records the JSON deliberately.
-fn diff_against_baseline(
-    base: &str,
-    clients: &[u32],
-    series: &[f64],
-    details: &[bench_suite::Fig3Point],
-) {
-    let base_clients = json_series(base, "clients");
-    assert_eq!(
-        base_clients.len(),
-        clients.len(),
-        "baseline sweep shape changed; re-record BENCH_fig3_appends.json deliberately"
-    );
-    let base_mbps = json_series(base, "per_client_mbps");
-    let base_secs = json_series(base, "sim_secs");
-    let base_transfers = json_series(base, "transfers");
-    let base_rpcs = json_series(base, "dht_put_rpcs");
-    for (i, &n) in clients.iter().enumerate() {
-        assert!(
-            series[i] >= base_mbps[i] / BASELINE_TOLERANCE,
-            "N={n}: per-client throughput regressed {:.1} -> {:.1} MB/s vs baseline",
-            base_mbps[i],
-            series[i],
-        );
-        assert!(
-            details[i].sim_secs <= base_secs[i] * BASELINE_TOLERANCE,
-            "N={n}: completion regressed {:.1}s -> {:.1}s vs baseline",
-            base_secs[i],
-            details[i].sim_secs,
-        );
-        assert!(
-            (details[i].transfers as f64) <= base_transfers[i] * BASELINE_TOLERANCE,
-            "N={n}: wire transfers regressed {} -> {} vs baseline",
-            base_transfers[i],
-            details[i].transfers,
-        );
-        assert!(
-            (details[i].dht_put_rpcs as f64) <= base_rpcs[i] * BASELINE_TOLERANCE,
-            "N={n}: DHT put round-trips regressed {} -> {} vs baseline",
-            base_rpcs[i],
-            details[i].dht_put_rpcs,
-        );
-    }
-    println!(
-        "baseline diff passed: throughput, completion, transfers and put \
-         round-trips within {BASELINE_TOLERANCE}x pointwise"
-    );
-}
-
-fn to_json(clients: &[u32], series: &[f64], details: &[bench_suite::Fig3Point]) -> String {
-    let fmt_u32 = |v: &[u32]| v.iter().map(u32::to_string).collect::<Vec<_>>().join(", ");
-    let fmt_f = |v: Vec<f64>| {
-        v.iter()
-            .map(|x| format!("{x:.2}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let fmt_u = |v: Vec<u64>| v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
-    format!(
-        "{{\n  \"bench\": \"fig3_concurrent_appends\",\n  \"clients\": [{}],\n  \
-         \"per_client_mbps\": [{}],\n  \"sim_secs\": [{}],\n  \"transfers\": [{}],\n  \
-         \"dht_puts\": [{}],\n  \"dht_put_rpcs\": [{}]\n}}\n",
-        fmt_u32(clients),
-        fmt_f(series.to_vec()),
-        fmt_f(details.iter().map(|d| d.sim_secs).collect()),
-        fmt_u(details.iter().map(|d| d.transfers).collect()),
-        fmt_u(details.iter().map(|d| d.dht_puts).collect()),
-        fmt_u(details.iter().map(|d| d.dht_put_rpcs).collect()),
-    )
+    Baseline::new("fig3_concurrent_appends")
+        .sweep(&clients)
+        .axis("clients", |n| *n)
+        .sweep(&series)
+        .series("per_client_mbps", Gate::Higher, 2, |avg| *avg)
+        .sweep(&details)
+        .series("sim_secs", Gate::Lower, 2, |d| d.sim_secs)
+        .series("transfers", Gate::Lower, 0, |d| d.transfers)
+        .series("dht_puts", Gate::Record, 0, |d| d.dht_puts)
+        .series("dht_put_rpcs", Gate::Lower, 0, |d| d.dht_put_rpcs)
+        .check_and_record("BENCH_fig3_appends.json");
 }

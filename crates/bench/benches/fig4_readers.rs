@@ -14,8 +14,8 @@
 //! replica) sees a single get. The driver records its deterministic
 //! currencies — aggregate cold MB/s, primary/replica get round-trips per
 //! pass, warm hit rate, virtual seconds, wire transfers — into
-//! `BENCH_fig4_readers.json` at the repo root and diffs each run against
-//! the committed baseline, exactly like fig3/fig5/fig6.
+//! `BENCH_fig4_readers.json` at the repo root and gates each run against
+//! the committed baseline (`bench_suite::baseline`), like fig3/fig5/fig6.
 //!
 //! Topology intuition (tiny/grid5000 NICs are 117 MB/s, non-blocking
 //! switch): 2 primaries cap the no-replica ceiling at ~234 MB/s; 4 and 8
@@ -25,13 +25,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bench_suite::{json_series, mbps, print_table};
+use bench_suite::{mbps, print_table, Baseline, Gate};
 use blobseer::{BlobSeer, BlobSeerConfig, Layout};
 use fabric::prelude::*;
 use fabric::ClusterSpec;
 use parking_lot::Mutex;
-
-const BASELINE_TOLERANCE: f64 = 1.25;
 
 /// Page size and page count of the shared blob every reader scans:
 /// 64 x 4 MB = 256 MB. Many small-ish pages spread the page->replica hash
@@ -152,22 +150,18 @@ fn main() {
         }
     }
 
-    // Record the run and diff the deterministic currencies against the
-    // committed baseline. Diff BEFORE overwriting: a regressed run must die
-    // with the committed baseline intact; the fresh numbers land in a
-    // `.new` side file (what CI uploads on failure, so a deliberate
-    // re-record has the data) and are promoted only after the diff passes.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig4_readers.json");
-    let json = to_json(&points);
-    let new_path = format!("{path}.new");
-    std::fs::write(&new_path, &json).expect("write fresh bench record");
-    match std::fs::read_to_string(path).ok() {
-        None => println!("no committed baseline found; this run records the first one"),
-        Some(base) => diff_against_baseline(&base, &points),
-    }
-    std::fs::write(path, &json).expect("write BENCH_fig4_readers.json");
-    let _ = std::fs::remove_file(&new_path);
-    println!("wrote {path}");
+    Baseline::new("fig4_readers")
+        .sweep(&points)
+        .axis("readers", |d| d.readers)
+        .axis("replicas", |d| d.replicas)
+        .series("cold_mbps", Gate::Higher, 2, |d| d.cold_mbps)
+        .series("cold_primary_gets", Gate::Lower, 0, |d| d.cold_primary_gets)
+        .series("cold_replica_gets", Gate::Lower, 0, |d| d.cold_replica_gets)
+        .series("warm_gets", Gate::Record, 0, |d| d.warm_gets)
+        .series("hit_rate", Gate::Record, 4, |d| d.hit_rate)
+        .series("sim_secs", Gate::Lower, 2, |d| d.sim_secs)
+        .series("transfers", Gate::Lower, 0, |d| d.transfers)
+        .check_and_record("BENCH_fig4_readers.json");
 }
 
 /// One grid point: deploy fresh, prefill and replica-sync the shared blob,
@@ -286,91 +280,4 @@ fn get_counts(bs: &BlobSeer) -> (u64, u64) {
 
 fn blob_cell_get(cell: &Mutex<Option<blobseer::BlobId>>) -> blobseer::BlobId {
     cell.lock().expect("setup published the blob id")
-}
-
-/// Fail when this run regressed vs the committed baseline, pointwise on the
-/// deterministic currencies: cold throughput must not fall, and completion
-/// time / wire transfers / get round-trips must not grow, beyond tolerance.
-/// A legitimate cost change re-records the JSON deliberately.
-fn diff_against_baseline(base: &str, points: &[Fig4Point]) {
-    let base_readers = json_series(base, "readers");
-    assert_eq!(
-        base_readers.len(),
-        points.len(),
-        "baseline grid shape changed; re-record BENCH_fig4_readers.json deliberately"
-    );
-    let base_cold = json_series(base, "cold_mbps");
-    let base_primary = json_series(base, "cold_primary_gets");
-    let base_replica = json_series(base, "cold_replica_gets");
-    let base_secs = json_series(base, "sim_secs");
-    let base_transfers = json_series(base, "transfers");
-    for (i, d) in points.iter().enumerate() {
-        let at = format!("readers={}, replicas={}", d.readers, d.replicas);
-        assert!(
-            d.cold_mbps >= base_cold[i] / BASELINE_TOLERANCE,
-            "{at}: cold throughput regressed {:.1} -> {:.1} MB/s vs baseline",
-            base_cold[i],
-            d.cold_mbps,
-        );
-        assert!(
-            (d.cold_primary_gets as f64) <= base_primary[i] * BASELINE_TOLERANCE,
-            "{at}: primary get round-trips regressed {} -> {} vs baseline",
-            base_primary[i],
-            d.cold_primary_gets,
-        );
-        assert!(
-            (d.cold_replica_gets as f64) <= base_replica[i] * BASELINE_TOLERANCE,
-            "{at}: replica get round-trips regressed {} -> {} vs baseline",
-            base_replica[i],
-            d.cold_replica_gets,
-        );
-        assert!(
-            d.sim_secs <= base_secs[i] * BASELINE_TOLERANCE,
-            "{at}: completion regressed {:.1}s -> {:.1}s vs baseline",
-            base_secs[i],
-            d.sim_secs,
-        );
-        assert!(
-            (d.transfers as f64) <= base_transfers[i] * BASELINE_TOLERANCE,
-            "{at}: wire transfers regressed {} -> {} vs baseline",
-            base_transfers[i],
-            d.transfers,
-        );
-    }
-    println!(
-        "baseline diff passed: throughput, completion, transfers and get \
-         round-trips within {BASELINE_TOLERANCE}x pointwise"
-    );
-}
-
-fn to_json(points: &[Fig4Point]) -> String {
-    let fmt_f = |f: &dyn Fn(&Fig4Point) -> f64, prec: usize| {
-        points
-            .iter()
-            .map(|d| format!("{:.*}", prec, f(d)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let fmt_u = |f: &dyn Fn(&Fig4Point) -> u64| {
-        points
-            .iter()
-            .map(|d| f(d).to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    format!(
-        "{{\n  \"bench\": \"fig4_readers\",\n  \"readers\": [{}],\n  \"replicas\": [{}],\n  \
-         \"cold_mbps\": [{}],\n  \"cold_primary_gets\": [{}],\n  \"cold_replica_gets\": [{}],\n  \
-         \"warm_gets\": [{}],\n  \"hit_rate\": [{}],\n  \"sim_secs\": [{}],\n  \
-         \"transfers\": [{}]\n}}\n",
-        fmt_u(&|d| d.readers as u64),
-        fmt_u(&|d| d.replicas as u64),
-        fmt_f(&|d| d.cold_mbps, 2),
-        fmt_u(&|d| d.cold_primary_gets),
-        fmt_u(&|d| d.cold_replica_gets),
-        fmt_u(&|d| d.warm_gets),
-        fmt_f(&|d| d.hit_rate, 4),
-        fmt_f(&|d| d.sim_secs, 2),
-        fmt_u(&|d| d.transfers),
-    )
 }

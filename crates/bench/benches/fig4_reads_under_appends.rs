@@ -4,14 +4,18 @@
 //! hammer the same file. The paper: read throughput is sustained — the
 //! versioning-based concurrency control isolates readers from appenders.
 
-use bench_suite::{mixed_point, print_table, relative_spread};
+use bench_suite::{mixed_point_detail, print_table, relative_spread, MixedPoint};
 
 fn main() {
     let appenders = [0u32, 20, 40, 60, 80, 100, 120, 140];
     let mut rows = Vec::new();
     let mut series = Vec::new();
     for &a in &appenders {
-        let (read_mbps, append_mbps) = mixed_point(100, 10, a, 16, 2000 + a as u64);
+        let MixedPoint {
+            read_mbps,
+            append_mbps,
+            ..
+        } = mixed_point_detail(100, 10, a, 16, 2000 + a as u64);
         series.push(read_mbps);
         rows.push(vec![
             a.to_string(),

@@ -12,12 +12,10 @@
 //! records its deterministic currencies — per-appender and per-reader MB/s,
 //! virtual completion seconds, wire transfers, provider put/get round-trips,
 //! all exact for fixed seeds — into `BENCH_fig5_mixed.json` at the repo
-//! root and diffs each run against the committed baseline, exactly like
-//! A4/fig3/fig6.
+//! root and gates each run against the committed baseline
+//! (`bench_suite::baseline`), exactly like A4/fig3/fig6.
 
-use bench_suite::{json_series, mixed_point_detail, print_table, relative_spread, MixedPoint};
-
-const BASELINE_TOLERANCE: f64 = 1.25;
+use bench_suite::{mixed_point_detail, print_table, relative_spread, Baseline, Gate};
 
 fn main() {
     let readers = [0u32, 20, 40, 60, 80, 100, 120, 140];
@@ -25,7 +23,7 @@ fn main() {
     let mut series = Vec::new();
     let mut details = Vec::new();
     for &r in &readers {
-        // Readers scan a pre-filled region; mixed_point prefills r*10 chunks.
+        // Readers scan a pre-filled region; the point prefills r*10 chunks.
         let d = mixed_point_detail(r, 10, 100, 10, 3000 + r as u64);
         series.push(d.append_mbps);
         details.push(d);
@@ -67,106 +65,15 @@ fn main() {
         "appenders were not isolated from readers: retention {retention:.2}"
     );
 
-    // Record the run and diff the deterministic currencies against the
-    // committed baseline. Diff BEFORE overwriting: a regressed run must die
-    // with the committed baseline intact; the fresh numbers land in a
-    // `.new` side file (what CI uploads on failure, so a deliberate
-    // re-record has the data) and are promoted only after the diff passes.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig5_mixed.json");
-    let json = to_json(&readers, &details);
-    let new_path = format!("{path}.new");
-    std::fs::write(&new_path, &json).expect("write fresh bench record");
-    match std::fs::read_to_string(path).ok() {
-        None => println!("no committed baseline found; this run records the first one"),
-        Some(base) => diff_against_baseline(&base, &readers, &details),
-    }
-    std::fs::write(path, &json).expect("write BENCH_fig5_mixed.json");
-    let _ = std::fs::remove_file(&new_path);
-    println!("wrote {path}");
-}
-
-/// Fail when this run regressed vs the committed baseline, pointwise on the
-/// deterministic currencies: appender (and reader) throughput must not
-/// fall, and completion time / wire transfers / provider round-trips must
-/// not grow, beyond tolerance. A legitimate cost change re-records the JSON
-/// deliberately.
-fn diff_against_baseline(base: &str, readers: &[u32], details: &[MixedPoint]) {
-    let base_readers = json_series(base, "readers");
-    assert_eq!(
-        base_readers.len(),
-        readers.len(),
-        "baseline sweep shape changed; re-record BENCH_fig5_mixed.json deliberately"
-    );
-    let base_append = json_series(base, "append_mbps");
-    let base_read = json_series(base, "read_mbps");
-    let base_secs = json_series(base, "sim_secs");
-    let base_transfers = json_series(base, "transfers");
-    let base_put = json_series(base, "put_rpcs");
-    let base_get = json_series(base, "get_rpcs");
-    for (i, &r) in readers.iter().enumerate() {
-        let d = &details[i];
-        assert!(
-            d.append_mbps >= base_append[i] / BASELINE_TOLERANCE,
-            "readers={r}: append throughput regressed {:.1} -> {:.1} MB/s vs baseline",
-            base_append[i],
-            d.append_mbps,
-        );
-        assert!(
-            d.read_mbps >= base_read[i] / BASELINE_TOLERANCE,
-            "readers={r}: read throughput regressed {:.1} -> {:.1} MB/s vs baseline",
-            base_read[i],
-            d.read_mbps,
-        );
-        assert!(
-            d.sim_secs <= base_secs[i] * BASELINE_TOLERANCE,
-            "readers={r}: completion regressed {:.1}s -> {:.1}s vs baseline",
-            base_secs[i],
-            d.sim_secs,
-        );
-        assert!(
-            (d.transfers as f64) <= base_transfers[i] * BASELINE_TOLERANCE,
-            "readers={r}: wire transfers regressed {} -> {} vs baseline",
-            base_transfers[i],
-            d.transfers,
-        );
-        assert!(
-            (d.put_rpcs as f64) <= base_put[i] * BASELINE_TOLERANCE,
-            "readers={r}: provider put round-trips regressed {} -> {} vs baseline",
-            base_put[i],
-            d.put_rpcs,
-        );
-        assert!(
-            (d.get_rpcs as f64) <= base_get[i] * BASELINE_TOLERANCE,
-            "readers={r}: provider get round-trips regressed {} -> {} vs baseline",
-            base_get[i],
-            d.get_rpcs,
-        );
-    }
-    println!(
-        "baseline diff passed: throughputs, completion, transfers and provider \
-         round-trips within {BASELINE_TOLERANCE}x pointwise"
-    );
-}
-
-fn to_json(readers: &[u32], details: &[MixedPoint]) -> String {
-    let fmt_u32 = |v: &[u32]| v.iter().map(u32::to_string).collect::<Vec<_>>().join(", ");
-    let fmt_f = |v: Vec<f64>| {
-        v.iter()
-            .map(|x| format!("{x:.2}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let fmt_u = |v: Vec<u64>| v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
-    format!(
-        "{{\n  \"bench\": \"fig5_appends_under_reads\",\n  \"readers\": [{}],\n  \
-         \"append_mbps\": [{}],\n  \"read_mbps\": [{}],\n  \"sim_secs\": [{}],\n  \
-         \"transfers\": [{}],\n  \"put_rpcs\": [{}],\n  \"get_rpcs\": [{}]\n}}\n",
-        fmt_u32(readers),
-        fmt_f(details.iter().map(|d| d.append_mbps).collect()),
-        fmt_f(details.iter().map(|d| d.read_mbps).collect()),
-        fmt_f(details.iter().map(|d| d.sim_secs).collect()),
-        fmt_u(details.iter().map(|d| d.transfers).collect()),
-        fmt_u(details.iter().map(|d| d.put_rpcs).collect()),
-        fmt_u(details.iter().map(|d| d.get_rpcs).collect()),
-    )
+    Baseline::new("fig5_appends_under_reads")
+        .sweep(&readers)
+        .axis("readers", |r| *r)
+        .sweep(&details)
+        .series("append_mbps", Gate::Higher, 2, |d| d.append_mbps)
+        .series("read_mbps", Gate::Higher, 2, |d| d.read_mbps)
+        .series("sim_secs", Gate::Lower, 2, |d| d.sim_secs)
+        .series("transfers", Gate::Lower, 0, |d| d.transfers)
+        .series("put_rpcs", Gate::Lower, 0, |d| d.put_rpcs)
+        .series("get_rpcs", Gate::Lower, 0, |d| d.get_rpcs)
+        .check_and_record("BENCH_fig5_mixed.json");
 }

@@ -12,14 +12,16 @@
 //! so its bytes must NOT move (the ablation's control arm).
 //!
 //! Results land in `BENCH_fig6_combiners.json` at the repo root; the
-//! committed copy is the baseline this driver diffs against (shuffle bytes
-//! are sim-exact for a fixed seed; completion seconds get the usual 1.25x
-//! tolerance), so a combine regression fails the build.
+//! committed copy is the baseline this driver is gated against (shuffle
+//! bytes exact — they are sim-exact for a fixed seed; completion seconds no
+//! worse than 1.25x; `bench_suite::baseline`), so a combine regression fails
+//! the build.
 
-use bench_suite::{fig6_combiners_point, json_series, print_table, CombinePoint, CombineWorkload};
+use bench_suite::{
+    fig6_combiners_point, print_table, Baseline, CombinePoint, CombineWorkload, Gate,
+};
 use mapreduce::ShuffleTuning;
 
-const BASELINE_TOLERANCE: f64 = 1.25;
 const NODES: u32 = 8;
 const MAPS: u32 = 48;
 const REDUCERS: u32 = 8;
@@ -27,31 +29,15 @@ const SEED: u64 = 6464;
 
 /// The swept flush cadences, mildest to most aggressive combining.
 fn tunings() -> Vec<(&'static str, ShuffleTuning)> {
+    let every = |flush_tasks: Option<u32>| ShuffleTuning {
+        node_combine: flush_tasks.is_some(),
+        flush_tasks,
+        flush_bytes: None,
+    };
     vec![
-        (
-            "off",
-            ShuffleTuning {
-                node_combine: false,
-                flush_tasks: None,
-                flush_bytes: None,
-            },
-        ),
-        (
-            "eager1",
-            ShuffleTuning {
-                node_combine: true,
-                flush_tasks: Some(1),
-                flush_bytes: None,
-            },
-        ),
-        (
-            "tasks2",
-            ShuffleTuning {
-                node_combine: true,
-                flush_tasks: Some(2),
-                flush_bytes: None,
-            },
-        ),
+        ("off", every(None)),
+        ("eager1", every(Some(1))),
+        ("tasks2", every(Some(2))),
         // Default tuning: 64 MiB byte threshold never fires at this input
         // size, so nodes flush exactly once, at map-phase completion.
         ("node", ShuffleTuning::default()),
@@ -60,10 +46,6 @@ fn tunings() -> Vec<(&'static str, ShuffleTuning)> {
 
 fn main() {
     let mut rows = Vec::new();
-    let mut wc_bytes = Vec::new();
-    let mut wc_secs = Vec::new();
-    let mut dj_bytes = Vec::new();
-    let mut dj_secs = Vec::new();
     let mut wc_points: Vec<CombinePoint> = Vec::new();
     let mut dj_points: Vec<CombinePoint> = Vec::new();
     for (label, tuning) in tunings() {
@@ -94,10 +76,6 @@ fn main() {
             dj.combined_segments.to_string(),
             format!("{:.1}", dj.secs),
         ]);
-        wc_bytes.push(wc.shuffle_bytes);
-        wc_secs.push(wc.secs);
-        dj_bytes.push(dj.shuffle_bytes);
-        dj_secs.push(dj.secs);
         wc_points.push(wc);
         dj_points.push(dj);
     }
@@ -155,18 +133,19 @@ fn main() {
     // Every combined cadence earns the cut, eager included (per-flush ghost
     // rounding makes the exact byte counts differ by a few bytes between
     // cadences, so no strict monotonicity across them — just the bound).
-    for (i, b) in wc_bytes.iter().enumerate().skip(1) {
+    for (i, wc) in wc_points.iter().enumerate().skip(1) {
         assert!(
-            *b * 5 <= wc_off.shuffle_bytes,
-            "combined tuning #{i} must cut wordcount shuffle bytes >= 5x: {b} vs {}",
+            wc.shuffle_bytes * 5 <= wc_off.shuffle_bytes,
+            "combined tuning #{i} must cut wordcount shuffle bytes >= 5x: {} vs {}",
+            wc.shuffle_bytes,
             wc_off.shuffle_bytes
         );
     }
     // Control arm: datajoin has no combiner, so tier-2 must move segments,
     // not bytes — byte-identical shuffle volume across the whole sweep.
-    for b in &dj_bytes {
+    for dj in &dj_points {
         assert_eq!(
-            *b, dj_bytes[0],
+            dj.shuffle_bytes, dj_points[0].shuffle_bytes,
             "datajoin shuffle bytes moved under a combiner-less tuning sweep"
         );
     }
@@ -181,92 +160,28 @@ fn main() {
         "eager flushing produced no early reducer fetches"
     );
 
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_fig6_combiners.json"
-    );
-    let baseline = std::fs::read_to_string(path).ok();
-    let json = to_json(&wc_bytes, &wc_secs, &dj_bytes, &dj_secs, byte_cut);
-    // Diff BEFORE overwriting (see fig6_datajoin): fresh numbers go to a
-    // `.new` side file, promoted only after the diff passes.
-    let new_path = format!("{path}.new");
-    std::fs::write(&new_path, &json).expect("write fresh bench record");
-    match baseline {
-        None => println!("no committed baseline found; this run records the first one"),
-        Some(base) => diff_against_baseline(&base, &wc_bytes, &wc_secs, &dj_bytes, &dj_secs),
-    }
-    std::fs::write(path, &json).expect("write BENCH_fig6_combiners.json");
-    let _ = std::fs::remove_file(&new_path);
-    println!("wrote {path}");
+    // Shuffle bytes are exact sim currencies: any drift is a combine-pipeline
+    // change and must be re-recorded deliberately. Seconds get tolerance.
+    Baseline::new("fig6_combiners")
+        .param("nodes", NODES)
+        .param("maps", MAPS)
+        .param("reducers", REDUCERS)
+        .sweep(&tunings())
+        .axis("tunings", |(label, _)| *label)
+        .sweep(&wc_points)
+        .series("wordcount_shuffle_bytes", Gate::Exact, 0, |wc| {
+            wc.shuffle_bytes
+        })
+        .series("wordcount_secs", Gate::Lower, 1, |wc| wc.secs)
+        .sweep(&dj_points)
+        .series("datajoin_shuffle_bytes", Gate::Exact, 0, |dj| {
+            dj.shuffle_bytes
+        })
+        .series("datajoin_secs", Gate::Lower, 1, |dj| dj.secs)
+        .scalar("wordcount_byte_reduction", Gate::Record, 2, byte_cut)
+        .check_and_record("BENCH_fig6_combiners.json");
 }
 
 fn mb(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
-}
-
-/// Shuffle bytes are exact sim currencies: any drift is a combine-pipeline
-/// change and must be re-recorded deliberately. Seconds get tolerance.
-fn diff_against_baseline(
-    base: &str,
-    wc_bytes: &[u64],
-    wc_secs: &[f64],
-    dj_bytes: &[u64],
-    dj_secs: &[f64],
-) {
-    let check_bytes = |key: &str, now: &[u64]| {
-        let base_series = json_series(base, key);
-        assert_eq!(
-            base_series.len(),
-            now.len(),
-            "baseline {key} shape changed; re-record BENCH_fig6_combiners.json deliberately"
-        );
-        for (n, b) in now.iter().zip(&base_series) {
-            assert!(
-                (*n as f64 - b).abs() < 0.5,
-                "{key} drifted: {n} vs baseline {b} — combine pipeline changed"
-            );
-        }
-    };
-    check_bytes("wordcount_shuffle_bytes", wc_bytes);
-    check_bytes("datajoin_shuffle_bytes", dj_bytes);
-    let check_secs = |key: &str, now: &[f64]| {
-        let base_series = json_series(base, key);
-        assert_eq!(base_series.len(), now.len(), "baseline {key} shape changed");
-        for (n, b) in now.iter().zip(&base_series) {
-            assert!(
-                *n <= b * BASELINE_TOLERANCE,
-                "{key} regressed: {n:.1}s vs baseline {b:.1}s"
-            );
-        }
-    };
-    check_secs("wordcount_secs", wc_secs);
-    check_secs("datajoin_secs", dj_secs);
-    println!("baseline diff passed: bytes exact, completion within {BASELINE_TOLERANCE}x");
-}
-
-fn to_json(
-    wc_bytes: &[u64],
-    wc_secs: &[f64],
-    dj_bytes: &[u64],
-    dj_secs: &[f64],
-    byte_cut: f64,
-) -> String {
-    let fmt_u = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
-    let fmt_f = |v: &[f64]| {
-        v.iter()
-            .map(|x| format!("{x:.1}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    format!(
-        "{{\n  \"bench\": \"fig6_combiners\",\n  \"nodes\": {NODES},\n  \"maps\": {MAPS},\n  \
-         \"reducers\": {REDUCERS},\n  \"tunings\": [\"off\", \"eager1\", \"tasks2\", \"node\"],\n  \
-         \"wordcount_shuffle_bytes\": [{}],\n  \"wordcount_secs\": [{}],\n  \
-         \"datajoin_shuffle_bytes\": [{}],\n  \"datajoin_secs\": [{}],\n  \
-         \"wordcount_byte_reduction\": {byte_cut:.2}\n}}\n",
-        fmt_u(wc_bytes),
-        fmt_f(wc_secs),
-        fmt_u(dj_bytes),
-        fmt_f(dj_secs),
-    )
 }

@@ -15,29 +15,26 @@
 //! segment per (map-node, partition) instead of one per (map task,
 //! partition), so 48 maps on 8 nodes collapse 384 naive pulls into ≤ 64.
 //! Results land in `BENCH_fig6_shuffle.json` at the repo root; the
-//! committed copy is the baseline this driver diffs each run against
-//! (deterministic sim currencies only), so a data-plane regression fails
-//! the build.
+//! committed copy is the baseline this driver is gated against
+//! (deterministic sim currencies only; `bench_suite::baseline`), so a
+//! data-plane regression fails the build.
 
 use bench_suite::{
-    fig6_point, fig6_shuffle_stress, json_num, json_series, print_table, relative_spread,
-    Fig6System,
+    fig6_combiners_point, fig6_point, print_table, relative_spread, Baseline, CombineWorkload,
+    Fig6System, Gate,
 };
-
-const BASELINE_TOLERANCE: f64 = 1.25;
+use mapreduce::ShuffleTuning;
 
 fn main() {
     let reducers = [1u32, 10, 25, 50, 100, 150, 200, 230];
     let mut rows = Vec::new();
     let mut hdfs_series = Vec::new();
-    let mut bsfs_series = Vec::new();
-    let mut bsfs_transfers = Vec::new();
+    let mut bsfs_points = Vec::new();
     for &r in &reducers {
         let hdfs = fig6_point(Fig6System::HdfsPerReducer, r, 4000 + r as u64);
         let bsfs = fig6_point(Fig6System::BsfsSharedAppend, r, 4000 + r as u64);
         hdfs_series.push(hdfs.secs);
-        bsfs_series.push(bsfs.secs);
-        bsfs_transfers.push(bsfs.shuffle_transfers);
+        bsfs_points.push(bsfs);
         // With 10 maps spread over 247 tasktrackers every map lands on its
         // own node, so tier-2 combining leaves one segment per (map, r).
         assert_eq!(
@@ -59,6 +56,7 @@ fn main() {
             format!("{}/{}", bsfs.shuffle_transfers, bsfs.shuffle_segments),
         ]);
     }
+    let bsfs_series: Vec<f64> = bsfs_points.iter().map(|b| b.secs).collect();
     print_table(
         "Figure 6: data join completion time vs number of reducers (270 nodes, 640 MB in, ~6.3 GB out)",
         &[
@@ -101,7 +99,20 @@ fn main() {
     // only shows once maps outnumber nodes — here the tier-2 combine folds
     // every node's 6 map outputs into one segment per partition, so each
     // reducer pulls at most 8 segments instead of 48.
-    let (maps, segments, transfers, stress_secs) = fig6_shuffle_stress(8, 48, 8, 4242);
+    let maps = 48;
+    let stress = fig6_combiners_point(
+        CombineWorkload::ShuffleStress,
+        8,
+        maps,
+        8,
+        ShuffleTuning::default(),
+        4242,
+    );
+    let (segments, transfers, stress_secs) = (
+        stress.shuffle_segments,
+        stress.shuffle_transfers,
+        stress.secs,
+    );
     let naive = u64::from(maps) * 8;
     let reduction = naive as f64 / segments.max(1) as f64;
     println!(
@@ -123,104 +134,26 @@ fn main() {
         "streaming fetch must not exceed the per-(node, partition) delivery budget: {transfers}"
     );
 
-    // Record the run and diff the deterministic currencies against the
-    // committed baseline (virtual completion seconds and wire counts are
-    // exact for a fixed seed; wall clock never enters this file).
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig6_shuffle.json");
-    let baseline = std::fs::read_to_string(path).ok();
-    let json = to_json(
-        &reducers,
-        &hdfs_series,
-        &bsfs_series,
-        &bsfs_transfers,
-        maps,
-        segments,
-        transfers,
-        stress_secs,
-    );
-    // Diff BEFORE overwriting: a regressed run must die with the committed
-    // baseline intact, not clobber it and pass on the next invocation. The
-    // fresh numbers land in a `.new` side file first (what CI uploads when
-    // the diff fails, so a deliberate re-record has the data) and are
-    // promoted onto the canonical path only after the diff passes.
-    let new_path = format!("{path}.new");
-    std::fs::write(&new_path, &json).expect("write fresh bench record");
-    match baseline {
-        None => println!("no committed baseline found; this run records the first one"),
-        Some(base) => diff_against_baseline(&base, &bsfs_series, segments, transfers),
-    }
-    std::fs::write(path, &json).expect("write BENCH_fig6_shuffle.json");
-    let _ = std::fs::remove_file(&new_path);
-    println!("wrote {path}");
-}
-
-/// Fail when this run regressed vs the committed baseline: BSFS completion
-/// time (sim-deterministic) per reducer sweep point, and the stress point's
-/// shuffle round-trips.
-fn diff_against_baseline(base: &str, bsfs_series: &[f64], segments: u64, transfers: u64) {
-    let Some(stress) = base.find("\"shuffle_stress\"").map(|i| &base[i..]) else {
-        println!("baseline predates the shuffle_stress record; skipping diff");
-        return;
-    };
-    let base_segments = json_num(stress, "segments").expect("baseline segments");
-    let base_transfers = json_num(stress, "transfers").expect("baseline transfers");
-    assert!(
-        (segments as f64 - base_segments).abs() < 0.5,
-        "stress workload changed: {segments} segments vs baseline {base_segments}"
-    );
-    assert!(
-        transfers as f64 <= base_transfers * BASELINE_TOLERANCE,
-        "shuffle round-trips regressed: {transfers} vs baseline {base_transfers}"
-    );
-    // BSFS completion seconds, pointwise.
-    let base_secs = json_series(base, "bsfs_secs");
-    assert_eq!(
-        base_secs.len(),
-        bsfs_series.len(),
-        "baseline sweep shape changed; re-record BENCH_fig6_shuffle.json deliberately"
-    );
-    for (now, base) in bsfs_series.iter().zip(&base_secs) {
-        assert!(
-            *now <= base * BASELINE_TOLERANCE,
-            "BSFS fig6 completion regressed: {now:.1}s vs baseline {base:.1}s"
-        );
-    }
-    println!(
-        "baseline diff passed: transfers {transfers} <= {base_transfers} x {BASELINE_TOLERANCE}, \
-         completion within {BASELINE_TOLERANCE}x pointwise"
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn to_json(
-    reducers: &[u32],
-    hdfs: &[f64],
-    bsfs: &[f64],
-    bsfs_transfers: &[u64],
-    maps: u32,
-    segments: u64,
-    transfers: u64,
-    stress_secs: f64,
-) -> String {
-    let fmt_f = |v: &[f64]| {
-        v.iter()
-            .map(|x| format!("{x:.1}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let fmt_u = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
-    let fmt_r = |v: &[u32]| v.iter().map(u32::to_string).collect::<Vec<_>>().join(", ");
-    let naive = u64::from(maps) * 8;
-    format!(
-        "{{\n  \"bench\": \"fig6_datajoin\",\n  \"reducers\": [{}],\n  \"hdfs_secs\": [{}],\n  \
-         \"bsfs_secs\": [{}],\n  \"bsfs_shuffle_transfers\": [{}],\n  \"shuffle_stress\": \
-         {{\"nodes\": 8, \"maps\": {maps}, \"reducers\": 8, \"naive_pulls\": {naive}, \
-         \"segments\": {segments}, \"transfers\": {transfers}, \"segment_reduction\": {:.2}, \
-         \"secs\": {stress_secs:.1}}}\n}}\n",
-        fmt_r(reducers),
-        fmt_f(hdfs),
-        fmt_f(bsfs),
-        fmt_u(bsfs_transfers),
-        naive as f64 / segments.max(1) as f64,
-    )
+    // Virtual completion seconds and wire counts are exact for a fixed seed;
+    // wall clock never enters this file.
+    Baseline::new("fig6_datajoin")
+        .sweep(&reducers)
+        .axis("reducers", |r| *r)
+        .sweep(&hdfs_series)
+        .series("hdfs_secs", Gate::Record, 1, |secs| *secs)
+        .sweep(&bsfs_points)
+        .series("bsfs_secs", Gate::Lower, 1, |b| b.secs)
+        .series("bsfs_shuffle_transfers", Gate::Record, 0, |b| {
+            b.shuffle_transfers
+        })
+        .section("shuffle_stress")
+        .param("nodes", 8)
+        .param("maps", maps)
+        .param("reducers", 8)
+        .param("naive_pulls", naive)
+        .scalar("segments", Gate::Exact, 0, segments)
+        .scalar("transfers", Gate::Lower, 0, transfers)
+        .scalar("segment_reduction", Gate::Record, 2, reduction)
+        .scalar("secs", Gate::Record, 1, stress_secs)
+        .check_and_record("BENCH_fig6_shuffle.json");
 }

@@ -8,9 +8,18 @@
 //! the fluid network model, not the authors' 2009 testbed — the *shapes*
 //! (who wins, what stays flat, where crossings happen) are the reproduction
 //! targets; see EXPERIMENTS.md.
+//!
+//! Seven drivers also record their run into a committed `BENCH_*.json` and
+//! are gated against it. A driver only *declares* that record — axis,
+//! series, and per series one of three gates (exact / no worse than 1.25× /
+//! record-only); recording, comparing and promoting is [`baseline`]'s one
+//! job, so a new gated series is one declaration line.
+
+pub mod baseline;
 
 use std::sync::Arc;
 
+pub use baseline::{Baseline, Gate};
 use blobseer::{BlobSeerConfig, Layout};
 use bsfs::Bsfs;
 use dfs::{DfsPath, FileSystem};
@@ -61,9 +70,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 
 /// Deploy BSFS with the paper layout on a fresh 270-node simulated cluster.
 pub fn paper_bsfs(seed: u64) -> (Fabric, Bsfs) {
-    let fx = Fabric::sim_seeded(ClusterSpec::orsay_270(), seed);
-    let fs = Bsfs::deploy_paper(&fx, BlobSeerConfig::paper()).expect("deploy bsfs");
-    (fx, fs)
+    paper_bsfs_with(seed, BlobSeerConfig::paper())
 }
 
 /// Deploy BSFS with a custom BlobSeer config (ablations).
@@ -90,13 +97,6 @@ pub fn path(s: &str) -> DfsPath {
     DfsPath::new(s).unwrap()
 }
 
-/// Figure 3 point: N concurrent clients each append one 64 MB chunk to the
-/// same BSFS file; returns the average per-client append throughput (MB/s).
-pub fn fig3_point(n_clients: u32, seed: u64) -> f64 {
-    let (fx, fs) = paper_bsfs(seed);
-    fig3_point_on(&fx, &fs, n_clients)
-}
-
 /// One Figure 3 measurement with the deterministic sim currencies the
 /// control-plane baseline (`BENCH_fig3_appends.json`) records and diffs:
 /// everything here is exact for a fixed seed — wall clock never enters.
@@ -114,7 +114,9 @@ pub struct Fig3Point {
     pub dht_put_rpcs: u64,
 }
 
-/// Figure 3 point plus the deterministic currencies of its run.
+/// Figure 3 point: N concurrent clients each append one 64 MB chunk to the
+/// same BSFS file; the average per-client throughput plus the deterministic
+/// currencies of the run.
 pub fn fig3_point_detail(n_clients: u32, seed: u64) -> Fig3Point {
     let (fx, fs) = paper_bsfs(seed);
     let per_client_mbps = fig3_point_on(&fx, &fs, n_clients);
@@ -174,21 +176,6 @@ pub fn fig3_point_on(fx: &Fabric, fs: &Bsfs, n_clients: u32) -> f64 {
     times.iter().map(|&ns| mbps(chunk, ns)).sum::<f64>() / n_clients as f64
 }
 
-/// Figures 4/5 point: `readers` concurrent readers (each reading
-/// `read_chunks` chunks of a pre-filled region) run against `appenders`
-/// concurrent appenders (each appending `append_chunks` chunks). Returns
-/// `(avg read MB/s, avg append MB/s)`.
-pub fn mixed_point(
-    readers: u32,
-    read_chunks: u64,
-    appenders: u32,
-    append_chunks: u64,
-    seed: u64,
-) -> (f64, f64) {
-    let d = mixed_point_detail(readers, read_chunks, appenders, append_chunks, seed);
-    (d.read_mbps, d.append_mbps)
-}
-
 /// One mixed-workload measurement with the deterministic sim currencies the
 /// storage-plane baseline (`BENCH_fig5_mixed.json`) records and diffs:
 /// everything here is exact for a fixed seed — wall clock never enters.
@@ -208,7 +195,10 @@ pub struct MixedPoint {
     pub get_rpcs: u64,
 }
 
-/// Figures 4/5 point plus the deterministic currencies of its run.
+/// Figures 4/5 point: `readers` concurrent readers (each reading
+/// `read_chunks` chunks of a pre-filled region) run against `appenders`
+/// concurrent appenders (each appending `append_chunks` chunks); both average
+/// throughputs plus the deterministic currencies of the run.
 pub fn mixed_point_detail(
     readers: u32,
     read_chunks: u64,
@@ -376,64 +366,6 @@ pub fn fig6_point(system: Fig6System, reducers: u32, seed: u64) -> Fig6Point {
     }
 }
 
-/// Shuffle-batching stress point: a data-join-profile job whose map count
-/// far exceeds the node count, the regime where Hadoop's per-segment pulls
-/// hurt most ("Only Aggressive Elephants are Fast Elephants"). Returns the
-/// measured (maps, segments pulled, wire transfers, completion seconds) so
-/// the fig6 driver can report how far the tier-2 combine collapsed the
-/// per-task segment population (maps x reducers naive pulls down to at most
-/// nodes x reducers combined segments).
-pub fn fig6_shuffle_stress(
-    nodes: u32,
-    maps: u32,
-    reducers: u32,
-    seed: u64,
-) -> (u32, u64, u64, f64) {
-    const BLOCK: u64 = 1024 * 1024; // 1 MB blocks -> one map per MB of input
-    let fx = Fabric::sim_seeded(ClusterSpec::tiny(nodes), seed);
-    let fs: Arc<dyn FileSystem> = Arc::new(
-        Bsfs::deploy(
-            &fx,
-            BlobSeerConfig::test_small(BLOCK),
-            Layout::compact(fx.spec()),
-        )
-        .expect("bsfs"),
-    );
-    let mr = MrCluster::start(&fx, fs.clone(), MrConfig::compact(fx.spec()));
-    let fs2 = fs.clone();
-    let mr2 = mr.clone();
-    let driver = fx.spawn(NodeId(0), "driver", move |p| {
-        let mut w = fs2.create(p, &path("/in")).unwrap();
-        w.write(p, Payload::ghost(u64::from(maps) * BLOCK)).unwrap();
-        w.close(p).unwrap();
-        let job = JobConf {
-            name: "datajoin-shuffle-stress".into(),
-            inputs: vec![path("/in")],
-            output_dir: path("/out"),
-            num_reducers: reducers,
-            output_mode: OutputMode::SharedAppendFile,
-            user: workloads::datajoin::user_fns(),
-            ghost: Some(mapreduce::GhostProfile {
-                input_record_bytes: 32,
-                map_output_ratio: 1.0,
-                map_cpu_per_byte: 10.0, // shuffle-dominated on purpose
-                reduce_output_ratio: 1.0,
-                reduce_cpu_per_byte: 2.0,
-                combine_output_ratio: 1.0, // inert: datajoin has no combiner
-            }),
-            shuffle: ShuffleTuning::default(),
-        };
-        let result = mr2.submit(job).wait(p);
-        mr2.shutdown();
-        result
-    });
-    fx.run();
-    let result = driver.take().unwrap();
-    assert_eq!(result.maps, maps, "block count must fix the map count");
-    let (segments, transfers) = mr.registry().fetch_counts();
-    (result.maps, segments, transfers, result.elapsed_secs())
-}
-
 /// Which workload profile a combiner-ablation point runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CombineWorkload {
@@ -443,13 +375,21 @@ pub enum CombineWorkload {
     /// Datajoin profile: no combiner (unique composite keys) — tier-2 only
     /// groups segments per node, bytes stay put.
     Datajoin,
+    /// Datajoin's user functions under a shuffle-dominated profile: the
+    /// regime where Hadoop's per-segment pulls hurt most ("Only Aggressive
+    /// Elephants are Fast Elephants"). fig6_datajoin's stress point reports
+    /// how far the tier-2 combine collapses the per-task segment population
+    /// (maps x reducers naive pulls down to at most nodes x reducers).
+    ShuffleStress,
 }
 
 impl CombineWorkload {
-    pub fn label(&self) -> &'static str {
+    /// The job name the point runs under.
+    pub fn job_name(&self) -> &'static str {
         match self {
-            CombineWorkload::Wordcount => "wordcount",
-            CombineWorkload::Datajoin => "datajoin",
+            CombineWorkload::Wordcount => "fig6-combiners-wordcount",
+            CombineWorkload::Datajoin => "fig6-combiners-datajoin",
+            CombineWorkload::ShuffleStress => "datajoin-shuffle-stress",
         }
     }
 }
@@ -507,13 +447,24 @@ pub fn fig6_combiners_point(
             workloads::datajoin::user_fns(),
             workloads::datajoin::fig6_profile(),
         ),
+        CombineWorkload::ShuffleStress => (
+            workloads::datajoin::user_fns(),
+            mapreduce::GhostProfile {
+                input_record_bytes: 32,
+                map_output_ratio: 1.0,
+                map_cpu_per_byte: 10.0, // shuffle-dominated on purpose
+                reduce_output_ratio: 1.0,
+                reduce_cpu_per_byte: 2.0,
+                combine_output_ratio: 1.0, // inert: datajoin has no combiner
+            },
+        ),
     };
     let driver = fx.spawn(NodeId(0), "driver", move |p| {
         let mut w = fs2.create(p, &path("/in")).unwrap();
         w.write(p, Payload::ghost(u64::from(maps) * BLOCK)).unwrap();
         w.close(p).unwrap();
         let job = JobConf {
-            name: format!("fig6-combiners-{}", workload.label()),
+            name: workload.job_name().into(),
             inputs: vec![path("/in")],
             output_dir: path("/out"),
             num_reducers: reducers,
@@ -539,38 +490,6 @@ pub fn fig6_combiners_point(
         shuffle_segments,
         shuffle_transfers,
     }
-}
-
-/// Extract the first numeric value following `"key":` in one of the flat
-/// JSON files the bench drivers emit. No JSON dependency exists offline;
-/// the files are our own fixed format, so a scan is sufficient (and any
-/// drift fails loudly as a missing baseline field).
-pub fn json_num(s: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = s.find(&pat)? + pat.len();
-    let rest = s[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Companion of [`json_num`] for series-shaped baseline fields: the numeric
-/// array following `"key":` in one of the flat JSON files the bench drivers
-/// emit. Panics when the key or its array is missing — a malformed baseline
-/// must fail the diff loudly, not pass it vacuously.
-pub fn json_series(s: &str, key: &str) -> Vec<f64> {
-    let at = s
-        .find(&format!("\"{key}\""))
-        .unwrap_or_else(|| panic!("baseline lacks {key}"));
-    let seg = &s[at..];
-    let seg = &seg[..seg.find(']').expect("series closes")];
-    seg.split('[')
-        .nth(1)
-        .expect("series opens")
-        .split(',')
-        .filter_map(|v| v.trim().parse().ok())
-        .collect()
 }
 
 /// Shape check helper: max relative spread of a series (0 = perfectly flat).

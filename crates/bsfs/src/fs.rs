@@ -9,7 +9,7 @@ use dfs::{
 use fabric::{Fabric, NodeId, Payload, Proc};
 
 use crate::file::{to_fs_err, BsfsReader, BsfsWriter};
-use crate::namespace::{NamespaceManager, NsEntry};
+use crate::namespace::{NamespaceManager, NsEntry, NsFile};
 
 /// The BlobSeer File System (paper §3.2): a namespace manager mapping files
 /// to BLOBs plus client-side block caching, exposing the Hadoop
@@ -67,15 +67,31 @@ impl Bsfs {
 
     /// The BLOB backing `path` (tests/diagnostics).
     pub fn blob_of(&self, p: &Proc, path: &DfsPath) -> FsResult<blobseer::BlobId> {
-        match self.ns.lookup(p, path)? {
-            NsEntry::File { blob, .. } => Ok(blob),
-            NsEntry::Dir => Err(FsError::IsADirectory(path.clone())),
-        }
+        Ok(self.file_entry(p, path)?.0)
+    }
+
+    fn entry_status(&self, p: &Proc, path: DfsPath, entry: NsEntry) -> FsResult<FileStatus> {
+        Ok(match entry {
+            NsEntry::Dir => FileStatus {
+                path,
+                len: 0,
+                is_dir: true,
+                block_size: self.default_block_size(),
+            },
+            NsEntry::File(NsFile { blob, block_size }) => FileStatus {
+                path,
+                // Size is authoritative at the version manager: length of the
+                // latest *published* version.
+                len: self.client.size(p, blob, None).map_err(to_fs_err)?,
+                is_dir: false,
+                block_size,
+            },
+        })
     }
 
     fn file_entry(&self, p: &Proc, path: &DfsPath) -> FsResult<(blobseer::BlobId, u64)> {
         match self.ns.lookup(p, path)? {
-            NsEntry::File { blob, block_size } => Ok((blob, block_size)),
+            NsEntry::File(f) => Ok((f.blob, f.block_size)),
             NsEntry::Dir => Err(FsError::IsADirectory(path.clone())),
         }
     }
@@ -133,50 +149,16 @@ impl FileSystem for Bsfs {
     }
 
     fn status(&self, p: &Proc, path: &DfsPath) -> FsResult<FileStatus> {
-        match self.ns.lookup(p, path)? {
-            NsEntry::Dir => Ok(FileStatus {
-                path: path.clone(),
-                len: 0,
-                is_dir: true,
-                block_size: self.default_block_size(),
-            }),
-            NsEntry::File { blob, block_size } => {
-                // Size is authoritative at the version manager: length of the
-                // latest *published* version.
-                let len = self.client.size(p, blob, None).map_err(to_fs_err)?;
-                Ok(FileStatus {
-                    path: path.clone(),
-                    len,
-                    is_dir: false,
-                    block_size,
-                })
-            }
-        }
+        let entry = self.ns.lookup(p, path)?;
+        self.entry_status(p, path.clone(), entry)
     }
 
     fn list(&self, p: &Proc, path: &DfsPath) -> FsResult<Vec<FileStatus>> {
         let entries = self.ns.list(p, path)?;
-        let mut out = Vec::with_capacity(entries.len());
-        for (child, entry) in entries {
-            out.push(match entry {
-                NsEntry::Dir => FileStatus {
-                    path: child,
-                    len: 0,
-                    is_dir: true,
-                    block_size: self.default_block_size(),
-                },
-                NsEntry::File { blob, block_size } => {
-                    let len = self.client.size(p, blob, None).map_err(to_fs_err)?;
-                    FileStatus {
-                        path: child,
-                        len,
-                        is_dir: false,
-                        block_size,
-                    }
-                }
-            });
-        }
-        Ok(out)
+        let statuses = entries
+            .into_iter()
+            .map(|(child, entry)| self.entry_status(p, child, entry));
+        statuses.collect()
     }
 
     fn block_locations(

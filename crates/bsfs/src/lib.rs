@@ -17,4 +17,4 @@ pub mod namespace;
 
 pub use file::{BsfsReader, BsfsWriter};
 pub use fs::Bsfs;
-pub use namespace::{NamespaceManager, NsEntry};
+pub use namespace::{NamespaceManager, NsEntry, NsFile};

@@ -7,44 +7,38 @@
 //! published version), which keeps concurrent appenders from racing on a
 //! cached size field.
 
-use std::collections::HashMap;
-
-use dfs::{DfsPath, FsError, FsResult};
+use dfs::{DfsPath, FsResult, Namespace};
 use fabric::{NodeId, Proc};
 use parking_lot::Mutex;
 
 use blobseer::BlobId;
 
+/// What the namespace records per file: the BLOB holding its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NsFile {
+    pub blob: BlobId,
+    pub block_size: u64,
+}
+
 /// One namespace entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NsEntry {
-    Dir,
-    File { blob: BlobId, block_size: u64 },
-}
+pub type NsEntry = dfs::Entry<NsFile>;
 
-impl NsEntry {
-    pub fn is_dir(&self) -> bool {
-        matches!(self, NsEntry::Dir)
-    }
-}
-
-/// Centralized namespace service.
+/// Centralized namespace service: the shared [`Namespace`] tree behind one
+/// charged RPC per operation.
 pub struct NamespaceManager {
     node: NodeId,
     ctl_msg_bytes: u64,
     cpu_ops: u64,
-    state: Mutex<HashMap<DfsPath, NsEntry>>,
+    state: Mutex<Namespace<NsFile>>,
 }
 
 impl NamespaceManager {
     pub fn new(node: NodeId, ctl_msg_bytes: u64, cpu_ops: u64) -> Self {
-        let mut map = HashMap::new();
-        map.insert(DfsPath::root(), NsEntry::Dir);
         NamespaceManager {
             node,
             ctl_msg_bytes,
             cpu_ops,
-            state: Mutex::new(map),
+            state: Mutex::default(),
         }
     }
 
@@ -62,24 +56,7 @@ impl NamespaceManager {
     /// Create all missing directories down to `path`.
     pub fn mkdirs(&self, p: &Proc, path: &DfsPath) -> FsResult<()> {
         self.charge(p);
-        let mut st = self.state.lock();
-        Self::mkdirs_locked(&mut st, path)
-    }
-
-    fn mkdirs_locked(st: &mut HashMap<DfsPath, NsEntry>, path: &DfsPath) -> FsResult<()> {
-        // Walk from the root down, creating directories.
-        let mut cur = DfsPath::root();
-        for comp in path.components() {
-            cur = cur.child(comp)?;
-            match st.get(&cur) {
-                None => {
-                    st.insert(cur.clone(), NsEntry::Dir);
-                }
-                Some(NsEntry::Dir) => {}
-                Some(NsEntry::File { .. }) => return Err(FsError::NotADirectory(cur)),
-            }
-        }
-        Ok(())
+        self.state.lock().mkdirs(path)
     }
 
     /// Register a new file mapped to `blob`. Auto-creates parent directories
@@ -92,89 +69,38 @@ impl NamespaceManager {
         block_size: u64,
     ) -> FsResult<()> {
         self.charge(p);
-        if path.is_root() {
-            return Err(FsError::IsADirectory(path.clone()));
-        }
-        let mut st = self.state.lock();
-        if st.contains_key(path) {
-            return Err(FsError::AlreadyExists(path.clone()));
-        }
-        if let Some(parent) = path.parent() {
-            Self::mkdirs_locked(&mut st, &parent)?;
-        }
-        st.insert(path.clone(), NsEntry::File { blob, block_size });
-        Ok(())
+        let file = NsFile { blob, block_size };
+        self.state.lock().insert_file(path, file)
     }
 
     /// Look up an entry.
     pub fn lookup(&self, p: &Proc, path: &DfsPath) -> FsResult<NsEntry> {
         self.charge(p);
-        self.state
-            .lock()
-            .get(path)
-            .cloned()
-            .ok_or_else(|| FsError::NotFound(path.clone()))
+        self.state.lock().get(path).cloned()
     }
 
     /// Children names + entries of a directory, sorted by name.
     pub fn list(&self, p: &Proc, path: &DfsPath) -> FsResult<Vec<(DfsPath, NsEntry)>> {
         self.charge(p);
         let st = self.state.lock();
-        match st.get(path) {
-            None => return Err(FsError::NotFound(path.clone())),
-            Some(NsEntry::File { .. }) => return Err(FsError::NotADirectory(path.clone())),
-            Some(NsEntry::Dir) => {}
-        }
-        let mut out: Vec<(DfsPath, NsEntry)> = st
-            .iter()
-            .filter(|(k, _)| !k.is_root() && k.parent().as_ref() == Some(path))
+        let children = st.children(path)?;
+        Ok(children
+            .into_iter()
             .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+            .collect())
     }
 
     /// Atomic rename of a file or directory subtree. Fails when `dst`
     /// exists (Hadoop 0.20 semantics) or `src` is missing.
     pub fn rename(&self, p: &Proc, src: &DfsPath, dst: &DfsPath) -> FsResult<()> {
         self.charge(p);
-        if src.is_root() {
-            return Err(FsError::InvalidPath {
-                path: src.to_string(),
-                reason: "cannot rename the root".into(),
-            });
-        }
-        if dst.starts_with(src) {
-            return Err(FsError::InvalidPath {
-                path: dst.to_string(),
-                reason: "destination lies inside the source".into(),
-            });
-        }
-        let mut st = self.state.lock();
-        if !st.contains_key(src) {
-            return Err(FsError::NotFound(src.clone()));
-        }
-        if st.contains_key(dst) {
-            return Err(FsError::AlreadyExists(dst.clone()));
-        }
-        if let Some(parent) = dst.parent() {
-            Self::mkdirs_locked(&mut st, &parent)?;
-        }
-        // Move src and (for directories) its whole subtree.
-        let to_move: Vec<DfsPath> = st.keys().filter(|k| k.starts_with(src)).cloned().collect();
-        for old in to_move {
-            // analyze: allow(panic-unwrap): `to_move` lists distinct live keys
-            let entry = st.remove(&old).expect("key just listed");
-            // analyze: allow(panic-unwrap): `old` starts_with `src`, so rebase holds
-            let new = old.rebase(src, dst).expect("subtree paths rebase");
-            st.insert(new, entry);
-        }
-        Ok(())
+        self.state.lock().rename(src, dst)
     }
 
     /// Delete a file or directory. Non-empty directories require
-    /// `recursive`. Returns the BLOBs of all deleted files (so callers
-    /// could garbage-collect them) and whether anything was removed.
+    /// `recursive`. Returns whether anything was removed and the BLOBs of
+    /// all deleted files, in path order (so callers garbage-collect them in
+    /// the same order in every process).
     pub fn delete(
         &self,
         p: &Proc,
@@ -182,52 +108,21 @@ impl NamespaceManager {
         recursive: bool,
     ) -> FsResult<(bool, Vec<BlobId>)> {
         self.charge(p);
-        if path.is_root() {
-            return Err(FsError::InvalidPath {
-                path: path.to_string(),
-                reason: "cannot delete the root".into(),
-            });
-        }
-        let mut st = self.state.lock();
-        let Some(entry) = st.get(path) else {
-            return Ok((false, Vec::new()));
-        };
-        if entry.is_dir() {
-            let children: Vec<DfsPath> = st
-                .keys()
-                .filter(|k| *k != path && k.starts_with(path))
-                .cloned()
-                .collect();
-            if !children.is_empty() && !recursive {
-                return Err(FsError::DirectoryNotEmpty(path.clone()));
-            }
-            let mut blobs = Vec::new();
-            for k in children {
-                if let Some(NsEntry::File { blob, .. }) = st.remove(&k) {
-                    blobs.push(blob);
-                }
-            }
-            st.remove(path);
-            Ok((true, blobs))
-        } else {
-            let removed = st.remove(path);
-            let blobs = match removed {
-                Some(NsEntry::File { blob, .. }) => vec![blob],
-                _ => Vec::new(),
-            };
-            Ok((true, blobs))
-        }
+        let removed = self.state.lock().remove(path, recursive)?;
+        let blobs = removed.iter().flatten().map(|f| f.blob).collect();
+        Ok((removed.is_some(), blobs))
     }
 
     /// Number of entries (diagnostics; includes directories and the root).
     pub fn entry_count(&self) -> usize {
-        self.state.lock().len()
+        self.state.lock().entry_count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfs::FsError;
     use fabric::{ClusterSpec, Fabric};
 
     fn d(s: &str) -> DfsPath {
@@ -250,10 +145,10 @@ mod tests {
             assert!(ns.lookup(p, &d("/a/b")).unwrap().is_dir());
             assert_eq!(
                 ns.lookup(p, &d("/a/b/f")).unwrap(),
-                NsEntry::File {
+                NsEntry::File(NsFile {
                     blob: BlobId(1),
                     block_size: 100
-                }
+                })
             );
         });
     }
@@ -294,17 +189,22 @@ mod tests {
     fn delete_returns_blobs_for_gc() {
         with_proc(|p| {
             let ns = NamespaceManager::new(NodeId(1), 64, 0);
-            ns.create_file(p, &d("/dir/a"), BlobId(1), 100).unwrap();
-            ns.create_file(p, &d("/dir/b"), BlobId(2), 100).unwrap();
+            // Created out of path order: `Bsfs::delete` retires the BLOBs in
+            // the order returned, which must be the same in every process.
+            let names = ["m", "c", "k", "a", "sub/z", "h", "b", "sub/y", "j", "e"];
+            for (i, name) in names.iter().enumerate() {
+                let path = d(&format!("/dir/{name}"));
+                ns.create_file(p, &path, BlobId(i as u64), 100).unwrap();
+            }
             assert!(matches!(
                 ns.delete(p, &d("/dir"), false),
                 Err(FsError::DirectoryNotEmpty(_))
             ));
             let (removed, blobs) = ns.delete(p, &d("/dir"), true).unwrap();
             assert!(removed);
-            let mut ids: Vec<u64> = blobs.iter().map(|b| b.0).collect();
-            ids.sort_unstable();
-            assert_eq!(ids, vec![1, 2]);
+            // a b c e h j k m sub/y sub/z
+            let ids: Vec<u64> = blobs.iter().map(|b| b.0).collect();
+            assert_eq!(ids, vec![3, 6, 1, 9, 5, 8, 2, 0, 7, 4]);
             let (removed, _) = ns.delete(p, &d("/dir"), true).unwrap();
             assert!(!removed);
         });

@@ -1,6 +1,12 @@
 //! Tier-1 chaos suite: fault-free control runs, a seeded sweep across all
 //! workloads, byte-exact replay determinism, and an env-var replay hook.
 //!
+//! The sweep is 80 pinned-seed fault schedules — provider and meta-server
+//! crashes and full crash-restarts from pstore, read-replica crashes and
+//! restarts, VM/reaper pauses, net delays/drops/partitions — over whole
+//! workload runs on persistent deployments, each audited by the quiescence
+//! invariants.
+//!
 //! Every failure message carries `(workload, seed)` and the exact command
 //! that replays that single run:
 //!

@@ -47,21 +47,28 @@ pub struct PageLocation {
 /// ships descriptor deltas past the cached watermark, and keeps a bounded
 /// snapshot-scoped [`ReadCache`] of published pages and metadata leaves.
 ///
-/// Every per-client cache is bounded: the descriptor/page-size/published
-/// watermark maps evict by LRU at `client_index_cache_entries`, the read
-/// cache at `read_cache_bytes` — client memory stays flat under
-/// many-thousand-blob churn.
+/// Every per-client cache is bounded: the per-BLOB views evict by LRU at
+/// `client_index_cache_entries`, the read cache at `read_cache_bytes` —
+/// client memory stays flat under many-thousand-blob churn.
 pub struct BlobClient {
     svc: Arc<Services>,
-    desc_cache: Mutex<LruMap<BlobId, DescIndex>>,
-    page_size_cache: Mutex<LruMap<BlobId, u64>>,
-    /// Highest version of each blob this client has *observed published*
-    /// (from a VM snapshot answer or its own awaited write). The read cache
+    views: Mutex<LruMap<BlobId, BlobView>>,
+    cache: ReadCache,
+}
+
+/// What a client remembers about one BLOB.
+#[derive(Default)]
+struct BlobView {
+    /// Fixed at creation; `None` until first learned.
+    page_size: Option<u64>,
+    /// Freshest descriptor-index snapshot seen.
+    index: Option<DescIndex>,
+    /// Highest version this client has *observed published* (from a VM
+    /// snapshot answer or its own awaited write); 0 = none. The read cache
     /// is only ever consulted — or fed — at or below this floor; pending
     /// versions can still be rewritten by a write-timeout force-complete,
     /// so nothing about them is cacheable.
-    published_floor: Mutex<LruMap<BlobId, Version>>,
-    cache: ReadCache,
+    published: Version,
 }
 
 impl BlobClient {
@@ -80,9 +87,7 @@ impl BlobClient {
         let index_cap = svc.config.client_index_cache_entries;
         BlobClient {
             svc,
-            desc_cache: Mutex::with_rank(LruMap::new(index_cap), lock_ranks::READ_CACHE),
-            page_size_cache: Mutex::with_rank(LruMap::new(index_cap), lock_ranks::READ_CACHE),
-            published_floor: Mutex::with_rank(LruMap::new(index_cap), lock_ranks::READ_CACHE),
+            views: Mutex::with_rank(LruMap::new(index_cap), lock_ranks::READ_CACHE),
             cache,
         }
     }
@@ -93,25 +98,24 @@ impl BlobClient {
         self.cache.stats()
     }
 
-    /// Entries currently held by the bounded index-side caches
-    /// `(descriptors, page sizes, published watermarks)`.
-    pub fn index_cache_entries(&self) -> (usize, usize, usize) {
-        (
-            self.desc_cache.lock().len(),
-            self.page_size_cache.lock().len(),
-            self.published_floor.lock().len(),
-        )
+    /// BLOBs currently held by the bounded per-BLOB view cache (page size,
+    /// descriptor index, published watermark).
+    pub fn index_cache_entries(&self) -> usize {
+        self.views.lock().len()
+    }
+
+    /// Update this client's view of `blob`, creating it on first touch.
+    fn with_view(&self, blob: BlobId, update: impl FnOnce(&mut BlobView)) {
+        let mut views = self.views.lock();
+        let mut view = views.remove(&blob).unwrap_or_default();
+        update(&mut view);
+        views.insert(blob, view, 1);
     }
 
     /// Record that `version` of `blob` is published (monotone floor).
     fn note_published(&self, blob: BlobId, version: Version) {
-        if version == 0 {
-            return;
-        }
-        let mut floor = self.published_floor.lock();
-        let cur = floor.get(&blob).copied().unwrap_or(0);
-        if version > cur {
-            floor.insert(blob, version, 1);
+        if version > 0 {
+            self.with_view(blob, |v| v.published = v.published.max(version));
         }
     }
 
@@ -120,28 +124,27 @@ impl BlobClient {
     fn is_published(&self, blob: BlobId, version: Version) -> bool {
         version > 0
             && self
-                .published_floor
+                .views
                 .lock()
                 .get(&blob)
-                .is_some_and(|&f| version <= f)
+                .is_some_and(|v| version <= v.published)
     }
 
     /// Create a new BLOB (page size defaults to the deployment config).
     pub fn create(&self, p: &Proc, page_size: Option<u64>) -> BlobId {
         let id = self.svc.vm.create_blob(p, page_size);
-        self.page_size_cache
-            .lock()
-            .insert(id, page_size.unwrap_or(self.svc.config.page_size), 1);
+        let ps = page_size.unwrap_or(self.svc.config.page_size);
+        self.with_view(id, |v| v.page_size = Some(ps));
         id
     }
 
     /// Page size of `blob` (cached after first lookup).
     pub fn page_size(&self, p: &Proc, blob: BlobId) -> BlobResult<u64> {
-        if let Some(ps) = self.page_size_cache.lock().get(&blob) {
-            return Ok(*ps);
+        if let Some(ps) = self.views.lock().get(&blob).and_then(|v| v.page_size) {
+            return Ok(ps);
         }
         let ps = self.svc.vm.page_size_of(p, blob)?;
-        self.page_size_cache.lock().insert(blob, ps, 1);
+        self.with_view(blob, |v| v.page_size = Some(ps));
         Ok(ps)
     }
 
@@ -193,12 +196,10 @@ impl BlobClient {
             .dht
             .put_batch(p, plan_write(blob, &index, &desc, &manifest))?;
 
-        // Step 4: commit; optionally wait for publication (read-your-writes).
+        // Step 4: commit, then wait for publication (read-your-writes).
         self.svc.vm.commit(p, blob, desc.version)?;
-        if self.svc.config.wait_published {
-            self.svc.vm.wait_published(p, blob, desc.version)?;
-            self.note_published(blob, desc.version);
-        }
+        self.svc.vm.wait_published(p, blob, desc.version)?;
+        self.note_published(blob, desc.version);
         Ok(desc.version)
     }
 
@@ -669,12 +670,11 @@ impl BlobClient {
     /// this when a file is deleted from the namespace.
     pub fn delete(&self, p: &Proc, blob: BlobId) -> BlobResult<()> {
         self.svc.vm.delete_blob(p, blob)?;
-        self.desc_cache.lock().remove(&blob);
-        self.page_size_cache.lock().remove(&blob);
-        // Read-cache entries for the deleted blob age out by LRU; the floor
-        // entry goes now so a recreated registry can never be confused (blob
-        // ids are never reused, this is belt-and-braces).
-        self.published_floor.lock().remove(&blob);
+        // Read-cache entries for the deleted blob age out by LRU; the view
+        // (with its published floor) goes now so a recreated registry can
+        // never be confused (blob ids are never reused, this is
+        // belt-and-braces).
+        self.views.lock().remove(&blob);
         Ok(())
     }
 
@@ -736,8 +736,8 @@ impl BlobClient {
             return Ok(None);
         }
         let known = {
-            let mut cache = self.desc_cache.lock();
-            match cache.get(&blob) {
+            let mut views = self.views.lock();
+            match views.get(&blob).and_then(|v| v.index.as_ref()) {
                 Some(ix) if ix.version() == snap.version => return Ok(Some(ix.clone())),
                 Some(ix) => ix.version(),
                 None => 0,
@@ -757,24 +757,21 @@ impl BlobClient {
     /// (0 when none). The guard lives only for this probe — callers go on to
     /// put wire traffic down, which must never happen under a cache lock.
     fn known_desc_version(&self, blob: BlobId) -> Version {
-        self.desc_cache
-            .lock()
-            .get(&blob)
-            .map_or(0, |ix| ix.version())
+        let mut views = self.views.lock();
+        let index = views.get(&blob).and_then(|v| v.index.as_ref());
+        index.map_or(0, |ix| ix.version())
     }
 
     /// Install `ix` as the cached snapshot for `blob` unless a newer one is
     /// already there: concurrent refreshers race, snapshots are cumulative,
     /// so the highest version wins.
     fn refresh_desc_cache(&self, blob: BlobId, ix: &DescIndex) {
-        let mut cache = self.desc_cache.lock();
-        let newer = match cache.get(&blob) {
-            Some(cur) => cur.version() < ix.version(),
-            None => true,
-        };
-        if newer {
-            cache.insert(blob, ix.clone(), 1);
-        }
+        self.with_view(blob, |v| {
+            let cur = v.index.as_ref();
+            if cur.is_none_or(|cur| cur.version() < ix.version()) {
+                v.index = Some(ix.clone());
+            }
+        });
     }
 }
 
@@ -966,7 +963,7 @@ mod tests {
                 100,
                 64,
                 0,
-                crate::config::Timeouts::default().with_write_timeout(None),
+                None,
             )),
             pm: Arc::new(ProviderManager::new(
                 NodeId(0),

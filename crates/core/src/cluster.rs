@@ -49,14 +49,7 @@ impl Layout {
             "paper layout needs >= 30 nodes, got {}",
             spec.nodes
         );
-        Layout {
-            vm: NodeId(0),
-            pm: NodeId(1),
-            namespace: NodeId(2),
-            meta: (3..23).map(NodeId).collect(),
-            providers: (23..spec.nodes).map(NodeId).collect(),
-            read_replicas: Vec::new(),
-        }
+        Self::paper_with_meta(spec, 20)
     }
 
     /// Everything-on-few-nodes layout for unit tests and live-mode examples.
@@ -444,10 +437,9 @@ impl BlobSeer {
             providers.clone(),
             config.alloc,
             config.ctl_msg_bytes,
-            // Reservation leases mirror the VM's write timeout unless the
-            // timeout section decouples them: both sides of a write
-            // (version + capacity) expire on the same clock.
-            config.timeouts.effective_lease_timeout_ns(),
+            // Reservation leases expire on the VM's write timeout: both
+            // sides of a write (version + capacity) share one clock.
+            config.timeouts.write_timeout_ns,
         );
         if let Some(dir) = &config.persist_dir {
             pm = pm.with_persistence(&dir.join("pm"), store_opts)?;
@@ -460,7 +452,7 @@ impl BlobSeer {
             config.page_size,
             config.ctl_msg_bytes,
             config.vm_cpu_ops,
-            config.timeouts,
+            config.timeouts.write_timeout_ns,
         ));
         Ok(BlobSeer {
             svc: Arc::new(Services {

@@ -10,93 +10,32 @@ use fabric::MILLIS;
 pub enum AllocStrategy {
     /// Cycle through providers.
     RoundRobin,
-    /// Uniformly random provider per page.
-    Random,
     /// Provider currently storing the fewest bytes (random tie-break) —
     /// the default, closest to BlobSeer's load-balancing goal.
     LeastLoaded,
-    /// Prefer the writer's own node when it hosts a provider, then fall back
-    /// to least-loaded (short-circuit writes; useful for ablations).
-    LocalFirst,
 }
 
-/// Every deadline and cadence of a deployment in one place, so a chaos
-/// schedule (or an operator) can stretch or compress them coherently — a
-/// fault window that must stay "well under the write timeout" reads the same
+/// The deadline and the cadence of a deployment in one place — a fault
+/// window that must stay "well under the write timeout" reads the same
 /// struct the version manager enforces it from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Timeouts {
     /// If set, a version left uncommitted for this long may be
     /// force-completed from its manifest by the version manager (lazily,
     /// from within other requests, or by the background reaper) so one
-    /// crashed writer cannot stall publication forever.
+    /// crashed writer cannot stall publication forever. Provider
+    /// reservation leases expire on the same clock: both sides of a write
+    /// (version + capacity) share one deadline.
     pub write_timeout_ns: Option<u64>,
-    /// Expiry of provider reservation leases. `None` mirrors
-    /// `write_timeout_ns` — both sides of a write (version + capacity)
-    /// expire on the same clock unless explicitly decoupled.
-    pub lease_timeout_ns: Option<u64>,
     /// Sleep between background-reaper sweeps (`BlobSeer::start_reaper`).
     pub reaper_interval_ns: u64,
-    /// Poll cadence of processes parked behind a paused service (fault
-    /// injection); bounds how long after a heal the service resumes.
-    pub pause_poll_ns: u64,
 }
 
 impl Default for Timeouts {
     fn default() -> Self {
         Timeouts {
             write_timeout_ns: Some(30_000 * MILLIS),
-            lease_timeout_ns: None,
             reaper_interval_ns: 100 * MILLIS,
-            pause_poll_ns: 5 * MILLIS,
-        }
-    }
-}
-
-impl Timeouts {
-    /// The lease deadline actually enforced: explicit, or mirroring the
-    /// write timeout.
-    pub fn effective_lease_timeout_ns(&self) -> Option<u64> {
-        self.lease_timeout_ns.or(self.write_timeout_ns)
-    }
-
-    pub fn with_write_timeout(mut self, t: Option<u64>) -> Self {
-        self.write_timeout_ns = t;
-        self
-    }
-
-    pub fn with_lease_timeout(mut self, t: Option<u64>) -> Self {
-        self.lease_timeout_ns = t;
-        self
-    }
-
-    pub fn with_reaper_interval(mut self, ns: u64) -> Self {
-        assert!(ns > 0, "reaper needs a positive interval");
-        self.reaper_interval_ns = ns;
-        self
-    }
-
-    pub fn with_pause_poll(mut self, ns: u64) -> Self {
-        assert!(ns > 0, "pause poll must be positive");
-        self.pause_poll_ns = ns;
-        self
-    }
-
-    /// Stretch (`factor > 1`) or compress (`factor < 1`) every deadline and
-    /// cadence by the same factor — chaos runs use this to slow a whole
-    /// deployment down without breaking the invariant that fault windows fit
-    /// inside write timeouts.
-    pub fn scaled(self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "scale factor must be positive and finite, got {factor}"
-        );
-        let scale = |ns: u64| ((ns as f64 * factor).round() as u64).max(1);
-        Timeouts {
-            write_timeout_ns: self.write_timeout_ns.map(scale),
-            lease_timeout_ns: self.lease_timeout_ns.map(scale),
-            reaper_interval_ns: scale(self.reaper_interval_ns),
-            pause_poll_ns: scale(self.pause_poll_ns),
         }
     }
 }
@@ -114,12 +53,9 @@ pub struct BlobSeerConfig {
     /// Modeled size of one control RPC message (version requests, provider
     /// allocation, ...).
     pub ctl_msg_bytes: u64,
-    /// Every deadline and cadence of the deployment (write timeout, lease
-    /// expiry, reaper cadence, pause polling).
+    /// The deadline and cadence of the deployment (write timeout = lease
+    /// expiry, reaper cadence).
     pub timeouts: Timeouts,
-    /// When true (default), `append`/`write` block until the new version is
-    /// published, giving read-your-writes to the caller.
-    pub wait_published: bool,
     /// Directory for pstore-backed persistence: providers keep pages, the
     /// metadata servers their tree nodes and the provider manager its lease
     /// book under per-service subdirectories, and `Fault::CrashRestart`
@@ -145,8 +81,8 @@ pub struct BlobSeerConfig {
     /// immutable, so entries can only go cold, never stale. `0` disables
     /// the cache.
     pub read_cache_bytes: u64,
-    /// Entry cap of each client's descriptor-index / page-size caches
-    /// (LRU). Bounds client memory under many-blob churn.
+    /// How many BLOBs each client remembers (page size, descriptor index,
+    /// published watermark; LRU). Bounds client memory under many-blob churn.
     pub client_index_cache_entries: u64,
 }
 
@@ -158,7 +94,6 @@ impl Default for BlobSeerConfig {
             alloc: AllocStrategy::LeastLoaded,
             ctl_msg_bytes: 128,
             timeouts: Timeouts::default(),
-            wait_published: true,
             persist_dir: None,
             persist_checkpoint_bytes: None,
             vm_cpu_ops: 1_000_000,
@@ -202,11 +137,6 @@ impl BlobSeerConfig {
         self
     }
 
-    pub fn with_wait_published(mut self, w: bool) -> Self {
-        self.wait_published = w;
-        self
-    }
-
     pub fn with_persist_dir(mut self, dir: Option<PathBuf>) -> Self {
         self.persist_dir = dir;
         self
@@ -237,16 +167,10 @@ impl BlobSeerConfig {
         self
     }
 
-    /// Set the client descriptor/page-size cache entry cap.
+    /// Set how many BLOBs each client remembers.
     pub fn with_client_index_cache_entries(mut self, entries: u64) -> Self {
         assert!(entries >= 1, "index caches need room for at least one blob");
         self.client_index_cache_entries = entries;
-        self
-    }
-
-    /// Replace the whole timeout section.
-    pub fn with_timeouts(mut self, t: Timeouts) -> Self {
-        self.timeouts = t;
         self
     }
 
@@ -266,45 +190,11 @@ mod tests {
         let c = BlobSeerConfig::paper();
         assert_eq!(c.page_size, 64 * 1024 * 1024);
         assert_eq!(c.replication, 1);
-        assert!(c.wait_published);
     }
 
     #[test]
     #[should_panic(expected = "replication factor")]
     fn zero_replication_rejected() {
         let _ = BlobSeerConfig::default().with_replication(0);
-    }
-
-    #[test]
-    fn lease_timeout_mirrors_write_timeout_unless_set() {
-        let t = Timeouts::default();
-        assert_eq!(t.effective_lease_timeout_ns(), t.write_timeout_ns);
-        let t = t.with_lease_timeout(Some(7));
-        assert_eq!(t.effective_lease_timeout_ns(), Some(7));
-        let t = t.with_write_timeout(None);
-        assert_eq!(t.effective_lease_timeout_ns(), Some(7));
-    }
-
-    #[test]
-    fn scaling_stretches_every_knob_coherently() {
-        let t = Timeouts {
-            write_timeout_ns: Some(1000),
-            lease_timeout_ns: Some(500),
-            reaper_interval_ns: 100,
-            pause_poll_ns: 10,
-        };
-        let s = t.scaled(2.5);
-        assert_eq!(s.write_timeout_ns, Some(2500));
-        assert_eq!(s.lease_timeout_ns, Some(1250));
-        assert_eq!(s.reaper_interval_ns, 250);
-        assert_eq!(s.pause_poll_ns, 25);
-        // Compression never produces a zero cadence.
-        assert_eq!(t.scaled(1e-9).reaper_interval_ns, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale factor")]
-    fn bad_scale_factor_rejected() {
-        let _ = Timeouts::default().scaled(0.0);
     }
 }

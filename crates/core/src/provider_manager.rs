@@ -326,13 +326,6 @@ impl ProviderManager {
                     .map(|i| candidates[(base + i) % candidates.len()].clone())
                     .collect()
             }
-            AllocStrategy::Random => {
-                let mut rng = p.rng();
-                candidates
-                    .choose_multiple(&mut *rng, replication)
-                    .cloned()
-                    .collect()
-            }
             AllocStrategy::LeastLoaded => {
                 // Random tie-break via a pre-shuffle, then stable sort by load.
                 let mut rng = p.rng();
@@ -343,25 +336,6 @@ impl ProviderManager {
                     .take(replication)
                     .map(|&i| candidates[i].clone())
                     .collect()
-            }
-            AllocStrategy::LocalFirst => {
-                let mut chosen = Vec::with_capacity(replication);
-                if let Some(local) = candidates.iter().find(|c| c.node() == p.node()) {
-                    chosen.push(local.clone());
-                }
-                let mut rng = p.rng();
-                let mut idx: Vec<usize> = (0..candidates.len()).collect();
-                idx.shuffle(&mut *rng);
-                idx.sort_by_key(|&i| candidates[i].load_estimate());
-                for i in idx {
-                    if chosen.len() >= replication {
-                        break;
-                    }
-                    if !chosen.iter().any(|c| c.node() == candidates[i].node()) {
-                        chosen.push(candidates[i].clone());
-                    }
-                }
-                chosen
             }
         }
     }
@@ -712,24 +686,12 @@ mod tests {
 
     #[test]
     fn insufficient_providers_error() {
-        with_pm(2, AllocStrategy::Random, |p, pm, provs| {
+        with_pm(2, AllocStrategy::LeastLoaded, |p, pm, provs| {
             provs[0].kill();
             assert!(matches!(
                 pm.allocate(p, &pages(&[10]), 2, &[]),
                 Err(BlobError::NoProviders)
             ));
-        });
-    }
-
-    #[test]
-    fn local_first_prefers_callers_node() {
-        with_pm(4, AllocStrategy::LocalFirst, |p, pm, _| {
-            // p runs on node 0 and a provider lives there.
-            let (_, a) = pm.allocate(p, &pages(&[10; 2]), 2, &[]).unwrap();
-            for replicas in &a {
-                assert_eq!(replicas[0].node(), NodeId(0), "primary should be local");
-                assert_ne!(replicas[1].node(), NodeId(0));
-            }
         });
     }
 

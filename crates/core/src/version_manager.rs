@@ -49,7 +49,6 @@ use std::sync::Arc;
 use fabric::{Fabric, NodeId, Proc};
 use parking_lot::{Mutex, RwLock};
 
-use crate::config::Timeouts;
 use crate::desc_index::DescIndex;
 use crate::dht::MetaDht;
 use crate::error::{BlobError, BlobResult};
@@ -98,7 +97,6 @@ pub struct VersionManager {
     /// Fault injection: while set, every request stalls at entry (the VM is
     /// alive but mute — a GC pause). Set via `BlobSeer::inject`.
     paused: AtomicBool,
-    pause_poll_ns: u64,
     default_page_size: u64,
     next_blob: AtomicU64,
     blobs: RwLock<HashMap<BlobId, Arc<BlobSlot>>>,
@@ -113,7 +111,7 @@ impl VersionManager {
         default_page_size: u64,
         ctl_msg_bytes: u64,
         vm_cpu_ops: u64,
-        timeouts: Timeouts,
+        write_timeout_ns: Option<u64>,
     ) -> Self {
         VersionManager {
             node,
@@ -121,9 +119,8 @@ impl VersionManager {
             dht,
             ctl_msg_bytes,
             vm_cpu_ops,
-            write_timeout_ns: timeouts.write_timeout_ns,
+            write_timeout_ns,
             paused: AtomicBool::new(false),
-            pause_poll_ns: timeouts.pause_poll_ns,
             default_page_size,
             next_blob: AtomicU64::new(1),
             blobs: RwLock::with_rank(HashMap::new(), crate::lock_ranks::REGISTRY),
@@ -146,12 +143,16 @@ impl VersionManager {
         self.paused.load(Ordering::Acquire)
     }
 
+    /// Poll cadence of processes parked behind a paused service; bounds how
+    /// long after a heal the service resumes.
+    const PAUSE_POLL_NS: u64 = 5 * fabric::MILLIS;
+
     /// Entry gate of every request: a paused VM answers nothing, so the
     /// caller's process sleeps in poll steps until the service is healed.
     /// Deliberately *before* `charge` — a frozen service does not even ack.
     fn pause_barrier(&self, p: &Proc) {
         while self.paused.load(Ordering::Acquire) {
-            p.sleep(self.pause_poll_ns);
+            p.sleep(Self::PAUSE_POLL_NS);
         }
     }
 
@@ -619,7 +620,7 @@ mod tests {
             PS,
             64,
             0,
-            Timeouts::default().with_write_timeout(Some(1_000_000_000)),
+            Some(1_000_000_000),
         ))
     }
 
@@ -953,7 +954,7 @@ mod tests {
             PS,
             64,
             0,
-            Timeouts::default().with_write_timeout(Some(1_000_000_000)),
+            Some(1_000_000_000),
         ));
         let vm2 = vm.clone();
         let h = fx.spawn(NodeId(3), "t", move |p| {

@@ -153,7 +153,7 @@ fn vm_setup(fx: &Fabric, timeout_ns: Option<u64>) -> Arc<VersionManager> {
         PS,
         64,
         0,
-        blobseer::Timeouts::default().with_write_timeout(timeout_ns),
+        timeout_ns,
     ))
 }
 

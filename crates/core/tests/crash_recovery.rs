@@ -2,7 +2,8 @@
 //! deployments with `persist_dir` set, `Fault::CrashRestart` injected
 //! through the public fault API, and recovery audited end-to-end — books
 //! balanced (`load_estimate == stored_bytes`, no stranded reservations) and
-//! every published version byte-identical through a fresh client. The
+//! every published version byte-identical through a fresh client, including
+//! a live-mode (real threads) provider kill/restart mid-workload. The
 //! paper's BlobSeer providers persist pages in BerkeleyDB (§3.1.1); these
 //! tests prove our equivalent actually comes back from disk.
 

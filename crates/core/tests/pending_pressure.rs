@@ -27,7 +27,7 @@ fn vm_only(fx: &Fabric, timeout_ns: Option<u64>) -> Arc<VersionManager> {
         PS,
         64,
         0,
-        blobseer::Timeouts::default().with_write_timeout(timeout_ns),
+        timeout_ns,
     ))
 }
 
@@ -170,7 +170,7 @@ fn provider_books_balance_after_mass_reap() {
         PS,
         64,
         0,
-        blobseer::Timeouts::default().with_write_timeout(Some(timeout)),
+        Some(timeout),
     ));
     let vm2 = vm.clone();
     let provs = providers.clone();

@@ -15,8 +15,8 @@ fn pattern(len: u64, tag: u8) -> Vec<u8> {
 }
 
 /// Churning through 10 000 blobs must leave every client-side cache at its
-/// configured bound: the descriptor/page-size/floor maps at their entry
-/// caps, the page/leaf cache at its byte cap — client memory is flat in the
+/// configured bound: the per-blob views (descriptor index, page size,
+/// published floor) at their entry cap, the page/leaf cache at its byte cap — client memory is flat in the
 /// number of blobs ever touched, not proportional to it.
 #[test]
 fn client_memory_stays_bounded_over_10k_blob_churn() {
@@ -36,18 +36,11 @@ fn client_memory_stays_bounded_over_10k_blob_churn() {
                 .unwrap();
             c.read(p, blob, None, 0, 16).unwrap();
         }
-        let (desc, page_sizes, floors) = c.index_cache_entries();
+        let views = c.index_cache_entries();
         assert!(
-            desc as u64 <= INDEX_CAP,
-            "descriptor cache holds {desc} entries, cap is {INDEX_CAP}"
-        );
-        assert!(
-            page_sizes as u64 <= INDEX_CAP,
-            "page-size cache holds {page_sizes} entries, cap is {INDEX_CAP}"
-        );
-        assert!(
-            floors as u64 <= INDEX_CAP,
-            "published-floor cache holds {floors} entries, cap is {INDEX_CAP}"
+            views as u64 <= INDEX_CAP,
+            "per-blob view cache (descriptor index, page size, published \
+             floor) holds {views} entries, cap is {INDEX_CAP}"
         );
         let stats = c.cache_stats();
         assert!(

@@ -12,6 +12,7 @@
 //!   for data-location-aware scheduling;
 //! * [`FileWriter`] / [`FileReader`] — streaming handles;
 //! * [`DfsPath`] — normalized absolute paths;
+//! * [`Namespace`] — the directory tree both metadata services keep;
 //! * [`FsError`] — the error vocabulary (including
 //!   [`FsError::AppendUnsupported`], which is exactly what stock HDFS returns
 //!   and what motivates the paper).
@@ -24,8 +25,10 @@
 pub mod contract;
 mod error;
 mod fs;
+mod namespace;
 mod path;
 
 pub use error::{FsError, FsResult};
 pub use fs::{BlockLocation, FileReader, FileStatus, FileSystem, FileWriter};
+pub use namespace::{Entry, Namespace};
 pub use path::DfsPath;

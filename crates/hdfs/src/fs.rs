@@ -15,7 +15,7 @@ use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
 use rand::seq::SliceRandom;
 
 use crate::datanode::Datanode;
-use crate::namenode::{BlockInfo, Lease, Namenode};
+use crate::namenode::{BlockInfo, Lease, Namenode, NnStatus};
 
 /// Deployment tunables.
 #[derive(Debug, Clone)]
@@ -157,6 +157,17 @@ impl HdfsSim {
     /// Total bytes stored across datanodes (all replicas).
     pub fn total_stored_bytes(&self) -> u64 {
         self.inner.datanodes.iter().map(|d| d.stored_bytes()).sum()
+    }
+
+    /// A directory reports the deployment's block size, a file its own.
+    fn file_status(&self, path: DfsPath, (is_dir, len, block_size): NnStatus) -> FileStatus {
+        let dir_block_size = self.inner.config.block_size;
+        FileStatus {
+            path,
+            len,
+            is_dir,
+            block_size: if is_dir { dir_block_size } else { block_size },
+        }
     }
 }
 
@@ -378,35 +389,14 @@ impl FileSystem for HdfsSim {
     }
 
     fn status(&self, p: &Proc, path: &DfsPath) -> FsResult<FileStatus> {
-        let (is_dir, len, block_size) = self.inner.nn.status(p, path)?;
-        Ok(FileStatus {
-            path: path.clone(),
-            len,
-            is_dir,
-            block_size: if is_dir {
-                self.inner.config.block_size
-            } else {
-                block_size
-            },
-        })
+        let status = self.inner.nn.status(p, path)?;
+        Ok(self.file_status(path.clone(), status))
     }
 
     fn list(&self, p: &Proc, path: &DfsPath) -> FsResult<Vec<FileStatus>> {
-        Ok(self
-            .inner
-            .nn
-            .list(p, path)?
-            .into_iter()
-            .map(|(child, is_dir, len, block_size)| FileStatus {
-                path: child,
-                len,
-                is_dir,
-                block_size: if is_dir {
-                    self.inner.config.block_size
-                } else {
-                    block_size
-                },
-            })
+        let children = self.inner.nn.list(p, path)?.into_iter();
+        Ok(children
+            .map(|(child, status)| self.file_status(child, status))
             .collect())
     }
 

@@ -7,9 +7,7 @@
 //! a layout that is not load balanced"), and **no append** — that error is
 //! raised at the FileSystem layer.
 
-use std::collections::HashMap;
-
-use dfs::{DfsPath, FsError, FsResult};
+use dfs::{DfsPath, Entry, FsError, FsResult, Namespace};
 use fabric::{NodeId, Proc};
 use parking_lot::Mutex;
 use rand::seq::SliceRandom;
@@ -27,21 +25,39 @@ pub struct BlockInfo {
 pub struct Lease(pub u64);
 
 #[derive(Debug, Clone)]
-enum NnEntry {
-    Dir,
-    File {
-        blocks: Vec<BlockInfo>,
-        /// `Some(lease)` while under construction; `None` once closed
-        /// (immutable from then on).
-        lease: Option<Lease>,
-        block_size: u64,
-    },
+struct NnFile {
+    blocks: Vec<BlockInfo>,
+    /// `Some(lease)` while under construction; `None` once closed
+    /// (immutable from then on).
+    lease: Option<Lease>,
+    block_size: u64,
+}
+
+/// `(is_dir, len, block_size)` of a path.
+pub type NnStatus = (bool, u64, u64);
+
+fn entry_status(entry: &Entry<NnFile>) -> NnStatus {
+    match entry {
+        Entry::Dir => (true, 0, 0),
+        Entry::File(f) => (false, f.blocks.iter().map(|b| b.len).sum(), f.block_size),
+    }
 }
 
 struct NnState {
-    entries: HashMap<DfsPath, NnEntry>,
+    entries: Namespace<NnFile>,
     next_block: u64,
     next_lease: u64,
+}
+
+impl NnState {
+    /// The under-construction file at `path`, if `lease` owns it.
+    fn leased(&mut self, path: &DfsPath, lease: Lease) -> FsResult<&mut NnFile> {
+        let file = self.entries.file_mut(path)?;
+        if file.lease != Some(lease) {
+            return Err(FsError::LeaseConflict(path.clone()));
+        }
+        Ok(file)
+    }
 }
 
 /// The centralized metadata service.
@@ -64,8 +80,6 @@ impl Namenode {
     ) -> Self {
         assert!(!datanodes.is_empty(), "namenode needs datanodes");
         let replication = replication.min(datanodes.len()).max(1);
-        let mut entries = HashMap::new();
-        entries.insert(DfsPath::root(), NnEntry::Dir);
         Namenode {
             node,
             datanodes,
@@ -73,7 +87,7 @@ impl Namenode {
             ctl_msg_bytes,
             cpu_ops,
             state: Mutex::new(NnState {
-                entries,
+                entries: Namespace::default(),
                 next_block: 1,
                 next_lease: 1,
             }),
@@ -95,44 +109,18 @@ impl Namenode {
         }
     }
 
-    fn mkdirs_locked(st: &mut NnState, path: &DfsPath) -> FsResult<()> {
-        let mut cur = DfsPath::root();
-        for comp in path.components() {
-            cur = cur.child(comp)?;
-            match st.entries.get(&cur) {
-                None => {
-                    st.entries.insert(cur.clone(), NnEntry::Dir);
-                }
-                Some(NnEntry::Dir) => {}
-                Some(NnEntry::File { .. }) => return Err(FsError::NotADirectory(cur)),
-            }
-        }
-        Ok(())
-    }
-
     /// Start a new file under construction; returns the write lease.
     pub fn create_file(&self, p: &Proc, path: &DfsPath, block_size: u64) -> FsResult<Lease> {
         self.charge(p);
-        if path.is_root() {
-            return Err(FsError::IsADirectory(path.clone()));
-        }
         let mut st = self.state.lock();
-        if st.entries.contains_key(path) {
-            return Err(FsError::AlreadyExists(path.clone()));
-        }
-        if let Some(parent) = path.parent() {
-            Self::mkdirs_locked(&mut st, &parent)?;
-        }
         let lease = Lease(st.next_lease);
+        let file = NnFile {
+            blocks: Vec::new(),
+            lease: Some(lease),
+            block_size,
+        };
+        st.entries.insert_file(path, file)?;
         st.next_lease += 1;
-        st.entries.insert(
-            path.clone(),
-            NnEntry::File {
-                blocks: Vec::new(),
-                lease: Some(lease),
-                block_size,
-            },
-        );
         Ok(lease)
     }
 
@@ -150,27 +138,13 @@ impl Namenode {
         let mut st = self.state.lock();
         let id = st.next_block;
         st.next_block += 1;
-        let entry = st
-            .entries
-            .get_mut(path)
-            .ok_or_else(|| FsError::NotFound(path.clone()))?;
-        match entry {
-            NnEntry::Dir => Err(FsError::IsADirectory(path.clone())),
-            NnEntry::File {
-                blocks, lease: cur, ..
-            } => {
-                if *cur != Some(lease) {
-                    return Err(FsError::LeaseConflict(path.clone()));
-                }
-                let info = BlockInfo {
-                    id,
-                    len: 0,
-                    replicas,
-                };
-                blocks.push(info.clone());
-                Ok(info)
-            }
-        }
+        let info = BlockInfo {
+            id,
+            len: 0,
+            replicas,
+        };
+        st.leased(path, lease)?.blocks.push(info.clone());
+        Ok(info)
     }
 
     /// Record the final length of a block once its pipeline finished.
@@ -184,46 +158,21 @@ impl Namenode {
     ) -> FsResult<()> {
         self.charge(p);
         let mut st = self.state.lock();
-        let entry = st
-            .entries
-            .get_mut(path)
-            .ok_or_else(|| FsError::NotFound(path.clone()))?;
-        match entry {
-            NnEntry::Dir => Err(FsError::IsADirectory(path.clone())),
-            NnEntry::File {
-                blocks, lease: cur, ..
-            } => {
-                if *cur != Some(lease) {
-                    return Err(FsError::LeaseConflict(path.clone()));
-                }
-                let b = blocks
-                    .iter_mut()
-                    .find(|b| b.id == block_id)
-                    .ok_or_else(|| FsError::Storage(format!("unknown block {block_id}")))?;
-                b.len = len;
-                Ok(())
-            }
-        }
+        let b = st
+            .leased(path, lease)?
+            .blocks
+            .iter_mut()
+            .find(|b| b.id == block_id)
+            .ok_or_else(|| FsError::Storage(format!("unknown block {block_id}")))?;
+        b.len = len;
+        Ok(())
     }
 
     /// Close the file: release the lease and freeze it forever.
     pub fn complete_file(&self, p: &Proc, path: &DfsPath, lease: Lease) -> FsResult<()> {
         self.charge(p);
-        let mut st = self.state.lock();
-        let entry = st
-            .entries
-            .get_mut(path)
-            .ok_or_else(|| FsError::NotFound(path.clone()))?;
-        match entry {
-            NnEntry::Dir => Err(FsError::IsADirectory(path.clone())),
-            NnEntry::File { lease: cur, .. } => {
-                if *cur != Some(lease) {
-                    return Err(FsError::LeaseConflict(path.clone()));
-                }
-                *cur = None;
-                Ok(())
-            }
-        }
+        self.state.lock().leased(path, lease)?.lease = None;
+        Ok(())
     }
 
     /// Blocks of a file (readers; includes under-construction files, whose
@@ -231,147 +180,48 @@ impl Namenode {
     pub fn get_blocks(&self, p: &Proc, path: &DfsPath) -> FsResult<(Vec<BlockInfo>, u64)> {
         self.charge(p);
         let st = self.state.lock();
-        match st.entries.get(path) {
-            None => Err(FsError::NotFound(path.clone())),
-            Some(NnEntry::Dir) => Err(FsError::IsADirectory(path.clone())),
-            Some(NnEntry::File {
-                blocks, block_size, ..
-            }) => Ok((blocks.clone(), *block_size)),
-        }
+        let file = st.entries.file(path)?;
+        Ok((file.blocks.clone(), file.block_size))
     }
 
-    /// Status of a path: `(is_dir, len, block_size)`.
-    pub fn status(&self, p: &Proc, path: &DfsPath) -> FsResult<(bool, u64, u64)> {
+    pub fn status(&self, p: &Proc, path: &DfsPath) -> FsResult<NnStatus> {
         self.charge(p);
-        let st = self.state.lock();
-        match st.entries.get(path) {
-            None => Err(FsError::NotFound(path.clone())),
-            Some(NnEntry::Dir) => Ok((true, 0, 0)),
-            Some(NnEntry::File {
-                blocks, block_size, ..
-            }) => Ok((false, blocks.iter().map(|b| b.len).sum(), *block_size)),
-        }
+        self.state.lock().entries.get(path).map(entry_status)
     }
 
     pub fn mkdirs(&self, p: &Proc, path: &DfsPath) -> FsResult<()> {
         self.charge(p);
-        let mut st = self.state.lock();
-        Self::mkdirs_locked(&mut st, path)
+        self.state.lock().entries.mkdirs(path)
     }
 
-    /// Children of a directory with `(is_dir, len, block_size)`.
-    #[allow(clippy::type_complexity)]
-    pub fn list(&self, p: &Proc, path: &DfsPath) -> FsResult<Vec<(DfsPath, bool, u64, u64)>> {
+    /// Children of a directory with their status, in name order.
+    pub fn list(&self, p: &Proc, path: &DfsPath) -> FsResult<Vec<(DfsPath, NnStatus)>> {
         self.charge(p);
         let st = self.state.lock();
-        match st.entries.get(path) {
-            None => return Err(FsError::NotFound(path.clone())),
-            Some(NnEntry::File { .. }) => return Err(FsError::NotADirectory(path.clone())),
-            Some(NnEntry::Dir) => {}
-        }
-        let mut out: Vec<(DfsPath, bool, u64, u64)> = st
-            .entries
-            .iter()
-            .filter(|(k, _)| !k.is_root() && k.parent().as_ref() == Some(path))
-            .map(|(k, v)| match v {
-                NnEntry::Dir => (k.clone(), true, 0, 0),
-                NnEntry::File {
-                    blocks, block_size, ..
-                } => (
-                    k.clone(),
-                    false,
-                    blocks.iter().map(|b| b.len).sum(),
-                    *block_size,
-                ),
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+        let children = st.entries.children(path)?.into_iter();
+        Ok(children
+            .map(|(k, v)| (k.clone(), entry_status(v)))
+            .collect())
     }
 
     pub fn rename(&self, p: &Proc, src: &DfsPath, dst: &DfsPath) -> FsResult<()> {
         self.charge(p);
-        if src.is_root() {
-            return Err(FsError::InvalidPath {
-                path: src.to_string(),
-                reason: "cannot rename the root".into(),
-            });
-        }
-        if dst.starts_with(src) {
-            return Err(FsError::InvalidPath {
-                path: dst.to_string(),
-                reason: "destination lies inside the source".into(),
-            });
-        }
-        let mut st = self.state.lock();
-        if !st.entries.contains_key(src) {
-            return Err(FsError::NotFound(src.clone()));
-        }
-        if st.entries.contains_key(dst) {
-            return Err(FsError::AlreadyExists(dst.clone()));
-        }
-        if let Some(parent) = dst.parent() {
-            Self::mkdirs_locked(&mut st, &parent)?;
-        }
-        let to_move: Vec<DfsPath> = st
-            .entries
-            .keys()
-            .filter(|k| k.starts_with(src))
-            .cloned()
-            .collect();
-        for old in to_move {
-            let entry = st.entries.remove(&old).expect("listed");
-            let new = old.rebase(src, dst).expect("rebase");
-            st.entries.insert(new, entry);
-        }
-        Ok(())
+        self.state.lock().entries.rename(src, dst)
     }
 
-    /// Delete; returns `(removed, block ids to GC)`.
+    /// Delete; returns `(removed, block ids to GC)`, the ids in path order.
     pub fn delete(&self, p: &Proc, path: &DfsPath, recursive: bool) -> FsResult<(bool, Vec<u64>)> {
         self.charge(p);
-        if path.is_root() {
-            return Err(FsError::InvalidPath {
-                path: path.to_string(),
-                reason: "cannot delete the root".into(),
-            });
-        }
-        let mut st = self.state.lock();
-        let Some(entry) = st.entries.get(path) else {
-            return Ok((false, Vec::new()));
-        };
-        let mut gc = Vec::new();
-        match entry {
-            NnEntry::Dir => {
-                let children: Vec<DfsPath> = st
-                    .entries
-                    .keys()
-                    .filter(|k| *k != path && k.starts_with(path))
-                    .cloned()
-                    .collect();
-                if !children.is_empty() && !recursive {
-                    return Err(FsError::DirectoryNotEmpty(path.clone()));
-                }
-                for k in children {
-                    if let Some(NnEntry::File { blocks, .. }) = st.entries.remove(&k) {
-                        gc.extend(blocks.iter().map(|b| b.id));
-                    }
-                }
-                st.entries.remove(path);
-            }
-            NnEntry::File { .. } => {
-                if let Some(NnEntry::File { blocks, .. }) = st.entries.remove(path) {
-                    gc.extend(blocks.iter().map(|b| b.id));
-                }
-            }
-        }
-        Ok((true, gc))
+        let removed = self.state.lock().entries.remove(path, recursive)?;
+        let blocks = removed.iter().flatten().flat_map(|f| &f.blocks);
+        let gc = blocks.map(|b| b.id).collect();
+        Ok((removed.is_some(), gc))
     }
 
     /// Number of namespace entries (the paper's "file-count problem"
     /// metric).
     pub fn entry_count(&self) -> usize {
-        self.state.lock().entries.len()
+        self.state.lock().entries.entry_count()
     }
 }
 
