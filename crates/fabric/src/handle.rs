@@ -299,7 +299,7 @@ impl Proc {
     pub fn transfer(&self, src: NodeId, dst: NodeId, bytes: u64) {
         match &self.fabric.inner {
             FabricInner::Sim(c) => {
-                c.note_transfer(bytes);
+                let penalty = c.begin_transfer(bytes, (src != dst).then_some((src, dst)));
                 let spec = &c.spec;
                 if src == dst {
                     if bytes >= spec.small_msg_cutoff {
@@ -307,7 +307,6 @@ impl Proc {
                         c.flow(self.pid, &self.parker, &res, bytes as f64);
                     }
                 } else {
-                    let penalty = c.net_penalty(src, dst);
                     if penalty > 0 {
                         c.sleep(self.pid, &self.parker, penalty);
                     }
@@ -336,21 +335,23 @@ impl Proc {
         assert!(!nodes.is_empty(), "transfer chain needs at least one node");
         match &self.fabric.inner {
             FabricInner::Sim(c) => {
-                c.note_transfer(bytes);
                 let spec = &c.spec;
+                let hops = || {
+                    nodes
+                        .windows(2)
+                        .map(|w| (w[0], w[1]))
+                        .filter(|(a, b)| a != b)
+                };
+                // Cut-through pipeline: the whole chain stalls on the
+                // worst-afflicted hop, it does not pay each hop's penalty in
+                // sequence.
+                let penalty = c.begin_transfer(bytes, hops());
                 let mut res = Vec::with_capacity(nodes.len() * 2);
-                let mut penalty = 0u64;
-                for pair in nodes.windows(2) {
-                    if pair[0] != pair[1] {
-                        // Cut-through pipeline: the whole chain stalls on the
-                        // worst-afflicted hop, it does not pay each hop's
-                        // penalty in sequence.
-                        penalty = penalty.max(c.net_penalty(pair[0], pair[1]));
-                        res.push(spec.resource(pair[0], ResourceKind::Tx));
-                        res.push(spec.resource(pair[1], ResourceKind::Rx));
-                        if let Some(bp) = spec.backplane_resource() {
-                            res.push(bp);
-                        }
+                for (from, to) in hops() {
+                    res.push(spec.resource(from, ResourceKind::Tx));
+                    res.push(spec.resource(to, ResourceKind::Rx));
+                    if let Some(bp) = spec.backplane_resource() {
+                        res.push(bp);
                     }
                 }
                 if penalty > 0 {
@@ -677,6 +678,99 @@ mod tests {
         let g = fx.gate();
         fx.spawn(NodeId(0), "stuck", move |p| g.wait(p));
         fx.run();
+    }
+
+    /// The message of the panic `fx.run()` raises.
+    fn run_panic_message(fx: &Fabric) -> String {
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| fx.run()));
+        panic_msg(err.expect_err("run() must panic"))
+    }
+
+    #[test]
+    fn deadlock_inside_queue_recv_names_only_the_blocked() {
+        // The last runnable proc takes the engine step inside `recv`, with
+        // the queue's own lock held, finds nothing left to wake, and hands
+        // the halt to `run()`, which reports it. Finished procs are gone
+        // from the report.
+        let fx = Fabric::sim(ClusterSpec::tiny(2));
+        let q: Queue<u32> = fx.queue();
+        let q2 = q.clone();
+        fx.spawn(NodeId(0), "done-early", move |_| {
+            q2.send(1);
+        });
+        fx.spawn(NodeId(1), "starved", move |p| {
+            assert_eq!(q.recv(p), Some(1));
+            p.sleep(MILLIS);
+            q.recv(p);
+        });
+        let msg = run_panic_message(&fx);
+        assert!(msg.contains("fabric deadlock"), "{msg}");
+        assert!(
+            msg.contains("'starved' on n1 blocked on queue.recv"),
+            "{msg}"
+        );
+        assert!(!msg.contains("done-early"), "{msg}");
+        assert_eq!(fx.now(), MILLIS);
+    }
+
+    #[test]
+    fn panic_beside_blocked_procs_is_raised_by_name() {
+        let fx = Fabric::sim(ClusterSpec::tiny(2));
+        let never = fx.gate();
+        for i in 0..3 {
+            let g = never.clone();
+            fx.spawn(NodeId(0), format!("parked{i}"), move |p| g.wait(p));
+        }
+        fx.spawn(NodeId(1), "bomb", |p| {
+            p.sleep(2 * MILLIS);
+            panic!("boom at {}", p.now());
+        });
+        let msg = run_panic_message(&fx);
+        assert_eq!(
+            msg,
+            format!("process 'bomb' panicked: boom at {}", 2 * MILLIS)
+        );
+    }
+
+    #[test]
+    fn run_twice_on_one_fabric() {
+        let fx = Fabric::sim(ClusterSpec::tiny(2));
+        let first = fx.spawn(NodeId(0), "first", |p| {
+            p.send_to(NodeId(1), 117_000);
+            p.now()
+        });
+        fx.run();
+        let t1 = first.take().unwrap();
+        assert_eq!(fx.now(), t1);
+        let events = fx.stats().events;
+
+        // The second batch starts at the instant the first one ended.
+        let second = fx.spawn(NodeId(1), "second", |p| {
+            let start = p.now();
+            p.sleep(5 * MILLIS);
+            (start, p.now())
+        });
+        fx.run();
+        assert_eq!(second.take().unwrap(), (t1, t1 + 5 * MILLIS));
+        assert_eq!(fx.stats().events, events + 2);
+        fx.run(); // nothing to do: returns at once
+        assert_eq!(fx.now(), t1 + 5 * MILLIS);
+    }
+
+    #[test]
+    fn finishing_proc_hands_the_engine_on() {
+        // `quick` finishes as the only runnable proc while `slow` sleeps: the
+        // step that wakes `slow` is taken by `quick`'s thread on its way out.
+        let fx = Fabric::sim(ClusterSpec::tiny(1));
+        let slow = fx.spawn(NodeId(0), "slow", |p| {
+            p.sleep(10 * MILLIS);
+            p.now()
+        });
+        let quick = fx.spawn(NodeId(0), "quick", |p| p.now());
+        fx.run();
+        assert_eq!(quick.take(), Some(0));
+        assert_eq!(slow.take(), Some(10 * MILLIS));
+        assert_eq!(fx.stats().events, 3);
     }
 
     #[test]

@@ -239,6 +239,29 @@ mod tests {
         Arc::new(|_| ())
     }
 
+    /// A leaf that returns only once `n` leaves have started, so all `n`
+    /// (and their waiting parents) are live at once and none can be handed
+    /// a sibling's worker.
+    fn rendezvous(fx: &Fabric, n: u64) -> Arc<dyn Fn(&Proc) + Send + Sync> {
+        let arrived = AtomicU64::new(0);
+        let all_here = fx.gate();
+        Arc::new(move |p| {
+            if arrived.fetch_add(1, Ordering::SeqCst) + 1 == n {
+                all_here.set();
+            }
+            all_here.wait(p);
+        })
+    }
+
+    /// Leave exactly three parked workers behind: a proc and its two
+    /// children, both alive at once.
+    fn park_three_workers(fx: &Fabric) {
+        let both = rendezvous(fx, 2);
+        fx.spawn(NodeId(0), "warm", move |p| fan_out(p, 2, 1, &both));
+        fx.run();
+        assert_eq!(workers_started(fx), 3);
+    }
+
     #[test]
     fn sequential_fan_outs_reuse_a_constant_number_of_threads() {
         let fx = Fabric::live(ClusterSpec::tiny(1));
@@ -258,22 +281,12 @@ mod tests {
     #[test]
     fn nested_fan_out_grows_the_set_to_the_peak_and_cannot_starve() {
         let fx = Fabric::live(ClusterSpec::tiny(1));
-        // Park three workers first (a proc and its two children).
-        fx.spawn(NodeId(0), "warm", |p| fan_out(p, 2, 1, &no_op()));
-        fx.run();
-        assert_eq!(workers_started(&fx), 3);
+        park_three_workers(&fx);
         // Three levels, each wider than what is parked, every parent blocked
         // on its children, and no leaf returns before all 27 have started:
         // 1 + 3 + 9 + 27 procs are live at once. A bounded set of workers
         // would deadlock here.
-        let arrived = Arc::new(AtomicU64::new(0));
-        let all_here = fx.gate();
-        let leaf: Arc<dyn Fn(&Proc) + Send + Sync> = Arc::new(move |p| {
-            if arrived.fetch_add(1, Ordering::SeqCst) + 1 == 27 {
-                all_here.set();
-            }
-            all_here.wait(p);
-        });
+        let leaf = rendezvous(&fx, 27);
         let h = fx.spawn(NodeId(0), "root", move |p| fan_out(p, 3, 3, &leaf));
         fx.run();
         assert_eq!(h.take(), Some(27));
@@ -323,10 +336,8 @@ mod tests {
     #[test]
     fn join_gate_and_queue_work_for_pooled_procs() {
         let fx = Fabric::live(ClusterSpec::tiny(2));
-        // Leave three parked workers behind so the procs below are pooled.
-        fx.spawn(NodeId(0), "warm", |p| fan_out(p, 2, 1, &no_op()));
-        fx.run();
-        assert_eq!(workers_started(&fx), 3);
+        // Three parked workers, so the procs below are pooled.
+        park_three_workers(&fx);
 
         let q = fx.queue::<u32>();
         let go = fx.gate();

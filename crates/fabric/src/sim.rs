@@ -8,17 +8,49 @@
 //! * A *flow* is a quantity of work (bytes, CPU ops) that simultaneously
 //!   claims a set of resources. Active flows share each resource max-min
 //!   fairly (progressive filling); a flow's rate is the minimum of its
-//!   per-resource allocations. When flows start or finish, all rates are
-//!   recomputed and completion events rescheduled.
+//!   per-resource allocations. When flows start or finish, all rates and
+//!   completion instants are recomputed.
 //! * *Processes* are real OS threads that run **one at a time**: a process
-//!   executes until it blocks on a flow, a sleep, a queue or a gate, at which
-//!   point the engine advances the virtual clock to the next event and wakes
-//!   exactly one process. All wakeups travel through the event queue, so a
-//!   simulation is deterministic for a fixed seed and spawn order.
+//!   executes until it blocks on a flow, a sleep, a queue or a gate; the
+//!   virtual clock then advances to the next event, which wakes exactly one
+//!   process. All wakeups travel through that one ordered sequence of
+//!   events, so a simulation is deterministic for a fixed seed and spawn
+//!   order.
 //!
-//! Stale events are handled with generation counters on both flows and
-//! process block-sites, the standard technique for heap-based simulators
-//! that cannot delete arbitrary heap entries.
+//! # Who runs the engine step
+//!
+//! There is no engine thread. The process that blocks (or finishes) is by
+//! construction the last runnable one, so it takes the engine step itself,
+//! under the state lock it already holds: settle the flows, advance `now`,
+//! unpark the next process — then park. A process whose own wake is next
+//! never leaves its thread; any other event costs one context switch.
+//! [`SimCore::run`] takes the first step and then only waits for the *halt*:
+//! every process finished, one panicked, or nothing is left that could wake
+//! anybody (a deadlock, which `run` reports by name).
+//!
+//! # Why the order of events is what it is
+//!
+//! Every schedulable thing gets a `seq` from one counter at the moment it is
+//! scheduled, and the step takes the smallest `(time, seq)`. There are two
+//! sources:
+//!
+//! * **Wakes** (sleeps, queue/gate notifications, spawns) sit in a binary
+//!   heap. Each carries the block generation it targets; one whose
+//!   generation has passed is dropped when it surfaces.
+//! * **Flow completions** are *not* in the heap. A flow start or finish
+//!   changes every rate, hence every completion instant, so `recompute`
+//!   writes a fresh `(eta, seq)` onto each [`Flow`] — in flow-id order, from
+//!   the same counter — and keeps the minimum as `next_flow`. A flow has
+//!   exactly one completion at any time, so none is ever stale, and the heap
+//!   holds at most one entry per blocked process however many flows churn.
+//!
+//! The sequence of valid `(time, seq)` pairs is the one a single heap would
+//! produce if every recompute pushed one completion per flow into it and
+//! superseded completions were skipped as they surfaced — the textbook
+//! arrangement, at O(flows) heap traffic per flow start or finish (17 stale
+//! pops per valid event on a 200-reducer data join). The schedule pinned in
+//! `tests/sim_bit_identity.rs` was recorded from exactly that arrangement, so
+//! the two are known to agree to the bit.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -41,27 +73,22 @@ const NET_SALT: u64 = 0x4E45_545F_4641_554C; // "NET_FAUL"
 /// Reasons a process can be blocked — used in deadlock diagnostics.
 pub(crate) type BlockReason = &'static str;
 
+/// A scheduled wake of a blocked process (sleeps, queue/gate notifications,
+/// spawns), ordered by `(time, seq)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvKind {
-    /// A fluid flow ran out of work.
-    FlowDone { flow: u64, gen: u64 },
-    /// Wake a blocked process (sleeps, queue/gate notifications, spawns).
-    Wake { proc: u64, gen: u64 },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ev {
+struct Wake {
     time: SimTime,
     seq: u64,
-    kind: EvKind,
+    proc: u64,
+    gen: u64,
 }
 
-impl Ord for Ev {
+impl Ord for Wake {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
-impl PartialOrd for Ev {
+impl PartialOrd for Wake {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -71,7 +98,13 @@ struct Flow {
     resources: Vec<u32>,
     remaining: f64,
     rate: f64,
-    gen: u64,
+    /// Progressive-filling mark: `rate` is final for the current recompute.
+    frozen: bool,
+    /// When this flow runs out under its current rate, and the place of
+    /// that completion in the `(time, seq)` order. Rewritten by every
+    /// recompute.
+    eta: SimTime,
+    seq: u64,
     waiter: u64,
 }
 
@@ -79,24 +112,27 @@ struct Flow {
 enum ProcState {
     Runnable,
     Blocked(&'static str),
-    Finished,
 }
 
+/// A live process; the entry is removed when the process finishes.
 struct ProcInfo {
     name: String,
     node: NodeId,
     parker: Arc<Parker>,
     state: ProcState,
-    /// Incremented on every block; wake events carry the generation they
-    /// target so stale wakeups are discarded.
+    /// Incremented on every block; wakes carry the generation they target
+    /// so stale ones are discarded.
     block_gen: u64,
 }
 
 struct SimState {
     now: SimTime,
     seq: u64,
-    events: BinaryHeap<Reverse<Ev>>,
+    /// Pending wakes. Flow completions are not in here, see `next_flow`.
+    wakes: BinaryHeap<Reverse<Wake>>,
     flows: BTreeMap<u64, Flow>,
+    /// The earliest flow completion as `(eta, seq, flow id)`.
+    next_flow: Option<(SimTime, u64, u64)>,
     next_flow_id: u64,
     /// resource -> active flow ids
     res_flows: Vec<Vec<u64>>,
@@ -112,10 +148,12 @@ struct SimState {
     flows_started: u64,
     bytes_requested: f64,
     events_processed: u64,
+    /// True from `run()`'s first step until the step that halts the engine.
     running: bool,
     // scratch buffers for recompute (reused to avoid per-event allocation)
     scratch_cap: Vec<f64>,
     scratch_nf: Vec<u32>,
+    scratch_active: Vec<u32>,
     /// Installed network-fault windows (expired ones are pruned lazily).
     net_faults: Vec<NetFault>,
     /// Dedicated RNG stream for Drop draws; decoupled from process RNGs so
@@ -128,6 +166,7 @@ pub(crate) struct SimCore {
     pub spec: ClusterSpec,
     pub seed: u64,
     state: Mutex<SimState>,
+    /// Signalled by the step that halts the engine; only `run()` waits on it.
     engine_cv: Condvar,
 }
 
@@ -140,8 +179,9 @@ impl SimCore {
             state: Mutex::new(SimState {
                 now: 0,
                 seq: 0,
-                events: BinaryHeap::new(),
+                wakes: BinaryHeap::new(),
                 flows: BTreeMap::new(),
+                next_flow: None,
                 next_flow_id: 0,
                 res_flows: vec![Vec::new(); nres],
                 res_done: vec![0.0; nres],
@@ -158,6 +198,7 @@ impl SimCore {
                 running: false,
                 scratch_cap: vec![0.0; nres],
                 scratch_nf: vec![0; nres],
+                scratch_active: Vec::new(),
                 net_faults: Vec::new(),
                 net_rng: StdRng::seed_from_u64(seed ^ NET_SALT),
                 net_fault_hits: 0,
@@ -188,20 +229,25 @@ impl SimCore {
         );
         st.live_procs += 1;
         let now = st.now;
-        Self::push_event(&mut st, now, EvKind::Wake { proc: pid, gen: 0 });
+        Self::push_wake(&mut st, now, pid, 0);
         pid
     }
 
-    fn push_event(st: &mut SimState, time: SimTime, kind: EvKind) {
+    fn push_wake(st: &mut SimState, time: SimTime, proc: u64, gen: u64) {
         let seq = st.seq;
         st.seq += 1;
-        st.events.push(Reverse(Ev { time, seq, kind }));
+        st.wakes.push(Reverse(Wake {
+            time,
+            seq,
+            proc,
+            gen,
+        }));
     }
 
-    /// Mark the calling process blocked and return the fresh block
-    /// generation. The caller must subsequently `parker.park()` *without*
-    /// holding the state lock. `register` runs under the state lock and may
-    /// push events / flows that will eventually wake this generation.
+    /// Mark the calling process blocked, let `register` arrange under the
+    /// state lock whatever will eventually wake the fresh block generation it
+    /// is handed, then take the engine step. The caller must subsequently
+    /// `parker.park()`.
     fn block<R>(
         &self,
         pid: u64,
@@ -221,26 +267,16 @@ impl SimCore {
         let out = register(&mut st, gen);
         st.runnable -= 1;
         if st.runnable == 0 {
-            self.engine_cv.notify_all();
+            self.step(&mut st);
         }
         out
     }
 
-    /// Same as [`Self::block`] but for callers that already computed their
-    /// generation via [`Self::block_prepare`] (queue/gate paths that must
-    /// hold their own lock while registering).
+    /// [`Self::block`] for the queue/gate paths, which register the returned
+    /// generation with their own waiter list (under their own lock, which
+    /// they hold across this call) and then park.
     pub(crate) fn block_prepare(&self, pid: u64, reason: BlockReason) -> u64 {
-        let mut st = self.state.lock();
-        let p = st.procs.get_mut(&pid).expect("blocking unknown process");
-        debug_assert_eq!(p.state, ProcState::Runnable);
-        p.block_gen += 1;
-        p.state = ProcState::Blocked(reason);
-        let gen = p.block_gen;
-        st.runnable -= 1;
-        if st.runnable == 0 {
-            self.engine_cv.notify_all();
-        }
-        gen
+        self.block(pid, reason, |_, gen| gen)
     }
 
     /// Schedule a wake for `(pid, gen)` at the current virtual time.
@@ -248,14 +284,14 @@ impl SimCore {
     pub(crate) fn schedule_wake(&self, pid: u64, gen: u64) {
         let mut st = self.state.lock();
         let now = st.now;
-        Self::push_event(&mut st, now, EvKind::Wake { proc: pid, gen });
+        Self::push_wake(&mut st, now, pid, gen);
     }
 
     /// Block the calling process for `dur` nanoseconds of virtual time.
     pub fn sleep(&self, pid: u64, parker: &Parker, dur: u64) {
         self.block(pid, "sleep", |st, gen| {
             let t = st.now.saturating_add(dur);
-            Self::push_event(st, t, EvKind::Wake { proc: pid, gen });
+            Self::push_wake(st, t, pid, gen);
         });
         parker.park();
     }
@@ -280,7 +316,9 @@ impl SimCore {
                     resources: resources.to_vec(),
                     remaining: work,
                     rate: 0.0,
-                    gen: 0,
+                    frozen: false,
+                    eta: 0,
+                    seq: 0,
                     waiter: pid,
                 },
             );
@@ -290,12 +328,23 @@ impl SimCore {
         parker.park();
     }
 
-    /// Record a transfer request in the stats (called for every message,
-    /// including latency-only small ones).
-    pub fn note_transfer(&self, bytes: u64) {
+    /// Count one transfer-like operation of `bytes` (every message,
+    /// including latency-only small ones) and return the extra nanoseconds
+    /// the installed network faults make it wait before its normal latency:
+    /// the worst penalty over its remote `hops` (a cut-through chain stalls
+    /// on its worst hop; a node-local move has none).
+    pub fn begin_transfer(
+        &self,
+        bytes: u64,
+        hops: impl IntoIterator<Item = (NodeId, NodeId)>,
+    ) -> u64 {
         let mut st = self.state.lock();
         st.transfers += 1;
         st.bytes_requested += bytes as f64;
+        hops.into_iter()
+            .map(|(src, dst)| Self::net_penalty(&mut st, src, dst))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Install a network-fault window. Takes effect immediately; transfers
@@ -320,8 +369,7 @@ impl SimCore {
     /// active network faults: partition stalls until the latest matching
     /// window closes, then delay/drop penalties apply on top. Returns 0 when
     /// no fault matches. Expired windows are pruned as a side effect.
-    pub fn net_penalty(&self, src: NodeId, dst: NodeId) -> u64 {
-        let mut st = self.state.lock();
+    fn net_penalty(st: &mut SimState, src: NodeId, dst: NodeId) -> u64 {
         if st.net_faults.is_empty() {
             return 0;
         }
@@ -335,7 +383,7 @@ impl SimCore {
             net_faults,
             net_rng,
             ..
-        } = &mut *st;
+        } = st;
         for f in net_faults.iter() {
             if now < f.from_ns || !f.matches(src, dst) {
                 continue;
@@ -383,13 +431,12 @@ impl SimCore {
     }
 
     fn finish_inner(&self, st: &mut SimState, pid: u64) {
-        let p = st.procs.get_mut(&pid).expect("finishing unknown process");
+        let p = st.procs.remove(&pid).expect("finishing unknown process");
         debug_assert_eq!(p.state, ProcState::Runnable);
-        p.state = ProcState::Finished;
         st.runnable -= 1;
         st.live_procs -= 1;
         if st.runnable == 0 {
-            self.engine_cv.notify_all();
+            self.step(st);
         }
     }
 
@@ -411,35 +458,48 @@ impl SimCore {
         st.last_settle = to;
     }
 
-    /// Max-min fair rate allocation (progressive filling), then reschedule
-    /// every flow's completion event under its new rate.
+    /// Max-min fair rate allocation (progressive filling), then a fresh
+    /// completion `(eta, seq)` for every flow under its new rate.
     fn recompute(st: &mut SimState, spec: &ClusterSpec) {
+        let SimState {
+            now,
+            seq,
+            flows,
+            next_flow,
+            res_flows,
+            scratch_cap: cap,
+            scratch_nf: nf,
+            scratch_active: active,
+            ..
+        } = st;
+
         // Collect resources that currently carry flows.
-        let mut active_res: Vec<u32> = Vec::new();
-        for f in st.flows.values() {
+        active.clear();
+        for f in flows.values_mut() {
+            f.frozen = false;
+            f.rate = 0.0;
             for &r in &f.resources {
-                if st.scratch_nf[r as usize] == 0 {
-                    active_res.push(r);
+                if nf[r as usize] == 0 {
+                    active.push(r);
                 }
-                st.scratch_nf[r as usize] += 1;
+                nf[r as usize] += 1;
             }
         }
-        for &r in &active_res {
-            st.scratch_cap[r as usize] = spec.capacity(r);
+        for &r in active.iter() {
+            cap[r as usize] = spec.capacity(r);
         }
 
         // Progressive filling: repeatedly find the resource with the lowest
         // fair share, freeze its flows at that rate, subtract.
-        let mut unfrozen: std::collections::HashSet<u64> = st.flows.keys().copied().collect();
-        let mut frozen_rate: HashMap<u64, f64> = HashMap::with_capacity(st.flows.len());
-        while !unfrozen.is_empty() {
+        let mut unfrozen = flows.len();
+        while unfrozen > 0 {
             let mut best: Option<(u32, f64)> = None;
-            for &r in &active_res {
-                let nf = st.scratch_nf[r as usize];
-                if nf == 0 {
+            for &r in active.iter() {
+                let n = nf[r as usize];
+                if n == 0 {
                     continue;
                 }
-                let share = (st.scratch_cap[r as usize] / nf as f64).max(0.0);
+                let share = (cap[r as usize] / n as f64).max(0.0);
                 if best.is_none_or(|(_, s)| share < s) {
                     best = Some((r, share));
                 }
@@ -448,60 +508,50 @@ impl SimCore {
                 break;
             };
             // Freeze all unfrozen flows crossing the bottleneck.
-            let flow_ids: Vec<u64> = st.res_flows[bottleneck as usize]
-                .iter()
-                .copied()
-                .filter(|id| unfrozen.contains(id))
-                .collect();
-            debug_assert!(!flow_ids.is_empty());
-            for id in flow_ids {
-                unfrozen.remove(&id);
-                frozen_rate.insert(id, share);
-                let f = &st.flows[&id];
+            for id in &res_flows[bottleneck as usize] {
+                let f = flows.get_mut(id).expect("res_flows lists active flows");
+                if f.frozen {
+                    continue;
+                }
+                f.frozen = true;
+                f.rate = share;
+                unfrozen -= 1;
                 for &r in &f.resources {
-                    st.scratch_cap[r as usize] = (st.scratch_cap[r as usize] - share).max(0.0);
-                    st.scratch_nf[r as usize] -= 1;
+                    cap[r as usize] = (cap[r as usize] - share).max(0.0);
+                    nf[r as usize] -= 1;
                 }
             }
         }
 
-        // Apply rates and reschedule completions.
-        let now = st.now;
-        let mut to_push: Vec<(SimTime, EvKind)> = Vec::with_capacity(frozen_rate.len());
-        for (&id, f) in st.flows.iter_mut() {
-            let rate = frozen_rate.get(&id).copied().unwrap_or(0.0);
-            f.rate = rate;
-            f.gen += 1;
-            let eta = if f.remaining <= 0.0 {
-                now
-            } else if rate <= 0.0 {
+        // New completion instants, sequenced in flow-id order.
+        *next_flow = None;
+        for (&id, f) in flows.iter_mut() {
+            f.eta = if f.remaining <= 0.0 {
+                *now
+            } else if f.rate <= 0.0 {
                 // Fully starved flow (capacity exhausted by frozen flows due
                 // to fp rounding): retry shortly; progressive filling
                 // guarantees this cannot persist.
-                now + 1_000
+                *now + 1_000
             } else {
-                now + ((f.remaining / rate) * 1e9).ceil() as u64
+                *now + ((f.remaining / f.rate) * 1e9).ceil() as u64
             };
-            to_push.push((
-                eta,
-                EvKind::FlowDone {
-                    flow: id,
-                    gen: f.gen,
-                },
-            ));
-        }
-        for (t, k) in to_push {
-            Self::push_event(st, t, k);
+            f.seq = *seq;
+            *seq += 1;
+            let completion = (f.eta, f.seq, id);
+            if next_flow.is_none_or(|first| completion < first) {
+                *next_flow = Some(completion);
+            }
         }
 
         // Clear scratch.
-        for &r in &active_res {
-            st.scratch_nf[r as usize] = 0;
-            st.scratch_cap[r as usize] = 0.0;
+        for &r in active.iter() {
+            nf[r as usize] = 0;
+            cap[r as usize] = 0.0;
         }
     }
 
-    fn wake_proc(&self, st: &mut SimState, pid: u64) {
+    fn wake_proc(st: &mut SimState, pid: u64) {
         let p = st.procs.get_mut(&pid).expect("waking unknown process");
         debug_assert!(matches!(p.state, ProcState::Blocked(_)));
         p.state = ProcState::Runnable;
@@ -509,91 +559,117 @@ impl SimCore {
         p.parker.unpark();
     }
 
-    /// Is this event still meaningful?
-    fn event_valid(st: &SimState, ev: &Ev) -> bool {
-        match ev.kind {
-            EvKind::FlowDone { flow, gen } => st.flows.get(&flow).is_some_and(|f| f.gen == gen),
-            EvKind::Wake { proc, gen } => st
-                .procs
-                .get(&proc)
-                .is_some_and(|p| matches!(p.state, ProcState::Blocked(_)) && p.block_gen == gen),
-        }
+    /// Does this wake still target a blocked process at the generation it
+    /// was scheduled for? (A finished process is no longer in `procs`.)
+    fn wake_valid(st: &SimState, w: &Wake) -> bool {
+        st.procs
+            .get(&w.proc)
+            .is_some_and(|p| matches!(p.state, ProcState::Blocked(_)) && p.block_gen == w.gen)
     }
 
-    /// Run the engine until every process has finished. Panics are collected
-    /// from processes and re-raised here. Must be called from a thread that
-    /// is *not* a fabric process (typically the test/bench main thread).
+    /// One engine step, taken under the state lock by whoever just drove
+    /// `runnable` to 0: process the next event in `(time, seq)` order — the
+    /// earlier of the first valid wake and the first flow completion — which
+    /// makes exactly one process runnable, or halt the engine when there is
+    /// nothing to run and hand control back to [`Self::run`].
+    fn step(&self, st: &mut SimState) {
+        debug_assert_eq!(st.runnable, 0);
+        if !st.panics.is_empty() || st.live_procs == 0 {
+            return self.halt(st);
+        }
+        while st
+            .wakes
+            .peek()
+            .is_some_and(|Reverse(w)| !Self::wake_valid(st, w))
+        {
+            st.wakes.pop();
+        }
+        let wake = st.wakes.peek().map(|Reverse(w)| (w.time, w.seq));
+        let flow = match (st.next_flow, wake) {
+            // Deadlock: processes are blocked and nothing will wake them.
+            (None, None) => return self.halt(st),
+            (Some(flow), None) => Some(flow),
+            (None, Some(_)) => None,
+            (Some(flow), Some(wake)) => ((flow.0, flow.1) < wake).then_some(flow),
+        };
+        let woken = if let Some((eta, _, id)) = flow {
+            Self::advance(st, eta);
+            let f = st.flows.remove(&id).expect("next_flow is an active flow");
+            debug_assert!(
+                f.remaining <= 1.0,
+                "flow completed with {} units left",
+                f.remaining
+            );
+            for &r in &f.resources {
+                st.res_flows[r as usize].retain(|&x| x != id);
+            }
+            Self::recompute(st, &self.spec);
+            f.waiter
+        } else {
+            let Reverse(w) = st.wakes.pop().expect("a wake is next");
+            Self::advance(st, w.time);
+            w.proc
+        };
+        Self::wake_proc(st, woken);
+    }
+
+    /// Move the clock (and every flow) to the instant of the event being
+    /// processed.
+    fn advance(st: &mut SimState, time: SimTime) {
+        debug_assert!(time >= st.now, "time must be monotonic");
+        Self::settle(st, time);
+        st.now = time;
+        st.events_processed += 1;
+    }
+
+    fn halt(&self, st: &mut SimState) {
+        st.running = false;
+        self.engine_cv.notify_all();
+    }
+
+    /// Run the simulation until every process has finished. Panics are
+    /// collected from processes and re-raised here, and so is a deadlock.
+    /// Must be called from a thread that is *not* a fabric process
+    /// (typically the test/bench main thread).
     pub fn run(&self) {
         let mut st = self.state.lock();
         assert!(!st.running, "SimCore::run is not reentrant");
         st.running = true;
-        loop {
-            while st.runnable > 0 {
-                self.engine_cv.wait(&mut st);
-            }
-            if !st.panics.is_empty() || st.live_procs == 0 {
-                break;
-            }
-            // Pop the next valid event.
-            let ev = loop {
-                match st.events.pop() {
-                    None => {
-                        let mut msg = String::from(
-                            "fabric deadlock: no runnable process and no pending events.\nBlocked processes:\n",
-                        );
-                        let mut blocked: Vec<_> = st
-                            .procs
-                            .values()
-                            .filter_map(|p| match p.state {
-                                ProcState::Blocked(r) => Some(format!(
-                                    "  - '{}' on {} blocked on {}\n",
-                                    p.name, p.node, r
-                                )),
-                                _ => None,
-                            })
-                            .collect();
-                        blocked.sort();
-                        for b in blocked {
-                            msg.push_str(&b);
-                        }
-                        st.running = false;
-                        drop(st);
-                        panic!("{msg}");
-                    }
-                    Some(Reverse(ev)) => {
-                        if Self::event_valid(&st, &ev) {
-                            break ev;
-                        }
-                    }
-                }
-            };
-            debug_assert!(ev.time >= st.now, "time must be monotonic");
-            Self::settle(&mut st, ev.time);
-            st.now = ev.time;
-            st.events_processed += 1;
-            match ev.kind {
-                EvKind::Wake { proc, .. } => self.wake_proc(&mut st, proc),
-                EvKind::FlowDone { flow, .. } => {
-                    let f = st.flows.remove(&flow).expect("valid event implies flow");
-                    debug_assert!(
-                        f.remaining <= 1.0,
-                        "flow completed with {} units left",
-                        f.remaining
-                    );
-                    for &r in &f.resources {
-                        st.res_flows[r as usize].retain(|&x| x != flow);
-                    }
-                    Self::recompute(&mut st, &self.spec);
-                    self.wake_proc(&mut st, f.waiter);
-                }
-            }
+        self.step(&mut st);
+        while st.running {
+            self.engine_cv.wait(&mut st);
         }
-        st.running = false;
         let panics = std::mem::take(&mut st.panics);
-        drop(st);
         if !panics.is_empty() {
+            drop(st);
             panic!("{}", panics.join("\n"));
         }
+        if st.live_procs > 0 {
+            let mut blocked: Vec<_> = st
+                .procs
+                .values()
+                .filter_map(|p| match p.state {
+                    ProcState::Blocked(r) => {
+                        Some(format!("  - '{}' on {} blocked on {}\n", p.name, p.node, r))
+                    }
+                    ProcState::Runnable => None,
+                })
+                .collect();
+            blocked.sort();
+            drop(st);
+            panic!(
+                "fabric deadlock: no runnable process and no pending events.\nBlocked processes:\n{}",
+                blocked.concat()
+            );
+        }
+    }
+
+    /// `(wakes in the heap, processes currently blocked)`.
+    #[cfg(test)]
+    fn pending_wakes_and_blocked_procs(&self) -> (usize, usize) {
+        let st = self.state.lock();
+        let blocked = st.procs.values().filter(|p| p.state != ProcState::Runnable);
+        (st.wakes.len(), blocked.count())
     }
 
     pub fn stats(&self) -> FabricStats {
@@ -751,6 +827,145 @@ mod tests {
         let core = SimCore::new(ClusterSpec::tiny(1), 0);
         spawn_raw(&core, NodeId(0), "bomb", |_pid, _parker| panic!("boom"));
         core.run();
+    }
+
+    /// 64 procs × 16 flows each — 1 024 flow starts and as many finishes,
+    /// all 64 in flight at once over 8 TX links, 4 RX links and 64 disks,
+    /// every one of them re-timing every other flow's completion.
+    #[test]
+    fn flow_churn_never_reaches_the_wake_heap() {
+        let spec = ClusterSpec::tiny(64);
+        let core = SimCore::new(spec.clone(), 1);
+        let worst = Arc::new(Mutex::new((0usize, 0usize)));
+        for i in 0..64u32 {
+            let tx = spec.resource(NodeId(i % 8), ResourceKind::Tx);
+            let rx = spec.resource(NodeId(8 + i % 4), ResourceKind::Rx);
+            let disk = spec.resource(NodeId(i), ResourceKind::Disk);
+            let (c2, worst) = (core.clone(), worst.clone());
+            spawn_raw(&core, NodeId(i), "churn", move |pid, parker| {
+                for round in 0..16u32 {
+                    let work = 1e5 * (1 + (i + round) % 5) as f64;
+                    if round % 4 == 3 {
+                        c2.flow(pid, parker, &[disk], work);
+                    } else {
+                        c2.flow(pid, parker, &[tx, rx], work);
+                    }
+                    let (pending, blocked) = c2.pending_wakes_and_blocked_procs();
+                    assert!(
+                        pending <= blocked,
+                        "{pending} heap entries for {blocked} blocked procs"
+                    );
+                    let mut worst = worst.lock();
+                    *worst = (worst.0.max(pending), worst.1.max(blocked));
+                }
+            });
+        }
+        core.run();
+        // Only the initial wakes of procs that had not started yet were ever
+        // in the heap; all 63 others were blocked on flows at some point.
+        let (most_pending, most_blocked) = *worst.lock();
+        assert!(most_pending < 64, "{most_pending}");
+        assert_eq!(most_blocked, 63);
+        // 64 spawn wakes + 1 024 completions, ending at the instant recorded
+        // with completions still scheduled through the heap.
+        let s = core.stats();
+        assert_eq!((s.events, s.now_ns, s.flows), (1088, 494_412_401, 1024));
+    }
+
+    /// Progressive filling written the obvious way, with sets and maps: the
+    /// oracle for `recompute`'s in-place marks.
+    fn reference_rates(capacity: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
+        let mut cap = capacity.to_vec();
+        let mut unfrozen: std::collections::BTreeSet<usize> = (0..flows.len()).collect();
+        let mut rate = vec![0.0; flows.len()];
+        while !unfrozen.is_empty() {
+            let mut best: Option<(usize, f64)> = None;
+            for (r, &c) in cap.iter().enumerate() {
+                let n = unfrozen
+                    .iter()
+                    .filter(|&&f| flows[f].contains(&(r as u32)))
+                    .count();
+                if n == 0 {
+                    continue;
+                }
+                let share = (c / n as f64).max(0.0);
+                if best.is_none_or(|(_, s)| share < s) {
+                    best = Some((r, share));
+                }
+            }
+            let Some((bottleneck, share)) = best else {
+                break;
+            };
+            for f in unfrozen.clone() {
+                if flows[f].contains(&(bottleneck as u32)) {
+                    unfrozen.remove(&f);
+                    rate[f] = share;
+                    for &r in &flows[f] {
+                        cap[r as usize] = (cap[r as usize] - share).max(0.0);
+                    }
+                }
+            }
+        }
+        rate
+    }
+
+    #[test]
+    fn recompute_matches_reference_progressive_filling() {
+        // Three resources of different capacity on one node, five flows:
+        // TX saturates first (three ways), the disk then limits the one flow
+        // that also crosses the CPU, whose other flow gets the remainder.
+        let spec = ClusterSpec::tiny(1)
+            .with_nic_bw(100.0)
+            .with_disk_bw(400.0)
+            .with_cpu_ops(1000.0);
+        let tx = spec.resource(NodeId(0), ResourceKind::Tx);
+        let disk = spec.resource(NodeId(0), ResourceKind::Disk);
+        let cpu = spec.resource(NodeId(0), ResourceKind::Cpu);
+        let fixture = vec![
+            vec![tx],
+            vec![tx, disk],
+            vec![tx, disk],
+            vec![disk, cpu],
+            vec![cpu],
+        ];
+        let core = SimCore::new(spec.clone(), 0);
+        let mut st = core.state.lock();
+        for (id, resources) in fixture.iter().enumerate() {
+            for &r in resources {
+                st.res_flows[r as usize].push(id as u64);
+            }
+            st.flows.insert(
+                id as u64,
+                Flow {
+                    resources: resources.clone(),
+                    remaining: 1e6 * (5 - id) as f64,
+                    rate: 0.0,
+                    frozen: false,
+                    eta: 0,
+                    seq: 0,
+                    waiter: 0,
+                },
+            );
+        }
+        SimCore::recompute(&mut st, &spec);
+
+        let rates: Vec<f64> = st.flows.values().map(|f| f.rate).collect();
+        let capacity: Vec<f64> = (0..spec.resource_count() as u32)
+            .map(|r| spec.capacity(r))
+            .collect();
+        assert_eq!(rates, reference_rates(&capacity, &fixture));
+        let third = 100.0 / 3.0;
+        let squeezed = 400.0 - third - third;
+        assert_eq!(rates, [third, third, third, squeezed, 1000.0 - squeezed]);
+
+        // Completions are sequenced in flow-id order and the frontier is
+        // their minimum: flow 4 has the least work and the highest rate.
+        let seqs: Vec<u64> = st.flows.values().map(|f| f.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 4]);
+        let first = st.flows.iter().map(|(&id, f)| (f.eta, f.seq, id)).min();
+        assert_eq!(st.next_flow, first);
+        assert_eq!(st.next_flow.map(|(_, _, id)| id), Some(4));
+        assert!(st.scratch_nf.iter().all(|&n| n == 0));
     }
 
     #[test]

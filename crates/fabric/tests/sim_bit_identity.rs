@@ -1,0 +1,184 @@
+//! The sim engine's schedule, pinned to literals.
+//!
+//! Every virtual number in the repo (seven `BENCH_*.json` baselines, the
+//! chaos sweep's schedule digests, the `sim_*` benchmark workloads) rests on
+//! one property of `fabric::sim`: valid events are processed in `(time, seq)`
+//! order, `seq` being the order in which they were scheduled. A change that
+//! only makes the engine cheaper on the host must leave that order — and so
+//! every number below — exactly as it is. The literals were recorded at the
+//! commit *before* flow completions left the event heap (PR 15); a diff here
+//! means schedules moved, not that the test needs re-recording.
+
+use std::sync::Arc;
+
+use fabric::sync::{Gate, Queue};
+use fabric::topology::{ResourceKind, RES_PER_NODE};
+use fabric::{run_parallel, ClusterSpec, Fabric, NetFault, NodeId, NodeSet, TaskFn, MILLIS};
+use parking_lot::Mutex;
+
+const NODES: u32 = 12;
+const SENDERS: u32 = 36;
+
+/// 36 senders whose flows share 8 TX links, 3 RX links and a backplane, in
+/// groups of equal size started at equal instants (tied ETAs); latency-only
+/// RPCs; a lossy window (seeded draws) over part of the run; a queue fan-in,
+/// a gate fan-out, a replication chain and two levels of `run_parallel`.
+fn scenario() -> (fabric::FabricStats, Vec<u64>, Vec<u32>) {
+    let spec = ClusterSpec::tiny(NODES).with_backplane(Some(4.0 * 117.0e6));
+    let fx = Fabric::sim_seeded(spec, 0x5EED_0015);
+    fx.inject_net_fault(NetFault::drop(
+        2 * MILLIS,
+        400 * MILLIS,
+        NodeSet::Group(vec![NodeId(0), NodeId(1), NodeId(2)]),
+        NodeSet::Any,
+        0.5,
+        3 * MILLIS,
+    ));
+
+    let arrivals: Queue<u32> = fx.queue();
+    let all_in: Gate = fx.gate();
+    let mut handles = Vec::new();
+
+    for i in 0..SENDERS {
+        let q = arrivals.clone();
+        handles.push(fx.spawn(NodeId(i % 8), format!("send{i}"), move |p| {
+            p.sleep((i % 4) as u64 * MILLIS);
+            p.rpc(NodeId(11), 200, 300);
+            p.send_to(NodeId(8 + i % 3), 2_000_000 * (1 + (i % 3) as u64));
+            if i % 6 == 0 {
+                p.transfer_chain(&[p.node(), NodeId(9), NodeId(10), NodeId(11)], 1_500_000);
+            }
+            q.send(i);
+            p.now()
+        }));
+    }
+
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let (q, g, o) = (arrivals, all_in.clone(), order.clone());
+    handles.push(fx.spawn(NodeId(11), "collector", move |p| {
+        for _ in 0..SENDERS {
+            let i = q.recv(p).expect("queue stays open");
+            o.lock().push(i);
+        }
+        g.set();
+        p.now()
+    }));
+
+    for w in 0..4u32 {
+        let g = all_in.clone();
+        handles.push(fx.spawn(NodeId(w), format!("fan{w}"), move |p| {
+            g.wait(p);
+            let outer: Vec<TaskFn<u64>> = (0..3u32)
+                .map(|a| {
+                    Box::new(move |p: &fabric::Proc| {
+                        let inner: Vec<TaskFn<u64>> = (0..2u32)
+                            .map(|b| {
+                                Box::new(move |p: &fabric::Proc| {
+                                    p.disk_write(p.node(), 1_000_000);
+                                    p.compute(p.node(), 50_000_000);
+                                    p.fetch_from(NodeId(8 + (a + b) % 3), 3_000_000);
+                                    p.transfer(p.node(), p.node(), 5_000_000);
+                                    p.now()
+                                }) as TaskFn<u64>
+                            })
+                            .collect();
+                        run_parallel(p, "inner", inner).into_iter().sum()
+                    }) as TaskFn<u64>
+                })
+                .collect();
+            run_parallel(p, "outer", outer).into_iter().sum::<u64>() + p.now()
+        }));
+    }
+
+    fx.run();
+    let finish = handles
+        .iter()
+        .map(|h| h.take().expect("proc finished"))
+        .collect();
+    let order = order.lock().clone();
+    (fx.stats(), finish, order)
+}
+
+/// Per-kind totals of `per_resource` (Tx, Rx, Disk, Cpu, Loopback, backplane).
+fn kind_sums(per_resource: &[f64]) -> [f64; 6] {
+    let mut sums = [0.0; 6];
+    let per_node = NODES as usize * RES_PER_NODE;
+    for (i, v) in per_resource.iter().enumerate() {
+        sums[if i < per_node { i % RES_PER_NODE } else { 5 }] += v;
+    }
+    sums
+}
+
+#[test]
+fn schedule_is_bit_identical_to_the_recorded_one() {
+    let (stats, finish, order) = scenario();
+    assert_eq!(
+        (stats.events, stats.now_ns, stats.transfers, stats.flows),
+        (444, 1_078_185_903, 162, 138),
+        "FabricStats {{ events, now_ns, transfers, flows }}"
+    );
+    assert_eq!(stats.net_fault_hits, 3);
+    assert_eq!(stats.bytes_requested, 345_018_000.0);
+    assert_eq!(
+        kind_sums(&stats.per_resource),
+        [
+            243000000.83444118,
+            243000000.83444118,
+            24000001.599999998,
+            1200000007.9999998,
+            120000007.99999999,
+            225000000.76455894,
+        ]
+    );
+    // 36 senders, the collector, then the four fan-out procs (whose value is
+    // the sum of their six workers' finish times plus their own).
+    #[rustfmt::skip]
+    let recorded_finish: [u64; 41] = [
+        433211796, 485824943, 692275875, 205778206, 483524943, 691275875,
+        436011796, 487324943, 689475875, 204444872, 487870398, 692775875,
+        432492565, 485824943, 692275875, 205778206, 484024943, 691275875,
+        436011796, 487324943, 688925875, 204444872, 486824943, 692775875,
+        433211796, 485824943, 692957694, 205778206, 483524943, 691275875,
+        436011796, 487324943, 689475875, 204444872, 486824943, 692775875,
+        692957694,
+        7547301321, 7547301321, 7547301321, 7547301321,
+    ];
+    assert_eq!(finish, recorded_finish, "per-proc finish times");
+    #[rustfmt::skip]
+    let recorded_order: [u32; 36] = [
+        9, 21, 33, 3, 15, 27, 12, 0, 24, 6, 18, 30, 4, 28, 16, 1, 13, 25,
+        22, 34, 7, 19, 31, 10, 20, 8, 32, 5, 17, 29, 2, 14, 11, 23, 35, 26,
+    ];
+    assert_eq!(order, recorded_order, "queue arrival order");
+}
+
+/// Symmetric flows through one TX link all run out at the same instant; the
+/// engine must complete them in flow-id order — the order the flows were
+/// *started* in, here deliberately not the order of the procs' labels.
+#[test]
+fn tied_flows_complete_in_flow_id_order() {
+    let start_order = [5u32, 2, 7, 0, 3, 6, 1, 4];
+    let spec = ClusterSpec::tiny(9);
+    let tx = spec.resource(NodeId(0), ResourceKind::Tx) as usize;
+    let fx = Fabric::sim(spec);
+    let done = Arc::new(Mutex::new(Vec::new()));
+    for label in start_order {
+        let d = done.clone();
+        // Spawn order is wake order at t = 0, hence flow-id order.
+        fx.spawn(NodeId(0), format!("tied{label}"), move |p| {
+            p.send_to(NodeId(1 + label), 8_000_000);
+            d.lock().push((label, p.now()));
+        });
+    }
+    fx.run();
+    let done = done.lock().clone();
+    let labels: Vec<u32> = done.iter().map(|&(l, _)| l).collect();
+    assert_eq!(labels, start_order);
+    assert!(
+        done.iter().all(|&(_, t)| t == done[0].1),
+        "symmetric flows must tie: {done:?}"
+    );
+    // Recorded, like the order: settle charges `rate * dt` of the last step
+    // in full, so the link's counter runs a fraction of a byte over.
+    assert_eq!(fx.stats().per_resource[tx], 64_000_000.116);
+}
