@@ -6,42 +6,13 @@ use std::sync::Arc;
 
 use blobseer::{BlobSeerConfig, Layout};
 use bsfs::Bsfs;
-use dfs::{DfsPath, FileSystem};
+use dfs::FileSystem;
 use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
 use hdfs_sim::{HdfsConfig, HdfsLayout, HdfsSim};
-use mapreduce::{JobConf, MrCluster, MrConfig, OutputMode, ShuffleTuning, UserFns, KV};
+use mapreduce::{JobConf, MrCluster, MrConfig, OutputMode, ShuffleTuning};
 
-fn d(s: &str) -> DfsPath {
-    DfsPath::new(s).unwrap()
-}
-
-/// Classic wordcount user functions.
-fn wordcount() -> UserFns {
-    let mapper = |_k: &[u8], v: &[u8], out: &mut dyn FnMut(KV)| {
-        // Input format: key = line (no tab); count words of the whole line.
-        for w in _k
-            .split(|&b| b == b' ')
-            .chain(v.split(|&b| b == b' '))
-            .filter(|w| !w.is_empty())
-        {
-            out(KV::new(w.to_vec(), b"1".to_vec()));
-        }
-    };
-    let reducer = |key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut dyn FnMut(KV)| {
-        let total: u64 = values
-            .map(|v| std::str::from_utf8(v).unwrap().parse::<u64>().unwrap())
-            .sum();
-        out(KV::new(key.to_vec(), total.to_string().into_bytes()));
-    };
-    UserFns {
-        mapper: Arc::new(mapper),
-        reducer: Arc::new(reducer),
-        combiner: Some(Arc::new(reducer)),
-    }
-}
-
-const CORPUS: &str =
-    "the quick brown fox\njumps over the lazy dog\nthe dog barks\nfox and dog run\nthe end\n";
+mod common;
+use common::{d, wordcount, CORPUS};
 
 /// Expected wordcount of `CORPUS`.
 fn expected_counts() -> HashMap<String, u64> {
