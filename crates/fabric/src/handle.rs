@@ -357,8 +357,8 @@ impl Proc {
                 if penalty > 0 {
                     c.sleep(self.pid, &self.parker, penalty);
                 }
-                let hops = res.len() as u64 / 2;
-                c.sleep(self.pid, &self.parker, spec.latency_ns * hops.max(1));
+                let hop_count = hops().count().max(1) as u64;
+                c.sleep(self.pid, &self.parker, spec.latency_ns * hop_count);
                 if bytes >= spec.small_msg_cutoff && !res.is_empty() {
                     res.sort_unstable();
                     res.dedup();
@@ -550,23 +550,31 @@ mod tests {
 
     #[test]
     fn chain_transfer_is_bottlenecked_once() {
-        // A 3-hop pipeline of equal links moves data at single-link speed.
-        let spec = ClusterSpec::tiny(4);
-        let bw = spec.nic_bw;
-        let lat = spec.latency_ns;
-        let fx = Fabric::sim(spec);
-        let h = fx.spawn(NodeId(0), "pipe", move |p| {
-            let start = p.now();
-            p.transfer_chain(&[NodeId(0), NodeId(1), NodeId(2), NodeId(3)], 117_000_000);
-            p.now() - start
-        });
-        fx.run();
-        let took = h.take().unwrap();
-        let expect = 3 * lat + (117_000_000.0 / bw * 1e9) as u64;
-        assert!(
-            (took as i64 - expect as i64).unsigned_abs() < 10_000,
-            "took {took}, expected ~{expect}"
-        );
+        // A 3-hop pipeline of equal links moves data at single-link speed
+        // and pays one latency per hop — also when every hop claims a
+        // (here ample) backplane as a third resource.
+        for backplane in [None, Some(1e12)] {
+            let spec = ClusterSpec::tiny(4).with_backplane(backplane);
+            let bw = spec.nic_bw;
+            let lat = spec.latency_ns;
+            let fx = Fabric::sim(spec);
+            let h = fx.spawn(NodeId(0), "pipe", move |p| {
+                let chain = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
+                let start = p.now();
+                p.transfer_chain(&chain, 100); // below the cutoff: latency only
+                let small = p.now() - start;
+                p.transfer_chain(&chain, 117_000_000);
+                (small, p.now() - start - small)
+            });
+            fx.run();
+            let (small, took) = h.take().unwrap();
+            assert_eq!(small, 3 * lat, "backplane {backplane:?}");
+            let expect = 3 * lat + (117_000_000.0 / bw * 1e9) as u64;
+            assert!(
+                (took as i64 - expect as i64).unsigned_abs() < 10_000,
+                "took {took}, expected ~{expect} (backplane {backplane:?})"
+            );
+        }
     }
 
     #[test]
