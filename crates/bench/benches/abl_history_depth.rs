@@ -70,7 +70,10 @@ fn total_puts(bs: &BlobSeer) -> u64 {
 
 /// Run `ops` updates via `step`, measuring the trailing `WINDOW` before each
 /// checkpoint depth.
-#[allow(clippy::disallowed_methods)] // reports wall vs sim time on purpose
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reports wall vs sim time on purpose"
+)]
 fn run_series(
     bs: &BlobSeer,
     p: &fabric::Proc,

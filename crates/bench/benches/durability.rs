@@ -61,7 +61,10 @@ fn deploy(persist_dir: Option<PathBuf>, checkpoint: Option<u64>) -> (Fabric, Blo
 
 /// Drive the fixed append workload (real bytes — a durable provider has to
 /// retain them) and return (wall ns, sim ns) across all appends.
-#[allow(clippy::disallowed_methods)] // reports wall vs sim time on purpose
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reports wall vs sim time on purpose"
+)]
 fn run_appends(fx: &Fabric, bs: &BlobSeer) -> (u64, u64) {
     let bs2 = bs.clone();
     let h = fx.spawn(NodeId(1), "appender", move |p| {
@@ -94,7 +97,10 @@ fn retention_point(persist: bool) -> RetentionPoint {
     }
 }
 
-#[allow(clippy::disallowed_methods)] // reports wall-clock recovery cost
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reports wall-clock recovery cost"
+)]
 fn recovery_point(checkpoint_bytes: u64) -> RecoveryPoint {
     let dir = scratch_dir(&format!("recovery-{checkpoint_bytes}"));
     let cadence = (checkpoint_bytes > 0).then_some(checkpoint_bytes);

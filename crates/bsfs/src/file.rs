@@ -147,7 +147,7 @@ impl FileReader for BsfsReader {
                 .map_err(to_fs_err)?;
             self.cache = Some((start, data));
         }
-        // analyze: allow(panic-unwrap): the branch above populated the cache
+        #[expect(clippy::expect_used, reason = "the branch above populated the cache")]
         let (s, data) = self.cache.as_ref().expect("just populated");
         let end_cached = s + data.len();
         let n = len.min(end_cached - self.pos).min(total - self.pos);

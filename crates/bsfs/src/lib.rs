@@ -11,6 +11,20 @@
 //! Use [`Bsfs::deploy`] (or [`Bsfs::deploy_paper`] for the 270-node layout
 //! of §4.1) and program against [`dfs::FileSystem`].
 
+// The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 mod file;
 mod fs;
 pub mod namespace;

@@ -17,6 +17,20 @@
 //! fabric counters, same first violation. Failure messages print the exact
 //! replay command.
 
+// The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod invariants;
 pub mod runner;
 pub mod schedule;

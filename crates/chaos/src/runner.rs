@@ -7,6 +7,12 @@
 //! schedule, the workload's own randomness all derive from the seed, so a
 //! failing run replays byte-identically from its report's replay line.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "chaos harness fails loudly on a broken deployment or invariant; errors are reserved for injected faults"
+)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -335,6 +341,10 @@ fn d(s: &str) -> DfsPath {
 
 /// Seed-derived wordcount corpus: a few hundred lines over a small
 /// vocabulary, so reduce keys collide heavily (the interesting case).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "gen_range(0..VOCAB.len()) into VOCAB"
+)]
 fn corpus(seed: u64) -> String {
     const VOCAB: [&str; 12] = [
         "append", "blob", "chunk", "commit", "fault", "lease", "page", "quiesce", "reaper",
@@ -383,6 +393,10 @@ fn drive_wordcount(p: &Proc, fs: &Arc<dyn FileSystem>, seed: u64, viols: &Mutex<
 
 /// Compare a wordcount job's `word TAB count` output against the model
 /// oracle (which is also, exactly, the fault-free run's content).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`tab` is a position() inside `line`"
+)]
 fn verify_wordcount_output(text: &str, out: &[u8], viols: &Mutex<Vec<String>>) {
     let expected = workloads::wordcount::reference_counts(text);
     let mut got: HashMap<String, u64> = HashMap::new();
@@ -727,6 +741,10 @@ fn drive_reader_storm(
 /// torn append), every block uniform (no interleaving inside a block), tags
 /// valid, per-writer sequence numbers strictly increasing (publication
 /// order), no duplicate blocks.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "chunks() never yields an empty block"
+)]
 fn check_blocks(
     viols: &Mutex<Vec<String>>,
     path: &DfsPath,

@@ -262,6 +262,10 @@ impl BlobClient {
     /// and fail over the subset that did not land. Returns, per page, the
     /// nodes now holding it. Reservation bookkeeping is exact on every exit
     /// path — the caller settles the lease afterwards.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`ids`, `chunks`, `placements`, `landed` are parallel arrays and every `i` enumerates one; `provider_map` holds every placement's node"
+    )]
     fn stream_pages(
         &self,
         p: &Proc,
@@ -270,9 +274,6 @@ impl BlobClient {
         lease: LeaseId,
         placements: &[Vec<Arc<Provider>>],
     ) -> BlobResult<Vec<Vec<NodeId>>> {
-        // analyze: allow-fn(panic-index): `ids`, `chunks`, `placements` and
-        // `landed` are parallel arrays of equal length; every subscript `i`
-        // is an enumerate() index over one of them
         let repl = self.svc.config.replication;
         // Group every (page, replica) stream by its target provider: one
         // batched put_pages per provider carries that provider's whole share
@@ -420,6 +421,10 @@ impl BlobClient {
         self.read_snapshot_inner(p, blob, snap, offset, len, false)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`parts` is sized to `hits.len()` and every `i` is an enumerate() index over `hits`"
+    )]
     fn read_snapshot_inner(
         &self,
         p: &Proc,
@@ -429,8 +434,6 @@ impl BlobClient {
         len: u64,
         latest_requested: bool,
     ) -> BlobResult<Payload> {
-        // analyze: allow-fn(panic-index): `parts` is sized to `hits.len()`
-        // and every subscript `i` is an enumerate() index over `hits`
         let end = offset.saturating_add(len).min(snap.total_bytes);
         if offset >= end {
             return Ok(Payload::empty());
@@ -539,6 +542,10 @@ impl BlobClient {
     /// race) and the caller must walk the tree.
     ///
     /// The caller clamps: requires `byte_lo < byte_hi <= snap.total_bytes`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`keys`, `byte_offs`, `pages` are parallel arrays and `missing` holds indices drawn from `0..keys.len()`"
+    )]
     fn leaves_via_index(
         &self,
         p: &Proc,
@@ -548,9 +555,6 @@ impl BlobClient {
         byte_hi: u64,
         latest_requested: bool,
     ) -> BlobResult<Option<Vec<LeafHit>>> {
-        // analyze: allow-fn(panic-index): `keys`, `byte_offs` and `pages`
-        // are parallel arrays of equal length and `missing` holds indices
-        // drawn from `0..keys.len()`
         let Some(ix) = self.index_at(p, blob, snap, latest_requested)? else {
             return Ok(None);
         };
@@ -784,9 +788,11 @@ impl BlobClient {
 /// required: one that has not synced the page yet (or sits crash-wiped) is
 /// skipped here and by failover, so a stale replica can never serve a
 /// version it lacks.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the subscript is `% n`, the length of the non-empty replica vector"
+)]
 fn pick_read_node(p: &Proc, svc: &Services, hit: &LeafHit) -> u32 {
-    // analyze: allow-fn(panic-index): replica subscripts are `% n` of the
-    // non-empty replica vector
     if hit.page.providers.contains(&p.node()) {
         return p.node().0;
     }
@@ -809,9 +815,11 @@ fn pick_read_node(p: &Proc, svc: &Services, hit: &LeafHit) -> u32 {
 /// when one holds the page (short-circuit read), a uniformly random replica
 /// otherwise. Returns the raw node id; pages with no replicas group under
 /// `u32::MAX` and resolve to a loud failover error.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "subscript 0 under the `len == 1` arm, `gen_range(0..n)` under the `len == n` arm"
+)]
 fn pick_replica(p: &Proc, hit: &LeafHit) -> u32 {
-    // analyze: allow-fn(panic-index): subscripts are 0 under a len==1 match
-    // arm and gen_range(0..n) under the len==n arm — in-bounds by match
     let providers = &hit.page.providers;
     if providers.contains(&p.node()) {
         return p.node().0;

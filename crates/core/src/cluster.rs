@@ -263,10 +263,11 @@ impl Services {
     /// Copy every page of `snap` that some replica misses. Fails (and the
     /// caller leaves the watermark untouched) if any page can neither be
     /// read from a primary nor landed on a replica.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`need` and `payloads` are parallel arrays indexed from `0..need.len()`; `[1..]` follows the first()-is-Some check"
+    )]
     fn sync_blob(&self, p: &Proc, blob: BlobId, snap: &SnapshotInfo) -> BlobResult<(u64, u64)> {
-        // analyze: allow-fn(panic-index): `need` and `payloads` are parallel
-        // arrays; group indices are drawn from `0..need.len()`; the `[1..]`
-        // provider slice follows a first()-is-Some check
         let mut fetch = |keys: &[NodeKey]| self.dht.get_batch(p, keys);
         let hits = collect_leaves(&mut fetch, blob, snap, 0, snap.total_bytes)?;
         let need: Vec<&LeafHit> = hits

@@ -119,6 +119,7 @@ impl MetaServer {
                 // MetadataMissing read error, never a panic.
                 continue;
             };
+            #[expect(clippy::indexing_slicing, reason = "stripe_of is `% NODE_STRIPES`")]
             self.nodes[stripe_of(&key)].write().insert(key, body);
         }
         Ok(())
@@ -130,10 +131,11 @@ impl MetaServer {
     /// [`Self::crash_wipe`] serializes entirely before the group (it fails
     /// `ProviderDown`) or entirely after (every acknowledged node is on the
     /// OS side of a process crash).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "subscripts are stripe_of() (`% NODE_STRIPES`) or enumerate() over a vector built with NODE_STRIPES entries, as `nodes` is"
+    )]
     pub(crate) fn store_nodes(&self, nodes: Vec<(NodeKey, NodeBody)>) -> BlobResult<()> {
-        // analyze: allow-fn(panic-index): stripe subscripts come from
-        // stripe_of() (modulo NODE_STRIPES) or enumerate() over a vector
-        // built with exactly NODE_STRIPES entries
         if let Some(mp) = &self.persist {
             let g = mp.store.read();
             let Some(s) = g.as_ref() else {
@@ -309,8 +311,11 @@ impl MetaDht {
     }
 
     /// The server responsible for `key`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "server_index() is `% servers.len()`"
+    )]
     pub fn server_for(&self, key: &NodeKey) -> &Arc<MetaServer> {
-        // analyze: allow(panic-index): server_index() is modulo servers.len()
         &self.servers[self.server_index(key)]
     }
 
@@ -334,10 +339,11 @@ impl MetaDht {
     /// Node writes are idempotent (see [`Self::put`]), so partial
     /// application when a server is down mid-batch is harmless: a retry or
     /// force-complete simply rewrites the same content.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "subscripts are server_index() (`% servers.len()`) or enumerate() over a vector built with servers.len() entries"
+    )]
     pub fn put_batch(&self, p: &Proc, nodes: Vec<(NodeKey, NodeBody)>) -> BlobResult<()> {
-        // analyze: allow-fn(panic-index): group subscripts are server_index()
-        // (modulo servers.len()) or enumerate() over a groups vector built
-        // with exactly servers.len() entries
         let mut groups: Vec<Vec<(NodeKey, NodeBody)>> =
             (0..self.servers.len()).map(|_| Vec::new()).collect();
         for (key, body) in nodes {
@@ -378,10 +384,11 @@ impl MetaDht {
     /// per server touched). `out[i]` answers `keys[i]`. The breadth-first
     /// read path ([`crate::meta::collect_leaves`]) calls this once per tree
     /// level.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`out` is sized to keys.len() and `i` enumerates `keys`; the rest are server_index() / stripe_of() or enumerate() over vectors sized to servers / stripes"
+    )]
     pub fn get_batch(&self, p: &Proc, keys: &[NodeKey]) -> BlobResult<Vec<Option<NodeBody>>> {
-        // analyze: allow-fn(panic-index): `out` is sized to keys.len(); all
-        // other subscripts are server_index()/stripe_of() (modulo-bounded)
-        // or enumerate() indices over vectors sized to servers/stripes
         let mut out: Vec<Option<NodeBody>> = vec![None; keys.len()];
         let mut groups: Vec<Vec<usize>> = (0..self.servers.len()).map(|_| Vec::new()).collect();
         for (i, key) in keys.iter().enumerate() {

@@ -25,10 +25,45 @@
 //! Everything runs on a [`fabric::Fabric`] — real threads in live mode, a
 //! deterministic 270-node cluster simulation for paper-scale experiments.
 
-/// The declared lock hierarchy, shared by the static `analyze` lint and the
-/// debug-only runtime assertion in the `parking_lot` shim
-/// ([`parking_lot::lock_order`]). Acquisitions must be non-decreasing in
-/// rank within a thread.
+// The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
+/// The declared lock hierarchy, outermost first:
+///
+/// | rank | lock | where |
+/// |------|------|-------|
+/// | 1 | `blobs` — VM registry `RwLock<HashMap<BlobId, Arc<BlobSlot>>>` | `version_manager.rs` |
+/// | 2 | `state` — per-BLOB `Mutex<BlobState>` (the `meta.rs` lock unit) | `version_manager.rs` |
+/// | 3 | `leases` — provider-manager lease book `Mutex<LeaseBook>` | `provider_manager.rs` |
+/// | 4 | `stripes` / `nodes` — provider page stripes, metadata-server node stripes | `provider.rs`, `dht.rs` |
+/// | 5 | `shards` / `views` — read-cache shards, the client's per-BLOB index views | `read_cache.rs`, `client.rs` |
+///
+/// Two rules, both enforced by the debug-only assertions in the
+/// `parking_lot` shim ([`parking_lot::lock_order`]) on every path a debug
+/// test executes — tier-1 and the chaos sweep — and by nothing else:
+///
+/// * **Order.** A thread never acquires a *lower* rank while it holds a
+///   higher one (equal ranks nest: stripes are disjoint by index). A
+///   violation panics with `lock-order violation` and both ranks.
+/// * **Wire.** No fabric call that spends virtual time or parks — `rpc`,
+///   `transfer*`, `sleep`, `disk_*`, `compute`, `Gate::wait`, `Queue::recv`,
+///   `JoinHandle::join` — runs while any ranked guard is live: the version
+///   manager keeps RPC charging and gate waits outside the `BlobState`
+///   critical section (the paper's "serialize only at version assignment"),
+///   and the lease book and the caches follow suit. A violation panics with
+///   `wire-while-locked`, the call and the held rank; in sim mode it would
+///   otherwise be a hang.
 pub(crate) mod lock_ranks {
     /// Version-manager BLOB registry.
     pub const REGISTRY: u8 = 1;

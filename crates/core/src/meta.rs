@@ -67,13 +67,16 @@ impl NodeKey {
     }
 
     /// Inverse of [`Self::encode`]; `None` on any structural mismatch.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        reason = "the length test pins `k` to NODE_KEY_BYTES = 34; every range lies inside it and the four passed to `f` are 8 wide"
+    )]
     pub fn decode(k: &[u8]) -> Option<NodeKey> {
         if k.len() != NODE_KEY_BYTES || &k[..2] != NODE_KEY_PREFIX {
             return None;
         }
-        // analyze: allow(panic-index): every range is within 2..34 and the
-        // length was checked against NODE_KEY_BYTES above
-        let f = |r: std::ops::Range<usize>| u64::from_be_bytes(k[r].try_into().unwrap()); // analyze: allow(panic-unwrap): 8-byte range into [u8; 8] is infallible
+        let f = |r: std::ops::Range<usize>| u64::from_be_bytes(k[r].try_into().unwrap());
         Some(NodeKey {
             blob: BlobId(f(2..10)),
             version: f(10..18),
@@ -168,9 +171,12 @@ impl NodeBody {
 
     /// Inverse of [`Self::encode`]; `None` on any structural mismatch
     /// (wrong tag, truncation, trailing bytes).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "each unwrap turns the N-byte slice that `get(at..at + N)?` just returned into `[u8; N]`"
+    )]
     pub fn decode(v: &[u8]) -> Option<NodeBody> {
         fn u64_at(v: &[u8], at: &mut usize) -> Option<u64> {
-            // analyze: allow(panic-unwrap): get() returned an exactly-8-byte slice
             let out = u64::from_le_bytes(v.get(*at..*at + 8)?.try_into().unwrap());
             *at += 8;
             Some(out)
@@ -198,13 +204,11 @@ impl NodeBody {
             1 => {
                 let id = PageId(u64_at(v, &mut at)?, u64_at(v, &mut at)?);
                 let byte_len = u64_at(v, &mut at)?;
-                // analyze: allow(panic-unwrap): get() returned an exactly-4-byte slice
                 let count = u32::from_le_bytes(v.get(at..at + 4)?.try_into().unwrap());
                 at += 4;
                 let mut providers = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     providers.push(NodeId(u32::from_le_bytes(
-                        // analyze: allow(panic-unwrap): exactly-4-byte slice from get()
                         v.get(at..at + 4)?.try_into().unwrap(),
                     )));
                     at += 4;
@@ -285,8 +289,10 @@ fn build_node(
     };
     if hi - lo == 1 {
         let idx = (lo - new.page_lo) as usize;
-        // analyze: allow(panic-index): plan_write validated the manifest
-        // covers new.page_lo..page_hi, and build_node recurses within it
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "plan_write asserted the manifest has new.page_count() entries and build_node recurses only inside new.page_lo..page_hi"
+        )]
         out.push((key, NodeBody::Leaf(manifest[idx].clone())));
         return;
     }
@@ -305,10 +311,12 @@ fn child_ref(
     lo: u64,
     hi: u64,
 ) -> Option<ChildRef> {
+    #[expect(
+        clippy::expect_used,
+        reason = "planner precondition: plan_write asserted the index snapshot is pinned at the new version"
+    )]
     let byte_len = ix
         .byte_len_of_range(lo, hi)
-        // analyze: allow(panic-unwrap): planner precondition — plan_write
-        // extended the index snapshot to the new version before building
         .expect("index snapshot covers the new version");
     if new.touches_range(lo, hi) {
         build_node(out, blob, ix, new, manifest, lo, hi);
@@ -325,10 +333,12 @@ fn child_ref(
         // Untouched, existing subtree: reference the newest version whose
         // write path crosses it. Its node is guaranteed to exist by the
         // time this version publishes (see crate::version_manager).
+        #[expect(
+            clippy::expect_used,
+            reason = "planner invariant: every page below total_pages was written by some version in the index"
+        )]
         let version = ix
             .latest_toucher(lo, hi)
-            // analyze: allow(panic-unwrap): planner invariant — every page
-            // below total_pages was written by some version in the index
             .expect("pages below total_pages have a writer");
         Some(ChildRef {
             version,

@@ -368,7 +368,7 @@ impl Provider {
                     let len = data.len();
                     // Only this page's stripe is write-locked; concurrent
                     // batches for other stripes proceed in parallel.
-                    // analyze: allow(panic-index): stripe_of is modulo PAGE_STRIPES
+                    #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
                     let mut m = stripes[stripe_of(id)].write();
                     if m.insert(id, data).is_none() {
                         self.stored_pages.fetch_add(1, Ordering::Relaxed);
@@ -480,7 +480,7 @@ impl Provider {
                     // Read lock on one stripe: concurrent readers of the
                     // same stripe share it, writers to other stripes never
                     // touch it.
-                    // analyze: allow(panic-index): stripe_of is modulo PAGE_STRIPES
+                    #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
                     let data = stripes[stripe_of(*id)].read().get(id).cloned();
                     out.push(match data {
                         Some(d) => {
@@ -530,7 +530,7 @@ impl Provider {
     /// consumed reservations from stranded ones)
     pub fn has_page(&self, id: PageId) -> bool {
         match &self.backend {
-            // analyze: allow(panic-index): stripe_of is modulo PAGE_STRIPES
+            #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
             Backend::Mem(stripes) => stripes[stripe_of(id)].read().contains_key(&id),
             // A crash-wiped store holds nothing in memory; any reaper
             // misaccounting in the wipe window is erased when `recover`

@@ -83,9 +83,12 @@ fn encode_lease(entries: &[(NodeId, PageId, u64)]) -> Vec<u8> {
     out
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    reason = "chunks_exact(LEASE_ENTRY_BYTES) yields 28-byte chunks; the four ranges tile 0..28 in widths 4, 8, 8, 8"
+)]
 fn decode_lease(v: &[u8]) -> Option<Vec<(NodeId, PageId, u64)>> {
-    // analyze: allow-fn(panic-unwrap): chunks_exact(24) yields exactly-sized
-    // chunks, so every fixed-width try_into is infallible
     if !v.len().is_multiple_of(LEASE_ENTRY_BYTES) {
         return None;
     }
@@ -200,6 +203,10 @@ impl ProviderManager {
             let deadline = self.fabric.now() + timeout;
             let mut max_id = 0u64;
             for (k, v) in records {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "scan_prefix(LEASE_PREFIX) returned `k` because it starts with that prefix"
+                )]
                 let (Ok(id_bytes), Some(entries)) = (
                     <[u8; 8]>::try_from(&k[LEASE_PREFIX.len()..]),
                     decode_lease(&v),
@@ -307,15 +314,16 @@ impl ProviderManager {
         LeaseId(id)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every subscript is `% candidates.len()` or a member of a permutation of `0..candidates.len()`"
+    )]
     fn pick(
         &self,
         p: &Proc,
         candidates: &mut [Arc<Provider>],
         replication: usize,
     ) -> Vec<Arc<Provider>> {
-        // analyze: allow-fn(panic-index): every subscript is drawn from
-        // `0..candidates.len()` (permutation or modulo), in-bounds by
-        // construction
         match self.strategy {
             AllocStrategy::RoundRobin => {
                 // Atomic cursor: concurrent allocators interleave without a
@@ -506,8 +514,11 @@ impl ProviderManager {
         };
         let book = self.leases.lock();
         let mut restored = 0u64;
-        // analyze: allow(unordered-iter): commutative accumulation — each
-        // entry's reserve/sum contribution is independent of visit order
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "commutative: each entry's reserve() and its share of the sum are independent of visit order"
+        )]
         for lease in book.table.values() {
             for &(n, page, bytes) in &lease.entries {
                 if n == node && !pr.has_page(page) {
@@ -536,6 +547,10 @@ impl ProviderManager {
 
     /// A uniformly random *alive* provider (used by retry paths wanting a
     /// fresh target).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "gen_range(0..alive.len()) on the vector the is_empty() test just passed"
+    )]
     pub fn any_alive(&self, p: &Proc, exclude: &[NodeId]) -> BlobResult<Arc<Provider>> {
         let mut rng = p.rng();
         let alive: Vec<&Arc<Provider>> = self

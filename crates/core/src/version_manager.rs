@@ -217,6 +217,10 @@ impl VersionManager {
         // re-checks it and reports the deletion. Waking happens outside the
         // per-blob lock, like every other gate set.
         let st = slot.state.lock();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted by version before any gate fires"
+        )]
         let mut gates: Vec<_> = st
             .pending
             .iter()
@@ -268,6 +272,7 @@ impl VersionManager {
     /// Sorted: callers sweep blobs (and issue any resulting DHT traffic) in
     /// a deterministic order, never the registry map's iteration order.
     pub fn blob_ids(&self) -> Vec<BlobId> {
+        #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
         let mut ids: Vec<BlobId> = self
             .blobs
             .read()
@@ -519,8 +524,11 @@ impl VersionManager {
         let mut seen = HashSet::new();
         let mut nodes = st.index.count_nodes(&mut seen);
         nodes += st.published_index.count_nodes(&mut seen);
-        // analyze: allow(unordered-iter): commutative count — `seen` dedups
-        // structurally shared nodes, so the total is visit-order independent
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "commutative count: `seen` dedups structurally shared nodes, so the total is visit-order independent"
+        )]
         for pw in st.pending.values() {
             nodes += pw.index.count_nodes(&mut seen);
         }
@@ -593,6 +601,7 @@ impl VersionManager {
                 Err(e) => {
                     // Requeue the unprocessed tail so the next interaction
                     // retries instead of silently dropping the reap.
+                    #[expect(clippy::indexing_slicing, reason = "`i` enumerates `expired`")]
                     slot.state.lock().requeue_expired(&expired[i..]);
                     return Err(e);
                 }
@@ -905,19 +914,20 @@ mod tests {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
         let vm = setup(&fx);
         let locked = fx.gate();
-        let done = fx.gate();
         let vm2 = vm.clone();
         let a = std::sync::Arc::new(std::sync::OnceLock::new());
         let b = std::sync::Arc::new(std::sync::OnceLock::new());
         let (a2, b2) = (a.clone(), b.clone());
-        let (locked2, done2) = (locked.clone(), done.clone());
+        let locked2 = locked.clone();
         let hostage = fx.spawn(NodeId(2), "hostage", move |p| {
             a2.set(vm2.create_blob(p, None)).unwrap();
             b2.set(vm2.create_blob(p, None)).unwrap();
             let slot_a = vm2.slot(*a2.get().unwrap()).unwrap();
-            let _hostage = slot_a.state.lock();
+            // Leaked, so a's lock stays held for the worker's whole run; a
+            // proc may not park under a ranked guard to the same end (the
+            // shim's wire-while-locked assertion).
+            std::mem::forget(slot_a.state.lock());
             locked2.set();
-            done2.wait(p); // keep a's lock held for the worker's whole run
         });
         let vm2 = vm.clone();
         let h = fx.spawn(NodeId(3), "t", move |p| {
@@ -932,11 +942,40 @@ mod tests {
             vm2.wait_published(p, b, d.version).unwrap();
             assert_eq!(vm2.latest(p, b).unwrap(), 1);
             assert_eq!(vm2.sync_index(p, b, 0).unwrap().version(), 1);
-            done.set();
         });
         fx.run();
         h.take().unwrap();
         hostage.take().unwrap();
+    }
+
+    #[test]
+    fn delete_wakes_parked_waiters_in_version_order() {
+        // `pending` is a HashMap and a gate wakeup is a replay-visible
+        // event: eight waiters, parked out of order on eight uncommitted
+        // versions, wake 1, 2, … 8 when the BLOB goes — never in hash order.
+        let fx = Fabric::sim(ClusterSpec::tiny(4));
+        let vm = setup(&fx);
+        let woken = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let woken2 = woken.clone();
+        fx.spawn(NodeId(3), "owner", move |p| {
+            let blob = vm.create_blob(p, None);
+            for tag in 1..=8 {
+                vm.assign(p, blob, UpdateKind::Append, 100, manifest(1, tag, 100), 0)
+                    .unwrap();
+            }
+            for v in [5, 2, 8, 1, 7, 3, 6, 4] {
+                let (vm, woken) = (vm.clone(), woken2.clone());
+                p.fabric().spawn(NodeId(2), format!("w{v}"), move |p| {
+                    let gone = vm.wait_published(p, blob, v);
+                    assert!(matches!(gone, Err(BlobError::NoSuchBlob(_))), "{gone:?}");
+                    woken.lock().push(v);
+                });
+            }
+            p.sleep(1_000_000);
+            vm.delete_blob(p, blob).unwrap();
+        });
+        fx.run();
+        assert_eq!(*woken.lock(), [1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]

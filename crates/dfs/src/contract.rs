@@ -5,6 +5,11 @@
 //! commit); they intentionally differ on `append` support. Each FS crate
 //! calls [`exercise_filesystem`] from its tests.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "conformance harness: the assertions are the oracle and a failure must abort the run"
+)]
+
 use fabric::{Payload, Proc};
 
 use crate::error::FsError;
@@ -24,6 +29,10 @@ fn bytes(len: usize, tag: u8) -> Payload {
 }
 
 /// Run the common-behaviour suite against `fs`. Panics on any violation.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`locs[0]` follows the `locs.len() >= 3` assertion"
+)]
 pub fn exercise_filesystem(fs: &dyn FileSystem, proc_: &Proc) {
     let prc = proc_;
 

@@ -189,10 +189,16 @@ impl std::fmt::Debug for dyn FileSystem {
     }
 }
 
-#[allow(unused)]
+#[expect(
+    dead_code,
+    reason = "compile-time check only: the three traits stay object-safe"
+)]
 fn assert_object_safe(_: &dyn FileSystem, _: &dyn FileWriter, _: &dyn FileReader) {}
 
-#[allow(unused)]
+#[expect(
+    dead_code,
+    reason = "compile-time check only: FsError is nameable from this module"
+)]
 fn assert_error_usable() -> FsError {
     FsError::HandleClosed
 }

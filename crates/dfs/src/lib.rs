@@ -22,6 +22,20 @@
 //! the HDFS release of the time. Our HDFS baseline faithfully rejects it;
 //! BSFS implements it.
 
+// The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod contract;
 mod error;
 mod fs;

@@ -68,6 +68,10 @@ impl DfsPath {
     }
 
     /// Parent directory; `None` for the root.
+    #[expect(
+        clippy::unreachable,
+        reason = "repr is absolute by construction: every constructor normalizes to a leading '/', so rfind finds one"
+    )]
     pub fn parent(&self) -> Option<DfsPath> {
         if self.is_root() {
             return None;

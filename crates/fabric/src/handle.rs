@@ -5,6 +5,7 @@ use std::cell::{RefCell, RefMut};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
+use parking_lot::lock_order::assert_none_held;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -233,7 +234,9 @@ fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
 
 /// A process's execution context: its identity (node), its clock, and its
 /// ability to spend time on modeled resources. Methods that block must be
-/// called from the thread running this process.
+/// called from the thread running this process — and, in debug builds, panic
+/// (`wire-while-locked`) if that thread holds a ranked lock
+/// ([`parking_lot::lock_order`]).
 pub struct Proc {
     fabric: Fabric,
     node: NodeId,
@@ -279,6 +282,7 @@ impl Proc {
 
     /// Block for `ns` nanoseconds (virtual in sim mode, real in live mode).
     pub fn sleep(&self, ns: u64) {
+        assert_none_held("Proc::sleep");
         match &self.fabric.inner {
             FabricInner::Sim(c) => c.sleep(self.pid, &self.parker, ns),
             FabricInner::Live(_) => std::thread::sleep(std::time::Duration::from_nanos(ns)),
@@ -287,6 +291,7 @@ impl Proc {
 
     /// Let other runnable work proceed before continuing.
     pub fn yield_now(&self) {
+        assert_none_held("Proc::yield_now");
         match &self.fabric.inner {
             FabricInner::Sim(c) => c.sleep(self.pid, &self.parker, 0),
             FabricInner::Live(_) => std::thread::yield_now(),
@@ -297,6 +302,7 @@ impl Proc {
     /// transfer completes. Node-local moves use the loopback path. Messages
     /// below the cluster's `small_msg_cutoff` are charged latency only.
     pub fn transfer(&self, src: NodeId, dst: NodeId, bytes: u64) {
+        assert_none_held("Proc::transfer");
         match &self.fabric.inner {
             FabricInner::Sim(c) => {
                 let penalty = c.begin_transfer(bytes, (src != dst).then_some((src, dst)));
@@ -333,6 +339,7 @@ impl Proc {
     /// how HDFS's replication pipeline behaves for large writes).
     pub fn transfer_chain(&self, nodes: &[NodeId], bytes: u64) {
         assert!(!nodes.is_empty(), "transfer chain needs at least one node");
+        assert_none_held("Proc::transfer_chain");
         match &self.fabric.inner {
             FabricInner::Sim(c) => {
                 let spec = &c.spec;
@@ -397,6 +404,7 @@ impl Proc {
     }
 
     fn disk_io(&self, node: NodeId, bytes: u64) {
+        assert_none_held("Proc::disk_io");
         if let FabricInner::Sim(c) = &self.fabric.inner {
             if bytes > 0 {
                 let res = [c.spec.resource(node, ResourceKind::Disk)];
@@ -408,6 +416,7 @@ impl Proc {
     /// Charge `ops` abstract CPU operations on `node` (shared max-min with
     /// other computations on the same node).
     pub fn compute(&self, node: NodeId, ops: u64) {
+        assert_none_held("Proc::compute");
         if let FabricInner::Sim(c) = &self.fabric.inner {
             if ops > 0 {
                 let res = [c.spec.resource(node, ResourceKind::Cpu)];
@@ -741,6 +750,34 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    fn wire_or_wait_under_a_ranked_guard_is_raised_by_name() {
+        type Body = fn(&Proc, &Gate);
+        let cases: [(u8, &str, Body); 2] = [
+            (3, "Proc::transfer", |p, _| p.rpc(NodeId(1), 64, 64)),
+            (2, "Gate::wait", |p, gate| gate.wait(p)),
+        ];
+        for fx in [
+            Fabric::sim(ClusterSpec::tiny(2)),
+            Fabric::live(ClusterSpec::tiny(2)),
+        ] {
+            for (rank, what, body) in cases {
+                let (lock, gate) = (Mutex::with_rank((), rank), fx.gate());
+                fx.spawn(NodeId(0), "caller", move |p| {
+                    let _guard = lock.lock();
+                    body(p, &gate);
+                });
+                let msg = run_panic_message(&fx);
+                let expect = format!(
+                    "process 'caller' panicked: wire-while-locked: {what} while holding a \
+                     rank-{rank} lock"
+                );
+                assert!(msg.starts_with(&expect), "{msg}");
+            }
+        }
+    }
+
+    #[test]
     fn run_twice_on_one_fabric() {
         let fx = Fabric::sim(ClusterSpec::tiny(2));
         let first = fx.spawn(NodeId(0), "first", |p| {
@@ -886,7 +923,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // measures host time on purpose
+    #[expect(clippy::disallowed_methods, reason = "measures host time on purpose")]
     fn virtual_time_is_free() {
         // A year of virtual idling must simulate instantly.
         let fx = Fabric::sim(ClusterSpec::tiny(1));

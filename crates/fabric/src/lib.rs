@@ -29,6 +29,15 @@
 //! unbounded MPMC [`sync::Queue`]s (service inboxes, heartbeat channels) and
 //! one-shot broadcast [`sync::Gate`]s (completion signals, shutdown flags).
 
+// The determinism and waiver lints of the production crates (EXPERIMENTS.md,
+// "Static analysis"). The panic-path family is off: the engine fails loud by
+// contract, a broken scheduler invariant invalidates every result.
+#![warn(
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod handle;
 pub mod live;
 pub mod net;

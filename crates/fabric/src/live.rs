@@ -65,7 +65,7 @@ pub(crate) struct LiveCore {
 impl LiveCore {
     // Live mode IS the time boundary: this Instant anchors the wall clock
     // every live-mode timestamp derives from.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(clippy::disallowed_methods, reason = "live mode is the time boundary")]
     pub fn new(spec: ClusterSpec, seed: u64) -> Arc<Self> {
         Arc::new(LiveCore {
             spec,

@@ -645,6 +645,7 @@ impl SimCore {
             panic!("{}", panics.join("\n"));
         }
         if st.live_procs > 0 {
+            #[expect(clippy::disallowed_methods, reason = "sorted before it is reported")]
             let mut blocked: Vec<_> = st
                 .procs
                 .values()
@@ -668,6 +669,7 @@ impl SimCore {
     #[cfg(test)]
     fn pending_wakes_and_blocked_procs(&self) -> (usize, usize) {
         let st = self.state.lock();
+        #[expect(clippy::disallowed_methods, reason = "only counted")]
         let blocked = st.procs.values().filter(|p| p.state != ProcState::Runnable);
         (st.wakes.len(), blocked.count())
     }

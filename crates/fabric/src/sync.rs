@@ -16,6 +16,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use parking_lot::lock_order::assert_none_held;
 use parking_lot::{Condvar, Mutex};
 
 use crate::handle::{Fabric, FabricInner, Proc};
@@ -121,6 +122,7 @@ impl<T: Send + 'static> Queue<T> {
     /// Blocking receive. Returns `None` once the queue is closed *and*
     /// drained.
     pub fn recv(&self, p: &Proc) -> Option<T> {
+        assert_none_held("Queue::recv");
         match &self.inner {
             QueueInner::Sim { core, q } => loop {
                 {
@@ -291,6 +293,7 @@ impl Gate {
 
     /// Block until the gate is set (no-op when already set).
     pub fn wait(&self, p: &Proc) {
+        assert_none_held("Gate::wait");
         match &self.inner {
             GateInner::Sim { core, g } => loop {
                 {

@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn resource_indexing_is_dense_and_disjoint() {
         let spec = ClusterSpec::tiny(3).with_backplane(Some(1e9));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for n in spec.all_nodes() {
             for k in [
                 ResourceKind::Tx,

@@ -266,6 +266,10 @@ struct HdfsReader {
 }
 
 impl HdfsReader {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx` is read()'s binary-search result over `offsets`, which parallels `blocks`"
+    )]
     fn fetch_block(&self, p: &Proc, idx: usize) -> FsResult<Payload> {
         let block = &self.blocks[idx];
         // Prefer the local replica (short-circuit read), else random order.
@@ -292,6 +296,11 @@ impl HdfsReader {
 }
 
 impl FileReader for HdfsReader {
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "binary search over `offsets` (offsets[0] == 0 <= pos): Ok(i) is in range and Err(i) lands on i - 1; the branch above populated the cache"
+    )]
     fn read(&mut self, p: &Proc, len: u64) -> FsResult<Payload> {
         if self.pos >= self.total || len == 0 {
             return Ok(Payload::empty());

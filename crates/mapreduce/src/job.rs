@@ -78,6 +78,10 @@ pub struct JobConf {
     pub shuffle: ShuffleTuning,
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the names are literals or `part-NNNNN`: non-empty, no '/', not a dot name — all `child` rejects"
+)]
 impl JobConf {
     /// Name of the single shared output file in [`OutputMode::SharedAppendFile`].
     pub fn shared_output_file(&self) -> DfsPath {

@@ -30,6 +30,20 @@
 //! `shuffle.rs` and `tracker.rs` module docs). [`job::ShuffleTuning`]
 //! holds the knobs.
 
+// The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod api;
 pub mod job;
 pub mod record;

@@ -43,6 +43,7 @@ use crate::api::{Reducer, KV};
 
 /// Parse `key TAB value` from a text line (Hadoop's
 /// `KeyValueTextInputFormat`); lines without a tab map to `(line, "")`.
+#[expect(clippy::indexing_slicing, reason = "`i` is a position() inside `line`")]
 pub fn split_tab(line: &[u8]) -> (&[u8], &[u8]) {
     match line.iter().position(|&b| b == b'\t') {
         Some(i) => (&line[..i], &line[i + 1..]),
@@ -67,6 +68,10 @@ pub fn lines(data: &[u8]) -> impl Iterator<Item = &[u8]> {
 ///
 /// `window` must hold the file bytes from `start` through at least the end
 /// of the last owned record (callers over-read past the split end).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`pos < window.len()` is the loop condition and `i` is a position() inside `rest`"
+)]
 pub fn split_records(window: &[u8], start: u64, len: u64) -> Vec<&[u8]> {
     let mut pos: usize = if start == 0 {
         0
@@ -197,6 +202,10 @@ pub struct Collector {
 }
 
 impl Collector {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`n` is min(key.len(), 8): inside `key` and inside the 8-byte prefix"
+    )]
     pub fn push(&mut self, key: &[u8], value: &[u8]) {
         let mut prefix = [0u8; 8];
         let n = key.len().min(8);
@@ -222,6 +231,10 @@ impl Collector {
 
     /// The order is total (equal records are indistinguishable), so the
     /// unstable sort is deterministic; records pushed in order cost no copy.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every Entry was made by `push`: `at`, `klen`, `vlen` delimit the record it appended to `arena` at `at - 8`"
+    )]
     fn into_sorted_run(mut self) -> Vec<u8> {
         let arena = &self.arena;
         let cmp = |a: &Entry, b: &Entry| {
@@ -385,6 +398,11 @@ pub fn encode_kvs(kvs: &[KV]) -> Payload {
 
 /// Reference decoder of the run format (panics on a torn record and
 /// ignores a torn trailing header — [`RunCursor`] reports both).
+#[expect(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    reason = "reference decoder, documented to panic on a torn record: the header is read under `pos + 8 <= len`, the body after the assert"
+)]
 pub fn decode_kvs(data: &Bytes) -> Vec<KV> {
     let mut out = Vec::new();
     let mut pos = 0usize;

@@ -51,6 +51,10 @@ const LOOKAHEAD: u64 = 64 * 1024;
 /// per-task when re-running / tier-2 off). Returns the deliveries this task
 /// published — the tasktracker ships them to the jobtracker on `MapDone`
 /// for streaming announcement; an error string means loud job failure.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "partition_for is `% r` and `collectors` has `r` entries"
+)]
 pub fn run_map_task(
     p: &Proc,
     fs: &Arc<dyn FileSystem>,

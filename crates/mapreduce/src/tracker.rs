@@ -58,6 +58,12 @@
 //! replacement delivery; completion bookkeeping is idempotent under
 //! duplicate `MapDone`s.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "fail-loud policy: Hadoop retries, this driver treats a failed task or plan, or a broken scheduler invariant, as a bug in the experiment (ROADMAP D(2): typed JobError)"
+)]
+
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -875,7 +881,7 @@ mod tests {
         assert_eq!(tasks(&s.assign(NodeId(8), 1, 5, 1)), ["m1.0", "r1.2"]);
         // Each carries its own partition's feed and the job's map count.
         let Assignment::Reduce(r1) = &beat.tasks[1] else {
-            unreachable!()
+            panic!("the second task of the beat is a reduce")
         };
         assert_eq!(r1.map_count, 2);
         let d = DeliverySpec {

@@ -19,6 +19,10 @@ const POLY: u32 = 0xEDB8_8320;
 
 /// `BYTE[b]`: the CRC register after shifting byte `b` through it (the
 /// classic one-table CRC; `TABLES[0]` at run time).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every subscript is masked to its table's size (`& 0xFF` of 256, `& 0xF` of 16)"
+)]
 const BYTE: [u32; 256] = {
     let mut t = [0u32; 256];
     let mut i = 0usize;
@@ -36,6 +40,10 @@ const BYTE: [u32; 256] = {
 };
 
 /// `TABLES[k][b]`: the register after byte `b` and then `k` zero bytes.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every subscript is masked to its table's size (`& 0xFF` of 256, `& 0xF` of 16)"
+)]
 static TABLES: [[u32; 256]; 16] = {
     let mut t = [BYTE; 16];
     let mut k = 1usize;
@@ -57,6 +65,10 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// CRC-32 over the concatenation of several slices without copying.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every subscript is `& 0xFF` into a 256-entry table"
+)]
 pub fn crc32_multi(parts: &[&[u8]]) -> u32 {
     let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &TABLES;
     let lane = |t: &[u32; 256], word: u32, shift: u32| t[((word >> shift) & 0xFF) as usize];

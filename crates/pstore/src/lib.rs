@@ -20,6 +20,20 @@
 //!
 //! The store is `Sync`; all operations take `&self`.
 
+// The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 mod crc;
 mod error;
 mod store;

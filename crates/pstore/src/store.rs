@@ -24,6 +24,12 @@
 //! checkpoints and finally a full scan always remain as fallbacks, so a
 //! damaged checkpoint can never make data unreachable.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "each unwrap is a fixed-width slice `try_into` or a lookup of a live segment in maps `open_with` / `roll` keep total; corrupt bytes are rejected earlier as PStoreError"
+)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -150,6 +156,10 @@ struct Checkpoint {
 /// Decode + validate a checkpoint file. Any failure — I/O, bad CRC, bad
 /// structure, a referenced segment missing or shorter than claimed — returns
 /// `None`: checkpoints are an optimization, never an authority.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the head is read after `len >= CKPT_HEAD + 4`, each entry and each key after its own `body.len() < pos + …` test"
+)]
 fn load_checkpoint(path: &Path, seg_disk_len: &BTreeMap<u64, u64>) -> Option<Checkpoint> {
     let data = std::fs::read(path).ok()?;
     if data.len() < CKPT_HEAD + 4 || data[..4] != CKPT_MAGIC {
@@ -223,7 +233,14 @@ fn encode_record(out: &mut Vec<u8>, key: &[u8], val: Option<&[u8]>) -> u64 {
 /// Parse one record at `data[pos..]`. Returns `(key, value, record_len)`
 /// where `value == None` is a tombstone, or `Err(detail)` for torn/corrupt
 /// data.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the header is read after `len >= pos + HEADER`, the body after `len >= end`"
+)]
+#[expect(
+    clippy::type_complexity,
+    reason = "one private caller; a named type would say no more"
+)]
 fn parse_record(
     data: &[u8],
     pos: usize,
@@ -270,6 +287,10 @@ impl Store {
     }
 
     /// Open (or create) a store in `dir`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every member of `ids` was inserted into `disk_len`, and into `seg_len` by the scan loop; `active` is the newest of them, or the 0 just inserted"
+    )]
     pub fn open_with(dir: impl AsRef<Path>, opts: StoreOptions) -> Result<Store> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -309,6 +330,7 @@ impl Store {
         }
         let (mut index, mut live_bytes, watermark) = match ckpt {
             Some(c) => {
+                #[expect(clippy::disallowed_methods, reason = "commutative sum")]
                 let live = c.index.values().map(|l| l.rec_len).sum();
                 (c.index, live, Some((c.wseg, c.wlen)))
             }
@@ -519,6 +541,10 @@ impl Store {
     }
 
     /// All live keys (unordered).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "documented unordered; its one caller (model_proptest) sorts"
+    )]
     pub fn keys(&self) -> Vec<Vec<u8>> {
         self.inner.lock().index.keys().cloned().collect()
     }
@@ -527,6 +553,7 @@ impl Store {
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let keys: Vec<Vec<u8>> = {
             let g = self.inner.lock();
+            #[expect(clippy::disallowed_methods, reason = "sorted two lines down")]
             let mut ks: Vec<_> = g
                 .index
                 .keys()
@@ -550,6 +577,7 @@ impl Store {
     /// reconstruct byte counters without touching record bodies.
     pub fn prefix_meta(&self, prefix: &[u8]) -> Vec<(Vec<u8>, u64)> {
         let g = self.inner.lock();
+        #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
         let mut out: Vec<(Vec<u8>, u64)> = g
             .index
             .iter()
@@ -618,6 +646,10 @@ impl Store {
 
         // Stream live records into fresh segments, oldest location first so
         // relative age is preserved.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted by (segment, offset) on the next line"
+        )]
         let mut locs: Vec<(Vec<u8>, Loc)> =
             inner.index.iter().map(|(k, l)| (k.clone(), *l)).collect();
         locs.sort_by_key(|(_, l)| (l.seg, l.offset));
@@ -751,6 +783,7 @@ impl Inner {
         body.extend_from_slice(&self.active.to_le_bytes());
         body.extend_from_slice(&self.flushed.to_le_bytes());
         body.extend_from_slice(&(self.index.len() as u64).to_le_bytes());
+        #[expect(clippy::disallowed_methods, reason = "sorted by key on the next line")]
         let mut entries: Vec<(&Vec<u8>, &Loc)> = self.index.iter().collect();
         entries.sort_by_key(|(k, _)| k.as_slice());
         for (key, loc) in entries {
@@ -797,6 +830,10 @@ impl Inner {
 
     /// Where the record at `loc` is right now: still in the write buffer
     /// (copied out here, under the caller's lock) or in a segment file.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a buffered record was appended to `buf` whole: `offset >= flushed` and `rec_len` ends inside it"
+    )]
     fn record_src(&self, loc: Loc) -> RecordSrc {
         if loc.seg == self.active && loc.offset >= self.flushed {
             let start = (loc.offset - self.flushed) as usize;

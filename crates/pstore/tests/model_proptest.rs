@@ -92,6 +92,10 @@ proptest! {
         }
         let mut keys = store.keys();
         keys.sort();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted on the next line"
+        )]
         let mut mkeys: Vec<_> = model.keys().cloned().collect();
         mkeys.sort();
         prop_assert_eq!(keys, mkeys);

@@ -20,18 +20,21 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{self, TryLockError};
 use std::time::Duration;
 
-/// Debug-only runtime lock-order checking.
+/// Debug-only runtime lock-discipline checking.
 ///
 /// A lock may be given a hierarchy rank with [`Mutex::set_rank`] /
 /// [`RwLock::set_rank`] (or constructed ranked via `with_rank`). In debug
 /// builds every acquisition of a *ranked* lock asserts that the rank is `>=`
 /// every rank this thread already holds — acquiring down the hierarchy
-/// panics with both ranks named. Unranked locks (rank 0, the default) are
-/// never checked. Release builds compile the whole mechanism to nothing.
+/// panics with both ranks named — and [`lock_order::assert_none_held`],
+/// which `fabric` calls wherever a process spends virtual time or parks,
+/// panics if the thread holds any ranked lock at all. Unranked locks (rank
+/// 0, the default) are never checked. Release builds compile the whole
+/// mechanism to nothing.
 ///
-/// This dynamically cross-checks the same hierarchy the `analyze` lint
-/// enforces statically (`cargo run -p analyze`): every seeded chaos sweep
-/// run in debug mode doubles as a lock-order audit.
+/// These two assertions are the only enforcement of the hierarchy declared
+/// in `blobseer::lock_ranks`: they check the paths a test executes, so every
+/// debug test run — tier-1 and the seeded chaos sweep — is the audit.
 pub mod lock_order {
     #[cfg(debug_assertions)]
     mod imp {
@@ -55,7 +58,7 @@ pub mod lock_order {
                         rank >= max,
                         "lock-order violation: acquiring a rank-{rank} lock while holding \
                          rank {max} (hierarchy: VM registry(1) -> blob slot(2) -> \
-                         lease book(3) -> provider/meta stripes(4))"
+                         lease book(3) -> provider/meta stripes(4) -> client caches(5))"
                     );
                 }
                 held.push(rank);
@@ -75,6 +78,16 @@ pub mod lock_order {
                 }
             }
         }
+
+        /// `what` is about to put traffic on the wire or park the thread.
+        pub fn assert_none_held(what: &str) {
+            if let Some(rank) = HELD.with(|h| h.borrow().iter().max().copied()) {
+                panic!(
+                    "wire-while-locked: {what} while holding a rank-{rank} lock; charge RPCs \
+                     and wait on gates outside the critical section"
+                );
+            }
+        }
     }
 
     #[cfg(not(debug_assertions))]
@@ -86,9 +99,12 @@ pub mod lock_order {
         pub fn acquire(_rank: u8) -> Held {
             Held
         }
+
+        #[inline(always)]
+        pub fn assert_none_held(_what: &str) {}
     }
 
-    pub use imp::{acquire, Held};
+    pub use imp::{acquire, assert_none_held, Held};
 }
 
 /// Mutual exclusion primitive (API subset of `parking_lot::Mutex`, plus the
@@ -417,6 +433,26 @@ mod tests {
         let b = RwLock::with_rank((), 2);
         let _ga = a.lock();
         let _gb = b.read();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "wire-while-locked: Proc::rpc while holding a rank-3 lock")]
+    fn wire_under_a_ranked_guard_panics() {
+        let a = Mutex::with_rank((), 2);
+        let b = RwLock::with_rank((), 3);
+        let _ga = a.lock();
+        let _gb = b.read();
+        lock_order::assert_none_held("Proc::rpc");
+    }
+
+    #[test]
+    fn wire_under_an_unranked_or_a_dropped_guard_is_allowed() {
+        let ranked = Mutex::with_rank((), 2);
+        let plain = Mutex::new(());
+        drop(ranked.lock());
+        let _p = plain.lock();
+        lock_order::assert_none_held("Proc::rpc");
     }
 
     #[test]

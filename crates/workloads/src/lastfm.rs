@@ -150,8 +150,8 @@ mod tests {
         let both = ka.intersection(&kb).count();
         assert!(both > 10, "no overlapping keys generated ({both})");
         // Private keys exist on both sides.
-        assert!(ka.iter().any(|k| k.starts_with("user_a_")));
-        assert!(kb.iter().any(|k| k.starts_with("user_b_")));
+        assert!(a.iter().any(|(k, _)| k.starts_with("user_a_")));
+        assert!(b.iter().any(|(k, _)| k.starts_with("user_b_")));
     }
 
     #[test]

@@ -13,6 +13,20 @@
 //! * [`wordcount`] / [`grep`] — the classic Hadoop examples, used by the
 //!   runnable examples and extra tests.
 
+// The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod datajoin;
 pub mod grep;
 pub mod lastfm;

@@ -20,6 +20,20 @@
 //! tours, and `cargo bench` to regenerate every figure of the paper's
 //! evaluation (see `EXPERIMENTS.md`).
 
+// The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub use blobseer;
 pub use bsfs;
 pub use dfs;
@@ -42,6 +56,10 @@ pub mod testbed {
 
     /// A small live-mode BSFS world for interactive examples: real threads,
     /// real bytes, `nodes` logical nodes, `block_size`-byte pages.
+    #[expect(
+        clippy::expect_used,
+        reason = "test/example deployment helper: panicking on a failed deploy is its contract"
+    )]
     pub fn live_bsfs(nodes: u32, block_size: u64) -> (Fabric, Bsfs) {
         let fx = Fabric::live(ClusterSpec::tiny(nodes));
         let fs = Bsfs::deploy(
@@ -58,6 +76,10 @@ pub mod testbed {
     /// tree nodes, the provider manager its lease book), which makes
     /// `blobseer::Fault::CrashRestart` injectable: a killed service heals
     /// by replaying its pstore directory.
+    #[expect(
+        clippy::expect_used,
+        reason = "test/example deployment helper: panicking on a failed deploy is its contract"
+    )]
     pub fn live_bsfs_persistent(
         nodes: u32,
         block_size: u64,
