@@ -86,28 +86,24 @@ impl MetaServer {
         let store = pstore::Store::open_with(dir, opts.clone())
             .map_err(|e| BlobError::persistence(dir, &e))?;
         let mut server = Self::new(node);
+        server.load_stripes(&store, dir)?;
         server.persist = Some(MetaPersist {
             store: RwLock::new(Some(store)),
             dir: dir.to_path_buf(),
             opts,
         });
-        server.load_stripes()?;
         Ok(server)
     }
 
-    /// Rebuild the striped in-memory map from the durable store's `n/`
-    /// namespace (replacing whatever the stripes currently hold).
-    fn load_stripes(&self) -> BlobResult<()> {
-        let Some(mp) = &self.persist else {
-            return Ok(());
-        };
-        let g = mp.store.read();
-        let Some(s) = g.as_ref() else {
-            return Ok(());
-        };
-        let records = s
+    /// Rebuild the striped in-memory map from the `n/` namespace of `store`
+    /// (replacing whatever the stripes currently hold). Takes the store
+    /// *before* it is installed: a restart that cannot read its nodes back
+    /// must fail as a whole, not come up alive and empty. The scan is the
+    /// fallible step and runs first, so a failed reload changes nothing.
+    fn load_stripes(&self, store: &pstore::Store, dir: &Path) -> BlobResult<()> {
+        let records = store
             .scan_prefix(NODE_KEY_PREFIX)
-            .map_err(|e| BlobError::persistence(&mp.dir, &e))?;
+            .map_err(|e| BlobError::persistence(dir, &e))?;
         for stripe in &self.nodes {
             stripe.write().clear();
         }
@@ -201,7 +197,8 @@ impl MetaServer {
     /// Restart a crash-wiped metadata server from its store directory:
     /// replay from the newest checkpoint, rebuild the striped map, resume
     /// serving. Returns the bytes replayed past the checkpoint. Idempotent:
-    /// recovering a server that was never wiped just revives it.
+    /// recovering a server that was never wiped just revives it. A restart
+    /// that fails leaves the server wiped and down.
     pub fn recover(&self) -> BlobResult<u64> {
         let Some(mp) = &self.persist else {
             return Err(BlobError::UnsupportedFault(format!(
@@ -214,9 +211,9 @@ impl MetaServer {
             let store = pstore::Store::open_with(&mp.dir, mp.opts.clone())
                 .map_err(|e| BlobError::persistence(&mp.dir, &e))?;
             let replayed = store.replayed_bytes();
+            self.load_stripes(&store, &mp.dir)?;
             *g = Some(store);
             drop(g);
-            self.load_stripes()?;
             self.recoveries.fetch_add(1, Ordering::Relaxed);
             replayed
         } else {

@@ -260,3 +260,91 @@ fn live_mode_provider_kill_and_restart_mid_workload() {
     h.take().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A restart that cannot rebuild its state is a *failed* restart: one bit
+/// flipped in a checkpoint-covered record lets the store open (the
+/// checkpoint vouches for the record without re-reading it) but fails the
+/// scan that reloads the node map. The server must stay wiped and down —
+/// never come up alive and empty, answering `Ok(None)` for nodes it
+/// acknowledged — and `heal` must return the cause instead of reviving it.
+#[test]
+fn failed_meta_restart_stays_wiped_and_down() {
+    use blobseer::meta::{NodeBody, NodeKey, PageRef};
+    use blobseer::{PageId, PersistenceKind};
+
+    let dir = scratch_dir("halfrecover");
+    let fx = Fabric::sim(ClusterSpec::tiny(4));
+    let cfg = BlobSeerConfig::test_small(PS)
+        .with_persist_dir(Some(dir.clone()))
+        .with_persist_checkpoint_bytes(Some(256));
+    let bs = BlobSeer::deploy(&fx, cfg, Layout::compact(fx.spec())).unwrap();
+    let seg = dir.join("meta-0").join("00000000.seg");
+    let h = fx.spawn(NodeId(1), "driver", move |p| {
+        let key = |v: u64| NodeKey {
+            blob: blobseer::BlobId(1),
+            version: v,
+            page_lo: 0,
+            page_hi: 1,
+        };
+        let leaf = |n: u64| {
+            NodeBody::Leaf(PageRef {
+                id: PageId(n, n),
+                byte_len: 10,
+                providers: vec![NodeId(0)],
+            })
+        };
+        let dht = bs.metadata_dht();
+        let ms = &dht.servers()[0];
+        for v in 1..40u64 {
+            dht.put(p, key(v), leaf(v)).unwrap();
+        }
+        assert_eq!(ms.node_count(), 39);
+        ms.crash_wipe().unwrap();
+
+        let clean = std::fs::read(&seg).unwrap();
+        let mut flipped = clean.clone();
+        flipped[20] ^= 1;
+        std::fs::write(&seg, &flipped).unwrap();
+
+        let is_corrupt = |r: Result<(), BlobError>| {
+            matches!(
+                r,
+                Err(BlobError::Persistence {
+                    kind: PersistenceKind::Corrupt,
+                    ..
+                })
+            )
+        };
+        assert!(is_corrupt(ms.recover().map(|_| ())));
+        assert!(
+            ms.is_wiped(),
+            "a failed restart must leave the server wiped"
+        );
+        assert!(
+            !ms.is_alive(),
+            "a failed restart must leave the server down"
+        );
+        assert_eq!(ms.recoveries(), 0);
+        assert!(
+            is_corrupt(bs.heal(FaultTarget::MetaServer(0))),
+            "heal must return the restart's error"
+        );
+        assert!(ms.is_wiped() && !ms.is_alive(), "heal must not revive it");
+        assert!(matches!(
+            dht.get(p, &key(1)),
+            Err(BlobError::ProviderDown { .. })
+        ));
+
+        std::fs::write(&seg, &clean).unwrap();
+        bs.heal(FaultTarget::MetaServer(0)).unwrap();
+        assert!(!ms.is_wiped() && ms.is_alive());
+        assert_eq!(ms.recoveries(), 1);
+        assert_eq!(ms.node_count(), 39);
+        for v in 1..40u64 {
+            assert_eq!(dht.get(p, &key(v)).unwrap(), Some(leaf(v)));
+        }
+    });
+    fx.run();
+    h.take().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
