@@ -267,9 +267,15 @@ fn run(workload: Workload, seed: u64, faulted: bool) -> RunReport {
             }
         }
         // Belt and braces: the generator already heals every window, but a
-        // quiescence phase must never start with residual faults.
-        bs_inj.heal_all();
+        // quiescence phase must never start with residual faults — and one
+        // that cannot be healed is the violation to report, by target and
+        // cause, before the quiescence audits trip over its consequences.
+        let unhealed = bs_inj.heal_all();
         p.fabric().clear_net_faults();
+        unhealed
+            .into_iter()
+            .map(|(target, cause)| format!("heal of {target} failed: {cause}"))
+            .collect::<Vec<String>>()
     });
 
     let violations: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
@@ -308,7 +314,7 @@ fn run(workload: Workload, seed: u64, faulted: bool) -> RunReport {
     });
 
     fx.run();
-    injector.take().expect("injector finished");
+    let unhealed = injector.take().expect("injector finished");
     driver.take().expect("driver finished");
 
     // The fabric returning from `run` is itself invariant #6 (no parked
@@ -318,7 +324,8 @@ fn run(workload: Workload, seed: u64, faulted: bool) -> RunReport {
         invariants::check(p, &bs_chk)
     });
     fx.run();
-    let mut all = violations.lock().clone();
+    let mut all = unhealed;
+    all.extend(violations.lock().iter().cloned());
     all.extend(checker.take().expect("checker finished"));
 
     let report = RunReport {

@@ -4,6 +4,7 @@
 //! providers. The remaining nodes are used as data providers."
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -18,6 +19,7 @@ use crate::fault::{Fault, FaultTarget};
 use crate::meta::{collect_leaves, LeafHit, NodeKey, SnapshotInfo};
 use crate::provider::Provider;
 use crate::provider_manager::ProviderManager;
+use crate::service::Service;
 use crate::types::{BlobId, PageId, Version};
 use crate::version_manager::VersionManager;
 
@@ -359,6 +361,40 @@ pub struct BlobSeer {
     svc: Arc<Services>,
 }
 
+/// What a [`FaultTarget`] names in one deployment.
+enum Resolved<'a> {
+    /// A data provider, read replica or metadata server: they die and come
+    /// back through one lifecycle ([`crate::service`]).
+    Storage(&'a Service),
+    VersionManager,
+    Reaper,
+}
+
+/// The two ways to start one kind of storage service: in memory, or durable
+/// in a directory.
+type Open<S> = (
+    fn(NodeId) -> S,
+    fn(NodeId, &Path, pstore::StoreOptions) -> BlobResult<S>,
+);
+
+/// One storage service per node of a tier: in memory, or durable under
+/// `persist_dir/<name>-<i>`.
+fn deploy_tier<S>(
+    config: &BlobSeerConfig,
+    name: &str,
+    nodes: &[NodeId],
+    (memory, durable): Open<S>,
+) -> BlobResult<Vec<Arc<S>>> {
+    let opts = config.store_options();
+    let tier = nodes.iter().enumerate().map(|(i, &node)| {
+        Ok(Arc::new(match &config.persist_dir {
+            None => memory(node),
+            Some(dir) => durable(node, &dir.join(format!("{name}-{i}")), opts.clone())?,
+        }))
+    });
+    tier.collect()
+}
+
 /// Handle to a running background reaper (see [`BlobSeer::start_reaper`]).
 #[derive(Clone)]
 pub struct ReaperHandle {
@@ -385,31 +421,9 @@ impl BlobSeer {
     /// [`Layout::validate`]), never a panic.
     pub fn deploy(fabric: &Fabric, config: BlobSeerConfig, layout: Layout) -> BlobResult<BlobSeer> {
         layout.validate(fabric.spec(), &config)?;
-        let store_opts = config.store_options();
-        let mut providers = Vec::with_capacity(layout.providers.len());
-        for (i, &node) in layout.providers.iter().enumerate() {
-            let prov = match &config.persist_dir {
-                None => Provider::new_mem(node),
-                Some(dir) => Provider::new_persistent_with(
-                    node,
-                    &dir.join(format!("provider-{i}")),
-                    store_opts.clone(),
-                )?,
-            };
-            providers.push(Arc::new(prov));
-        }
-        let mut replicas = Vec::with_capacity(layout.read_replicas.len());
-        for (i, &node) in layout.read_replicas.iter().enumerate() {
-            let prov = match &config.persist_dir {
-                None => Provider::new_mem(node),
-                Some(dir) => Provider::new_persistent_with(
-                    node,
-                    &dir.join(format!("replica-{i}")),
-                    store_opts.clone(),
-                )?,
-            };
-            replicas.push(Arc::new(prov));
-        }
+        let pages: Open<Provider> = (Provider::new_mem, Provider::new_persistent_with);
+        let providers = deploy_tier(&config, "provider", &layout.providers, pages)?;
+        let replicas = deploy_tier(&config, "replica", &layout.read_replicas, pages)?;
         // Replicas resolve through the same map as primaries (reads are
         // addressed by node id) but are never listed with the provider
         // manager — they take no write allocations.
@@ -418,19 +432,8 @@ impl BlobSeer {
             .chain(replicas.iter())
             .map(|pr| (pr.node(), pr.clone()))
             .collect();
-        let meta_servers: Vec<Arc<MetaServer>> = layout
-            .meta
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| match &config.persist_dir {
-                None => Ok(Arc::new(MetaServer::new(n))),
-                Some(dir) => Ok(Arc::new(MetaServer::new_persistent(
-                    n,
-                    &dir.join(format!("meta-{i}")),
-                    store_opts.clone(),
-                )?)),
-            })
-            .collect::<BlobResult<_>>()?;
+        let nodes: Open<MetaServer> = (MetaServer::new, MetaServer::new_persistent);
+        let meta_servers = deploy_tier(&config, "meta", &layout.meta, nodes)?;
         let dht = Arc::new(MetaDht::new(meta_servers, config.meta_cpu_ops));
         let mut pm = ProviderManager::new(
             layout.pm,
@@ -443,7 +446,7 @@ impl BlobSeer {
             config.timeouts.write_timeout_ns,
         );
         if let Some(dir) = &config.persist_dir {
-            pm = pm.with_persistence(&dir.join("pm"), store_opts)?;
+            pm = pm.with_persistence(&dir.join("pm"), config.store_options())?;
         }
         let pm = Arc::new(pm);
         let vm = Arc::new(VersionManager::new(
@@ -585,51 +588,34 @@ impl BlobSeer {
     /// [`BlobError::UnsupportedFault`]. Idempotent; undo with
     /// [`Self::heal`].
     pub fn inject(&self, target: FaultTarget, fault: Fault) -> BlobResult<()> {
-        match (target, fault) {
-            (FaultTarget::Provider(i), Fault::Crash) => {
-                self.provider_at(i)?.kill();
-                Ok(())
+        match (self.resolve(target)?, fault) {
+            (Resolved::Storage(s), Fault::Crash) => s.kill(),
+            (Resolved::Storage(s), Fault::CrashRestart) => s.crash_wipe()?,
+            (Resolved::Storage(_), Fault::Pause) => {
+                return Err(BlobError::UnsupportedFault(format!(
+                    "{target} cannot pause: storage services model crash-stop \
+                     failures; use Fault::Crash"
+                )))
             }
-            (FaultTarget::MetaServer(i), Fault::Crash) => {
-                self.meta_server_at(i)?.kill();
-                Ok(())
+            (Resolved::VersionManager, Fault::Pause) => self.svc.vm.set_paused(true),
+            (Resolved::VersionManager, Fault::Crash) => {
+                return Err(BlobError::UnsupportedFault(
+                    "version-manager crash needs the failover subsystem (roadmap); \
+                     use Fault::Pause to model an unresponsive VM"
+                        .into(),
+                ))
             }
-            (FaultTarget::VersionManager, Fault::Pause) => {
-                self.svc.vm.set_paused(true);
-                Ok(())
-            }
-            (FaultTarget::VersionManager, Fault::Crash) => Err(BlobError::UnsupportedFault(
-                "version-manager crash needs the failover subsystem (roadmap); \
-                 use Fault::Pause to model an unresponsive VM"
-                    .into(),
-            )),
-            (FaultTarget::Reaper, Fault::Crash | Fault::Pause) => {
+            (Resolved::Reaper, Fault::Crash | Fault::Pause) => {
                 self.svc.reaper_paused.store(true, Ordering::Release);
-                Ok(())
             }
-            (FaultTarget::ReadReplica(i), Fault::Crash) => {
-                self.replica_at(i)?.kill();
-                Ok(())
-            }
-            (FaultTarget::ReadReplica(i), Fault::CrashRestart) => self.replica_at(i)?.crash_wipe(),
-            (FaultTarget::Provider(i), Fault::CrashRestart) => self.provider_at(i)?.crash_wipe(),
-            (FaultTarget::MetaServer(i), Fault::CrashRestart) => {
-                self.meta_server_at(i)?.crash_wipe()
-            }
-            (FaultTarget::VersionManager | FaultTarget::Reaper, Fault::CrashRestart) => {
-                Err(BlobError::UnsupportedFault(format!(
+            (Resolved::VersionManager | Resolved::Reaper, Fault::CrashRestart) => {
+                return Err(BlobError::UnsupportedFault(format!(
                     "{target} has no durable store to restart from; \
                      CrashRestart targets providers and metadata servers"
                 )))
             }
-            (
-                FaultTarget::Provider(_) | FaultTarget::MetaServer(_) | FaultTarget::ReadReplica(_),
-                Fault::Pause,
-            ) => Err(BlobError::UnsupportedFault(format!(
-                "{target} cannot pause: storage services model crash-stop \
-                     failures; use Fault::Crash"
-            ))),
         }
+        Ok(())
     }
 
     /// Undo every fault injected into `target` (revive a crashed service,
@@ -638,89 +624,63 @@ impl BlobSeer {
     /// no-op.
     ///
     /// A crash-wiped provider recovers in two steps whose order matters:
-    /// first [`Provider::recover`] rebuilds the page index and counters from
+    /// first [`Service::recover`] rebuilds the page index and counters from
     /// disk (zeroing reservations — the restarted process has no memory of
     /// promises), then [`ProviderManager::reinstate`] re-reserves the
     /// outstanding lease entries that straddled the crash, so the capacity
     /// books balance at the next quiescence check.
     pub fn heal(&self, target: FaultTarget) -> BlobResult<()> {
-        match target {
-            FaultTarget::Provider(i) => {
-                let pr = self.provider_at(i)?;
-                if pr.is_wiped() {
-                    pr.recover()?;
-                    self.svc.pm.reinstate(pr.node());
-                } else {
-                    pr.revive();
+        match self.resolve(target)? {
+            Resolved::Storage(s) if s.is_wiped() => {
+                s.recover()?;
+                // Only a primary holds leases. A replica or a metadata
+                // server restarts from its durable state and nothing more
+                // (pages a replica lost beyond disk are re-copied by the
+                // next sync round).
+                if matches!(target, FaultTarget::Provider(_)) {
+                    self.svc.pm.reinstate(s.node());
                 }
             }
-            FaultTarget::MetaServer(i) => {
-                let ms = self.meta_server_at(i)?;
-                if ms.is_wiped() {
-                    ms.recover()?;
-                } else {
-                    ms.revive();
-                }
-            }
-            // A crash-wiped replica recovers its durable pages, nothing
-            // more: it holds no leases, so there is no `reinstate` step —
-            // whatever the wipe lost beyond disk is re-copied by the next
-            // sync round.
-            FaultTarget::ReadReplica(i) => {
-                let pr = self.replica_at(i)?;
-                if pr.is_wiped() {
-                    pr.recover()?;
-                } else {
-                    pr.revive();
-                }
-            }
-            FaultTarget::VersionManager => self.svc.vm.set_paused(false),
-            FaultTarget::Reaper => self.svc.reaper_paused.store(false, Ordering::Release),
+            Resolved::Storage(s) => s.revive(),
+            Resolved::VersionManager => self.svc.vm.set_paused(false),
+            Resolved::Reaper => self.svc.reaper_paused.store(false, Ordering::Release),
         }
         Ok(())
     }
 
     /// Heal every possible target — chaos harnesses call this at the end of
     /// a schedule so quiescence is always reached with a whole cluster.
-    pub fn heal_all(&self) {
-        for i in 0..self.svc.providers.len() {
-            let _ = self.heal(FaultTarget::Provider(i));
-        }
-        for i in 0..self.svc.dht.servers().len() {
-            let _ = self.heal(FaultTarget::MetaServer(i));
-        }
-        for i in 0..self.svc.replicas.len() {
-            let _ = self.heal(FaultTarget::ReadReplica(i));
-        }
-        let _ = self.heal(FaultTarget::VersionManager);
-        let _ = self.heal(FaultTarget::Reaper);
+    /// Returns the targets that could not be healed, each with its cause (a
+    /// restart that failed leaves its service wiped and down).
+    pub fn heal_all(&self) -> Vec<(FaultTarget, BlobError)> {
+        let svc = &self.svc;
+        (0..svc.providers.len())
+            .map(FaultTarget::Provider)
+            .chain((0..svc.dht.servers().len()).map(FaultTarget::MetaServer))
+            .chain((0..svc.replicas.len()).map(FaultTarget::ReadReplica))
+            .chain([FaultTarget::VersionManager, FaultTarget::Reaper])
+            .filter_map(|t| self.heal(t).err().map(|e| (t, e)))
+            .collect()
     }
 
-    fn provider_at(&self, i: usize) -> BlobResult<&Arc<Provider>> {
-        self.svc.providers.get(i).ok_or_else(|| {
-            BlobError::NoSuchTarget(format!(
-                "provider[{i}] (deployment has {})",
-                self.svc.providers.len()
-            ))
-        })
-    }
-
-    fn replica_at(&self, i: usize) -> BlobResult<&Arc<Provider>> {
-        self.svc.replicas.get(i).ok_or_else(|| {
-            BlobError::NoSuchTarget(format!(
-                "read-replica[{i}] (deployment has {})",
-                self.svc.replicas.len()
-            ))
-        })
-    }
-
-    fn meta_server_at(&self, i: usize) -> BlobResult<&Arc<MetaServer>> {
-        self.svc.dht.servers().get(i).ok_or_else(|| {
-            BlobError::NoSuchTarget(format!(
-                "meta-server[{i}] (deployment has {})",
-                self.svc.dht.servers().len()
-            ))
-        })
+    /// The one lookup from a fault target to the service it names.
+    fn resolve(&self, target: FaultTarget) -> BlobResult<Resolved<'_>> {
+        fn at<S: std::ops::Deref<Target = Service>>(
+            tier: &[Arc<S>],
+            i: usize,
+        ) -> (Option<&Service>, usize) {
+            (tier.get(i).map(|s| &***s), tier.len())
+        }
+        let (found, deployed) = match target {
+            FaultTarget::Provider(i) => at(&self.svc.providers, i),
+            FaultTarget::ReadReplica(i) => at(&self.svc.replicas, i),
+            FaultTarget::MetaServer(i) => at(self.svc.dht.servers(), i),
+            FaultTarget::VersionManager => return Ok(Resolved::VersionManager),
+            FaultTarget::Reaper => return Ok(Resolved::Reaper),
+        };
+        found
+            .map(Resolved::Storage)
+            .ok_or_else(|| BlobError::NoSuchTarget(format!("{target} (deployment has {deployed})")))
     }
 
     /// Total bytes stored across providers (all replicas counted).

@@ -21,9 +21,10 @@
 //! [`DescIndex`] is therefore O(1) and yields an immutable snapshot pinned
 //! at its version: the version manager hands one to each writer at `assign`
 //! time, the client desc-cache keeps the freshest one, and
-//! [`crate::meta::plan_write`] runs entirely against it. The linear scans in
-//! [`crate::types`] remain as the historical-version fallback and as the
-//! oracle the property tests compare this index against.
+//! [`crate::meta::plan_write`] runs entirely against it. Nothing under
+//! `src/` calls the linear scans in [`crate::types`] any more: they stay as
+//! the oracle `tests/desc_index_proptest.rs` compares this index against,
+//! and as nothing else.
 
 use std::sync::Arc;
 

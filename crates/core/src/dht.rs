@@ -6,10 +6,14 @@
 //! (see [`crate::meta`]); a key hashes to exactly one metadata provider, so
 //! concurrent writers updating different tree paths talk to different
 //! servers and scale out — the paper deploys 20 of them on 270 nodes.
+//!
+//! How a metadata server counts what it served, dies and comes back is
+//! [`crate::service`]'s, shared with the data providers, and a `MetaServer`
+//! derefs to it; this file says only what a crash empties and a restart
+//! reloads (the `Nodes` map), and the hot paths.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 
 use fabric::{NodeId, Proc};
@@ -17,6 +21,7 @@ use parking_lot::RwLock;
 
 use crate::error::{BlobError, BlobResult};
 use crate::meta::{NodeBody, NodeKey, NODE_KEY_PREFIX};
+use crate::service::{Durable, Service, State};
 
 /// Stripe count of one server's node map. Keys spread via the upper bits of
 /// the same FNV hash that routes them to a server (the lower bits picked the
@@ -27,50 +32,77 @@ fn stripe_of(key: &NodeKey) -> usize {
     ((hash_key(key) >> 32) % NODE_STRIPES as u64) as usize
 }
 
-/// One metadata server holding a shard of the tree-node space.
+/// One metadata server holding a shard of the tree-node space: a
+/// [`Service`] (node, liveness, served counters, crash-restart — all reached
+/// by deref) that stores tree nodes.
 ///
 /// The node map is lock-striped (`RwLock<HashMap>` per stripe): a batched
 /// `get_batch` takes only read locks — concurrent readers never block each
 /// other — and a `put_batch` write-locks exactly the stripes its share of
 /// nodes hashes to, never the whole server for the whole batch.
 pub struct MetaServer {
-    node: NodeId,
-    alive: AtomicBool,
-    nodes: Vec<RwLock<HashMap<NodeKey, NodeBody>>>,
-    puts: AtomicU64,
-    gets: AtomicU64,
-    put_rpcs: AtomicU64,
-    get_rpcs: AtomicU64,
-    /// Durable write-through of the node map (see [`Self::new_persistent`]).
-    /// The striped in-memory map stays the authoritative read path; the
-    /// store exists to survive a crash-restart.
-    persist: Option<MetaPersist>,
-    /// Completed crash-restart recoveries (diagnostics).
-    recoveries: AtomicU64,
+    /// When durable (see [`Self::new_persistent`]), the store is a
+    /// write-through mirror that exists to survive a crash-restart; the
+    /// striped in-memory map stays the authoritative read path.
+    svc: Service,
+    nodes: Arc<Nodes>,
 }
 
-struct MetaPersist {
-    /// `None` while crash-wiped (between `crash_wipe` and `recover`).
-    store: RwLock<Option<pstore::Store>>,
-    dir: PathBuf,
-    opts: pstore::StoreOptions,
+impl std::ops::Deref for MetaServer {
+    type Target = Service;
+
+    fn deref(&self) -> &Service {
+        &self.svc
+    }
+}
+
+struct Nodes(Vec<RwLock<HashMap<NodeKey, NodeBody>>>);
+
+impl Default for Nodes {
+    fn default() -> Self {
+        let stripe = || RwLock::with_rank(HashMap::new(), crate::lock_ranks::STRIPES);
+        Nodes((0..NODE_STRIPES).map(|_| stripe()).collect())
+    }
+}
+
+impl State for Nodes {
+    fn clear(&self) {
+        for stripe in &self.0 {
+            stripe.write().clear();
+        }
+    }
+
+    /// Reload the striped map from the store's `n/` namespace (replacing
+    /// whatever the stripes hold). The scan is the fallible step and runs
+    /// first, so a failed reload changes nothing.
+    fn rebuild(&self, store: &pstore::Store) -> pstore::Result<()> {
+        let records = store.scan_prefix(NODE_KEY_PREFIX)?;
+        self.clear();
+        for (k, v) in records {
+            let (Some(key), Some(body)) = (NodeKey::decode(&k), NodeBody::decode(&v)) else {
+                // Malformed record: skip it — the write path only ever
+                // stores codec output, so this is corruption the CRC
+                // already let through; losing one node degrades to a
+                // MetadataMissing read error, never a panic.
+                continue;
+            };
+            #[expect(clippy::indexing_slicing, reason = "stripe_of is `% NODE_STRIPES`")]
+            self.0[stripe_of(&key)].write().insert(key, body);
+        }
+        Ok(())
+    }
 }
 
 impl MetaServer {
-    pub fn new(node: NodeId) -> Self {
+    fn with(node: NodeId, nodes: Arc<Nodes>, durable: Option<Durable>) -> Self {
         MetaServer {
-            node,
-            alive: AtomicBool::new(true),
-            nodes: (0..NODE_STRIPES)
-                .map(|_| RwLock::with_rank(HashMap::new(), crate::lock_ranks::STRIPES))
-                .collect(),
-            puts: AtomicU64::new(0),
-            gets: AtomicU64::new(0),
-            put_rpcs: AtomicU64::new(0),
-            get_rpcs: AtomicU64::new(0),
-            persist: None,
-            recoveries: AtomicU64::new(0),
+            svc: Service::new("metadata server", node, durable),
+            nodes,
         }
+    }
+
+    pub fn new(node: NodeId) -> Self {
+        Self::with(node, Arc::default(), None)
     }
 
     /// Metadata server whose node map is write-through mirrored into a
@@ -83,66 +115,30 @@ impl MetaServer {
         dir: &Path,
         opts: pstore::StoreOptions,
     ) -> BlobResult<Self> {
-        let store = pstore::Store::open_with(dir, opts.clone())
-            .map_err(|e| BlobError::persistence(dir, &e))?;
-        let mut server = Self::new(node);
-        server.load_stripes(&store, dir)?;
-        server.persist = Some(MetaPersist {
-            store: RwLock::new(Some(store)),
-            dir: dir.to_path_buf(),
-            opts,
-        });
-        Ok(server)
-    }
-
-    /// Rebuild the striped in-memory map from the `n/` namespace of `store`
-    /// (replacing whatever the stripes currently hold). Takes the store
-    /// *before* it is installed: a restart that cannot read its nodes back
-    /// must fail as a whole, not come up alive and empty. The scan is the
-    /// fallible step and runs first, so a failed reload changes nothing.
-    fn load_stripes(&self, store: &pstore::Store, dir: &Path) -> BlobResult<()> {
-        let records = store
-            .scan_prefix(NODE_KEY_PREFIX)
-            .map_err(|e| BlobError::persistence(dir, &e))?;
-        for stripe in &self.nodes {
-            stripe.write().clear();
-        }
-        for (k, v) in records {
-            let (Some(key), Some(body)) = (NodeKey::decode(&k), NodeBody::decode(&v)) else {
-                // Malformed record: skip it — the write path only ever
-                // stores codec output, so this is corruption the CRC
-                // already let through; losing one node degrades to a
-                // MetadataMissing read error, never a panic.
-                continue;
-            };
-            #[expect(clippy::indexing_slicing, reason = "stripe_of is `% NODE_STRIPES`")]
-            self.nodes[stripe_of(&key)].write().insert(key, body);
-        }
-        Ok(())
+        let nodes = Arc::new(Nodes::default());
+        let durable = Durable::open(dir, opts, nodes.clone())?;
+        Ok(Self::with(node, nodes, Some(durable)))
     }
 
     /// Store one server group of tree nodes: durably first (when
     /// persistent), then into the striped memory map. The store read guard
-    /// is held across the whole group INCLUDING the flush, so a concurrent
-    /// [`Self::crash_wipe`] serializes entirely before the group (it fails
-    /// `ProviderDown`) or entirely after (every acknowledged node is on the
-    /// OS side of a process crash).
+    /// is held across the whole group INCLUDING the flush — see
+    /// [`crate::service`]: no node is ever acked and then lost.
     #[expect(
         clippy::indexing_slicing,
         reason = "subscripts are stripe_of() (`% NODE_STRIPES`) or enumerate() over a vector built with NODE_STRIPES entries, as `nodes` is"
     )]
     pub(crate) fn store_nodes(&self, nodes: Vec<(NodeKey, NodeBody)>) -> BlobResult<()> {
-        if let Some(mp) = &self.persist {
-            let g = mp.store.read();
+        if let Some(d) = self.store() {
+            let g = d.read();
             let Some(s) = g.as_ref() else {
-                return Err(BlobError::ProviderDown { node: self.node.0 });
+                return Err(self.down());
             };
             for (key, body) in &nodes {
                 s.put(&key.encode(), &body.encode())
-                    .map_err(|e| BlobError::persistence(&mp.dir, &e))?;
+                    .map_err(|e| d.err(&e))?;
             }
-            s.flush_buffered()
-                .map_err(|e| BlobError::persistence(&mp.dir, &e))?;
+            s.flush_buffered().map_err(|e| d.err(&e))?;
         }
         // Write-lock each touched stripe once for its share; untouched
         // stripes (and their concurrent readers) are never blocked.
@@ -155,7 +151,7 @@ impl MetaServer {
             if share.is_empty() {
                 continue;
             }
-            let mut stored = self.nodes[si].write();
+            let mut stored = self.nodes.0[si].write();
             for (key, body) in share {
                 if let Some(prev) = stored.get(&key) {
                     debug_assert_eq!(
@@ -169,107 +165,9 @@ impl MetaServer {
         Ok(())
     }
 
-    /// Process-crash injection for persistent metadata servers: stop
-    /// serving, drop the striped map, all counters and any buffered
-    /// unacknowledged records — keep only the on-disk store directory.
-    /// Memory-only servers answer `UnsupportedFault`.
-    pub fn crash_wipe(&self) -> BlobResult<()> {
-        let Some(mp) = &self.persist else {
-            return Err(BlobError::UnsupportedFault(format!(
-                "metadata server on {} holds its node map in memory only; \
-                 CrashRestart requires a persist_dir deployment",
-                self.node
-            )));
-        };
-        self.kill();
-        if let Some(s) = mp.store.write().take() {
-            s.abandon();
-        }
-        for stripe in &self.nodes {
-            stripe.write().clear();
-        }
-        for c in [&self.puts, &self.gets, &self.put_rpcs, &self.get_rpcs] {
-            c.store(0, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Restart a crash-wiped metadata server from its store directory:
-    /// replay from the newest checkpoint, rebuild the striped map, resume
-    /// serving. Returns the bytes replayed past the checkpoint. Idempotent:
-    /// recovering a server that was never wiped just revives it. A restart
-    /// that fails leaves the server wiped and down.
-    pub fn recover(&self) -> BlobResult<u64> {
-        let Some(mp) = &self.persist else {
-            return Err(BlobError::UnsupportedFault(format!(
-                "metadata server on {} holds its node map in memory only; nothing to recover",
-                self.node
-            )));
-        };
-        let mut g = mp.store.write();
-        let replayed = if g.is_none() {
-            let store = pstore::Store::open_with(&mp.dir, mp.opts.clone())
-                .map_err(|e| BlobError::persistence(&mp.dir, &e))?;
-            let replayed = store.replayed_bytes();
-            self.load_stripes(&store, &mp.dir)?;
-            *g = Some(store);
-            drop(g);
-            self.recoveries.fetch_add(1, Ordering::Relaxed);
-            replayed
-        } else {
-            0
-        };
-        self.revive();
-        Ok(replayed)
-    }
-
-    /// True between [`Self::crash_wipe`] and [`Self::recover`].
-    pub fn is_wiped(&self) -> bool {
-        matches!(&self.persist, Some(mp) if mp.store.read().is_none())
-    }
-
-    /// Completed crash-restart recoveries.
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries.load(Ordering::Relaxed)
-    }
-
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire)
-    }
-
-    pub fn kill(&self) {
-        self.alive.store(false, Ordering::Release);
-    }
-
-    pub fn revive(&self) {
-        self.alive.store(true, Ordering::Release);
-    }
-
     /// Number of tree nodes stored on this server.
     pub fn node_count(&self) -> usize {
-        self.nodes.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// (puts, gets) served — counted per *node*, however the nodes were
-    /// shipped (a batch of k nodes counts k).
-    pub fn op_counts(&self) -> (u64, u64) {
-        (
-            self.puts.load(Ordering::Relaxed),
-            self.gets.load(Ordering::Relaxed),
-        )
-    }
-
-    /// (put, get) wire round-trips served — a batch counts once. The gap
-    /// between [`Self::op_counts`] and this is the batching win.
-    pub fn rpc_counts(&self) -> (u64, u64) {
-        (
-            self.put_rpcs.load(Ordering::Relaxed),
-            self.get_rpcs.load(Ordering::Relaxed),
-        )
+        self.nodes.0.iter().map(|s| s.read().len()).sum()
     }
 }
 
@@ -352,17 +250,14 @@ impl MetaDht {
             }
             let server = &self.servers[i];
             if !server.is_alive() {
-                return Err(BlobError::ProviderDown {
-                    node: server.node.0,
-                });
+                return Err(server.down());
             }
             let req: u64 = group.iter().map(|(_, b)| b.encoded_size() + 40).sum();
-            p.rpc(server.node, req, 16);
+            p.rpc(server.node(), req, 16);
             if self.server_cpu_ops > 0 {
-                p.compute(server.node, self.server_cpu_ops * group.len() as u64);
+                p.compute(server.node(), self.server_cpu_ops * group.len() as u64);
             }
-            server.put_rpcs.fetch_add(1, Ordering::Relaxed);
-            server.puts.fetch_add(group.len() as u64, Ordering::Relaxed);
+            server.served_put(group.len() as u64);
             server.store_nodes(group)?;
         }
         Ok(())
@@ -397,12 +292,9 @@ impl MetaDht {
             }
             let server = &self.servers[si];
             if !server.is_alive() {
-                return Err(BlobError::ProviderDown {
-                    node: server.node.0,
-                });
+                return Err(server.down());
             }
-            server.get_rpcs.fetch_add(1, Ordering::Relaxed);
-            server.gets.fetch_add(group.len() as u64, Ordering::Relaxed);
+            server.served_get(group.len() as u64);
             let mut resp = 0u64;
             {
                 // Read locks only, one per touched stripe: batched readers
@@ -416,7 +308,7 @@ impl MetaDht {
                     if idxs.is_empty() {
                         continue;
                     }
-                    let stored = server.nodes[si].read();
+                    let stored = server.nodes.0[si].read();
                     for i in idxs {
                         let body = stored.get(&keys[i]).cloned();
                         resp += body.as_ref().map_or(16, |b| b.encoded_size() + 16);
@@ -424,9 +316,9 @@ impl MetaDht {
                     }
                 }
             }
-            p.rpc(server.node, 56 * group.len() as u64, resp);
+            p.rpc(server.node(), 56 * group.len() as u64, resp);
             if self.server_cpu_ops > 0 {
-                p.compute(server.node, self.server_cpu_ops * group.len() as u64);
+                p.compute(server.node(), self.server_cpu_ops * group.len() as u64);
             }
         }
         Ok(out)
@@ -442,8 +334,8 @@ impl MetaDht {
 mod tests {
     use super::*;
     use crate::meta::PageRef;
+    use crate::testutil::{with_proc, ScratchDir};
     use crate::types::{BlobId, PageId};
-    use fabric::{ClusterSpec, Fabric};
 
     fn key(v: u64, lo: u64, hi: u64) -> NodeKey {
         NodeKey {
@@ -460,13 +352,6 @@ mod tests {
             byte_len: 10,
             providers: vec![NodeId(0)],
         })
-    }
-
-    fn with_proc<T: Send + 'static>(f: impl FnOnce(&Proc) -> T + Send + 'static) -> T {
-        let fx = Fabric::sim(ClusterSpec::tiny(8));
-        let h = fx.spawn(NodeId(0), "t", f);
-        fx.run();
-        h.take().unwrap()
     }
 
     fn dht(n: u32) -> MetaDht {
@@ -569,9 +454,8 @@ mod tests {
 
     #[test]
     fn persistent_meta_server_survives_crash_restart() {
-        let dir = std::env::temp_dir().join(format!("meta-pstore-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let d2 = dir.clone();
+        let dir = ScratchDir::new("meta-pstore");
+        let d2 = dir.to_path_buf();
         with_proc(move |p| {
             let server = Arc::new(
                 MetaServer::new_persistent(NodeId(0), &d2, pstore::StoreOptions::default())
@@ -583,40 +467,27 @@ mod tests {
             d.put_batch(p, items.clone()).unwrap();
             assert_eq!(server.node_count(), 39);
 
+            // The lifecycle itself is asserted once, in `service.rs`; here:
+            // what a metadata server loses and what it gets back.
             server.crash_wipe().unwrap();
-            assert!(server.is_wiped());
             assert_eq!(server.node_count(), 0, "wipe drops the whole map");
             assert!(matches!(
                 d.get(p, &key(1, 0, 1)),
                 Err(BlobError::ProviderDown { .. })
             ));
 
-            let replayed = server.recover().unwrap();
-            assert!(replayed > 0, "no checkpoint: the whole log replays");
-            assert_eq!(server.recoveries(), 1);
+            server.recover().unwrap();
             assert_eq!(server.node_count(), 39, "every acked node came back");
             for (k, body) in &items {
                 assert_eq!(d.get(p, k).unwrap().as_ref(), Some(body));
             }
-            // Idempotent on a live server.
-            assert_eq!(server.recover().unwrap(), 0);
-            assert_eq!(server.recoveries(), 1);
-
-            // Memory-only servers cannot model a restart.
-            let mem = MetaServer::new(NodeId(1));
-            assert!(matches!(
-                mem.crash_wipe(),
-                Err(BlobError::UnsupportedFault(_))
-            ));
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn persistent_meta_server_reopens_from_directory() {
-        let dir = std::env::temp_dir().join(format!("meta-reopen-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let d2 = dir.clone();
+        let dir = ScratchDir::new("meta-reopen");
+        let d2 = dir.to_path_buf();
         with_proc(move |p| {
             let server = Arc::new(
                 MetaServer::new_persistent(NodeId(0), &d2, pstore::StoreOptions::default())
@@ -627,7 +498,7 @@ mod tests {
         });
         // A brand-new server object over the same directory (full process
         // restart) serves the old nodes.
-        let d3 = dir.clone();
+        let d3 = dir.to_path_buf();
         with_proc(move |p| {
             let server = Arc::new(
                 MetaServer::new_persistent(NodeId(0), &d3, pstore::StoreOptions::default())
@@ -637,7 +508,6 @@ mod tests {
             let d = MetaDht::new(vec![server], 0);
             assert_eq!(d.get(p, &key(5, 0, 1)).unwrap(), Some(leaf(5)));
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

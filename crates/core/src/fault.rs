@@ -21,7 +21,9 @@
 //! ¹ `CrashRestart` requires a persistent deployment (`persist_dir` set):
 //! the process loses everything in memory and the paired heal restarts it
 //! from its [`pstore`] directory. On a memory-only deployment there is no
-//! disk to come back from, so injection answers `UnsupportedFault`.
+//! disk to come back from, so injection answers `UnsupportedFault`. A
+//! restart that fails (the directory cannot be opened or read back) leaves
+//! the target wiped and down, and `heal` returns the error.
 //!
 //! ² A read replica holds no leases, so its heal is pure `recover()` —
 //! there is no `reinstate` step; pages the wipe lost beyond disk are

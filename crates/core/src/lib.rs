@@ -90,6 +90,9 @@ pub mod meta;
 pub mod provider;
 pub mod provider_manager;
 pub mod read_cache;
+pub mod service;
+#[cfg(test)]
+mod testutil;
 pub mod types;
 pub mod version_manager;
 

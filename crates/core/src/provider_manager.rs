@@ -501,7 +501,7 @@ impl ProviderManager {
 
     /// Re-reserve, on provider `node`, every outstanding lease entry whose
     /// page has not landed there. Called right after a crash-restarted
-    /// provider [`Provider::recover`]s: recovery zeroes the reservation
+    /// provider [`crate::service::Service::recover`]s: recovery zeroes the reservation
     /// counter (a restarted process has no memory of promises), but leases
     /// that straddled the crash are still live — their writers may yet store
     /// pages, and the reaper will expect the reservations to be there when
@@ -568,6 +568,7 @@ impl ProviderManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{with_proc, ScratchDir};
     use fabric::{ClusterSpec, Fabric, Payload};
 
     fn providers(n: u32) -> Vec<Arc<Provider>> {
@@ -602,12 +603,11 @@ mod tests {
         strategy: AllocStrategy,
         f: impl FnOnce(&Proc, &ProviderManager, &[Arc<Provider>]) -> T + Send + 'static,
     ) -> T {
-        let fx = Fabric::sim(ClusterSpec::tiny(8));
-        let provs = providers(n_providers);
-        let pm = pm_on(&fx, provs.clone(), strategy, None);
-        let h = fx.spawn(NodeId(0), "t", move |p| f(p, &pm, &provs));
-        fx.run();
-        h.take().unwrap()
+        with_proc(move |p| {
+            let provs = providers(n_providers);
+            let pm = pm_on(p.fabric(), provs.clone(), strategy, None);
+            f(p, &pm, &provs)
+        })
     }
 
     #[test]
@@ -781,8 +781,7 @@ mod tests {
 
     #[test]
     fn persisted_leases_survive_a_manager_restart() {
-        let dir = std::env::temp_dir().join(format!("pm-lease-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::new("pm-lease");
         let timeout = 100 * fabric::MILLIS;
 
         // Life 1: allocate three leases; settle one, partially store another,
@@ -792,7 +791,7 @@ mod tests {
         let pm = pm_on(&fx, provs.clone(), AllocStrategy::RoundRobin, Some(timeout))
             .with_persistence(&dir, pstore::StoreOptions::default())
             .unwrap();
-        let d2 = dir.clone();
+        let d2 = dir.to_path_buf();
         let h = fx.spawn(NodeId(0), "t", move |p| {
             let (la, a) = pm.allocate(p, &pages(&[40]), 1, &[]).unwrap();
             a[0][0].put_page(p, pg(0), Payload::ghost(40)).unwrap();
@@ -834,13 +833,11 @@ mod tests {
         });
         fx.run();
         h.take().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn reinstate_restores_only_unlanded_reservations() {
-        let dir = std::env::temp_dir().join(format!("pm-reinstate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::new("pm-reinstate");
         let pdir = dir.join("prov");
         let ldir = dir.join("pm");
         let timeout = 100 * fabric::MILLIS;
@@ -883,7 +880,6 @@ mod tests {
         });
         fx.run();
         h.take().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -111,9 +111,9 @@ pub fn tree_span(total_pages: u64) -> u64 {
 /// writes may shrink the page count, so existence is checked against the
 /// snapshot's total, not just against who ever touched the page).
 ///
-/// These scan functions are O(V); they are the historical-version fallback
-/// and the oracle the property tests hold [`crate::desc_index::DescIndex`]
-/// (the O(log) latest-version index) against.
+/// These scan functions are O(V) and nothing under `src/` calls them: they
+/// are the oracle `tests/desc_index_proptest.rs` holds
+/// [`crate::desc_index::DescIndex`] (the O(log) index) against.
 pub fn owner_of_page(descs: &[WriteDesc], up_to: Version, page: u64) -> Option<&WriteDesc> {
     let cur = descs.iter().rev().find(|d| d.version <= up_to)?;
     if page >= cur.total_pages {

@@ -645,15 +645,6 @@ mod tests {
         )
     }
 
-    fn with_proc<T: Send + 'static>(f: impl FnOnce(&Proc) -> T + Send + 'static) -> T {
-        let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let fx2 = fx.clone();
-        let h = fx.spawn(NodeId(3), "t", move |p| f(p));
-        let _ = &fx2;
-        fx.run();
-        h.take().unwrap()
-    }
-
     #[test]
     fn append_assign_and_publish_in_order() {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
@@ -890,7 +881,6 @@ mod tests {
 
     #[test]
     fn zero_byte_appends_rejected() {
-        with_proc(|_| {}); // keep helper alive for symmetry
         let fx = Fabric::sim(ClusterSpec::tiny(4));
         let vm = setup(&fx);
         let vm2 = vm.clone();

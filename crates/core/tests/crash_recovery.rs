@@ -266,7 +266,8 @@ fn live_mode_provider_kill_and_restart_mid_workload() {
 /// checkpoint vouches for the record without re-reading it) but fails the
 /// scan that reloads the node map. The server must stay wiped and down —
 /// never come up alive and empty, answering `Ok(None)` for nodes it
-/// acknowledged — and `heal` must return the cause instead of reviving it.
+/// acknowledged — and `heal` must return the cause instead of reviving it;
+/// `heal_all` reports it by target where it used to discard it.
 #[test]
 fn failed_meta_restart_stays_wiped_and_down() {
     use blobseer::meta::{NodeBody, NodeKey, PageRef};
@@ -315,7 +316,7 @@ fn failed_meta_restart_stays_wiped_and_down() {
                 })
             )
         };
-        assert!(is_corrupt(ms.recover().map(|_| ())));
+        assert!(is_corrupt(ms.recover().map(drop)));
         assert!(
             ms.is_wiped(),
             "a failed restart must leave the server wiped"
@@ -330,13 +331,21 @@ fn failed_meta_restart_stays_wiped_and_down() {
             "heal must return the restart's error"
         );
         assert!(ms.is_wiped() && !ms.is_alive(), "heal must not revive it");
+        let unhealed = bs.heal_all();
+        assert_eq!(unhealed.len(), 1, "every other target heals as a no-op");
+        let (target, cause) = &unhealed[0];
+        assert_eq!(target.to_string(), "meta-server[0]");
+        assert!(is_corrupt(Err(cause.clone())));
+        assert!(cause
+            .to_string()
+            .starts_with("persistence layer (corrupt) at "));
         assert!(matches!(
             dht.get(p, &key(1)),
             Err(BlobError::ProviderDown { .. })
         ));
 
         std::fs::write(&seg, &clean).unwrap();
-        bs.heal(FaultTarget::MetaServer(0)).unwrap();
+        assert_eq!(bs.heal_all(), vec![]);
         assert!(!ms.is_wiped() && ms.is_alive());
         assert_eq!(ms.recoveries(), 1);
         assert_eq!(ms.node_count(), 39);

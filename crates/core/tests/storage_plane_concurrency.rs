@@ -16,17 +16,25 @@
 //!   control-plane interaction;
 //! * **registry GC** — deleted BLOBs retire their registry slots via
 //!   epoch-based retirement: immediately unreachable, swept one epoch
-//!   later, never a write lock on the read path.
+//!   later, never a write lock on the read path;
+//! * **acknowledged means durable, under a race** — on real threads, a
+//!   process crash landing in the middle of four writers' batch streams
+//!   loses nothing a provider or a metadata server acknowledged, tears
+//!   nothing it refused, and the restart's rebuilt books match the store.
 //!
 //! The live-mode (real OS threads) variants drive the same machinery
 //! through BSFS in `crates/bsfs/tests/bsfs_integration.rs`.
 
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use blobseer::meta::PageRef;
+use blobseer::dht::{MetaDht, MetaServer};
+use blobseer::meta::{NodeBody, NodeKey, PageRef};
+use blobseer::provider::Provider;
 use blobseer::version_manager::UpdateKind;
-use blobseer::{BlobError, BlobSeer, BlobSeerConfig, Layout, PageId};
-use fabric::{ClusterSpec, Fabric, NodeId, Payload};
+use blobseer::{BlobError, BlobId, BlobResult, BlobSeer, BlobSeerConfig, Layout, PageId};
+use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
 use parking_lot::Mutex;
 
 const PS: u64 = 4 * 1024; // below the small-message cutoff: page streams
@@ -333,4 +341,223 @@ fn retired_blob_slots_are_swept_one_epoch_later() {
     });
     fx.run();
     driver.take().unwrap();
+}
+
+/// A storage service as the crash race below sees it: items are numbered,
+/// and an item's content is a pure function of its number.
+trait Plane: Send + Sync + 'static {
+    fn open(dir: &Path) -> Self;
+    /// Store `items` as ONE batch; one answer per item.
+    fn put(&self, p: &Proc, items: &[u64]) -> Vec<BlobResult<()>>;
+    /// `None` if the service does not hold `item`, else whether what it
+    /// holds is exactly what was sent.
+    fn intact(&self, p: &Proc, item: u64) -> Option<bool>;
+    fn crash(&self);
+    fn restart(&self);
+    /// The service's own books: (items, bytes) it believes it holds.
+    fn books(&self) -> (u64, u64);
+    /// What holding `item` adds to the byte book.
+    fn booked_bytes(item: u64) -> u64;
+}
+
+const HOST: NodeId = NodeId(5);
+
+fn page_bytes(item: u64) -> Vec<u8> {
+    vec![(item % 251) as u8 + 1; 48 + (item % 17) as usize]
+}
+
+impl Plane for Provider {
+    fn open(dir: &Path) -> Self {
+        Provider::new_persistent(HOST, dir).unwrap()
+    }
+    fn put(&self, p: &Proc, items: &[u64]) -> Vec<BlobResult<()>> {
+        let pages = items
+            .iter()
+            .map(|&i| (PageId(0xACED, i), Payload::from_vec(page_bytes(i))));
+        self.put_pages(p, pages.collect())
+    }
+    fn intact(&self, p: &Proc, item: u64) -> Option<bool> {
+        match self.get_page(p, PageId(0xACED, item)) {
+            Ok(data) => Some(data.bytes().as_ref() == &page_bytes(item)[..]),
+            Err(BlobError::PageUnavailable { .. }) => None,
+            Err(e) => panic!("page {item}: {e}"),
+        }
+    }
+    fn crash(&self) {
+        self.crash_wipe().unwrap();
+    }
+    fn restart(&self) {
+        self.recover().unwrap();
+    }
+    fn books(&self) -> (u64, u64) {
+        (self.stored_pages(), self.stored_bytes())
+    }
+    fn booked_bytes(item: u64) -> u64 {
+        page_bytes(item).len() as u64
+    }
+}
+
+fn node(item: u64) -> (NodeKey, NodeBody) {
+    let key = NodeKey {
+        blob: BlobId(7),
+        version: item,
+        page_lo: 0,
+        page_hi: 1,
+    };
+    let leaf = PageRef {
+        id: PageId(item, !item),
+        byte_len: item,
+        providers: vec![HOST],
+    };
+    (key, NodeBody::Leaf(leaf))
+}
+
+/// One metadata server behind its client-side view (the batch entry point).
+impl Plane for MetaDht {
+    fn open(dir: &Path) -> Self {
+        let server = MetaServer::new_persistent(HOST, dir, pstore::StoreOptions::default());
+        MetaDht::new(vec![Arc::new(server.unwrap())], 0)
+    }
+    fn put(&self, p: &Proc, items: &[u64]) -> Vec<BlobResult<()>> {
+        // A server group lands or fails as a whole.
+        let res = self.put_batch(p, items.iter().map(|&i| node(i)).collect());
+        items.iter().map(|_| res.clone()).collect()
+    }
+    fn intact(&self, p: &Proc, item: u64) -> Option<bool> {
+        let (key, body) = node(item);
+        self.get(p, &key).unwrap().map(|held| held == body)
+    }
+    fn crash(&self) {
+        self.servers()[0].crash_wipe().unwrap();
+    }
+    fn restart(&self) {
+        self.servers()[0].recover().unwrap();
+    }
+    fn books(&self) -> (u64, u64) {
+        (self.total_nodes() as u64, 0)
+    }
+    fn booked_bytes(_: u64) -> u64 {
+        0
+    }
+}
+
+/// The invariant the store guard exists for (`service.rs`: the guard is held
+/// across a whole batch including its flush), raced on real threads: four
+/// writers stream batches of eight while a fifth process kills the service
+/// mid-stream and restarts it. The interleaving is forced by gates, not
+/// sleeps — the crash lands only once every writer is streaming, the restart
+/// only once every writer has run into the outage, and the writers resume
+/// only once the restart is through.
+fn acked_items_survive_a_racing_crash_restart<S: Plane>(tag: &str) {
+    const WRITERS: u64 = 4;
+    const BATCH: u64 = 8;
+    const WARM: u64 = 8; // batches every writer lands before the crash may
+    const TAIL: u64 = 8; // batches every writer lands after the restart
+
+    let dir = std::env::temp_dir().join(format!("blobseer-race-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fx = Fabric::live(ClusterSpec::tiny(6));
+    let svc = Arc::new(S::open(&dir));
+    let (streaming, outage, restarted) = (fx.gate(), fx.gate(), fx.gate());
+    let (warm, stalled) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let svc = svc.clone();
+            let (streaming, outage, restarted) =
+                (streaming.clone(), outage.clone(), restarted.clone());
+            let (warm, stalled) = (warm.clone(), stalled.clone());
+            fx.spawn(NodeId(1 + w as u32), format!("writer{w}"), move |p| {
+                // (item, acknowledged) for everything this writer sent.
+                let mut log: Vec<(u64, bool)> = Vec::new();
+                let mut batch = |k: u64| -> bool {
+                    let items: Vec<u64> = (0..BATCH).map(|i| (w << 32) | (k * BATCH + i)).collect();
+                    let answers = svc.put(p, &items);
+                    assert_eq!(answers.len(), items.len());
+                    let mut all_acked = true;
+                    for (&item, answer) in items.iter().zip(answers) {
+                        match answer {
+                            Ok(()) => log.push((item, true)),
+                            Err(BlobError::ProviderDown { .. }) => {
+                                log.push((item, false));
+                                all_acked = false;
+                            }
+                            Err(e) => panic!("writer {w} item {item}: {e}"),
+                        }
+                    }
+                    all_acked
+                };
+                // Stream until the crash hits this writer.
+                let mut k = 0;
+                while batch(k) {
+                    k += 1;
+                    if k == WARM && warm.fetch_add(1, Ordering::SeqCst) + 1 == WRITERS {
+                        streaming.set();
+                    }
+                }
+                assert!(k >= WARM, "writer {w} saw an outage before the crash");
+                if stalled.fetch_add(1, Ordering::SeqCst) + 1 == WRITERS {
+                    outage.set();
+                }
+                restarted.wait(p);
+                for t in 1..=TAIL {
+                    assert!(batch(k + t), "writer {w} refused after the restart");
+                }
+                log
+            })
+        })
+        .collect();
+
+    let svc2 = svc.clone();
+    let crasher = fx.spawn(NodeId(0), "crasher", move |p| {
+        streaming.wait(p);
+        svc2.crash();
+        outage.wait(p);
+        svc2.restart();
+        restarted.set();
+
+        let (mut acked, mut refused, mut held) = (0u64, 0u64, (0u64, 0u64));
+        for writer in writers {
+            for (item, was_acked) in writer.join(p) {
+                let intact = svc2.intact(p, item);
+                assert_ne!(intact, Some(false), "item {item} is torn");
+                if was_acked {
+                    assert!(intact.is_some(), "item {item} was acknowledged, then lost");
+                    acked += 1;
+                } else {
+                    refused += 1;
+                }
+                if intact.is_some() {
+                    held = (held.0 + 1, held.1 + S::booked_bytes(item));
+                }
+            }
+        }
+        (acked, refused, held)
+    });
+    fx.run();
+    let (acked, refused, held) = crasher.take().unwrap();
+    assert!(acked >= WRITERS * (WARM + TAIL) * BATCH);
+    assert!(
+        refused >= WRITERS * BATCH,
+        "every writer ran into the outage"
+    );
+
+    // The restart rebuilt its books from the store's index and the tail
+    // batches kept them: they match what is held, and what a fresh process
+    // over the same directory reconstructs.
+    assert_eq!(svc.books(), held, "books drifted from what is held");
+    assert_eq!(Arc::strong_count(&svc), 1);
+    drop(svc);
+    assert_eq!(S::open(&dir).books(), held, "books differ from the store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn provider_acks_survive_a_racing_crash_restart() {
+    acked_items_survive_a_racing_crash_restart::<Provider>("provider");
+}
+
+#[test]
+fn meta_server_acks_survive_a_racing_crash_restart() {
+    acked_items_survive_a_racing_crash_restart::<MetaDht>("meta");
 }
