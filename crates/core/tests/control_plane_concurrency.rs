@@ -270,3 +270,458 @@ fn each_blob_reaps_independently() {
     fx.run();
     assert_eq!(h.take().unwrap(), 16);
 }
+
+/// One line of the rail's transcript: virtual time, process, what happened.
+fn note(log: &Mutex<Vec<String>>, p: &fabric::Proc, what: impl std::fmt::Display) {
+    log.lock()
+        .push(format!("{:>9} {} {what}", p.now(), p.name()));
+}
+
+fn verdict<T>(r: &Result<T, BlobError>) -> String {
+    match r {
+        Ok(_) => "Ok".into(),
+        Err(e) => format!("Err({e:?})"),
+    }
+}
+
+/// The rail under the per-BLOB version state machine: one scripted scenario
+/// on a bare `VersionManager`, every observable pinned to a literal — the
+/// published watermark after every step, the virtual time and order of every
+/// wake-up, every verb's `Ok` / typed `Err`, `pending_count` /
+/// `pending_footprint` at three points, and the fabric's final totals.
+/// Recorded before the state machine's representation was touched; a change
+/// that moves any line of the transcript changed the protocol's observable
+/// behaviour, not just its code.
+///
+/// 1. six writers × four appends on one BLOB, committing out of order;
+/// 2. a writer that never commits (v25) ahead of one that does (v26), two
+///    waiters parked on them; the write timeout expires during a metadata
+///    outage, so the first force-complete fails and the next interaction
+///    retries it — while the resurrected writer's late `commit` races it;
+/// 3. `delete_blob` with four versions pending (one committed) and three
+///    waiters parked out of order on the uncommitted ones.
+#[test]
+fn scripted_window_scenario_is_pinned_to_literals() {
+    const TIMEOUT: u64 = 500 * fabric::MILLIS;
+    let fx = Fabric::sim_seeded(ClusterSpec::tiny(12), 0x5EED_0023);
+    let server = Arc::new(blobseer::dht::MetaServer::new(NodeId(1)));
+    let dht = Arc::new(blobseer::dht::MetaDht::new(vec![server.clone()], 0));
+    let vm = Arc::new(VersionManager::new(
+        NodeId(0),
+        fx.clone(),
+        dht,
+        PS,
+        64,
+        20_000,
+        Some(TIMEOUT),
+    ));
+    let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+
+    let (vm0, log0) = (vm.clone(), log.clone());
+    fx.spawn(NodeId(2), "script", move |p| {
+        let (vm, log) = (vm0, log0);
+        let fx = p.fabric().clone();
+        let blob = vm.create_blob(p, None);
+        let pending = |p: &fabric::Proc, tag: &str| {
+            let (count, footprint) = (vm.pending_count(blob), vm.pending_footprint(blob));
+            note(
+                &log,
+                p,
+                format!("{tag}: pending {count} footprint {footprint:?}"),
+            );
+        };
+        let latest = |p: &fabric::Proc, tag: &str| {
+            let v = vm.latest(p, blob);
+            note(&log, p, format!("{tag}: latest {v:?}"));
+        };
+        let waiter = |node: u32, name: &str, version: u64| {
+            let (vm, log) = (vm.clone(), log.clone());
+            fx.spawn(NodeId(node), name, move |p| {
+                let r = vm.wait_published(p, blob, version);
+                note(&log, p, format!("woke on v{version}: {}", verdict(&r)));
+            })
+        };
+
+        // 1. Six writers, four appends each, stalls chosen so commits land
+        //    out of version order; a probe samples the window mid-storm.
+        let writers: Vec<_> = (0..6u64)
+            .map(|w| {
+                let (vm, log) = (vm.clone(), log.clone());
+                fx.spawn(NodeId(3 + w as u32), format!("w{w}"), move |p| {
+                    let mut known = 0;
+                    for r in 0..4u64 {
+                        let (d, ix) = vm
+                            .assign(
+                                p,
+                                blob,
+                                UpdateKind::Append,
+                                PS,
+                                one_page_manifest(w * 10 + r),
+                                known,
+                            )
+                            .unwrap();
+                        note(
+                            &log,
+                            p,
+                            format!("assigned v{} (index at v{})", d.version, ix.version()),
+                        );
+                        known = d.version;
+                        p.sleep(((w * 5 + r * 7) % 6) * 150 * fabric::MICROS + 50 * fabric::MICROS);
+                        let c = vm.commit(p, blob, d.version);
+                        let seen = vm.latest(p, blob);
+                        note(
+                            &log,
+                            p,
+                            format!("commit v{}: {}, latest {seen:?}", d.version, verdict(&c)),
+                        );
+                        let r = vm.wait_published(p, blob, d.version);
+                        note(&log, p, format!("woke on v{}: {}", d.version, verdict(&r)));
+                    }
+                })
+            })
+            .collect();
+        let probe = {
+            let (vm, log) = (vm.clone(), log.clone());
+            fx.spawn(NodeId(9), "probe", move |p| {
+                p.sleep(1500 * fabric::MICROS);
+                let (count, footprint) = (vm.pending_count(blob), vm.pending_footprint(blob));
+                note(
+                    &log,
+                    p,
+                    format!("mid-storm: pending {count} footprint {footprint:?}"),
+                );
+            })
+        };
+        for w in &writers {
+            w.join(p);
+        }
+        probe.join(p);
+        latest(p, "storm over");
+        pending(p, "storm over");
+
+        // 2. v25's writer stalls; v26 commits behind it; two waiters park.
+        let (stalled, go) = (fx.gate(), fx.gate());
+        let corpse = {
+            let (vm, log) = (vm.clone(), log.clone());
+            let (stalled, go) = (stalled.clone(), go.clone());
+            fx.spawn(NodeId(9), "corpse", move |p| {
+                let (d, _) = vm
+                    .assign(p, blob, UpdateKind::Append, PS, one_page_manifest(100), 24)
+                    .unwrap();
+                note(&log, p, format!("assigned v{}, then silence", d.version));
+                stalled.set();
+                go.wait(p);
+                // Resurrected: lands inside the retried force-complete.
+                p.sleep(20 * fabric::MICROS);
+                let c = vm.commit(p, blob, d.version);
+                let seen = vm.latest(p, blob);
+                note(
+                    &log,
+                    p,
+                    format!(
+                        "late commit v{}: {}, latest {seen:?}",
+                        d.version,
+                        verdict(&c)
+                    ),
+                );
+            })
+        };
+        stalled.wait(p);
+        let (d26, _) = vm
+            .assign(p, blob, UpdateKind::Append, PS, one_page_manifest(101), 24)
+            .unwrap();
+        let c = vm.commit(p, blob, d26.version);
+        note(&log, p, format!("commit v{}: {}", d26.version, verdict(&c)));
+        latest(p, "v26 waits behind v25");
+        let parked = [waiter(10, "waiter-a", 25), waiter(11, "waiter-b", 26)];
+        p.sleep(fabric::MILLIS);
+        pending(p, "two parked");
+        p.sleep(TIMEOUT);
+        server.kill();
+        let r = vm.reap_expired(p, blob);
+        note(&log, p, format!("reap during the outage: {}", verdict(&r)));
+        pending(p, "failed reap keeps the window");
+        latest(p, "failed reap publishes nothing");
+        server.revive();
+        go.set();
+        let c = vm.commit(p, blob, d26.version);
+        note(
+            &log,
+            p,
+            format!("re-commit v26 retries the reap: {}", verdict(&c)),
+        );
+        latest(p, "after the retry");
+        corpse.join(p);
+        for w in &parked {
+            w.join(p);
+        }
+        pending(p, "reaped");
+
+        // 3. Four pending (v30 committed), every typed refusal, then delete
+        //    under three waiters parked out of order.
+        for tag in 0..4u64 {
+            let a = vm.assign(
+                p,
+                blob,
+                UpdateKind::Append,
+                PS,
+                one_page_manifest(200 + tag),
+                26 + tag,
+            );
+            note(
+                &log,
+                p,
+                format!(
+                    "assign: {}",
+                    verdict(&a.map(|(d, _)| assert_eq!(d.version, 27 + tag)))
+                ),
+            );
+        }
+        let c = vm.commit(p, blob, 30);
+        note(&log, p, format!("commit v30: {}", verdict(&c)));
+        latest(p, "v30 waits behind v27");
+        note(
+            &log,
+            p,
+            format!("commit v31: {}", verdict(&vm.commit(p, blob, 31))),
+        );
+        note(
+            &log,
+            p,
+            format!("wait v31: {}", verdict(&vm.wait_published(p, blob, 31))),
+        );
+        note(
+            &log,
+            p,
+            format!("wait v3: {}", verdict(&vm.wait_published(p, blob, 3))),
+        );
+        note(
+            &log,
+            p,
+            format!("snapshot v27: {}", verdict(&vm.snapshot(p, blob, Some(27)))),
+        );
+        note(
+            &log,
+            p,
+            format!("snapshot v26: {:?}", vm.snapshot(p, blob, Some(26))),
+        );
+        note(
+            &log,
+            p,
+            format!(
+                "force-complete v31: {}",
+                verdict(&vm.force_complete(p, blob, 31))
+            ),
+        );
+        note(
+            &log,
+            p,
+            format!(
+                "force-complete v3: {}",
+                verdict(&vm.force_complete(p, blob, 3))
+            ),
+        );
+        note(
+            &log,
+            p,
+            format!(
+                "force-complete v30: {}",
+                verdict(&vm.force_complete(p, blob, 30))
+            ),
+        );
+        let empty = vm.assign(p, blob, UpdateKind::Append, 0, Arc::new(vec![]), 30);
+        note(&log, p, format!("assign 0 B: {}", verdict(&empty)));
+        let ix = vm.sync_index(p, blob, 20).map(|ix| ix.version());
+        note(&log, p, format!("sync_index: {ix:?}"));
+        let doomed = [
+            waiter(10, "waiter-c", 29),
+            waiter(11, "waiter-d", 27),
+            waiter(3, "waiter-e", 28),
+        ];
+        p.sleep(fabric::MILLIS);
+        pending(p, "before delete");
+        note(
+            &log,
+            p,
+            format!("delete: {}", verdict(&vm.delete_blob(p, blob))),
+        );
+        note(
+            &log,
+            p,
+            format!("commit v27: {}", verdict(&vm.commit(p, blob, 27))),
+        );
+        let a = vm.assign(p, blob, UpdateKind::Append, PS, one_page_manifest(300), 30);
+        note(&log, p, format!("assign: {}", verdict(&a)));
+        note(
+            &log,
+            p,
+            format!("wait v28: {}", verdict(&vm.wait_published(p, blob, 28))),
+        );
+        note(
+            &log,
+            p,
+            format!("snapshot: {}", verdict(&vm.snapshot(p, blob, None))),
+        );
+        note(
+            &log,
+            p,
+            format!("sync_index: {}", verdict(&vm.sync_index(p, blob, 0))),
+        );
+        note(
+            &log,
+            p,
+            format!(
+                "force-complete v27: {}",
+                verdict(&vm.force_complete(p, blob, 27))
+            ),
+        );
+        note(
+            &log,
+            p,
+            format!("reap: {}", verdict(&vm.reap_expired(p, blob))),
+        );
+        note(
+            &log,
+            p,
+            format!("delete again: {}", verdict(&vm.delete_blob(p, blob))),
+        );
+        for w in &doomed {
+            w.join(p);
+        }
+        pending(p, "deleted");
+    });
+    fx.run();
+
+    let stats = fx.stats();
+    log.lock().push(format!(
+        "fabric: {} transfers, {} bytes, {} ns",
+        stats.transfers, stats.bytes_requested, stats.now_ns
+    ));
+    let got = log.lock().clone();
+    #[rustfmt::skip]
+    let want: &[&str] = &[
+        "   470000 w0 assigned v1 (index at v1)",
+        "   470000 w1 assigned v2 (index at v2)",
+        "   470000 w2 assigned v3 (index at v3)",
+        "   470000 w3 assigned v4 (index at v4)",
+        "   470000 w4 assigned v5 (index at v5)",
+        "   470000 w5 assigned v6 (index at v6)",
+        "   940000 w0 commit v1: Ok, latest Ok(1)",
+        "   940000 w0 woke on v1: Ok",
+        "  1090000 w5 commit v6: Ok, latest Ok(1)",
+        "  1150000 w0 assigned v7 (index at v7)",
+        "  1240000 w4 commit v5: Ok, latest Ok(1)",
+        "  1390000 w3 commit v4: Ok, latest Ok(1)",
+        "  1480000 w3 woke on v4: Ok",
+        "  1480000 w4 woke on v5: Ok",
+        "  1480000 w5 woke on v6: Ok",
+        "  1540000 w2 commit v3: Ok, latest Ok(6)",
+        "  1540000 w2 woke on v3: Ok",
+        "  1710000 probe mid-storm: pending 4 footprint (4, 33)",
+        "  1720000 w1 commit v2: Ok, latest Ok(7)",
+        "  1720000 w1 woke on v2: Ok",
+        "  1720000 w3 assigned v8 (index at v8)",
+        "  1720000 w4 assigned v9 (index at v9)",
+        "  1720000 w5 assigned v10 (index at v10)",
+        "  1750000 w2 assigned v11 (index at v11)",
+        "  1770000 w0 commit v7: Ok, latest Ok(7)",
+        "  1770000 w0 woke on v7: Ok",
+        "  1930000 w1 assigned v12 (index at v12)",
+        "  1980000 w0 assigned v13 (index at v13)",
+        "  2400000 w1 commit v12: Ok, latest Ok(7)",
+        "  2490000 w5 commit v10: Ok, latest Ok(7)",
+        "  2580000 w5 woke on v10: Ok",
+        "  2640000 w4 commit v9: Ok, latest Ok(10)",
+        "  2640000 w4 woke on v9: Ok",
+        "  2750000 w0 commit v13: Ok, latest Ok(10)",
+        "  2760000 w1 woke on v12: Ok",
+        "  2760000 w0 woke on v13: Ok",
+        "  2800000 w3 commit v8: Ok, latest Ok(13)",
+        "  2800000 w3 woke on v8: Ok",
+        "  2800000 w5 assigned v14 (index at v14)",
+        "  2850000 w4 assigned v15 (index at v15)",
+        "  2990000 w2 commit v11: Ok, latest Ok(13)",
+        "  2990000 w2 woke on v11: Ok",
+        "  2990000 w1 assigned v16 (index at v16)",
+        "  2990000 w0 assigned v17 (index at v17)",
+        "  3010000 w3 assigned v18 (index at v18)",
+        "  3200000 w2 assigned v19 (index at v19)",
+        "  3610000 w1 commit v16: Ok, latest Ok(14)",
+        "  3670000 w2 commit v19: Ok, latest Ok(14)",
+        "  3710000 w1 woke on v16: Ok",
+        "  3720000 w5 commit v14: Ok, latest Ok(17)",
+        "  3720000 w5 woke on v14: Ok",
+        "  3910000 w0 commit v17: Ok, latest Ok(17)",
+        "  3910000 w0 woke on v17: Ok",
+        "  3935000 w4 commit v15: Ok, latest Ok(17)",
+        "  3935000 w4 woke on v15: Ok",
+        "  3935000 w1 assigned v20 (index at v20)",
+        "  3940000 w5 assigned v21 (index at v21)",
+        "  4020000 w2 woke on v19: Ok",
+        "  4145000 w4 assigned v22 (index at v22)",
+        "  4240000 w3 commit v18: Ok, latest Ok(19)",
+        "  4240000 w3 woke on v18: Ok",
+        "  4240000 w2 assigned v23 (index at v23)",
+        "  4450000 w3 assigned v24 (index at v24)",
+        "  4710000 w1 commit v20: Ok, latest Ok(20)",
+        "  4710000 w1 woke on v20: Ok",
+        "  4860000 w2 commit v23: Ok, latest Ok(21)",
+        "  4925000 w3 commit v24: Ok, latest Ok(21)",
+        "  5010000 w5 commit v21: Ok, latest Ok(21)",
+        "  5010000 w5 woke on v21: Ok",
+        "  5155000 w2 woke on v23: Ok",
+        "  5155000 w3 woke on v24: Ok",
+        "  5365000 w4 commit v22: Ok, latest Ok(24)",
+        "  5365000 w4 woke on v22: Ok",
+        "  5575000 script storm over: latest Ok(24)",
+        "  5575000 script storm over: pending 0 footprint (0, 48)",
+        "  5785000 corpse assigned v25, then silence",
+        "  6205000 script commit v26: Ok",
+        "  6415000 script v26 waits behind v25: latest Ok(24)",
+        "  7415000 script two parked: pending 2 footprint (2, 60)",
+        "507415000 script reap during the outage: Err(ProviderDown { node: 1 })",
+        "507415000 script failed reap keeps the window: pending 2 footprint (2, 60)",
+        "507625000 script failed reap publishes nothing: latest Ok(24)",
+        "507855000 waiter-a woke on v25: Ok",
+        "507855000 waiter-b woke on v26: Ok",
+        "508035000 script re-commit v26 retries the reap: Ok",
+        "508065000 corpse late commit v25: Ok, latest Ok(26)",
+        "508245000 script after the retry: latest Ok(26)",
+        "508245000 script reaped: pending 0 footprint (0, 53)",
+        "508455000 script assign: Ok",
+        "508665000 script assign: Ok",
+        "508875000 script assign: Ok",
+        "509085000 script assign: Ok",
+        "509295000 script commit v30: Ok",
+        "509505000 script v30 waits behind v27: latest Ok(26)",
+        "509715000 script commit v31: Err(NoSuchVersion { blob: BlobId(1), version: 31 })",
+        "509715000 script wait v31: Err(NoSuchVersion { blob: BlobId(1), version: 31 })",
+        "509715000 script wait v3: Ok",
+        "509925000 script snapshot v27: Err(NoSuchVersion { blob: BlobId(1), version: 27 })",
+        "510135000 script snapshot v26: Ok(SnapshotInfo { version: 26, total_pages: 26, total_bytes: 106496, page_size: 4096 })",
+        "510135000 script force-complete v31: Err(NoSuchVersion { blob: BlobId(1), version: 31 })",
+        "510135000 script force-complete v3: Ok",
+        "510135000 script force-complete v30: Ok",
+        "510345000 script assign 0 B: Err(EmptyWrite)",
+        "510555000 script sync_index: Ok(26)",
+        "511555000 script before delete: pending 4 footprint (4, 77)",
+        "511765000 script delete: Ok",
+        "511765000 waiter-d woke on v27: Err(NoSuchBlob(BlobId(1)))",
+        "511765000 waiter-e woke on v28: Err(NoSuchBlob(BlobId(1)))",
+        "511765000 waiter-c woke on v29: Err(NoSuchBlob(BlobId(1)))",
+        "511975000 script commit v27: Err(NoSuchBlob(BlobId(1)))",
+        "512185000 script assign: Err(NoSuchBlob(BlobId(1)))",
+        "512185000 script wait v28: Err(NoSuchBlob(BlobId(1)))",
+        "512395000 script snapshot: Err(NoSuchBlob(BlobId(1)))",
+        "512395000 script sync_index: Err(NoSuchBlob(BlobId(1)))",
+        "512395000 script force-complete v27: Err(NoSuchBlob(BlobId(1)))",
+        "512395000 script reap: Ok",
+        "512605000 script delete again: Err(NoSuchBlob(BlobId(1)))",
+        "512605000 script deleted: pending 0 footprint (0, 0)",
+        "fabric: 200 transfers, 20184 bytes, 512605000 ns",
+    ];
+    for (i, (got, want)) in got.iter().zip(want).enumerate() {
+        assert_eq!(got, want, "transcript line {i}");
+    }
+    assert_eq!(got.len(), want.len(), "transcript length");
+}
