@@ -253,7 +253,11 @@ impl Provider {
             }
             Some(d) => {
                 // Held across the whole batch INCLUDING the flush — see
-                // `crate::service`: no page is ever acked and then lost.
+                // `crate::service`: no page is ever acked and then lost —
+                // and the books: a crash-and-restart cycle landing between
+                // "the index holds the batch" and "the books count it"
+                // would rebuild the books from that index and the late bump
+                // would count the batch twice.
                 let g = d.read();
                 let Some(s) = g.as_ref() else {
                     return all_down();
@@ -279,7 +283,6 @@ impl Provider {
                 // acknowledgement leaves this provider. A failed flush
                 // fails the batch: nothing unflushed is ever acked.
                 let flush_err = s.flush_buffered().err().map(|e| d.err(&e));
-                drop(g);
                 let mut landed_bytes = 0u64;
                 for (len, res) in staged {
                     let res = match (&flush_err, res) {
@@ -299,6 +302,7 @@ impl Provider {
                         Err(e) => out.push(Err(e)),
                     }
                 }
+                drop(g);
                 p.disk_write(self.node(), landed_bytes);
             }
         }

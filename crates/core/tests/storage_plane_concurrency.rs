@@ -20,13 +20,16 @@
 //! * **acknowledged means durable, under a race** — on real threads, a
 //!   process crash landing in the middle of four writers' batch streams
 //!   loses nothing a provider or a metadata server acknowledged, tears
-//!   nothing it refused, and the restart's rebuilt books match the store.
+//!   nothing it refused, and the restart's rebuilt books match the store;
+//!   in a second mode the crash and the restart land back to back, six
+//!   times, under writers that never stop, and the books still equal the
+//!   store's index (a batch's books are bumped under the store guard).
 //!
 //! The live-mode (real OS threads) variants drive the same machinery
 //! through BSFS in `crates/bsfs/tests/bsfs_integration.rs`.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use blobseer::dht::{MetaDht, MetaServer};
@@ -516,23 +519,7 @@ fn acked_items_survive_a_racing_crash_restart<S: Plane>(tag: &str) {
         svc2.restart();
         restarted.set();
 
-        let (mut acked, mut refused, mut held) = (0u64, 0u64, (0u64, 0u64));
-        for writer in writers {
-            for (item, was_acked) in writer.join(p) {
-                let intact = svc2.intact(p, item);
-                assert_ne!(intact, Some(false), "item {item} is torn");
-                if was_acked {
-                    assert!(intact.is_some(), "item {item} was acknowledged, then lost");
-                    acked += 1;
-                } else {
-                    refused += 1;
-                }
-                if intact.is_some() {
-                    held = (held.0 + 1, held.1 + S::booked_bytes(item));
-                }
-            }
-        }
-        (acked, refused, held)
+        audit(p, &*svc2, writers)
     });
     fx.run();
     let (acked, refused, held) = crasher.take().unwrap();
@@ -541,15 +528,127 @@ fn acked_items_survive_a_racing_crash_restart<S: Plane>(tag: &str) {
         refused >= WRITERS * BATCH,
         "every writer ran into the outage"
     );
+    assert_books_match_the_store(svc, &dir, held);
+}
 
-    // The restart rebuilt its books from the store's index and the tail
-    // batches kept them: they match what is held, and what a fresh process
-    // over the same directory reconstructs.
+/// Join the writers and check every item they sent against what the service
+/// serves now: nothing torn, nothing acknowledged and then lost. Returns
+/// (acknowledged, refused, (items, bytes) held).
+fn audit<S: Plane>(
+    p: &Proc,
+    svc: &S,
+    writers: Vec<fabric::JoinHandle<Vec<(u64, bool)>>>,
+) -> (u64, u64, (u64, u64)) {
+    let (mut acked, mut refused, mut held) = (0u64, 0u64, (0u64, 0u64));
+    for writer in writers {
+        for (item, was_acked) in writer.join(p) {
+            let intact = svc.intact(p, item);
+            assert_ne!(intact, Some(false), "item {item} is torn");
+            if was_acked {
+                assert!(intact.is_some(), "item {item} was acknowledged, then lost");
+                acked += 1;
+            } else {
+                refused += 1;
+            }
+            if intact.is_some() {
+                held = (held.0 + 1, held.1 + S::booked_bytes(item));
+            }
+        }
+    }
+    (acked, refused, held)
+}
+
+/// The restarts rebuilt the books from the store's index and the batches
+/// after them kept the books: they match what is held, and what a fresh
+/// process over the same directory reconstructs.
+fn assert_books_match_the_store<S: Plane>(svc: Arc<S>, dir: &Path, held: (u64, u64)) {
     assert_eq!(svc.books(), held, "books drifted from what is held");
     assert_eq!(Arc::strong_count(&svc), 1);
     drop(svc);
-    assert_eq!(S::open(&dir).books(), held, "books differ from the store");
+    assert_eq!(S::open(dir).books(), held, "books differ from the store");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The second race mode: crash and restart land back to back, with no gate
+/// between them, under writers that never stop. A batch's books are bumped
+/// under the same store guard as its flush (`Provider::put_pages`), so a
+/// whole crash-and-restart cycle can never fit between "the index holds the
+/// batch" and "the books count it" — if it could, the restart would rebuild
+/// the books from an index that already holds the batch and the late bump
+/// would count it twice.
+fn books_survive_back_to_back_crash_restarts<S: Plane>(tag: &str) {
+    const WRITERS: u64 = 4;
+    const BATCH: u64 = 8;
+    const WARM: u64 = 4; // batches every writer lands before the first crash
+    const CYCLES: u64 = 6;
+
+    let dir = std::env::temp_dir().join(format!("blobseer-cycle-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let fx = Fabric::live(ClusterSpec::tiny(6));
+    let svc = Arc::new(S::open(&dir));
+    let streaming = fx.gate();
+    let (warm, stop) = (
+        Arc::new(AtomicU64::new(0)),
+        Arc::new(AtomicBool::new(false)),
+    );
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let (svc, streaming) = (svc.clone(), streaming.clone());
+            let (warm, stop) = (warm.clone(), stop.clone());
+            fx.spawn(NodeId(1 + w as u32), format!("writer{w}"), move |p| {
+                let mut log: Vec<(u64, bool)> = Vec::new();
+                let mut landed = 0;
+                for k in 0.. {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let items: Vec<u64> = (0..BATCH).map(|i| (w << 32) | (k * BATCH + i)).collect();
+                    let answers = svc.put(p, &items);
+                    assert_eq!(answers.len(), items.len());
+                    let mut refused = false;
+                    for (&item, answer) in items.iter().zip(answers) {
+                        match answer {
+                            Ok(()) => log.push((item, true)),
+                            Err(BlobError::ProviderDown { .. }) => {
+                                log.push((item, false));
+                                refused = true;
+                            }
+                            Err(e) => panic!("writer {w} item {item}: {e}"),
+                        }
+                    }
+                    if refused {
+                        // Keep knocking, but do not spin the log full while
+                        // the store reopens.
+                        p.sleep(50 * fabric::MICROS);
+                        continue;
+                    }
+                    landed += 1;
+                    if landed == WARM && warm.fetch_add(1, Ordering::SeqCst) + 1 == WRITERS {
+                        streaming.set();
+                    }
+                }
+                log
+            })
+        })
+        .collect();
+
+    let svc2 = svc.clone();
+    let crasher = fx.spawn(NodeId(0), "crasher", move |p| {
+        streaming.wait(p);
+        for _ in 0..CYCLES {
+            svc2.crash();
+            svc2.restart();
+            // Let the writers land batches on the restarted service.
+            p.sleep(2 * fabric::MILLIS);
+        }
+        stop.store(true, Ordering::SeqCst);
+        audit(p, &*svc2, writers)
+    });
+    fx.run();
+    let (acked, _, held) = crasher.take().unwrap();
+    assert!(acked >= WRITERS * WARM * BATCH);
+    assert_books_match_the_store(svc, &dir, held);
 }
 
 #[test]
@@ -560,4 +659,14 @@ fn provider_acks_survive_a_racing_crash_restart() {
 #[test]
 fn meta_server_acks_survive_a_racing_crash_restart() {
     acked_items_survive_a_racing_crash_restart::<MetaDht>("meta");
+}
+
+#[test]
+fn provider_books_survive_back_to_back_crash_restarts() {
+    books_survive_back_to_back_crash_restarts::<Provider>("provider");
+}
+
+#[test]
+fn meta_server_books_survive_back_to_back_crash_restarts() {
+    books_survive_back_to_back_crash_restarts::<MetaDht>("meta");
 }
