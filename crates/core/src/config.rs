@@ -173,12 +173,6 @@ impl BlobSeerConfig {
         self.client_index_cache_entries = entries;
         self
     }
-
-    /// Convenience: set just the write timeout (tests mostly tune this one).
-    pub fn with_write_timeout(mut self, t: Option<u64>) -> Self {
-        self.timeouts.write_timeout_ns = t;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -78,13 +78,6 @@ pub enum BlobError {
     ProviderDown { node: u32 },
     /// No providers available to place pages on.
     NoProviders,
-    /// The version was aborted (writer failure) and will never publish.
-    VersionAborted { blob: BlobId, version: Version },
-    /// A control-plane race was lost: the version's pending state vanished
-    /// (a concurrent reap/force-complete/commit interleaving carried it)
-    /// between two observations. Callers may re-check the published version
-    /// and retry; this is never a panic.
-    VersionRaced { blob: BlobId, version: Version },
     /// Local persistence failure: the cause class, the store directory it
     /// happened in, and a human-readable detail line.
     Persistence {
@@ -136,14 +129,6 @@ impl fmt::Display for BlobError {
             BlobError::PageUnavailable { detail } => write!(f, "page unavailable: {detail}"),
             BlobError::ProviderDown { node } => write!(f, "provider on node n{node} is down"),
             BlobError::NoProviders => write!(f, "no live providers available"),
-            BlobError::VersionAborted { blob, version } => {
-                write!(f, "{blob} version {version} was aborted")
-            }
-            BlobError::VersionRaced { blob, version } => write!(
-                f,
-                "{blob} version {version}: pending state vanished to a concurrent \
-                 reap/commit; re-check the published version"
-            ),
             BlobError::Persistence { kind, path, detail } => {
                 write!(f, "persistence layer ({kind}) at {path}: {detail}")
             }

@@ -44,7 +44,7 @@
 /// | rank | lock | where |
 /// |------|------|-------|
 /// | 1 | `blobs` — VM registry `RwLock<HashMap<BlobId, Arc<BlobSlot>>>` | `version_manager.rs` |
-/// | 2 | `state` — per-BLOB `Mutex<BlobState>` (the `meta.rs` lock unit) | `version_manager.rs` |
+/// | 2 | `state` — per-BLOB `Mutex<BlobState>`; the lock unit and its dense pending window live in `meta.rs`, one method call per hold | `version_manager.rs` |
 /// | 3 | `leases` — provider-manager lease book `Mutex<LeaseBook>` | `provider_manager.rs` |
 /// | 4 | `stripes` / `nodes` — provider page stripes, metadata-server node stripes | `provider.rs`, `dht.rs` |
 /// | 5 | `shards` / `views` — read-cache shards, the client's per-BLOB index views | `read_cache.rs`, `client.rs` |

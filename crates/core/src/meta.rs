@@ -25,11 +25,13 @@
 //!
 //! This module also hosts [`BlobState`], the per-BLOB control-plane state
 //! machine that is the lock unit of the sharded
-//! [`crate::version_manager::VersionManager`]: like the tree planners above
-//! it performs no I/O — the version manager wraps one `Mutex<BlobState>` per
-//! BLOB and keeps RPC charging, DHT traffic and gate waits outside the lock.
+//! [`crate::version_manager::VersionManager`] and the one place the
+//! publication protocol is written: like the tree planners above it performs
+//! no I/O — the version manager wraps one `Mutex<BlobState>` per BLOB and
+//! keeps RPC charging, DHT traffic, gate waits and gate firing outside the
+//! lock.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use fabric::sync::Gate;
@@ -374,79 +376,139 @@ impl SnapshotInfo {
 }
 
 /// Everything the version manager retains about one assigned-but-unpublished
-/// version of a BLOB.
-pub(crate) struct PendingWrite {
+/// version of a BLOB: one slot of [`BlobState`]'s window.
+struct PendingWrite {
     /// The writer's page manifest, shared (not copied) for force-complete.
-    pub manifest: Arc<Vec<PageRef>>,
+    manifest: Arc<Vec<PageRef>>,
     /// Descriptor-index snapshot pinned at exactly this version — an O(1)
     /// clone of the persistent tree, so force-complete can rebuild the
     /// writer's exact metadata plan without copying any history.
-    pub index: DescIndex,
-    pub assigned_at: SimTime,
-    pub gate: Gate,
+    index: DescIndex,
+    assigned_at: SimTime,
+    gate: Gate,
+    /// Committed, waiting for its predecessors to publish.
+    committed: bool,
+    /// Handed to a reaper by [`BlobState::take_expired`] and not given back:
+    /// no second reaper is handed the same version.
+    reaping: bool,
 }
 
+/// What [`BlobState::orphan`] hands a force-completer: the descriptor, the
+/// index snapshot pinned at it and the page manifest of a version whose
+/// writer is presumed dead — everything `plan_write` needs, all `Arc` shares.
+pub(crate) type Orphan = (WriteDesc, DescIndex, Arc<Vec<PageRef>>);
+
 /// Per-BLOB control-plane state: the **lock unit** of the sharded version
-/// manager. One `Mutex<BlobState>` guards exactly one BLOB, so operations on
-/// distinct BLOBs never contend; everything here is a pure state machine
-/// (no I/O, no RPC charging), which is what lets the version manager keep
-/// its critical sections down to the version-counter bump and state splice.
+/// manager and the only place that knows the publication protocol. One
+/// `Mutex<BlobState>` guards exactly one BLOB, so operations on distinct
+/// BLOBs never contend. It takes no lock, charges no RPC and fires no gate;
+/// the clock and the gates come in as arguments of [`Self::assign`]. Every
+/// field is private and the version manager calls exactly one method per
+/// lock hold. The transitions: [`Self::assign`], [`Self::commit`],
+/// [`Self::take_expired`] / [`Self::give_back`]; everything else —
+/// [`Self::orphan`], [`Self::retire`], [`Self::waiter`], [`Self::snapshot`],
+/// [`Self::share_published`], [`Self::pending_len`], [`Self::footprint`] —
+/// only reads.
+///
+/// **The window is dense by construction.** `window` holds exactly the
+/// versions `published + 1 ..= assigned`, in order, the entry for `v` at
+/// `v - published - 1`: `assign` pushes version `assigned + 1` at the back,
+/// `commit` pops `published + 1` off the front, nothing else adds or
+/// removes. Hence `window.len() == assigned - published`; every version in
+/// `(published, assigned]` has its entry; `assigned_at` is monotone along
+/// the window (the clock is read under the lock), so if the front has not
+/// expired nothing has; and the front is never `committed` — a committed
+/// front publishes before `commit` returns.
 pub(crate) struct BlobState {
+    blob: BlobId,
     /// Descriptors of every *assigned* version, dense: `descs[v-1]`.
-    pub descs: Vec<WriteDesc>,
+    descs: Vec<WriteDesc>,
     /// Incrementally-maintained descriptor index over `descs` — answers all
     /// latest-version queries in O(log) and snapshots in O(1).
-    pub index: DescIndex,
+    index: DescIndex,
     /// Index snapshot pinned at the latest *published* version — what
     /// `VersionManager::sync_index` ships to readers, so their locality
     /// queries never observe assigned-but-unpublished versions.
-    pub published_index: DescIndex,
-    /// Assigned but not yet published versions (kept for force-complete).
-    pub pending: HashMap<Version, PendingWrite>,
-    /// Versions in assignment order with their assignment times. Assignment
-    /// times are monotone, so the front is always the oldest deadline: the
-    /// common no-expiry reap check peeks one entry instead of scanning the
-    /// whole pending map. Entries whose version already committed or
-    /// published are discarded lazily.
-    reap_queue: VecDeque<(SimTime, Version)>,
-    /// Committed but not yet published (publication is strictly in order).
-    pub committed: BTreeSet<Version>,
-    pub published: Version,
+    published_index: DescIndex,
+    /// Assigned but not yet published versions, oldest first.
+    window: VecDeque<PendingWrite>,
+    published: Version,
 }
 
 impl BlobState {
-    pub fn new(page_size: u64) -> Self {
+    pub fn new(blob: BlobId, page_size: u64) -> Self {
         BlobState {
+            blob,
             descs: Vec::new(),
             index: DescIndex::new(page_size),
             published_index: DescIndex::new(page_size),
-            pending: HashMap::new(),
-            reap_queue: VecDeque::new(),
-            committed: BTreeSet::new(),
+            window: VecDeque::new(),
             published: 0,
         }
     }
 
-    pub fn page_size(&self) -> u64 {
-        self.index.page_size()
-    }
-
     /// Highest assigned version (0 when nothing was ever assigned).
-    pub fn assigned(&self) -> Version {
+    fn assigned(&self) -> Version {
         self.descs.len() as Version
     }
 
-    /// Compute the descriptor the next update would get. Pure read — the
-    /// caller splices it in with [`Self::admit`] under the same lock hold.
-    /// `k_pages` (= manifest length) is validated lock-free by the caller
-    /// against the immutable page size.
-    pub fn build_descriptor(
-        &self,
+    fn no_such_version(&self, version: Version) -> BlobError {
+        BlobError::NoSuchVersion {
+            blob: self.blob,
+            version,
+        }
+    }
+
+    /// Descriptor of an assigned version; `None` for 0 and for versions never
+    /// assigned.
+    fn desc(&self, version: Version) -> Option<&WriteDesc> {
+        self.descs.get(version.checked_sub(1)? as usize)
+    }
+
+    /// The window entry of `version`; `None` once it published.
+    fn pending(&self, version: Version) -> Option<&PendingWrite> {
+        let slot = version.checked_sub(self.published + 1)?;
+        self.window.get(slot as usize)
+    }
+
+    fn pending_mut(&mut self, version: Version) -> Option<&mut PendingWrite> {
+        let slot = version.checked_sub(self.published + 1)?;
+        self.window.get_mut(slot as usize)
+    }
+
+    /// Reserve the next version for an update of `nbytes` in
+    /// `manifest.len()` pages: compute its descriptor, fold it into the index
+    /// and park the pending write at the back of the window. Returns the
+    /// descriptor and the index snapshot pinned at the new version (an O(1)
+    /// `Arc` share). The manifest's length is validated lock-free by the
+    /// caller against the immutable page size; `assigned_at` must be read
+    /// under the same lock hold (monotone along the window).
+    pub fn assign(
+        &mut self,
         kind: UpdateKind,
         nbytes: u64,
-        k_pages: u64,
-    ) -> BlobResult<WriteDesc> {
-        let ps = self.page_size();
+        manifest: Arc<Vec<PageRef>>,
+        assigned_at: SimTime,
+        gate: Gate,
+    ) -> BlobResult<(WriteDesc, DescIndex)> {
+        let desc = self.describe(kind, nbytes, manifest.len() as u64)?;
+        self.descs.push(desc);
+        self.index.apply(&desc);
+        let index = self.index.clone();
+        self.window.push_back(PendingWrite {
+            manifest,
+            index: index.clone(),
+            assigned_at,
+            gate,
+            committed: false,
+            reaping: false,
+        });
+        Ok((desc, index))
+    }
+
+    /// The descriptor the next update would get.
+    fn describe(&self, kind: UpdateKind, nbytes: u64, k_pages: u64) -> BlobResult<WriteDesc> {
+        let ps = self.index.page_size();
         let (cur_pages, cur_bytes) = self
             .descs
             .last()
@@ -518,87 +580,125 @@ impl BlobState {
         }
     }
 
-    /// Splice an update built by [`Self::build_descriptor`] into the state:
-    /// bump the version counter, fold the descriptor into the index, and
-    /// park the pending write. Returns the index snapshot pinned at the new
-    /// version (an O(1) `Arc` share).
-    pub fn admit(
-        &mut self,
-        desc: WriteDesc,
-        manifest: Arc<Vec<PageRef>>,
-        assigned_at: SimTime,
-        gate: Gate,
-    ) -> DescIndex {
-        debug_assert_eq!(desc.version, self.assigned() + 1);
-        self.descs.push(desc);
-        self.index.apply(&desc);
-        let index = self.index.clone();
-        self.reap_queue.push_back((assigned_at, desc.version));
-        self.pending.insert(
-            desc.version,
-            PendingWrite {
-                manifest,
-                index: index.clone(),
-                assigned_at,
-                gate,
-            },
-        );
-        index
-    }
-
     /// Mark `version` committed and publish every version that became
     /// publishable (publication is strictly in order). Returns the gates of
-    /// newly-published versions so the caller can set them outside the lock.
-    pub fn commit(&mut self, version: Version) -> Vec<Gate> {
+    /// newly-published versions, in version order, for the caller to set
+    /// outside the lock. Idempotent; a version never assigned is an error.
+    pub fn commit(&mut self, version: Version) -> BlobResult<Vec<Gate>> {
+        if version > self.assigned() {
+            return Err(self.no_such_version(version));
+        }
+        if let Some(pw) = self.pending_mut(version) {
+            pw.committed = true;
+        }
         let mut gates = Vec::new();
-        if version <= self.published {
-            return gates;
-        }
-        self.committed.insert(version);
-        while self.committed.remove(&(self.published + 1)) {
+        while let Some(pw) = self.window.pop_front_if(|pw| pw.committed) {
             self.published += 1;
-            if let Some(pw) = self.pending.remove(&self.published) {
-                gates.push(pw.gate);
-                // The pending write's snapshot is pinned at exactly the
-                // version that just published — an O(1) hand-off.
-                self.published_index = pw.index;
-            }
+            gates.push(pw.gate);
+            // The pending write's snapshot is pinned at exactly the version
+            // that just published — an O(1) hand-off.
+            self.published_index = pw.index;
         }
-        gates
+        Ok(gates)
     }
 
-    /// Pop every version whose write timeout has expired, oldest first.
-    /// O(1) when nothing expired (the common case): assignment times are
-    /// monotone, so only the queue front is examined. Entries already
-    /// committed or published are dropped lazily — they can never need
-    /// reaping again.
+    /// The gate a caller waiting for `version` to publish parks on; `None`
+    /// when it already is published.
+    pub fn waiter(&self, version: Version) -> BlobResult<Option<Gate>> {
+        if version > self.assigned() {
+            return Err(self.no_such_version(version));
+        }
+        Ok(self.pending(version).map(|pw| pw.gate.clone()))
+    }
+
+    /// Snapshot facts for `version` (`None` = latest published). Pending
+    /// versions are invisible, matching the paper's reader semantics.
+    pub fn snapshot(&self, version: Option<Version>) -> BlobResult<SnapshotInfo> {
+        let version = version.unwrap_or(self.published);
+        if version > self.published {
+            return Err(self.no_such_version(version));
+        }
+        let (total_pages, total_bytes) = self
+            .desc(version)
+            .map_or((0, 0), |d| (d.total_pages, d.total_bytes));
+        Ok(SnapshotInfo {
+            version,
+            total_pages,
+            total_bytes,
+            page_size: self.index.page_size(),
+        })
+    }
+
+    /// What a force-completer needs to finish `version` for its writer;
+    /// `None` when there is nothing left to do (committed or published).
+    pub fn orphan(&self, version: Version) -> BlobResult<Option<Orphan>> {
+        if version > self.assigned() {
+            return Err(self.no_such_version(version));
+        }
+        let (Some(desc), Some(pw)) = (self.desc(version), self.pending(version)) else {
+            return Ok(None);
+        };
+        Ok((!pw.committed).then(|| (*desc, pw.index.clone(), pw.manifest.clone())))
+    }
+
+    /// The BLOB is deleted: the gates of every pending version, in version
+    /// order, so parked waiters can be woken to a typed `NoSuchBlob`.
+    pub fn retire(&self) -> Vec<Gate> {
+        self.window.iter().map(|pw| pw.gate.clone()).collect()
+    }
+
+    /// Hand out every uncommitted version whose write timeout has expired,
+    /// oldest first, each to exactly one caller (until given back). O(1)
+    /// when nothing expired (the common case): `assigned_at` is monotone
+    /// along the window, so the walk stops at the first live entry — the
+    /// front.
     pub fn take_expired(&mut self, now: SimTime, timeout: u64) -> Vec<Version> {
         let mut out = Vec::new();
-        while let Some(&(at, v)) = self.reap_queue.front() {
-            if !self.pending.contains_key(&v) || self.committed.contains(&v) {
-                self.reap_queue.pop_front();
-                continue;
-            }
-            if now.saturating_sub(at) > timeout {
-                self.reap_queue.pop_front();
-                out.push(v);
-            } else {
+        for (version, pw) in (self.published + 1..).zip(&mut self.window) {
+            if now.saturating_sub(pw.assigned_at) <= timeout {
                 break;
+            }
+            if !pw.committed && !pw.reaping {
+                pw.reaping = true;
+                out.push(version);
             }
         }
         out
     }
 
-    /// Put versions taken by [`Self::take_expired`] back at the queue front
-    /// (in order), so a failed force-complete is retried on the next VM
-    /// interaction instead of being silently dropped. Versions that landed
-    /// (no longer pending) are skipped.
-    pub fn requeue_expired(&mut self, versions: &[Version]) {
-        for &v in versions.iter().rev() {
-            if let Some(pw) = self.pending.get(&v) {
-                self.reap_queue.push_front((pw.assigned_at, v));
+    /// Give versions taken by [`Self::take_expired`] back, so a failed
+    /// force-complete is retried on the next VM interaction instead of being
+    /// silently dropped. Versions that published meanwhile are skipped.
+    pub fn give_back(&mut self, versions: &[Version]) {
+        for &v in versions {
+            if let Some(pw) = self.pending_mut(v) {
+                pw.reaping = false;
             }
         }
+    }
+
+    /// An O(1) share of the index pinned at the latest published version.
+    pub fn share_published(&self) -> DescIndex {
+        self.published_index.clone()
+    }
+
+    /// Number of assigned-but-unpublished versions.
+    pub fn pending_len(&self) -> usize {
+        self.window.len()
+    }
+
+    /// `(pending writes, distinct index nodes)` retained: the live index, the
+    /// published index and every pending write's pinned snapshot, with
+    /// structurally shared subtrees counted once.
+    pub fn footprint(&self) -> (usize, usize) {
+        let mut seen = HashSet::new();
+        let pinned = self.window.iter().map(|pw| &pw.index);
+        let nodes = [&self.index, &self.published_index]
+            .into_iter()
+            .chain(pinned)
+            .map(|ix| ix.count_nodes(&mut seen))
+            .sum();
+        (self.window.len(), nodes)
     }
 }
 
@@ -697,6 +797,7 @@ pub fn collect_leaves(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     const PS: u64 = 100;
 
@@ -1081,7 +1182,7 @@ mod tests {
     fn blob_state_reap_queue_is_lazy_and_ordered() {
         use fabric::{ClusterSpec, Fabric};
         let fx = Fabric::sim(ClusterSpec::tiny(1));
-        let mut st = BlobState::new(PS);
+        let mut st = BlobState::new(BlobId(1), PS);
         let mani = |tag: u64| {
             Arc::new(vec![PageRef {
                 id: PageId(tag, 0),
@@ -1091,39 +1192,40 @@ mod tests {
         };
         // Three appends assigned at t = 10, 20, 30.
         for (i, t) in [(1u64, 10u64), (2, 20), (3, 30)] {
-            let d = st.build_descriptor(UpdateKind::Append, PS, 1).unwrap();
+            let (d, _) = st
+                .assign(UpdateKind::Append, PS, mani(i), t, fx.gate())
+                .unwrap();
             assert_eq!(d.version, i);
-            st.admit(d, mani(i), t, fx.gate());
         }
         // Nothing expired yet: O(1) front peek, empty result.
         assert!(st.take_expired(40, 100).is_empty());
         // v1 and v2 expired; v3 not yet. Order is oldest-first.
         assert_eq!(st.take_expired(125, 100), vec![1, 2]);
-        // Taken versions are gone from the queue until requeued.
+        // Taken versions are not handed out again until given back.
         assert!(st.take_expired(125, 100).is_empty());
-        st.requeue_expired(&[1, 2]);
-        // A committed version is skipped lazily, not force-completed.
-        let gates = st.commit(1);
+        st.give_back(&[1, 2]);
+        // A committed version is skipped, not force-completed.
+        let gates = st.commit(1).unwrap();
         assert_eq!(gates.len(), 1, "v1 publishes immediately");
         assert_eq!(st.published, 1);
         assert_eq!(st.take_expired(125, 100), vec![2]);
-        // Requeue skips versions that are no longer pending.
-        st.commit(2);
-        st.requeue_expired(&[2]);
-        // v3 eventually expires too (v2's stale entry is long gone).
+        // Giving back skips versions that are no longer pending.
+        st.commit(2).unwrap();
+        st.give_back(&[2]);
+        // v3 eventually expires too (v2's entry is long gone).
         assert_eq!(st.take_expired(131, 100), vec![3]);
         // Publishing v3 hands the published index over at its version.
-        let gates = st.commit(3);
+        let gates = st.commit(3).unwrap();
         assert_eq!(gates.len(), 1);
         assert_eq!(st.published_index.version(), 3);
-        assert!(st.pending.is_empty());
+        assert!(st.window.is_empty());
     }
 
     #[test]
     fn blob_state_commit_out_of_order_returns_gates_in_publication_order() {
         use fabric::{ClusterSpec, Fabric};
         let fx = Fabric::sim(ClusterSpec::tiny(1));
-        let mut st = BlobState::new(PS);
+        let mut st = BlobState::new(BlobId(1), PS);
         let mani = |tag: u64| {
             Arc::new(vec![PageRef {
                 id: PageId(tag, 0),
@@ -1132,18 +1234,21 @@ mod tests {
             }])
         };
         for i in 1..=3u64 {
-            let d = st.build_descriptor(UpdateKind::Append, PS, 1).unwrap();
-            st.admit(d, mani(i), i * 10, fx.gate());
+            st.assign(UpdateKind::Append, PS, mani(i), i * 10, fx.gate())
+                .unwrap();
         }
-        assert!(st.commit(3).is_empty(), "v3 waits for predecessors");
-        assert!(st.commit(2).is_empty(), "v2 waits for v1");
+        assert!(
+            st.commit(3).unwrap().is_empty(),
+            "v3 waits for predecessors"
+        );
+        assert!(st.commit(2).unwrap().is_empty(), "v2 waits for v1");
         assert_eq!(st.published, 0);
-        let gates = st.commit(1);
+        let gates = st.commit(1).unwrap();
         assert_eq!(gates.len(), 3, "v1 unlocks the whole chain");
         assert_eq!(st.published, 3);
         assert_eq!(st.published_index.version(), 3);
         // Idempotent re-commit of published versions is a no-op.
-        assert!(st.commit(2).is_empty());
+        assert!(st.commit(2).unwrap().is_empty());
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl WriteDesc {
         self.page_hi - self.page_lo
     }
 
-    /// Number of bytes this update wrote.
-    pub fn byte_count(&self) -> u64 {
-        self.byte_hi - self.byte_lo
-    }
-
     /// True when this update wrote page `page`.
     pub fn touches_page(&self, page: u64) -> bool {
         (self.page_lo..self.page_hi).contains(&page)

@@ -35,17 +35,25 @@
 //! * one `Mutex<`[`BlobState`]`>` per BLOB — operations on distinct BLOBs
 //!   never contend.
 //!
-//! Within a blob, the lock covers only the version-counter bump and the
-//! state splice: wire charging, manifest validation (against the immutable
-//! page size), `plan_write` for force-complete, DHT traffic, and gate waits
-//! all run lock-free. No lock is ever held across a blocking fabric call,
-//! so the same code is safe in live mode where processes genuinely run in
-//! parallel.
+//! The lock unit, `BlobState`, lives in [`crate::meta`] and is the only
+//! place that knows the publication protocol: its fields are private, its
+//! pending versions are one dense window (`published + 1 ..= assigned`, the
+//! invariant is stated beside the struct), and every verb below calls
+//! exactly one of its methods per lock hold. This file is the shell around
+//! it — the registry and its epoch GC, the `retired` flag, the pause
+//! barrier, lock acquisition, and everything that must *not* happen under
+//! the lock: the wire charge (`charge`, written once),
+//! manifest validation (against the immutable page size), `plan_write` for
+//! force-complete, DHT traffic, gate waits and gate firing. No lock is ever
+//! held across a blocking fabric call, so the same code is safe in live
+//! mode where processes genuinely run in parallel
+//! (`tests/control_plane_concurrency.rs` races it on real threads).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use fabric::sync::Gate;
 use fabric::{Fabric, NodeId, Proc};
 use parking_lot::{Mutex, RwLock};
 
@@ -139,10 +147,6 @@ impl VersionManager {
         self.paused.store(paused, Ordering::Release);
     }
 
-    pub fn is_paused(&self) -> bool {
-        self.paused.load(Ordering::Acquire)
-    }
-
     /// Poll cadence of processes parked behind a paused service; bounds how
     /// long after a heal the service resumes.
     const PAUSE_POLL_NS: u64 = 5 * fabric::MILLIS;
@@ -156,10 +160,25 @@ impl VersionManager {
         }
     }
 
-    fn charge(&self, p: &Proc) {
-        p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
+    /// One request/response exchange with the service, plus its CPU charge.
+    /// `extra_response_bytes` is what rides the answer beyond the plain
+    /// control message (the descriptor delta of `assign` / `sync_index`).
+    fn charge(&self, p: &Proc, extra_response_bytes: u64) {
+        p.rpc(
+            self.node,
+            self.ctl_msg_bytes,
+            self.ctl_msg_bytes + extra_response_bytes,
+        );
         if self.vm_cpu_ops > 0 {
             p.compute(self.node, self.vm_cpu_ops);
+        }
+    }
+
+    /// Wake the waiters of newly published (or retired) versions — always
+    /// called with no lock held, in the order the state machine returned.
+    fn fire(gates: Vec<Gate>) {
+        for gate in gates {
+            gate.set();
         }
     }
 
@@ -183,13 +202,13 @@ impl VersionManager {
     /// Create a BLOB with the given page size (or the deployment default).
     pub fn create_blob(&self, p: &Proc, page_size: Option<u64>) -> BlobId {
         self.pause_barrier(p);
-        self.charge(p);
+        self.charge(p, 0);
         let id = BlobId(self.next_blob.fetch_add(1, Ordering::Relaxed));
         let ps = page_size.unwrap_or(self.default_page_size);
         let slot = Arc::new(BlobSlot {
             page_size: ps,
             retired: AtomicBool::new(false),
-            state: Mutex::with_rank(BlobState::new(ps), crate::lock_ranks::BLOB_STATE),
+            state: Mutex::with_rank(BlobState::new(id, ps), crate::lock_ranks::BLOB_STATE),
         });
         self.blobs.write().insert(id, slot);
         id
@@ -205,7 +224,7 @@ impl VersionManager {
     /// publish.
     pub fn delete_blob(&self, p: &Proc, blob: BlobId) -> BlobResult<()> {
         self.pause_barrier(p);
-        self.charge(p);
+        self.charge(p, 0);
         let slot = self.slot(blob)?;
         slot.retired.store(true, Ordering::Release);
         {
@@ -214,26 +233,11 @@ impl VersionManager {
             gc.retired.push((epoch, blob));
         }
         // The retired flag is set before the gates fire: a woken waiter
-        // re-checks it and reports the deletion. Waking happens outside the
-        // per-blob lock, like every other gate set.
-        let st = slot.state.lock();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "sorted by version before any gate fires"
-        )]
-        let mut gates: Vec<_> = st
-            .pending
-            .iter()
-            .map(|(ver, pw)| (*ver, pw.gate.clone()))
-            .collect();
-        drop(st);
-        // Fire in version order: gate wakeups are replay-visible (they
-        // reschedule parked fibers), so the hash order of `pending` must not
-        // leak into the wakeup sequence.
-        gates.sort_unstable_by_key(|(ver, _)| *ver);
-        for (_, gate) in gates {
-            gate.set();
-        }
+        // re-checks it and reports the deletion. Gate wakeups are
+        // replay-visible (they reschedule parked fibers): they fire in
+        // version order, outside the per-blob lock like every other gate set.
+        let gates = slot.state.lock().retire();
+        Self::fire(gates);
         Ok(())
     }
 
@@ -288,8 +292,9 @@ impl VersionManager {
     /// reaper's per-tick sweep, so a blob whose writers all died and that
     /// nobody touches again still publishes without waiting for the next
     /// `assign`/`commit`. Every blob is attempted; the first error (e.g. a
-    /// metadata outage mid-force-complete — the affected blob keeps its
-    /// queue and retries next tick) is reported after the sweep.
+    /// metadata outage mid-force-complete — the affected blob is given its
+    /// expired versions back and retries next tick) is reported after the
+    /// sweep.
     pub fn reap_all(&self, p: &Proc) -> BlobResult<()> {
         let mut first_err = None;
         for blob in self.blob_ids() {
@@ -306,7 +311,7 @@ impl VersionManager {
     /// Page size of a BLOB. Immutable, so no per-blob lock is taken.
     pub fn page_size_of(&self, p: &Proc, blob: BlobId) -> BlobResult<u64> {
         self.pause_barrier(p);
-        self.charge(p);
+        self.charge(p, 0);
         Ok(self.slot(blob)?.page_size)
     }
 
@@ -333,7 +338,7 @@ impl VersionManager {
     ) -> BlobResult<(WriteDesc, DescIndex)> {
         self.pause_barrier(p);
         self.reap_expired(p, blob)?;
-        let result: BlobResult<(WriteDesc, DescIndex, u64)> = (|| {
+        let result = (|| {
             if nbytes == 0 {
                 return Err(BlobError::EmptyWrite);
             }
@@ -353,76 +358,44 @@ impl VersionManager {
             let gate = self.fabric.gate();
             let mut st = slot.state.lock();
             // The assignment timestamp is read under the blob lock: the
-            // reap queue's O(1) front peek relies on per-blob monotone
-            // times, which a pre-lock read would break in live mode
-            // (preempted writer admits an older timestamp second).
-            let now = self.fabric.now();
-            let desc = st.build_descriptor(kind, nbytes, k_pages)?;
-            let unseen = desc.version.saturating_sub(known);
-            let index = st.admit(desc, manifest, now, gate);
-            Ok((desc, index, unseen))
+            // window's O(1) expiry peek relies on per-blob monotone times,
+            // which a pre-lock read would break in live mode (preempted
+            // writer admits an older timestamp second).
+            st.assign(kind, nbytes, manifest, self.fabric.now(), gate)
         })();
-        // One request/response exchange: the descriptor delta rides the
-        // assign response (the caller learns every version after its `known`
-        // watermark and pays for it on the wire, even though the in-process
-        // hand-off is an Arc share). Errors pay the plain control exchange.
-        let delta = result
+        // The descriptor delta rides the assign response (the caller learns
+        // every version after its `known` watermark and pays for it on the
+        // wire, even though the in-process hand-off is an Arc share). Errors
+        // pay the plain control exchange.
+        let unseen = result
             .as_ref()
-            .map_or(0, |(_, _, unseen)| unseen * DESC_WIRE_BYTES);
-        p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes + delta);
-        if self.vm_cpu_ops > 0 {
-            p.compute(self.node, self.vm_cpu_ops);
-        }
-        let (desc, index, _) = result?;
-        Ok((desc, index))
+            .map_or(0, |(desc, _)| desc.version.saturating_sub(known));
+        self.charge(p, unseen * DESC_WIRE_BYTES);
+        result
     }
 
     /// Step 4: the writer finished storing its metadata. Publishes the
     /// version once all predecessors are published. Idempotent.
     pub fn commit(&self, p: &Proc, blob: BlobId, version: Version) -> BlobResult<()> {
         self.pause_barrier(p);
-        self.charge(p);
+        self.charge(p, 0);
         self.reap_expired(p, blob)?;
         let slot = self.slot(blob)?;
-        let gates = {
-            let mut st = slot.state.lock();
-            if version > st.assigned() {
-                return Err(BlobError::NoSuchVersion { blob, version });
-            }
-            st.commit(version)
-        };
-        // Waiters wake outside the per-blob lock.
-        for gate in gates {
-            gate.set();
-        }
+        let gates = slot.state.lock().commit(version)?;
+        Self::fire(gates);
         Ok(())
     }
 
     /// Block until `version` is published. Returns immediately when it
-    /// already is. The gate wait happens outside the per-blob lock; a
-    /// version whose pending state vanished to a concurrent reap/commit
-    /// race yields [`BlobError::VersionRaced`], never a panic, and a BLOB
+    /// already is. The gate wait happens outside the per-blob lock; a BLOB
     /// deleted while the caller was parked yields `NoSuchBlob` — deletion
     /// fires every pending gate precisely so no waiter hangs on a version
     /// that can never publish.
     pub fn wait_published(&self, p: &Proc, blob: BlobId, version: Version) -> BlobResult<()> {
         self.pause_barrier(p);
         let slot = self.slot(blob)?;
-        let gate = {
-            let st = slot.state.lock();
-            if version <= st.published {
-                return Ok(());
-            }
-            if version > st.assigned() {
-                return Err(BlobError::NoSuchVersion { blob, version });
-            }
-            match st.pending.get(&version) {
-                Some(pw) => pw.gate.clone(),
-                // Unpublished-but-assigned versions keep their pending entry
-                // until publication; its absence means a concurrent
-                // force-complete/commit interleaving we lost — surface it.
-                None => return Err(BlobError::VersionRaced { blob, version }),
-            }
+        let Some(gate) = slot.state.lock().waiter(version)? else {
+            return Ok(());
         };
         gate.wait(p);
         if slot.retired.load(Ordering::Acquire) {
@@ -440,31 +413,8 @@ impl VersionManager {
         version: Option<Version>,
     ) -> BlobResult<SnapshotInfo> {
         self.pause_barrier(p);
-        self.charge(p);
-        let slot = self.slot(blob)?;
-        let st = slot.state.lock();
-        let v = version.unwrap_or(st.published);
-        if v > st.published {
-            return Err(BlobError::NoSuchVersion { blob, version: v });
-        }
-        if v == 0 {
-            return Ok(SnapshotInfo {
-                version: 0,
-                total_pages: 0,
-                total_bytes: 0,
-                page_size: slot.page_size,
-            });
-        }
-        let d = st
-            .descs
-            .get(v as usize - 1)
-            .ok_or(BlobError::NoSuchVersion { blob, version: v })?;
-        Ok(SnapshotInfo {
-            version: v,
-            total_pages: d.total_pages,
-            total_bytes: d.total_bytes,
-            page_size: slot.page_size,
-        })
+        self.charge(p, 0);
+        self.slot(blob)?.state.lock().snapshot(version)
     }
 
     /// Latest published version.
@@ -481,33 +431,15 @@ impl VersionManager {
     pub fn sync_index(&self, p: &Proc, blob: BlobId, known: Version) -> BlobResult<DescIndex> {
         self.pause_barrier(p);
         let slot = self.slot(blob)?;
-        let (index, unseen) = {
-            let st = slot.state.lock();
-            (
-                st.published_index.clone(),
-                st.published.saturating_sub(known),
-            )
-        };
-        p.rpc(
-            self.node,
-            self.ctl_msg_bytes,
-            self.ctl_msg_bytes + unseen * DESC_WIRE_BYTES,
-        );
-        if self.vm_cpu_ops > 0 {
-            p.compute(self.node, self.vm_cpu_ops);
-        }
+        let index = slot.state.lock().share_published();
+        self.charge(p, index.version().saturating_sub(known) * DESC_WIRE_BYTES);
         Ok(index)
     }
 
     /// Number of assigned-but-unpublished versions (diagnostics).
     pub fn pending_count(&self, blob: BlobId) -> usize {
-        match self.slot(blob) {
-            Ok(slot) => {
-                let st = slot.state.lock();
-                st.descs.len() - st.published as usize
-            }
-            Err(_) => 0,
-        }
+        self.slot(blob)
+            .map_or(0, |slot| slot.state.lock().pending_len())
     }
 
     /// Memory-bound diagnostics: `(pending writes, distinct index nodes)`
@@ -517,22 +449,8 @@ impl VersionManager {
     /// desc-index memory-bound stress tests hold proportional to the live
     /// pending count (× tree depth), not to pending × pages.
     pub fn pending_footprint(&self, blob: BlobId) -> (usize, usize) {
-        let Ok(slot) = self.slot(blob) else {
-            return (0, 0);
-        };
-        let st = slot.state.lock();
-        let mut seen = HashSet::new();
-        let mut nodes = st.index.count_nodes(&mut seen);
-        nodes += st.published_index.count_nodes(&mut seen);
-        #[expect(
-            clippy::iter_over_hash_type,
-            clippy::disallowed_methods,
-            reason = "commutative count: `seen` dedups structurally shared nodes, so the total is visit-order independent"
-        )]
-        for pw in st.pending.values() {
-            nodes += pw.index.count_nodes(&mut seen);
-        }
-        (st.pending.len(), nodes)
+        self.slot(blob)
+            .map_or((0, 0), |slot| slot.state.lock().footprint())
     }
 
     /// Complete a version on behalf of its (presumably dead) writer: build
@@ -544,44 +462,21 @@ impl VersionManager {
     pub fn force_complete(&self, p: &Proc, blob: BlobId, version: Version) -> BlobResult<()> {
         self.pause_barrier(p);
         let slot = self.slot(blob)?;
-        let (desc, index, manifest) = {
-            let st = slot.state.lock();
-            if version <= st.published || st.committed.contains(&version) {
-                return Ok(());
-            }
-            if version > st.assigned() {
-                return Err(BlobError::NoSuchVersion { blob, version });
-            }
-            match st.pending.get(&version) {
-                Some(pw) => (
-                    *st.descs
-                        .get(version as usize - 1)
-                        .ok_or(BlobError::NoSuchVersion { blob, version })?,
-                    pw.index.clone(),
-                    pw.manifest.clone(),
-                ),
-                // See wait_published: a lost reap/commit race is an error,
-                // not a panic.
-                None => return Err(BlobError::VersionRaced { blob, version }),
-            }
+        let Some((desc, index, manifest)) = slot.state.lock().orphan(version)? else {
+            return Ok(());
         };
         self.dht
             .put_batch(p, plan_write(blob, &index, &desc, &manifest))?;
-        let gates = {
-            let mut st = slot.state.lock();
-            st.commit(version)
-        };
-        for gate in gates {
-            gate.set();
-        }
+        let gates = slot.state.lock().commit(version)?;
+        Self::fire(gates);
         Ok(())
     }
 
     /// Force-complete every pending version older than the configured write
     /// timeout. Called lazily from `assign`/`commit`; also usable directly
     /// by tests and by an optional reaper daemon. The common no-expiry case
-    /// peeks one deadline-queue entry under the per-blob lock — O(1), never
-    /// a scan of the pending map.
+    /// peeks the front of the blob's window under its lock — O(1), never a
+    /// scan of the pending versions.
     pub fn reap_expired(&self, p: &Proc, blob: BlobId) -> BlobResult<()> {
         self.pause_barrier(p);
         let Some(timeout) = self.write_timeout_ns else {
@@ -592,20 +487,17 @@ impl VersionManager {
         };
         let now = self.fabric.now();
         let expired = slot.state.lock().take_expired(now, timeout);
-        for (i, &v) in expired.iter().enumerate() {
-            // A concurrent force-completer racing us here is fine (node
-            // writes are idempotent, commit is too); VersionRaced means it
-            // already carried this version over the line.
-            match self.force_complete(p, blob, v) {
-                Ok(()) | Err(BlobError::VersionRaced { .. }) => {}
-                Err(e) => {
-                    // Requeue the unprocessed tail so the next interaction
-                    // retries instead of silently dropping the reap.
-                    #[expect(clippy::indexing_slicing, reason = "`i` enumerates `expired`")]
-                    slot.state.lock().requeue_expired(&expired[i..]);
-                    return Err(e);
-                }
+        // A concurrent force-completer or a resurrected writer racing us
+        // here is fine: node writes are idempotent, commit is too.
+        let mut left = expired.as_slice();
+        while let Some((&version, rest)) = left.split_first() {
+            if let Err(e) = self.force_complete(p, blob, version) {
+                // Give the unprocessed tail back so the next interaction
+                // retries instead of silently dropping the reap.
+                slot.state.lock().give_back(left);
+                return Err(e);
             }
+            left = rest;
         }
         Ok(())
     }
@@ -940,9 +832,9 @@ mod tests {
 
     #[test]
     fn delete_wakes_parked_waiters_in_version_order() {
-        // `pending` is a HashMap and a gate wakeup is a replay-visible
-        // event: eight waiters, parked out of order on eight uncommitted
-        // versions, wake 1, 2, … 8 when the BLOB goes — never in hash order.
+        // A gate wakeup is a replay-visible event: eight waiters, parked out
+        // of order on eight uncommitted versions, wake 1, 2, … 8 when the
+        // BLOB goes — the window's order, never the order they parked in.
         let fx = Fabric::sim(ClusterSpec::tiny(4));
         let vm = setup(&fx);
         let woken = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -971,8 +863,8 @@ mod tests {
     #[test]
     fn reap_retries_after_metadata_outage() {
         // A reap that fails mid-way (metadata server down) must keep the
-        // expired version queued and succeed on a later interaction, not
-        // silently drop it from the deadline queue.
+        // expired version reapable and succeed on a later interaction, not
+        // silently drop it.
         let fx = Fabric::sim(ClusterSpec::tiny(4));
         let server = Arc::new(MetaServer::new(NodeId(1)));
         let dht = Arc::new(MetaDht::new(vec![server.clone()], 0));

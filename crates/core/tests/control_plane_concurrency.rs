@@ -11,8 +11,16 @@
 //! * **race safety** — concurrent reap / commit / force-complete /
 //!   wait-published interleavings on the same version produce clean results
 //!   or typed errors, never panics, and a reaped dead writer cannot wedge
-//!   its successors.
+//!   its successors;
+//! * **the rail** — one scripted sim scenario on a bare `VersionManager`
+//!   whose whole transcript (watermarks, wake-up times and order, every
+//!   verb's answer, the fabric's totals) is pinned to literals;
+//! * **real threads** — the same verbs raced on `Fabric::live`: a storm of
+//!   writers, reapers and parked waiters on one BLOB ends dense, published
+//!   and quiet, and a BLOB deleted mid-storm answers `NoSuchBlob` to all.
+//!   `flake-loop.yml` loops this binary nightly.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use blobseer::meta::PageRef;
@@ -20,6 +28,7 @@ use blobseer::version_manager::{UpdateKind, VersionManager};
 use blobseer::{BlobError, BlobSeer, BlobSeerConfig, Layout};
 use fabric::{ClusterSpec, Fabric, NodeId, Payload};
 use parking_lot::Mutex;
+use rand::Rng;
 
 const PS: u64 = 4 * 1024; // below the small-message cutoff: control + data
                           // cost latency only, so timing isolates the
@@ -169,8 +178,7 @@ fn one_page_manifest(tag: u64) -> Arc<Vec<PageRef>> {
 /// timeout, and then *resurrects* — its late commit races the reaper's
 /// force-complete, concurrent force-completers race each other, and a
 /// waiter blocked on the version must wake. Every interleaving ends with
-/// the version published and no panic; a lost race surfaces as
-/// `VersionRaced` (typed), which `wait_published` resolves by re-checking.
+/// the version published, every verb `Ok` and no panic.
 #[test]
 fn reap_commit_wait_races_end_published_not_panicked() {
     let timeout = 500 * fabric::MILLIS;
@@ -218,9 +226,8 @@ fn reap_commit_wait_races_end_published_not_panicked() {
             p.sleep(2 * timeout);
             // Either path may win the race; both must end clean.
             vm2.reap_expired(p, blob).unwrap();
-            match vm2.force_complete(p, blob, 1) {
-                Ok(()) | Err(BlobError::VersionRaced { .. }) => {}
-                Err(e) => panic!("force-complete race leaked {e}"),
+            if let Err(e) = vm2.force_complete(p, blob, 1) {
+                panic!("force-complete race leaked {e}");
             }
             assert_eq!(vm2.latest(p, blob).unwrap(), 1);
         });
@@ -724,4 +731,214 @@ fn scripted_window_scenario_is_pinned_to_literals() {
         assert_eq!(got, want, "transcript line {i}");
     }
     assert_eq!(got.len(), want.len(), "transcript length");
+}
+
+/// What one storm process saw.
+#[derive(Default)]
+struct Seen {
+    /// Versions this process was assigned.
+    assigned: Vec<u64>,
+    /// `wait_published` calls that returned `Ok`.
+    published: u64,
+    /// `wait_published` calls that returned `NoSuchBlob`.
+    gone: u64,
+}
+
+/// The version manager on real threads (the module header's "safe in live
+/// mode where processes genuinely run in parallel", checked): eight writers
+/// × fifty rounds on ONE blob — assign, a seeded 0–200 µs stall, commit,
+/// `wait_published`, every seventh assignment abandoned to the reaper — two
+/// processes looping `reap_expired` against a 50 ms write timeout, and four
+/// waiters that poll until their version is assigned and then park on it.
+///
+/// With `delete_mid_storm` the blob is deleted 30 ms in, right after four
+/// more waiters parked on four fresh, uncommitted versions: every verb that
+/// starts after the deletion and every waiter it wakes answers `NoSuchBlob`.
+/// Either way nothing hangs: `fx.run()` returns.
+fn live_storm(delete_mid_storm: bool) {
+    const WRITERS: u64 = 8;
+    const ROUNDS: u64 = 50;
+    const N: u64 = WRITERS * ROUNDS;
+    let fx = Fabric::live_seeded(ClusterSpec::tiny(17), 0x5EED_0023);
+    let vm = vm_setup(&fx, Some(50 * fabric::MILLIS));
+    let seen: Arc<Mutex<Vec<Seen>>> = Arc::new(Mutex::new(Vec::new()));
+    // 0 while the blob lives, 1 once `delete_blob` was called, 2 once it
+    // returned.
+    let phase = Arc::new(AtomicU64::new(0));
+
+    let (vm0, seen0, phase0) = (vm.clone(), seen.clone(), phase.clone());
+    fx.spawn(NodeId(2), "storm", move |p| {
+        let (vm, seen, phase) = (vm0, seen0, phase0);
+        let fx = p.fabric().clone();
+        let blob = vm.create_blob(p, None);
+        // A verb that started after the deletion returned answers
+        // `NoSuchBlob`; one that started before may have landed either way;
+        // nobody hears `NoSuchBlob` before the deletion was even called.
+        let deleted = {
+            let phase = phase.clone();
+            move || phase.load(Ordering::SeqCst) == 2
+        };
+        let check = {
+            let phase = phase.clone();
+            move |started_after: bool, what: &str, r: Result<(), BlobError>| match r {
+                Ok(()) if !started_after => true,
+                Err(BlobError::NoSuchBlob(_)) if phase.load(Ordering::SeqCst) >= 1 => false,
+                r => panic!("{what}: {r:?} (started after the deletion: {started_after})"),
+            }
+        };
+
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (vm, seen, deleted, check) =
+                    (vm.clone(), seen.clone(), deleted.clone(), check.clone());
+                fx.spawn(NodeId(3 + w as u32), format!("w{w}"), move |p| {
+                    let mut mine = Seen::default();
+                    for r in 0..ROUNDS {
+                        let after = deleted();
+                        let manifest = one_page_manifest(w * ROUNDS + r);
+                        let a = vm.assign(p, blob, UpdateKind::Append, PS, manifest, 0);
+                        let version = a.as_ref().map_or(0, |(d, _)| d.version);
+                        if !check(after, "assign", a.map(|_| ())) {
+                            continue;
+                        }
+                        mine.assigned.push(version);
+                        if r % 7 == 6 {
+                            continue; // abandoned: the reaper's to finish
+                        }
+                        let stall = p.rng().gen_range(0..200 * fabric::MICROS);
+                        p.sleep(stall);
+                        let after = deleted();
+                        if !check(after, "commit", vm.commit(p, blob, version)) {
+                            continue;
+                        }
+                        let after = deleted();
+                        match check(after, "wait", vm.wait_published(p, blob, version)) {
+                            true => mine.published += 1,
+                            false => mine.gone += 1,
+                        }
+                    }
+                    seen.lock().push(mine);
+                })
+            })
+            .collect();
+        // Set on the way out, also when an assertion above unwinds: a failure
+        // must not leave the reapers looping and the run hanging.
+        struct StopOnDrop(Arc<AtomicBool>);
+        impl Drop for StopOnDrop {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop_reapers = StopOnDrop(stop.clone());
+        let reapers: Vec<_> = (0..2u32)
+            .map(|i| {
+                let (vm, stop) = (vm.clone(), stop.clone());
+                fx.spawn(NodeId(11 + i), format!("reaper{i}"), move |p| {
+                    while !stop.load(Ordering::SeqCst) {
+                        vm.reap_expired(p, blob).unwrap();
+                        p.sleep(fabric::MILLIS);
+                    }
+                })
+            })
+            .collect();
+        // Park on `version` once it exists; exactly one answer each.
+        let waiter = |node: u32, version: u64| {
+            let (vm, seen, deleted, check) =
+                (vm.clone(), seen.clone(), deleted.clone(), check.clone());
+            fx.spawn(NodeId(node), format!("waiter-v{version}"), move |p| {
+                let mut mine = Seen::default();
+                loop {
+                    let after = deleted();
+                    match vm.wait_published(p, blob, version) {
+                        Err(BlobError::NoSuchVersion { .. }) if !after => {
+                            p.sleep(100 * fabric::MICROS);
+                        }
+                        r => {
+                            match check(after, "parked wait", r) {
+                                true => mine.published += 1,
+                                false => mine.gone += 1,
+                            }
+                            break;
+                        }
+                    }
+                }
+                seen.lock().push(mine);
+            })
+        };
+        let mut waiters: Vec<_> = (1..=4).map(|i| waiter(12 + i as u32, i * N / 4)).collect();
+
+        if delete_mid_storm {
+            p.sleep(30 * fabric::MILLIS);
+            let fresh: Vec<u64> = (0..4)
+                .map(|i| {
+                    let manifest = one_page_manifest(N + i);
+                    let (d, _) = vm
+                        .assign(p, blob, UpdateKind::Append, PS, manifest, 0)
+                        .unwrap();
+                    d.version
+                })
+                .collect();
+            waiters.extend(fresh.iter().map(|&v| waiter(2, v)));
+            // Long enough for them to park, far short of the write timeout.
+            p.sleep(5 * fabric::MILLIS);
+            phase.store(1, Ordering::SeqCst);
+            vm.delete_blob(p, blob).unwrap();
+            phase.store(2, Ordering::SeqCst);
+            for w in waiters.drain(4..) {
+                w.join(p);
+            }
+            let woken: u64 = seen.lock().iter().map(|s| s.gone).sum();
+            assert!(woken >= 4, "the four fresh waiters woke to NoSuchBlob");
+            let gone = |r: Result<(), BlobError>| matches!(r, Err(BlobError::NoSuchBlob(_)));
+            assert!(gone(vm.commit(p, blob, fresh[0])));
+            assert!(gone(vm.wait_published(p, blob, fresh[1])));
+            assert!(gone(vm.force_complete(p, blob, fresh[2])));
+            assert!(gone(vm.snapshot(p, blob, None).map(|_| ())));
+            assert!(gone(vm.sync_index(p, blob, 0).map(|_| ())));
+            assert!(gone(vm.delete_blob(p, blob)));
+            let manifest = one_page_manifest(N + 4);
+            let a = vm.assign(p, blob, UpdateKind::Append, PS, manifest, 0);
+            assert!(gone(a.map(|_| ())));
+        }
+        for w in writers.iter().chain(&waiters) {
+            w.join(p);
+        }
+        if !delete_mid_storm {
+            // The last abandoned versions are still the reapers' to finish.
+            vm.wait_published(p, blob, N).unwrap();
+            assert_eq!(vm.latest(p, blob).unwrap(), N);
+        }
+        drop(stop_reapers);
+        for r in &reapers {
+            r.join(p);
+        }
+        assert_eq!(vm.pending_count(blob), 0);
+    });
+    fx.run();
+
+    let seen = seen.lock();
+    if !delete_mid_storm {
+        let mut assigned: Vec<u64> = seen.iter().flat_map(|s| &s.assigned).copied().collect();
+        assigned.sort_unstable();
+        assert_eq!(assigned, (1..=N).collect::<Vec<_>>(), "dense and unique");
+        let abandoned = WRITERS * (ROUNDS / 7);
+        let returned: u64 = seen.iter().map(|s| s.published).sum();
+        assert_eq!(returned, N - abandoned + 4, "every wait returned once");
+        assert_eq!(seen.iter().map(|s| s.gone).sum::<u64>(), 0);
+    }
+    assert_eq!(
+        seen.len() as u64,
+        WRITERS + if delete_mid_storm { 8 } else { 4 }
+    );
+}
+
+#[test]
+fn live_version_manager_storm_publishes_every_version_once() {
+    live_storm(false);
+}
+
+#[test]
+fn live_version_manager_storm_survives_a_mid_storm_delete() {
+    live_storm(true);
 }

@@ -453,7 +453,6 @@ impl Plane for MetaDht {
 /// only once the restart is through.
 fn acked_items_survive_a_racing_crash_restart<S: Plane>(tag: &str) {
     const WRITERS: u64 = 4;
-    const BATCH: u64 = 8;
     const WARM: u64 = 8; // batches every writer lands before the crash may
     const TAIL: u64 = 8; // batches every writer lands after the restart
 
@@ -473,23 +472,7 @@ fn acked_items_survive_a_racing_crash_restart<S: Plane>(tag: &str) {
             fx.spawn(NodeId(1 + w as u32), format!("writer{w}"), move |p| {
                 // (item, acknowledged) for everything this writer sent.
                 let mut log: Vec<(u64, bool)> = Vec::new();
-                let mut batch = |k: u64| -> bool {
-                    let items: Vec<u64> = (0..BATCH).map(|i| (w << 32) | (k * BATCH + i)).collect();
-                    let answers = svc.put(p, &items);
-                    assert_eq!(answers.len(), items.len());
-                    let mut all_acked = true;
-                    for (&item, answer) in items.iter().zip(answers) {
-                        match answer {
-                            Ok(()) => log.push((item, true)),
-                            Err(BlobError::ProviderDown { .. }) => {
-                                log.push((item, false));
-                                all_acked = false;
-                            }
-                            Err(e) => panic!("writer {w} item {item}: {e}"),
-                        }
-                    }
-                    all_acked
-                };
+                let mut batch = |k: u64| send_batch(&*svc, p, w, k, &mut log);
                 // Stream until the crash hits this writer.
                 let mut k = 0;
                 while batch(k) {
@@ -529,6 +512,29 @@ fn acked_items_survive_a_racing_crash_restart<S: Plane>(tag: &str) {
         "every writer ran into the outage"
     );
     assert_books_match_the_store(svc, &dir, held);
+}
+
+/// Items per batch in the crash races.
+const BATCH: u64 = 8;
+
+/// Writer `w` sends its `k`-th batch as ONE exchange and logs (item,
+/// acknowledged) per item; `false` if the service refused any of it as down.
+fn send_batch<S: Plane>(svc: &S, p: &Proc, w: u64, k: u64, log: &mut Vec<(u64, bool)>) -> bool {
+    let items: Vec<u64> = (0..BATCH).map(|i| (w << 32) | (k * BATCH + i)).collect();
+    let answers = svc.put(p, &items);
+    assert_eq!(answers.len(), items.len());
+    let mut all_acked = true;
+    for (&item, answer) in items.iter().zip(answers) {
+        match answer {
+            Ok(()) => log.push((item, true)),
+            Err(BlobError::ProviderDown { .. }) => {
+                log.push((item, false));
+                all_acked = false;
+            }
+            Err(e) => panic!("writer {w} item {item}: {e}"),
+        }
+    }
+    all_acked
 }
 
 /// Join the writers and check every item they sent against what the service
@@ -578,7 +584,6 @@ fn assert_books_match_the_store<S: Plane>(svc: Arc<S>, dir: &Path, held: (u64, u
 /// would count it twice.
 fn books_survive_back_to_back_crash_restarts<S: Plane>(tag: &str) {
     const WRITERS: u64 = 4;
-    const BATCH: u64 = 8;
     const WARM: u64 = 4; // batches every writer lands before the first crash
     const CYCLES: u64 = 6;
 
@@ -603,21 +608,7 @@ fn books_survive_back_to_back_crash_restarts<S: Plane>(tag: &str) {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    let items: Vec<u64> = (0..BATCH).map(|i| (w << 32) | (k * BATCH + i)).collect();
-                    let answers = svc.put(p, &items);
-                    assert_eq!(answers.len(), items.len());
-                    let mut refused = false;
-                    for (&item, answer) in items.iter().zip(answers) {
-                        match answer {
-                            Ok(()) => log.push((item, true)),
-                            Err(BlobError::ProviderDown { .. }) => {
-                                log.push((item, false));
-                                refused = true;
-                            }
-                            Err(e) => panic!("writer {w} item {item}: {e}"),
-                        }
-                    }
-                    if refused {
+                    if !send_batch(&*svc, p, w, k, &mut log) {
                         // Keep knocking, but do not spin the log full while
                         // the store reopens.
                         p.sleep(50 * fabric::MICROS);

@@ -62,11 +62,6 @@ impl Fabric {
         }
     }
 
-    /// True in simulation mode.
-    pub fn is_sim(&self) -> bool {
-        matches!(self.inner, FabricInner::Sim(_))
-    }
-
     /// The cluster description.
     pub fn spec(&self) -> &ClusterSpec {
         match &self.inner {

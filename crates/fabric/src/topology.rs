@@ -137,12 +137,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Builder-style override of latency.
-    pub fn with_latency_ns(mut self, l: u64) -> Self {
-        self.latency_ns = l;
-        self
-    }
-
     /// Builder-style override of the backplane capacity.
     pub fn with_backplane(mut self, bw: Option<f64>) -> Self {
         self.backplane_bw = bw;

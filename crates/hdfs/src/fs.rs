@@ -61,12 +61,6 @@ impl HdfsConfig {
         self.replication = r.max(1);
         self
     }
-
-    pub fn with_block_size(mut self, b: u64) -> Self {
-        assert!(b > 0);
-        self.block_size = b;
-        self
-    }
 }
 
 /// Node placement for an HDFS deployment.

@@ -434,11 +434,6 @@ impl JobHandle {
     pub fn result(&self) -> Option<JobResult> {
         self.slot.lock().clone()
     }
-
-    /// Has the job finished?
-    pub fn is_done(&self) -> bool {
-        self.done.is_set()
-    }
 }
 
 /// A running Map/Reduce deployment bound to one file system.
@@ -499,11 +494,6 @@ impl MrCluster {
     /// The shuffle registry (diagnostics).
     pub fn registry(&self) -> &Arc<MapOutputRegistry> {
         &self.registry
-    }
-
-    /// The tier-2 node-combine stage (diagnostics).
-    pub fn node_combiner(&self) -> &Arc<NodeCombiner> {
-        &self.combiner
     }
 
     /// Model `node` losing its local map-output store mid-job (a tasktracker
