@@ -6,11 +6,21 @@
 //! a live-mode (real threads) provider kill/restart mid-workload. The
 //! paper's BlobSeer providers persist pages in BerkeleyDB (§3.1.1); these
 //! tests prove our equivalent actually comes back from disk.
+//!
+//! The provider manager's lease log has its rail here too: one scripted
+//! scenario whose whole transcript (every provider's books, the lease book,
+//! the log's size on disk, the fabric's totals) is pinned to literals.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use blobseer::{BlobError, BlobSeer, BlobSeerConfig, Fault, FaultTarget, Layout, Version};
+use blobseer::provider::Provider;
+use blobseer::{
+    BlobError, BlobSeer, BlobSeerConfig, Fault, FaultTarget, Layout, PageId, PersistenceKind,
+    Version,
+};
 use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
+use parking_lot::Mutex;
 
 const PS: u64 = 64;
 
@@ -271,7 +281,6 @@ fn live_mode_provider_kill_and_restart_mid_workload() {
 #[test]
 fn failed_meta_restart_stays_wiped_and_down() {
     use blobseer::meta::{NodeBody, NodeKey, PageRef};
-    use blobseer::{PageId, PersistenceKind};
 
     let dir = scratch_dir("halfrecover");
     let fx = Fabric::sim(ClusterSpec::tiny(4));
@@ -356,4 +365,257 @@ fn failed_meta_restart_stays_wiped_and_down() {
     fx.run();
     h.take().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A lease log that cannot be read back fails the deployment: one bit
+/// flipped in a checkpoint-covered record of `pm/` lets the store open but
+/// fails the scan that reloads the lease book, and `deploy` must answer that
+/// error naming the directory — never come up with an empty lease book whose
+/// stranded reservations nothing would ever reclaim.
+#[test]
+fn corrupt_lease_log_fails_the_deployment() {
+    let dir = scratch_dir("pm-corrupt");
+    let cfg = BlobSeerConfig::test_small(PS)
+        .with_persist_dir(Some(dir.clone()))
+        .with_persist_checkpoint_bytes(Some(256));
+    let deploy = |cfg: &BlobSeerConfig| {
+        let fx = Fabric::sim(ClusterSpec::tiny(4));
+        let bs = BlobSeer::deploy(&fx, cfg.clone(), Layout::compact(fx.spec()));
+        (fx, bs)
+    };
+    let (fx, bs) = deploy(&cfg);
+    let bs = bs.unwrap();
+    let bs2 = bs.clone();
+    let h = fx.spawn(NodeId(1), "driver", move |p| {
+        // Twelve writers allocate and die: twelve lease records, the first
+        // ones behind a checkpoint.
+        for i in 0..12u64 {
+            bs2.provider_manager()
+                .allocate(p, &[(PageId(0xC0, i), PS)], 1, &[])
+                .unwrap();
+        }
+    });
+    fx.run();
+    h.take().unwrap();
+    drop(bs);
+
+    let seg = dir.join("pm").join("00000000.seg");
+    let clean = std::fs::read(&seg).unwrap();
+    let mut flipped = clean.clone();
+    flipped[20] ^= 1;
+    std::fs::write(&seg, &flipped).unwrap();
+    match deploy(&cfg).1 {
+        Ok(_) => panic!("a deployment came up over a corrupt lease log"),
+        Err(e) => assert!(
+            matches!(
+                &e,
+                BlobError::Persistence { kind: PersistenceKind::Corrupt, path, .. }
+                    if Path::new(path) == dir.join("pm")
+            ),
+            "{e}"
+        ),
+    }
+
+    std::fs::write(&seg, &clean).unwrap();
+    let (_fx, bs) = deploy(&cfg);
+    let bs = bs.unwrap();
+    assert_eq!(bs.provider_manager().outstanding_leases(), 12);
+    assert_eq!(
+        bs.providers()
+            .iter()
+            .map(|pr| pr.load_estimate())
+            .sum::<u64>(),
+        12 * PS,
+        "every unlanded reservation re-taken"
+    );
+    drop(bs);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bytes under `dir`, every file at any depth.
+fn dir_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let meta = e.metadata().unwrap();
+            if meta.is_dir() {
+                dir_bytes(&e.path())
+            } else {
+                meta.len()
+            }
+        })
+        .sum()
+}
+
+/// One line of the lease rail: virtual time, what happened, then every
+/// provider's `load_estimate/stored_bytes`, the lease book, the log's size
+/// on disk and the fabric's transfer count.
+fn lease_line(bs: &BlobSeer, p: &Proc, dir: &Path, what: impl std::fmt::Display) -> String {
+    let pm = bs.provider_manager();
+    let books: Vec<String> = bs
+        .providers()
+        .iter()
+        .map(|pr| format!("{}/{}", pr.load_estimate(), pr.stored_bytes()))
+        .collect();
+    let st = p.fabric().stats();
+    format!(
+        "{:>11} {what} | books [{}] leases {} reaped {:?} pm {} B, {} transfers",
+        st.now_ns,
+        books.join(" "),
+        pm.outstanding_leases(),
+        pm.lease_reap_stats(),
+        dir_bytes(&dir.join("pm")),
+        st.transfers
+    )
+}
+
+/// The rail under the lease book: one scripted scenario on a persistent
+/// deployment, every observable pinned to a literal. Recorded before the
+/// book's representation was touched; a change that moves any line of the
+/// transcript changed what the provider manager does, not just its code.
+///
+/// 1. three leases (A: two pages × two replicas, B: one page, C: two
+///    pages); pages land, one of A's replicas is released (twice: the
+///    second finds no token), A settles;
+/// 2. the 30 s write timeout passes: B and C expire and the reaper hands
+///    back what never landed; C's writer resurrects (its release and settle
+///    are no-ops), B's fails over and `adopt`s a page under its expired id;
+/// 3. the provider holding B's adopted page crash-restarts and is healed,
+///    which reinstates the reservation; a fourth lease D lands half;
+/// 4. a fresh deployment over the same directory recovers B and D, issues
+///    its first lease, and reaps the recovered ones once they expire.
+#[test]
+fn scripted_lease_scenario_is_pinned_to_literals() {
+    // Past the default 30 s write timeout (= lease lifetime).
+    const EXPIRE: u64 = 31_000 * fabric::MILLIS;
+    let pg = |i: u64| PageId(0x1EA5E, i);
+    let dir = scratch_dir("lease-rail");
+    let cfg = BlobSeerConfig::test_small(PS).with_persist_dir(Some(dir.clone()));
+    let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+
+    let fx = Fabric::sim_seeded(ClusterSpec::tiny(4), 0x5EED_0025);
+    let bs = BlobSeer::deploy(&fx, cfg.clone(), Layout::compact(fx.spec())).unwrap();
+    let (bs2, dir2, log2) = (bs.clone(), dir.clone(), log.clone());
+    let h = fx.spawn(NodeId(1), "script", move |p| {
+        let (bs, pm) = (&bs2, bs2.provider_manager());
+        let note = |what: String| log2.lock().push(lease_line(bs, p, &dir2, what));
+        let land = |pr: &Arc<Provider>, page: PageId, len: u64| {
+            pr.put_page(p, page, Payload::from_vec(vec![7u8; len as usize]))
+                .unwrap();
+        };
+        let nodes = |placed: &[Vec<Arc<Provider>>]| -> Vec<Vec<u32>> {
+            placed
+                .iter()
+                .map(|r| r.iter().map(|pr| pr.node().0).collect())
+                .collect()
+        };
+        note("deployed".into());
+
+        // 1.
+        let (a, pa) = pm.allocate(p, &[(pg(1), 64), (pg(2), 40)], 2, &[]).unwrap();
+        note(format!("A = {a:?} on {:?}", nodes(&pa)));
+        let (b, pb) = pm.allocate(p, &[(pg(3), 64)], 1, &[]).unwrap();
+        note(format!("B = {b:?} on {:?}", nodes(&pb)));
+        let (c, pc) = pm.allocate(p, &[(pg(4), 64), (pg(5), 24)], 1, &[]).unwrap();
+        note(format!("C = {c:?} on {:?}", nodes(&pc)));
+        land(&pa[0][0], pg(1), 64);
+        land(&pa[0][1], pg(1), 64);
+        land(&pa[1][0], pg(2), 40);
+        land(&pb[0][0], pg(3), 64);
+        land(&pc[0][0], pg(4), 64);
+        note("landed all but one replica of pg2 and pg5".into());
+        pm.release(p, a, &pa[1][1], pg(2), 40);
+        note("A released pg2's second replica".into());
+        pm.release(p, a, &pa[1][1], pg(2), 40);
+        note("A released it again".into());
+        pm.settle(p, a);
+        note("A settled".into());
+
+        // 2.
+        p.sleep(EXPIRE);
+        let reclaimed = pm.reap_expired_leases(p);
+        note(format!("reap reclaimed {reclaimed} B"));
+        pm.release(p, c, &pc[1][0], pg(5), 24);
+        pm.settle(p, c);
+        note("C's late release and settle".into());
+        let (victim, target) = bs
+            .providers()
+            .iter()
+            .enumerate()
+            .find(|(_, pr)| pr.node() != pb[0][0].node() && pr.node() != pc[1][0].node())
+            .unwrap();
+        pm.adopt(p, b, target, pg(6), 48);
+        note(format!(
+            "B adopted pg6 on n{} after expiry",
+            target.node().0
+        ));
+
+        // 3.
+        bs.inject(FaultTarget::Provider(victim), Fault::CrashRestart)
+            .unwrap();
+        note(format!("provider[{victim}] crash-wiped"));
+        bs.heal(FaultTarget::Provider(victim)).unwrap();
+        note(format!("provider[{victim}] healed"));
+        let (d, pd) = pm.allocate(p, &[(pg(7), 64), (pg(8), 32)], 1, &[]).unwrap();
+        land(&pd[0][0], pg(7), 64);
+        note(format!("D = {d:?} on {:?}, pg7 landed", nodes(&pd)));
+    });
+    fx.run();
+    h.take().unwrap();
+    drop(bs);
+
+    // 4.
+    let fx = Fabric::sim_seeded(ClusterSpec::tiny(4), 0x5EED_0025);
+    let bs = BlobSeer::deploy(&fx, cfg, Layout::compact(fx.spec())).unwrap();
+    let (bs2, dir2, log2) = (bs.clone(), dir.clone(), log.clone());
+    let h = fx.spawn(NodeId(1), "reopened", move |p| {
+        let (bs, pm) = (&bs2, bs2.provider_manager());
+        let note = |what: String| log2.lock().push(lease_line(bs, p, &dir2, what));
+        note("fresh manager over the same directory".into());
+        let (e, pe) = pm.allocate(p, &[(pg(9), 16)], 1, &[]).unwrap();
+        note(format!(
+            "first lease after the restart: {e:?} on n{}",
+            pe[0][0].node().0
+        ));
+        pe[0][0]
+            .put_page(p, pg(9), Payload::from_vec(vec![9u8; 16]))
+            .unwrap();
+        pm.settle(p, e);
+        note("E landed and settled".into());
+        p.sleep(EXPIRE);
+        let reclaimed = pm.reap_expired_leases(p);
+        note(format!("reap reclaimed {reclaimed} B"));
+    });
+    fx.run();
+    h.take().unwrap();
+    drop(bs);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let got = log.lock().clone();
+    #[rustfmt::skip]
+    let want: &[&str] = &[
+        "          0 deployed | books [0/0 0/0 0/0 0/0] leases 0 reaped (0, 0) pm 0 B, 0 transfers",
+        "     200000 A = LeaseId(1) on [[0, 2], [1, 3]] | books [64/0 40/0 64/0 40/0] leases 1 reaped (0, 0) pm 134 B, 2 transfers",
+        "     400000 B = LeaseId(2) on [[1]] | books [64/0 104/0 64/0 40/0] leases 2 reaped (0, 0) pm 184 B, 4 transfers",
+        "     600000 C = LeaseId(3) on [[3], [0]] | books [88/0 104/0 64/0 104/0] leases 3 reaped (0, 0) pm 262 B, 6 transfers",
+        "     900740 landed all but one replica of pg2 and pg5 | books [88/64 104/104 64/64 104/64] leases 3 reaped (0, 0) pm 262 B, 11 transfers",
+        "    1100740 A released pg2's second replica | books [88/64 104/104 64/64 64/64] leases 3 reaped (0, 0) pm 368 B, 13 transfers",
+        "    1300740 A released it again | books [88/64 104/104 64/64 64/64] leases 3 reaped (0, 0) pm 368 B, 15 transfers",
+        "    1500740 A settled | books [88/64 104/104 64/64 64/64] leases 2 reaped (0, 0) pm 390 B, 17 transfers",
+        "31001900740 reap reclaimed 24 B | books [64/64 104/104 64/64 64/64] leases 0 reaped (2, 24) pm 434 B, 21 transfers",
+        "31002300740 C's late release and settle | books [64/64 104/104 64/64 64/64] leases 0 reaped (2, 24) pm 434 B, 25 transfers",
+        "31002500740 B adopted pg6 on n2 after expiry | books [64/64 104/104 112/64 64/64] leases 1 reaped (2, 24) pm 484 B, 27 transfers",
+        "31002500740 provider[2] crash-wiped | books [64/64 104/104 0/0 64/64] leases 1 reaped (2, 24) pm 484 B, 27 transfers",
+        "31002500740 provider[2] healed | books [64/64 104/104 112/64 64/64] leases 1 reaped (2, 24) pm 484 B, 27 transfers",
+        "31002800900 D = LeaseId(4) on [[0], [3]], pg7 landed | books [128/128 104/104 112/64 96/64] leases 2 reaped (2, 24) pm 562 B, 30 transfers",
+        "          0 fresh manager over the same directory | books [128/128 104/104 112/64 96/64] leases 2 reaped (0, 0) pm 562 B, 0 transfers",
+        "     200000 first lease after the restart: LeaseId(5) on n3 | books [128/128 104/104 112/64 112/64] leases 3 reaped (0, 0) pm 612 B, 2 transfers",
+        "     500040 E landed and settled | books [128/128 104/104 112/64 112/80] leases 2 reaped (0, 0) pm 634 B, 5 transfers",
+        "31000900040 reap reclaimed 80 B | books [128/128 104/104 64/64 80/80] leases 0 reaped (2, 80) pm 678 B, 9 transfers",
+    ];
+    for (i, (got, want)) in got.iter().zip(want).enumerate() {
+        assert_eq!(got, want, "transcript line {i}");
+    }
+    assert_eq!(got.len(), want.len(), "transcript length");
 }
