@@ -433,7 +433,7 @@ fn live_mode_writers_and_reaper_reclaim_storage_plane() {
     let timeout = 500 * fabric::MILLIS;
     let fx = Fabric::live(ClusterSpec::tiny(4));
     let mut cfg = BlobSeerConfig::test_small(256);
-    cfg.timeouts.write_timeout_ns = Some(timeout);
+    cfg.timeouts.write_timeout_ns = timeout;
     cfg.timeouts.reaper_interval_ns = 25 * fabric::MILLIS;
     let fs = Bsfs::deploy(&fx, cfg, Layout::compact(fx.spec())).unwrap();
     let reaper = fs.start_reaper(&fx);

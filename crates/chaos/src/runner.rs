@@ -226,7 +226,7 @@ fn run(workload: Workload, seed: u64, faulted: bool) -> RunReport {
         .with_replication(REPLICATION)
         .with_persist_dir(Some(persist_dir.clone()))
         .with_persist_checkpoint_bytes(Some(16 * 1024));
-    cfg.timeouts.write_timeout_ns = Some(WRITE_TIMEOUT_NS);
+    cfg.timeouts.write_timeout_ns = WRITE_TIMEOUT_NS;
     cfg.timeouts.reaper_interval_ns = REAPER_INTERVAL_NS;
     let layout = layout_for(workload, fx.spec());
     let bsfs = Bsfs::deploy(&fx, cfg, layout).unwrap();

@@ -834,9 +834,9 @@ fn pick_replica(p: &Proc, hit: &LeafHit) -> u32 {
 /// Fetch a group of pages whose chosen replica is `node`, in one batched
 /// `get_pages` exchange. Pages the batch could not serve (or an unknown
 /// chosen node) fall back to per-page replica failover.
-fn fetch_group(
+pub(crate) fn fetch_group(
     p: &Proc,
-    svc: &Arc<Services>,
+    svc: &Services,
     node: NodeId,
     hits: &[LeafHit],
 ) -> Vec<BlobResult<Payload>> {
@@ -867,7 +867,7 @@ fn fetch_group(
 
 fn fetch_with_failover(
     p: &Proc,
-    svc: &Arc<Services>,
+    svc: &Services,
     hit: &LeafHit,
     exclude: &[NodeId],
 ) -> BlobResult<Payload> {
@@ -971,15 +971,14 @@ mod tests {
                 100,
                 64,
                 0,
-                None,
+                u64::MAX, // a write timeout no run reaches
             )),
             pm: Arc::new(ProviderManager::new(
                 NodeId(0),
                 fx.clone(),
                 providers.clone(),
-                config.alloc,
                 64,
-                None,
+                u64::MAX,
             )),
             dht,
             providers,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
 use parking_lot::Mutex;
 
-use crate::client::BlobClient;
+use crate::client::{fetch_group, BlobClient};
 use crate::config::BlobSeerConfig;
 use crate::dht::{MetaDht, MetaServer};
 use crate::error::{BlobError, BlobResult};
@@ -118,6 +118,17 @@ impl Layout {
                 config.replication,
                 self.providers.len()
             )));
+        }
+        let t = &config.timeouts;
+        for (field, ns) in [
+            ("write_timeout_ns", t.write_timeout_ns),
+            ("reaper_interval_ns", t.reaper_interval_ns),
+        ] {
+            if ns == 0 {
+                return Err(BlobError::InvalidTopology(format!(
+                    "timeouts.{field} must be positive, got 0"
+                )));
+            }
         }
         let mut seen = HashSet::new();
         for &n in &self.providers {
@@ -264,79 +275,37 @@ impl Services {
 
     /// Copy every page of `snap` that some replica misses. Fails (and the
     /// caller leaves the watermark untouched) if any page can neither be
-    /// read from a primary nor landed on a replica.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`need` and `payloads` are parallel arrays indexed from `0..need.len()`; `[1..]` follows the first()-is-Some check"
-    )]
+    /// read from a holder nor landed on a replica.
     fn sync_blob(&self, p: &Proc, blob: BlobId, snap: &SnapshotInfo) -> BlobResult<(u64, u64)> {
         let mut fetch = |keys: &[NodeKey]| self.dht.get_batch(p, keys);
         let hits = collect_leaves(&mut fetch, blob, snap, 0, snap.total_bytes)?;
-        let need: Vec<&LeafHit> = hits
-            .iter()
-            .filter(|h| self.replicas.iter().any(|r| !r.has_page(h.page.id)))
-            .collect();
-        if need.is_empty() {
-            return Ok((0, 0));
-        }
-        // Pull each missing page once, batched per primary (first listed
-        // holder), with per-page failover over the remaining holders.
-        let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, h) in need.iter().enumerate() {
-            let Some(&node) = h.page.providers.first() else {
-                return Err(BlobError::PageUnavailable {
-                    detail: format!("page {:?} has no replicas to sync from", h.page.id),
-                });
-            };
-            groups.entry(node.0).or_default().push(i);
-        }
-        let mut payloads: Vec<Option<Payload>> = vec![None; need.len()];
-        for (node, idxs) in groups {
-            let ids: Vec<PageId> = idxs.iter().map(|&i| need[i].page.id).collect();
-            let results = match self.provider_map.get(&NodeId(node)) {
-                Some(prov) => prov.get_pages(p, &ids),
-                None => ids
-                    .iter()
-                    .map(|id| {
-                        Err(BlobError::PageUnavailable {
-                            detail: format!("sync source {node} unknown for page {id:?}"),
-                        })
-                    })
-                    .collect(),
-            };
-            for (&i, res) in idxs.iter().zip(results) {
-                match res {
-                    Ok(data) => payloads[i] = Some(data),
-                    Err(e) => {
-                        // Batched source failed this page: try the other
-                        // primaries one by one before giving up the blob.
-                        let holders = &need[i].page.providers[1..];
-                        let data = holders
-                            .iter()
-                            .filter_map(|n| self.provider_map.get(n))
-                            .find_map(|pr| pr.get_page(p, need[i].page.id).ok());
-                        payloads[i] = Some(data.ok_or(e)?);
-                    }
-                }
+        // Pull each missing page once through the read path's fetch: one
+        // batched get per primary (first listed holder; a page with none
+        // groups under `u32::MAX` and fails loudly), failing over page by
+        // page to the other holders. One group at a time.
+        let mut groups: BTreeMap<u32, Vec<LeafHit>> = BTreeMap::new();
+        for h in hits {
+            if self.replicas.iter().any(|r| !r.has_page(h.page.id)) {
+                let first = h.page.providers.first().map_or(u32::MAX, |n| n.0);
+                groups.entry(first).or_default().push(h);
             }
         }
-        let payloads: Vec<Payload> = payloads
-            .into_iter()
-            .map(|o| {
-                o.ok_or_else(|| BlobError::Internal {
-                    detail: "replica sync fetched fewer pages than planned".into(),
-                })
-            })
-            .collect::<BlobResult<_>>()?;
-        // Land the copies, batched per replica; only pages that replica is
-        // actually missing. `put_pages` on an unmanaged replica is
-        // book-safe: it stores and counts, with no reservation to consume.
+        let mut fetched: Vec<(&LeafHit, Payload)> = Vec::new();
+        for (&node, group) in &groups {
+            for (h, res) in group.iter().zip(fetch_group(p, self, NodeId(node), group)) {
+                fetched.push((h, res?));
+            }
+        }
+        fetched.sort_by_key(|(h, _)| h.page_index);
+        // Land the copies in blob order, batched per replica; only pages
+        // that replica is actually missing. `put_pages` on an unmanaged
+        // replica is book-safe: it stores and counts, with no reservation
+        // to consume.
         let mut pages_copied = 0u64;
         let mut bytes_copied = 0u64;
         for r in &self.replicas {
-            let batch: Vec<(PageId, Payload)> = need
+            let batch: Vec<(PageId, Payload)> = fetched
                 .iter()
-                .zip(&payloads)
                 .filter(|(h, _)| !r.has_page(h.page.id))
                 .map(|(h, d)| (h.page.id, d.clone()))
                 .collect();
@@ -439,7 +408,6 @@ impl BlobSeer {
             layout.pm,
             fabric.clone(),
             providers.clone(),
-            config.alloc,
             config.ctl_msg_bytes,
             // Reservation leases expire on the VM's write timeout: both
             // sides of a write (version + capacity) share one clock.
@@ -527,7 +495,6 @@ impl BlobSeer {
     /// daemon down, ticks pass without sweeping.
     pub fn start_reaper(&self, fabric: &Fabric) -> ReaperHandle {
         let interval_ns = self.svc.config.timeouts.reaper_interval_ns;
-        assert!(interval_ns > 0, "reaper needs a positive interval");
         let stop = fabric.gate();
         let svc = self.svc.clone();
         let stop2 = stop.clone();
@@ -730,5 +697,29 @@ mod tests {
         let bs = BlobSeer::deploy(&fx, BlobSeerConfig::test_small(1024), layout).unwrap();
         assert_eq!(bs.providers().len(), 4);
         assert_eq!(bs.total_stored_bytes(), 0);
+    }
+
+    /// A deployment whose `timeouts` has `field` zeroed is refused with a
+    /// typed error naming the field.
+    fn rejects_zero(field: &str, zero: impl FnOnce(&mut crate::config::Timeouts)) {
+        let fx = Fabric::sim(ClusterSpec::tiny(4));
+        let mut config = BlobSeerConfig::test_small(1024);
+        zero(&mut config.timeouts);
+        let Err(BlobError::InvalidTopology(text)) =
+            BlobSeer::deploy(&fx, config, Layout::compact(fx.spec()))
+        else {
+            panic!("a zero {field} was not refused as an invalid topology");
+        };
+        assert!(text.contains(field), "{text}");
+    }
+
+    #[test]
+    fn zero_write_timeout_is_rejected() {
+        rejects_zero("write_timeout_ns", |t| t.write_timeout_ns = 0);
+    }
+
+    #[test]
+    fn zero_reaper_interval_is_rejected() {
+        rejects_zero("reaper_interval_ns", |t| t.reaper_interval_ns = 0);
     }
 }

@@ -4,37 +4,29 @@ use std::path::PathBuf;
 
 use fabric::MILLIS;
 
-/// Page-placement policy used by the provider manager (paper §3.1.1: "the
-/// distribution of pages to providers aims at achieving load-balancing").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocStrategy {
-    /// Cycle through providers.
-    RoundRobin,
-    /// Provider currently storing the fewest bytes (random tie-break) —
-    /// the default, closest to BlobSeer's load-balancing goal.
-    LeastLoaded,
-}
-
 /// The deadline and the cadence of a deployment in one place — a fault
 /// window that must stay "well under the write timeout" reads the same
 /// struct the version manager enforces it from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Timeouts {
-    /// If set, a version left uncommitted for this long may be
-    /// force-completed from its manifest by the version manager (lazily,
-    /// from within other requests, or by the background reaper) so one
-    /// crashed writer cannot stall publication forever. Provider
-    /// reservation leases expire on the same clock: both sides of a write
-    /// (version + capacity) share one deadline.
-    pub write_timeout_ns: Option<u64>,
+    /// The one clock of a write, always running: a version left uncommitted
+    /// for this long may be force-completed from its manifest by the version
+    /// manager (lazily, from within other requests, or by the background
+    /// reaper) so one crashed writer cannot stall publication forever, and a
+    /// provider reservation lease expires this long after it was opened —
+    /// both sides of a write (version + capacity) share one deadline.
+    /// Positive ([`crate::Layout::validate`] rejects 0, which would expire
+    /// every write the instant it is assigned).
+    pub write_timeout_ns: u64,
     /// Sleep between background-reaper sweeps (`BlobSeer::start_reaper`).
+    /// Positive ([`crate::Layout::validate`] rejects 0).
     pub reaper_interval_ns: u64,
 }
 
 impl Default for Timeouts {
     fn default() -> Self {
         Timeouts {
-            write_timeout_ns: Some(30_000 * MILLIS),
+            write_timeout_ns: 30_000 * MILLIS,
             reaper_interval_ns: 100 * MILLIS,
         }
     }
@@ -48,8 +40,6 @@ pub struct BlobSeerConfig {
     pub page_size: u64,
     /// Number of replicas per page (page-level replication, §3.1.1).
     pub replication: usize,
-    /// Placement policy.
-    pub alloc: AllocStrategy,
     /// Modeled size of one control RPC message (version requests, provider
     /// allocation, ...).
     pub ctl_msg_bytes: u64,
@@ -91,7 +81,6 @@ impl Default for BlobSeerConfig {
         BlobSeerConfig {
             page_size: 64 * 1024 * 1024,
             replication: 1,
-            alloc: AllocStrategy::LeastLoaded,
             ctl_msg_bytes: 128,
             timeouts: Timeouts::default(),
             persist_dir: None,
@@ -129,11 +118,6 @@ impl BlobSeerConfig {
     pub fn with_replication(mut self, r: usize) -> Self {
         assert!(r >= 1, "replication factor must be at least 1");
         self.replication = r;
-        self
-    }
-
-    pub fn with_alloc(mut self, a: AllocStrategy) -> Self {
-        self.alloc = a;
         self
     }
 

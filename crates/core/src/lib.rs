@@ -98,7 +98,7 @@ pub mod version_manager;
 
 pub use client::{BlobClient, PageLocation};
 pub use cluster::{BlobSeer, Layout, ReaperHandle, ReplicaSync};
-pub use config::{AllocStrategy, BlobSeerConfig, Timeouts};
+pub use config::{BlobSeerConfig, Timeouts};
 pub use desc_index::DescIndex;
 pub use error::{BlobError, BlobResult, PersistenceKind};
 pub use fault::{Fault, FaultTarget};

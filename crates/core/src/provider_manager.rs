@@ -1,5 +1,7 @@
 //! The provider manager: decides which providers receive the pages of each
-//! write (paper §3.1.1: placement "aims at achieving load-balancing").
+//! write (paper §3.1.1: placement "aims at achieving load-balancing") — the
+//! least-loaded alive providers, counting the bytes reserved for writes still
+//! in flight as load.
 //!
 //! # Leased reservations
 //!
@@ -8,42 +10,52 @@
 //! opens a failure window the version manager's write timeout cannot see: a
 //! writer that dies *between* allocation and its page stores never consumed
 //! its reservations, and nothing in the VM's pending-write reap (which only
-//! knows writers that reached `assign`) will ever hand them back. Since this
-//! refactor, every [`ProviderManager::allocate`] therefore registers a
-//! **lease** over its page-replica reservations, with a deadline mirroring
-//! the VM's write timeout. A live writer [`ProviderManager::settle`]s the
-//! lease when its page stores finish (landed pages consumed their
-//! reservations at the provider; failed ones were released inline). A dead
-//! writer's lease expires: [`ProviderManager::reap_expired_leases`] — run by
-//! the optional background reaper, or lazily by the next `allocate` — asks
-//! each holder whether the page landed ([`Provider::has_page`]) and releases
-//! exactly the reservations that never became stored bytes. The deadline
-//! queue is peeked O(1) in the common no-expiry case, mirroring the version
-//! manager's per-blob reap queues.
+//! knows writers that reached `assign`) will ever hand them back. Every
+//! [`ProviderManager::allocate`] therefore registers a **lease** over its
+//! page-replica reservations, with a deadline on the VM's write timeout. A
+//! live writer [`ProviderManager::settle`]s the lease when its page stores
+//! finish (landed pages consumed their reservations at the provider; failed
+//! ones were released inline). A dead writer's lease expires:
+//! [`ProviderManager::reap_expired_leases`] — run by the optional background
+//! reaper, or lazily by the next `allocate` — asks each holder whether the
+//! page landed ([`Provider::has_page`]) and releases exactly the reservations
+//! that never became stored bytes. The deadline queue is peeked O(1) in the
+//! common no-expiry case, mirroring the version manager's per-blob window.
 //!
 //! Like the VM's write timeout, the lease deadline embeds a liveness
 //! assumption: a writer slower than the timeout is indistinguishable from a
 //! dead one. The lease *entry* is the token for returning a reservation
 //! ([`ProviderManager::release`] is a no-op once the reaper took it, and a
 //! mid-failover [`ProviderManager::adopt`] re-acquires an expired lease), so
-//! a resurrecting writer
-//! never double-releases through the manager — the one residual race is a
-//! page landing *after* its reservation was reclaimed, which is why the
-//! deadline must comfortably exceed one update's store time (the default
-//! mirrors the VM's 30 s against sub-second page streams).
+//! a resurrecting writer never double-releases through the manager — the one
+//! residual race is a page landing *after* its reservation was reclaimed,
+//! which is why the deadline must comfortably exceed one update's store time
+//! (the default mirrors the VM's 30 s against sub-second page streams).
+//!
+//! # One book, one shell
+//!
+//! The leases live in one `LeaseBook`: private fields, one method per
+//! transition (`register`, `release`, `adopt`, `settle`, `take_expired`,
+//! `entries_on`), the clock passed in. The book is also the
+//! [`crate::service::State`] the lease log under `persist_dir/pm` opens
+//! through — the same [`Durable`] core the providers and metadata servers
+//! restart through — so a non-empty directory rebuilds it.
+//! `ProviderManager` is the shell around it: it takes the lock, calls one
+//! method, and writes the lease's record to the log under that lock. The RPC
+//! charges and the providers' capacity books (`reserve` / `unreserve` /
+//! `has_page`) stay outside the book.
 //!
 //! # No global locks
 //!
-//! The old `Mutex<usize>` round-robin cursor is an atomic counter, the
-//! capacity books live in per-provider atomics ([`Provider::load_estimate`]),
-//! and the lease book's mutex guards only queue/table splices — never a
-//! fabric call — so concurrent allocations from distinct clients serialize
-//! on nothing but the modeled control RPC itself. Placement stays
-//! deterministic in sim mode: candidates keep deployment order, the cursor
-//! advances in scheduler order, and tie-breaks draw from the caller's seeded
-//! RNG stream.
+//! The capacity books live in per-provider atomics
+//! ([`Provider::load_estimate`]), and the lease book's mutex guards one
+//! transition and its log record — never a fabric call — so concurrent
+//! allocations from distinct clients serialize on nothing but the modeled
+//! control RPC itself. Placement stays deterministic in sim mode: candidates
+//! keep deployment order and tie-breaks draw from the caller's seeded RNG
+//! stream.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,9 +65,9 @@ use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::config::AllocStrategy;
 use crate::error::{BlobError, BlobResult};
 use crate::provider::Provider;
+use crate::service::{Durable, State};
 use crate::types::PageId;
 
 /// Key namespace for lease records inside the manager's durable store.
@@ -68,11 +80,15 @@ fn lease_key(id: u64) -> [u8; 10] {
     k
 }
 
+/// One reservation a lease holds — provider node, page, bytes — one per
+/// page-replica stream.
+type Entry = (NodeId, PageId, u64);
+
 /// One lease record is the concatenation of its outstanding entries, 28
 /// bytes each: provider node (u32 LE), page id (2×u64 LE), bytes (u64 LE).
 const LEASE_ENTRY_BYTES: usize = 28;
 
-fn encode_lease(entries: &[(NodeId, PageId, u64)]) -> Vec<u8> {
+fn encode_lease(entries: &[Entry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(entries.len() * LEASE_ENTRY_BYTES);
     for &(node, page, bytes) in entries {
         out.extend_from_slice(&node.0.to_le_bytes());
@@ -88,7 +104,7 @@ fn encode_lease(entries: &[(NodeId, PageId, u64)]) -> Vec<u8> {
     clippy::unwrap_used,
     reason = "chunks_exact(LEASE_ENTRY_BYTES) yields 28-byte chunks; the four ranges tile 0..28 in widths 4, 8, 8, 8"
 )]
-fn decode_lease(v: &[u8]) -> Option<Vec<(NodeId, PageId, u64)>> {
+fn decode_lease(v: &[u8]) -> Option<Vec<Entry>> {
     if !v.len().is_multiple_of(LEASE_ENTRY_BYTES) {
         return None;
     }
@@ -114,137 +130,219 @@ fn decode_lease(v: &[u8]) -> Option<Vec<(NodeId, PageId, u64)>> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LeaseId(u64);
 
-/// Outstanding page-replica reservations of one lease:
-/// `(provider node, page, bytes)` — one entry per replica stream.
-struct Lease {
-    entries: Vec<(NodeId, PageId, u64)>,
-}
-
+/// Every outstanding lease and the order their deadlines fall due in. The
+/// fields are private and each transition is one method taking the time it
+/// happens at, so nothing else can break the facts stated on them.
 #[derive(Default)]
 struct LeaseBook {
-    table: HashMap<u64, Lease>,
-    /// Lease ids in deadline order. Deadlines are computed under this lock
-    /// (see [`ProviderManager::register_lease`]), so they are monotone and
-    /// the no-expiry reap check peeks one entry — O(1), never a table scan.
-    /// Entries settled by their writer are dropped lazily at the peek.
-    queue: VecDeque<(SimTime, u64)>,
+    /// How long a lease lives: the deployment's write timeout.
+    timeout: u64,
+    /// The outstanding leases by id, each with its unreturned entries.
+    leases: BTreeMap<u64, Vec<Entry>>,
+    /// Lease ids in deadline order. Deadlines are stamped under the book's
+    /// lock, so they are monotone and the no-expiry check peeks one entry —
+    /// O(1), never a scan. Ids settled by their writer are dropped lazily at
+    /// the peek.
+    deadlines: VecDeque<(SimTime, u64)>,
+    /// The highest id issued (or recovered).
+    last_id: u64,
+}
+
+impl LeaseBook {
+    fn new(timeout: u64) -> LeaseBook {
+        LeaseBook {
+            timeout,
+            ..LeaseBook::default()
+        }
+    }
+
+    /// Open a lease over `entries`, due one timeout after `now`.
+    fn register(&mut self, now: SimTime, entries: Vec<Entry>) -> (LeaseId, &[Entry]) {
+        self.last_id += 1;
+        let id = self.last_id;
+        self.deadlines
+            .push_back((now.saturating_add(self.timeout), id));
+        (LeaseId(id), self.leases.entry(id).or_insert(entries))
+    }
+
+    /// Take the token for `lease`'s reservation of `page` on `node`: what
+    /// the lease still holds if the entry was there, `None` if the reaper
+    /// already took it (and returned its bytes) or the lease never held it.
+    fn release(&mut self, lease: LeaseId, node: NodeId, page: PageId) -> Option<&[Entry]> {
+        let entries = self.leases.get_mut(&lease.0)?;
+        let at = entries
+            .iter()
+            .position(|&(n, pg, _)| n == node && pg == page)?;
+        entries.swap_remove(at);
+        Some(entries)
+    }
+
+    /// Add `entry` to `lease`. A lease the reaper already took is re-opened
+    /// under the same id, due one timeout after `now`.
+    fn adopt(&mut self, now: SimTime, lease: LeaseId, entry: Entry) -> &[Entry] {
+        let (deadlines, due) = (&mut self.deadlines, now.saturating_add(self.timeout));
+        let entries = self.leases.entry(lease.0).or_insert_with(|| {
+            deadlines.push_back((due, lease.0));
+            Vec::new()
+        });
+        entries.push(entry);
+        entries
+    }
+
+    /// Close `lease`; false if it was not outstanding.
+    fn settle(&mut self, lease: LeaseId) -> bool {
+        self.leases.remove(&lease.0).is_some()
+    }
+
+    /// Remove and hand out the first lease due at `now`, or `None`.
+    fn take_expired(&mut self, now: SimTime) -> Option<(LeaseId, Vec<Entry>)> {
+        while let Some(&(due, id)) = self.deadlines.front() {
+            if !self.leases.contains_key(&id) {
+                self.deadlines.pop_front();
+                continue;
+            }
+            if now < due {
+                return None;
+            }
+            self.deadlines.pop_front();
+            return self.leases.remove(&id).map(|e| (LeaseId(id), e));
+        }
+        None
+    }
+
+    /// `(page, bytes)` of every outstanding reservation on `node`, in lease
+    /// order.
+    fn entries_on(&self, node: NodeId) -> impl Iterator<Item = (PageId, u64)> + '_ {
+        self.leases
+            .values()
+            .flatten()
+            .filter(move |e| e.0 == node)
+            .map(|&(_, page, bytes)| (page, bytes))
+    }
+
+    fn len(&self) -> usize {
+        self.leases.len()
+    }
+
+    fn clear(&mut self) {
+        *self = LeaseBook::new(self.timeout);
+    }
+
+    /// Replace the book with `leases` (ascending id), all due one timeout
+    /// after `now`, and resume the id sequence past the highest.
+    fn recover(&mut self, now: SimTime, leases: impl IntoIterator<Item = (u64, Vec<Entry>)>) {
+        self.clear();
+        let due = now.saturating_add(self.timeout);
+        for (id, entries) in leases {
+            self.last_id = self.last_id.max(id);
+            self.deadlines.push_back((due, id));
+            self.leases.insert(id, entries);
+        }
+    }
+}
+
+/// The lease book behind its lock, with the clock that dates the leases a
+/// restart recovers.
+struct Leases {
+    book: Mutex<LeaseBook>,
+    clock: Fabric,
+}
+
+/// The lease log holds one `l/<id>` record per outstanding lease — its
+/// entries, rewritten whenever they change and deleted when the lease
+/// settles or expires — flushed to the OS at every write so it survives a
+/// process crash. Writes are best-effort: the in-memory book is
+/// authoritative and a log hiccup never fails an allocation; a lost write
+/// leaves a record the book has moved past, which a restart re-reserves and
+/// the reaper hands back when it expires.
+impl State for Leases {
+    fn clear(&self) {
+        self.book.lock().clear();
+    }
+
+    /// Every logged lease comes back due one timeout from now (the dead
+    /// predecessor's clock died with it); a record that does not decode is
+    /// dropped, never a panic.
+    fn rebuild(&self, store: &pstore::Store) -> pstore::Result<()> {
+        let leases = store
+            .scan_prefix(LEASE_PREFIX)?
+            .into_iter()
+            .filter_map(|(k, v)| {
+                let id = <[u8; 8]>::try_from(k.strip_prefix(LEASE_PREFIX)?).ok()?;
+                Some((u64::from_be_bytes(id), decode_lease(&v)?))
+            });
+        self.book.lock().recover(self.clock.now(), leases);
+        Ok(())
+    }
 }
 
 /// Centralized placement service (one instance per deployment, like the
 /// paper's single provider manager node).
 pub struct ProviderManager {
     node: NodeId,
-    fabric: Fabric,
     providers: Vec<Arc<Provider>>,
     by_node: HashMap<NodeId, Arc<Provider>>,
-    strategy: AllocStrategy,
     ctl_msg_bytes: u64,
-    /// Reservation lease lifetime; `None` disables leasing (tests that want
-    /// reservations pinned forever).
-    lease_timeout_ns: Option<u64>,
-    rr: AtomicU64,
-    next_lease: AtomicU64,
-    leases: Mutex<LeaseBook>,
+    leases: Arc<Leases>,
+    /// The lease log (see [`Self::with_persistence`]).
+    log: Option<Durable>,
     expired_leases: AtomicU64,
     reclaimed_bytes: AtomicU64,
-    /// Durable copy of the lease book (see [`Self::with_persistence`]).
-    /// Writes are best-effort: the in-memory book stays authoritative, and a
-    /// store hiccup must never fail an allocation.
-    persist: Option<pstore::Store>,
 }
 
 impl ProviderManager {
+    /// A manager whose leases expire `lease_timeout_ns` after they are
+    /// opened (the deployment's write timeout).
     pub fn new(
         node: NodeId,
         fabric: Fabric,
         providers: Vec<Arc<Provider>>,
-        strategy: AllocStrategy,
         ctl_msg_bytes: u64,
-        lease_timeout_ns: Option<u64>,
+        lease_timeout_ns: u64,
     ) -> Self {
         let by_node = providers.iter().map(|pr| (pr.node(), pr.clone())).collect();
+        let book = LeaseBook::new(lease_timeout_ns);
         ProviderManager {
             node,
-            fabric,
             providers,
             by_node,
-            strategy,
             ctl_msg_bytes,
-            lease_timeout_ns,
-            rr: AtomicU64::new(0),
-            next_lease: AtomicU64::new(0),
-            leases: Mutex::with_rank(LeaseBook::default(), crate::lock_ranks::LEASE_BOOK),
+            leases: Arc::new(Leases {
+                book: Mutex::with_rank(book, crate::lock_ranks::LEASE_BOOK),
+                clock: fabric,
+            }),
+            log: None,
             expired_leases: AtomicU64::new(0),
             reclaimed_bytes: AtomicU64::new(0),
-            persist: None,
         }
     }
 
-    /// Enable the durable lease book: every lease mutation is mirrored into
-    /// a [`pstore::Store`] at `dir`, and a manager constructed over a
-    /// non-empty directory *recovers* the leases a dead predecessor left
-    /// behind — each reloaded lease gets a fresh deadline (the predecessor's
-    /// clock died with it), `next_lease` resumes past the highest recovered
-    /// id, and unlanded reservations are re-taken on their providers so the
+    /// Keep the lease book in a log at `dir`. A non-empty directory
+    /// *recovers* the leases a dead predecessor left behind: the book is
+    /// rebuilt from the log, then every provider re-reserves the recovered
+    /// entries whose pages have not landed ([`Self::reinstate`]), so the
     /// capacity books balance from the first allocation. A lease that
     /// straddled the crash is then settled / adopted / reaped exactly like
-    /// one registered in this life. No-op book-keeping when leasing is
-    /// disabled (`lease_timeout_ns == None`).
+    /// one registered in this life.
     pub fn with_persistence(mut self, dir: &Path, opts: pstore::StoreOptions) -> BlobResult<Self> {
-        let store =
-            pstore::Store::open_with(dir, opts).map_err(|e| BlobError::persistence(dir, &e))?;
-        if let Some(timeout) = self.lease_timeout_ns {
-            let records = store
-                .scan_prefix(LEASE_PREFIX)
-                .map_err(|e| BlobError::persistence(dir, &e))?;
-            let mut book = self.leases.lock();
-            // All recovered leases share one fresh deadline, keeping the
-            // queue monotone; scan order is ascending key = ascending id.
-            let deadline = self.fabric.now() + timeout;
-            let mut max_id = 0u64;
-            for (k, v) in records {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "scan_prefix(LEASE_PREFIX) returned `k` because it starts with that prefix"
-                )]
-                let (Ok(id_bytes), Some(entries)) = (
-                    <[u8; 8]>::try_from(&k[LEASE_PREFIX.len()..]),
-                    decode_lease(&v),
-                ) else {
-                    continue; // malformed record: drop it, never panic
-                };
-                let id = u64::from_be_bytes(id_bytes);
-                max_id = max_id.max(id);
-                for &(node, page, bytes) in &entries {
-                    if let Some(pr) = self.by_node.get(&node) {
-                        if !pr.has_page(page) {
-                            pr.reserve(bytes);
-                        }
-                    }
-                }
-                book.queue.push_back((deadline, id));
-                book.table.insert(id, Lease { entries });
-            }
-            drop(book);
-            self.next_lease.store(max_id, Ordering::Relaxed);
+        self.log = Some(Durable::open(dir, opts, self.leases.clone())?);
+        for pr in &self.providers {
+            self.reinstate(pr.node());
         }
-        self.persist = Some(store);
         Ok(self)
     }
 
-    /// Mirror one lease's current entries into the durable book
-    /// (best-effort, flushed to the OS so it survives a process crash).
-    fn persist_lease(&self, id: u64, entries: &[(NodeId, PageId, u64)]) {
-        if let Some(s) = &self.persist {
-            let _ = s.put(&lease_key(id), &encode_lease(entries));
-            let _ = s.flush_buffered();
-        }
-    }
-
-    /// Drop one lease from the durable book (settled or reaped).
-    fn persist_drop(&self, id: u64) {
-        if let Some(s) = &self.persist {
-            let _ = s.delete(&lease_key(id));
+    /// Write `lease`'s record to the log — its entries, or a tombstone once
+    /// it is gone. Called under the book's lock, so records land in the
+    /// order of the transitions they mirror.
+    fn record(&self, lease: LeaseId, entries: Option<&[Entry]>) {
+        let Some(log) = &self.log else { return };
+        if let Some(s) = log.read().as_ref() {
+            let key = lease_key(lease.0);
+            let _ = match entries {
+                Some(e) => s.put(&key, &encode_lease(e)),
+                None => s.delete(&key),
+            };
             let _ = s.flush_buffered();
         }
     }
@@ -276,11 +374,10 @@ impl ProviderManager {
     ) -> BlobResult<(LeaseId, Vec<Vec<Arc<Provider>>>)> {
         self.reap_expired_leases(p);
         p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
-        let mut candidates: Vec<Arc<Provider>> = self
+        let candidates: Vec<&Arc<Provider>> = self
             .providers
             .iter()
             .filter(|pr| pr.is_alive() && !exclude.contains(&pr.node()))
-            .cloned()
             .collect();
         if candidates.len() < replication {
             return Err(BlobError::NoProviders);
@@ -288,64 +385,17 @@ impl ProviderManager {
         let mut out = Vec::with_capacity(pages.len());
         let mut entries = Vec::with_capacity(pages.len() * replication);
         for &(id, bytes) in pages {
-            let chosen = self.pick(p, &mut candidates, replication);
+            let chosen = least_loaded(p, &candidates, replication);
             for pr in &chosen {
                 pr.reserve(bytes);
                 entries.push((pr.node(), id, bytes));
             }
             out.push(chosen);
         }
-        Ok((self.register_lease(entries), out))
-    }
-
-    fn register_lease(&self, entries: Vec<(NodeId, PageId, u64)>) -> LeaseId {
-        let id = self.next_lease.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(timeout) = self.lease_timeout_ns {
-            self.persist_lease(id, &entries);
-            let mut book = self.leases.lock();
-            // The deadline is read under the book lock: the O(1) front peek
-            // relies on monotone queue order, which a pre-lock read would
-            // break in live mode (a preempted allocator enqueueing an older
-            // deadline second).
-            let deadline = self.fabric.now() + timeout;
-            book.queue.push_back((deadline, id));
-            book.table.insert(id, Lease { entries });
-        }
-        LeaseId(id)
-    }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "every subscript is `% candidates.len()` or a member of a permutation of `0..candidates.len()`"
-    )]
-    fn pick(
-        &self,
-        p: &Proc,
-        candidates: &mut [Arc<Provider>],
-        replication: usize,
-    ) -> Vec<Arc<Provider>> {
-        match self.strategy {
-            AllocStrategy::RoundRobin => {
-                // Atomic cursor: concurrent allocators interleave without a
-                // lock, and in sim mode the scheduler order makes the
-                // sequence (and hence placement) reproducible per seed.
-                let base = self.rr.fetch_add(replication as u64, Ordering::Relaxed) as usize;
-                (0..replication)
-                    .map(|i| candidates[(base + i) % candidates.len()].clone())
-                    .collect()
-            }
-            AllocStrategy::LeastLoaded => {
-                // Random tie-break via a pre-shuffle, then stable sort by load.
-                let mut rng = p.rng();
-                let mut idx: Vec<usize> = (0..candidates.len()).collect();
-                idx.shuffle(&mut *rng);
-                idx.sort_by_key(|&i| candidates[i].load_estimate());
-                idx.iter()
-                    .take(replication)
-                    .map(|&i| candidates[i].clone())
-                    .collect()
-            }
-        }
+        let mut book = self.leases.book.lock();
+        let (lease, entries) = book.register(self.leases.clock.now(), entries);
+        self.record(lease, Some(entries));
+        Ok((lease, out))
     }
 
     /// Hand back a reservation taken by [`Self::allocate`] (or adopted by a
@@ -359,8 +409,7 @@ impl ProviderManager {
     /// already expired, the reaper took the token and released the bytes —
     /// a second unconditional unreserve here would silently drain *other*
     /// writers' live reservations (unreserve saturates across the shared
-    /// per-provider pool). With leasing disabled there is no token and the
-    /// release is unconditional, as before.
+    /// per-provider pool).
     pub fn release(
         &self,
         p: &Proc,
@@ -370,30 +419,13 @@ impl ProviderManager {
         bytes: u64,
     ) {
         p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
-        let owned = if self.lease_timeout_ns.is_none() {
-            true
-        } else {
-            let mut book = self.leases.lock();
-            match book.table.get_mut(&lease.0) {
-                Some(l) => match l
-                    .entries
-                    .iter()
-                    .position(|&(n, pg, _)| n == provider.node() && pg == page)
-                {
-                    Some(at) => {
-                        l.entries.swap_remove(at);
-                        self.persist_lease(lease.0, &l.entries);
-                        true
-                    }
-                    None => false,
-                },
-                // Lease expired: the reaper already returned these bytes.
-                None => false,
-            }
+        let mut book = self.leases.book.lock();
+        let Some(left) = book.release(lease, provider.node(), page) else {
+            return;
         };
-        if owned {
-            provider.unreserve(bytes);
-        }
+        self.record(lease, Some(left));
+        drop(book);
+        provider.unreserve(bytes);
     }
 
     /// Reserve `bytes` on a failover replacement target *under the caller's
@@ -413,27 +445,10 @@ impl ProviderManager {
     ) {
         p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
         provider.reserve(bytes);
-        if let Some(timeout) = self.lease_timeout_ns {
-            let mut book = self.leases.lock();
-            let entry = (provider.node(), page, bytes);
-            match book.table.get_mut(&lease.0) {
-                Some(l) => {
-                    l.entries.push(entry);
-                    self.persist_lease(lease.0, &l.entries);
-                }
-                None => {
-                    let deadline = self.fabric.now() + timeout;
-                    book.queue.push_back((deadline, lease.0));
-                    self.persist_lease(lease.0, &[entry]);
-                    book.table.insert(
-                        lease.0,
-                        Lease {
-                            entries: vec![entry],
-                        },
-                    );
-                }
-            }
-        }
+        let mut book = self.leases.book.lock();
+        let now = self.leases.clock.now();
+        let entries = book.adopt(now, lease, (provider.node(), page, bytes));
+        self.record(lease, Some(entries));
     }
 
     /// The writer's page stores are done (each page either landed — consuming
@@ -441,10 +456,10 @@ impl ProviderManager {
     /// lease so the reaper never considers this write again. Idempotent.
     pub fn settle(&self, p: &Proc, lease: LeaseId) {
         p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
-        if self.leases.lock().table.remove(&lease.0).is_some() {
-            self.persist_drop(lease.0);
+        let mut book = self.leases.book.lock();
+        if book.settle(lease) {
+            self.record(lease, None);
         }
-        // The deadline-queue entry is dropped lazily at the next front peek.
     }
 
     /// Expire every lease past its deadline and reclaim the reservations
@@ -452,38 +467,24 @@ impl ProviderManager {
     /// background reaper and lazily from [`Self::allocate`]. O(1) when
     /// nothing expired: only the deadline-queue front is examined.
     pub fn reap_expired_leases(&self, p: &Proc) -> u64 {
-        if self.lease_timeout_ns.is_none() {
-            return 0;
-        }
         let mut reclaimed = 0u64;
         loop {
             let expired = {
-                let mut book = self.leases.lock();
-                let now = self.fabric.now();
-                let mut expired = None;
-                while let Some(&(deadline, id)) = book.queue.front() {
-                    if !book.table.contains_key(&id) {
-                        // Settled by its writer: forget it lazily.
-                        book.queue.pop_front();
-                        continue;
-                    }
-                    if now >= deadline {
-                        book.queue.pop_front();
-                        expired = book.table.remove(&id).map(|l| (id, l));
-                    }
-                    break;
+                let mut book = self.leases.book.lock();
+                let expired = book.take_expired(self.leases.clock.now());
+                if let Some((lease, _)) = &expired {
+                    self.record(*lease, None);
                 }
                 expired
             };
-            let Some((id, lease)) = expired else { break };
-            self.persist_drop(id);
+            let Some((_, entries)) = expired else { break };
             self.expired_leases.fetch_add(1, Ordering::Relaxed);
             // One control exchange per expired lease: the manager confirms
             // with the holders which reservations were consumed. A page that
             // landed (`has_page`) consumed its reservation in `put_pages`;
             // everything else is a stranded reservation — hand it back.
             p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
-            for (node, page, bytes) in lease.entries {
+            for (node, page, bytes) in entries {
                 let Some(pr) = self.by_node.get(&node) else {
                     continue;
                 };
@@ -501,8 +502,9 @@ impl ProviderManager {
 
     /// Re-reserve, on provider `node`, every outstanding lease entry whose
     /// page has not landed there. Called right after a crash-restarted
-    /// provider [`crate::service::Service::recover`]s: recovery zeroes the reservation
-    /// counter (a restarted process has no memory of promises), but leases
+    /// provider [`crate::service::Service::recover`]s, and for every provider
+    /// when the manager itself recovers its book: a restarted provider zeroes
+    /// its reservation counter (it has no memory of promises), but leases
     /// that straddled the crash are still live — their writers may yet store
     /// pages, and the reaper will expect the reservations to be there when
     /// the deadlines lapse. Entries whose pages DID land consumed their
@@ -512,19 +514,12 @@ impl ProviderManager {
         let Some(pr) = self.by_node.get(&node) else {
             return 0;
         };
-        let book = self.leases.lock();
+        let book = self.leases.book.lock();
         let mut restored = 0u64;
-        #[expect(
-            clippy::iter_over_hash_type,
-            clippy::disallowed_methods,
-            reason = "commutative: each entry's reserve() and its share of the sum are independent of visit order"
-        )]
-        for lease in book.table.values() {
-            for &(n, page, bytes) in &lease.entries {
-                if n == node && !pr.has_page(page) {
-                    pr.reserve(bytes);
-                    restored += bytes;
-                }
+        for (page, bytes) in book.entries_on(node) {
+            if !pr.has_page(page) {
+                pr.reserve(bytes);
+                restored += bytes;
             }
         }
         restored
@@ -533,7 +528,7 @@ impl ProviderManager {
     /// Leases currently outstanding (allocated, neither settled nor
     /// expired). Diagnostics.
     pub fn outstanding_leases(&self) -> usize {
-        self.leases.lock().table.len()
+        self.leases.book.lock().len()
     }
 
     /// `(leases expired, reservation bytes reclaimed)` over this manager's
@@ -565,6 +560,15 @@ impl ProviderManager {
     }
 }
 
+/// `replication` distinct candidates, least loaded first (stored bytes plus
+/// bytes reserved for writes in flight); ties are broken by the caller's
+/// seeded RNG stream through a pre-shuffle and a stable sort.
+fn least_loaded(p: &Proc, candidates: &[&Arc<Provider>], replication: usize) -> Vec<Arc<Provider>> {
+    let mut order = candidates.to_vec();
+    order.shuffle(&mut *p.rng());
+    order.sort_by_key(|pr| pr.load_estimate());
+    order.into_iter().take(replication).cloned().collect()
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,44 +593,32 @@ mod tests {
             .collect()
     }
 
-    fn pm_on(
-        fx: &Fabric,
-        provs: Vec<Arc<Provider>>,
-        strategy: AllocStrategy,
-        lease_timeout_ns: Option<u64>,
-    ) -> ProviderManager {
-        ProviderManager::new(NodeId(0), fx.clone(), provs, strategy, 64, lease_timeout_ns)
+    /// A lease lifetime no run reaches.
+    const NEVER: u64 = u64::MAX;
+
+    fn pm_on(fx: &Fabric, provs: Vec<Arc<Provider>>, lease_timeout_ns: u64) -> ProviderManager {
+        ProviderManager::new(NodeId(0), fx.clone(), provs, 64, lease_timeout_ns)
     }
 
     fn with_pm<T: Send + 'static>(
         n_providers: u32,
-        strategy: AllocStrategy,
         f: impl FnOnce(&Proc, &ProviderManager, &[Arc<Provider>]) -> T + Send + 'static,
     ) -> T {
         with_proc(move |p| {
             let provs = providers(n_providers);
-            let pm = pm_on(p.fabric(), provs.clone(), strategy, None);
+            let pm = pm_on(p.fabric(), provs.clone(), NEVER);
             f(p, &pm, &provs)
         })
     }
 
     #[test]
-    fn round_robin_cycles() {
-        with_pm(3, AllocStrategy::RoundRobin, |p, pm, _| {
-            let (_, a) = pm.allocate(p, &pages(&[100; 4]), 1, &[]).unwrap();
-            let nodes: Vec<u32> = a.iter().map(|r| r[0].node().0).collect();
-            assert_eq!(nodes, vec![0, 1, 2, 0]);
-        });
-    }
-
-    #[test]
-    fn round_robin_stays_deterministic_across_seeded_runs() {
-        // The atomic cursor must not cost reproducibility: two identically
-        // seeded sims with concurrent allocators produce identical
-        // placements.
+    fn placement_stays_deterministic_across_seeded_runs() {
+        // Concurrent allocators must not cost reproducibility: tie-breaks
+        // draw from each caller's seeded stream, so two identically seeded
+        // sims produce identical placements.
         let run = |seed: u64| -> Vec<Vec<u32>> {
             let fx = Fabric::sim_seeded(ClusterSpec::tiny(8), seed);
-            let pm = Arc::new(pm_on(&fx, providers(5), AllocStrategy::RoundRobin, None));
+            let pm = Arc::new(pm_on(&fx, providers(5), NEVER));
             let mut handles = Vec::new();
             for w in 0..4u64 {
                 let pm2 = pm.clone();
@@ -648,7 +640,7 @@ mod tests {
 
     #[test]
     fn least_loaded_spreads_concurrent_reservations() {
-        with_pm(4, AllocStrategy::LeastLoaded, |p, pm, _| {
+        with_pm(4, |p, pm, _| {
             // 4 single-page allocations *before any data lands* must pick 4
             // distinct providers thanks to reservations.
             let mut nodes = std::collections::HashSet::new();
@@ -662,7 +654,7 @@ mod tests {
 
     #[test]
     fn reservations_match_exact_page_bytes() {
-        with_pm(2, AllocStrategy::RoundRobin, |p, pm, provs| {
+        with_pm(2, |p, pm, provs| {
             // A full page plus a short 37 B tail: exactly 137 B reserved in
             // total, so releasing actual page bytes balances to zero.
             let (lease, placements) = pm.allocate(p, &pages(&[100, 37]), 1, &[]).unwrap();
@@ -676,7 +668,7 @@ mod tests {
 
     #[test]
     fn replication_yields_distinct_nodes() {
-        with_pm(5, AllocStrategy::LeastLoaded, |p, pm, _| {
+        with_pm(5, |p, pm, _| {
             let (_, a) = pm.allocate(p, &pages(&[100; 3]), 3, &[]).unwrap();
             for replicas in &a {
                 let mut ns: Vec<u32> = replicas.iter().map(|r| r.node().0).collect();
@@ -689,7 +681,7 @@ mod tests {
 
     #[test]
     fn excludes_and_dead_are_skipped() {
-        with_pm(4, AllocStrategy::LeastLoaded, |p, pm, provs| {
+        with_pm(4, |p, pm, provs| {
             provs[1].kill();
             for i in 0..8 {
                 let (_, a) = pm.allocate(p, &[(pg(i), 10)], 1, &[NodeId(2)]).unwrap();
@@ -701,7 +693,7 @@ mod tests {
 
     #[test]
     fn insufficient_providers_error() {
-        with_pm(2, AllocStrategy::LeastLoaded, |p, pm, provs| {
+        with_pm(2, |p, pm, provs| {
             provs[0].kill();
             assert!(matches!(
                 pm.allocate(p, &pages(&[10]), 2, &[]),
@@ -715,7 +707,7 @@ mod tests {
         let timeout = 100 * fabric::MILLIS;
         let fx = Fabric::sim(ClusterSpec::tiny(8));
         let provs = providers(3);
-        let pm = pm_on(&fx, provs.clone(), AllocStrategy::RoundRobin, Some(timeout));
+        let pm = pm_on(&fx, provs.clone(), timeout);
         let h = fx.spawn(NodeId(0), "t", move |p| {
             // Two pages allocated under one lease; only the first lands.
             let (_, a) = pm.allocate(p, &pages(&[100, 60]), 1, &[]).unwrap();
@@ -745,7 +737,7 @@ mod tests {
         let timeout = 50 * fabric::MILLIS;
         let fx = Fabric::sim(ClusterSpec::tiny(8));
         let provs = providers(2);
-        let pm = pm_on(&fx, provs.clone(), AllocStrategy::RoundRobin, Some(timeout));
+        let pm = pm_on(&fx, provs.clone(), timeout);
         let h = fx.spawn(NodeId(0), "t", move |p| {
             // Lease A: page lands, writer settles.
             let (la, a) = pm.allocate(p, &pages(&[40]), 1, &[]).unwrap();
@@ -788,7 +780,7 @@ mod tests {
         // then "crash" (drop the manager without settling).
         let fx = Fabric::sim(ClusterSpec::tiny(8));
         let provs = providers(2);
-        let pm = pm_on(&fx, provs.clone(), AllocStrategy::RoundRobin, Some(timeout))
+        let pm = pm_on(&fx, provs.clone(), timeout)
             .with_persistence(&dir, pstore::StoreOptions::default())
             .unwrap();
         let d2 = dir.to_path_buf();
@@ -809,7 +801,7 @@ mod tests {
         // same lease directory.
         let fx = Fabric::sim(ClusterSpec::tiny(8));
         let provs = providers(2);
-        let pm = pm_on(&fx, provs.clone(), AllocStrategy::RoundRobin, Some(timeout))
+        let pm = pm_on(&fx, provs.clone(), timeout)
             .with_persistence(&d2, pstore::StoreOptions::default())
             .unwrap();
         // The settled lease is gone; the two unsettled ones were recovered
@@ -843,14 +835,9 @@ mod tests {
         let timeout = 100 * fabric::MILLIS;
         let fx = Fabric::sim(ClusterSpec::tiny(8));
         let pr = Arc::new(Provider::new_persistent(NodeId(1), &pdir).unwrap());
-        let pm = pm_on(
-            &fx,
-            vec![pr.clone()],
-            AllocStrategy::RoundRobin,
-            Some(timeout),
-        )
-        .with_persistence(&ldir, pstore::StoreOptions::default())
-        .unwrap();
+        let pm = pm_on(&fx, vec![pr.clone()], timeout)
+            .with_persistence(&ldir, pstore::StoreOptions::default())
+            .unwrap();
         let h = fx.spawn(NodeId(0), "t", move |p| {
             // One lease, two pages: the first lands, the second is still in
             // flight when the provider crash-restarts.
@@ -887,12 +874,7 @@ mod tests {
         let timeout = 50 * fabric::MILLIS;
         let fx = Fabric::sim(ClusterSpec::tiny(8));
         let provs = providers(2);
-        let pm = pm_on(
-            &fx,
-            provs.clone(),
-            AllocStrategy::LeastLoaded,
-            Some(timeout),
-        );
+        let pm = pm_on(&fx, provs.clone(), timeout);
         let h = fx.spawn(NodeId(0), "t", move |p| {
             let (_, _) = pm.allocate(p, &pages(&[500]), 1, &[]).unwrap();
             // Writer dies. A later allocation (no reaper running) reclaims

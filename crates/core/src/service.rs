@@ -1,9 +1,16 @@
-//! The lifecycle every storage service shares — how it counts what it
-//! served, dies, and comes back — written once for the data providers
-//! ([`crate::provider`]) and the metadata servers ([`crate::dht`]), which
-//! the paper puts on one persistency layer (§3.1.1). Each of them *is* a
-//! [`Service`] (by `Deref`) plus what is its own: its hot paths, and a
-//! `State` saying what a crash empties and what a restart reconstructs.
+//! The durable core of `blobseer`, written once, in two layers:
+//!
+//! * [`Durable`] is what any durable book opens through: a store directory,
+//!   the store opened from it, and the [`State`] rebuilt from it. It has
+//!   three users — the data providers ([`crate::provider`]) and the
+//!   metadata servers ([`crate::dht`]), which the paper puts on one
+//!   persistency layer (§3.1.1), and the provider manager's lease log
+//!   ([`crate::provider_manager`]).
+//! * [`Service`] is the storage-service shell around one: how a provider or
+//!   a metadata server counts what it served, dies, and comes back. Each of
+//!   them *is* a `Service` (by `Deref`) plus what is its own: its hot paths,
+//!   and a `State` saying what a crash empties and what a restart
+//!   reconstructs.
 //!
 //! **Acknowledged means it survives a process crash.** A write path takes
 //! `Durable::read` once and holds the guard across its whole batch
@@ -37,7 +44,8 @@ pub(crate) trait State: Send + Sync {
 }
 
 /// A store directory, the store opened from it while the process is up, and
-/// the state derived from it. Knows nothing about pages or tree nodes.
+/// the state derived from it. Knows nothing about pages, tree nodes or
+/// leases.
 pub(crate) struct Durable {
     /// `None` while wiped: between a crash and a restart that succeeded.
     store: RwLock<Option<pstore::Store>>,

@@ -101,7 +101,7 @@ pub struct VersionManager {
     /// CPU charged on the VM node per request — models the serialization
     /// point the paper calls "low overhead" and lets benches observe it.
     vm_cpu_ops: u64,
-    write_timeout_ns: Option<u64>,
+    write_timeout_ns: u64,
     /// Fault injection: while set, every request stalls at entry (the VM is
     /// alive but mute — a GC pause). Set via `BlobSeer::inject`.
     paused: AtomicBool,
@@ -119,7 +119,7 @@ impl VersionManager {
         default_page_size: u64,
         ctl_msg_bytes: u64,
         vm_cpu_ops: u64,
-        write_timeout_ns: Option<u64>,
+        write_timeout_ns: u64,
     ) -> Self {
         VersionManager {
             node,
@@ -479,14 +479,11 @@ impl VersionManager {
     /// scan of the pending versions.
     pub fn reap_expired(&self, p: &Proc, blob: BlobId) -> BlobResult<()> {
         self.pause_barrier(p);
-        let Some(timeout) = self.write_timeout_ns else {
-            return Ok(());
-        };
         let Ok(slot) = self.slot(blob) else {
             return Ok(());
         };
         let now = self.fabric.now();
-        let expired = slot.state.lock().take_expired(now, timeout);
+        let expired = slot.state.lock().take_expired(now, self.write_timeout_ns);
         // A concurrent force-completer or a resurrected writer racing us
         // here is fine: node writes are idempotent, commit is too.
         let mut left = expired.as_slice();
@@ -521,7 +518,7 @@ mod tests {
             PS,
             64,
             0,
-            Some(1_000_000_000),
+            1_000_000_000,
         ))
     }
 
@@ -875,7 +872,7 @@ mod tests {
             PS,
             64,
             0,
-            Some(1_000_000_000),
+            1_000_000_000,
         ));
         let vm2 = vm.clone();
         let h = fx.spawn(NodeId(3), "t", move |p| {

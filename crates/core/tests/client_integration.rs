@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use blobseer::{AllocStrategy, BlobSeer, BlobSeerConfig, Fault, FaultTarget, Layout};
+use blobseer::{BlobSeer, BlobSeerConfig, Fault, FaultTarget, Layout};
 use fabric::{ClusterSpec, Fabric, NodeId, Payload};
 use parking_lot::Mutex;
 
@@ -199,7 +199,7 @@ fn replicated_pages_survive_provider_failure() {
 fn writes_fail_over_to_healthy_providers() {
     let fx = Fabric::sim(ClusterSpec::tiny(6));
     let layout = Layout::compact(fx.spec());
-    let config = BlobSeerConfig::test_small(128).with_alloc(AllocStrategy::RoundRobin);
+    let config = BlobSeerConfig::test_small(128);
     let bs = BlobSeer::deploy(&fx, config, layout).unwrap();
     // Kill half the providers before any write.
     bs.inject(FaultTarget::Provider(1), Fault::Crash).unwrap();
@@ -242,23 +242,35 @@ fn failover_releases_reservations_on_dead_providers() {
         providers: vec![NodeId(1), NodeId(2)],
         read_replicas: vec![],
     };
-    let config = BlobSeerConfig::test_small(PAGE).with_alloc(AllocStrategy::RoundRobin);
+    let config = BlobSeerConfig::test_small(PAGE);
     let bs = BlobSeer::deploy(&fx, config, layout).unwrap();
-    let bs_writer = bs.clone();
+    let victim: Arc<Mutex<Option<usize>>> = Arc::new(Mutex::new(None));
+    let (bs_writer, victim_w) = (bs.clone(), victim.clone());
     let writer = fx.spawn(NodeId(0), "writer", move |p| {
         let c = bs_writer.client();
         let blob = c.create(p, None);
-        // One 4 MB page: round-robin allocates provider 0 (node 1); the
-        // killer takes it down mid-transfer and the write must fail over.
+        // One 4 MB page: the killer takes its allocated provider down
+        // mid-transfer and the write must fail over to the other.
         c.append(p, blob, Payload::ghost(PAGE)).unwrap();
-        assert_eq!(bs_writer.providers()[0].stored_pages(), 0);
-        assert_eq!(bs_writer.providers()[1].stored_pages(), 1);
+        let v = victim_w
+            .lock()
+            .expect("the killer found the allocated provider");
+        assert_eq!(bs_writer.providers()[v].stored_pages(), 0);
+        assert_eq!(bs_writer.providers()[1 - v].stored_pages(), 1);
     });
     let bs_killer = bs.clone();
     fx.spawn(NodeId(2), "killer", move |p| {
-        // Well inside the multi-ms transfer window, well after allocation.
+        // Well inside the multi-ms transfer window, well after allocation:
+        // the allocated provider is the one whose books show bytes reserved
+        // that have not landed.
         p.sleep(5 * fabric::MILLIS);
-        bs_killer.providers()[0].kill();
+        let providers = bs_killer.providers();
+        let v = providers
+            .iter()
+            .position(|pr| pr.load_estimate() > pr.stored_bytes())
+            .unwrap();
+        providers[v].kill();
+        *victim.lock() = Some(v);
     });
     fx.run();
     writer.take().unwrap();
@@ -287,7 +299,7 @@ fn abandoned_writes_release_all_reservations() {
         providers: vec![NodeId(1), NodeId(2)],
         read_replicas: vec![],
     };
-    let config = BlobSeerConfig::test_small(PAGE).with_alloc(AllocStrategy::RoundRobin);
+    let config = BlobSeerConfig::test_small(PAGE);
     let bs = BlobSeer::deploy(&fx, config, layout).unwrap();
     let bs_writer = bs.clone();
     let writer = fx.spawn(NodeId(0), "writer", move |p| {

@@ -150,7 +150,7 @@ fn per_blob_ordering_survives_sharding() {
     assert_eq!(size, 8 * PS);
 }
 
-fn vm_setup(fx: &Fabric, timeout_ns: Option<u64>) -> Arc<VersionManager> {
+fn vm_setup(fx: &Fabric, timeout_ns: u64) -> Arc<VersionManager> {
     let dht = Arc::new(blobseer::dht::MetaDht::new(
         vec![Arc::new(blobseer::dht::MetaServer::new(NodeId(1)))],
         0,
@@ -183,7 +183,7 @@ fn one_page_manifest(tag: u64) -> Arc<Vec<PageRef>> {
 fn reap_commit_wait_races_end_published_not_panicked() {
     let timeout = 500 * fabric::MILLIS;
     let fx = Fabric::sim(ClusterSpec::tiny(8));
-    let vm = vm_setup(&fx, Some(timeout));
+    let vm = vm_setup(&fx, timeout);
     let blob_cell: Arc<Mutex<Option<blobseer::BlobId>>> = Arc::new(Mutex::new(None));
     let assigned = fx.gate();
 
@@ -244,7 +244,7 @@ fn reap_commit_wait_races_end_published_not_panicked() {
 fn each_blob_reaps_independently() {
     let timeout = 200 * fabric::MILLIS;
     let fx = Fabric::sim(ClusterSpec::tiny(8));
-    let vm = vm_setup(&fx, Some(timeout));
+    let vm = vm_setup(&fx, timeout);
     let vm2 = vm.clone();
     let h = fx.spawn(NodeId(2), "driver", move |p| {
         let blobs: Vec<_> = (0..16).map(|_| vm2.create_blob(p, None)).collect();
@@ -320,7 +320,7 @@ fn scripted_window_scenario_is_pinned_to_literals() {
         PS,
         64,
         20_000,
-        Some(TIMEOUT),
+        TIMEOUT,
     ));
     let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -760,7 +760,7 @@ fn live_storm(delete_mid_storm: bool) {
     const ROUNDS: u64 = 50;
     const N: u64 = WRITERS * ROUNDS;
     let fx = Fabric::live_seeded(ClusterSpec::tiny(17), 0x5EED_0023);
-    let vm = vm_setup(&fx, Some(50 * fabric::MILLIS));
+    let vm = vm_setup(&fx, 50 * fabric::MILLIS);
     let seen: Arc<Mutex<Vec<Seen>>> = Arc::new(Mutex::new(Vec::new()));
     // 0 while the blob lives, 1 once `delete_blob` was called, 2 once it
     // returned.

@@ -13,12 +13,12 @@ use blobseer::meta::{collect_leaves, NodeKey, PageRef};
 use blobseer::provider::Provider;
 use blobseer::provider_manager::ProviderManager;
 use blobseer::version_manager::{UpdateKind, VersionManager};
-use blobseer::{AllocStrategy, PageId};
+use blobseer::PageId;
 use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
 
 const PS: u64 = 1024;
 
-fn vm_only(fx: &Fabric, timeout_ns: Option<u64>) -> Arc<VersionManager> {
+fn vm_only(fx: &Fabric, timeout_ns: u64) -> Arc<VersionManager> {
     let dht = Arc::new(MetaDht::new(vec![Arc::new(MetaServer::new(NodeId(1)))], 0));
     Arc::new(VersionManager::new(
         NodeId(0),
@@ -48,7 +48,7 @@ fn one_page_manifest(tag: u64) -> Arc<Vec<PageRef>> {
 fn one_blob_thousand_pending_writers_bounded_retention() {
     const W: u64 = 2_000;
     let fx = Fabric::sim(ClusterSpec::tiny(4));
-    let vm = vm_only(&fx, None); // no reaping: keep every write pending
+    let vm = vm_only(&fx, u64::MAX); // no reaping: keep every write pending
     let vm2 = vm.clone();
     let h = fx.spawn(NodeId(3), "horde", move |p| {
         let blob = vm2.create_blob(p, None);
@@ -102,7 +102,7 @@ fn many_blobs_pending_writers_bounded_retention() {
     const BLOBS: u64 = 64;
     const W: u64 = 32; // pending writers per blob
     let fx = Fabric::sim(ClusterSpec::tiny(4));
-    let vm = vm_only(&fx, None);
+    let vm = vm_only(&fx, u64::MAX);
     let vm2 = vm.clone();
     let h = fx.spawn(NodeId(3), "horde", move |p| {
         let blobs: Vec<_> = (0..BLOBS).map(|_| vm2.create_blob(p, None)).collect();
@@ -158,9 +158,8 @@ fn provider_books_balance_after_mass_reap() {
         NodeId(1),
         fx.clone(),
         providers.clone(),
-        AllocStrategy::LeastLoaded,
         64,
-        Some(timeout),
+        timeout,
     ));
     let dht = Arc::new(MetaDht::new(vec![Arc::new(MetaServer::new(NodeId(1)))], 0));
     let vm = Arc::new(VersionManager::new(
@@ -170,7 +169,7 @@ fn provider_books_balance_after_mass_reap() {
         PS,
         64,
         0,
-        Some(timeout),
+        timeout,
     ));
     let vm2 = vm.clone();
     let provs = providers.clone();

@@ -139,7 +139,7 @@ fn single_provider_fanin_stays_unserialized() {
 fn dead_writer_leaves_zero_stranded_bytes_once_lease_expires() {
     let timeout = 300 * fabric::MILLIS;
     let mut cfg = config();
-    cfg.timeouts.write_timeout_ns = Some(timeout);
+    cfg.timeouts.write_timeout_ns = timeout;
     cfg.timeouts.reaper_interval_ns = 100 * fabric::MILLIS;
     let (fx, bs) = storage_deploy(2, 3, cfg);
     let reaper = bs.start_reaper(&fx);
@@ -210,7 +210,7 @@ fn reaper_publishes_dead_writers_without_vm_interaction() {
     let timeout = 300 * fabric::MILLIS;
     let fx = Fabric::sim(ClusterSpec::tiny(4));
     let mut cfg = config();
-    cfg.timeouts.write_timeout_ns = Some(timeout);
+    cfg.timeouts.write_timeout_ns = timeout;
     cfg.timeouts.reaper_interval_ns = 100 * fabric::MILLIS;
     let bs = BlobSeer::deploy(&fx, cfg, Layout::compact(fx.spec())).unwrap();
     let reaper = bs.start_reaper(&fx);
