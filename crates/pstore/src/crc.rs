@@ -136,6 +136,60 @@ mod tests {
         assert_eq!(crc32(b"hello"), 0x3610_A686);
     }
 
+    /// Literal values (zlib's `crc32` of `filler(len)`) at every length where
+    /// a fold path could start or stop: step (16), four-step (64), the 1 KiB
+    /// and 4 KiB marks, a page (64 KiB) and 1 MiB, each with its neighbours.
+    #[test]
+    fn pinned_values_at_path_boundaries() {
+        const PINNED: [(usize, u32); 19] = [
+            (0, 0x0000_0000),
+            (1, 0xD202_EF8D),
+            (15, 0x20A6_F16E),
+            (16, 0x7E9E_B03C),
+            (17, 0xC410_BE78),
+            (63, 0x6B53_518C),
+            (64, 0x06D2_8C3E),
+            (65, 0x806C_DF37),
+            (1023, 0xBC3E_07D3),
+            (1024, 0x7B02_7FD9),
+            (1025, 0xD514_29EB),
+            (4095, 0xF0FB_D39A),
+            (4096, 0x3D27_0474),
+            (4097, 0x4B36_9933),
+            (65_535, 0x9465_5158),
+            (65_536, 0xA627_5846),
+            (65_537, 0x64C2_E5E8),
+            (1 << 20, 0x1589_87C5),
+            ((1 << 20) + 13, 0x5360_E84C),
+        ];
+        let buf = filler((1 << 20) + 13);
+        for (len, want) in PINNED {
+            assert_eq!(crc32(&buf[..len]), want, "len {len}");
+        }
+        // One 64 KiB + 7 input cut into 2–4 parts: inside the first quarter,
+        // on quarter boundaries (16 KiB multiples), inside the last quarter,
+        // and a 3-byte first part ahead of a long one.
+        let page = &buf[..65_536 + 7];
+        for cuts in [
+            &[5000][..],
+            &[16_384],
+            &[60_000],
+            &[3],
+            &[1000, 40_000],
+            &[16_384, 32_768, 49_152],
+            &[3, 16_384, 60_000],
+        ] {
+            let mut parts: Vec<&[u8]> = Vec::new();
+            let mut from = 0;
+            for &cut in cuts {
+                parts.push(&page[from..cut]);
+                from = cut;
+            }
+            parts.push(&page[from..]);
+            assert_eq!(crc32_multi(&parts), 0xE697_429B, "cuts {cuts:?}");
+        }
+    }
+
     #[test]
     fn multi_equals_concat() {
         let whole = crc32(b"hello world");
