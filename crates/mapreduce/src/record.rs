@@ -230,32 +230,58 @@ impl Collector {
     }
 
     /// The order is total (equal records are indistinguishable), so the
-    /// unstable sort is deterministic; records pushed in order cost no copy.
+    /// unstable sorts are deterministic; records pushed in order cost no
+    /// copy.
+    ///
+    /// The sort compares integers first: `(prefix, min(klen, 9))` orders
+    /// any two keys that differ in their first 8 bytes or in their length
+    /// below 9. Two keys under 9 bytes with equal ranks are equal: the key is
+    /// its padded prefix, and the length says how much of the padding is key.
+    /// So one pass over runs of equal rank finishes the job, reading the
+    /// arena only inside a run: by value for a run of one short key, by
+    /// `(key, value)` for a run of long keys. The clamp at 9 keeps every
+    /// long key with a shared prefix in one run (`"12345678ab"` sorts before
+    /// `"12345678z"`, though it is longer).
     #[expect(
         clippy::indexing_slicing,
         reason = "every Entry was made by `push`: `at`, `klen`, `vlen` delimit the record it appended to `arena` at `at - 8`"
     )]
     fn into_sorted_run(mut self) -> Vec<u8> {
         let arena = &self.arena;
-        let cmp = |a: &Entry, b: &Entry| {
-            let (ak, bk) = (a.at + a.klen as usize, b.at + b.klen as usize);
-            a.prefix
-                .cmp(&b.prefix)
-                .then_with(|| arena[a.at..ak].cmp(&arena[b.at..bk]))
-                .then_with(|| arena[ak..ak + a.vlen as usize].cmp(&arena[bk..bk + b.vlen as usize]))
+        let key = |e: &Entry| &arena[e.at..e.at + e.klen as usize];
+        let value = |e: &Entry| {
+            let k = e.at + e.klen as usize;
+            &arena[k..k + e.vlen as usize]
         };
-        if self
-            .index
-            .is_sorted_by(|a, b| cmp(a, b) != Ordering::Greater)
-        {
+        let by_value = |a: &Entry, b: &Entry| value(a).cmp(value(b));
+        let by_key_value = |a: &Entry, b: &Entry| key(a).cmp(key(b)).then_with(|| by_value(a, b));
+        let in_order = |a: &Entry, b: &Entry| {
+            a.prefix.cmp(&b.prefix).then_with(|| by_key_value(a, b)) != Ordering::Greater
+        };
+        if self.index.is_sorted_by(in_order) {
             return self.arena;
         }
-        self.index.sort_unstable_by(cmp);
+        let rank = |e: &Entry| (e.prefix, e.klen.min(9));
+        self.index.sort_unstable_by_key(rank);
+        for run in self.index.chunk_by_mut(|a, b| rank(a) == rank(b)) {
+            if run.first().is_some_and(|e| e.klen < 9) {
+                sort_unless_sorted(run, by_value);
+            } else {
+                sort_unless_sorted(run, by_key_value);
+            }
+        }
         let mut run = Vec::with_capacity(arena.len());
         for e in &self.index {
             run.extend_from_slice(&arena[e.at - 8..e.at + e.klen as usize + e.vlen as usize]);
         }
         run
+    }
+}
+
+/// Sort `run` by `cmp` unless it already is.
+fn sort_unless_sorted(run: &mut [Entry], cmp: impl Fn(&Entry, &Entry) -> Ordering) {
+    if !run.is_sorted_by(|a, b| cmp(a, b) != Ordering::Greater) {
+        run.sort_unstable_by(cmp);
     }
 }
 
@@ -602,9 +628,19 @@ mod tests {
 
     #[test]
     fn collector_sorts_by_prefix_then_key_then_value() {
-        // "a" and "a\0" share a padded prefix; the last two agree through
-        // byte 8.
-        let keys: [&[u8]; 6] = [b"12345678z", b"a\0", b"", b"a", b"12345678", b"12345678a"];
+        // "a" and "a\0" share a padded prefix; the "12345678…" keys agree
+        // through byte 8, and "12345678ab" sorts before the shorter
+        // "12345678z".
+        let keys: [&[u8]; 8] = [
+            b"12345678z",
+            b"a\0",
+            b"",
+            b"a",
+            b"12345678",
+            b"12345678a",
+            b"12345678ab",
+            b"12345678\0",
+        ];
         let mut c = Collector::default();
         let mut want = Vec::new();
         for (i, k) in keys.iter().enumerate() {

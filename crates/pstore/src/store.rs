@@ -212,6 +212,18 @@ fn load_checkpoint(path: &Path, seg_disk_len: &BTreeMap<u64, u64>) -> Option<Che
     Some(Checkpoint { wseg, wlen, index })
 }
 
+/// Refuse a key or value the record header cannot carry: its length field
+/// is a `u32`, and a value length of `u32::MAX` marks a tombstone.
+fn check_len(what: &str, len: usize) -> Result<()> {
+    if len < TOMBSTONE as usize {
+        return Ok(());
+    }
+    Err(PStoreError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        format!("{what} of {len} bytes: a record holds under {TOMBSTONE} bytes"),
+    )))
+}
+
 fn encode_record(out: &mut Vec<u8>, key: &[u8], val: Option<&[u8]>) -> u64 {
     let key_len = (key.len() as u32).to_le_bytes();
     let val_len = match val {
@@ -439,7 +451,11 @@ impl Store {
     }
 
     /// Insert or replace `key`; returns whether an older value was replaced.
+    /// A key or value of `u32::MAX` bytes or more is refused with an
+    /// `InvalidInput` I/O error before anything is buffered.
     pub fn put(&self, key: &[u8], val: &[u8]) -> Result<bool> {
+        check_len("key", key.len())?;
+        check_len("value", val.len())?;
         let mut g = self.inner.lock();
         let inner = &mut *g;
         inner.maybe_rotate()?;
@@ -1170,6 +1186,75 @@ mod tests {
             vec![(b"p/a".to_vec(), 9), (b"p/b".to_vec(), 100)]
         );
         assert_eq!(s.prefix_meta(b"l/"), vec![(b"l/1".to_vec(), 3)]);
+    }
+
+    #[test]
+    fn lengths_the_header_cannot_carry_are_refused() {
+        assert!(check_len("key", 0).is_ok());
+        assert!(check_len("value", u32::MAX as usize - 1).is_ok());
+        // `u32::MAX` would read back as a tombstone; anything longer would
+        // be truncated by the length field.
+        for len in [u32::MAX as usize, u32::MAX as usize + 1, usize::MAX] {
+            match check_len("value", len) {
+                Err(PStoreError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+                    assert!(
+                        e.to_string().contains(&format!("value of {len} bytes")),
+                        "{e}"
+                    );
+                }
+                other => panic!("len {len}: expected InvalidInput, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_bit_anywhere_in_a_page_record_is_corrupt() {
+        // `page` = 64 KiB + 7: the checksum covers record bytes 4..65_559,
+        // folded as four 16 KiB lanes from byte 4 and a 19-byte tail from
+        // 65_540. One flip in the stored checksum, one in the value length,
+        // one inside each lane, one in the tail.
+        let value: Vec<u8> = (0..65_536u32 + 7).map(|i| (i * 31 + 7) as u8).collect();
+        let opts = StoreOptions {
+            max_segment_bytes: 1024,
+            ..Default::default()
+        };
+        for at in [
+            1usize,
+            8,
+            4 + 8192,
+            16_388 + 5,
+            32_772 + 16_000,
+            49_156 + 9,
+            65_550,
+        ] {
+            let td = TempDir::new("page-flip");
+            let s = Store::open_with(&td.0, opts.clone()).unwrap();
+            s.put(b"page", &value).unwrap();
+            // The next put rotates: the page record is sealed in segment 0.
+            s.put(b"next", b"x").unwrap();
+            s.flush().unwrap();
+            assert_eq!(s.get(b"page").unwrap().unwrap(), value);
+            let path = seg_path(&td.0, 0);
+            let mut data = std::fs::read(&path).unwrap();
+            assert_eq!(data.len(), 12 + 4 + value.len());
+            data[at] ^= 0x04;
+            std::fs::write(&path, &data).unwrap();
+            match s.get(b"page") {
+                Err(PStoreError::Corrupt {
+                    segment: 0,
+                    offset: 0,
+                    ..
+                }) => {}
+                other => panic!("flip at {at}: get answered {other:?}"),
+            }
+            drop(s);
+            match Store::open_with(&td.0, opts.clone()) {
+                Err(PStoreError::Corrupt { segment: 0, .. }) => {}
+                Err(other) => panic!("flip at {at}: open answered {other}"),
+                Ok(_) => panic!("flip at {at}: the store opened cleanly"),
+            }
+        }
     }
 
     #[test]

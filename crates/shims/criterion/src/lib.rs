@@ -5,7 +5,9 @@
 //! `Criterion` (with `sample_size` / `measurement_time` / `warm_up_time`
 //! builders), `bench_function`, `Bencher::iter`, `black_box`, and the
 //! `criterion_group!` / `criterion_main!` macros (both the simple and the
-//! `name/config/targets` forms).
+//! `name/config/targets` forms). As in criterion, the first argument that
+//! is not a flag filters benchmarks by substring of their id:
+//! `cargo bench --bench micro -- crc32` runs `crc32/64k` only.
 //!
 //! Statistics are intentionally simple: per sample we time a fixed-iteration
 //! batch, then report min / median / mean over samples in plain text. There
@@ -26,6 +28,8 @@ pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
+    /// Run only benchmarks whose id contains this.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -34,6 +38,12 @@ impl Default for Criterion {
             sample_size: 100,
             measurement_time: Duration::from_secs(5),
             warm_up_time: Duration::from_secs(3),
+            // The shim's own tests run under the test harness's arguments.
+            filter: if cfg!(test) {
+                None
+            } else {
+                std::env::args().skip(1).find(|a| !a.starts_with('-'))
+            },
         }
     }
 }
@@ -59,6 +69,13 @@ impl Criterion {
     // A bench harness measures host time by definition.
     #[allow(clippy::disallowed_methods)]
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
+        if self
+            .filter
+            .as_deref()
+            .is_some_and(|want| !id.contains(want))
+        {
+            return self;
+        }
         // Warm-up: run the body repeatedly, and calibrate how many
         // iterations fit in one sample slot.
         let warm_deadline = Instant::now() + self.warm_up_time;
@@ -195,6 +212,8 @@ mod tests {
             })
         });
         assert!(ran > 0, "benchmark body never ran");
+        c.filter = Some("other".into());
+        c.bench_function("shim/self_test", |_| panic!("filtered out"));
     }
 
     criterion_group!(simple_group, noop_bench);
