@@ -500,7 +500,8 @@ impl MrCluster {
     /// crash that keeps the process but wipes the shuffle spool). Drops the
     /// node's published segments and combine buffers and tells the
     /// jobtracker to re-queue the tasks whose output was buried there.
-    pub fn lose_map_outputs(&self, node: NodeId) {
+    /// Returns, per job, the sorted task ids it re-queues.
+    pub fn lose_map_outputs(&self, node: NodeId) -> Vec<(u64, Vec<u32>)> {
         let mut lost: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         for (job, task) in self.registry.drop_host(node) {
             lost.entry(job).or_default().push(task);
@@ -516,7 +517,11 @@ impl MrCluster {
                 (job, tasks)
             })
             .collect();
-        self.inbox.send(JtMsg::OutputsLost { node, lost });
+        self.inbox.send(JtMsg::OutputsLost {
+            node,
+            lost: lost.clone(),
+        });
+        lost
     }
 
     /// Spawn the final combine flush of each due node, on that node; its

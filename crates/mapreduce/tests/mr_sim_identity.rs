@@ -1,4 +1,4 @@
-//! Virtual-number rail for the Map/Reduce control plane in sim mode: three
+//! Virtual-number rail for the Map/Reduce control plane in sim mode: four
 //! job shapes pinned to literals — virtual completion time, wire transfers,
 //! the job's counters and its output fingerprint. If a literal here moves, a
 //! scheduling decision or a tick time moved: find out which before
@@ -251,6 +251,76 @@ fn two_jobs_with_ticks_inside_the_plan_window_are_pinned() {
             ],
             outputs: vec![7_254_120_859_772_724_419; 2],
         }
+    );
+}
+
+/// (d) The shuffle re-execution rail: wordcount on an eager flush cadence
+/// while two map-output losses wipe one node's spool each, at fixed virtual
+/// instants — the first buries a buffer's pending runs, the second a
+/// published flush. Every buried task re-runs and publishes per task; the
+/// output is the loss-free one.
+#[test]
+fn wordcount_through_two_map_output_losses_is_pinned() {
+    // Node 1 holds task 1 pending (added at 14.4 ms, no flush before 24.2 ms);
+    // node 0 published its first flush, tasks 3 and 9, at 21.6 ms.
+    const LOSSES: [(u64, u32); 2] = [(20 * MILLIS, 1), (23 * MILLIS, 0)];
+    let (fx, fs) = tiny_bsfs(4, 32);
+    let mr = MrCluster::start(&fx, fs.clone(), MrConfig::compact(fx.spec()));
+    let mr_loss = mr.clone();
+    let losser = fx.spawn(NodeId(0), "map-output-losser", move |p: &Proc| {
+        (LOSSES.iter())
+            .map(|&(at, node)| {
+                p.sleep(at - p.now());
+                mr_loss.lose_map_outputs(NodeId(node))
+            })
+            .collect::<Vec<_>>()
+    });
+    let (fs2, mr2) = (fs.clone(), mr.clone());
+    let got = pin(&fx, fs, NodeId(0), &["/out"], move |p| {
+        fs2.write_file(p, &d("/in"), Payload::from_vec(CORPUS.repeat(4).into()))
+            .unwrap();
+        let job = JobConf {
+            shuffle: ShuffleTuning {
+                node_combine: true,
+                flush_tasks: Some(2),
+                flush_bytes: None,
+            },
+            ..wordcount_job("wc-loss", &["/in".into()], "/out")
+        };
+        let r = mr2.submit(job).wait(p);
+        mr2.shutdown();
+        vec![r]
+    });
+    let lost = losser
+        .take()
+        .expect("both losses fired before the job ended");
+    for (i, l) in lost.iter().enumerate() {
+        assert!(
+            l.iter().any(|(_, tasks)| !tasks.is_empty()),
+            "loss {i} re-queued nothing: {l:?}"
+        );
+    }
+    assert_eq!(
+        got,
+        Pin {
+            now_ns: 51_000_000,
+            transfers: 218,
+            events: 262,
+            jobs: vec![[8_550_000, 47_900_000, 11, 1_202, 710, 84, 12, 2, 14, 10, 1]],
+            // The loss-free run's bytes.
+            outputs: vec![4_823_281_549_984_078_881],
+        }
+    );
+    assert_eq!(lost, [[(1, vec![1])], [(1, vec![3, 9])]]);
+    let (reg, stats) = (mr.registry(), mr.registry().stats());
+    assert_eq!(
+        (
+            reg.fetch_counts(),
+            stats.fetch_bytes,
+            stats.combined_segments,
+            stats.combine_saved_bytes
+        ),
+        ((16, 16), 710, 14, 74)
     );
 }
 
