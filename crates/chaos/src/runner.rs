@@ -49,8 +49,8 @@ pub enum Workload {
     /// Shuffle storm: a wordcount job with maps ≫ nodes, tier-2 node
     /// combining on and an eager flush cadence (maximally streaming
     /// shuffle), while map-output-loss faults wipe node spools mid-shuffle
-    /// and force speculative re-runs. Output must match the fault-free
-    /// oracle exactly.
+    /// and force per-task re-runs of the buried tasks. Output must match
+    /// the fault-free oracle exactly.
     ShuffleStorm,
 }
 
@@ -444,7 +444,7 @@ fn verify_wordcount_output(text: &str, out: &[u8], viols: &Mutex<Vec<String>>) {
 /// 256-byte chaos blocks split it ~40 ways on 8 nodes), tier-2 combining on
 /// an eager flush cadence so combined segments stream out mid-phase, while
 /// the scheduled map-output losses wipe node spools mid-shuffle and force
-/// re-runs through the idempotent buffer. The quiescence invariant is exact:
+/// per-task re-runs that bypass the buffer. The quiescence invariant is exact:
 /// the surviving output must equal the fault-free oracle.
 fn drive_shuffle_storm(
     p: &Proc,

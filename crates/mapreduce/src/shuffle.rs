@@ -30,24 +30,24 @@
 //! merge segments as they are announced — shuffle overlaps the map phase.
 //!
 //! **Lock scope.** The buffer lock (one for all nodes and jobs) covers only
-//! bookkeeping: moving the pending set into a numbered flush, recording
-//! where each task went, taking a refcounted snapshot of the runs. The
-//! merge and the combiner run after it is released, so one node's flush
-//! never stalls another node's `add`. Two calls that recombine the same
-//! flush concurrently publish under the same keys in either order — as
-//! they already did when only publication was outside the lock — and
-//! deterministic tasks make both results byte-identical.
+//! bookkeeping: recording which node buffered a task, moving the pending
+//! set into a numbered flush, and — once the flush is combined — checking
+//! that no loss buried it meanwhile. The merge and the combiner run after
+//! it is released, so one node's flush never stalls another node's `add`.
+//! Nothing spends virtual time between that check and publication, so in
+//! sim mode a buried flush never publishes; on real threads a loss can
+//! still land in that short gap (ROADMAP E).
 //!
-//! **Idempotence.** Speculative / re-executed map tasks stay idempotent
-//! through the buffer: a same-node re-execution replaces the task's runs
-//! before combining (last-writer-wins); if the task was already flushed,
-//! the affected combined segment is invalidated by recombining the flush
-//! and republishing the same keys. A duplicate completion on a *different*
-//! node is dropped (tasks are deterministic, so the first-published copy is
-//! byte-identical) — this keeps every flush's task set stable after it has
-//! been announced. Re-runs scheduled after a node lost its outputs bypass
-//! tier 2 entirely ([`MapTaskSpec::rerun`]) and publish per-task segments,
-//! so replacements land promptly and never overlap a flushed set.
+//! **One re-execution path.** A map task is buffered at most once per job:
+//! a second [`NodeCombiner::add`] of it is refused. A task runs twice only
+//! after a loss reported its output gone ([`MapOutputRegistry::drop_host`],
+//! [`NodeCombiner::drop_node`]); the re-run ([`MapTaskSpec::rerun`])
+//! bypasses tier 2 and publishes per-task segments, so the replacement
+//! lands promptly and never overlaps a flushed set. A reducer counts each
+//! task once, so a flush it fetched before the loss and the re-run's
+//! delivery are never both merged.
+//!
+//! [`MapTaskSpec::rerun`]: crate::task::MapTaskSpec::rerun
 //!
 //! The fetch path is *batched by host*: [`MapOutputRegistry::fetch_many`]
 //! groups a reducer's segment pulls by the node that holds them and moves
@@ -135,15 +135,10 @@ pub struct ShuffleStats {
     pub fetch_transfers: u64,
     /// Bytes those transfers moved (the shuffle *volume*).
     pub fetch_bytes: u64,
-    /// Segments that were published more than once (re-executed maps /
-    /// invalidated combine flushes).
-    pub republished: u64,
     /// Combined (node, partition) segments the tier-2 stage published.
     pub combined_segments: u64,
     /// Bytes the tier-2 combine removed before publication.
     pub combine_saved_bytes: u64,
-    /// Flushes recombined because a flushed task was re-executed.
-    pub recombined: u64,
 }
 
 struct Segment {
@@ -159,10 +154,8 @@ pub struct MapOutputRegistry {
     fetched_segments: AtomicU64,
     fetch_transfers: AtomicU64,
     fetch_bytes: AtomicU64,
-    republished: AtomicU64,
     combined_segments: AtomicU64,
     combine_saved_bytes: AtomicU64,
-    recombined: AtomicU64,
 }
 
 impl MapOutputRegistry {
@@ -170,15 +163,12 @@ impl MapOutputRegistry {
         Arc::new(Self::default())
     }
 
-    /// Store a partition produced on `host`. Idempotent with
-    /// last-writer-wins semantics: a re-executed or speculative map task
-    /// (or an invalidated combine flush) replaces its earlier output
-    /// instead of double-counting it.
+    /// Store a partition produced on `host`. A key is published once: a
+    /// flush's key carries its node and sequence number, a task's its id,
+    /// and a task's re-run publishes only after a loss removed the original
+    /// ([`MapOutputRegistry::drop_host`]).
     pub fn publish(&self, key: SegmentKey, host: NodeId, data: Payload) {
-        let mut seg = self.segments.lock();
-        if seg.insert(key, Segment { host, data }).is_some() {
-            self.republished.fetch_add(1, Ordering::Relaxed);
-        }
+        self.segments.lock().insert(key, Segment { host, data });
     }
 
     /// Fetch a partition into the calling reducer's node (charges the
@@ -249,11 +239,6 @@ impl MapOutputRegistry {
         out
     }
 
-    /// Size of one partition without fetching it.
-    pub fn segment_len(&self, key: &SegmentKey) -> Option<u64> {
-        self.segments.lock().get(key).map(|s| s.data.len())
-    }
-
     /// (segments served, host-grouped transfers that carried them). The gap
     /// is the shuffle-batching win; tests pin one transfer per
     /// (map-node, reduce-node) pair.
@@ -264,21 +249,14 @@ impl MapOutputRegistry {
         )
     }
 
-    /// Segments that were published more than once (re-executed maps).
-    pub fn republished(&self) -> u64 {
-        self.republished.load(Ordering::Relaxed)
-    }
-
     /// Snapshot of every counter (volume included).
     pub fn stats(&self) -> ShuffleStats {
         ShuffleStats {
             fetched_segments: self.fetched_segments.load(Ordering::Relaxed),
             fetch_transfers: self.fetch_transfers.load(Ordering::Relaxed),
             fetch_bytes: self.fetch_bytes.load(Ordering::Relaxed),
-            republished: self.republished.load(Ordering::Relaxed),
             combined_segments: self.combined_segments.load(Ordering::Relaxed),
             combine_saved_bytes: self.combine_saved_bytes.load(Ordering::Relaxed),
-            recombined: self.recombined.load(Ordering::Relaxed),
         }
     }
 
@@ -323,45 +301,54 @@ impl MapOutputRegistry {
     }
 }
 
-/// Where a buffered task's runs currently live on its home node.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    Pending,
-    Flushed(u32),
-}
-
 /// One node's combine buffer for one job.
 #[derive(Default)]
 struct NodeBuffer {
     /// task → per-partition tier-1 sorted runs, awaiting the next flush.
     pending: BTreeMap<u32, Vec<Payload>>,
     pending_bytes: u64,
-    pending_tasks: u32,
-    /// flush seq → task → runs; retained so a re-executed task can
-    /// invalidate and recombine its flush.
-    flushed: BTreeMap<u32, BTreeMap<u32, Vec<Payload>>>,
     next_seq: u32,
+    /// Bumped by every loss of the node's spool: a flush taken out under an
+    /// older generation was buried with it.
+    generation: u64,
+}
+
+impl NodeBuffer {
+    /// Move the pending set into a new flush: all the bookkeeping a flush
+    /// needs under the buffer lock. Neither merges nor publishes.
+    fn take_flush(&mut self) -> Option<FlushPlan> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        self.next_seq += 1;
+        Some(FlushPlan {
+            seq: self.next_seq - 1,
+            generation: self.generation,
+            set: std::mem::take(&mut self.pending),
+            buffered: std::mem::take(&mut self.pending_bytes),
+        })
+    }
 }
 
 /// One job's tier-2 state across all nodes.
 #[derive(Default)]
 struct JobBuffers {
-    /// task → (home node, pending-or-flushed). A task lives on exactly one
-    /// node; duplicate completions elsewhere are dropped (first-published
-    /// wins — deterministic tasks make the copies byte-identical).
-    task_loc: BTreeMap<u32, (u32, Loc)>,
+    /// task → the node that buffered it, pending or flushed. A task is
+    /// buffered once; a loss forgets the node's tasks, whose re-runs
+    /// publish per task.
+    home: BTreeMap<u32, u32>,
     nodes: BTreeMap<u32, NodeBuffer>,
 }
 
-/// One flush to merge, combine and publish: decided (and recorded in the
-/// buffer) under the buffer lock, carried out after releasing it.
+/// One flush to merge, combine and publish: taken out of the buffer under
+/// the buffer lock, carried out after releasing it.
 struct FlushPlan {
     seq: u32,
-    /// Refcounted snapshot of the flush set: task → per-partition runs.
-    set: Vec<(u32, Vec<Payload>)>,
+    /// The buffer's generation when the flush was taken.
+    generation: u64,
+    /// task → per-partition runs.
+    set: BTreeMap<u32, Vec<Payload>>,
     buffered: u64,
-    /// `None` when recombining an already-announced flush.
-    delivery: Option<DeliverySpec>,
 }
 
 /// The node-local (tier-2) combine stage: accumulates map tasks' partitioned
@@ -388,8 +375,8 @@ impl NodeCombiner {
 
     /// Buffer one completed map task's per-partition outputs on the calling
     /// node. Returns the deliveries this call published (a threshold flush,
-    /// or nothing while the buffer accumulates). Idempotent for re-executed
-    /// tasks; see the module docs.
+    /// or nothing while the buffer accumulates). A task the job already
+    /// buffered is refused: a map runs twice only as a per-task re-run.
     pub fn add(
         &self,
         p: &Proc,
@@ -399,101 +386,68 @@ impl NodeCombiner {
     ) -> Result<Vec<DeliverySpec>, String> {
         let node = p.node().0;
         let tuning = ctx.conf.shuffle;
-        let bytes: u64 = parts.iter().map(Payload::len).sum();
-        let mut flush: Option<FlushPlan> = None;
-        {
+        let flush = {
             let mut jobs = self.jobs.lock();
             let jb = jobs.entry(ctx.id).or_default();
-            match jb.task_loc.get(&task).copied() {
-                Some((home, Loc::Pending)) if home == node => {
-                    // Same-node re-execution before any flush: last writer
-                    // wins in place.
-                    let nb = jb.nodes.entry(node).or_default();
-                    if let Some(old) = nb.pending.insert(task, parts) {
-                        let old_bytes: u64 = old.iter().map(Payload::len).sum();
-                        nb.pending_bytes = nb.pending_bytes.saturating_sub(old_bytes);
-                    }
-                    nb.pending_bytes += bytes;
-                    self.registry.republished.fetch_add(1, Ordering::Relaxed);
-                }
-                Some((home, Loc::Flushed(seq))) if home == node => {
-                    // Re-execution of an already-flushed task: replace its
-                    // runs, recombine the flush and republish the SAME
-                    // segment keys (the announced task set stays valid;
-                    // deterministic tasks make old and new byte-identical).
-                    let nb = jb.nodes.entry(node).or_default();
-                    if let Some(set) = nb.flushed.get_mut(&seq) {
-                        set.insert(task, parts);
-                        let set: Vec<(u32, Vec<Payload>)> =
-                            set.iter().map(|(t, r)| (*t, r.clone())).collect();
-                        flush = Some(FlushPlan {
-                            seq,
-                            buffered: set.iter().flat_map(|(_, r)| r).map(Payload::len).sum(),
-                            set,
-                            delivery: None,
-                        });
-                        // republished bumps when the publishes replace the
-                        // flush's live segments below; count the recombine.
-                        self.registry.recombined.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Some(_) => {
-                    // Duplicate completion on a different node: drop it. The
-                    // first-published copy is byte-identical and its flush's
-                    // announced task set must stay stable.
-                }
-                None => {
-                    let nb = jb.nodes.entry(node).or_default();
-                    nb.pending.insert(task, parts);
-                    nb.pending_bytes += bytes;
-                    nb.pending_tasks += 1;
-                    jb.task_loc.insert(task, (node, Loc::Pending));
-                    let hit_tasks = tuning
-                        .flush_tasks
-                        .is_some_and(|n| nb.pending_tasks >= n.max(1));
-                    let hit_bytes = tuning.flush_bytes.is_some_and(|b| nb.pending_bytes >= b);
-                    if hit_tasks || hit_bytes {
-                        flush = flush_pending(jb, node);
-                    }
-                }
+            if let Some(home) = jb.home.get(&task) {
+                return Err(format!(
+                    "job {} map {task}: buffered on node {home}, added again on node {node}",
+                    ctx.id
+                ));
             }
-        }
+            jb.home.insert(task, node);
+            let nb = jb.nodes.entry(node).or_default();
+            nb.pending_bytes += parts.iter().map(Payload::len).sum::<u64>();
+            nb.pending.insert(task, parts);
+            let hit_tasks = tuning
+                .flush_tasks
+                .is_some_and(|n| nb.pending.len() >= n.max(1) as usize);
+            let hit_bytes = tuning.flush_bytes.is_some_and(|b| nb.pending_bytes >= b);
+            if hit_tasks || hit_bytes {
+                nb.take_flush()
+            } else {
+                None
+            }
+        };
         Ok(self.run_flush(p, ctx, flush)?.into_iter().collect())
     }
 
-    /// Flush whatever the node still buffers for this job (called by the
-    /// tracker once the node's map share is complete). Returns the
+    /// Flush whatever the calling node still buffers for this job (called
+    /// by the tracker once the node's map share is complete). Returns the
     /// delivery to announce, or `None` if the buffer was empty.
     pub fn complete_node(
         &self,
         p: &Proc,
         ctx: &Arc<JobCtx>,
-        node: NodeId,
     ) -> Result<Option<DeliverySpec>, String> {
-        let flush = flush_pending(self.jobs.lock().entry(ctx.id).or_default(), node.0);
+        let flush = (self.jobs.lock().get_mut(&ctx.id))
+            .and_then(|jb| jb.nodes.get_mut(&p.node().0))
+            .and_then(NodeBuffer::take_flush);
         self.run_flush(p, ctx, flush)
     }
 
-    /// The node lost its local output store: drop its buffers (pending and
-    /// flushed run sets) for every job. Returns, per job, the sorted task
-    /// ids whose buffered output went with it — the tracker re-queues them.
-    /// Call together with [`MapOutputRegistry::drop_host`].
+    /// The node lost its local output store: empty its buffers for every
+    /// job and bury any flush still on its way to publication. Returns, per
+    /// job, the sorted task ids whose buffered output went with it — the
+    /// tracker re-queues them. Call together with
+    /// [`MapOutputRegistry::drop_host`].
     pub fn drop_node(&self, node: NodeId) -> Vec<(u64, Vec<u32>)> {
         let mut lost = Vec::new();
         let mut jobs = self.jobs.lock();
         for (job, jb) in jobs.iter_mut() {
-            if jb.nodes.remove(&node.0).is_none() {
+            let Some(nb) = jb.nodes.get_mut(&node.0) else {
                 continue;
-            }
-            let tasks: Vec<u32> = jb
-                .task_loc
-                .iter()
-                .filter(|(_, (home, _))| *home == node.0)
-                .map(|(t, _)| *t)
+            };
+            *nb = NodeBuffer {
+                next_seq: nb.next_seq,
+                generation: nb.generation + 1,
+                ..NodeBuffer::default()
+            };
+            let tasks: Vec<u32> = (jb.home.iter())
+                .filter(|&(_, &home)| home == node.0)
+                .map(|(&t, _)| t)
                 .collect();
-            for t in &tasks {
-                jb.task_loc.remove(t);
-            }
+            jb.home.retain(|_, home| *home != node.0);
             if !tasks.is_empty() {
                 lost.push((*job, tasks));
             }
@@ -510,7 +464,9 @@ impl NodeCombiner {
     /// Merge and combine the planned flush, charge ghost compute, publish
     /// its segments and bump counters — outside the buffer lock (the merge
     /// of a node's whole map share must not stall every other node's `add`)
-    /// but *before* the returned delivery is announced.
+    /// but *before* the returned delivery is announced. A flush that a loss
+    /// buried meanwhile publishes and announces nothing: its tasks were
+    /// reported lost and re-run.
     fn run_flush(
         &self,
         p: &Proc,
@@ -520,59 +476,40 @@ impl NodeCombiner {
         let Some(flush) = flush else {
             return Ok(None);
         };
-        let (combined, compute) = combine_flush(ctx, p.node().0, &flush)?;
+        let node = p.node().0;
+        let (combined, compute) = combine_flush(ctx, node, &flush)?;
         if compute > 0 {
             p.compute(p.node(), compute);
+        }
+        let live = (self.jobs.lock().get(&ctx.id))
+            .and_then(|jb| jb.nodes.get(&node))
+            .is_some_and(|nb| nb.generation == flush.generation);
+        if !live {
+            return Ok(None);
         }
         let n = combined.len() as u64;
         let combined_bytes: u64 = combined.iter().map(|(_, data)| data.len()).sum();
         for (key, data) in combined {
             self.registry.publish(key, p.node(), data);
         }
-        if flush.delivery.is_some() {
-            let saved_bytes = flush.buffered.saturating_sub(combined_bytes);
-            self.registry
-                .combined_segments
-                .fetch_add(n, Ordering::Relaxed);
-            self.registry
-                .combine_saved_bytes
-                .fetch_add(saved_bytes, Ordering::Relaxed);
-            let c = &ctx.counters;
-            c.add(&c.combined_segments, n);
-            c.add(&c.combine_saved_bytes, saved_bytes);
-        }
-        Ok(flush.delivery)
+        let saved_bytes = flush.buffered.saturating_sub(combined_bytes);
+        self.registry
+            .combined_segments
+            .fetch_add(n, Ordering::Relaxed);
+        self.registry
+            .combine_saved_bytes
+            .fetch_add(saved_bytes, Ordering::Relaxed);
+        let c = &ctx.counters;
+        c.add(&c.combined_segments, n);
+        c.add(&c.combine_saved_bytes, saved_bytes);
+        Ok(Some(DeliverySpec {
+            source: SegmentSource::Flush {
+                node,
+                seq: flush.seq,
+            },
+            tasks: flush.set.into_keys().collect(),
+        }))
     }
-}
-
-/// Move the node's pending set into a new flush: all the bookkeeping a
-/// flush needs under the buffer lock. Neither merges nor publishes.
-fn flush_pending(jb: &mut JobBuffers, node: u32) -> Option<FlushPlan> {
-    let nb = jb.nodes.entry(node).or_default();
-    if nb.pending.is_empty() {
-        return None;
-    }
-    let seq = nb.next_seq;
-    nb.next_seq += 1;
-    let set = std::mem::take(&mut nb.pending);
-    let buffered = nb.pending_bytes;
-    nb.pending_bytes = 0;
-    nb.pending_tasks = 0;
-    let tasks: Vec<u32> = set.keys().copied().collect();
-    let snapshot: Vec<(u32, Vec<Payload>)> = set.iter().map(|(t, r)| (*t, r.clone())).collect();
-    for t in &tasks {
-        jb.task_loc.insert(*t, (node, Loc::Flushed(seq)));
-    }
-    nb.flushed.insert(seq, set);
-    Some(FlushPlan {
-        seq,
-        set: snapshot,
-        buffered,
-        delivery: Some(DeliverySpec {
-            source: SegmentSource::Flush { node, seq },
-            tasks,
-        }),
-    })
 }
 
 /// Merge + combine one flush's task runs into per-partition segments (and
@@ -633,7 +570,7 @@ fn seg_key(job: u64, node: u32, seq: u32, partition: u32) -> SegmentKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Mapper, Reducer, UserFns, KV};
+    use crate::api::{GhostProfile, Mapper, Reducer, UserFns, KV};
     use crate::job::{JobConf, JobCounters, OutputMode, ShuffleTuning};
     use crate::record::{decode_kvs, encode_kvs};
     use dfs::DfsPath;
@@ -710,33 +647,12 @@ mod tests {
         let h = fx.spawn(NodeId(2), "reducer", move |p| {
             let k = key(0, 3);
             reg2.publish(k, NodeId(1), Payload::from_vec(vec![7; 100]));
-            assert_eq!(reg2.segment_len(&k), Some(100));
+            assert_eq!(reg2.total_bytes(), 100);
             let got = reg2.fetch(p, k).unwrap().unwrap();
             assert_eq!(got.len(), 100);
             assert!(reg2.fetch(p, key(9, 0)).unwrap().is_none());
             reg2.drop_job(1);
             assert_eq!(reg2.total_bytes(), 0);
-        });
-        fx.run();
-        h.take().unwrap();
-    }
-
-    #[test]
-    fn republish_is_idempotent_last_writer_wins() {
-        let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let reg = MapOutputRegistry::new();
-        let reg2 = reg.clone();
-        let h = fx.spawn(NodeId(3), "reducer", move |p| {
-            let k = key(0, 0);
-            // First attempt ran on node 1; the speculative re-execution on
-            // node 2 replaces it (different bytes — the re-run's output is
-            // authoritative).
-            reg2.publish(k, NodeId(1), Payload::from_vec(vec![1; 50]));
-            reg2.publish(k, NodeId(2), Payload::from_vec(vec![2; 70]));
-            assert_eq!(reg2.republished(), 1);
-            assert_eq!(reg2.total_bytes(), 70, "no double count on republish");
-            let got = reg2.fetch(p, k).unwrap().unwrap();
-            assert_eq!(got.bytes().as_ref(), &[2u8; 70][..], "last writer wins");
         });
         fx.run();
         h.take().unwrap();
@@ -794,10 +710,7 @@ mod tests {
                 let got = nc1.add(p, &ctx1, t, parts).unwrap();
                 assert!(got.is_empty(), "default tuning flushes only at completion");
             }
-            let d = nc1
-                .complete_node(p, &ctx1, p.node())
-                .unwrap()
-                .expect("one flush");
+            let d = nc1.complete_node(p, &ctx1).unwrap().expect("one flush");
             assert_eq!(d.source, SegmentSource::Flush { node: 1, seq: 0 });
             assert_eq!(d.tasks, vec![0, 1]);
             d1.set();
@@ -809,10 +722,7 @@ mod tests {
                 let parts = vec![enc(&[("a", "1")]), enc(&[("b", &format!("{}", t + 1))])];
                 nc2.add(p, &ctx2, t, parts).unwrap();
             }
-            let d = nc2
-                .complete_node(p, &ctx2, p.node())
-                .unwrap()
-                .expect("one flush");
+            let d = nc2.complete_node(p, &ctx2).unwrap().expect("one flush");
             assert_eq!(d.tasks, vec![2, 3]);
 
             // Exactly one combined segment per (node, partition).
@@ -838,15 +748,14 @@ mod tests {
         h2.take().unwrap();
     }
 
-    /// Re-execution idempotence through the buffer: pending tasks replace
-    /// in place (LWW), flushed tasks invalidate + recombine their segment,
-    /// and a duplicate completion on another node is dropped.
+    /// A task is buffered once per job: a second `add`, on its node or on
+    /// another, is refused by name, and the first copy is what flushes.
     #[test]
-    fn reexecution_is_idempotent_through_the_buffer() {
+    fn a_task_is_buffered_once() {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
         let reg = MapOutputRegistry::new();
         let nc = NodeCombiner::new(reg.clone());
-        // No combiner: the flush is a pure merge, so LWW bytes are visible.
+        // No combiner: the flush is a pure merge, so the flushed copy shows.
         let jctx = ctx(
             1,
             false,
@@ -856,46 +765,37 @@ mod tests {
                 flush_bytes: None,
             },
         );
-        let reg2 = reg.clone();
-        let done1 = fx.gate();
-        let (nc1, ctx1, d1, rega) = (nc.clone(), jctx.clone(), done1.clone(), reg.clone());
-        let h = fx.spawn(NodeId(1), "node1", move |p| {
-            // Pending LWW: second add of task 0 replaces the first.
-            nc1.add(p, &ctx1, 0, vec![enc(&[("a", "1")])]).unwrap();
-            nc1.add(p, &ctx1, 0, vec![enc(&[("a", "9")])]).unwrap();
-            assert_eq!(rega.republished(), 1, "pending replace counts");
-            let d = nc1
-                .complete_node(p, &ctx1, p.node())
-                .unwrap()
-                .expect("flush");
-            assert_eq!(d.tasks, vec![0]);
-            let got = rega.fetch(p, flush_key(1, 0, 0)).unwrap().unwrap();
-            assert_eq!(decode_kvs(got.bytes()), vec![KV::new("a", "9")]);
-
-            // Flushed recombine: task 0 re-runs after its flush; the
-            // combined segment is invalidated and republished in place.
-            nc1.add(p, &ctx1, 0, vec![enc(&[("a", "5")])]).unwrap();
-            assert_eq!(rega.stats().recombined, 1);
-            let got = rega.fetch(p, flush_key(1, 0, 0)).unwrap().unwrap();
-            assert_eq!(decode_kvs(got.bytes()), vec![KV::new("a", "5")]);
-            d1.set();
-        });
-        // Duplicate completion on another node: dropped, no delivery, the
-        // original node's segment stays authoritative.
-        let h2 = fx.spawn(NodeId(2), "node2", move |p| {
-            done1.wait(p);
-            let d = nc.add(p, &jctx, 0, vec![enc(&[("a", "7")])]).unwrap();
-            assert!(d.is_empty(), "cross-node duplicate is dropped");
-            assert!(nc.complete_node(p, &jctx, p.node()).unwrap().is_none());
-            let got = reg2.fetch(p, flush_key(1, 0, 0)).unwrap().unwrap();
+        let (added, refused) = (fx.gate(), fx.gate());
+        let (nc1, ctx1, added1, refused1) =
+            (nc.clone(), jctx.clone(), added.clone(), refused.clone());
+        let h1 = fx.spawn(NodeId(1), "node1", move |p| {
+            assert_eq!(nc1.add(p, &ctx1, 0, vec![enc(&[("a", "1")])]), Ok(vec![]));
             assert_eq!(
-                decode_kvs(got.bytes()),
-                vec![KV::new("a", "5")],
-                "first-published copy stays authoritative"
+                nc1.add(p, &ctx1, 0, vec![enc(&[("a", "9")])]),
+                Err("job 1 map 0: buffered on node 1, added again on node 1".to_string())
             );
+            added1.set();
+            refused1.wait(p);
+            let d = nc1.complete_node(p, &ctx1).unwrap().expect("flush");
+            assert_eq!(d.tasks, vec![0]);
+            let got = reg.fetch(p, flush_key(1, 0, 0)).unwrap().unwrap();
+            assert_eq!(decode_kvs(got.bytes()), vec![KV::new("a", "1")]);
+        });
+        let h2 = fx.spawn(NodeId(2), "node2", move |p| {
+            added.wait(p);
+            assert_eq!(
+                nc.add(p, &jctx, 0, vec![enc(&[("a", "7")])]),
+                Err("job 1 map 0: buffered on node 1, added again on node 2".to_string())
+            );
+            assert_eq!(
+                nc.complete_node(p, &jctx),
+                Ok(None),
+                "node 2 buffered nothing"
+            );
+            refused.set();
         });
         fx.run();
-        h.take().unwrap();
+        h1.take().unwrap();
         h2.take().unwrap();
     }
 
@@ -910,7 +810,7 @@ mod tests {
             nc.add(p, &jctx, 0, vec![enc(&[("a", "1")])]).unwrap();
             let torn = enc(&[("a", "1")]).slice(0, 9);
             nc.add(p, &jctx, 4, vec![torn]).unwrap();
-            let err = nc.complete_node(p, &jctx, p.node()).unwrap_err();
+            let err = nc.complete_node(p, &jctx).unwrap_err();
             assert_eq!(
                 err,
                 "job 1 node 1 flush 0 partition 0: run of task 4: torn segment: \
@@ -948,10 +848,7 @@ mod tests {
             assert_eq!(d[0].tasks, vec![0, 1]);
             let d = nc.add(p, &jctx, 2, vec![enc(&[("a", "1")])]).unwrap();
             assert!(d.is_empty());
-            let fin = nc
-                .complete_node(p, &jctx, p.node())
-                .unwrap()
-                .expect("tail flush");
+            let fin = nc.complete_node(p, &jctx).unwrap().expect("tail flush");
             assert_eq!(fin.source, SegmentSource::Flush { node: 1, seq: 1 });
             assert_eq!(fin.tasks, vec![2]);
             // Two flushes → two combined segments for the one partition.
@@ -960,6 +857,83 @@ mod tests {
             assert_eq!(decode_kvs(s0.bytes()), vec![KV::new("a", "2")]);
             let s1 = reg2.fetch(p, flush_key(1, 1, 0)).unwrap().unwrap();
             assert_eq!(decode_kvs(s1.bytes()), vec![KV::new("a", "1")]);
+        });
+        fx.run();
+        h.take().unwrap();
+    }
+
+    /// A loss that lands while a flush is combining buries that flush: its
+    /// tasks are reported lost and re-run per task, so the flush publishes
+    /// and announces nothing when it comes back.
+    #[test]
+    fn a_flush_overtaken_by_a_loss_publishes_nothing() {
+        let fx = Fabric::sim(ClusterSpec::tiny(3));
+        let reg = MapOutputRegistry::new();
+        let nc = NodeCombiner::new(reg.clone());
+        let base = ctx(
+            1,
+            true,
+            ShuffleTuning {
+                node_combine: true,
+                flush_tasks: Some(1),
+                flush_bytes: None,
+            },
+        );
+        // A ghost job with a combiner charges the combine as compute.
+        let profile = GhostProfile {
+            reduce_cpu_per_byte: 1_000.0,
+            ..GhostProfile::identity()
+        };
+        let jctx = Arc::new(JobCtx {
+            id: base.id,
+            conf: JobConf {
+                ghost: Some(profile),
+                ..base.conf.clone()
+            },
+            counters: Arc::new(JobCounters::default()),
+        });
+        let (nc1, reg1) = (nc.clone(), reg.clone());
+        let flusher = fx.spawn(NodeId(1), "node1", move |p| {
+            let d = nc1.add(p, &jctx, 0, vec![Payload::ghost(1_000_000)]);
+            assert_eq!(d, Ok(vec![]), "a buried flush announces nothing");
+            assert_eq!(reg1.total_bytes(), 0, "a buried flush publishes nothing");
+            assert_eq!(reg1.stats().combined_segments, 0);
+        });
+        let losser = fx.spawn(NodeId(2), "losser", move |p| {
+            p.sleep(1_000); // inside the flush's combine
+            assert!(reg.drop_host(NodeId(1)).is_empty(), "nothing published yet");
+            assert_eq!(nc.drop_node(NodeId(1)), vec![(1, vec![0])]);
+        });
+        fx.run();
+        losser.take().unwrap();
+        flusher.take().unwrap();
+    }
+
+    /// A loss does not restart a node's flush numbering: a reducer still
+    /// holding the lost flush's delivery finds nothing under its key, not
+    /// the next flush's tasks.
+    #[test]
+    fn a_flush_after_a_loss_takes_a_fresh_key() {
+        let fx = Fabric::sim(ClusterSpec::tiny(3));
+        let reg = MapOutputRegistry::new();
+        let nc = NodeCombiner::new(reg.clone());
+        let jctx = ctx(
+            1,
+            false,
+            ShuffleTuning {
+                node_combine: true,
+                flush_tasks: Some(1),
+                flush_bytes: None,
+            },
+        );
+        let h = fx.spawn(NodeId(1), "node1", move |p| {
+            let lost = nc.add(p, &jctx, 0, vec![enc(&[("a", "1")])]).unwrap();
+            assert_eq!(reg.drop_host(p.node()), vec![]);
+            assert_eq!(nc.drop_node(p.node()), vec![(1, vec![0])]);
+            let next = nc.add(p, &jctx, 5, vec![enc(&[("b", "1")])]).unwrap();
+            assert_eq!(lost[0].source, SegmentSource::Flush { node: 1, seq: 0 });
+            assert_eq!(next[0].source, SegmentSource::Flush { node: 1, seq: 1 });
+            assert!(reg.fetch(p, flush_key(1, 0, 0)).unwrap().is_none());
         });
         fx.run();
         h.take().unwrap();

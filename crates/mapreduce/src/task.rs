@@ -26,7 +26,8 @@ pub struct MapTaskSpec {
     pub hosts: Vec<NodeId>,
     /// Re-queued after the original's output was lost: bypass the tier-2
     /// buffer and publish per-task so the replacement lands promptly and
-    /// never overlaps an already-announced flush set.
+    /// never overlaps an already-announced flush set. The only way a map
+    /// task runs twice: the buffer refuses a task it already holds.
     pub rerun: bool,
 }
 
@@ -445,7 +446,7 @@ mod tests {
             )
             .unwrap();
             assert!(deliveries.is_empty(), "buffered until node completion");
-            deliveries.extend(shuffle.complete_node(p, &ctx, p.node()).unwrap());
+            deliveries.extend(shuffle.complete_node(p, &ctx).unwrap());
             let feed = p.fabric().queue();
             for d in deliveries {
                 feed.send(d);
@@ -477,11 +478,12 @@ mod tests {
         h.take().unwrap();
     }
 
-    /// A re-executed (or speculative) map task republished its output; the
-    /// reduce must see it exactly once — last-writer-wins, no panic, no
-    /// double-counted records (Hadoop's task re-run semantics).
+    /// The one re-execution path: a flushed task's output is lost with its
+    /// node, the task re-runs with `rerun: true` and publishes per task, and
+    /// the reducer — fed both deliveries — finds the flush gone and counts
+    /// every record once.
     #[test]
-    fn reexecuted_map_task_republishes_idempotently() {
+    fn a_lost_flush_is_replaced_by_a_per_task_rerun() {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
         let fs = Bsfs::deploy(
             &fx,
@@ -519,7 +521,7 @@ mod tests {
             });
             let registry = MapOutputRegistry::new();
             let shuffle = NodeCombiner::new(registry.clone());
-            let spec = MapTaskSpec {
+            let mut spec = MapTaskSpec {
                 job: ctx.clone(),
                 task_id: 0,
                 file: DfsPath::new("/in").unwrap(),
@@ -528,14 +530,24 @@ mod tests {
                 hosts: vec![],
                 rerun: false,
             };
-            // The task runs twice — first attempt presumed lost, then the
-            // re-execution replaces it in the node buffer (last-writer-wins
-            // before combining).
-            run_map_task(p, &fs, &shuffle, &spec).unwrap();
-            run_map_task(p, &fs, &shuffle, &spec).unwrap();
-            assert_eq!(registry.republished(), 1);
+            assert!(run_map_task(p, &fs, &shuffle, &spec).unwrap().is_empty());
+            let flushed = shuffle.complete_node(p, &ctx).unwrap().expect("flush");
+            assert!(
+                registry.drop_host(p.node()).is_empty(),
+                "no per-task segment"
+            );
+            assert_eq!(shuffle.drop_node(p.node()), vec![(1, vec![0])]);
+            spec.rerun = true;
+            let rerun = run_map_task(p, &fs, &shuffle, &spec).unwrap();
+            assert_eq!(
+                rerun,
+                vec![DeliverySpec {
+                    source: SegmentSource::Task(0),
+                    tasks: vec![0],
+                }]
+            );
             let feed = p.fabric().queue();
-            if let Some(d) = shuffle.complete_node(p, &ctx, p.node()).unwrap() {
+            for d in std::iter::once(flushed).chain(rerun) {
                 feed.send(d);
             }
             run_reduce_task(
@@ -550,13 +562,16 @@ mod tests {
                 },
             )
             .unwrap();
+            assert_eq!(registry.fetch_counts(), (1, 1), "the flush is gone");
+            let records = &ctx.counters.reduce_input_records;
+            assert_eq!(records.load(std::sync::atomic::Ordering::Relaxed), 3);
             let out = fs
                 .read_file(p, &DfsPath::new("/out/part-00000").unwrap())
                 .unwrap();
             assert_eq!(
                 out.bytes().as_ref(),
                 b"a\t1\nb\t2,3\n",
-                "republished output must not double-count records"
+                "the re-run's output, merged once"
             );
         });
         fx.run();

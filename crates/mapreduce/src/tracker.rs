@@ -52,16 +52,18 @@
 //! **Output loss and re-runs.** [`MrCluster::lose_map_outputs`] models a
 //! node losing its local map-output store mid-shuffle (the chaos harness's
 //! shuffle-storm fault): the node's published segments and combine buffers
-//! are dropped, and the tasks whose output they carried are re-queued as
-//! [`MapTaskSpec::rerun`]s that publish per-task segments. Reducers treat a
-//! fetch that answers `None` as exactly this loss and wait for the re-run's
-//! replacement delivery; completion bookkeeping is idempotent under
-//! duplicate `MapDone`s.
+//! are dropped, a flush still combining there is buried with them, and the
+//! tasks whose output they carried are re-queued as [`MapTaskSpec::rerun`]s
+//! that bypass the combine buffer and publish per-task segments — the only
+//! way a map task runs twice. Reducers treat a fetch that answers `None` as
+//! exactly this loss and wait for the re-run's replacement delivery; their
+//! `obtained` set merges each task once, and the scheduler's `completed`
+//! set counts it once.
 
 #![expect(
     clippy::expect_used,
     clippy::panic,
-    reason = "fail-loud policy: Hadoop retries, this driver treats a failed task or plan, or a broken scheduler invariant, as a bug in the experiment (ROADMAP D(2): typed JobError)"
+    reason = "fail-loud policy: Hadoop retries, this driver treats a failed task or plan, or a broken scheduler invariant, as a bug in the experiment (ROADMAP A(2): typed JobError)"
 )]
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -531,7 +533,7 @@ impl MrCluster {
             let (combiner, inbox, job) = (self.combiner.clone(), self.inbox.clone(), ctx.id);
             let name = format!("combine-flush-{job}-{}", node.0);
             self.fabric.spawn(node, name, move |tp| {
-                inbox.send(match combiner.complete_node(tp, &ctx, tp.node()) {
+                inbox.send(match combiner.complete_node(tp, &ctx) {
                     Ok(delivery) => JtMsg::FlushDone { job, delivery },
                     Err(detail) => JtMsg::TaskFailed { job, detail },
                 });

@@ -1,7 +1,7 @@
 //! Property test: the two-tier combine pipeline is semantically invisible.
 //! Across random key distributions, flush thresholds and injected map-output
-//! losses (which force speculative re-runs through the combine buffer), a
-//! wordcount job produces exactly the counts of an in-memory reference
+//! losses (which re-queue the buried tasks as per-task re-runs that bypass
+//! the combine buffer), a wordcount job produces exactly the counts of an in-memory reference
 //! model — and with no faults, the combiner-on run is byte-identical to the
 //! combiner-off run.
 
@@ -202,8 +202,9 @@ proptest! {
         prop_assert_eq!(&on, &off, "tier-2 combine changed job output");
         prop_assert_eq!(parse_counts(&on), want.clone());
 
-        // Under map-output loss the combine buffer absorbs re-runs; counts
-        // must still match the model exactly (no lost or doubled keys).
+        // Under map-output loss the buried tasks re-run and publish per
+        // task; counts must still match the model exactly (no lost or
+        // doubled keys).
         let lossy = run_case(&case, true, true);
         prop_assert_eq!(parse_counts(&lossy), want);
     }
