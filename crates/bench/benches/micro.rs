@@ -208,14 +208,38 @@ fn zipf_text(bytes: usize, vocabulary: usize, seed: u64) -> Vec<u8> {
     out
 }
 
+/// `bytes` of datajoin-shaped lines, `user_NNNNNN TAB a:artist_NNNNN,<serial>`:
+/// keys repeat over 20 000 users, and the serial makes every record
+/// distinct.
+fn distinct_join_text(bytes: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed | 1;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut out = Vec::with_capacity(bytes + 64);
+    let mut serial = 0u64;
+    while out.len() < bytes {
+        let (user, artist) = (next() % 20_000, next() % 100_000);
+        out.extend_from_slice(
+            format!("user_{user:06}\ta:artist_{artist:05},{serial}\n").as_bytes(),
+        );
+        serial += 1;
+    }
+    out
+}
+
 /// The engine's record path on wordcount, without the cluster around it:
 /// what a map task does to one 1 MiB split between reading it and handing
 /// two partitions to the shuffle, and what a reducer does to four fetched
-/// runs.
+/// runs. `map_side_1mib_distinct` is the map side on a datajoin-shaped
+/// split where no record repeats and there is no combiner.
 fn bench_mapreduce(c: &mut Criterion) {
     use mapreduce::record::{put_text, reduce_runs, split_records, split_tab, Collector};
     let fns = workloads::wordcount::user_fns();
-    let map_side = |text: &[u8]| {
+    let map_side_of = |fns: &mapreduce::UserFns, text: &[u8]| {
         let mut collectors = [Collector::default(), Collector::default()];
         for line in split_records(text, 0, text.len() as u64) {
             let (k, v) = split_tab(line);
@@ -225,9 +249,15 @@ fn bench_mapreduce(c: &mut Criterion) {
         }
         collectors.map(|c| c.into_run(fns.combiner.as_deref()).unwrap())
     };
+    let map_side = |text: &[u8]| map_side_of(&fns, text);
     let text = zipf_text(1 << 20, 50_000, 1);
     c.bench_function("mapreduce/map_side_1mib", |b| {
         b.iter(|| black_box(map_side(&text)));
+    });
+    let join = workloads::datajoin::user_fns();
+    let text = distinct_join_text(1 << 20, 7);
+    c.bench_function("mapreduce/map_side_1mib_distinct", |b| {
+        b.iter(|| black_box(map_side_of(&join, &text)));
     });
     let fetched: Vec<fabric::Payload> = (1..=4)
         .map(|seed| {

@@ -21,7 +21,8 @@
 //! final reduce — the sorted run of [`record`] — and one group-and-reduce
 //! loop ([`record::reduce_runs`]) behind the per-task combiner, the node
 //! combine and the reducer; owned [`KV`]s exist only at the user-function
-//! boundary.
+//! boundary. The map-side collector stores a repeated record once with a
+//! count, and the same loop reads the counts in place.
 //!
 //! Shuffle *bytes* (not just round-trips) are cut by a two-tier combine:
 //! per-task combiners plus a node-local [`shuffle::NodeCombiner`] that

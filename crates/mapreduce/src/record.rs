@@ -15,12 +15,25 @@
 //! equal keys on the fly, and [`merge_into_run`] writes the result back out
 //! as a run.
 //!
-//! **The collector.** [`Collector`] is Hadoop's map-side buffer: records are
+//! **The collector.** [`Collector`] is Hadoop's map-side buffer with
+//! in-mapper combining of identical records: each distinct `(key, value)` is
 //! copied once into a byte arena already laid out in run format, next to a
-//! fixed-size index entry (offset, lengths, the first 8 key bytes as a
-//! big-endian integer). Sorting moves index entries only, and most
-//! comparisons are decided by the integer prefix without touching the
-//! arena; one gather pass then turns the arena into a sorted run.
+//! fixed-size index entry (offset, key length, the first 8 key bytes as a
+//! big-endian integer, and a `count` of the pushes it stands for). A push
+//! finds an earlier copy through an open-addressing table over the index
+//! and counts it instead of copying it. A wordcount split emits each
+//! distinct record about 7 times; a join emits each once, where looking
+//! would be pure cost. So the table keeps doubling only while at least 1
+//! push in 8 since it last grew found a repeat; otherwise it is dropped and
+//! later pushes append, a later repeat becoming one more entry. Sorting
+//! moves index entries only, and most comparisons are decided by the
+//! integer prefix without touching the arena. The run is byte-identical to
+//! sorting every emission, because equal records are indistinguishable: a
+//! gather pass writes each entry's record `count` times, and a combiner
+//! reads the sorted entries in place through the same group-and-reduce
+//! loop as a run, each value served `count` times. It gets the same calls
+//! as over the expanded run: once per key, values in order, same
+//! multiplicity.
 //!
 //! **Owned [`KV`]s exist only at the user-function boundary**: the mapper's
 //! and reducer's `FnMut(KV)` callbacks receive them, and the engine copies
@@ -96,7 +109,19 @@ pub fn split_records(window: &[u8], start: u64, len: u64) -> Vec<&[u8]> {
     out
 }
 
-/// Append one record in run format.
+/// Refuse a record the run format cannot carry: its length fields are
+/// `u32`s, and a longer key or value would get a header that misdescribes
+/// it. As in `pstore`'s records, a field holds under `u32::MAX` bytes.
+pub fn check_fits(key_len: usize, value_len: usize) -> Result<(), String> {
+    for (what, len) in [("key", key_len), ("value", value_len)] {
+        if len >= u32::MAX as usize {
+            return Err(format!("{what} of {len} bytes does not fit the run format"));
+        }
+    }
+    Ok(())
+}
+
+/// Append one record in run format (see [`check_fits`]).
 fn put_record(buf: &mut Vec<u8>, key: &[u8], value: &[u8]) {
     buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
     buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
@@ -178,8 +203,11 @@ impl<'a> RunCursor<'a> {
     }
 }
 
-/// Index entry of one collected record: everything a comparison needs
-/// without touching the arena unless two keys share their first 8 bytes.
+/// Index entry of one distinct collected record: everything a comparison
+/// needs without touching the arena unless two keys share their first 8
+/// bytes, and how many pushes the record stands for. 24 bytes: the value
+/// length is read from the record's header in the arena, which every value
+/// comparison reads next to anyway.
 #[derive(Clone, Copy)]
 struct Entry {
     /// First 8 key bytes, big-endian, zero-padded. Padding can make the
@@ -189,16 +217,166 @@ struct Entry {
     /// Offset of the key in the arena (its header sits 8 bytes before).
     at: usize,
     klen: u32,
-    vlen: u32,
+    /// Pushes of this `(key, value)` the entry stands for.
+    count: u32,
 }
 
-/// Map-side output buffer: a byte arena in run format plus a sortable index
-/// (see the module docs). Also the sink of every combine stage, where
-/// records usually arrive already sorted and the arena is the run.
+const _: () = assert!(std::mem::size_of::<Entry>() == 24);
+
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every Entry was made by `Collector::push`: `at` and `klen` delimit the key it appended to `arena` at `at`, after the header whose last 4 bytes are the value length"
+)]
+impl Entry {
+    fn key<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        &arena[self.at..self.at + self.klen as usize]
+    }
+
+    /// One past the record's last byte.
+    fn end(&self, arena: &[u8]) -> usize {
+        let mut vlen = [0u8; 4];
+        vlen.copy_from_slice(&arena[self.at - 4..self.at]);
+        self.at + self.klen as usize + u32::from_le_bytes(vlen) as usize
+    }
+
+    fn value<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        &arena[self.at + self.klen as usize..self.end(arena)]
+    }
+
+    /// The record in run format, header included.
+    fn bytes<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        &arena[self.at - 8..self.end(arena)]
+    }
+
+    /// Whether this is the record `(key, value)` whose key starts `prefix`.
+    /// A key of at most 8 bytes is its prefix and its length.
+    fn holds(&self, arena: &[u8], prefix: u64, key: &[u8], value: &[u8]) -> bool {
+        self.prefix == prefix
+            && self.klen as usize == key.len()
+            && (key.len() <= 8 || self.key(arena) == key)
+            && self.value(arena) == value
+    }
+}
+
+/// A 32-bit hash of a record: its lengths, its key prefix, then the rest
+/// of the key and the value 8 bytes at a time. Equal records hash equal; a
+/// hit is confirmed on the bytes.
+fn hash_record(prefix: u64, key: &[u8], value: &[u8]) -> u32 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, word: u64| (h.rotate_left(23) ^ word).wrapping_mul(K);
+    let lens = (key.len() as u64) << 32 | value.len() as u64;
+    let rest = key
+        .get(8..)
+        .unwrap_or_default()
+        .chunks(8)
+        .chain(value.chunks(8));
+    let h = rest.fold(mix(lens, prefix), |h, chunk| {
+        mix(h, chunk.iter().fold(0, |w, &b| w << 8 | u64::from(b)))
+    });
+    (h >> 32) as u32
+}
+
+/// The repeat table starts with this many slots.
+const FIRST_SLOTS: usize = 512;
+/// The table stops growing here (positions come from a 32-bit hash, and an
+/// entry's number must fit a `u32`).
+const MAX_SLOTS: usize = 1 << 31;
+
+/// Where [`Collector::push`] finds an earlier copy of a record: open
+/// addressing with linear probing over the index, at most half full.
 #[derive(Default)]
+struct Repeats {
+    /// `(hash, entry + 1)`; entry 0 marks an empty slot. The length is 0 or
+    /// a power of two.
+    slots: Vec<(u32, u32)>,
+    /// Pushes, and pushes that found a repeat, since the table last grew.
+    pushes: u64,
+    found: u64,
+}
+
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a position is `home` (below the length) or masked by the length minus 1, a power of two"
+)]
+impl Repeats {
+    /// The first slot to try for `hash`: its high bits scaled to the table.
+    fn home(hash: u32, len: usize) -> usize {
+        ((u64::from(hash) * len as u64) >> 32) as usize
+    }
+
+    /// Make room for entry number `entries`, doubling the table when it is
+    /// half full, but only if at least 1 push in 8 since the last doubling
+    /// found a repeat. `false`: repeats are too rare to keep looking.
+    fn reserve(&mut self, entries: usize) -> bool {
+        if entries < self.slots.len() / 2 {
+            return true;
+        }
+        if !self.slots.is_empty() && (self.found * 8 < self.pushes || self.slots.len() >= MAX_SLOTS)
+        {
+            return false;
+        }
+        let mut grown = Repeats {
+            slots: vec![(0, 0); (self.slots.len() * 2).max(FIRST_SLOTS)],
+            pushes: 0,
+            found: 0,
+        };
+        for &(hash, entry) in self.slots.iter().filter(|(_, entry)| *entry != 0) {
+            let (pos, _) = grown.probe(hash, |_| false);
+            grown.slots[pos] = (hash, entry);
+        }
+        *self = grown;
+        true
+    }
+
+    /// The slot of the entry with `hash` that is `same`, or the empty slot
+    /// where it would go.
+    fn probe(&self, hash: u32, same: impl Fn(usize) -> bool) -> (usize, Option<usize>) {
+        let mask = self.slots.len() - 1;
+        let mut pos = Self::home(hash, self.slots.len());
+        loop {
+            match self.slots[pos] {
+                (_, 0) => return (pos, None),
+                (h, entry) if h == hash && same(entry as usize - 1) => {
+                    return (pos, Some(entry as usize - 1))
+                }
+                _ => pos = (pos + 1) & mask,
+            }
+        }
+    }
+
+    fn set(&mut self, pos: usize, hash: u32, entry: usize) {
+        self.slots[pos] = (hash, entry as u32 + 1);
+    }
+}
+
+/// Map-side output buffer: each distinct `(key, value)` once in a byte
+/// arena in run format, plus a sortable index whose entries count the
+/// record's pushes. A push looks for an earlier copy only while that pays:
+/// once fewer than 1 push in 8 since the table last doubled found one, the
+/// table is dropped and pushes append (a constant read off the input, not
+/// an option). The run is the one every push sorted would make, since
+/// equal records are indistinguishable, and a combiner reads the counts in
+/// place through the same loop as [`reduce_runs`] (see the module docs).
+/// Also the sink of every combine stage, where records usually arrive
+/// already sorted and the arena is the run.
 pub struct Collector {
     arena: Vec<u8>,
     index: Vec<Entry>,
+    /// `None` once repeats proved too rare to look for.
+    repeats: Option<Repeats>,
+    /// Length of the run the collected records make, repeats included.
+    run_len: usize,
+}
+
+impl Default for Collector {
+    fn default() -> Self {
+        Collector {
+            arena: Vec::new(),
+            index: Vec::new(),
+            repeats: Some(Repeats::default()),
+            run_len: 0,
+        }
+    }
 }
 
 impl Collector {
@@ -210,28 +388,77 @@ impl Collector {
         let mut prefix = [0u8; 8];
         let n = key.len().min(8);
         prefix[..n].copy_from_slice(&key[..n]);
+        let prefix = u64::from_be_bytes(prefix);
+        let entry = self.index.len();
+        self.run_len += 8 + key.len() + value.len();
+        if self.repeats.as_mut().is_some_and(|r| !r.reserve(entry)) {
+            self.repeats = None;
+        }
+        if let Some(repeats) = &mut self.repeats {
+            let hash = hash_record(prefix, key, value);
+            let (arena, index) = (&self.arena, &self.index);
+            let (pos, found) = repeats.probe(hash, |i| {
+                index
+                    .get(i)
+                    .is_some_and(|e| e.holds(arena, prefix, key, value))
+            });
+            repeats.pushes += 1;
+            if let Some(e) = found.and_then(|i| self.index.get_mut(i)) {
+                if e.count < u32::MAX {
+                    e.count += 1;
+                    repeats.found += 1;
+                    return;
+                }
+            }
+            // New, or its entry's count is full: the slot takes this one.
+            repeats.set(pos, hash, entry);
+        }
         self.index.push(Entry {
-            prefix: u64::from_be_bytes(prefix),
+            prefix,
             at: self.arena.len() + 8,
             klen: key.len() as u32,
-            vlen: value.len() as u32,
+            count: 1,
         });
         put_record(&mut self.arena, key, value);
     }
 
     /// The collected records as one sorted run — through `combiner`, if the
-    /// job has one (a map task's published output for one partition).
-    pub fn into_run(self, combiner: Option<&dyn Reducer>) -> Result<Payload, SegmentError> {
-        let run = self.into_sorted_run();
-        match combiner {
-            Some(combiner) => merge_into_run(&[&run], Some(combiner)),
-            None => Ok(Payload::from_vec(run)),
-        }
+    /// job has one (a map task's published output for one partition). The
+    /// combiner reads the sorted index in place: each value `count` times,
+    /// never an expanded run.
+    pub fn into_run(mut self, combiner: Option<&dyn Reducer>) -> Result<Payload, SegmentError> {
+        let Some(combiner) = combiner else {
+            return Ok(Payload::from_vec(self.into_sorted_run()));
+        };
+        self.sort_index();
+        let source = Counted {
+            arena: &self.arena,
+            entries: self.index.iter(),
+            count: 0,
+        };
+        combine_into_run(Merge::new(vec![source])?, combiner)
     }
 
+    /// The sorted run: each entry's record written `count` times, or the
+    /// arena itself when it already is the run (records pushed in order,
+    /// none repeated).
+    fn into_sorted_run(mut self) -> Vec<u8> {
+        if self.sort_index() && self.run_len == self.arena.len() {
+            return self.arena;
+        }
+        let mut run = Vec::with_capacity(self.run_len);
+        for e in &self.index {
+            let record = e.bytes(&self.arena);
+            for _ in 0..e.count {
+                run.extend_from_slice(record);
+            }
+        }
+        run
+    }
+
+    /// Sort the index by `(key, value)`; returns whether it already was.
     /// The order is total (equal records are indistinguishable), so the
-    /// unstable sorts are deterministic; records pushed in order cost no
-    /// copy.
+    /// unstable sorts are deterministic.
     ///
     /// The sort compares integers first: `(prefix, min(klen, 9))` orders
     /// any two keys that differ in their first 8 bytes or in their length
@@ -242,24 +469,16 @@ impl Collector {
     /// `(key, value)` for a run of long keys. The clamp at 9 keeps every
     /// long key with a shared prefix in one run (`"12345678ab"` sorts before
     /// `"12345678z"`, though it is longer).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "every Entry was made by `push`: `at`, `klen`, `vlen` delimit the record it appended to `arena` at `at - 8`"
-    )]
-    fn into_sorted_run(mut self) -> Vec<u8> {
+    fn sort_index(&mut self) -> bool {
         let arena = &self.arena;
-        let key = |e: &Entry| &arena[e.at..e.at + e.klen as usize];
-        let value = |e: &Entry| {
-            let k = e.at + e.klen as usize;
-            &arena[k..k + e.vlen as usize]
-        };
-        let by_value = |a: &Entry, b: &Entry| value(a).cmp(value(b));
-        let by_key_value = |a: &Entry, b: &Entry| key(a).cmp(key(b)).then_with(|| by_value(a, b));
+        let by_value = |a: &Entry, b: &Entry| a.value(arena).cmp(b.value(arena));
+        let by_key_value =
+            |a: &Entry, b: &Entry| a.key(arena).cmp(b.key(arena)).then_with(|| by_value(a, b));
         let in_order = |a: &Entry, b: &Entry| {
             a.prefix.cmp(&b.prefix).then_with(|| by_key_value(a, b)) != Ordering::Greater
         };
         if self.index.is_sorted_by(in_order) {
-            return self.arena;
+            return true;
         }
         let rank = |e: &Entry| (e.prefix, e.klen.min(9));
         self.index.sort_unstable_by_key(rank);
@@ -270,11 +489,7 @@ impl Collector {
                 sort_unless_sorted(run, by_key_value);
             }
         }
-        let mut run = Vec::with_capacity(arena.len());
-        for e in &self.index {
-            run.extend_from_slice(&arena[e.at - 8..e.at + e.klen as usize + e.vlen as usize]);
-        }
-        run
+        false
     }
 }
 
@@ -285,31 +500,77 @@ fn sort_unless_sorted(run: &mut [Entry], cmp: impl Fn(&Entry, &Entry) -> Orderin
     }
 }
 
-/// K-way merge over run cursors: a heap of each run's current record,
-/// ordered by `(key, value, run index)` — byte-identical to sorting the
+/// A stream of records in `(key, value)` order, each repeated some number
+/// of times: what [`Merge`] merges.
+trait Source<'a> {
+    fn next(&mut self) -> Result<Option<Record<'a>>, SegmentError>;
+    /// How many times the record `next` returned last repeats.
+    fn count(&self) -> u32;
+}
+
+/// A run holds every repeat as its own record.
+impl<'a> Source<'a> for RunCursor<'a> {
+    fn next(&mut self) -> Result<Option<Record<'a>>, SegmentError> {
+        self.next_record()
+    }
+
+    fn count(&self) -> u32 {
+        1
+    }
+}
+
+/// A collector's sorted index, read in place.
+struct Counted<'a> {
+    arena: &'a [u8],
+    entries: std::slice::Iter<'a, Entry>,
+    count: u32,
+}
+
+impl<'a> Source<'a> for Counted<'a> {
+    fn next(&mut self) -> Result<Option<Record<'a>>, SegmentError> {
+        let Some(e) = self.entries.next() else {
+            return Ok(None);
+        };
+        self.count = e.count;
+        Ok(Some((e.key(self.arena), e.value(self.arena))))
+    }
+
+    fn count(&self) -> u32 {
+        self.count
+    }
+}
+
+/// K-way merge over sources: a heap of each source's current record,
+/// ordered by `(key, value, source index)` — byte-identical to sorting the
 /// concatenation. A torn run ends the stream; [`Merge::finish`] reports it.
-struct Merge<'a> {
-    cursors: Vec<RunCursor<'a>>,
+struct Merge<'a, S> {
+    sources: Vec<S>,
     heap: BinaryHeap<Reverse<(Record<'a>, usize)>>,
     records: u64,
     torn: Option<SegmentError>,
 }
 
-impl<'a> Merge<'a> {
-    fn new(runs: &[&'a [u8]]) -> Result<Self, SegmentError> {
-        let mut cursors: Vec<RunCursor<'a>> = runs
-            .iter()
-            .enumerate()
-            .map(|(i, run)| RunCursor::new(i, run))
-            .collect();
-        let mut heap = BinaryHeap::with_capacity(cursors.len());
-        for (i, c) in cursors.iter_mut().enumerate() {
-            if let Some(record) = c.next_record()? {
+impl<'a> Merge<'a, RunCursor<'a>> {
+    fn of_runs(runs: &[&'a [u8]]) -> Result<Self, SegmentError> {
+        Self::new(
+            runs.iter()
+                .enumerate()
+                .map(|(i, run)| RunCursor::new(i, run))
+                .collect(),
+        )
+    }
+}
+
+impl<'a, S: Source<'a>> Merge<'a, S> {
+    fn new(mut sources: Vec<S>) -> Result<Self, SegmentError> {
+        let mut heap = BinaryHeap::with_capacity(sources.len());
+        for (i, s) in sources.iter_mut().enumerate() {
+            if let Some(record) = s.next()? {
                 heap.push(Reverse((record, i)));
             }
         }
         Ok(Merge {
-            cursors,
+            sources,
             heap,
             records: 0,
             torn: None,
@@ -320,10 +581,12 @@ impl<'a> Merge<'a> {
         self.heap.peek().map(|Reverse(((key, _), _))| *key)
     }
 
-    fn pop(&mut self) -> Option<Record<'a>> {
+    /// The next record and how many times it repeats.
+    fn pop(&mut self) -> Option<(Record<'a>, u32)> {
         let mut top = self.heap.peek_mut()?;
         let Reverse((record, i)) = *top;
-        match self.cursors.get_mut(i).map(RunCursor::next_record) {
+        let count = self.sources.get(i).map_or(1, S::count);
+        match self.sources.get_mut(i).map(S::next) {
             // Replacing the top in place sifts once instead of pop + push.
             Some(Ok(Some(next))) => *top = Reverse((next, i)),
             Some(Err(e)) => {
@@ -335,8 +598,8 @@ impl<'a> Merge<'a> {
                 PeekMut::pop(top);
             }
         }
-        self.records += 1;
-        Some(record)
+        self.records += u64::from(count);
+        Some((record, count))
     }
 
     fn finish(self) -> Result<u64, SegmentError> {
@@ -344,38 +607,60 @@ impl<'a> Merge<'a> {
     }
 }
 
-/// The values of one key, served straight from the merge.
-struct Group<'m, 'a> {
-    merge: &'m mut Merge<'a>,
+/// The values of one key, served straight from the merge: a value that
+/// repeats is served again from where it is, `left` more times.
+struct Group<'m, 'a, S> {
+    merge: &'m mut Merge<'a, S>,
     key: &'a [u8],
+    value: &'a [u8],
+    left: u32,
 }
 
-impl<'a> Iterator for Group<'_, 'a> {
+impl<'a, S: Source<'a>> Iterator for Group<'_, 'a, S> {
     type Item = &'a [u8];
     fn next(&mut self) -> Option<&'a [u8]> {
+        if self.left > 0 {
+            self.left -= 1;
+            return Some(self.value);
+        }
         if self.merge.peek_key()? != self.key {
             return None;
         }
-        self.merge.pop().map(|(_, v)| v)
+        let ((_, value), count) = self.merge.pop()?;
+        self.value = value;
+        self.left = count - 1;
+        Some(value)
     }
 }
 
 /// Merge sorted runs and feed `sink` — the one group-and-reduce loop behind
-/// the per-task combiner, the node combine and the final reduce. With a
-/// `reducer`, equal keys form a group whose values it reads from the runs
-/// in place (whatever it leaves unread is skipped) and `sink` receives its
-/// emissions in emission order; without one, `sink` receives the merged
-/// records. Returns the number of records read.
+/// the per-task combiner (which reads a [`Collector`]'s counted records the
+/// same way), the node combine and the final reduce. With a `reducer`,
+/// equal keys form a group whose values it reads from the runs in place
+/// (whatever it leaves unread is skipped) and `sink` receives its emissions
+/// in emission order; without one, `sink` receives the merged records.
+/// Returns the number of records read.
 pub fn reduce_runs(
     runs: &[&[u8]],
     reducer: Option<&dyn Reducer>,
     sink: &mut dyn FnMut(&[u8], &[u8]),
 ) -> Result<u64, SegmentError> {
-    let mut merge = Merge::new(runs)?;
+    reduce_merge(Merge::of_runs(runs)?, reducer, sink)
+}
+
+/// [`reduce_runs`] over any sources: a record that repeats is read `count`
+/// times, as if it were that many records of a run.
+fn reduce_merge<'a, S: Source<'a>>(
+    mut merge: Merge<'a, S>,
+    reducer: Option<&dyn Reducer>,
+    sink: &mut dyn FnMut(&[u8], &[u8]),
+) -> Result<u64, SegmentError> {
     match reducer {
         None => {
-            while let Some((k, v)) = merge.pop() {
-                sink(k, v);
+            while let Some(((k, v), count)) = merge.pop() {
+                for _ in 0..count {
+                    sink(k, v);
+                }
             }
         }
         Some(reducer) => {
@@ -383,8 +668,12 @@ pub fn reduce_runs(
                 let mut group = Group {
                     merge: &mut merge,
                     key,
+                    value: &[],
+                    left: 0,
                 };
                 reducer.reduce(key, &mut group, &mut |kv| sink(&kv.key, &kv.value));
+                // Skip what the reducer left unread, a value's repeats at once.
+                group.left = 0;
                 group.for_each(drop);
             }
         }
@@ -392,23 +681,30 @@ pub fn reduce_runs(
     merge.finish()
 }
 
+/// `merge` through `combiner` into one new sorted run: the combiner's
+/// emissions go through a [`Collector`], which re-sorts them only if they
+/// arrive out of order.
+fn combine_into_run<'a, S: Source<'a>>(
+    merge: Merge<'a, S>,
+    combiner: &dyn Reducer,
+) -> Result<Payload, SegmentError> {
+    let mut out = Collector::default();
+    reduce_merge(merge, Some(combiner), &mut |k, v| out.push(k, v))?;
+    Ok(Payload::from_vec(out.into_sorted_run()))
+}
+
 /// [`reduce_runs`] into one new sorted run: what every stage short of the
 /// final reduce does. A merge is sorted as it comes; a combiner's emissions
-/// go through a [`Collector`], which re-sorts them only if they arrive out
-/// of order.
+/// are collected and sorted as in [`Collector::into_run`].
 pub fn merge_into_run(
     runs: &[&[u8]],
     combiner: Option<&dyn Reducer>,
 ) -> Result<Payload, SegmentError> {
-    let run = if combiner.is_some() {
-        let mut out = Collector::default();
-        reduce_runs(runs, combiner, &mut |k, v| out.push(k, v))?;
-        out.into_sorted_run()
-    } else {
-        let mut run = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
-        reduce_runs(runs, None, &mut |k, v| put_record(&mut run, k, v))?;
-        run
-    };
+    if let Some(combiner) = combiner {
+        return combine_into_run(Merge::of_runs(runs)?, combiner);
+    }
+    let mut run = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
+    reduce_runs(runs, None, &mut |k, v| put_record(&mut run, k, v))?;
     Ok(Payload::from_vec(run))
 }
 
@@ -653,6 +949,38 @@ mod tests {
         }
         want.sort();
         assert_eq!(&c.into_sorted_run()[..], &encode_kvs(&want).bytes()[..]);
+    }
+
+    #[test]
+    fn records_pushed_in_order_with_repeats_are_expanded() {
+        let mut c = Collector::default();
+        let mut want = Vec::new();
+        for (k, v, n) in [("a", "1", 3), ("b", "1", 1), ("b", "2", 2)] {
+            for _ in 0..n {
+                c.push(k.as_bytes(), v.as_bytes());
+                want.push(KV::new(k, v));
+            }
+        }
+        // Three distinct records, each stored once, in order.
+        assert_eq!((c.index.len(), c.arena.len()), (3, 30));
+        assert_eq!(&c.into_sorted_run()[..], &encode_kvs(&want).bytes()[..]);
+    }
+
+    #[test]
+    fn lengths_the_run_header_cannot_carry_are_refused() {
+        let max = u32::MAX as usize;
+        assert_eq!(check_fits(0, max - 1), Ok(()));
+        assert_eq!(check_fits(max - 1, 0), Ok(()));
+        for len in [max, max + 1, usize::MAX] {
+            assert_eq!(
+                check_fits(len, 1),
+                Err(format!("key of {len} bytes does not fit the run format"))
+            );
+            assert_eq!(
+                check_fits(1, len),
+                Err(format!("value of {len} bytes does not fit the run format"))
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use fabric::{NodeId, Payload, Proc};
 use crate::api::{partition_for, KV};
 use crate::job::{JobCtx, OutputMode};
 use crate::record::{
-    merge_into_run, put_text, reduce_runs, split_records, Collector, SegmentError,
+    check_fits, merge_into_run, put_text, reduce_runs, split_records, Collector, SegmentError,
 };
 use crate::shuffle::{DeliverySpec, MapOutputRegistry, NodeCombiner, SegmentKey, SegmentSource};
 
@@ -130,14 +130,25 @@ pub fn run_map_task(
         let mut in_records = 0u64;
         let mut out_records = 0u64;
         let mut out_bytes = 0u64;
+        // The first emission the run format cannot carry stops collection.
+        let mut unfit = Ok(());
         for line in split_records(window, spec.offset, spec.len) {
             in_records += 1;
             let (k, v) = crate::record::split_tab(line);
             conf.user.mapper.map(k, v, &mut |kv: KV| {
+                if unfit.is_ok() {
+                    unfit = check_fits(kv.key.len(), kv.value.len());
+                }
+                if unfit.is_err() {
+                    return;
+                }
                 out_records += 1;
                 out_bytes += kv.encoded_len();
                 collectors[partition_for(&kv.key, r) as usize].push(&kv.key, &kv.value);
             });
+            unfit
+                .as_ref()
+                .map_err(|e| format!("job {} map {}: {e}", ctx.id, spec.task_id))?;
         }
         counters.add(&counters.map_input_records, in_records);
         counters.add(&counters.map_output_records, out_records);

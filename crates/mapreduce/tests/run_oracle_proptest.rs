@@ -51,15 +51,18 @@ impl Reducer for Combine {
     }
 }
 
+/// No combiner, then every shape.
+const SHAPES: [Option<Combine>; 6] = [
+    None,
+    Some(Combine::Sum),
+    Some(Combine::Nothing),
+    Some(Combine::TwoOutOfOrder),
+    Some(Combine::OtherKey),
+    Some(Combine::FirstOnly),
+];
+
 fn combine_strategy() -> impl Strategy<Value = Option<Combine>> {
-    prop_oneof![
-        Just(None),
-        Just(Some(Combine::Sum)),
-        Just(Some(Combine::Nothing)),
-        Just(Some(Combine::TwoOutOfOrder)),
-        Just(Some(Combine::OtherKey)),
-        Just(Some(Combine::FirstOnly)),
-    ]
+    (0..SHAPES.len()).prop_map(|i| SHAPES[i])
 }
 
 /// Keys that collide in every way the index prefix can: empty, shorter than
@@ -77,12 +80,39 @@ fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
-fn records_strategy() -> impl Strategy<Value = Vec<KV>> {
+fn record_strategy() -> impl Strategy<Value = KV> {
     let value = prop::collection::vec(prop_oneof![Just(0u8), Just(b'1'), Just(b'2')], 0..3);
-    prop::collection::vec(
-        (key_strategy(), value).prop_map(|(k, v)| KV::new(k, v)),
-        0..120,
-    )
+    (key_strategy(), value).prop_map(|(k, v)| KV::new(k, v))
+}
+
+/// Mostly short lists; two long arms reach what the collector does only at
+/// scale. Thousands of pushes over at most 8 distinct records make counts
+/// far above 1 (`FirstOnly` leaves the repeats unread, `Sum` counts them).
+/// A repeated prefix followed by thousands of distinct records grows the
+/// repeat table once and then stops it looking for repeats mid-collector.
+fn records_strategy() -> impl Strategy<Value = Vec<KV>> {
+    let pool = || prop::collection::vec(record_strategy(), 1..9);
+    let picks = |len| prop::collection::vec(0usize..8, len);
+    prop_oneof![
+        14 => prop::collection::vec(record_strategy(), 0..120),
+        1 => (pool(), picks(2000..6000)).prop_map(|(pool, picks)| {
+            picks.iter().map(|i| pool[i % pool.len()].clone()).collect()
+        }),
+        1 => (
+            pool(),
+            picks(500..501),
+            prop::collection::vec(key_strategy(), 2000..6000),
+        )
+            .prop_map(|(pool, picks, keys)| {
+                let repeated = picks.iter().map(|i| pool[i % pool.len()].clone());
+                // A 4-byte value never equals a pool value (at most 2 bytes).
+                let distinct = keys
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, k)| KV::new(k, (i as u32).to_be_bytes()));
+                repeated.chain(distinct).collect()
+            }),
+    ]
 }
 
 /// The parent's per-partition map-side code, verbatim.
@@ -118,23 +148,23 @@ fn to_text(kvs: &[KV]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// Map side: what `run_map_task` publishes per partition. Records are
-    /// dealt over three partitions of which the last stays empty.
+    /// Map side: what `run_map_task` publishes per partition, under every
+    /// combiner shape. Records are dealt over three partitions of which the
+    /// last stays empty.
     #[test]
-    fn collector_output_equals_the_owned_record_map_side(
-        records in records_strategy(),
-        combine in combine_strategy(),
-    ) {
-        let combiner = combine.as_ref().map(|c| c as &dyn Reducer);
-        let mut collectors = [Collector::default(), Collector::default(), Collector::default()];
-        let mut buffers = [Vec::new(), Vec::new(), Vec::new()];
-        for (i, kv) in records.iter().enumerate() {
-            collectors[i % 2].push(&kv.key, &kv.value);
-            buffers[i % 2].push(kv.clone());
-        }
-        for (collected, buf) in collectors.into_iter().zip(buffers) {
-            let got = collected.into_run(combiner).unwrap();
-            prop_assert_eq!(got, oracle_map_side(buf, combiner));
+    fn collector_output_equals_the_owned_record_map_side(records in records_strategy()) {
+        for combine in SHAPES {
+            let combiner = combine.as_ref().map(|c| c as &dyn Reducer);
+            let mut collectors = [Collector::default(), Collector::default(), Collector::default()];
+            let mut buffers = [Vec::new(), Vec::new(), Vec::new()];
+            for (i, kv) in records.iter().enumerate() {
+                collectors[i % 2].push(&kv.key, &kv.value);
+                buffers[i % 2].push(kv.clone());
+            }
+            for (collected, buf) in collectors.into_iter().zip(buffers) {
+                let got = collected.into_run(combiner).unwrap();
+                prop_assert_eq!(got, oracle_map_side(buf, combiner), "{:?}", combine);
+            }
         }
     }
 

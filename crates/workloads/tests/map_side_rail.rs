@@ -13,7 +13,8 @@
 //! reads, so these bytes may not move when the collector's internals do.
 //! `run_oracle_proptest` checks the same contract on small inputs; this
 //! rail reaches the collector's behaviour that only shows at thousands of
-//! distinct records.
+//! distinct records. The input generators live here, not in a shared
+//! helper, because the literals depend on every byte they produce.
 
 use std::collections::BTreeSet;
 
