@@ -158,6 +158,88 @@ fn schedule_is_bit_identical_to_the_recorded_one() {
     assert_eq!(order, recorded_order, "queue arrival order");
 }
 
+/// Wakes through a queue and a gate, in the order the woken procs ran:
+/// four receivers block at staggered instants, an item sent from the main
+/// thread before `run` is waiting for the first, a proc sends five more
+/// (two pairs back to back, so one send wakes one receiver in FIFO order)
+/// and closes the queue with two receivers still blocked; three procs park
+/// on a gate and a fourth reaches it after `set`.
+fn queue_and_gate_transcript() -> Vec<String> {
+    let fx = Fabric::sim_seeded(ClusterSpec::tiny(8), 0x5EED_0029);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let q: Queue<u32> = fx.queue();
+    let g: Gate = fx.gate();
+    assert!(q.send(100), "the main thread sends before run");
+
+    for r in 0..4u32 {
+        let (q, log) = (q.clone(), log.clone());
+        fx.spawn(NodeId(r), format!("recv{r}"), move |p| {
+            p.sleep(r as u64 * MILLIS);
+            loop {
+                let got = q.recv(p);
+                log.lock().push(format!("recv{r} {got:?} at {}", p.now()));
+                if got.is_none() {
+                    return;
+                }
+                p.sleep((3 + 4 * r as u64) * MILLIS);
+            }
+        });
+    }
+    let (q2, g2) = (q.clone(), g.clone());
+    fx.spawn(NodeId(4), "sender", move |p| {
+        p.sleep(5 * MILLIS);
+        for batch in [&[1, 2][..], &[3], &[4, 5]] {
+            for &i in batch {
+                assert!(q2.send(i));
+            }
+            p.sleep(2 * MILLIS);
+        }
+        g2.set();
+        p.sleep(6 * MILLIS);
+        q2.close();
+        assert!(!q2.send(6), "a closed queue refuses");
+    });
+    for w in 0..4u32 {
+        let (g, log) = (g.clone(), log.clone());
+        let arrive = if w < 3 { w as u64 } else { 20 } * MILLIS;
+        fx.spawn(NodeId(5 + w % 3), format!("gate{w}"), move |p| {
+            p.sleep(arrive);
+            g.wait(p);
+            log.lock().push(format!("gate{w} through at {}", p.now()));
+        });
+    }
+    fx.run();
+    let mut out = log.lock().clone();
+    let s = fx.stats();
+    out.push(format!("events {} now {}", s.events, fx.now()));
+    out
+}
+
+#[test]
+fn queue_and_gate_wakes_are_pinned() {
+    // recv3 and recv0 both block at 3 ms, recv3 first (its sleep was
+    // scheduled before recv0's); item 5 finds no waiter and stays buffered
+    // until recv1 comes back; `close` at 17 ms wakes recv0 and recv2.
+    let recorded = [
+        "recv0 Some(100) at 0",
+        "recv1 Some(1) at 5000000",
+        "recv2 Some(2) at 5000000",
+        "recv3 Some(3) at 7000000",
+        "recv0 Some(4) at 9000000",
+        "gate0 through at 11000000",
+        "gate1 through at 11000000",
+        "gate2 through at 11000000",
+        "recv1 Some(5) at 12000000",
+        "recv0 None at 17000000",
+        "recv2 None at 17000000",
+        "recv1 None at 19000000",
+        "gate3 through at 20000000",
+        "recv3 None at 22000000",
+        "events 37 now 22000000",
+    ];
+    assert_eq!(queue_and_gate_transcript(), recorded);
+}
+
 /// Symmetric flows through one TX link all run out at the same instant; the
 /// engine must complete them in flow-id order — the order the flows were
 /// *started* in, here deliberately not the order of the procs' labels.
