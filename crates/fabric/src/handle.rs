@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use crate::live::LiveCore;
 use crate::net::NetFault;
 use crate::parker::Parker;
-use crate::sim::SimCore;
+use crate::sim::{BlockReason, SimCore};
 use crate::stats::FabricStats;
 use crate::sync::{Gate, Queue};
 use crate::time::SimTime;
@@ -184,14 +184,14 @@ impl Fabric {
         }
     }
 
-    /// New unbounded MPMC queue bound to this world.
+    /// New unbounded MPMC queue for this world's procs.
     pub fn queue<T: Send + 'static>(&self) -> Queue<T> {
-        Queue::new(self)
+        Queue::new()
     }
 
-    /// New one-shot broadcast gate bound to this world.
+    /// New one-shot broadcast gate for this world's procs.
     pub fn gate(&self) -> Gate {
-        Gate::new(self)
+        Gate::new()
     }
 
     /// Snapshot of fabric counters.
@@ -257,8 +257,19 @@ impl Proc {
         &self.name
     }
 
-    pub(crate) fn pid(&self) -> u64 {
-        self.pid
+    /// Mark this proc blocked on `reason` and return what wakes it. Called
+    /// under the lock of the [`crate::sync`] primitive that files the
+    /// waiter, which then releases its lock and [`Proc::park`]s. In sim mode
+    /// this can take the engine step (this proc may be the last runnable).
+    pub(crate) fn waiter(&self, reason: BlockReason) -> Waiter {
+        match &self.fabric.inner {
+            FabricInner::Sim(core) => Waiter::Sim {
+                gen: core.block_prepare(self.pid, reason),
+                core: core.clone(),
+                pid: self.pid,
+            },
+            FabricInner::Live(_) => Waiter::Live(self.parker.clone()),
+        }
     }
 
     pub(crate) fn park(&self) {
@@ -417,6 +428,31 @@ impl Proc {
                 let res = [c.spec.resource(node, ResourceKind::Cpu)];
                 c.flow(self.pid, &self.parker, &res, ops as f64);
             }
+        }
+    }
+}
+
+/// A blocked proc's wake-up, filed with the [`crate::sync`] primitive it
+/// waits on: the one place a queue or gate differs between the modes.
+pub(crate) enum Waiter {
+    /// An engine event at the current virtual instant, aimed at the block
+    /// generation the proc parked under.
+    Sim {
+        core: Arc<SimCore>,
+        pid: u64,
+        gen: u64,
+    },
+    /// The proc's own parker; its permit covers an unpark that lands
+    /// before the park.
+    Live(Arc<Parker>),
+}
+
+impl Waiter {
+    /// Wake the proc. Call after releasing the primitive's lock.
+    pub(crate) fn wake(self) {
+        match self {
+            Waiter::Sim { core, pid, gen } => core.schedule_wake(pid, gen),
+            Waiter::Live(parker) => parker.unpark(),
         }
     }
 }

@@ -25,9 +25,13 @@
 //! across 270 nodes do not need 6.3 GB of RAM while still exercising every
 //! control-plane code path.
 //!
-//! Blocking primitives that integrate with both modes live in [`sync`]:
-//! unbounded MPMC [`sync::Queue`]s (service inboxes, heartbeat channels) and
-//! one-shot broadcast [`sync::Gate`]s (completion signals, shutdown flags).
+//! Blocking primitives live in [`sync`]: unbounded MPMC [`sync::Queue`]s
+//! (service inboxes, heartbeat channels) and one-shot broadcast
+//! [`sync::Gate`]s (completion signals, shutdown flags). Each is one
+//! implementation for both modes — one state behind one lock, with blocked
+//! callers filed there as waiters and woken only after the lock is dropped.
+//! The mode lives in the waiter alone: an engine event in sim mode, the
+//! proc's own thread parker in live mode.
 
 // The determinism and waiver lints of the production crates (EXPERIMENTS.md,
 // "Static analysis"). The panic-path family is off: the engine fails loud by

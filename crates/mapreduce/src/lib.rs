@@ -54,8 +54,6 @@ pub mod tracker;
 
 pub use api::{partition_for, GhostProfile, Mapper, Reducer, UserFns, KV};
 pub use job::{JobConf, JobResult, OutputMode, ShuffleTuning};
-pub use shuffle::{
-    DeliverySpec, MapOutputRegistry, NodeCombiner, SegmentSource, ShuffleError, ShuffleStats,
-};
+pub use shuffle::{DeliverySpec, MapOutputRegistry, NodeCombiner, SegmentSource, ShuffleStats};
 pub use task::{MapTaskSpec, ReduceTaskSpec};
 pub use tracker::{JobHandle, MrCluster, MrConfig};

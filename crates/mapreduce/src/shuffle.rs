@@ -32,20 +32,22 @@
 //! **Lock scope.** The buffer lock (one for all nodes and jobs) covers only
 //! bookkeeping: recording which node buffered a task, moving the pending
 //! set into a numbered flush, and — once the flush is combined — checking
-//! that no loss buried it meanwhile. The merge and the combiner run after
-//! it is released, so one node's flush never stalls another node's `add`.
-//! Nothing spends virtual time between that check and publication, so in
-//! sim mode a buried flush never publishes; on real threads a loss can
-//! still land in that short gap (ROADMAP E).
+//! that no loss buried it meanwhile *and* publishing it, in one hold. The
+//! merge and the combiner run before that hold, so one node's flush never
+//! stalls another node's `add`. A loss ([`NodeCombiner::lose_node`]) takes
+//! the same lock across burying the buffers and dropping the host's
+//! segments, so on real threads as in sim a flush either publishes before
+//! the loss (and its segments go with the tasks it reports) or finds its
+//! generation stale and publishes nothing. The lock order is buffer lock →
+//! registry `segments`; nothing takes them the other way round.
 //!
 //! **One re-execution path.** A map task is buffered at most once per job:
 //! a second [`NodeCombiner::add`] of it is refused. A task runs twice only
-//! after a loss reported its output gone ([`MapOutputRegistry::drop_host`],
-//! [`NodeCombiner::drop_node`]); the re-run ([`MapTaskSpec::rerun`])
-//! bypasses tier 2 and publishes per-task segments, so the replacement
-//! lands promptly and never overlaps a flushed set. A reducer counts each
-//! task once, so a flush it fetched before the loss and the re-run's
-//! delivery are never both merged.
+//! after a loss reported its output gone ([`NodeCombiner::lose_node`]); the
+//! re-run ([`MapTaskSpec::rerun`]) bypasses tier 2 and publishes per-task
+//! segments, so the replacement lands promptly and never overlaps a flushed
+//! set. A reducer counts each task once, so a flush it fetched before the
+//! loss and the re-run's delivery are never both merged.
 //!
 //! [`MapTaskSpec::rerun`]: crate::task::MapTaskSpec::rerun
 //!
@@ -94,25 +96,6 @@ pub struct SegmentKey {
     pub job: u64,
     pub source: SegmentSource,
     pub partition: u32,
-}
-
-/// Typed shuffle-serving failures (the panic paths the crate's
-/// `clippy::unwrap_used` / `panic` lint header bans from production code).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShuffleError {
-    /// `fetch_many` answered a different number of slots than keys asked —
-    /// a registry contract breach, not a missing segment.
-    AnswerCountMismatch { want: usize, got: usize },
-}
-
-impl fmt::Display for ShuffleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShuffleError::AnswerCountMismatch { want, got } => {
-                write!(f, "shuffle fetch answered {got} slots for {want} keys")
-            }
-        }
-    }
 }
 
 /// One publication a reducer should fetch: segment `source` holds the
@@ -166,28 +149,17 @@ impl MapOutputRegistry {
     /// Store a partition produced on `host`. A key is published once: a
     /// flush's key carries its node and sequence number, a task's its id,
     /// and a task's re-run publishes only after a loss removed the original
-    /// ([`MapOutputRegistry::drop_host`]).
+    /// ([`NodeCombiner::lose_node`]).
     pub fn publish(&self, key: SegmentKey, host: NodeId, data: Payload) {
         self.segments.lock().insert(key, Segment { host, data });
     }
 
-    /// Fetch a partition into the calling reducer's node (charges the
-    /// transfer). Node-local fetches ride the loopback. `Ok(None)` means
-    /// the segment is not (or no longer) published.
-    pub fn fetch(&self, p: &Proc, key: SegmentKey) -> Result<Option<Payload>, ShuffleError> {
-        let mut got = self.fetch_many(p, &[key]);
-        let n = got.len();
-        match got.pop() {
-            Some(ans) if n == 1 => Ok(ans),
-            _ => Err(ShuffleError::AnswerCountMismatch { want: 1, got: n }),
-        }
-    }
-
-    /// Fetch many partitions, grouped by holding node: every group moves in
-    /// ONE (map-node → reduce-node) transfer carrying that host's whole
-    /// share, with the groups themselves fetched in parallel (Hadoop's
+    /// Fetch many partitions into the calling reducer's node, grouped by
+    /// holding node: every group moves in ONE (map-node → reduce-node)
+    /// transfer carrying that host's whole share (node-local groups ride the
+    /// loopback), with the groups themselves fetched in parallel (Hadoop's
     /// parallel fetchers, minus the per-segment round-trips). `out[i]`
-    /// answers `keys[i]`; unknown keys answer `None`.
+    /// answers `keys[i]`; a key not (or no longer) published answers `None`.
     #[expect(
         clippy::indexing_slicing,
         reason = "`out` is sized to `keys.len()` and every `i` enumerates `keys`"
@@ -272,9 +244,10 @@ impl MapOutputRegistry {
 
     /// Drop every segment hosted on `host` (the node lost its local output
     /// store). Returns the `(job, task)` pairs of direct per-task segments
-    /// that went with it, sorted; lost *flush* segments are reported by
-    /// [`NodeCombiner::drop_node`], which knows their task sets.
-    pub fn drop_host(&self, host: NodeId) -> Vec<(u64, u32)> {
+    /// that went with it, sorted; lost *flush* segments are reported from
+    /// the combine buffers, which know their task sets (see
+    /// [`NodeCombiner::lose_node`], the only caller).
+    fn drop_host(&self, host: NodeId) -> Vec<(u64, u32)> {
         let mut lost = Vec::new();
         #[expect(
             clippy::disallowed_methods,
@@ -427,12 +400,15 @@ impl NodeCombiner {
     }
 
     /// The node lost its local output store: empty its buffers for every
-    /// job and bury any flush still on its way to publication. Returns, per
-    /// job, the sorted task ids whose buffered output went with it — the
-    /// tracker re-queues them. Call together with
-    /// [`MapOutputRegistry::drop_host`].
-    pub fn drop_node(&self, node: NodeId) -> Vec<(u64, Vec<u32>)> {
-        let mut lost = Vec::new();
+    /// job, bury any flush still on its way to publication, and drop every
+    /// segment it published (flushes and per-task re-runs alike). Returns,
+    /// per job, the sorted task ids whose output went with it — the tracker
+    /// re-queues them. All of it happens in one hold of the buffer lock,
+    /// under which a flush also checks its generation and publishes: a
+    /// flush's segments either go with the loss that reports its tasks, or
+    /// are never published.
+    pub fn lose_node(&self, node: NodeId) -> Vec<(u64, Vec<u32>)> {
+        let mut lost: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         let mut jobs = self.jobs.lock();
         for (job, jb) in jobs.iter_mut() {
             let Some(nb) = jb.nodes.get_mut(&node.0) else {
@@ -443,16 +419,24 @@ impl NodeCombiner {
                 generation: nb.generation + 1,
                 ..NodeBuffer::default()
             };
-            let tasks: Vec<u32> = (jb.home.iter())
+            let tasks = (jb.home.iter())
                 .filter(|&(_, &home)| home == node.0)
-                .map(|(&t, _)| t)
-                .collect();
+                .map(|(&t, _)| t);
+            lost.entry(*job).or_default().extend(tasks);
             jb.home.retain(|_, home| *home != node.0);
-            if !tasks.is_empty() {
-                lost.push((*job, tasks));
-            }
         }
-        lost
+        for (job, task) in self.registry.drop_host(node) {
+            lost.entry(job).or_default().push(task);
+        }
+        drop(jobs);
+        (lost.into_iter())
+            .filter(|(_, tasks)| !tasks.is_empty())
+            .map(|(job, mut tasks)| {
+                tasks.sort_unstable();
+                tasks.dedup();
+                (job, tasks)
+            })
+            .collect()
     }
 
     /// Drop a finished job's buffers (pairs with
@@ -461,12 +445,12 @@ impl NodeCombiner {
         self.jobs.lock().remove(&job);
     }
 
-    /// Merge and combine the planned flush, charge ghost compute, publish
-    /// its segments and bump counters — outside the buffer lock (the merge
-    /// of a node's whole map share must not stall every other node's `add`)
-    /// but *before* the returned delivery is announced. A flush that a loss
-    /// buried meanwhile publishes and announces nothing: its tasks were
-    /// reported lost and re-run.
+    /// Merge and combine the planned flush and charge ghost compute outside
+    /// the buffer lock (the merge of a node's whole map share must not stall
+    /// every other node's `add`), then check its generation and publish its
+    /// segments in one hold of it, *before* the returned delivery is
+    /// announced. A flush that a loss buried meanwhile publishes and
+    /// announces nothing: its tasks were reported lost and re-run.
     fn run_flush(
         &self,
         p: &Proc,
@@ -481,16 +465,19 @@ impl NodeCombiner {
         if compute > 0 {
             p.compute(p.node(), compute);
         }
-        let live = (self.jobs.lock().get(&ctx.id))
-            .and_then(|jb| jb.nodes.get(&node))
-            .is_some_and(|nb| nb.generation == flush.generation);
-        if !live {
-            return Ok(None);
-        }
         let n = combined.len() as u64;
         let combined_bytes: u64 = combined.iter().map(|(_, data)| data.len()).sum();
-        for (key, data) in combined {
-            self.registry.publish(key, p.node(), data);
+        {
+            let jobs = self.jobs.lock();
+            let live = (jobs.get(&ctx.id))
+                .and_then(|jb| jb.nodes.get(&node))
+                .is_some_and(|nb| nb.generation == flush.generation);
+            if !live {
+                return Ok(None);
+            }
+            for (key, data) in combined {
+                self.registry.publish(key, p.node(), data);
+            }
         }
         let saved_bytes = flush.buffered.saturating_sub(combined_bytes);
         self.registry
@@ -588,6 +575,13 @@ mod tests {
         seg_key(1, node, seq, partition)
     }
 
+    /// One key through the one fetch path; `None` when not published.
+    fn fetch(reg: &MapOutputRegistry, p: &Proc, key: SegmentKey) -> Option<Payload> {
+        let mut got = reg.fetch_many(p, &[key]);
+        assert_eq!(got.len(), 1, "one answer per key");
+        got.pop().flatten()
+    }
+
     struct Nop;
     impl Mapper for Nop {
         fn map(&self, _: &[u8], _: &[u8], _: &mut dyn FnMut(KV)) {}
@@ -648,9 +642,9 @@ mod tests {
             let k = key(0, 3);
             reg2.publish(k, NodeId(1), Payload::from_vec(vec![7; 100]));
             assert_eq!(reg2.total_bytes(), 100);
-            let got = reg2.fetch(p, k).unwrap().unwrap();
+            let got = fetch(&reg2, p, k).unwrap();
             assert_eq!(got.len(), 100);
-            assert!(reg2.fetch(p, key(9, 0)).unwrap().is_none());
+            assert!(fetch(&reg2, p, key(9, 0)).is_none());
             reg2.drop_job(1);
             assert_eq!(reg2.total_bytes(), 0);
         });
@@ -736,11 +730,11 @@ mod tests {
             assert_eq!(c.combine_saved_bytes.load(Ordering::Relaxed), 40);
 
             // Combined contents match the model: a summed, b summed per node.
-            let p0 = reg2.fetch(p, flush_key(1, 0, 0)).unwrap().unwrap();
+            let p0 = fetch(&reg2, p, flush_key(1, 0, 0)).unwrap();
             assert_eq!(decode_kvs(p0.bytes()), vec![KV::new("a", "2")]);
-            let p1 = reg2.fetch(p, flush_key(1, 0, 1)).unwrap().unwrap();
+            let p1 = fetch(&reg2, p, flush_key(1, 0, 1)).unwrap();
             assert_eq!(decode_kvs(p1.bytes()), vec![KV::new("b", "3")]);
-            let p1b = reg2.fetch(p, flush_key(2, 0, 1)).unwrap().unwrap();
+            let p1b = fetch(&reg2, p, flush_key(2, 0, 1)).unwrap();
             assert_eq!(decode_kvs(p1b.bytes()), vec![KV::new("b", "7")]);
         });
         fx.run();
@@ -778,7 +772,7 @@ mod tests {
             refused1.wait(p);
             let d = nc1.complete_node(p, &ctx1).unwrap().expect("flush");
             assert_eq!(d.tasks, vec![0]);
-            let got = reg.fetch(p, flush_key(1, 0, 0)).unwrap().unwrap();
+            let got = fetch(&reg, p, flush_key(1, 0, 0)).unwrap();
             assert_eq!(decode_kvs(got.bytes()), vec![KV::new("a", "1")]);
         });
         let h2 = fx.spawn(NodeId(2), "node2", move |p| {
@@ -853,9 +847,9 @@ mod tests {
             assert_eq!(fin.tasks, vec![2]);
             // Two flushes → two combined segments for the one partition.
             assert_eq!(reg2.stats().combined_segments, 2);
-            let s0 = reg2.fetch(p, flush_key(1, 0, 0)).unwrap().unwrap();
+            let s0 = fetch(&reg2, p, flush_key(1, 0, 0)).unwrap();
             assert_eq!(decode_kvs(s0.bytes()), vec![KV::new("a", "2")]);
-            let s1 = reg2.fetch(p, flush_key(1, 1, 0)).unwrap().unwrap();
+            let s1 = fetch(&reg2, p, flush_key(1, 1, 0)).unwrap();
             assert_eq!(decode_kvs(s1.bytes()), vec![KV::new("a", "1")]);
         });
         fx.run();
@@ -901,8 +895,8 @@ mod tests {
         });
         let losser = fx.spawn(NodeId(2), "losser", move |p| {
             p.sleep(1_000); // inside the flush's combine
-            assert!(reg.drop_host(NodeId(1)).is_empty(), "nothing published yet");
-            assert_eq!(nc.drop_node(NodeId(1)), vec![(1, vec![0])]);
+            assert_eq!(nc.lose_node(NodeId(1)), vec![(1, vec![0])]);
+            assert_eq!(reg.total_bytes(), 0, "nothing published yet");
         });
         fx.run();
         losser.take().unwrap();
@@ -928,19 +922,19 @@ mod tests {
         );
         let h = fx.spawn(NodeId(1), "node1", move |p| {
             let lost = nc.add(p, &jctx, 0, vec![enc(&[("a", "1")])]).unwrap();
-            assert_eq!(reg.drop_host(p.node()), vec![]);
-            assert_eq!(nc.drop_node(p.node()), vec![(1, vec![0])]);
+            assert_eq!(nc.lose_node(p.node()), vec![(1, vec![0])]);
             let next = nc.add(p, &jctx, 5, vec![enc(&[("b", "1")])]).unwrap();
             assert_eq!(lost[0].source, SegmentSource::Flush { node: 1, seq: 0 });
             assert_eq!(next[0].source, SegmentSource::Flush { node: 1, seq: 1 });
-            assert!(reg.fetch(p, flush_key(1, 0, 0)).unwrap().is_none());
+            assert!(fetch(&reg, p, flush_key(1, 0, 0)).is_none());
         });
         fx.run();
         h.take().unwrap();
     }
 
-    /// Losing a node's outputs drops its buffers and reports the buried
-    /// task ids so the tracker can re-queue them.
+    /// Losing a node's outputs drops its buffers and segments and reports
+    /// the buried task ids, flushed and direct, so the tracker can re-queue
+    /// them.
     #[test]
     fn drop_node_reports_buffered_tasks() {
         let fx = Fabric::sim(ClusterSpec::tiny(3));
@@ -957,15 +951,14 @@ mod tests {
         );
         let reg2 = reg.clone();
         let h = fx.spawn(NodeId(1), "node1", move |p| {
-            nc.add(p, &jctx, 0, vec![enc(&[("a", "1")])]).unwrap(); // flushed (threshold 1)
-                                                                    // A direct per-task publication on the same node (rerun path).
+            // Flushed at once (threshold 1).
+            nc.add(p, &jctx, 0, vec![enc(&[("a", "1")])]).unwrap();
+            // A direct per-task publication on the same node (rerun path).
             reg2.publish(key(7, 0), p.node(), enc(&[("z", "1")]));
-            let lost_direct = reg2.drop_host(p.node());
-            assert_eq!(lost_direct, vec![(1, 7)]);
-            let lost_buffered = nc.drop_node(p.node());
-            assert_eq!(lost_buffered, vec![(1, vec![0])]);
+            assert_eq!(nc.lose_node(p.node()), vec![(1, vec![0, 7])]);
+            assert_eq!(reg2.total_bytes(), 0);
             assert!(
-                reg2.fetch(p, flush_key(1, 0, 0)).unwrap().is_none(),
+                fetch(&reg2, p, flush_key(1, 0, 0)).is_none(),
                 "flush segment gone with the host"
             );
             // A fresh run of task 0 lands cleanly (task_loc was cleared).
@@ -974,5 +967,78 @@ mod tests {
         });
         fx.run();
         h.take().unwrap();
+    }
+
+    /// On real threads, losses race flushes that each check their
+    /// generation and publish: a flush's segments must never survive a loss
+    /// that reported its tasks (the tracker would re-run them beside a
+    /// published copy), and no task may vanish unreported. So every task
+    /// ends up in exactly one of a still-published flush and a loss's list.
+    #[test]
+    fn live_losses_never_leave_a_buried_flush_published() {
+        const TASKS: u32 = 400;
+        let fx = Fabric::live(ClusterSpec::tiny(3));
+        let reg = MapOutputRegistry::new();
+        let nc = NodeCombiner::new(reg.clone());
+        let jctx = ctx(
+            1,
+            true,
+            ShuffleTuning {
+                node_combine: true,
+                flush_tasks: Some(1),
+                flush_bytes: None,
+            },
+        );
+        let (racing, done) = (fx.gate(), fx.gate());
+        let (nc1, racing1, done1) = (nc.clone(), racing.clone(), done.clone());
+        let flusher = fx.spawn(NodeId(1), "flusher", move |p| {
+            racing1.wait(p);
+            let mut published = Vec::new();
+            for t in 0..TASKS {
+                published.extend(nc1.add(p, &jctx, t, vec![enc(&[("a", "1")])]).unwrap());
+            }
+            done1.set();
+            published
+        });
+        let loser = fx.spawn(NodeId(2), "loser", move |p| {
+            racing.set();
+            let mut lost = Vec::new();
+            while !done.is_set() {
+                for (job, tasks) in nc.lose_node(NodeId(1)) {
+                    assert_eq!(job, 1);
+                    lost.extend(tasks);
+                }
+                p.sleep(20 * fabric::MICROS);
+            }
+            lost
+        });
+        fx.run();
+        let lost = loser.take().unwrap();
+        // Only once both are done is what is still published final.
+        let published = flusher.take().unwrap();
+        let checker = fx.spawn(NodeId(0), "checker", move |p| {
+            let still_there = |d: &DeliverySpec| {
+                let key = SegmentKey {
+                    job: 1,
+                    source: d.source,
+                    partition: 0,
+                };
+                fetch(&reg, p, key).is_some()
+            };
+            (published.into_iter())
+                .filter(still_there)
+                .flat_map(|d| d.tasks)
+                .collect::<Vec<u32>>()
+        });
+        fx.run();
+        let survived = checker.take().unwrap();
+        let both: Vec<&u32> = survived.iter().filter(|t| lost.contains(t)).collect();
+        assert!(
+            both.is_empty(),
+            "tasks {both:?} were reported lost, yet their flush is still published"
+        );
+        let mut all: Vec<u32> = survived.into_iter().chain(lost).collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..TASKS).collect::<Vec<u32>>(), "a task vanished");
     }
 }

@@ -543,11 +543,7 @@ mod tests {
             };
             assert!(run_map_task(p, &fs, &shuffle, &spec).unwrap().is_empty());
             let flushed = shuffle.complete_node(p, &ctx).unwrap().expect("flush");
-            assert!(
-                registry.drop_host(p.node()).is_empty(),
-                "no per-task segment"
-            );
-            assert_eq!(shuffle.drop_node(p.node()), vec![(1, vec![0])]);
+            assert_eq!(shuffle.lose_node(p.node()), vec![(1, vec![0])]);
             spec.rerun = true;
             let rerun = run_map_task(p, &fs, &shuffle, &spec).unwrap();
             assert_eq!(

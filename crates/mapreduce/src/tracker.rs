@@ -504,21 +504,7 @@ impl MrCluster {
     /// jobtracker to re-queue the tasks whose output was buried there.
     /// Returns, per job, the sorted task ids it re-queues.
     pub fn lose_map_outputs(&self, node: NodeId) -> Vec<(u64, Vec<u32>)> {
-        let mut lost: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        for (job, task) in self.registry.drop_host(node) {
-            lost.entry(job).or_default().push(task);
-        }
-        for (job, tasks) in self.combiner.drop_node(node) {
-            lost.entry(job).or_default().extend(tasks);
-        }
-        let lost: Vec<(u64, Vec<u32>)> = lost
-            .into_iter()
-            .map(|(job, mut tasks)| {
-                tasks.sort_unstable();
-                tasks.dedup();
-                (job, tasks)
-            })
-            .collect();
+        let lost = self.combiner.lose_node(node);
         self.inbox.send(JtMsg::OutputsLost {
             node,
             lost: lost.clone(),
