@@ -1,6 +1,6 @@
 //! The sim engine's schedule, pinned to literals.
 //!
-//! Every virtual number in the repo (seven `BENCH_*.json` baselines, the
+//! Every virtual number in the repo (eight `BENCH_*.json` baselines, the
 //! chaos sweep's schedule digests, the `sim_*` benchmark workloads) rests on
 //! one property of `fabric::sim`: valid events are processed in `(time, seq)`
 //! order, `seq` being the order in which they were scheduled. A change that
