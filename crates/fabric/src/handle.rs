@@ -1,7 +1,7 @@
 //! Public facade: [`Fabric`] (the world), [`Proc`] (a process's capability to
 //! act in it) and [`JoinHandle`] (await a spawned process).
 
-use std::cell::{RefCell, RefMut};
+use std::cell::{Cell, RefCell, RefMut};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use crate::live::LiveCore;
 use crate::net::NetFault;
 use crate::parker::Parker;
-use crate::sim::{BlockReason, SimCore};
+use crate::sim::{Baton, BlockReason, SimCore};
 use crate::stats::FabricStats;
 use crate::sync::{Gate, Queue};
 use crate::time::SimTime;
@@ -116,13 +116,14 @@ impl Fabric {
                     .name(format!("sim:{name}"))
                     .stack_size(1 << 20)
                     .spawn(move || {
-                        parker.park();
+                        core2.park(&parker);
                         let p = Proc {
                             fabric,
                             node,
                             name: pname,
                             pid,
                             parker: parker.clone(),
+                            baton: Cell::default(),
                             rng: RefCell::new(StdRng::seed_from_u64(seed)),
                         };
                         match std::panic::catch_unwind(AssertUnwindSafe(|| f(&p))) {
@@ -154,6 +155,7 @@ impl Fabric {
                         name: pname,
                         pid,
                         parker: Arc::new(Parker::new()),
+                        baton: Cell::default(),
                         rng: RefCell::new(StdRng::seed_from_u64(
                             base_seed ^ pid.wrapping_mul(0x9E37_79B9_7F4A_7C15),
                         )),
@@ -238,6 +240,8 @@ pub struct Proc {
     name: Arc<str>,
     pid: u64,
     parker: Arc<Parker>,
+    /// The engine step [`Proc::waiter`] took, held until [`Proc::park`].
+    baton: Cell<Baton>,
     rng: RefCell<StdRng>,
 }
 
@@ -259,21 +263,43 @@ impl Proc {
 
     /// Mark this proc blocked on `reason` and return what wakes it. Called
     /// under the lock of the [`crate::sync`] primitive that files the
-    /// waiter, which then releases its lock and [`Proc::park`]s. In sim mode
-    /// this can take the engine step (this proc may be the last runnable).
+    /// waiter, which then releases its lock and must call [`Proc::park`]:
+    /// in sim mode this takes the engine step (this proc is the last
+    /// runnable), and the baton it yields waits in the proc until `park`
+    /// passes it, so the next proc starts with both locks free.
     pub(crate) fn waiter(&self, reason: BlockReason) -> Waiter {
         match &self.fabric.inner {
-            FabricInner::Sim(core) => Waiter::Sim {
-                gen: core.block_prepare(self.pid, reason),
-                core: core.clone(),
-                pid: self.pid,
-            },
+            FabricInner::Sim(core) => {
+                let (gen, baton) = core.block_prepare(self.pid, reason);
+                self.baton.set(baton);
+                Waiter::Sim {
+                    core: core.clone(),
+                    pid: self.pid,
+                    gen,
+                }
+            }
             FabricInner::Live(_) => Waiter::Live(self.parker.clone()),
         }
     }
 
+    /// Follows every [`Proc::waiter`], with the primitive's lock released:
+    /// pass the baton the waiter took, then park until woken.
     pub(crate) fn park(&self) {
-        self.parker.park();
+        match &self.fabric.inner {
+            FabricInner::Sim(core) => {
+                self.baton.take().pass();
+                core.park(&self.parker);
+            }
+            FabricInner::Live(_) => self.parker.park(),
+        }
+    }
+
+    /// See [`SimCore::note_resume`]; live procs share locks by design.
+    #[cfg(test)]
+    pub(crate) fn note_resume<T>(&self, lock: &Mutex<T>) {
+        if let FabricInner::Sim(core) = &self.fabric.inner {
+            core.note_resume(lock);
+        }
     }
 
     /// Current time, ns.
@@ -847,6 +873,96 @@ mod tests {
         assert_eq!(quick.take(), Some(0));
         assert_eq!(slow.take(), Some(10 * MILLIS));
         assert_eq!(fx.stats().events, 3);
+    }
+
+    fn resumed_under_lock(fx: &Fabric) -> u64 {
+        match &fx.inner {
+            FabricInner::Sim(core) => core.resumed_under_lock(),
+            FabricInner::Live(_) => unreachable!("a sim fabric"),
+        }
+    }
+
+    /// The baton is passed only after its sender dropped every lock it took
+    /// the engine step under: every thread that resumes from a park — a
+    /// proc or `run()` — finds the engine's state lock free, and a proc
+    /// woken inside `Queue::recv` / `Gate::wait` finds that primitive's lock
+    /// free too. The world below resumes procs after `sleep`, `flow`,
+    /// `Queue::recv` (four receivers that drain one queue and hand the baton
+    /// to each other from inside `recv`), `Gate::wait` and a finishing
+    /// proc; a second world ends with a panicking proc; and a thousand
+    /// `run()`s of one idle proc race the halt against `run()` parking.
+    /// A baton passed under a lock is a race, not a certainty: on one CPU
+    /// the woken thread usually preempts its waker and finds the lock held,
+    /// across CPUs it mostly arrives too late, so the test loops nightly.
+    #[test]
+    fn sim_batons_pass_after_every_lock_is_dropped() {
+        const ROUNDS: u32 = 1_000;
+        let fx = Fabric::sim(ClusterSpec::tiny(4));
+        let q: Queue<u32> = fx.queue();
+        let gates: Arc<Vec<Gate>> = Arc::new((0..ROUNDS).map(|_| fx.gate()).collect());
+        let receivers: Vec<JoinHandle<u32>> = (0..4u32)
+            .map(|r| {
+                let q = q.clone();
+                fx.spawn(NodeId(r), format!("receiver{r}"), move |p| {
+                    let mut got = 0;
+                    while let Some(x) = q.recv(p) {
+                        got += 1;
+                        match x % 8 {
+                            0 => p.sleep(MILLIS / 2),
+                            1 => p.send_to(NodeId((r + 1) % 4), 1 << 20),
+                            _ => {}
+                        }
+                    }
+                    got
+                })
+            })
+            .collect();
+        let waiters: Vec<JoinHandle<()>> = (0..4u32)
+            .map(|w| {
+                let gates = gates.clone();
+                fx.spawn(NodeId(w), format!("waiter{w}"), move |p| {
+                    for g in gates.iter() {
+                        g.wait(p);
+                        p.compute(NodeId(w), 1_000);
+                    }
+                })
+            })
+            .collect();
+        let q2 = q.clone();
+        fx.spawn(NodeId(0), "sender", move |p| {
+            for round in 0..ROUNDS {
+                for k in 0..4 {
+                    assert!(q2.send(round * 4 + k));
+                }
+                p.sleep(MILLIS);
+                gates[round as usize].set();
+            }
+            q2.close();
+        });
+        fx.run();
+        assert_eq!(
+            receivers.iter().map(|h| h.take().unwrap()).sum::<u32>(),
+            ROUNDS * 4
+        );
+        assert!(waiters.iter().all(|h| h.take().is_some()));
+        assert_eq!(resumed_under_lock(&fx), 0, "resumed while a lock was held");
+
+        let fx = Fabric::sim(ClusterSpec::tiny(2));
+        fx.spawn(NodeId(0), "sleeper", |p| p.sleep(SECS));
+        fx.spawn(NodeId(1), "bomb", |p| {
+            p.sleep(MILLIS);
+            panic!("boom");
+        });
+        assert_eq!(run_panic_message(&fx), "process 'bomb' panicked: boom");
+        assert_eq!(resumed_under_lock(&fx), 0, "resumed while a lock was held");
+
+        let fx = Fabric::sim(ClusterSpec::tiny(1));
+        for _ in 0..1_000 {
+            let idle = fx.spawn(NodeId(0), "idle", |_| ());
+            fx.run();
+            assert!(idle.is_finished());
+        }
+        assert_eq!(resumed_under_lock(&fx), 0, "resumed while a lock was held");
     }
 
     #[test]

@@ -1,6 +1,14 @@
 //! Minimal permit-based thread parker (see "Rust Atomics and Locks", ch. 1/9:
 //! a Mutex+Condvar pair with a boolean permit avoids lost wakeups even when
 //! `unpark` races ahead of `park`).
+//!
+//! `unpark` sets the permit under the mutex but notifies only after
+//! releasing it. Notifying under the lock wakes a thread whose first act is
+//! to take that very lock: on one CPU the woken thread preempts the waker,
+//! finds the mutex held and blocks again, and the waker must be scheduled
+//! once more just to release it — three context switches where one will
+//! do. No wake is lost by notifying late: a parker that has not reached the
+//! condvar yet sees the permit before it waits.
 
 use parking_lot::{Condvar, Mutex};
 
@@ -26,8 +34,7 @@ impl Parker {
 
     /// Make a permit available, waking the parked thread if any.
     pub fn unpark(&self) {
-        let mut permit = self.permit.lock();
-        *permit = true;
+        *self.permit.lock() = true;
         self.cv.notify_one();
     }
 }

@@ -20,13 +20,27 @@
 //! # Who runs the engine step
 //!
 //! There is no engine thread. The process that blocks (or finishes) is by
-//! construction the last runnable one, so it takes the engine step itself,
-//! under the state lock it already holds: settle the flows, advance `now`,
-//! unpark the next process — then park. A process whose own wake is next
-//! never leaves its thread; any other event costs one context switch.
-//! [`SimCore::run`] takes the first step and then only waits for the *halt*:
-//! every process finished, one panicked, or nothing is left that could wake
-//! anybody (a deadlock, which `run` reports by name).
+//! construction the last runnable one, so it takes the engine step itself.
+//! The step *decides* under the state lock: settle the flows, advance
+//! `now`, pick the next process and mark it runnable. It does not wake
+//! that process; it returns its parker as a [`Baton`]. The blocking process
+//! passes the baton only after every lock the decision ran under is
+//! dropped — the state lock, and the lock of the queue or gate it filed a
+//! waiter with — and then parks.
+//!
+//! Why the wake waits for the unlock: on one CPU, a thread unparked while
+//! its waker still holds a lock preempts the waker, runs into that lock and
+//! blocks, and the waker must be scheduled again only to release the lock
+//! and park — three context switches per event where one will do. Since
+//! the choice is made under the lock, when the baton lands changes nothing
+//! about the order of events. A process whose own wake is next passes the
+//! baton to itself and never leaves its thread.
+//!
+//! [`SimCore::run`] takes the first step, passes its baton and parks on a
+//! parker of its own until the *halt*: every process finished, one
+//! panicked, or nothing is left that could wake anybody (a deadlock, which
+//! `run` reports by name). The halting step's baton is `run`'s, and the
+//! permit keeps it if the world runs to the end before `run` parks.
 //!
 //! # Why the order of events is what it is
 //!
@@ -54,9 +68,11 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+#[cfg(test)]
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -162,12 +178,33 @@ struct SimState {
     net_fault_hits: u64,
 }
 
+/// The thread an engine step chose to run next: a process, or `run()`'s on
+/// the halt. The step hands it out under the state lock; whoever took the
+/// step passes it once every lock it holds is dropped.
+#[must_use = "a baton that is never passed hangs the simulation"]
+#[derive(Default)]
+pub(crate) struct Baton(Option<Arc<Parker>>);
+
+impl Baton {
+    /// Wake the chosen thread. Call with no lock held.
+    pub(crate) fn pass(self) {
+        if let Some(parker) = self.0 {
+            parker.unpark();
+        }
+    }
+}
+
 pub(crate) struct SimCore {
     pub spec: ClusterSpec,
     pub seed: u64,
     state: Mutex<SimState>,
-    /// Signalled by the step that halts the engine; only `run()` waits on it.
-    engine_cv: Condvar,
+    /// `run()`'s own parker: the step that halts the engine passes it the
+    /// baton.
+    runner: Arc<Parker>,
+    /// Resumes from a park that found a lock of the baton's sender still
+    /// held (see [`Self::note_resume`]).
+    #[cfg(test)]
+    resumed_under_lock: AtomicU64,
 }
 
 impl SimCore {
@@ -203,7 +240,9 @@ impl SimCore {
                 net_rng: StdRng::seed_from_u64(seed ^ NET_SALT),
                 net_fault_hits: 0,
             }),
-            engine_cv: Condvar::new(),
+            runner: Arc::new(Parker::new()),
+            #[cfg(test)]
+            resumed_under_lock: AtomicU64::new(0),
         })
     }
 
@@ -246,14 +285,15 @@ impl SimCore {
 
     /// Mark the calling process blocked, let `register` arrange under the
     /// state lock whatever will eventually wake the fresh block generation it
-    /// is handed, then take the engine step. The caller must subsequently
-    /// `parker.park()`.
+    /// is handed, then take the engine step. Returns with the state lock
+    /// released; the caller must pass the baton once it holds no other lock
+    /// either, then [`Self::park`].
     fn block<R>(
         &self,
         pid: u64,
         reason: BlockReason,
         register: impl FnOnce(&mut SimState, u64) -> R,
-    ) -> R {
+    ) -> (R, Baton) {
         let mut st = self.state.lock();
         let p = st.procs.get_mut(&pid).expect("blocking unknown process");
         debug_assert_eq!(
@@ -266,17 +306,44 @@ impl SimCore {
         let gen = p.block_gen;
         let out = register(&mut st, gen);
         st.runnable -= 1;
-        if st.runnable == 0 {
-            self.step(&mut st);
-        }
-        out
+        let baton = if st.runnable == 0 {
+            self.step(&mut st)
+        } else {
+            Baton::default()
+        };
+        (out, baton)
     }
 
     /// [`Self::block`] for the queue/gate paths, which register the returned
     /// generation with their own waiter list (under their own lock, which
-    /// they hold across this call) and then park.
-    pub(crate) fn block_prepare(&self, pid: u64, reason: BlockReason) -> u64 {
+    /// they hold across this call), and pass the baton and park only after
+    /// releasing that lock.
+    pub(crate) fn block_prepare(&self, pid: u64, reason: BlockReason) -> (u64, Baton) {
         self.block(pid, reason, |_, gen| gen)
+    }
+
+    /// Park a process's thread (or `run()`'s) until a step passes it the
+    /// baton.
+    pub(crate) fn park(&self, parker: &Parker) {
+        parker.park();
+        #[cfg(test)]
+        self.note_resume(&self.state);
+    }
+
+    /// Count a resume that finds `lock` held. While the simulation runs,
+    /// only the thread that holds the baton takes the engine's or a
+    /// primitive's lock, so a held lock here means the baton was passed
+    /// before its sender dropped that lock.
+    #[cfg(test)]
+    pub(crate) fn note_resume<T>(&self, lock: &Mutex<T>) {
+        if lock.try_lock().is_none() {
+            self.resumed_under_lock.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn resumed_under_lock(&self) -> u64 {
+        self.resumed_under_lock.load(Ordering::Relaxed)
     }
 
     /// Schedule a wake for `(pid, gen)` at the current virtual time.
@@ -289,11 +356,12 @@ impl SimCore {
 
     /// Block the calling process for `dur` nanoseconds of virtual time.
     pub fn sleep(&self, pid: u64, parker: &Parker, dur: u64) {
-        self.block(pid, "sleep", |st, gen| {
+        let ((), baton) = self.block(pid, "sleep", |st, gen| {
             let t = st.now.saturating_add(dur);
             Self::push_wake(st, t, pid, gen);
         });
-        parker.park();
+        baton.pass();
+        self.park(parker);
     }
 
     /// Block the calling process on a fluid flow of `work` units across
@@ -302,7 +370,7 @@ impl SimCore {
         if work <= 0.0 {
             return;
         }
-        self.block(pid, "flow", |st, _gen| {
+        let ((), baton) = self.block(pid, "flow", |st, _gen| {
             let now = st.now;
             Self::settle(st, now);
             let id = st.next_flow_id;
@@ -325,7 +393,8 @@ impl SimCore {
             st.flows_started += 1;
             Self::recompute(st, &self.spec);
         });
-        parker.park();
+        baton.pass();
+        self.park(parker);
     }
 
     /// Count one transfer-like operation of `bytes` (every message,
@@ -414,8 +483,7 @@ impl SimCore {
 
     /// Process finished normally.
     pub fn proc_finished(&self, pid: u64) {
-        let mut st = self.state.lock();
-        self.finish_inner(&mut st, pid);
+        self.finish(self.state.lock(), pid);
     }
 
     /// Process panicked; the panic is re-raised from `run()`.
@@ -427,17 +495,23 @@ impl SimCore {
             .map(|p| p.name.clone())
             .unwrap_or_default();
         st.panics.push(format!("process '{name}' panicked: {msg}"));
-        self.finish_inner(&mut st, pid);
+        self.finish(st, pid);
     }
 
-    fn finish_inner(&self, st: &mut SimState, pid: u64) {
+    /// Retire the process, take the engine step if it was the last runnable
+    /// one, and pass the baton once `st` is dropped.
+    fn finish(&self, mut st: MutexGuard<'_, SimState>, pid: u64) {
         let p = st.procs.remove(&pid).expect("finishing unknown process");
         debug_assert_eq!(p.state, ProcState::Runnable);
         st.runnable -= 1;
         st.live_procs -= 1;
-        if st.runnable == 0 {
-            self.step(st);
-        }
+        let baton = if st.runnable == 0 {
+            self.step(&mut st)
+        } else {
+            Baton::default()
+        };
+        drop(st);
+        baton.pass();
     }
 
     /// Advance all flows' remaining work to time `to`.
@@ -551,12 +625,12 @@ impl SimCore {
         }
     }
 
-    fn wake_proc(st: &mut SimState, pid: u64) {
+    fn wake_proc(st: &mut SimState, pid: u64) -> Baton {
         let p = st.procs.get_mut(&pid).expect("waking unknown process");
         debug_assert!(matches!(p.state, ProcState::Blocked(_)));
         p.state = ProcState::Runnable;
         st.runnable += 1;
-        p.parker.unpark();
+        Baton(Some(p.parker.clone()))
     }
 
     /// Does this wake still target a blocked process at the generation it
@@ -571,8 +645,9 @@ impl SimCore {
     /// `runnable` to 0: process the next event in `(time, seq)` order — the
     /// earlier of the first valid wake and the first flow completion — which
     /// makes exactly one process runnable, or halt the engine when there is
-    /// nothing to run and hand control back to [`Self::run`].
-    fn step(&self, st: &mut SimState) {
+    /// nothing to run and hand control back to [`Self::run`]. Either way the
+    /// thread to run next is the returned baton's.
+    fn step(&self, st: &mut SimState) -> Baton {
         debug_assert_eq!(st.runnable, 0);
         if !st.panics.is_empty() || st.live_procs == 0 {
             return self.halt(st);
@@ -610,7 +685,7 @@ impl SimCore {
             Self::advance(st, w.time);
             w.proc
         };
-        Self::wake_proc(st, woken);
+        Self::wake_proc(st, woken)
     }
 
     /// Move the clock (and every flow) to the instant of the event being
@@ -622,9 +697,9 @@ impl SimCore {
         st.events_processed += 1;
     }
 
-    fn halt(&self, st: &mut SimState) {
+    fn halt(&self, st: &mut SimState) -> Baton {
         st.running = false;
-        self.engine_cv.notify_all();
+        Baton(Some(self.runner.clone()))
     }
 
     /// Run the simulation until every process has finished. Panics are
@@ -635,10 +710,12 @@ impl SimCore {
         let mut st = self.state.lock();
         assert!(!st.running, "SimCore::run is not reentrant");
         st.running = true;
-        self.step(&mut st);
-        while st.running {
-            self.engine_cv.wait(&mut st);
-        }
+        let baton = self.step(&mut st);
+        drop(st);
+        baton.pass();
+        self.park(&self.runner);
+        let mut st = self.state.lock();
+        debug_assert!(!st.running, "run() resumed before the halt");
         let panics = std::mem::take(&mut st.panics);
         if !panics.is_empty() {
             drop(st);
@@ -703,7 +780,7 @@ mod tests {
         let pid = core.register_proc(node, name, parker.clone());
         let core2 = core.clone();
         std::thread::spawn(move || {
-            parker.park();
+            core2.park(&parker);
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(pid, &parker)));
             match r {
                 Ok(()) => core2.proc_finished(pid),

@@ -93,6 +93,8 @@ impl<T: Send + 'static> Queue<T> {
                 st.waiters.push_back(p.waiter("queue.recv"));
             }
             p.park();
+            #[cfg(test)]
+            p.note_resume(&self.state);
         }
     }
 
@@ -176,6 +178,8 @@ impl Gate {
                 st.waiters.push(p.waiter("gate.wait"));
             }
             p.park();
+            #[cfg(test)]
+            p.note_resume(&self.state);
         }
     }
 }
