@@ -270,3 +270,98 @@ fn tied_flows_complete_in_flow_id_order() {
     // in full, so the link's counter runs a fraction of a byte over.
     assert_eq!(fx.stats().per_resource[tx], 64_000_000.116);
 }
+
+/// Flows that start after earlier flows finished out of id order. Five
+/// flows on separate links finish in the order 2, 0, 4, 1, 3, which frees
+/// their places in an order that no reuse policy (last in first out, or
+/// first in first out) maps back to id order. At 100 ms a second wave
+/// starts at one instant: a cut-through chain, seven tied flows out of
+/// node 0's TX link (two of them into node 9) and five flows from other
+/// nodes into node 9. Node 0's TX and node 9's RX then offer the same
+/// share, so the tie-break between resources decides which freezes first;
+/// the tied flows must complete in flow-id order; and every resource adds
+/// up its flows' work in flow-id order.
+#[test]
+fn flows_that_reuse_a_finished_flows_place_keep_flow_id_order() {
+    let spec = ClusterSpec::tiny(16).with_backplane(Some(4.0 * 117.0e6));
+    let latency = spec.latency_ns;
+    let fx = Fabric::sim(spec.clone());
+    let done = Arc::new(Mutex::new(Vec::new()));
+    let spawn = |name: String, src: u32, path: Vec<u32>, delay: u64, mb: u64| {
+        let d = done.clone();
+        fx.spawn(NodeId(src), name.clone(), move |p| {
+            p.sleep(delay);
+            let path: Vec<NodeId> = path.into_iter().map(NodeId).collect();
+            p.transfer_chain(&path, mb * 1_000_000);
+            d.lock().push((name, p.now()));
+        });
+    };
+    for (i, mb) in [2, 4, 1, 5, 3].into_iter().enumerate() {
+        let i = i as u32;
+        spawn(format!("first{i}"), i, vec![i, 5 + i], 0, mb);
+    }
+    // Flows that start at one instant get their ids in spawn order. The
+    // chain pays two latencies, so it sleeps one less to start with the
+    // rest. `into9_0` starts fourth: if finished places are reused last
+    // freed first, it lands in place 0, where a walk in place order would
+    // reach node 9's RX before node 0's TX.
+    let start = 100 * MILLIS;
+    spawn("chain".into(), 1, vec![1, 5, 6], start - latency, 6);
+    let into9 = [(2, 4), (3, 1), (4, 5), (7, 2), (8, 3)];
+    let to9 = |k: usize| {
+        let (src, mb) = into9[k];
+        spawn(format!("into9_{k}"), src, vec![src, 9], start, mb);
+    };
+    for t in 0..7u32 {
+        let dst = if t < 2 { 9 } else { 8 + t };
+        spawn(format!("tied{t}"), 0, vec![0, dst], start, 8);
+        if t == 1 {
+            to9(0);
+        }
+    }
+    (1..into9.len()).for_each(to9);
+    fx.run();
+
+    let done = done.lock().clone();
+    let names: Vec<&str> = done.iter().map(|(n, _)| n.as_str()).collect();
+    #[rustfmt::skip]
+    let recorded_names = [
+        "first2", "first0", "first4", "first1", "first3",
+        "chain", "into9_1", "into9_3", "into9_4", "into9_0", "into9_2",
+        "tied0", "tied1", "tied2", "tied3", "tied4", "tied5", "tied6",
+    ];
+    assert_eq!(names, recorded_names, "completion order");
+    let times: Vec<u64> = done.iter().map(|&(_, t)| t).collect();
+    #[rustfmt::skip]
+    let recorded_times = [
+        10783761, 19330770, 27877778, 36424787, 44971795,
+        151382052, 159929060, 207792308, 243689744, 267621368, 279587180,
+    ];
+    assert_eq!(times[..11], recorded_times, "completion instants");
+    let tie = 578_732_479;
+    assert!(times[11..].iter().all(|&t| t == tie), "the tie: {times:?}");
+
+    let s = fx.stats();
+    assert_eq!((s.events, s.now_ns), (72, tie), "events, now");
+    let sum = |n: u32, kind| s.per_resource[spec.resource(NodeId(n), kind) as usize];
+    let bp = spec.backplane_resource().expect("backplane configured") as usize;
+    assert_eq!(
+        [
+            sum(0, ResourceKind::Tx),
+            sum(9, ResourceKind::Rx),
+            sum(2, ResourceKind::Tx),
+            sum(1, ResourceKind::Tx),
+            sum(6, ResourceKind::Rx),
+            s.per_resource[bp],
+        ],
+        [
+            58000000.12560002,
+            34000000.07374285,
+            5000000.04102857,
+            10000000.1556,
+            10000000.1556,
+            92000000.37985712,
+        ],
+        "per_resource: TX 0, RX 9, TX 2, TX 1, RX 6, backplane"
+    );
+}
