@@ -368,7 +368,13 @@ fn deploy_tier<S>(
 #[derive(Clone)]
 pub struct ReaperHandle {
     stop: fabric::prelude::Gate,
-    ticks: Arc<std::sync::atomic::AtomicU64>,
+    counts: Arc<ReaperCounts>,
+}
+
+#[derive(Default)]
+struct ReaperCounts {
+    ticks: AtomicU64,
+    failed_sweeps: AtomicU64,
 }
 
 impl ReaperHandle {
@@ -380,7 +386,14 @@ impl ReaperHandle {
 
     /// Completed sweep count (diagnostics).
     pub fn ticks(&self) -> u64 {
-        self.ticks.load(std::sync::atomic::Ordering::Relaxed)
+        self.counts.ticks.load(Ordering::Relaxed)
+    }
+
+    /// Ticks whose `VersionManager::reap_all` failed, e.g. on a metadata
+    /// outage mid-force-complete (diagnostics). The failed blob keeps its
+    /// expired versions and the next tick retries them.
+    pub fn failed_sweeps(&self) -> u64 {
+        self.counts.failed_sweeps.load(Ordering::Relaxed)
     }
 }
 
@@ -498,8 +511,8 @@ impl BlobSeer {
         let stop = fabric.gate();
         let svc = self.svc.clone();
         let stop2 = stop.clone();
-        let ticks = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let ticks2 = ticks.clone();
+        let counts = Arc::new(ReaperCounts::default());
+        let counts2 = counts.clone();
         fabric.spawn(self.svc.layout.vm, "reaper", move |p| {
             while !stop2.is_set() {
                 p.sleep(interval_ns);
@@ -511,17 +524,19 @@ impl BlobSeer {
                 }
                 // A failed sweep (metadata outage mid-force-complete) keeps
                 // the blob's reap queue intact; the next tick retries.
-                let _ = svc.vm.reap_all(p);
+                if svc.vm.reap_all(p).is_err() {
+                    counts2.failed_sweeps.fetch_add(1, Ordering::Relaxed);
+                }
                 svc.pm.reap_expired_leases(p);
                 svc.vm.gc_registry();
                 // Read-replica sync rides the same tick: copy newly
                 // published pages onto the replica tier (no-op without
                 // replicas; failed copies retry next tick).
                 svc.sync_read_replicas(p);
-                ticks2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                counts2.ticks.fetch_add(1, Ordering::Relaxed);
             }
         });
-        ReaperHandle { stop, ticks }
+        ReaperHandle { stop, counts }
     }
 
     pub fn providers(&self) -> &[Arc<Provider>] {

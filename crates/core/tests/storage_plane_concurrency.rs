@@ -13,7 +13,8 @@
 //!   lease expires, with the background reaper doing the reclaim (no
 //!   subsequent VM/PM interaction required); a writer that dies between
 //!   `assign` and `commit` publishes through the same reaper without any
-//!   control-plane interaction;
+//!   control-plane interaction; a sweep that fails on a metadata outage is
+//!   counted (`ReaperHandle::failed_sweeps`) and retried after heal;
 //! * **registry GC** — deleted BLOBs retire their registry slots via
 //!   epoch-based retirement: immediately unreachable, swept one epoch
 //!   later, never a write lock on the read path;
@@ -36,7 +37,9 @@ use blobseer::dht::{MetaDht, MetaServer};
 use blobseer::meta::{NodeBody, NodeKey, PageRef};
 use blobseer::provider::Provider;
 use blobseer::version_manager::UpdateKind;
-use blobseer::{BlobError, BlobId, BlobResult, BlobSeer, BlobSeerConfig, Layout, PageId};
+use blobseer::{
+    BlobError, BlobId, BlobResult, BlobSeer, BlobSeerConfig, Fault, FaultTarget, Layout, PageId,
+};
 use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
 use parking_lot::Mutex;
 
@@ -234,6 +237,57 @@ fn reaper_publishes_dead_writers_without_vm_interaction() {
             "the background reaper must have force-completed the corpse"
         );
         assert_eq!(vm.pending_count(blob), 0);
+        reaper.stop();
+    });
+    fx.run();
+    driver.take().unwrap();
+}
+
+/// A sweep that fails is counted, not dropped, and retried: a writer dies
+/// between `assign` and `commit`, then every metadata server crashes, so
+/// the reaper cannot write the corpse's tree. After heal the next tick
+/// publishes it, and the failure count stops growing.
+#[test]
+fn reaper_counts_failed_sweeps_and_retries_them() {
+    let timeout = 300 * fabric::MILLIS;
+    let interval = 100 * fabric::MILLIS;
+    let fx = Fabric::sim(ClusterSpec::tiny(4));
+    let mut cfg = config();
+    cfg.timeouts.write_timeout_ns = timeout;
+    cfg.timeouts.reaper_interval_ns = interval;
+    let bs = BlobSeer::deploy(&fx, cfg, Layout::compact(fx.spec())).unwrap();
+    let reaper = bs.start_reaper(&fx);
+    let bs2 = bs.clone();
+    let driver = fx.spawn(NodeId(1), "driver", move |p| {
+        let vm = bs2.version_manager();
+        let blob = vm.create_blob(p, None);
+        let manifest = Arc::new(vec![PageRef {
+            id: PageId(7, 0),
+            byte_len: PS,
+            providers: vec![NodeId(2)],
+        }]);
+        vm.assign(p, blob, UpdateKind::Append, PS, manifest, 0)
+            .unwrap();
+        let meta = (0..bs2.metadata_dht().servers().len()).map(FaultTarget::MetaServer);
+        for target in meta.clone() {
+            bs2.inject(target, Fault::Crash).unwrap();
+        }
+        p.sleep(2 * timeout);
+        let failed = reaper.failed_sweeps();
+        assert!(failed >= 1, "an expired corpse under a metadata outage");
+        assert_eq!(vm.latest(p, blob).unwrap(), 0);
+        assert_eq!(vm.pending_count(blob), 1, "the failed sweep kept it");
+
+        for target in meta {
+            bs2.heal(target).unwrap();
+        }
+        p.sleep(interval);
+        assert_eq!(vm.latest(p, blob).unwrap(), 1, "the next tick publishes");
+        assert_eq!(vm.pending_count(blob), 0);
+        let ticks = reaper.ticks();
+        p.sleep(3 * interval);
+        assert_eq!(reaper.failed_sweeps(), failed, "no failure after heal");
+        assert!(reaper.ticks() >= ticks + 3);
         reaper.stop();
     });
     fx.run();

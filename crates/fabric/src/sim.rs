@@ -65,9 +65,24 @@
 //! pops per valid event on a 200-reducer data join). The schedule pinned in
 //! `tests/sim_bit_identity.rs` was recorded from exactly that arrangement, so
 //! the two are known to agree to the bit.
+//!
+//! Flows live in a slab and are addressed by slot: `res_flows` and
+//! `next_flow` hold slots, so the progressive-filling loop reaches a flow
+//! in O(1), and a finished flow's slot goes to a later one. Slot order is
+//! therefore not start order, and no pass whose order can reach a virtual
+//! number walks the slab. Each walks `live`, the slots in flow-id order:
+//!
+//! * `recompute` hands out completion seqs, and seqs break ties between
+//!   equal ETAs;
+//! * `recompute` lists the active resources, and that list breaks ties
+//!   between equal shares: the first of two tied resources freezes its
+//!   flows at the share, the other divides what is left, which in floating
+//!   point need not be the same number;
+//! * `settle` adds each flow's work into the per-resource sums, and a
+//!   floating-point sum depends on the order of its terms.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 #[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,6 +126,7 @@ impl PartialOrd for Wake {
 }
 
 struct Flow {
+    id: u64,
     resources: Vec<u32>,
     remaining: f64,
     rate: f64,
@@ -146,12 +162,19 @@ struct SimState {
     seq: u64,
     /// Pending wakes. Flow completions are not in here, see `next_flow`.
     wakes: BinaryHeap<Reverse<Wake>>,
-    flows: BTreeMap<u64, Flow>,
-    /// The earliest flow completion as `(eta, seq, flow id)`.
-    next_flow: Option<(SimTime, u64, u64)>,
+    /// Flow places: a flow keeps its slot from start to completion, and a
+    /// later start reuses the slot from `free_slots`. Slot order is not
+    /// flow-id order; `live` is.
+    flows: Vec<Flow>,
+    free_slots: Vec<usize>,
+    /// Slots of the live flows in flow-id order. Ids only grow, so a start
+    /// pushes and a completion finds its entry by binary search on the id.
+    live: Vec<usize>,
+    /// The earliest flow completion as `(eta, seq, slot)`.
+    next_flow: Option<(SimTime, u64, usize)>,
     next_flow_id: u64,
-    /// resource -> active flow ids
-    res_flows: Vec<Vec<u64>>,
+    /// resource -> slots of the live flows crossing it
+    res_flows: Vec<Vec<usize>>,
     /// resource -> accumulated work done (bytes / ops)
     res_done: Vec<f64>,
     last_settle: SimTime,
@@ -217,7 +240,9 @@ impl SimCore {
                 now: 0,
                 seq: 0,
                 wakes: BinaryHeap::new(),
-                flows: BTreeMap::new(),
+                flows: Vec::new(),
+                free_slots: Vec::new(),
+                live: Vec::new(),
                 next_flow: None,
                 next_flow_id: 0,
                 res_flows: vec![Vec::new(); nres],
@@ -373,28 +398,59 @@ impl SimCore {
         let ((), baton) = self.block(pid, "flow", |st, _gen| {
             let now = st.now;
             Self::settle(st, now);
-            let id = st.next_flow_id;
-            st.next_flow_id += 1;
-            for &r in resources {
-                st.res_flows[r as usize].push(id);
-            }
-            st.flows.insert(
-                id,
-                Flow {
-                    resources: resources.to_vec(),
-                    remaining: work,
-                    rate: 0.0,
-                    frozen: false,
-                    eta: 0,
-                    seq: 0,
-                    waiter: pid,
-                },
-            );
+            Self::add_flow(st, resources, work, pid);
             st.flows_started += 1;
             Self::recompute(st, &self.spec);
         });
         baton.pass();
         self.park(parker);
+    }
+
+    /// Give a new flow the next id and a place (a freed slot if there is
+    /// one); rates are stale until the next [`Self::recompute`].
+    fn add_flow(st: &mut SimState, resources: &[u32], work: f64, waiter: u64) -> usize {
+        let flow = Flow {
+            id: st.next_flow_id,
+            resources: resources.to_vec(),
+            remaining: work,
+            rate: 0.0,
+            frozen: false,
+            eta: 0,
+            seq: 0,
+            waiter,
+        };
+        st.next_flow_id += 1;
+        let slot = match st.free_slots.pop() {
+            Some(slot) => {
+                st.flows[slot] = flow;
+                slot
+            }
+            None => {
+                st.flows.push(flow);
+                st.flows.len() - 1
+            }
+        };
+        for &r in resources {
+            st.res_flows[r as usize].push(slot);
+        }
+        st.live.push(slot);
+        slot
+    }
+
+    /// Take the flow at `slot` off every list and free its place; returns
+    /// the process it was blocking.
+    fn remove_flow(st: &mut SimState, slot: usize) -> u64 {
+        let f = &st.flows[slot];
+        for &r in &f.resources {
+            st.res_flows[r as usize].retain(|&s| s != slot);
+        }
+        let at = st
+            .live
+            .binary_search_by_key(&f.id, |&s| st.flows[s].id)
+            .expect("a live flow is listed in `live`");
+        st.live.remove(at);
+        st.free_slots.push(slot);
+        f.waiter
     }
 
     /// Count one transfer-like operation of `bytes` (every message,
@@ -519,13 +575,13 @@ impl SimCore {
         debug_assert!(to >= st.last_settle);
         let dt = (to - st.last_settle) as f64 / 1e9;
         if dt > 0.0 {
-            // Split borrows: flows and res_done are distinct fields.
-            let res_done = &mut st.res_done;
-            for f in st.flows.values_mut() {
+            // Flow-id order: it is the order of each resource's sum.
+            for &slot in &st.live {
+                let f = &mut st.flows[slot];
                 let done = f.rate * dt;
                 f.remaining = (f.remaining - done).max(0.0);
                 for &r in &f.resources {
-                    res_done[r as usize] += done;
+                    st.res_done[r as usize] += done;
                 }
             }
         }
@@ -539,6 +595,7 @@ impl SimCore {
             now,
             seq,
             flows,
+            live,
             next_flow,
             res_flows,
             scratch_cap: cap,
@@ -547,9 +604,11 @@ impl SimCore {
             ..
         } = st;
 
-        // Collect resources that currently carry flows.
+        // Collect resources that currently carry flows, in flow-id order:
+        // the first of two resources with equal shares freezes first.
         active.clear();
-        for f in flows.values_mut() {
+        for &slot in live.iter() {
+            let f = &mut flows[slot];
             f.frozen = false;
             f.rate = 0.0;
             for &r in &f.resources {
@@ -565,7 +624,7 @@ impl SimCore {
 
         // Progressive filling: repeatedly find the resource with the lowest
         // fair share, freeze its flows at that rate, subtract.
-        let mut unfrozen = flows.len();
+        let mut unfrozen = live.len();
         while unfrozen > 0 {
             let mut best: Option<(u32, f64)> = None;
             for &r in active.iter() {
@@ -582,8 +641,8 @@ impl SimCore {
                 break;
             };
             // Freeze all unfrozen flows crossing the bottleneck.
-            for id in &res_flows[bottleneck as usize] {
-                let f = flows.get_mut(id).expect("res_flows lists active flows");
+            for &slot in &res_flows[bottleneck as usize] {
+                let f = &mut flows[slot];
                 if f.frozen {
                     continue;
                 }
@@ -599,7 +658,8 @@ impl SimCore {
 
         // New completion instants, sequenced in flow-id order.
         *next_flow = None;
-        for (&id, f) in flows.iter_mut() {
+        for &slot in live.iter() {
+            let f = &mut flows[slot];
             f.eta = if f.remaining <= 0.0 {
                 *now
             } else if f.rate <= 0.0 {
@@ -612,7 +672,7 @@ impl SimCore {
             };
             f.seq = *seq;
             *seq += 1;
-            let completion = (f.eta, f.seq, id);
+            let completion = (f.eta, f.seq, slot);
             if next_flow.is_none_or(|first| completion < first) {
                 *next_flow = Some(completion);
             }
@@ -667,19 +727,16 @@ impl SimCore {
             (None, Some(_)) => None,
             (Some(flow), Some(wake)) => ((flow.0, flow.1) < wake).then_some(flow),
         };
-        let woken = if let Some((eta, _, id)) = flow {
+        let woken = if let Some((eta, _, slot)) = flow {
             Self::advance(st, eta);
-            let f = st.flows.remove(&id).expect("next_flow is an active flow");
             debug_assert!(
-                f.remaining <= 1.0,
+                st.flows[slot].remaining <= 1.0,
                 "flow completed with {} units left",
-                f.remaining
+                st.flows[slot].remaining
             );
-            for &r in &f.resources {
-                st.res_flows[r as usize].retain(|&x| x != id);
-            }
+            let waiter = Self::remove_flow(st, slot);
             Self::recompute(st, &self.spec);
-            f.waiter
+            waiter
         } else {
             let Reverse(w) = st.wakes.pop().expect("a wake is next");
             Self::advance(st, w.time);
@@ -769,6 +826,8 @@ impl SimCore {
 mod tests {
     use super::*;
     use crate::topology::ResourceKind;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn spawn_raw(
         core: &Arc<SimCore>,
@@ -951,23 +1010,28 @@ mod tests {
         assert_eq!((s.events, s.now_ns, s.flows), (1088, 494_412_401, 1024));
     }
 
-    /// Progressive filling written the obvious way, with sets and maps: the
-    /// oracle for `recompute`'s in-place marks.
+    /// Progressive filling written the obvious way, with sets: the oracle
+    /// for `recompute`'s in-place marks. `flows` is in flow-id order, and so
+    /// is the tie-break: of two resources with equal shares, the one an
+    /// earlier flow crosses first freezes first.
     fn reference_rates(capacity: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
+        let mut order: Vec<u32> = Vec::new();
+        for &r in flows.iter().flatten() {
+            if !order.contains(&r) {
+                order.push(r);
+            }
+        }
         let mut cap = capacity.to_vec();
         let mut unfrozen: std::collections::BTreeSet<usize> = (0..flows.len()).collect();
         let mut rate = vec![0.0; flows.len()];
         while !unfrozen.is_empty() {
-            let mut best: Option<(usize, f64)> = None;
-            for (r, &c) in cap.iter().enumerate() {
-                let n = unfrozen
-                    .iter()
-                    .filter(|&&f| flows[f].contains(&(r as u32)))
-                    .count();
+            let mut best: Option<(u32, f64)> = None;
+            for &r in &order {
+                let n = unfrozen.iter().filter(|&&f| flows[f].contains(&r)).count();
                 if n == 0 {
                     continue;
                 }
-                let share = (c / n as f64).max(0.0);
+                let share = (cap[r as usize] / n as f64).max(0.0);
                 if best.is_none_or(|(_, s)| share < s) {
                     best = Some((r, share));
                 }
@@ -976,7 +1040,7 @@ mod tests {
                 break;
             };
             for f in unfrozen.clone() {
-                if flows[f].contains(&(bottleneck as u32)) {
+                if flows[f].contains(&bottleneck) {
                     unfrozen.remove(&f);
                     rate[f] = share;
                     for &r in &flows[f] {
@@ -986,6 +1050,34 @@ mod tests {
             }
         }
         rate
+    }
+
+    /// The live flows as `(slot, flow)`, in flow-id order.
+    fn live_flows(st: &SimState) -> Vec<(usize, &Flow)> {
+        st.live.iter().map(|&s| (s, &st.flows[s])).collect()
+    }
+
+    /// What `recompute` must leave behind: the oracle's rates bit for bit,
+    /// seqs ascending in flow-id order, `next_flow` their minimum, and the
+    /// scratch counters cleared.
+    fn check_recompute(st: &SimState, spec: &ClusterSpec) -> Result<(), TestCaseError> {
+        let live = live_flows(st);
+        prop_assert!(live.windows(2).all(|w| w[0].1.id < w[1].1.id));
+        let capacity: Vec<f64> = (0..spec.resource_count() as u32)
+            .map(|r| spec.capacity(r))
+            .collect();
+        let routes: Vec<Vec<u32>> = live.iter().map(|(_, f)| f.resources.clone()).collect();
+        let want: Vec<u64> = reference_rates(&capacity, &routes)
+            .iter()
+            .map(|r| r.to_bits())
+            .collect();
+        let got: Vec<u64> = live.iter().map(|(_, f)| f.rate.to_bits()).collect();
+        prop_assert_eq!(got, want);
+        prop_assert!(live.windows(2).all(|w| w[0].1.seq < w[1].1.seq));
+        let first = live.iter().map(|&(s, f)| (f.eta, f.seq, s)).min();
+        prop_assert_eq!(st.next_flow, first);
+        prop_assert!(st.scratch_nf.iter().all(|&n| n == 0));
+        Ok(())
     }
 
     #[test]
@@ -1000,7 +1092,7 @@ mod tests {
         let tx = spec.resource(NodeId(0), ResourceKind::Tx);
         let disk = spec.resource(NodeId(0), ResourceKind::Disk);
         let cpu = spec.resource(NodeId(0), ResourceKind::Cpu);
-        let fixture = vec![
+        let fixture = [
             vec![tx],
             vec![tx, disk],
             vec![tx, disk],
@@ -1010,41 +1102,73 @@ mod tests {
         let core = SimCore::new(spec.clone(), 0);
         let mut st = core.state.lock();
         for (id, resources) in fixture.iter().enumerate() {
-            for &r in resources {
-                st.res_flows[r as usize].push(id as u64);
-            }
-            st.flows.insert(
-                id as u64,
-                Flow {
-                    resources: resources.clone(),
-                    remaining: 1e6 * (5 - id) as f64,
-                    rate: 0.0,
-                    frozen: false,
-                    eta: 0,
-                    seq: 0,
-                    waiter: 0,
-                },
-            );
+            SimCore::add_flow(&mut st, resources, 1e6 * (5 - id) as f64, 0);
         }
         SimCore::recompute(&mut st, &spec);
+        check_recompute(&st, &spec).unwrap();
 
-        let rates: Vec<f64> = st.flows.values().map(|f| f.rate).collect();
-        let capacity: Vec<f64> = (0..spec.resource_count() as u32)
-            .map(|r| spec.capacity(r))
-            .collect();
-        assert_eq!(rates, reference_rates(&capacity, &fixture));
+        let rates: Vec<f64> = live_flows(&st).iter().map(|(_, f)| f.rate).collect();
         let third = 100.0 / 3.0;
         let squeezed = 400.0 - third - third;
         assert_eq!(rates, [third, third, third, squeezed, 1000.0 - squeezed]);
-
-        // Completions are sequenced in flow-id order and the frontier is
-        // their minimum: flow 4 has the least work and the highest rate.
-        let seqs: Vec<u64> = st.flows.values().map(|f| f.seq).collect();
+        // Flow 4 has the least work and the highest rate.
+        let seqs: Vec<u64> = live_flows(&st).iter().map(|(_, f)| f.seq).collect();
         assert_eq!(seqs, [0, 1, 2, 3, 4]);
-        let first = st.flows.iter().map(|(&id, f)| (f.eta, f.seq, id)).min();
-        assert_eq!(st.next_flow, first);
-        assert_eq!(st.next_flow.map(|(_, _, id)| id), Some(4));
-        assert!(st.scratch_nf.iter().all(|&n| n == 0));
+        assert_eq!(st.next_flow.map(|(_, _, slot)| st.flows[slot].id), Some(4));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Random starts and finishes over four nodes and a backplane, so
+        /// finished flows' places are reused out of id order: after every
+        /// step `recompute` passes [`check_recompute`]. With a NIC of 100
+        /// units, three flows' share is inexact, so which of two tied
+        /// resources freezes first shows in the last bits of the rates.
+        #[test]
+        fn recompute_matches_the_oracle_under_churn(
+            steps in prop::collection::vec((0u8..8, 0u32..4, 0u32..4, 0u32..4, 1u32..50), 1..80),
+        ) {
+            let spec = ClusterSpec::tiny(4)
+                .with_nic_bw(100.0)
+                .with_disk_bw(300.0)
+                .with_cpu_ops(1000.0)
+                .with_backplane(Some(250.0));
+            let bp = spec.backplane_resource().expect("backplane configured");
+            let res = |n: u32, kind| spec.resource(NodeId(n), kind);
+            let core = SimCore::new(spec.clone(), 0);
+            let mut st = core.state.lock();
+            for (action, a, b, c, work) in steps {
+                let route = match action {
+                    0 if a == b => vec![res(a, ResourceKind::Loopback)],
+                    0 => vec![res(a, ResourceKind::Tx), res(b, ResourceKind::Rx), bp],
+                    1 => {
+                        // A cut-through chain a -> b -> c, as `transfer_chain`.
+                        let mut r = vec![bp];
+                        for (from, to) in [(a, b), (b, c)].into_iter().filter(|(f, t)| f != t) {
+                            r.extend([res(from, ResourceKind::Tx), res(to, ResourceKind::Rx)]);
+                        }
+                        r.sort_unstable();
+                        r.dedup();
+                        r
+                    }
+                    2 => vec![res(a, ResourceKind::Disk)],
+                    3 => vec![res(a, ResourceKind::Cpu), res(b, ResourceKind::Disk)],
+                    _ if st.live.is_empty() => continue,
+                    _ => {
+                        let k = (a + 4 * b + 16 * c) as usize % st.live.len();
+                        let slot = st.live[k];
+                        SimCore::remove_flow(&mut st, slot);
+                        SimCore::recompute(&mut st, &spec);
+                        check_recompute(&st, &spec)?;
+                        continue;
+                    }
+                };
+                SimCore::add_flow(&mut st, &route, 1e6 * work as f64, 0);
+                SimCore::recompute(&mut st, &spec);
+                check_recompute(&st, &spec)?;
+            }
+        }
     }
 
     #[test]
