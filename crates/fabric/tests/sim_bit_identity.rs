@@ -365,3 +365,111 @@ fn flows_that_reuse_a_finished_flows_place_keep_flow_id_order() {
         "per_resource: TX 0, RX 9, TX 2, TX 1, RX 6, backplane"
     );
 }
+
+/// Messages whose legs start after the call that sent them. The first
+/// rpc's request leaves at 0; a Delay window (n1 → n0) and a Partition
+/// (n0 ↔ n1) open at 50 and 60 µs, so only its response, which starts at
+/// 100 µs, pays for them. A second rpc has both legs above the small-message
+/// cutoff (latency, then a flow per leg) while a lossy window on node 5
+/// draws for every leg of a third caller's rpcs, interleaved with the
+/// others' legs. A node-local rpc (a small request, then a loopback flow)
+/// and chains of one node, of a repeated node and of three nodes run beside
+/// them. Each leg's penalty, Drop draw and flow must be taken when that leg
+/// starts, not when its rpc was called.
+fn wire_legs_under_faults() -> (fabric::FabricStats, Vec<u64>) {
+    let spec = ClusterSpec::tiny(NODES).with_backplane(Some(2.0 * 117.0e6));
+    let fx = Fabric::sim_seeded(spec, 0x5EED_0034);
+    let us = MILLIS / 1_000;
+    fx.inject_net_fault(NetFault::delay(
+        50 * us,
+        10 * MILLIS,
+        NodeSet::One(NodeId(1)),
+        NodeSet::One(NodeId(0)),
+        7 * MILLIS,
+    ));
+    fx.inject_net_fault(NetFault::partition(
+        60 * us,
+        3 * MILLIS,
+        NodeSet::One(NodeId(0)),
+        NodeSet::One(NodeId(1)),
+    ));
+    fx.inject_net_fault(NetFault::drop(
+        0,
+        50 * MILLIS,
+        NodeSet::One(NodeId(5)),
+        NodeSet::Any,
+        0.5,
+        2 * MILLIS,
+    ));
+    let mut handles = Vec::new();
+    handles.push(fx.spawn(NodeId(0), "faulted", |p| {
+        p.rpc(NodeId(1), 200, 300);
+        let healed = p.now();
+        p.rpc(NodeId(1), 200, 300);
+        healed * 1_000 + (p.now() - healed) / 1_000
+    }));
+    handles.push(fx.spawn(NodeId(3), "bulk", move |p| {
+        p.rpc(NodeId(4), 1_000_000, 2_000_000);
+        let first = p.now();
+        p.sleep(150 * us);
+        p.rpc(NodeId(4), 3_000_000, 20_000);
+        first * 1_000 + (p.now() - first) / 1_000
+    }));
+    handles.push(fx.spawn(NodeId(5), "lossy", move |p| {
+        for i in 0..6u64 {
+            p.rpc(NodeId(4), 4_000 + 100_000 * (i % 2), 500_000 * (i % 3));
+            p.sleep(i * 70 * us);
+        }
+        p.now()
+    }));
+    handles.push(fx.spawn(NodeId(6), "local", |p| {
+        let start = p.now();
+        p.rpc(NodeId(6), 100, 40_000);
+        assert!(p.now() > start, "the loopback leg is a flow");
+        let t = p.now();
+        p.rpc(NodeId(6), 100, 100);
+        assert_eq!(p.now(), t, "a node-local small rpc does not block");
+        p.transfer_chain(&[NodeId(6)], 50_000);
+        p.transfer_chain(&[NodeId(6), NodeId(6)], 60_000);
+        p.transfer_chain(&[NodeId(6), NodeId(5), NodeId(4)], 1_200_000);
+        p.now()
+    }));
+    fx.run();
+    let finish = handles
+        .iter()
+        .map(|h| h.take().expect("proc finished"))
+        .collect();
+    (fx.stats(), finish)
+}
+
+#[test]
+fn wire_legs_take_their_faults_and_flows_when_they_start() {
+    let (stats, finish) = wire_legs_under_faults();
+    assert_eq!(
+        (stats.events, stats.now_ns, stats.transfers, stats.flows),
+        (51, 72_344_448, 27, 13),
+        "FabricStats {{ events, now_ns, transfers, flows }}"
+    );
+    // The faulted response pays both windows (2.9 ms of partition, 7 ms of
+    // delay); three of the seven legs out of node 5 lose a packet.
+    assert_eq!(stats.net_fault_hits, 5);
+    assert_eq!(stats.bytes_requested, 10_695_300.0);
+    assert_eq!(
+        kind_sums(&stats.per_resource),
+        [
+            11732000.553000001,
+            11732000.553000001,
+            0.0,
+            0.0,
+            40000.0,
+            10532000.5245,
+        ]
+    );
+    // `faulted` and `bulk` return `first * 1000 + second / 1000`: the end
+    // of their first rpc in ns, then the second one's length in µs.
+    assert_eq!(
+        finish,
+        [10_100_000_200, 45_787_849_556, 55_824_148, 21_821_710],
+        "per-proc finish times"
+    );
+}
