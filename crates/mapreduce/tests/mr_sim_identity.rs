@@ -1,4 +1,4 @@
-//! Virtual-number rail for the Map/Reduce control plane in sim mode: four
+//! Virtual-number rail for the Map/Reduce control plane in sim mode: five
 //! job shapes pinned to literals — virtual completion time, wire transfers,
 //! the job's counters and its output fingerprint. If a literal here moves, a
 //! scheduling decision or a tick time moved: find out which before
@@ -349,4 +349,53 @@ fn an_idle_beat_costs_three_engine_events() {
         "{events} events for an idle second, bound {bound}"
     );
     assert!(events > bound / 2, "beats are missing: {events} events");
+}
+
+/// (e) The edges of a tracker's idle beats. Trackers beat with no job for
+/// twelve periods before the first job is submitted, at an instant that is
+/// on no tracker's beat; a second job is admitted while the first one's
+/// reducers are still running; and `shutdown` lands 150 µs after the
+/// remote trackers' sleep ended, in the second latency leg of their rpc.
+#[test]
+fn idle_beats_around_late_jobs_and_a_mid_rpc_shutdown_are_pinned() {
+    // Remote trackers beat every 10 ms plus two 100 µs legs, all in step
+    // from their spawn at 0; the tracker on the jobtracker's node beats
+    // every 10 ms (its rpc is node-local and free).
+    const CYCLE: u64 = 10_200_000;
+    const SUBMIT_A: u64 = 123_456_700;
+    const SUBMIT_B: u64 = 147_100_000;
+    const LEG2: u64 = 150_000;
+    let (fx, fs) = tiny_bsfs(4, 32);
+    let mr = MrCluster::start(&fx, fs.clone(), MrConfig::compact(fx.spec()));
+    let fs2 = fs.clone();
+    let got = pin(&fx, fs, NodeId(0), &["/out-a", "/out-b"], move |p| {
+        for f in ["/in-a", "/in-b"] {
+            fs2.write_file(p, &d(f), Payload::from_vec(CORPUS.repeat(3).into()))
+                .unwrap();
+        }
+        p.sleep(SUBMIT_A - p.now());
+        let ha = mr.submit(wordcount_job("a", &["/in-a".into()], "/out-a"));
+        p.sleep(SUBMIT_B.saturating_sub(p.now()));
+        let hb = mr.submit(wordcount_job("b", &["/in-b".into()], "/out-b"));
+        let (ra, rb) = (ha.wait(p), hb.wait(p));
+        let shutdown_at = (p.now() / CYCLE + 1) * CYCLE + LEG2;
+        p.sleep(shutdown_at - p.now());
+        mr.shutdown();
+        vec![ra, rb]
+    });
+    // Job a's last map reports at 146.4 ms; b is admitted (its
+    // `started_ns`) at 153.8 ms, before a finishes at 155.8 ms.
+    assert_eq!(
+        got,
+        Pin {
+            now_ns: 190_000_000,
+            transfers: 426,
+            events: 463,
+            jobs: vec![
+                [127_356_700, 155_800_002, 8, 678, 472, 83, 8, 0, 8, 2, 1],
+                [153_800_002, 182_600_000, 8, 678, 456, 83, 8, 0, 8, 2, 1],
+            ],
+            outputs: vec![7_577_304_142_197_963_170; 2],
+        }
+    );
 }
