@@ -13,9 +13,9 @@ use rand::SeedableRng;
 use crate::live::LiveCore;
 use crate::net::NetFault;
 use crate::parker::Parker;
-use crate::sim::{Baton, BlockReason, SimCore};
+use crate::sim::{Baton, BlockReason, Script, SimCore};
 use crate::stats::FabricStats;
-use crate::sync::{Gate, Queue};
+use crate::sync::{Epoch, Gate, Queue};
 use crate::time::SimTime;
 use crate::topology::{ClusterSpec, NodeId, ResourceKind};
 
@@ -337,29 +337,7 @@ impl Proc {
         assert_none_held("Proc::transfer");
         match &self.fabric.inner {
             FabricInner::Sim(c) => {
-                let penalty = c.begin_transfer(bytes, (src != dst).then_some((src, dst)));
-                let spec = &c.spec;
-                if src == dst {
-                    if bytes >= spec.small_msg_cutoff {
-                        let res = [spec.resource(src, ResourceKind::Loopback)];
-                        c.flow(self.pid, &self.parker, &res, bytes as f64);
-                    }
-                } else {
-                    if penalty > 0 {
-                        c.sleep(self.pid, &self.parker, penalty);
-                    }
-                    c.sleep(self.pid, &self.parker, spec.latency_ns);
-                    if bytes >= spec.small_msg_cutoff {
-                        let mut res = vec![
-                            spec.resource(src, ResourceKind::Tx),
-                            spec.resource(dst, ResourceKind::Rx),
-                        ];
-                        if let Some(bp) = spec.backplane_resource() {
-                            res.push(bp);
-                        }
-                        c.flow(self.pid, &self.parker, &res, bytes as f64);
-                    }
-                }
+                c.run_script(self.pid, &self.parker, Script::transfer(src, dst, bytes));
             }
             FabricInner::Live(c) => c.note_transfer(bytes),
         }
@@ -368,41 +346,15 @@ impl Proc {
     /// Move `bytes` along a store-and-forward pipeline visiting `nodes` in
     /// order with cut-through semantics: one fluid flow claims every hop's
     /// TX/RX, so the pipeline runs at the rate of its slowest hop (this is
-    /// how HDFS's replication pipeline behaves for large writes).
+    /// how HDFS's replication pipeline behaves for large writes). The whole
+    /// chain stalls once, on its worst-afflicted hop, rather than paying each
+    /// hop's fault penalty in sequence.
     pub fn transfer_chain(&self, nodes: &[NodeId], bytes: u64) {
         assert!(!nodes.is_empty(), "transfer chain needs at least one node");
         assert_none_held("Proc::transfer_chain");
         match &self.fabric.inner {
             FabricInner::Sim(c) => {
-                let spec = &c.spec;
-                let hops = || {
-                    nodes
-                        .windows(2)
-                        .map(|w| (w[0], w[1]))
-                        .filter(|(a, b)| a != b)
-                };
-                // Cut-through pipeline: the whole chain stalls on the
-                // worst-afflicted hop, it does not pay each hop's penalty in
-                // sequence.
-                let penalty = c.begin_transfer(bytes, hops());
-                let mut res = Vec::with_capacity(nodes.len() * 2);
-                for (from, to) in hops() {
-                    res.push(spec.resource(from, ResourceKind::Tx));
-                    res.push(spec.resource(to, ResourceKind::Rx));
-                    if let Some(bp) = spec.backplane_resource() {
-                        res.push(bp);
-                    }
-                }
-                if penalty > 0 {
-                    c.sleep(self.pid, &self.parker, penalty);
-                }
-                let hop_count = hops().count().max(1) as u64;
-                c.sleep(self.pid, &self.parker, spec.latency_ns * hop_count);
-                if bytes >= spec.small_msg_cutoff && !res.is_empty() {
-                    res.sort_unstable();
-                    res.dedup();
-                    c.flow(self.pid, &self.parker, &res, bytes as f64);
-                }
+                c.run_script(self.pid, &self.parker, Script::chain(nodes, bytes));
             }
             FabricInner::Live(c) => c.note_transfer(bytes),
         }
@@ -419,10 +371,54 @@ impl Proc {
     }
 
     /// A request/response control exchange with `dst` (two latency-dominated
-    /// messages).
+    /// messages, the response sent when the request arrives).
     pub fn rpc(&self, dst: NodeId, req_bytes: u64, resp_bytes: u64) {
-        self.transfer(self.node, dst, req_bytes);
-        self.transfer(dst, self.node, resp_bytes);
+        assert_none_held("Proc::transfer");
+        match &self.fabric.inner {
+            FabricInner::Sim(c) => {
+                let rpc = Script::rpc(self.node, dst, req_bytes, resp_bytes);
+                c.run_script(self.pid, &self.parker, rpc);
+            }
+            FabricInner::Live(c) => {
+                c.note_transfer(req_bytes);
+                c.note_transfer(resp_bytes);
+            }
+        }
+    }
+
+    /// Sleep `period`, then — in sim mode, while `idle` says this proc's
+    /// last heartbeat was idle — keep beating: an [`Proc::rpc`] to `dst`,
+    /// then the next sleep, for as long as `idle`'s epoch still reads the
+    /// value given with it. The engine walks those beats without waking
+    /// this proc's thread, and wakes it where a beat finds the epoch moved:
+    /// after a sleep (returns `false`) or after an rpc (returns `true`), the
+    /// two instants at which the caller's own loop would have looked. In
+    /// live mode, or with `idle` = `None`, this is a plain sleep.
+    pub fn heartbeat(
+        &self,
+        period: u64,
+        dst: NodeId,
+        req_bytes: u64,
+        resp_bytes: u64,
+        idle: Option<(&Epoch, u64)>,
+    ) -> bool {
+        match (&self.fabric.inner, idle) {
+            (FabricInner::Sim(c), Some((epoch, seen))) => {
+                assert_none_held("Proc::heartbeat");
+                let beat = Script::heartbeat(
+                    period,
+                    (self.node, dst),
+                    (req_bytes, resp_bytes),
+                    epoch,
+                    seen,
+                );
+                c.run_script(self.pid, &self.parker, beat)
+            }
+            _ => {
+                self.sleep(period);
+                false
+            }
+        }
     }
 
     /// Charge a disk write of `bytes` on `node`.
@@ -549,7 +545,7 @@ impl<T> JoinHandle<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::{MILLIS, SECS};
+    use crate::time::{MICROS, MILLIS, SECS};
 
     #[test]
     fn sim_ping_pong_through_queues() {
@@ -785,6 +781,108 @@ mod tests {
         );
         assert!(!msg.contains("done-early"), "{msg}");
         assert_eq!(fx.now(), MILLIS);
+    }
+
+    #[test]
+    fn deadlock_report_names_the_script_step() {
+        // A heartbeat idle at an epoch nobody moves, beside a proc that parks
+        // on a gate nobody sets while the beat is in its rpc's second leg:
+        // from then on the beat's events are all there is.
+        let fx = Fabric::sim(ClusterSpec::tiny(2));
+        let epoch = Epoch::new();
+        (0..42).for_each(|_| epoch.bump());
+        fx.spawn(NodeId(0), "beater", move |p| {
+            p.heartbeat(MILLIS, NodeId(1), 128, 128, Some((&epoch, epoch.get())));
+            unreachable!("nothing moves the epoch");
+        });
+        let never = fx.gate();
+        fx.spawn(NodeId(1), "stuck", move |p| {
+            p.sleep(MILLIS + 150 * MICROS);
+            never.wait(p);
+        });
+        let msg = run_panic_message(&fx);
+        assert!(
+            msg.starts_with(
+                "fabric deadlock: no runnable process and no pending events but idle heartbeats."
+            ),
+            "{msg}"
+        );
+        let beat =
+            "'beater' on n0 blocked on heartbeat (idle, epoch 42): rpc leg 2/2 to n1 (latency)";
+        assert!(msg.contains(beat), "{msg}");
+        assert!(msg.contains("'stuck' on n1 blocked on gate.wait"), "{msg}");
+        assert_eq!(fx.now(), MILLIS + 150 * MICROS);
+    }
+
+    /// A tracker-style loop beats through `heartbeat` or by hand, while a
+    /// second proc moves the epoch mid-sleep, mid-leg and mid-leg again
+    /// (the third move stops the loop) and a lossy window draws for every
+    /// request leg. Both worlds see each epoch value first at the same
+    /// instants and end with the same counters; only the thread wakes
+    /// differ.
+    #[test]
+    fn idle_heartbeats_match_the_loop_they_replace() {
+        const HB: u64 = 10 * MILLIS;
+        let run = |scripted: bool| {
+            let fx = Fabric::sim_seeded(ClusterSpec::tiny(2), 34);
+            fx.inject_net_fault(crate::NetFault::drop(
+                0,
+                SECS,
+                crate::NodeSet::One(NodeId(0)),
+                crate::NodeSet::Any,
+                0.5,
+                MILLIS,
+            ));
+            let epoch = Epoch::new();
+            let e2 = epoch.clone();
+            let beater = fx.spawn(NodeId(0), "beater", move |p| {
+                let stop = || e2.get() >= 3;
+                let mut seen_at = Vec::new();
+                let mut after_rpc = false;
+                loop {
+                    if !after_rpc {
+                        if stop() {
+                            break;
+                        }
+                        p.rpc(NodeId(1), 128, 128);
+                    }
+                    if stop() {
+                        break;
+                    }
+                    let seen = e2.get();
+                    if seen_at.last().is_none_or(|&(e, _)| e != seen) {
+                        seen_at.push((seen, p.now()));
+                    }
+                    after_rpc = if scripted {
+                        p.heartbeat(HB, NodeId(1), 128, 128, Some((&e2, seen)))
+                    } else {
+                        p.sleep(HB);
+                        false
+                    };
+                }
+                (seen_at, p.now())
+            });
+            fx.spawn(NodeId(1), "bumper", move |p| {
+                for at in [35 * MILLIS, 61_250 * MICROS, 81_750 * MICROS] {
+                    p.sleep(at - p.now());
+                    epoch.bump();
+                }
+            });
+            fx.run();
+            let s = fx.stats();
+            let counters = (s.events, s.now_ns, s.transfers, s.net_fault_hits);
+            (beater.take().unwrap(), counters, s.wakes)
+        };
+        let (by_hand, scripted) = (run(false), run(true));
+        assert_eq!(scripted.0, by_hand.0, "epochs seen, and when");
+        assert_eq!(scripted.1, by_hand.1, "events, now, transfers, fault hits");
+        assert!(scripted.1 .3 > 0, "the lossy window drew");
+        // By hand: both starts, the bumper's three sleeps, and a sleep and
+        // an rpc per beat. Scripted: the starts, the bumper's sleeps, the
+        // first rpc, and per epoch move the check that saw it plus, when
+        // that check ended a sleep and the loop goes on, the rpc the woken
+        // loop sends itself.
+        assert_eq!((by_hand.2, scripted.2), (21, 11), "thread wakes");
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub use handle::{run_parallel, Fabric, JoinHandle, Proc, TaskFn};
 pub use net::{NetFault, NetFaultKind, NodeSet};
 pub use payload::Payload;
 pub use stats::FabricStats;
+pub use sync::Epoch;
 pub use time::{ns_to_secs, secs_to_ns, SimTime, MICROS, MILLIS, SECS};
 pub use topology::{ClusterSpec, NodeId, SpecError};
 
@@ -65,7 +66,7 @@ pub use topology::{ClusterSpec, NodeId, SpecError};
 pub mod prelude {
     pub use crate::sync::{Gate, Queue};
     pub use crate::{
-        ns_to_secs, run_parallel, secs_to_ns, ClusterSpec, Fabric, FabricStats, JoinHandle,
+        ns_to_secs, run_parallel, secs_to_ns, ClusterSpec, Epoch, Fabric, FabricStats, JoinHandle,
         NetFault, NetFaultKind, NodeId, NodeSet, Payload, Proc, SimTime, MICROS, MILLIS, SECS,
     };
 }

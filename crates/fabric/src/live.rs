@@ -139,6 +139,7 @@ impl LiveCore {
             flows: 0,
             bytes_requested: self.bytes_requested.load(Ordering::Relaxed) as f64,
             events: 0,
+            wakes: 0,
             now_ns: self.now(),
             net_fault_hits: 0,
         }

@@ -39,8 +39,43 @@
 //! [`SimCore::run`] takes the first step, passes its baton and parks on a
 //! parker of its own until the *halt*: every process finished, one
 //! panicked, or nothing is left that could wake anybody (a deadlock, which
-//! `run` reports by name). The halting step's baton is `run`'s, and the
-//! permit keeps it if the world runs to the end before `run` parks.
+//! `run` reports by name and, for a process inside a script, by step). The
+//! halting step's baton is `run`'s, and the permit keeps it if the world
+//! runs to the end before `run` parks.
+//!
+//! # Scripts: one block for a run of events
+//!
+//! Most events are no business of the process they belong to. A message is
+//! a fault penalty, a latency and a flow, one after the other; an rpc is
+//! two messages; a tasktracker's heartbeat that has nothing to hand out is
+//! a sleep and an rpc, again and again. So `Proc::transfer`,
+//! `transfer_chain` and `rpc` hand the engine a [`Script`] and block once,
+//! and an idle `Proc::heartbeat` hands it one that repeats [sleep, check,
+//! rpc, check] until a check finds its [`Epoch`] moved. The engine walks
+//! the script inside `step`: when the event a script waits on comes up,
+//! the step takes the script's next action itself and goes on to the next
+//! event. Only the script's end makes the process runnable and passes it
+//! the baton.
+//!
+//! Every `seq` a script takes is the one the process's own call would have
+//! taken, because the script acts at the same point of the event sequence.
+//! A process resumed after an event is the only one running, and its next
+//! call comes before any other event is processed. So a message is
+//! expanded when it *starts* — count it, take the net-fault penalty for
+//! that instant (Drop draw included), sleep the penalty, sleep the latency,
+//! start the flow — not when the rpc was called; and a heartbeat's checks
+//! fall exactly where the tracker's loop looked at its shutdown flag.
+//! Events, seqs, transfers, fault draws and per-resource sums stay bit for
+//! bit what the process's own calls made them.
+//!
+//! Under its own lock the engine reads nothing but the epoch, an atomic. A
+//! check that locked a gate or a service's mutex from inside `step` would
+//! take a second lock under the state lock, against the order every
+//! blocking primitive takes the two in (its own lock, then the state lock,
+//! in `Proc::waiter`), and the process that holds that lock may be the one
+//! that took the step. The woken process reads whatever it likes; the
+//! epoch only tells the engine *when* to wake it, and its writers bump it
+//! at every change that could turn an idle answer into work.
 //!
 //! # Why the order of events is what it is
 //!
@@ -94,8 +129,9 @@ use rand::{Rng, SeedableRng};
 use crate::net::{NetFault, NetFaultKind};
 use crate::parker::Parker;
 use crate::stats::FabricStats;
+use crate::sync::Epoch;
 use crate::time::SimTime;
-use crate::topology::{ClusterSpec, NodeId};
+use crate::topology::{ClusterSpec, NodeId, ResourceKind};
 
 /// Salt xor'd into the fabric seed for the network-fault RNG stream, so
 /// fault draws never perturb the per-process RNG streams.
@@ -103,6 +139,263 @@ const NET_SALT: u64 = 0x4E45_545F_4641_554C; // "NET_FAUL"
 
 /// Reasons a process can be blocked — used in deadlock diagnostics.
 pub(crate) type BlockReason = &'static str;
+
+/// One message of a [`Script`], expanded when it starts.
+pub(crate) enum Msg {
+    /// `Proc::transfer`: a loopback flow on one node; latency and a
+    /// `[TX, RX, backplane]` flow between two.
+    Pair {
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+    },
+    /// `Proc::transfer_chain`: one latency per remote hop (at least one) and
+    /// one cut-through flow over every hop's resources, sorted.
+    Chain { nodes: Vec<NodeId>, bytes: u64 },
+}
+
+impl Msg {
+    fn bytes(&self) -> u64 {
+        match self {
+            Msg::Pair { bytes, .. } | Msg::Chain { bytes, .. } => *bytes,
+        }
+    }
+
+    /// The remote hops, in order.
+    fn hops(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        let (pair, chain) = match self {
+            Msg::Pair { src, dst, .. } => ((src != dst).then_some((*src, *dst)), &[][..]),
+            Msg::Chain { nodes, .. } => (None, &nodes[..]),
+        };
+        pair.into_iter().chain(
+            chain
+                .windows(2)
+                .map(|w| (w[0], w[1]))
+                .filter(|(a, b)| a != b),
+        )
+    }
+
+    /// The latency sleep, if the message pays one.
+    fn latency(&self, spec: &ClusterSpec) -> Option<u64> {
+        match self {
+            Msg::Pair { src, dst, .. } => (src != dst).then_some(spec.latency_ns),
+            Msg::Chain { .. } => Some(spec.latency_ns * self.hops().count().max(1) as u64),
+        }
+    }
+
+    /// The resources of the message's flow, if it is large enough for one.
+    fn route(&self, spec: &ClusterSpec) -> Option<Vec<u32>> {
+        let bytes = self.bytes();
+        if bytes < spec.small_msg_cutoff || bytes == 0 {
+            return None;
+        }
+        let hop = |(from, to): (NodeId, NodeId)| {
+            [
+                Some(spec.resource(from, ResourceKind::Tx)),
+                Some(spec.resource(to, ResourceKind::Rx)),
+                spec.backplane_resource(),
+            ]
+        };
+        match self {
+            Msg::Pair { src, dst, .. } if src == dst => {
+                Some(vec![spec.resource(*src, ResourceKind::Loopback)])
+            }
+            Msg::Pair { src, dst, .. } => Some(hop((*src, *dst)).into_iter().flatten().collect()),
+            Msg::Chain { .. } => {
+                let mut res: Vec<u32> = self.hops().flat_map(hop).flatten().collect();
+                res.sort_unstable();
+                res.dedup();
+                (!res.is_empty()).then_some(res)
+            }
+        }
+    }
+}
+
+enum Op {
+    Sleep(u64),
+    Send(Msg),
+    /// End the script if its epoch moved; the flag says whether that end
+    /// comes after the messages of the round.
+    Check(bool),
+}
+
+/// A short program a proc blocks on once: its messages, and for an idle
+/// heartbeat the sleep before them. The engine walks it inside `step`, so
+/// its inner events wake no thread (module header, "Scripts").
+pub(crate) struct Script {
+    ops: Vec<Op>,
+    /// The node an rpc or a heartbeat asks, for the deadlock report.
+    peer: Option<NodeId>,
+    /// An idle heartbeat walks `ops` again and again while the epoch reads
+    /// the value it was given.
+    idle: Option<(Epoch, u64)>,
+    /// The op under way, and how far it got: a `Sleep` is 1 while it
+    /// waits; a `Send` is 1 in its fault penalty, 2 in its latency, 3 in
+    /// its flow.
+    pc: usize,
+    sub: u8,
+    penalty: u64,
+}
+
+/// A script's next wait.
+enum Act {
+    Sleep(u64),
+    Flow(Vec<u32>, f64),
+}
+
+enum Next {
+    Act(Act),
+    /// The script ended; `true` if after its messages.
+    End(bool),
+}
+
+impl Script {
+    fn new(ops: Vec<Op>, peer: Option<NodeId>, idle: Option<(Epoch, u64)>) -> Script {
+        Script {
+            ops,
+            peer,
+            idle,
+            pc: 0,
+            sub: 0,
+            penalty: 0,
+        }
+    }
+
+    pub(crate) fn transfer(src: NodeId, dst: NodeId, bytes: u64) -> Script {
+        Script::new(vec![Op::Send(Msg::Pair { src, dst, bytes })], None, None)
+    }
+
+    pub(crate) fn chain(nodes: &[NodeId], bytes: u64) -> Script {
+        let nodes = nodes.to_vec();
+        Script::new(vec![Op::Send(Msg::Chain { nodes, bytes })], None, None)
+    }
+
+    /// `node` asks `dst` and waits for the answer.
+    fn legs(node: NodeId, dst: NodeId, req: u64, resp: u64) -> [Op; 2] {
+        [
+            Op::Send(Msg::Pair {
+                src: node,
+                dst,
+                bytes: req,
+            }),
+            Op::Send(Msg::Pair {
+                src: dst,
+                dst: node,
+                bytes: resp,
+            }),
+        ]
+    }
+
+    pub(crate) fn rpc(node: NodeId, dst: NodeId, req: u64, resp: u64) -> Script {
+        Script::new(Self::legs(node, dst, req, resp).into(), Some(dst), None)
+    }
+
+    /// Idle heartbeats: [sleep `period`, check, rpc, check] until a check
+    /// finds `epoch` no longer reading `seen`.
+    pub(crate) fn heartbeat(
+        period: u64,
+        (node, dst): (NodeId, NodeId),
+        (req, resp): (u64, u64),
+        epoch: &Epoch,
+        seen: u64,
+    ) -> Script {
+        let [leg1, leg2] = Self::legs(node, dst, req, resp);
+        let ops = vec![
+            Op::Sleep(period),
+            Op::Check(false),
+            leg1,
+            leg2,
+            Op::Check(true),
+        ];
+        Script::new(ops, Some(dst), Some((epoch.clone(), seen)))
+    }
+
+    /// Take the script on, at the current instant, to its next wait or its
+    /// end. Every transfer count, fault draw, wake and flow it makes is
+    /// made here, at the point of the event sequence where the proc's own
+    /// call would have made it.
+    fn walk(&mut self, st: &mut SimState, spec: &ClusterSpec) -> Next {
+        loop {
+            if self.pc == self.ops.len() {
+                if self.idle.is_none() {
+                    return Next::End(true);
+                }
+                self.pc = 0;
+            }
+            self.sub += 1;
+            match &self.ops[self.pc] {
+                Op::Sleep(period) if self.sub == 1 => return Next::Act(Act::Sleep(*period)),
+                Op::Check(after) => {
+                    let (epoch, seen) = self.idle.as_ref().expect("checks are an idle beat's");
+                    if epoch.get() != *seen {
+                        return Next::End(*after);
+                    }
+                }
+                Op::Send(m) if self.sub == 1 => {
+                    // The message starts: count it, then take the fault
+                    // penalty for this instant (the worst over its hops; a
+                    // cut-through chain stalls on its worst hop once).
+                    st.transfers += 1;
+                    st.bytes_requested += m.bytes() as f64;
+                    self.penalty = m
+                        .hops()
+                        .map(|(src, dst)| SimCore::net_penalty(st, src, dst))
+                        .max()
+                        .unwrap_or(0);
+                    if self.penalty > 0 {
+                        return Next::Act(Act::Sleep(self.penalty));
+                    }
+                    continue;
+                }
+                Op::Send(m) if self.sub == 2 => {
+                    if let Some(latency) = m.latency(spec) {
+                        return Next::Act(Act::Sleep(latency));
+                    }
+                    continue;
+                }
+                Op::Send(m) if self.sub == 3 => {
+                    if let Some(route) = m.route(spec) {
+                        return Next::Act(Act::Flow(route, m.bytes() as f64));
+                    }
+                    continue;
+                }
+                Op::Sleep(_) | Op::Send(_) => {}
+            }
+            self.pc += 1;
+            self.sub = 0;
+        }
+    }
+
+    /// The step the script waits in, e.g. `rpc leg 2/2 to n17 (flow)` or
+    /// `heartbeat (idle, epoch 42): sleep`.
+    fn describe(&self) -> String {
+        let sends = |ops: &[Op]| ops.iter().filter(|op| matches!(op, Op::Send(_))).count();
+        let step = match &self.ops[self.pc] {
+            Op::Send(m) => {
+                let phase =
+                    ["fault penalty", "latency", "flow"][usize::from(self.sub.clamp(1, 3) - 1)];
+                let to = match (self.peer, m) {
+                    (Some(peer), _) => format!(
+                        "rpc leg {}/{} to {peer}",
+                        sends(&self.ops[..=self.pc]),
+                        sends(&self.ops)
+                    ),
+                    (None, Msg::Pair { src, dst, .. }) => format!("transfer {src} to {dst}"),
+                    (None, Msg::Chain { nodes, .. }) => {
+                        let path: Vec<String> = nodes.iter().map(NodeId::to_string).collect();
+                        format!("transfer_chain {}", path.join(" to "))
+                    }
+                };
+                format!("{to} ({phase})")
+            }
+            Op::Sleep(_) | Op::Check(_) => "sleep".to_string(),
+        };
+        match &self.idle {
+            Some((_, seen)) => format!("heartbeat (idle, epoch {seen}): {step}"),
+            None => step,
+        }
+    }
+}
 
 /// A scheduled wake of a blocked process (sleeps, queue/gate notifications,
 /// spawns), ordered by `(time, seq)`.
@@ -155,6 +448,10 @@ struct ProcInfo {
     /// Incremented on every block; wakes carry the generation they target
     /// so stale ones are discarded.
     block_gen: u64,
+    /// The script the process is blocked on, walked by the engine.
+    script: Option<Script>,
+    /// How the process's last idle heartbeat ended: after its rpc?
+    beat_end: bool,
 }
 
 struct SimState {
@@ -187,6 +484,12 @@ struct SimState {
     flows_started: u64,
     bytes_requested: f64,
     events_processed: u64,
+    /// Events that made a process runnable, i.e. woke its thread.
+    wakes_handed: u64,
+    /// Processes blocked in an idle heartbeat. Each has exactly one event
+    /// pending; when those are all the events there are, nothing can end
+    /// them (see [`SimCore::step`]).
+    idle_beats: usize,
     /// True from `run()`'s first step until the step that halts the engine.
     running: bool,
     // scratch buffers for recompute (reused to avoid per-event allocation)
@@ -257,6 +560,8 @@ impl SimCore {
                 flows_started: 0,
                 bytes_requested: 0.0,
                 events_processed: 0,
+                wakes_handed: 0,
+                idle_beats: 0,
                 running: false,
                 scratch_cap: vec![0.0; nres],
                 scratch_nf: vec![0; nres],
@@ -289,6 +594,8 @@ impl SimCore {
                 parker,
                 state: ProcState::Blocked("spawn"),
                 block_gen: 0,
+                script: None,
+                beat_end: false,
             },
         );
         st.live_procs += 1;
@@ -319,7 +626,17 @@ impl SimCore {
         reason: BlockReason,
         register: impl FnOnce(&mut SimState, u64) -> R,
     ) -> (R, Baton) {
-        let mut st = self.state.lock();
+        self.block_locked(&mut self.state.lock(), pid, reason, register)
+    }
+
+    /// [`Self::block`] with the state lock already held.
+    fn block_locked<R>(
+        &self,
+        st: &mut SimState,
+        pid: u64,
+        reason: BlockReason,
+        register: impl FnOnce(&mut SimState, u64) -> R,
+    ) -> (R, Baton) {
         let p = st.procs.get_mut(&pid).expect("blocking unknown process");
         debug_assert_eq!(
             p.state,
@@ -329,10 +646,10 @@ impl SimCore {
         p.block_gen += 1;
         p.state = ProcState::Blocked(reason);
         let gen = p.block_gen;
-        let out = register(&mut st, gen);
+        let out = register(st, gen);
         st.runnable -= 1;
         let baton = if st.runnable == 0 {
-            self.step(&mut st)
+            self.step(st)
         } else {
             Baton::default()
         };
@@ -382,8 +699,7 @@ impl SimCore {
     /// Block the calling process for `dur` nanoseconds of virtual time.
     pub fn sleep(&self, pid: u64, parker: &Parker, dur: u64) {
         let ((), baton) = self.block(pid, "sleep", |st, gen| {
-            let t = st.now.saturating_add(dur);
-            Self::push_wake(st, t, pid, gen);
+            Self::start(st, &self.spec, pid, gen, Act::Sleep(dur));
         });
         baton.pass();
         self.park(parker);
@@ -395,23 +711,95 @@ impl SimCore {
         if work <= 0.0 {
             return;
         }
-        let ((), baton) = self.block(pid, "flow", |st, _gen| {
-            let now = st.now;
-            Self::settle(st, now);
-            Self::add_flow(st, resources, work, pid);
-            st.flows_started += 1;
-            Self::recompute(st, &self.spec);
+        let ((), baton) = self.block(pid, "flow", |st, gen| {
+            Self::start(
+                st,
+                &self.spec,
+                pid,
+                gen,
+                Act::Flow(resources.to_vec(), work),
+            );
         });
         baton.pass();
         self.park(parker);
     }
 
+    /// Schedule what wakes block generation `gen` of `pid`: a wake after a
+    /// sleep, or the completion of a new flow.
+    fn start(st: &mut SimState, spec: &ClusterSpec, pid: u64, gen: u64, act: Act) {
+        match act {
+            Act::Sleep(dur) => {
+                let t = st.now.saturating_add(dur);
+                Self::push_wake(st, t, pid, gen);
+            }
+            Act::Flow(resources, work) => {
+                let now = st.now;
+                Self::settle(st, now);
+                Self::add_flow(st, resources, work, pid);
+                st.flows_started += 1;
+                Self::recompute(st, spec);
+            }
+        }
+    }
+
+    /// Run `script` for the calling process: start it now and, if it has
+    /// to wait, block once while the engine walks the rest. Returns how
+    /// the script ended (see [`Next::End`]).
+    pub(crate) fn run_script(&self, pid: u64, parker: &Parker, mut script: Script) -> bool {
+        let mut st = self.state.lock();
+        let act = match script.walk(&mut st, &self.spec) {
+            Next::End(after) => return after,
+            Next::Act(act) => act,
+        };
+        let idle = script.idle.is_some();
+        st.idle_beats += usize::from(idle);
+        let ((), baton) = self.block_locked(&mut st, pid, "script", |st, gen| {
+            Self::start(st, &self.spec, pid, gen, act);
+            let p = st.procs.get_mut(&pid).expect("a blocking process");
+            p.script = Some(script);
+        });
+        drop(st);
+        baton.pass();
+        self.park(parker);
+        idle && self.state.lock().procs[&pid].beat_end
+    }
+
+    /// The event `pid` waited on happened: walk its script on (blocking it
+    /// again, as its own next call would have), or wake it.
+    fn resume(&self, st: &mut SimState, pid: u64) -> Option<Baton> {
+        let p = st.procs.get_mut(&pid).expect("resuming unknown process");
+        let Some(mut script) = p.script.take() else {
+            return Some(Self::wake_proc(st, pid));
+        };
+        match script.walk(st, &self.spec) {
+            Next::End(after) => {
+                if script.idle.is_some() {
+                    st.idle_beats -= 1;
+                    st.procs.get_mut(&pid).expect("a blocked process").beat_end = after;
+                }
+                Some(Self::wake_proc(st, pid))
+            }
+            Next::Act(act) => {
+                let p = st.procs.get_mut(&pid).expect("a blocked process");
+                p.block_gen += 1;
+                p.script = Some(script);
+                let gen = p.block_gen;
+                Self::start(st, &self.spec, pid, gen, act);
+                None
+            }
+        }
+    }
+
     /// Give a new flow the next id and a place (a freed slot if there is
     /// one); rates are stale until the next [`Self::recompute`].
-    fn add_flow(st: &mut SimState, resources: &[u32], work: f64, waiter: u64) -> usize {
+    fn add_flow(st: &mut SimState, resources: Vec<u32>, work: f64, waiter: u64) -> usize {
+        let slot = st.free_slots.pop().unwrap_or(st.flows.len());
+        for &r in &resources {
+            st.res_flows[r as usize].push(slot);
+        }
         let flow = Flow {
             id: st.next_flow_id,
-            resources: resources.to_vec(),
+            resources,
             remaining: work,
             rate: 0.0,
             frozen: false,
@@ -420,18 +808,10 @@ impl SimCore {
             waiter,
         };
         st.next_flow_id += 1;
-        let slot = match st.free_slots.pop() {
-            Some(slot) => {
-                st.flows[slot] = flow;
-                slot
-            }
-            None => {
-                st.flows.push(flow);
-                st.flows.len() - 1
-            }
-        };
-        for &r in resources {
-            st.res_flows[r as usize].push(slot);
+        if slot == st.flows.len() {
+            st.flows.push(flow);
+        } else {
+            st.flows[slot] = flow;
         }
         st.live.push(slot);
         slot
@@ -451,25 +831,6 @@ impl SimCore {
         st.live.remove(at);
         st.free_slots.push(slot);
         f.waiter
-    }
-
-    /// Count one transfer-like operation of `bytes` (every message,
-    /// including latency-only small ones) and return the extra nanoseconds
-    /// the installed network faults make it wait before its normal latency:
-    /// the worst penalty over its remote `hops` (a cut-through chain stalls
-    /// on its worst hop; a node-local move has none).
-    pub fn begin_transfer(
-        &self,
-        bytes: u64,
-        hops: impl IntoIterator<Item = (NodeId, NodeId)>,
-    ) -> u64 {
-        let mut st = self.state.lock();
-        st.transfers += 1;
-        st.bytes_requested += bytes as f64;
-        hops.into_iter()
-            .map(|(src, dst)| Self::net_penalty(&mut st, src, dst))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Install a network-fault window. Takes effect immediately; transfers
@@ -690,6 +1051,7 @@ impl SimCore {
         debug_assert!(matches!(p.state, ProcState::Blocked(_)));
         p.state = ProcState::Runnable;
         st.runnable += 1;
+        st.wakes_handed += 1;
         Baton(Some(p.parker.clone()))
     }
 
@@ -702,47 +1064,76 @@ impl SimCore {
     }
 
     /// One engine step, taken under the state lock by whoever just drove
-    /// `runnable` to 0: process the next event in `(time, seq)` order — the
-    /// earlier of the first valid wake and the first flow completion — which
-    /// makes exactly one process runnable, or halt the engine when there is
-    /// nothing to run and hand control back to [`Self::run`]. Either way the
-    /// thread to run next is the returned baton's.
+    /// `runnable` to 0: process events in `(time, seq)` order — the earlier
+    /// of the first valid wake and the first flow completion — walking
+    /// scripts on, until one event makes a process runnable; or halt the
+    /// engine when there is nothing to run and hand control back to
+    /// [`Self::run`]. Either way the thread to run next is the returned
+    /// baton's.
+    ///
+    /// Idle heartbeats alone never end: each ends only at a check that
+    /// finds its epoch moved, and only a running process moves an epoch.
+    /// So when every pending event is an idle heartbeat's and none of their
+    /// epochs has moved yet, the world is deadlocked too.
     fn step(&self, st: &mut SimState) -> Baton {
         debug_assert_eq!(st.runnable, 0);
-        if !st.panics.is_empty() || st.live_procs == 0 {
-            return self.halt(st);
+        loop {
+            if !st.panics.is_empty() || st.live_procs == 0 {
+                return self.halt(st);
+            }
+            while st
+                .wakes
+                .peek()
+                .is_some_and(|Reverse(w)| !Self::wake_valid(st, w))
+            {
+                st.wakes.pop();
+            }
+            if Self::only_idle_beats_left(st) {
+                return self.halt(st);
+            }
+            let wake = st.wakes.peek().map(|Reverse(w)| (w.time, w.seq));
+            let flow = match (st.next_flow, wake) {
+                // Deadlock: processes are blocked and nothing will wake them.
+                (None, None) => return self.halt(st),
+                (Some(flow), None) => Some(flow),
+                (None, Some(_)) => None,
+                (Some(flow), Some(wake)) => ((flow.0, flow.1) < wake).then_some(flow),
+            };
+            let woken = if let Some((eta, _, slot)) = flow {
+                Self::advance(st, eta);
+                debug_assert!(
+                    st.flows[slot].remaining <= 1.0,
+                    "flow completed with {} units left",
+                    st.flows[slot].remaining
+                );
+                let waiter = Self::remove_flow(st, slot);
+                Self::recompute(st, &self.spec);
+                waiter
+            } else {
+                let Reverse(w) = st.wakes.pop().expect("a wake is next");
+                Self::advance(st, w.time);
+                w.proc
+            };
+            if let Some(baton) = self.resume(st, woken) {
+                return baton;
+            }
         }
-        while st
-            .wakes
-            .peek()
-            .is_some_and(|Reverse(w)| !Self::wake_valid(st, w))
-        {
-            st.wakes.pop();
-        }
-        let wake = st.wakes.peek().map(|Reverse(w)| (w.time, w.seq));
-        let flow = match (st.next_flow, wake) {
-            // Deadlock: processes are blocked and nothing will wake them.
-            (None, None) => return self.halt(st),
-            (Some(flow), None) => Some(flow),
-            (None, Some(_)) => None,
-            (Some(flow), Some(wake)) => ((flow.0, flow.1) < wake).then_some(flow),
-        };
-        let woken = if let Some((eta, _, slot)) = flow {
-            Self::advance(st, eta);
-            debug_assert!(
-                st.flows[slot].remaining <= 1.0,
-                "flow completed with {} units left",
-                st.flows[slot].remaining
-            );
-            let waiter = Self::remove_flow(st, slot);
-            Self::recompute(st, &self.spec);
-            waiter
-        } else {
-            let Reverse(w) = st.wakes.pop().expect("a wake is next");
-            Self::advance(st, w.time);
-            w.proc
-        };
-        Self::wake_proc(st, woken)
+    }
+
+    /// Is every pending event an idle heartbeat's, with its epoch unmoved?
+    /// Each idle heartbeat has exactly one event pending, so the count
+    /// settles the first half (a stale wake in the heap only delays the
+    /// verdict until it surfaces); the scan runs only when it does.
+    fn only_idle_beats_left(st: &SimState) -> bool {
+        st.idle_beats > 0
+            && st.wakes.len() + st.live.len() == st.idle_beats
+            && (st.wakes.iter().map(|Reverse(w)| w.proc))
+                .chain(st.live.iter().map(|&slot| st.flows[slot].waiter))
+                .all(|pid| {
+                    let script = st.procs.get(&pid).and_then(|p| p.script.as_ref());
+                    script
+                        .is_some_and(|s| s.idle.as_ref().is_some_and(|(e, seen)| e.get() == *seen))
+                })
     }
 
     /// Move the clock (and every flow) to the instant of the event being
@@ -785,15 +1176,21 @@ impl SimCore {
                 .values()
                 .filter_map(|p| match p.state {
                     ProcState::Blocked(r) => {
-                        Some(format!("  - '{}' on {} blocked on {}\n", p.name, p.node, r))
+                        let on = p.script.as_ref().map_or(r.to_string(), Script::describe);
+                        Some(format!("  - '{}' on {} blocked on {on}\n", p.name, p.node))
                     }
                     ProcState::Runnable => None,
                 })
                 .collect();
             blocked.sort();
+            let but = if st.idle_beats > 0 {
+                " but idle heartbeats"
+            } else {
+                ""
+            };
             drop(st);
             panic!(
-                "fabric deadlock: no runnable process and no pending events.\nBlocked processes:\n{}",
+                "fabric deadlock: no runnable process and no pending events{but}.\nBlocked processes:\n{}",
                 blocked.concat()
             );
         }
@@ -816,6 +1213,7 @@ impl SimCore {
             flows: st.flows_started,
             bytes_requested: st.bytes_requested,
             events: st.events_processed,
+            wakes: st.wakes_handed,
             now_ns: st.now,
             net_fault_hits: st.net_fault_hits,
         }
@@ -1102,7 +1500,7 @@ mod tests {
         let core = SimCore::new(spec.clone(), 0);
         let mut st = core.state.lock();
         for (id, resources) in fixture.iter().enumerate() {
-            SimCore::add_flow(&mut st, resources, 1e6 * (5 - id) as f64, 0);
+            SimCore::add_flow(&mut st, resources.clone(), 1e6 * (5 - id) as f64, 0);
         }
         SimCore::recompute(&mut st, &spec);
         check_recompute(&st, &spec).unwrap();
@@ -1164,7 +1562,7 @@ mod tests {
                         continue;
                     }
                 };
-                SimCore::add_flow(&mut st, &route, 1e6 * work as f64, 0);
+                SimCore::add_flow(&mut st, route, 1e6 * work as f64, 0);
                 SimCore::recompute(&mut st, &spec);
                 check_recompute(&st, &spec)?;
             }

@@ -20,6 +20,10 @@ pub struct FabricStats {
     pub bytes_requested: f64,
     /// Events processed by the simulation engine (0 in live mode).
     pub events: u64,
+    /// Thread hand-offs the simulation engine made: events that made a
+    /// process runnable (0 in live mode). At most `events`; the rest moved
+    /// a script on without waking its thread.
+    pub wakes: u64,
     /// Current virtual/wall time in nanoseconds.
     pub now_ns: u64,
     /// Times an installed network fault actually penalized a transfer

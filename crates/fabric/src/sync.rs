@@ -3,6 +3,8 @@
 //! * [`Queue`] — an unbounded multi-producer/multi-consumer queue. Service
 //!   inboxes, heartbeat channels and work queues are built from it.
 //! * [`Gate`] — a one-shot broadcast flag ("this is done", "shut down now").
+//! * [`Epoch`] — a change counter that never blocks; an idle heartbeat
+//!   ([`Proc::heartbeat`]) sleeps until it moves.
 //!
 //! Each primitive is one state behind one `Mutex`: a queue holds its items,
 //! its `closed` flag and a FIFO list of blocked receivers; a gate holds its
@@ -22,6 +24,7 @@
 //! before the simulation starts).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::lock_order::assert_none_held;
@@ -181,6 +184,29 @@ impl Gate {
             #[cfg(test)]
             p.note_resume(&self.state);
         }
+    }
+}
+
+/// A change counter shared by whoever changes some state and whoever waits
+/// for it to change. Lock-free, so the sim engine can read it under its own
+/// lock: an idle heartbeat's script checks it between its steps, and ends
+/// once it no longer reads the value the beat was idle at.
+#[derive(Clone, Debug, Default)]
+pub struct Epoch(Arc<AtomicU64>);
+
+impl Epoch {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Record a change.
+    pub fn bump(&self) {
+        self.0.fetch_add(1, Ordering::Release);
+    }
+
+    /// The number of changes so far.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Acquire)
     }
 }
 

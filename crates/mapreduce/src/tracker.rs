@@ -25,6 +25,26 @@
 //! heartbeats take the lock in event order — the order the inbox used to
 //! give them.
 //!
+//! **Idle beats.** A beat is idle when `assign` handed out no task and no
+//! flush, and either no job has a pending map or the tracker had no free
+//! map slot: the locality delay is the only input of `assign` that changes
+//! with time alone, and it matters only to a free slot facing pending
+//! maps. Until something else changes, every later beat gets the same
+//! empty answer. So after an idle beat the tracker calls
+//! [`Proc::heartbeat`] with the scheduler's [`Epoch`] and the value it
+//! read before asking, and in sim mode the engine repeats the sleep and the
+//! rpc itself. It wakes the tracker only at the first check that finds the
+//! epoch moved — after a sleep, or after an rpc: the two places where this
+//! loop looks at the shutdown gate — and the tracker does there exactly
+//! what its loop would have done. The epoch is bumped at every change that
+//! can turn an idle answer into work:
+//! - every scheduler mutation: `admit`, an `assign` that hands something
+//!   out, `map_done`, `outputs_lost`, `reduce_done`;
+//! - every slot release in `spawn_task`;
+//! - [`MrCluster::shutdown`].
+//!
+//! In live mode `heartbeat` is a plain sleep and the loop beats as before.
+//!
 //! **The lock** is held for one state update and released before anything
 //! that spends virtual time or spawns: `p.*`, a file-system call, a
 //! `Fabric::spawn`. A sim proc that parked while holding it would leave the
@@ -72,7 +92,7 @@ use std::sync::Arc;
 
 use dfs::FileSystem;
 use fabric::sync::{Gate, Queue};
-use fabric::{ClusterSpec, Fabric, NodeId, Proc, SimTime};
+use fabric::{ClusterSpec, Epoch, Fabric, NodeId, Proc, SimTime};
 use parking_lot::Mutex;
 
 use crate::job::{JobConf, JobCounters, JobCtx, JobResult, OutputMode};
@@ -146,12 +166,26 @@ enum Assignment {
 /// phase is complete.
 type Flush = (Arc<JobCtx>, NodeId);
 
+/// The request and the response of a heartbeat, in bytes.
+const BEAT_BYTES: u64 = 128;
+
 /// The answer to one heartbeat.
 #[derive(Default)]
 struct Beat {
     tasks: Vec<Assignment>,
     /// Due because this beat drained a job's map queue.
     flushes: Vec<Flush>,
+    /// A free map slot passed over pending maps, which the locality delay
+    /// may release to it later with nothing else changing.
+    waits_on_clock: bool,
+}
+
+impl Beat {
+    /// Nothing handed out, and the same question would get the same answer
+    /// until the scheduler's epoch moves.
+    fn is_idle(&self) -> bool {
+        self.tasks.is_empty() && self.flushes.is_empty() && !self.waits_on_clock
+    }
 }
 
 enum JtMsg {
@@ -275,6 +309,8 @@ struct Scheduler {
     order: Vec<u64>,
     next_job: u64,
     locality_delay_ns: u64,
+    /// Bumped by every change that can turn an idle beat's answer into work.
+    epoch: Epoch,
 }
 
 impl Scheduler {
@@ -284,6 +320,7 @@ impl Scheduler {
             order: Vec::new(),
             next_job: 1,
             locality_delay_ns,
+            epoch: Epoch::new(),
         }
     }
 
@@ -294,6 +331,7 @@ impl Scheduler {
 
     /// Make a planned job schedulable.
     fn admit(&mut self, st: JobState) {
+        self.epoch.bump();
         self.order.push(st.ctx.id);
         self.jobs.insert(st.ctx.id, st);
     }
@@ -331,6 +369,7 @@ impl Scheduler {
                 beat.tasks.push(Assignment::Map(task));
                 map_wanted = false;
             }
+            beat.waits_on_clock |= free_map > 0 && !st.pending_maps.is_empty();
             // This beat may have drained the map queue; idle nodes can
             // flush without waiting for the last in-flight map elsewhere.
             beat.flushes.extend(st.take_due_flushes());
@@ -351,6 +390,9 @@ impl Scheduler {
                 free_reduce -= 1;
             }
         }
+        if !beat.tasks.is_empty() || !beat.flushes.is_empty() {
+            self.epoch.bump();
+        }
         beat
     }
 
@@ -361,6 +403,7 @@ impl Scheduler {
         node: NodeId,
         deliveries: &[DeliverySpec],
     ) -> Vec<Flush> {
+        self.epoch.bump();
         let Some(st) = self.jobs.get_mut(&job) else {
             return Vec::new();
         };
@@ -384,6 +427,7 @@ impl Scheduler {
 
     /// Re-queue the tasks whose output `node` lost, as re-runs.
     fn outputs_lost(&mut self, node: NodeId, lost: Vec<(u64, Vec<u32>)>, now: SimTime) {
+        self.epoch.bump();
         for (job, tasks) in lost {
             let Some(st) = self.jobs.get_mut(&job) else {
                 continue;
@@ -407,6 +451,7 @@ impl Scheduler {
     /// Count a finished reducer; the job's state leaves the scheduler with
     /// its last one, for the caller to finalise.
     fn reduce_done(&mut self, job: u64) -> Option<JobState> {
+        self.epoch.bump();
         let st = self.jobs.get_mut(&job).expect("reduce for known job");
         st.reduces_done += 1;
         if st.reduces_done < st.ctx.conf.num_reducers {
@@ -445,6 +490,8 @@ pub struct MrCluster {
     fs: Arc<dyn FileSystem>,
     config: Arc<MrConfig>,
     scheduler: Arc<Mutex<Scheduler>>,
+    /// The scheduler's epoch, also bumped by slot releases and shutdown.
+    epoch: Epoch,
     inbox: Queue<JtMsg>,
     registry: Arc<MapOutputRegistry>,
     combiner: Arc<NodeCombiner>,
@@ -456,10 +503,12 @@ impl MrCluster {
     /// [`MrCluster::shutdown`] when done so `fabric.run()` can terminate.
     pub fn start(fabric: &Fabric, fs: Arc<dyn FileSystem>, config: MrConfig) -> MrCluster {
         let registry = MapOutputRegistry::new();
+        let scheduler = Scheduler::new(config.locality_delay_ns);
         let cluster = MrCluster {
             fabric: fabric.clone(),
             fs,
-            scheduler: Arc::new(Mutex::new(Scheduler::new(config.locality_delay_ns))),
+            epoch: scheduler.epoch.clone(),
+            scheduler: Arc::new(Mutex::new(scheduler)),
             config: Arc::new(config),
             inbox: fabric.queue(),
             combiner: NodeCombiner::new(registry.clone()),
@@ -490,6 +539,7 @@ impl MrCluster {
     /// jobs must be waited on *before* calling this.
     pub fn shutdown(&self) {
         self.shutdown.set();
+        self.epoch.bump();
         self.inbox.close();
     }
 
@@ -582,19 +632,29 @@ impl MrCluster {
                 let free = |slots: u32, running: &AtomicU32| {
                     slots.saturating_sub(running.load(Ordering::Relaxed))
                 };
-                while !mr.shutdown.is_set() {
+                let (hb, jt) = (mr.config.heartbeat_ns, mr.config.jobtracker);
+                let mut after_rpc = false;
+                loop {
                     // Heartbeat: a small control RPC to the jobtracker node,
-                    // then the scheduling decision, run here.
-                    p.rpc(mr.config.jobtracker, 128, 128);
+                    // then the scheduling decision, run here. An idle beat's
+                    // successors already paid their RPC inside `heartbeat`.
+                    if !after_rpc {
+                        if mr.shutdown.is_set() {
+                            break;
+                        }
+                        p.rpc(jt, BEAT_BYTES, BEAT_BYTES);
+                    }
                     if mr.shutdown.is_set() {
                         break; // the jobtracker went away mid-beat
                     }
+                    let seen = mr.epoch.get();
                     let beat = mr.scheduler.lock().assign(
                         node,
                         free(mr.config.map_slots, &running_maps),
                         free(mr.config.reduce_slots, &running_reduces),
                         p.now(),
                     );
+                    let idle = beat.is_idle().then_some((&mr.epoch, seen));
                     mr.spawn_flushes(beat.flushes);
                     for a in beat.tasks {
                         match a {
@@ -625,7 +685,7 @@ impl MrCluster {
                             }
                         }
                     }
-                    p.sleep(mr.config.heartbeat_ns);
+                    after_rpc = p.heartbeat(hb, jt, BEAT_BYTES, BEAT_BYTES, idle);
                 }
             });
     }
@@ -644,6 +704,7 @@ impl MrCluster {
         self.fabric.spawn(node, name, move |tp| {
             let msg = task(&mr, tp);
             running.fetch_sub(1, Ordering::Relaxed);
+            mr.epoch.bump();
             mr.inbox.send(msg);
         });
     }

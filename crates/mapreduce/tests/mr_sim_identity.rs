@@ -325,30 +325,40 @@ fn wordcount_through_two_map_output_losses_is_pinned() {
 }
 
 /// A heartbeat never leaves the tracker's proc: with no job, a beat is the
-/// RPC's two latency legs and the sleep to the next one.
+/// RPC's two latency legs and the sleep to the next one. Those events are
+/// walked by the engine without waking the tracker's thread.
 #[test]
 fn an_idle_beat_costs_three_engine_events() {
     const TRACKERS: u64 = 8;
     const HB: u64 = 10 * MILLIS; // `MrConfig::compact`
     const IDLE: u64 = 1_000 * MILLIS;
     let (fx, fs) = tiny_bsfs(TRACKERS as u32, 32);
-    let before = fx.stats().events;
+    let before = fx.stats();
     let mr = MrCluster::start(&fx, fs, MrConfig::compact(fx.spec()));
     fx.spawn(NodeId(0), "driver", move |p: &Proc| {
         p.sleep(IDLE);
         mr.shutdown();
     });
     fx.run();
-    let events = fx.stats().events - before;
+    let after = fx.stats();
+    let (events, wakes) = (after.events - before.events, after.wakes - before.wakes);
     // Beyond the beats: one start per proc (trackers, jobtracker, driver),
     // the driver's sleep, the jobtracker's wake at shutdown.
     let bound = 3 * TRACKERS * IDLE.div_ceil(HB) + TRACKERS + 4;
-    println!("{events} events, bound {bound}");
+    // Each tracker wakes to start, at the end of its first rpc and at
+    // shutdown; the jobtracker to start and at shutdown; the driver to
+    // start and after its sleep.
+    let wake_bound = 3 * TRACKERS + 4;
+    println!("{events} events, bound {bound}; {wakes} wakes, bound {wake_bound}");
     assert!(
         events <= bound,
         "{events} events for an idle second, bound {bound}"
     );
     assert!(events > bound / 2, "beats are missing: {events} events");
+    assert!(
+        wakes <= wake_bound,
+        "{wakes} thread wakes for an idle second, bound {wake_bound}"
+    );
 }
 
 /// (e) The edges of a tracker's idle beats. Trackers beat with no job for
