@@ -234,7 +234,6 @@ pub(crate) struct Script {
     /// its flow.
     pc: usize,
     sub: u8,
-    penalty: u64,
 }
 
 /// A script's next wait.
@@ -257,7 +256,6 @@ impl Script {
             idle,
             pc: 0,
             sub: 0,
-            penalty: 0,
         }
     }
 
@@ -337,13 +335,12 @@ impl Script {
                     // cut-through chain stalls on its worst hop once).
                     st.transfers += 1;
                     st.bytes_requested += m.bytes() as f64;
-                    self.penalty = m
-                        .hops()
+                    let penalty = (m.hops())
                         .map(|(src, dst)| SimCore::net_penalty(st, src, dst))
                         .max()
                         .unwrap_or(0);
-                    if self.penalty > 0 {
-                        return Next::Act(Act::Sleep(self.penalty));
+                    if penalty > 0 {
+                        return Next::Act(Act::Sleep(penalty));
                     }
                     continue;
                 }
@@ -366,29 +363,20 @@ impl Script {
         }
     }
 
-    /// The step the script waits in, e.g. `rpc leg 2/2 to n17 (flow)` or
-    /// `heartbeat (idle, epoch 42): sleep`.
+    /// The step the script waits in, for a deadlock report: e.g.
+    /// `heartbeat (idle, epoch 42): rpc leg 2/2 to n17 (latency)`. Only an
+    /// idle heartbeat can be found waiting there; every other script has
+    /// its next event pending.
     fn describe(&self) -> String {
         let sends = |ops: &[Op]| ops.iter().filter(|op| matches!(op, Op::Send(_))).count();
-        let step = match &self.ops[self.pc] {
-            Op::Send(m) => {
-                let phase =
-                    ["fault penalty", "latency", "flow"][usize::from(self.sub.clamp(1, 3) - 1)];
-                let to = match (self.peer, m) {
-                    (Some(peer), _) => format!(
-                        "rpc leg {}/{} to {peer}",
-                        sends(&self.ops[..=self.pc]),
-                        sends(&self.ops)
-                    ),
-                    (None, Msg::Pair { src, dst, .. }) => format!("transfer {src} to {dst}"),
-                    (None, Msg::Chain { nodes, .. }) => {
-                        let path: Vec<String> = nodes.iter().map(NodeId::to_string).collect();
-                        format!("transfer_chain {}", path.join(" to "))
-                    }
-                };
-                format!("{to} ({phase})")
+        let step = match (&self.ops[self.pc], self.peer) {
+            (Op::Send(_), peer) => {
+                let phase = ["fault penalty", "latency", "flow"][usize::from(self.sub - 1)];
+                let (leg, legs) = (sends(&self.ops[..=self.pc]), sends(&self.ops));
+                let to = peer.map_or(String::new(), |peer| format!(" to {peer}"));
+                format!("rpc leg {leg}/{legs}{to} ({phase})")
             }
-            Op::Sleep(_) | Op::Check(_) => "sleep".to_string(),
+            (Op::Sleep(_) | Op::Check(_), _) => "sleep".to_string(),
         };
         match &self.idle {
             Some((_, seen)) => format!("heartbeat (idle, epoch {seen}): {step}"),

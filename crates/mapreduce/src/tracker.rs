@@ -981,6 +981,38 @@ mod tests {
         assert_eq!(nodes(&s.map_done(1, 0, NodeId(5), &[])), [(1, 5)]);
     }
 
+    /// The epoch moves at every mutation, and an empty answer moves
+    /// nothing. Each bump here is also one an idle tracker may be waiting
+    /// for; `mr_sim_identity`'s shapes cannot tell most of them apart from
+    /// the bumps that follow them within a beat.
+    #[test]
+    fn every_scheduler_mutation_moves_the_epoch() {
+        let fx = mint();
+        let mut s = Scheduler::new(0);
+        let epoch = s.epoch.clone();
+        let moved = |s: &mut Scheduler, what: &str, f: &dyn Fn(&mut Scheduler)| {
+            let before = epoch.get();
+            f(s);
+            assert_eq!(epoch.get(), before + 1, "{what}");
+        };
+        moved(&mut s, "admit", &|s| s.admit(job(&fx, 1, 1, &[&[5]], 0)));
+        moved(&mut s, "assign", &|s| {
+            assert!(!s.assign(NodeId(5), 1, 1, 0).is_idle())
+        });
+        let before = epoch.get();
+        assert!(s.assign(NodeId(5), 1, 1, 1).is_idle());
+        assert_eq!(epoch.get(), before, "an idle answer");
+        moved(&mut s, "map_done", &|s| {
+            s.map_done(1, 0, NodeId(5), &[]);
+        });
+        moved(&mut s, "outputs_lost", &|s| {
+            s.outputs_lost(NodeId(5), vec![(1, vec![0])], 2)
+        });
+        moved(&mut s, "reduce_done", &|s| {
+            assert!(s.reduce_done(1).is_some())
+        });
+    }
+
     #[test]
     fn a_job_outside_the_scheduler_is_assigned_nothing() {
         let fx = mint();
