@@ -1463,6 +1463,7 @@ mod tests {
         let first = live.iter().map(|&(s, f)| (f.eta, f.seq, s)).min();
         prop_assert_eq!(st.next_flow, first);
         prop_assert!(st.scratch_nf.iter().all(|&n| n == 0));
+        prop_assert!(st.scratch_cap.iter().all(|&c| c == 0.0));
         Ok(())
     }
 
@@ -1543,6 +1544,62 @@ mod tests {
                     _ if st.live.is_empty() => continue,
                     _ => {
                         let k = (a + 4 * b + 16 * c) as usize % st.live.len();
+                        let slot = st.live[k];
+                        SimCore::remove_flow(&mut st, slot);
+                        SimCore::recompute(&mut st, &spec);
+                        check_recompute(&st, &spec)?;
+                        continue;
+                    }
+                };
+                SimCore::add_flow(&mut st, route, 1e6 * work as f64, 0);
+                SimCore::recompute(&mut st, &spec);
+                check_recompute(&st, &spec)?;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Wide ties: 32 nodes and no backplane, so most flows are TX -> RX
+        /// pairs whose shares tie at a whole NIC or at the same fraction of
+        /// one, among some disk, CPU + disk and chain flows and random
+        /// finishes. With a NIC of 100 units a three-way share is inexact,
+        /// and freezing one tied resource can move another tied one by an
+        /// ulp either way. After every step `recompute` passes
+        /// [`check_recompute`].
+        #[test]
+        fn recompute_matches_the_oracle_across_wide_ties(
+            steps in prop::collection::vec((0u8..12, 0u32..32, 0u32..32, 0u32..32, 1u32..50), 1..128),
+        ) {
+            let spec = ClusterSpec::tiny(32)
+                .with_nic_bw(100.0)
+                .with_disk_bw(300.0)
+                .with_cpu_ops(1000.0);
+            let res = |n: u32, kind| spec.resource(NodeId(n), kind);
+            let core = SimCore::new(spec.clone(), 0);
+            let mut st = core.state.lock();
+            for (action, a, b, c, work) in steps {
+                let route = match action {
+                    0..=4 if a == b => vec![res(a, ResourceKind::Loopback)],
+                    0..=4 => vec![res(a, ResourceKind::Tx), res(b, ResourceKind::Rx)],
+                    5 => {
+                        let mut r = Vec::new();
+                        for (from, to) in [(a, b), (b, c)].into_iter().filter(|(f, t)| f != t) {
+                            r.extend([res(from, ResourceKind::Tx), res(to, ResourceKind::Rx)]);
+                        }
+                        r.sort_unstable();
+                        r.dedup();
+                        if r.is_empty() {
+                            continue;
+                        }
+                        r
+                    }
+                    6 => vec![res(a, ResourceKind::Disk)],
+                    7 => vec![res(a, ResourceKind::Cpu), res(b, ResourceKind::Disk)],
+                    _ if st.live.is_empty() => continue,
+                    _ => {
+                        let k = (a + 32 * b + 1024 * c) as usize % st.live.len();
                         let slot = st.live[k];
                         SimCore::remove_flow(&mut st, slot);
                         SimCore::recompute(&mut st, &spec);
