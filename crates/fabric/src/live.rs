@@ -140,6 +140,7 @@ impl LiveCore {
             bytes_requested: self.bytes_requested.load(Ordering::Relaxed) as f64,
             events: 0,
             wakes: 0,
+            fill_scans: 0,
             now_ns: self.now(),
             net_fault_hits: 0,
         }

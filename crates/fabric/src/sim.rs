@@ -474,6 +474,8 @@ struct SimState {
     events_processed: u64,
     /// Events that made a process runnable, i.e. woke its thread.
     wakes_handed: u64,
+    /// `active` entries walked by `recompute`'s bottleneck scans.
+    fill_scans: u64,
     /// Processes blocked in an idle heartbeat. Each has exactly one event
     /// pending; when those are all the events there are, nothing can end
     /// them (see [`SimCore::step`]).
@@ -549,6 +551,7 @@ impl SimCore {
                 bytes_requested: 0.0,
                 events_processed: 0,
                 wakes_handed: 0,
+                fill_scans: 0,
                 idle_beats: 0,
                 running: false,
                 scratch_cap: vec![0.0; nres],
@@ -950,6 +953,7 @@ impl SimCore {
             scratch_cap: cap,
             scratch_nf: nf,
             scratch_active: active,
+            fill_scans,
             ..
         } = st;
 
@@ -976,6 +980,7 @@ impl SimCore {
         let mut unfrozen = live.len();
         while unfrozen > 0 {
             let mut best: Option<(u32, f64)> = None;
+            *fill_scans += active.len() as u64;
             for &r in active.iter() {
                 let n = nf[r as usize];
                 if n == 0 {
@@ -1202,6 +1207,7 @@ impl SimCore {
             bytes_requested: st.bytes_requested,
             events: st.events_processed,
             wakes: st.wakes_handed,
+            fill_scans: st.fill_scans,
             now_ns: st.now,
             net_fault_hits: st.net_fault_hits,
         }
@@ -1612,6 +1618,30 @@ mod tests {
                 check_recompute(&st, &spec)?;
             }
         }
+    }
+
+    /// 200 flows, each a TX -> RX pair on two nodes of its own: every
+    /// resource's share is one NIC, so all 400 tie. One refill walks them
+    /// a bounded number of times, not once per flow.
+    #[test]
+    fn disjoint_ties_refill_without_a_scan_per_flow() {
+        let spec = ClusterSpec::tiny(400);
+        let core = SimCore::new(spec.clone(), 0);
+        let mut st = core.state.lock();
+        for i in 0..200u32 {
+            let tx = spec.resource(NodeId(2 * i), ResourceKind::Tx);
+            let rx = spec.resource(NodeId(2 * i + 1), ResourceKind::Rx);
+            SimCore::add_flow(&mut st, vec![tx, rx], 1e6, 0);
+        }
+        SimCore::recompute(&mut st, &spec);
+        assert!(live_flows(&st).iter().all(|(_, f)| f.rate == spec.nic_bw));
+        let active = st.scratch_active.len() as u64;
+        assert_eq!(active, 400);
+        assert!(
+            st.fill_scans <= 2 * active,
+            "{} active entries walked for {active} active resources",
+            st.fill_scans
+        );
     }
 
     #[test]

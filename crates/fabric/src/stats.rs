@@ -24,6 +24,10 @@ pub struct FabricStats {
     /// process runnable (0 in live mode). At most `events`; the rest moved
     /// a script on without waking its thread.
     pub wakes: u64,
+    /// Active resources the max-min refills' bottleneck scans walked,
+    /// summed over every scan (0 in live mode). Every flow start and finish
+    /// refills once, so `flows` already counts the refills.
+    pub fill_scans: u64,
     /// Current virtual/wall time in nanoseconds.
     pub now_ns: u64,
     /// Times an installed network fault actually penalized a transfer
