@@ -113,6 +113,13 @@
 //!   between equal shares: the first of two tied resources freezes its
 //!   flows at the share, the other divides what is left, which in floating
 //!   point need not be the same number;
+//! * the refill freezes tied bottlenecks in that list's order too: one scan
+//!   collects every resource at the lowest share, in `active` order, and
+//!   they freeze one after another. That is the order a scan per freeze
+//!   would take, because a freeze moves only the resources it touches: the
+//!   next tie still at the minimum is what a fresh scan would return,
+//!   unless a touched resource fell to the minimum or below, and then the
+//!   refill scans again (`recompute` has the argument);
 //! * `settle` adds each flow's work into the per-resource sums, and a
 //!   floating-point sum depends on the order of its terms.
 
@@ -486,6 +493,8 @@ struct SimState {
     scratch_cap: Vec<f64>,
     scratch_nf: Vec<u32>,
     scratch_active: Vec<u32>,
+    scratch_ties: Vec<u32>,
+    scratch_touched: Vec<u32>,
     /// Installed network-fault windows (expired ones are pruned lazily).
     net_faults: Vec<NetFault>,
     /// Dedicated RNG stream for Drop draws; decoupled from process RNGs so
@@ -557,6 +566,8 @@ impl SimCore {
                 scratch_cap: vec![0.0; nres],
                 scratch_nf: vec![0; nres],
                 scratch_active: Vec::new(),
+                scratch_ties: Vec::new(),
+                scratch_touched: Vec::new(),
                 net_faults: Vec::new(),
                 net_rng: StdRng::seed_from_u64(seed ^ NET_SALT),
                 net_fault_hits: 0,
@@ -942,6 +953,31 @@ impl SimCore {
 
     /// Max-min fair rate allocation (progressive filling), then a fresh
     /// completion `(eta, seq)` for every flow under its new rate.
+    ///
+    /// Progressive filling freezes, one resource at a time, the unfrozen
+    /// flows of the resource with the lowest fair share (`cap / n`), the
+    /// first in `active` order among equal shares, and subtracts their rate
+    /// from every resource they cross. Scanning for that resource once per
+    /// freeze costs flows × resources when many shares tie, as disjoint
+    /// TX -> RX pairs all do at one NIC. So one scan finds the lowest share
+    /// *and* every resource at exactly that share, in `active` order, and
+    /// the loop freezes those ties one after another:
+    ///
+    /// * a tie whose `n` a freeze took to 0, or whose share it moved off the
+    ///   minimum (up, by an ulp of rounding), is skipped;
+    /// * after each freeze, if a resource it touched is left with `n > 0`
+    ///   and a share at or below the minimum (a subtraction can round a
+    ///   share down by an ulp), the loop scans again.
+    ///
+    /// That is the order a scan per freeze takes, bit for bit. A freeze
+    /// changes only the resources it touches. When no rescan is due, those
+    /// are above the minimum or empty, and every other resource keeps the
+    /// share the scan saw, at or above the minimum. The minimum is still
+    /// the lowest share, and the resources that hold it are the ties not
+    /// yet reached or skipped, so a fresh scan would return the next tie in
+    /// the list. Each tie's share is recomputed with the same expression
+    /// before it freezes, so every rate is the scan's number. Disjoint
+    /// pairs refill in one scan; `fill_scans` counts the entries walked.
     fn recompute(st: &mut SimState, spec: &ClusterSpec) {
         let SimState {
             now,
@@ -953,6 +989,8 @@ impl SimCore {
             scratch_cap: cap,
             scratch_nf: nf,
             scratch_active: active,
+            scratch_ties: ties,
+            scratch_touched: touched,
             fill_scans,
             ..
         } = st;
@@ -974,38 +1012,61 @@ impl SimCore {
         for &r in active.iter() {
             cap[r as usize] = spec.capacity(r);
         }
+        let fair_share = |cap: &[f64], n: u32, r: u32| (cap[r as usize] / n as f64).max(0.0);
 
-        // Progressive filling: repeatedly find the resource with the lowest
-        // fair share, freeze its flows at that rate, subtract.
+        // Progressive filling: find the lowest fair share and the resources
+        // that tie at it, freeze their flows at that rate, subtract.
         let mut unfrozen = live.len();
         while unfrozen > 0 {
-            let mut best: Option<(u32, f64)> = None;
+            let mut share = f64::INFINITY;
+            ties.clear();
             *fill_scans += active.len() as u64;
             for &r in active.iter() {
                 let n = nf[r as usize];
                 if n == 0 {
                     continue;
                 }
-                let share = (cap[r as usize] / n as f64).max(0.0);
-                if best.is_none_or(|(_, s)| share < s) {
-                    best = Some((r, share));
+                let s = fair_share(cap, n, r);
+                if s < share {
+                    share = s;
+                    ties.clear();
+                }
+                if s == share {
+                    ties.push(r);
                 }
             }
-            let Some((bottleneck, share)) = best else {
+            if ties.is_empty() {
                 break;
-            };
-            // Freeze all unfrozen flows crossing the bottleneck.
-            for &slot in &res_flows[bottleneck as usize] {
-                let f = &mut flows[slot];
-                if f.frozen {
+            }
+            for &bottleneck in ties.iter() {
+                let n = nf[bottleneck as usize];
+                if n == 0 || fair_share(cap, n, bottleneck) != share {
                     continue;
                 }
-                f.frozen = true;
-                f.rate = share;
-                unfrozen -= 1;
-                for &r in &f.resources {
-                    cap[r as usize] = (cap[r as usize] - share).max(0.0);
-                    nf[r as usize] -= 1;
+                // Freeze all unfrozen flows crossing the bottleneck.
+                touched.clear();
+                for &slot in &res_flows[bottleneck as usize] {
+                    let f = &mut flows[slot];
+                    if f.frozen {
+                        continue;
+                    }
+                    f.frozen = true;
+                    f.rate = share;
+                    unfrozen -= 1;
+                    for &r in &f.resources {
+                        cap[r as usize] = (cap[r as usize] - share).max(0.0);
+                        nf[r as usize] -= 1;
+                    }
+                    touched.extend_from_slice(&f.resources);
+                }
+                // Checked once the freeze is whole: a resource two of its
+                // flows cross sits at the minimum between the subtractions.
+                let at_or_below = |&r: &u32| {
+                    let n = nf[r as usize];
+                    n > 0 && fair_share(cap, n, r) <= share
+                };
+                if touched.iter().any(at_or_below) {
+                    break;
                 }
             }
         }
@@ -1508,6 +1569,38 @@ mod tests {
         let seqs: Vec<u64> = live_flows(&st).iter().map(|(_, f)| f.seq).collect();
         assert_eq!(seqs, [0, 1, 2, 3, 4]);
         assert_eq!(st.next_flow.map(|(_, _, slot)| st.flows[slot].id), Some(4));
+    }
+
+    /// Two resources tie at 1000 / 3, which rounds down: n0's TX and n1's
+    /// RX, sharing one flow. Freezing the TX leaves the RX two flows and
+    /// 1000 - 1000 / 3, whose half rounds *up*, an ulp above the tie. The
+    /// RX must not freeze at the tie's share: a fresh scan finds it at its
+    /// own, higher one.
+    #[test]
+    fn a_tie_that_a_freeze_raised_freezes_at_its_own_share() {
+        let spec = ClusterSpec::tiny(6).with_nic_bw(1000.0);
+        let tx = |n: u32| spec.resource(NodeId(n), ResourceKind::Tx);
+        let rx = |n: u32| spec.resource(NodeId(n), ResourceKind::Rx);
+        let fixture = [
+            vec![tx(0), rx(1)],
+            vec![tx(0), rx(2)],
+            vec![tx(0), rx(3)],
+            vec![tx(4), rx(1)],
+            vec![tx(5), rx(1)],
+        ];
+        let core = SimCore::new(spec.clone(), 0);
+        let mut st = core.state.lock();
+        for resources in fixture {
+            SimCore::add_flow(&mut st, resources, 1e6, 0);
+        }
+        SimCore::recompute(&mut st, &spec);
+        check_recompute(&st, &spec).unwrap();
+
+        let tie = 1000.0 / 3.0;
+        let raised = (1000.0 - tie) / 2.0;
+        assert!(raised > tie);
+        let rates: Vec<f64> = live_flows(&st).iter().map(|(_, f)| f.rate).collect();
+        assert_eq!(rates, [tie, tie, tie, raised, raised]);
     }
 
     proptest! {
