@@ -519,6 +519,12 @@ impl Baton {
     }
 }
 
+/// A resource's max-min fair share: the capacity its frozen flows left,
+/// split over its `n` unfrozen ones.
+fn fair_share(cap: f64, n: u32) -> f64 {
+    (cap / n as f64).max(0.0)
+}
+
 pub(crate) struct SimCore {
     pub spec: ClusterSpec,
     pub seed: u64,
@@ -1012,7 +1018,6 @@ impl SimCore {
         for &r in active.iter() {
             cap[r as usize] = spec.capacity(r);
         }
-        let fair_share = |cap: &[f64], n: u32, r: u32| (cap[r as usize] / n as f64).max(0.0);
 
         // Progressive filling: find the lowest fair share and the resources
         // that tie at it, freeze their flows at that rate, subtract.
@@ -1026,7 +1031,7 @@ impl SimCore {
                 if n == 0 {
                     continue;
                 }
-                let s = fair_share(cap, n, r);
+                let s = fair_share(cap[r as usize], n);
                 if s < share {
                     share = s;
                     ties.clear();
@@ -1040,7 +1045,7 @@ impl SimCore {
             }
             for &bottleneck in ties.iter() {
                 let n = nf[bottleneck as usize];
-                if n == 0 || fair_share(cap, n, bottleneck) != share {
+                if n == 0 || fair_share(cap[bottleneck as usize], n) != share {
                     continue;
                 }
                 // Freeze all unfrozen flows crossing the bottleneck.
@@ -1063,7 +1068,7 @@ impl SimCore {
                 // flows cross sits at the minimum between the subtractions.
                 let at_or_below = |&r: &u32| {
                     let n = nf[r as usize];
-                    n > 0 && fair_share(cap, n, r) <= share
+                    n > 0 && fair_share(cap[r as usize], n) <= share
                 };
                 if touched.iter().any(at_or_below) {
                     break;
