@@ -15,7 +15,7 @@ fn main() {
         let layout = Layout::paper_with_meta(&spec, n_meta);
         let (fx, fs) =
             paper_bsfs_with_layout(9200 + n_meta as u64, BlobSeerConfig::paper(), layout);
-        let t = fig3_point_on(&fx, &fs, 128);
+        let (t, _) = fig3_point_on(&fx, &fs, 128);
         let dht = fs.store().metadata_dht();
         let max_server_nodes = dht
             .servers()

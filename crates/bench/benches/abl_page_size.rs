@@ -19,7 +19,7 @@ fn main() {
         // compute throughput for a fixed total by scaling workload: here we
         // simply report per-client throughput for one block of `ps` bytes
         // and the metadata ops it took.
-        let t = fig3_point_on(&fx, &fs, 64);
+        let (t, _) = fig3_point_on(&fx, &fs, 64);
         let dht = fs.store().metadata_dht();
         let (puts, _) = dht
             .servers()

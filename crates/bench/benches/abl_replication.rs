@@ -13,7 +13,7 @@ fn main() {
     for r in 1..=3usize {
         let config = BlobSeerConfig::paper().with_replication(r);
         let (fx, fs) = paper_bsfs_with(9100 + r as u64, config);
-        let t = fig3_point_on(&fx, &fs, 64);
+        let (t, _) = fig3_point_on(&fx, &fs, 64);
         let stored = fs.store().total_stored_bytes();
         first.get_or_insert(t);
         rows.push(vec![

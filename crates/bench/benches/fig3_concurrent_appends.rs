@@ -12,8 +12,14 @@
 //! `BENCH_fig3_appends.json` at the repo root and gates each run against
 //! the committed baseline (`bench_suite::baseline`), so a control-plane
 //! regression fails the build the same way A4 and fig6 regressions do.
+//!
+//! Beside them it prints and records where an append's virtual time went:
+//! each appender's ledger, folded into the deployment's roles (the
+//! appender's own node, the version manager, the namespace manager, …).
+//! The roles are record-only, and `RoleMs::fold` asserts on every point
+//! that they sum to the mean append time.
 
-use bench_suite::{fig3_point_detail, print_table, relative_spread, Baseline, Gate};
+use bench_suite::{fig3_point_detail, print_table, relative_spread, Baseline, Gate, RoleMs};
 
 fn main() {
     let clients = [1u32, 20, 40, 80, 120, 160, 200, 246];
@@ -39,6 +45,8 @@ fn main() {
             format!("{:.1}", d0.sim_secs),
             d0.transfers.to_string(),
             format!("{}/{}", d0.dht_put_rpcs, d0.dht_puts),
+            format!("{:.1}", d0.roles.op_ms),
+            d0.roles.cells(),
         ]);
     }
     print_table(
@@ -50,6 +58,8 @@ fn main() {
             "sim secs",
             "transfers",
             "put rpcs/nodes",
+            "ms/append",
+            "ms by role (ledger)",
         ],
         &rows,
     );
@@ -65,7 +75,7 @@ fn main() {
         "append throughput collapsed under concurrency: retention {retention:.2}"
     );
 
-    Baseline::new("fig3_concurrent_appends")
+    let record = Baseline::new("fig3_concurrent_appends")
         .sweep(&clients)
         .axis("clients", |n| *n)
         .sweep(&series)
@@ -74,6 +84,6 @@ fn main() {
         .series("sim_secs", Gate::Lower, 2, |d| d.sim_secs)
         .series("transfers", Gate::Lower, 0, |d| d.transfers)
         .series("dht_puts", Gate::Record, 0, |d| d.dht_puts)
-        .series("dht_put_rpcs", Gate::Lower, 0, |d| d.dht_put_rpcs)
-        .check_and_record("BENCH_fig3_appends.json");
+        .series("dht_put_rpcs", Gate::Lower, 0, |d| d.dht_put_rpcs);
+    RoleMs::record(record, "ledger_ms", |d| d.roles).check_and_record("BENCH_fig3_appends.json");
 }

@@ -25,7 +25,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bench_suite::{mbps, print_table, Baseline, Gate};
+use bench_suite::{mbps, print_table, Baseline, Gate, Op};
 use blobseer::{BlobSeer, BlobSeerConfig, Layout};
 use fabric::prelude::*;
 use fabric::ClusterSpec;
@@ -227,8 +227,9 @@ fn fig4_point(readers: u32, replicas: usize, seed: u64) -> Fig4Point {
             let blob = blob_cell_get(&blob2);
             let client = bs2.client();
             let t0 = p.now();
-            let got = client.read(p, blob, None, 0, BLOB_BYTES).unwrap();
-            assert_eq!(got.len(), BLOB_BYTES);
+            let (got, op) = Op::time(p, || client.read(p, blob, None, 0, BLOB_BYTES));
+            assert_eq!(got.unwrap().len(), BLOB_BYTES);
+            assert_eq!(op.ledger.total(), op.ns, "ledger identity broken");
             spans2.lock().push((t0, p.now()));
             // The last reader out of the cold pass snapshots the round-trip
             // counters and opens the warm pass for everyone.

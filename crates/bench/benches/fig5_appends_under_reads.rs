@@ -15,7 +15,7 @@
 //! root and gates each run against the committed baseline
 //! (`bench_suite::baseline`), exactly like A4/fig3/fig6.
 
-use bench_suite::{mixed_point_detail, print_table, relative_spread, Baseline, Gate};
+use bench_suite::{mixed_point_detail, print_table, relative_spread, Baseline, Gate, RoleMs};
 
 fn main() {
     let readers = [0u32, 20, 40, 60, 80, 100, 120, 140];
@@ -38,6 +38,7 @@ fn main() {
             format!("{:.1}", d.sim_secs),
             d.transfers.to_string(),
             format!("{}/{}", d.put_rpcs, d.get_rpcs),
+            d.append_roles.cells(),
         ]);
     }
     print_table(
@@ -49,6 +50,7 @@ fn main() {
             "sim secs",
             "transfers",
             "put/get rpcs",
+            "appender ms by role (ledger)",
         ],
         &rows,
     );
@@ -65,7 +67,7 @@ fn main() {
         "appenders were not isolated from readers: retention {retention:.2}"
     );
 
-    Baseline::new("fig5_appends_under_reads")
+    let record = Baseline::new("fig5_appends_under_reads")
         .sweep(&readers)
         .axis("readers", |r| *r)
         .sweep(&details)
@@ -74,6 +76,8 @@ fn main() {
         .series("sim_secs", Gate::Lower, 2, |d| d.sim_secs)
         .series("transfers", Gate::Lower, 0, |d| d.transfers)
         .series("put_rpcs", Gate::Lower, 0, |d| d.put_rpcs)
-        .series("get_rpcs", Gate::Lower, 0, |d| d.get_rpcs)
+        .series("get_rpcs", Gate::Lower, 0, |d| d.get_rpcs);
+    // One op is an appender's run of 10 appends.
+    RoleMs::record(record, "append_ledger_ms", |d| d.append_roles)
         .check_and_record("BENCH_fig5_mixed.json");
 }

@@ -21,19 +21,19 @@
 
 use bench_suite::{
     fig6_combiners_point, fig6_point, print_table, relative_spread, Baseline, CombineWorkload,
-    Fig6System, Gate,
+    Fig6System, Gate, RoleMs,
 };
 use mapreduce::ShuffleTuning;
 
 fn main() {
     let reducers = [1u32, 10, 25, 50, 100, 150, 200, 230];
     let mut rows = Vec::new();
-    let mut hdfs_series = Vec::new();
+    let mut hdfs_points = Vec::new();
     let mut bsfs_points = Vec::new();
     for &r in &reducers {
         let hdfs = fig6_point(Fig6System::HdfsPerReducer, r, 4000 + r as u64);
         let bsfs = fig6_point(Fig6System::BsfsSharedAppend, r, 4000 + r as u64);
-        hdfs_series.push(hdfs.secs);
+        hdfs_points.push(hdfs);
         bsfs_points.push(bsfs);
         // With 10 maps spread over 247 tasktrackers every map lands on its
         // own node, so tier-2 combining leaves one segment per (map, r).
@@ -54,8 +54,11 @@ fn main() {
             hdfs.output_files.to_string(),
             bsfs.output_files.to_string(),
             format!("{}/{}", bsfs.shuffle_transfers, bsfs.shuffle_segments),
+            format!("{:.0}", hdfs.roles.op_ms),
+            format!("{:.0}", bsfs.roles.op_ms),
         ]);
     }
+    let hdfs_series: Vec<f64> = hdfs_points.iter().map(|h| h.secs).collect();
     let bsfs_series: Vec<f64> = bsfs_points.iter().map(|b| b.secs).collect();
     print_table(
         "Figure 6: data join completion time vs number of reducers (270 nodes, 640 MB in, ~6.3 GB out)",
@@ -67,8 +70,17 @@ fn main() {
             "HDFS files",
             "BSFS files",
             "shuffle xfers/segs",
+            "HDFS commit ms",
+            "BSFS commit ms",
         ],
         &rows,
+    );
+    let last = reducers.len() - 1;
+    println!(
+        "\nreducer output commit at {} reducers, ms by role (ledger):\n  HDFS: {}\n  BSFS: {}",
+        reducers[last],
+        hdfs_points[last].roles.cells(),
+        bsfs_points[last].roles.cells()
     );
     let worst_ratio = hdfs_series
         .iter()
@@ -136,7 +148,8 @@ fn main() {
 
     // Virtual completion seconds and wire counts are exact for a fixed seed;
     // wall clock never enters this file.
-    Baseline::new("fig6_datajoin")
+    // One op is a reducer's output commit.
+    let record = Baseline::new("fig6_datajoin")
         .sweep(&reducers)
         .axis("reducers", |r| *r)
         .sweep(&hdfs_series)
@@ -145,7 +158,12 @@ fn main() {
         .series("bsfs_secs", Gate::Lower, 1, |b| b.secs)
         .series("bsfs_shuffle_transfers", Gate::Record, 0, |b| {
             b.shuffle_transfers
-        })
+        });
+    let record = RoleMs::record(record, "bsfs_commit_ledger_ms", |b| b.roles);
+    let record = RoleMs::record(record.sweep(&hdfs_points), "hdfs_commit_ledger_ms", |h| {
+        h.roles
+    });
+    record
         .section("shuffle_stress")
         .param("nodes", 8)
         .param("maps", maps)

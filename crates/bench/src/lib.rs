@@ -24,8 +24,8 @@ use blobseer::{BlobSeerConfig, Layout};
 use bsfs::Bsfs;
 use dfs::{DfsPath, FileSystem};
 use fabric::prelude::*;
-use fabric::ClusterSpec;
-use hdfs_sim::{HdfsConfig, HdfsSim};
+use fabric::{ClusterSpec, Ledger};
+use hdfs_sim::{HdfsConfig, HdfsLayout, HdfsSim};
 use mapreduce::{JobConf, MrCluster, MrConfig, OutputMode, ShuffleTuning};
 use parking_lot::Mutex;
 
@@ -97,6 +97,133 @@ pub fn path(s: &str) -> DfsPath {
     DfsPath::new(s).unwrap()
 }
 
+/// The roles a client op's virtual time folds into (ROADMAP G(1)): the
+/// client's own node first, then the services of the deployment. HDFS folds
+/// its namenode into `namespace` and its datanodes into `providers`.
+pub const ROLES: [&str; 7] = [
+    "client",
+    "vm",
+    "pm",
+    "namespace",
+    "meta",
+    "providers",
+    "read_replicas",
+];
+
+/// Where a role of [`ROLES`] sits: its index, or `None` for a node no
+/// service runs on.
+pub type RoleOf = Box<dyn Fn(NodeId) -> Option<usize>>;
+
+/// The BSFS deployment's roles.
+pub fn bsfs_roles(layout: Layout) -> RoleOf {
+    Box::new(move |n| {
+        let services = [
+            n == layout.vm,
+            n == layout.pm,
+            n == layout.namespace,
+            layout.meta.contains(&n),
+            layout.providers.contains(&n),
+            layout.read_replicas.contains(&n),
+        ];
+        services.iter().position(|&is| is).map(|i| i + 1)
+    })
+}
+
+/// The HDFS deployment's roles.
+pub fn hdfs_roles(layout: HdfsLayout) -> RoleOf {
+    Box::new(move |n| {
+        if n == layout.namenode {
+            Some(3)
+        } else {
+            layout.datanodes.contains(&n).then_some(5)
+        }
+    })
+}
+
+/// One client op: the node it ran on, its virtual time and what its proc's
+/// ledger gained over it.
+#[derive(Debug, Clone)]
+pub struct Op {
+    pub node: NodeId,
+    pub ns: u64,
+    pub ledger: Ledger,
+}
+
+impl Op {
+    /// Run `f` as one op of `p`.
+    pub fn time<T>(p: &Proc, f: impl FnOnce() -> T) -> (T, Op) {
+        let (before, t0) = (p.ledger(), p.now());
+        let out = f();
+        let op = Op {
+            node: p.node(),
+            ns: p.now() - t0,
+            ledger: p.ledger().since(&before),
+        };
+        (out, op)
+    }
+}
+
+/// The clients' mean op time, in virtual ms, and its split by [`ROLES`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RoleMs {
+    pub op_ms: f64,
+    pub ms: [f64; ROLES.len()],
+}
+
+impl RoleMs {
+    /// Fold `ops` into roles, checking the ledger identity on the way: each
+    /// op's buckets sum to its time exactly, so the roles sum to the mean
+    /// op time up to rounding. A charge on the op's own node, or on a node
+    /// no service runs on, is the client's.
+    pub fn fold(ops: &[Op], role_of: &RoleOf) -> RoleMs {
+        let mut out = RoleMs::default();
+        if ops.is_empty() {
+            return out;
+        }
+        let per_op = 1e6 * ops.len() as f64;
+        for op in ops {
+            assert_eq!(op.ledger.total(), op.ns, "ledger identity broken: {op:?}");
+            out.op_ms += op.ns as f64 / per_op;
+            for c in op.ledger.charges() {
+                let role = if c.node == op.node {
+                    None
+                } else {
+                    role_of(c.node)
+                };
+                out.ms[role.unwrap_or(0)] += c.ns as f64 / per_op;
+            }
+        }
+        let sum: f64 = out.ms.iter().sum();
+        assert!(
+            (sum - out.op_ms).abs() <= 1e-9 * out.op_ms.max(1.0),
+            "roles sum to {sum} ms, ops take {} ms",
+            out.op_ms
+        );
+        out
+    }
+
+    /// The roles as table cells, `role ms` for the nonzero ones.
+    pub fn cells(&self) -> String {
+        let parts = ROLES.iter().zip(self.ms).filter(|(_, ms)| *ms >= 0.005);
+        let parts: Vec<String> = parts.map(|(r, ms)| format!("{r} {ms:.1}")).collect();
+        parts.join(", ")
+    }
+
+    /// Declare one record-only series per role in a section of its own.
+    pub fn record<'a, P>(
+        b: Baseline<'a, P>,
+        section: &'static str,
+        roles: impl Fn(&P) -> RoleMs,
+    ) -> Baseline<'a, P> {
+        let b = b
+            .section(section)
+            .series("op", Gate::Record, 2, |p| roles(p).op_ms);
+        (ROLES.iter().enumerate()).fold(b, |b, (i, role)| {
+            b.series(role, Gate::Record, 2, |p| roles(p).ms[i])
+        })
+    }
+}
+
 /// One Figure 3 measurement with the deterministic sim currencies the
 /// control-plane baseline (`BENCH_fig3_appends.json`) records and diffs:
 /// everything here is exact for a fixed seed — wall clock never enters.
@@ -112,6 +239,8 @@ pub struct Fig3Point {
     pub dht_puts: u64,
     /// Put wire round-trips that carried them (batching win visible).
     pub dht_put_rpcs: u64,
+    /// Where the appends' virtual time went.
+    pub roles: RoleMs,
 }
 
 /// Figure 3 point: N concurrent clients each append one 64 MB chunk to the
@@ -119,7 +248,7 @@ pub struct Fig3Point {
 /// currencies of the run.
 pub fn fig3_point_detail(n_clients: u32, seed: u64) -> Fig3Point {
     let (fx, fs) = paper_bsfs(seed);
-    let per_client_mbps = fig3_point_on(&fx, &fs, n_clients);
+    let (per_client_mbps, roles) = fig3_point_on(&fx, &fs, n_clients);
     let (dht_puts, dht_put_rpcs) = fs
         .store()
         .metadata_dht()
@@ -134,11 +263,13 @@ pub fn fig3_point_detail(n_clients: u32, seed: u64) -> Fig3Point {
         transfers: fx.stats().transfers,
         dht_puts,
         dht_put_rpcs,
+        roles,
     }
 }
 
-/// Figure 3 body against an existing deployment (used by ablations too).
-pub fn fig3_point_on(fx: &Fabric, fs: &Bsfs, n_clients: u32) -> f64 {
+/// Figure 3 body against an existing deployment (used by ablations too):
+/// the mean per-client MB/s, and where the appends' time went.
+pub fn fig3_point_on(fx: &Fabric, fs: &Bsfs, n_clients: u32) -> (f64, RoleMs) {
     let start_gate = fx.gate();
     let file = path("/bench/shared");
     {
@@ -151,11 +282,11 @@ pub fn fig3_point_on(fx: &Fabric, fs: &Bsfs, n_clients: u32) -> f64 {
             g.set();
         });
     }
-    let times: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let ops: Arc<Mutex<Vec<Op>>> = Arc::new(Mutex::new(Vec::new()));
     for i in 0..n_clients {
         let fs2 = fs.clone();
         let g = start_gate.clone();
-        let t2 = times.clone();
+        let o2 = ops.clone();
         let f2 = file.clone();
         fx.spawn(
             provider_node(i as usize),
@@ -163,17 +294,19 @@ pub fn fig3_point_on(fx: &Fabric, fs: &Bsfs, n_clients: u32) -> f64 {
             move |p| {
                 g.wait(p);
                 let chunk = fs2.default_block_size();
-                let t0 = p.now();
-                fs2.append_all(p, &f2, Payload::ghost(chunk)).unwrap();
-                t2.lock().push(p.now() - t0);
+                let (done, op) = Op::time(p, || fs2.append_all(p, &f2, Payload::ghost(chunk)));
+                done.unwrap();
+                o2.lock().push(op);
             },
         );
     }
     fx.run();
-    let times = times.lock();
-    assert_eq!(times.len(), n_clients as usize);
+    let ops = ops.lock();
+    assert_eq!(ops.len(), n_clients as usize);
     let chunk = fs.default_block_size();
-    times.iter().map(|&ns| mbps(chunk, ns)).sum::<f64>() / n_clients as f64
+    let mean = ops.iter().map(|op| mbps(chunk, op.ns)).sum::<f64>() / n_clients as f64;
+    let roles = RoleMs::fold(&ops, &bsfs_roles(fs.store().layout().clone()));
+    (mean, roles)
 }
 
 /// One mixed-workload measurement with the deterministic sim currencies the
@@ -193,6 +326,10 @@ pub struct MixedPoint {
     pub put_rpcs: u64,
     /// Provider get wire round-trips (the readers' batched fetches).
     pub get_rpcs: u64,
+    /// Where the readers' and the appenders' time went; one op is a
+    /// client's whole run of reads or of appends.
+    pub read_roles: RoleMs,
+    pub append_roles: RoleMs,
 }
 
 /// Figures 4/5 point: `readers` concurrent readers (each reading
@@ -228,52 +365,55 @@ pub fn mixed_point_detail(
             g.set();
         });
     }
-    let read_times: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let append_times: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let read_ops: Arc<Mutex<Vec<Op>>> = Arc::new(Mutex::new(Vec::new()));
+    let append_ops: Arc<Mutex<Vec<Op>>> = Arc::new(Mutex::new(Vec::new()));
     for i in 0..readers {
         let fs2 = fs.clone();
         let g = start_gate.clone();
-        let t2 = read_times.clone();
+        let o2 = read_ops.clone();
         let f2 = file.clone();
         fx.spawn(provider_node(i as usize), format!("reader{i}"), move |p| {
             g.wait(p);
             let mut r = fs2.open(p, &f2).unwrap();
             let region_start = i as u64 * read_chunks * CHUNK;
-            let t0 = p.now();
-            for c in 0..read_chunks {
-                let got = r.read_at(p, region_start + c * CHUNK, CHUNK).unwrap();
-                assert_eq!(got.len(), CHUNK);
-            }
-            t2.lock().push(p.now() - t0);
+            let ((), op) = Op::time(p, || {
+                for c in 0..read_chunks {
+                    let got = r.read_at(p, region_start + c * CHUNK, CHUNK).unwrap();
+                    assert_eq!(got.len(), CHUNK);
+                }
+            });
+            o2.lock().push(op);
         });
     }
     for i in 0..appenders {
         let fs2 = fs.clone();
         let g = start_gate.clone();
-        let t2 = append_times.clone();
+        let o2 = append_ops.clone();
         let f2 = file.clone();
         fx.spawn(
             provider_node(readers as usize + i as usize),
             format!("appender{i}"),
             move |p| {
                 g.wait(p);
-                let t0 = p.now();
-                for _ in 0..append_chunks {
-                    fs2.append_all(p, &f2, Payload::ghost(CHUNK)).unwrap();
-                }
-                t2.lock().push(p.now() - t0);
+                let ((), op) = Op::time(p, || {
+                    for _ in 0..append_chunks {
+                        fs2.append_all(p, &f2, Payload::ghost(CHUNK)).unwrap();
+                    }
+                });
+                o2.lock().push(op);
             },
         );
     }
     fx.run();
-    let avg = |v: &[u64], chunks: u64| -> f64 {
+    let avg = |v: &[Op], chunks: u64| -> f64 {
         if v.is_empty() {
             return 0.0;
         }
-        v.iter().map(|&ns| mbps(chunks * CHUNK, ns)).sum::<f64>() / v.len() as f64
+        v.iter().map(|op| mbps(chunks * CHUNK, op.ns)).sum::<f64>() / v.len() as f64
     };
-    let reads = read_times.lock().clone();
-    let appends = append_times.lock().clone();
+    let reads = read_ops.lock().clone();
+    let appends = append_ops.lock().clone();
+    let roles = bsfs_roles(fs.store().layout().clone());
     let (put_rpcs, get_rpcs) = fs.store().providers().iter().fold((0, 0), |(pu, ge), pr| {
         let (p_, g_) = pr.rpc_counts();
         (pu + p_, ge + g_)
@@ -285,6 +425,8 @@ pub fn mixed_point_detail(
         transfers: fx.stats().transfers,
         put_rpcs,
         get_rpcs,
+        read_roles: RoleMs::fold(&reads, &roles),
+        append_roles: RoleMs::fold(&appends, &roles),
     }
 }
 
@@ -311,6 +453,8 @@ pub struct Fig6Point {
     /// Host-grouped wire transfers that carried them — one per
     /// (map-node, reducer) pair.
     pub shuffle_transfers: u64,
+    /// Where the reducers' output commits spent their time.
+    pub roles: RoleMs,
 }
 
 /// Figure 6 point: the data join application with ghost payloads calibrated
@@ -323,6 +467,10 @@ pub fn fig6_point(system: Fig6System, reducers: u32, seed: u64) -> Fig6Point {
             Arc::new(Bsfs::deploy_paper(&fx, BlobSeerConfig::paper()).expect("bsfs"))
         }
         Fig6System::HdfsPerReducer => Arc::new(HdfsSim::deploy_paper(&fx, HdfsConfig::paper())),
+    };
+    let role_of = match system {
+        Fig6System::BsfsSharedAppend => bsfs_roles(Layout::paper(fx.spec())),
+        Fig6System::HdfsPerReducer => hdfs_roles(HdfsLayout::paper(fx.spec())),
     };
     let mode = match system {
         Fig6System::BsfsSharedAppend => OutputMode::SharedAppendFile,
@@ -357,12 +505,20 @@ pub fn fig6_point(system: Fig6System, reducers: u32, seed: u64) -> Fig6Point {
     let result = driver.take().unwrap();
     assert_eq!(result.maps, 10, "fixed input must make 10 map tasks");
     let (shuffle_segments, shuffle_transfers) = mr.registry().fetch_counts();
+    let commits: Vec<Op> = (result.commits.iter())
+        .map(|(node, ns, ledger)| Op {
+            node: *node,
+            ns: *ns,
+            ledger: ledger.clone(),
+        })
+        .collect();
     Fig6Point {
         secs: result.elapsed_secs(),
         output_files: result.output_files,
         shuffle_bytes: result.shuffle_bytes,
         shuffle_segments,
         shuffle_transfers,
+        roles: RoleMs::fold(&commits, &role_of),
     }
 }
 

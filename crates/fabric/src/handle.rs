@@ -10,6 +10,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::ledger::Ledger;
 use crate::live::LiveCore;
 use crate::net::NetFault;
 use crate::parker::Parker;
@@ -307,6 +308,16 @@ impl Proc {
         self.fabric.now()
     }
 
+    /// Where this process's virtual time went so far (module
+    /// [`crate::ledger`]); the difference of two snapshots sums to the
+    /// virtual time between them. Empty in live mode.
+    pub fn ledger(&self) -> Ledger {
+        match &self.fabric.inner {
+            FabricInner::Sim(core) => core.ledger(self.pid),
+            FabricInner::Live(_) => Ledger::default(),
+        }
+    }
+
     /// Deterministic per-process RNG stream.
     pub fn rng(&self) -> RefMut<'_, StdRng> {
         self.rng.borrow_mut()
@@ -337,7 +348,8 @@ impl Proc {
         assert_none_held("Proc::transfer");
         match &self.fabric.inner {
             FabricInner::Sim(c) => {
-                c.run_script(self.pid, &self.parker, Script::transfer(src, dst, bytes));
+                let send = Script::transfer(self.node, src, dst, bytes);
+                c.run_script(self.pid, &self.parker, send);
             }
             FabricInner::Live(c) => c.note_transfer(bytes),
         }
@@ -354,7 +366,8 @@ impl Proc {
         assert_none_held("Proc::transfer_chain");
         match &self.fabric.inner {
             FabricInner::Sim(c) => {
-                c.run_script(self.pid, &self.parker, Script::chain(nodes, bytes));
+                let chain = Script::chain(self.node, nodes, bytes);
+                c.run_script(self.pid, &self.parker, chain);
             }
             FabricInner::Live(c) => c.note_transfer(bytes),
         }
@@ -1165,6 +1178,57 @@ mod tests {
         fx.run();
         assert_eq!(h.take().unwrap(), lat);
         assert_eq!(fx.stats().net_fault_hits, 0);
+    }
+
+    /// Each wait lands in its own bucket: an rpc's latencies at the server,
+    /// a compute at the CPU that ran it, a transfer at the NIC that froze
+    /// it (the receiver's, once a second sender shares it), a gate wait and
+    /// a sleep at home; the buckets sum to the proc's lifetime.
+    #[test]
+    fn the_ledger_charges_each_wait_where_it_waited() {
+        use crate::ledger::{Charge, Waited};
+        let spec = ClusterSpec::tiny(3);
+        let lat = spec.latency_ns;
+        let fx = Fabric::sim(spec);
+        let gate = fx.gate();
+        let g2 = gate.clone();
+        let h = fx.spawn(NodeId(0), "client", move |p| {
+            let t0 = p.now();
+            p.rpc(NodeId(1), 100, 100);
+            p.compute(NodeId(1), 2_000_000_000);
+            p.send_to(NodeId(2), 117_000_000);
+            g2.wait(p);
+            p.sleep(3 * MILLIS);
+            (p.ledger(), p.now() - t0)
+        });
+        fx.spawn(NodeId(1), "sharer", move |p| {
+            p.sleep(2 * lat + 3 * SECS / 2);
+            p.send_to(NodeId(2), 117_000_000);
+            gate.set();
+        });
+        fx.run();
+        let (ledger, lifetime) = h.take().unwrap();
+        assert_eq!(ledger.total(), lifetime);
+        let at = |node: u32, waited| {
+            let c = ledger.charges().iter();
+            c.filter(|c: &&Charge| c.node == NodeId(node) && c.waited == waited)
+                .map(|c| c.ns)
+                .sum::<u64>()
+        };
+        assert_eq!(at(1, Waited::Latency), 2 * lat);
+        assert_eq!(at(1, Waited::Resource(ResourceKind::Cpu)), SECS);
+        assert_eq!(at(2, Waited::Latency), lat);
+        // Half the bytes alone (the TX is the first of two tied
+        // bottlenecks), the other half at half rate behind the shared RX.
+        let tx = at(0, Waited::Resource(ResourceKind::Tx));
+        let rx = at(2, Waited::Resource(ResourceKind::Rx));
+        assert_eq!(tx, SECS / 2);
+        assert!(rx.abs_diff(SECS) < MICROS, "{ledger:?}");
+        assert_eq!(at(0, Waited::Sleep), 3 * MILLIS);
+        assert_eq!(
+            at(0, Waited::Wait) + tx + rx + 3 * lat + SECS + 3 * MILLIS,
+            lifetime
+        );
     }
 
     #[test]

@@ -43,6 +43,7 @@
 )]
 
 pub mod handle;
+pub mod ledger;
 pub mod live;
 pub mod net;
 pub mod payload;
@@ -55,6 +56,7 @@ pub mod topology;
 mod parker;
 
 pub use handle::{run_parallel, Fabric, JoinHandle, Proc, TaskFn};
+pub use ledger::{Charge, Ledger, Waited};
 pub use net::{NetFault, NetFaultKind, NodeSet};
 pub use payload::Payload;
 pub use stats::FabricStats;

@@ -133,6 +133,7 @@ use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::ledger::{Ledger, Waited};
 use crate::net::{NetFault, NetFaultKind};
 use crate::parker::Parker;
 use crate::stats::FabricStats;
@@ -233,6 +234,11 @@ pub(crate) struct Script {
     ops: Vec<Op>,
     /// The node an rpc or a heartbeat asks, for the deadlock report.
     peer: Option<NodeId>,
+    /// The proc's node, charged with a heartbeat's sleeps, and the far end
+    /// of the script's messages, charged with their latencies and fault
+    /// penalties (module [`crate::ledger`]).
+    node: NodeId,
+    far: NodeId,
     /// An idle heartbeat walks `ops` again and again while the epoch reads
     /// the value it was given.
     idle: Option<(Epoch, u64)>,
@@ -243,9 +249,10 @@ pub(crate) struct Script {
     sub: u8,
 }
 
-/// A script's next wait.
+/// A script's next wait. A sleep names the ledger bucket it is charged
+/// to; a flow charges its bottleneck.
 enum Act {
-    Sleep(u64),
+    Sleep(u64, (NodeId, Waited)),
     Flow(Vec<u32>, f64),
 }
 
@@ -256,23 +263,39 @@ enum Next {
 }
 
 impl Script {
-    fn new(ops: Vec<Op>, peer: Option<NodeId>, idle: Option<(Epoch, u64)>) -> Script {
+    fn new(
+        ops: Vec<Op>,
+        (node, far): (NodeId, NodeId),
+        peer: Option<NodeId>,
+        idle: Option<(Epoch, u64)>,
+    ) -> Script {
         Script {
             ops,
             peer,
+            node,
+            far,
             idle,
             pc: 0,
             sub: 0,
         }
     }
 
-    pub(crate) fn transfer(src: NodeId, dst: NodeId, bytes: u64) -> Script {
-        Script::new(vec![Op::Send(Msg::Pair { src, dst, bytes })], None, None)
+    /// A proc on `node` moves `bytes` from `src` to `dst`.
+    pub(crate) fn transfer(node: NodeId, src: NodeId, dst: NodeId, bytes: u64) -> Script {
+        let far = if src == node { dst } else { src };
+        let send = Op::Send(Msg::Pair { src, dst, bytes });
+        Script::new(vec![send], (node, far), None, None)
     }
 
-    pub(crate) fn chain(nodes: &[NodeId], bytes: u64) -> Script {
-        let nodes = nodes.to_vec();
-        Script::new(vec![Op::Send(Msg::Chain { nodes, bytes })], None, None)
+    /// A proc on `node` moves `bytes` down the pipeline `nodes`.
+    pub(crate) fn chain(node: NodeId, nodes: &[NodeId], bytes: u64) -> Script {
+        let (first, last) = (nodes[0], nodes[nodes.len() - 1]);
+        let far = if first == node { last } else { first };
+        let send = Op::Send(Msg::Chain {
+            nodes: nodes.to_vec(),
+            bytes,
+        });
+        Script::new(vec![send], (node, far), None, None)
     }
 
     /// `node` asks `dst` and waits for the answer.
@@ -292,7 +315,8 @@ impl Script {
     }
 
     pub(crate) fn rpc(node: NodeId, dst: NodeId, req: u64, resp: u64) -> Script {
-        Script::new(Self::legs(node, dst, req, resp).into(), Some(dst), None)
+        let legs = Self::legs(node, dst, req, resp).into();
+        Script::new(legs, (node, dst), Some(dst), None)
     }
 
     /// Idle heartbeats: [sleep `period`, check, rpc, check] until a check
@@ -312,7 +336,7 @@ impl Script {
             leg2,
             Op::Check(true),
         ];
-        Script::new(ops, Some(dst), Some((epoch.clone(), seen)))
+        Script::new(ops, (node, dst), Some(dst), Some((epoch.clone(), seen)))
     }
 
     /// Take the script on, at the current instant, to its next wait or its
@@ -329,7 +353,9 @@ impl Script {
             }
             self.sub += 1;
             match &self.ops[self.pc] {
-                Op::Sleep(period) if self.sub == 1 => return Next::Act(Act::Sleep(*period)),
+                Op::Sleep(period) if self.sub == 1 => {
+                    return Next::Act(Act::Sleep(*period, (self.node, Waited::Sleep)));
+                }
                 Op::Check(after) => {
                     let (epoch, seen) = self.idle.as_ref().expect("checks are an idle beat's");
                     if epoch.get() != *seen {
@@ -347,13 +373,13 @@ impl Script {
                         .max()
                         .unwrap_or(0);
                     if penalty > 0 {
-                        return Next::Act(Act::Sleep(penalty));
+                        return Next::Act(Act::Sleep(penalty, (self.far, Waited::Fault)));
                     }
                     continue;
                 }
                 Op::Send(m) if self.sub == 2 => {
                     if let Some(latency) = m.latency(spec) {
-                        return Next::Act(Act::Sleep(latency));
+                        return Next::Act(Act::Sleep(latency, (self.far, Waited::Latency)));
                     }
                     continue;
                 }
@@ -426,7 +452,15 @@ struct Flow {
     eta: SimTime,
     seq: u64,
     waiter: u64,
+    /// The resource that froze this flow at the last refill, and since
+    /// when: the waiter's ledger is charged up to `since` (module
+    /// [`crate::ledger`]). [`NO_BOTTLENECK`] until the first refill.
+    bottleneck: u32,
+    since: SimTime,
 }
+
+/// A flow's bottleneck before its first refill.
+const NO_BOTTLENECK: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
@@ -447,6 +481,13 @@ struct ProcInfo {
     script: Option<Script>,
     /// How the process's last idle heartbeat ended: after its rpc?
     beat_end: bool,
+    /// Where the process's virtual time went, charged up to `mark`. While
+    /// it waits on a sleep or a primitive, `on` is the bucket the wait
+    /// goes to; while it waits on a flow, `on` is `None` and the flow
+    /// charges its bottleneck.
+    ledger: Ledger,
+    mark: SimTime,
+    on: Option<(NodeId, Waited)>,
 }
 
 struct SimState {
@@ -594,6 +635,7 @@ impl SimCore {
         let mut st = self.state.lock();
         let pid = st.next_proc_id;
         st.next_proc_id += 1;
+        let now = st.now;
         st.procs.insert(
             pid,
             ProcInfo {
@@ -604,10 +646,12 @@ impl SimCore {
                 block_gen: 0,
                 script: None,
                 beat_end: false,
+                ledger: Ledger::default(),
+                mark: now,
+                on: Some((node, Waited::Sleep)),
             },
         );
         st.live_procs += 1;
-        let now = st.now;
         Self::push_wake(&mut st, now, pid, 0);
         pid
     }
@@ -667,9 +711,14 @@ impl SimCore {
     /// [`Self::block`] for the queue/gate paths, which register the returned
     /// generation with their own waiter list (under their own lock, which
     /// they hold across this call), and pass the baton and park only after
-    /// releasing that lock.
+    /// releasing that lock. The wait is charged to the proc's own node.
     pub(crate) fn block_prepare(&self, pid: u64, reason: BlockReason) -> (u64, Baton) {
-        self.block(pid, reason, |_, gen| gen)
+        self.block(pid, reason, |st, gen| {
+            let now = st.now;
+            let p = st.procs.get_mut(&pid).expect("a blocking process");
+            (p.on, p.mark) = (Some((p.node, Waited::Wait)), now);
+            gen
+        })
     }
 
     /// Park a process's thread (or `run()`'s) until a step passes it the
@@ -707,7 +756,14 @@ impl SimCore {
     /// Block the calling process for `dur` nanoseconds of virtual time.
     pub fn sleep(&self, pid: u64, parker: &Parker, dur: u64) {
         let ((), baton) = self.block(pid, "sleep", |st, gen| {
-            Self::start(st, &self.spec, pid, gen, Act::Sleep(dur));
+            let node = st.procs[&pid].node;
+            Self::start(
+                st,
+                &self.spec,
+                pid,
+                gen,
+                Act::Sleep(dur, (node, Waited::Sleep)),
+            );
         });
         baton.pass();
         self.park(parker);
@@ -733,15 +789,19 @@ impl SimCore {
     }
 
     /// Schedule what wakes block generation `gen` of `pid`: a wake after a
-    /// sleep, or the completion of a new flow.
+    /// sleep, or the completion of a new flow. Either way the ledger is
+    /// charged from now on to the sleep's bucket or the flow's bottleneck.
     fn start(st: &mut SimState, spec: &ClusterSpec, pid: u64, gen: u64, act: Act) {
+        let now = st.now;
+        let p = st.procs.get_mut(&pid).expect("a blocking process");
+        p.mark = now;
         match act {
-            Act::Sleep(dur) => {
-                let t = st.now.saturating_add(dur);
-                Self::push_wake(st, t, pid, gen);
+            Act::Sleep(dur, on) => {
+                p.on = Some(on);
+                Self::push_wake(st, now.saturating_add(dur), pid, gen);
             }
             Act::Flow(resources, work) => {
-                let now = st.now;
+                p.on = None;
                 Self::settle(st, now);
                 Self::add_flow(st, resources, work, pid);
                 st.flows_started += 1;
@@ -772,10 +832,16 @@ impl SimCore {
         idle && self.state.lock().procs[&pid].beat_end
     }
 
-    /// The event `pid` waited on happened: walk its script on (blocking it
-    /// again, as its own next call would have), or wake it.
+    /// The event `pid` waited on happened: charge the wait to its ledger,
+    /// then walk its script on (blocking it again, as its own next call
+    /// would have), or wake it.
     fn resume(&self, st: &mut SimState, pid: u64) -> Option<Baton> {
+        let now = st.now;
         let p = st.procs.get_mut(&pid).expect("resuming unknown process");
+        if let Some((node, waited)) = p.on.take() {
+            p.ledger.charge(node, waited, now - p.mark);
+        }
+        p.mark = now;
         let Some(mut script) = p.script.take() else {
             return Some(Self::wake_proc(st, pid));
         };
@@ -814,6 +880,8 @@ impl SimCore {
             eta: 0,
             seq: 0,
             waiter,
+            bottleneck: NO_BOTTLENECK,
+            since: st.now,
         };
         st.next_flow_id += 1;
         if slot == st.flows.len() {
@@ -998,6 +1066,7 @@ impl SimCore {
             scratch_ties: ties,
             scratch_touched: touched,
             fill_scans,
+            procs,
             ..
         } = st;
 
@@ -1058,6 +1127,13 @@ impl SimCore {
                     f.frozen = true;
                     f.rate = share;
                     unfrozen -= 1;
+                    if f.bottleneck != bottleneck {
+                        if f.bottleneck != NO_BOTTLENECK {
+                            let ns = *now - f.since;
+                            Self::charge_flow(procs, spec, f.waiter, f.bottleneck, ns);
+                        }
+                        (f.bottleneck, f.since) = (bottleneck, *now);
+                    }
                     for &r in &f.resources {
                         cap[r as usize] = (cap[r as usize] - share).max(0.0);
                         nf[r as usize] -= 1;
@@ -1103,6 +1179,28 @@ impl SimCore {
             nf[r as usize] = 0;
             cap[r as usize] = 0.0;
         }
+    }
+
+    /// Charge `ns` a flow spent frozen by resource `res` to its waiter's
+    /// ledger. (The solver's unit tests run flows with no proc behind them.)
+    fn charge_flow(
+        procs: &mut HashMap<u64, ProcInfo>,
+        spec: &ClusterSpec,
+        waiter: u64,
+        res: u32,
+        ns: u64,
+    ) {
+        if ns == 0 {
+            return;
+        }
+        let Some(p) = procs.get_mut(&waiter) else {
+            return;
+        };
+        let (node, waited) = match spec.resource_owner(res) {
+            Some((node, kind)) => (node, Waited::Resource(kind)),
+            None => (p.node, Waited::Backplane),
+        };
+        p.ledger.charge(node, waited, ns);
     }
 
     fn wake_proc(st: &mut SimState, pid: u64) -> Baton {
@@ -1165,7 +1263,10 @@ impl SimCore {
                     "flow completed with {} units left",
                     st.flows[slot].remaining
                 );
+                let f = &st.flows[slot];
+                let (bottleneck, ns) = (f.bottleneck, eta - f.since);
                 let waiter = Self::remove_flow(st, slot);
+                Self::charge_flow(&mut st.procs, &self.spec, waiter, bottleneck, ns);
                 Self::recompute(st, &self.spec);
                 waiter
             } else {
@@ -1262,6 +1363,12 @@ impl SimCore {
         #[expect(clippy::disallowed_methods, reason = "only counted")]
         let blocked = st.procs.values().filter(|p| p.state != ProcState::Runnable);
         (st.wakes.len(), blocked.count())
+    }
+
+    /// A snapshot of `pid`'s ledger. The proc is running, so every wait
+    /// it made is charged.
+    pub(crate) fn ledger(&self, pid: u64) -> Ledger {
+        self.state.lock().procs[&pid].ledger.clone()
     }
 
     pub fn stats(&self) -> FabricStats {

@@ -200,6 +200,20 @@ impl ClusterSpec {
         node.0 * RES_PER_NODE as u32 + k
     }
 
+    /// The node and kind of resource `idx`; `None` for the backplane.
+    pub fn resource_owner(&self, idx: u32) -> Option<(NodeId, ResourceKind)> {
+        const KINDS: [ResourceKind; RES_PER_NODE] = [
+            ResourceKind::Tx,
+            ResourceKind::Rx,
+            ResourceKind::Disk,
+            ResourceKind::Cpu,
+            ResourceKind::Loopback,
+        ];
+        let per_node = RES_PER_NODE as u32;
+        let kind = KINDS.get((idx % per_node) as usize)?;
+        (idx < self.nodes * per_node).then_some((NodeId(idx / per_node), *kind))
+    }
+
     /// Resource index of the backplane, if configured.
     #[inline]
     pub fn backplane_resource(&self) -> Option<u32> {

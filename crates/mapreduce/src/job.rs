@@ -4,7 +4,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dfs::DfsPath;
-use fabric::SimTime;
+use fabric::{Ledger, NodeId, SimTime};
+use parking_lot::Mutex;
 
 use crate::api::{GhostProfile, UserFns};
 
@@ -129,7 +130,13 @@ pub struct JobCounters {
     /// Bytes the tier-2 combine removed before publication
     /// (buffered input bytes minus combined output bytes).
     pub combine_saved_bytes: AtomicU64,
+    /// Every reducer's output commit, in completion order.
+    pub commits: Mutex<Vec<Commit>>,
 }
+
+/// One reducer's output commit: the node it ran on, its virtual time and
+/// what the reducer's ledger gained over it (empty in live mode).
+pub type Commit = (NodeId, u64, Ledger);
 
 impl JobCounters {
     pub fn add(&self, field: &AtomicU64, n: u64) {
@@ -162,6 +169,8 @@ pub struct JobResult {
     /// Files the job left in its output directory (the paper's file-count
     /// argument: R for original Hadoop, 1 for the append mode).
     pub output_files: u64,
+    /// Every reducer's output commit, in completion order.
+    pub commits: Vec<Commit>,
 }
 
 impl JobResult {

@@ -325,7 +325,8 @@ pub fn run_reduce_task(
         Payload::from_vec(text)
     };
 
-    // Commit.
+    // Commit, timed with the reducer's ledger.
+    let (before, t0) = (p.ledger(), p.now());
     match conf.output_mode {
         OutputMode::PerReducerFiles => {
             // Original Hadoop (paper Figure 1): unique temp file, then rename
@@ -352,6 +353,8 @@ pub fn run_reduce_task(
             }
         }
     }
+    let commit = (p.node(), p.now() - t0, p.ledger().since(&before));
+    counters.commits.lock().push(commit);
     Ok(())
 }
 

@@ -743,6 +743,7 @@ impl MrCluster {
             combine_saved_bytes: c.combine_saved_bytes.load(Relaxed),
             early_shuffle_fetches: c.early_shuffle_fetches.load(Relaxed),
             output_files,
+            commits: std::mem::take(&mut *c.commits.lock()),
         };
         *st.handle.slot.lock() = Some(result);
         st.handle.done.set();
