@@ -90,7 +90,11 @@ impl Bsfs {
     }
 
     fn file_entry(&self, p: &Proc, path: &DfsPath) -> FsResult<(blobseer::BlobId, u64)> {
-        match self.ns.lookup(p, path)? {
+        Self::as_file(path, self.ns.lookup(p, path)?)
+    }
+
+    fn as_file(path: &DfsPath, entry: NsEntry) -> FsResult<(blobseer::BlobId, u64)> {
+        match entry {
             NsEntry::File(f) => Ok((f.blob, f.block_size)),
             NsEntry::Dir => Err(FsError::IsADirectory(path.clone())),
         }
@@ -183,14 +187,40 @@ impl FileSystem for Bsfs {
             .collect())
     }
 
+    /// One BLOB append = one atomic version, regardless of size: exactly
+    /// what concurrent reduce committers need (paper Figure 2).
+    ///
+    /// The path is resolved while the pages stream. Step 1 of BlobSeer's
+    /// write protocol stores pages on providers the provider manager picks,
+    /// with no BLOB id and no version, so the namespace lookup goes out as
+    /// a request, the pages are staged at the default block size meanwhile,
+    /// and only publishing (steps 2–4) waits for the answer. An append
+    /// costs the longer of the two, not their sum.
+    ///
+    /// A failed lookup returns its error as before, and its staged pages
+    /// stay where a writer that died between steps 1 and 2 leaves them:
+    /// the lease settled, the providers' books balanced, the bytes
+    /// referenced by no version. A file whose block size is not the one the
+    /// pages were cut at is refused with [`FsError::Unaligned`].
     fn append_all(&self, p: &Proc, path: &DfsPath, data: Payload) -> FsResult<()> {
-        // One BLOB append = one atomic version, regardless of size: exactly
-        // what concurrent reduce committers need (paper Figure 2).
         if data.is_empty() {
             return Ok(());
         }
-        let (blob, _) = self.file_entry(p, path)?;
-        self.client.append(p, blob, data).map_err(to_fs_err)?;
+        let lookup = self.ns.begin_lookup(p, path);
+        let staged = self.client.stage(p, self.default_block_size(), data);
+        let (blob, block_size) = Self::as_file(path, lookup.finish(p)?)?;
+        let staged = staged.map_err(to_fs_err)?;
+        if block_size != staged.page_size() {
+            return Err(FsError::Unaligned {
+                detail: format!(
+                    "{path} has {block_size}-byte blocks, the append was staged in {}-byte pages",
+                    staged.page_size()
+                ),
+            });
+        }
+        self.client
+            .publish(p, blob, None, staged)
+            .map_err(to_fs_err)?;
         Ok(())
     }
 

@@ -8,7 +8,7 @@
 //! cached size field.
 
 use dfs::{DfsPath, FsResult, Namespace};
-use fabric::{NodeId, Proc};
+use fabric::{NodeId, Pending, Proc};
 use parking_lot::Mutex;
 
 use blobseer::BlobId;
@@ -24,7 +24,8 @@ pub struct NsFile {
 pub type NsEntry = dfs::Entry<NsFile>;
 
 /// Centralized namespace service: the shared [`Namespace`] tree behind one
-/// charged RPC per operation.
+/// charged request per operation (an rpc plus `cpu_ops` on the manager's
+/// node).
 pub struct NamespaceManager {
     node: NodeId,
     ctl_msg_bytes: u64,
@@ -46,11 +47,14 @@ impl NamespaceManager {
         self.node
     }
 
+    /// Start the request one namespace operation costs.
+    fn start(&self, p: &Proc) -> Pending {
+        let bytes = self.ctl_msg_bytes;
+        p.request(self.node, bytes, bytes, self.cpu_ops)
+    }
+
     fn charge(&self, p: &Proc) {
-        p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
-        if self.cpu_ops > 0 {
-            p.compute(self.node, self.cpu_ops);
-        }
+        self.start(p).wait(p);
     }
 
     /// Create all missing directories down to `path`.
@@ -75,8 +79,17 @@ impl NamespaceManager {
 
     /// Look up an entry.
     pub fn lookup(&self, p: &Proc, path: &DfsPath) -> FsResult<NsEntry> {
-        self.charge(p);
-        self.state.lock().get(path).cloned()
+        self.begin_lookup(p, path).finish(p)
+    }
+
+    /// Send a lookup of `path` and return at once; [`Lookup::finish`]
+    /// waits for the answer. The caller works meanwhile.
+    pub fn begin_lookup<'a>(&'a self, p: &Proc, path: &'a DfsPath) -> Lookup<'a> {
+        Lookup {
+            ns: self,
+            path,
+            pending: self.start(p),
+        }
     }
 
     /// Children names + entries of a directory, sorted by name.
@@ -116,6 +129,23 @@ impl NamespaceManager {
     /// Number of entries (diagnostics; includes directories and the root).
     pub fn entry_count(&self) -> usize {
         self.state.lock().entry_count()
+    }
+}
+
+/// A lookup in flight ([`NamespaceManager::begin_lookup`]).
+#[must_use = "a lookup is answered by `finish`"]
+pub struct Lookup<'a> {
+    ns: &'a NamespaceManager,
+    path: &'a DfsPath,
+    pending: Pending,
+}
+
+impl Lookup<'_> {
+    /// Wait for the answer. The namespace is read now, when the answer
+    /// arrives, not when the lookup was sent.
+    pub fn finish(self, p: &Proc) -> FsResult<NsEntry> {
+        self.pending.wait(p);
+        self.ns.state.lock().get(self.path).cloned()
     }
 }
 

@@ -42,6 +42,23 @@ pub struct PageLocation {
     pub hosts: Vec<NodeId>,
 }
 
+/// Pages stored on providers for an update that has no BLOB or version yet:
+/// step 1 of the write protocol, which needs neither the namespace nor the
+/// version manager. [`BlobClient::publish`] makes them a version.
+#[derive(Debug)]
+pub struct Staged {
+    page_size: u64,
+    nbytes: u64,
+    manifest: Arc<Vec<PageRef>>,
+}
+
+impl Staged {
+    /// The page size the data was cut at.
+    pub fn page_size(&self) -> u64 {
+        self.page_size
+    }
+}
+
 /// A client handle; cheap to create, one per logical client. Caches the
 /// freshest descriptor-index snapshot per BLOB so the version manager only
 /// ships descriptor deltas past the cached watermark, and keeps a bounded
@@ -170,11 +187,48 @@ impl BlobClient {
             return Err(BlobError::EmptyWrite);
         }
         let ps = self.page_size(p, blob)?;
-        let nbytes = data.len();
-        let chunks = data.chunks(ps);
+        self.publish(p, blob, offset, self.stage(p, ps, data)?)
+    }
 
-        // Step 1: store pages on providers, fully in parallel.
-        let manifest = Arc::new(self.store_pages(p, &chunks)?);
+    /// Step 1 of an update: cut `data` into pages of `page_size` and store
+    /// them on providers, fully in parallel, under a lease that is settled
+    /// before this returns. Until [`Self::publish`] the pages belong to no
+    /// BLOB; if it never comes, they stay where a writer that died between
+    /// steps 1 and 2 leaves its pages: stored, accounted, unreferenced.
+    pub fn stage(&self, p: &Proc, page_size: u64, data: Payload) -> BlobResult<Staged> {
+        if data.is_empty() {
+            return Err(BlobError::EmptyWrite);
+        }
+        let nbytes = data.len();
+        let manifest = Arc::new(self.store_pages(p, &data.chunks(page_size))?);
+        Ok(Staged {
+            page_size,
+            nbytes,
+            manifest,
+        })
+    }
+
+    /// Steps 2–4 of an update: make `staged` the next version of `blob`,
+    /// appended (`offset` = `None`) or written at `offset`, and wait until
+    /// it is published. The pages must have been cut at `blob`'s page size.
+    pub fn publish(
+        &self,
+        p: &Proc,
+        blob: BlobId,
+        offset: Option<u64>,
+        staged: Staged,
+    ) -> BlobResult<Version> {
+        let Staged {
+            page_size,
+            nbytes,
+            manifest,
+        } = staged;
+        let ps = self.page_size(p, blob)?;
+        if ps != page_size {
+            return Err(BlobError::UnalignedWrite {
+                detail: format!("pages staged at {page_size} bytes, blob {blob:?} has {ps}"),
+            });
+        }
 
         // Step 2: get a version plus an index snapshot pinned at it. The VM
         // only ships (and charges for) descriptors after the cached

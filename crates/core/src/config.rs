@@ -58,10 +58,14 @@ pub struct BlobSeerConfig {
     /// crash-recovery replay to the bytes since the last checkpoint. `None`
     /// (default) never checkpoints — recovery replays the whole log.
     pub persist_checkpoint_bytes: Option<u64>,
-    /// Abstract CPU operations charged on the version-manager node per
-    /// request. This is the serialization point of the design; a nonzero
-    /// cost lets the benchmarks observe the (small) contention the paper
-    /// reports under hundreds of concurrent appenders.
+    /// Abstract CPU operations charged per control request at two sites:
+    /// on the version-manager node for every version-manager request
+    /// (`VersionManager::charge`), and on the BSFS namespace manager's node
+    /// for every namespace operation (`bsfs::NamespaceManager`, which
+    /// `Bsfs::new` builds with this value). The version manager is the
+    /// serialization point of the design; a nonzero cost lets the
+    /// benchmarks observe the (small) contention the paper reports under
+    /// hundreds of concurrent appenders.
     pub vm_cpu_ops: u64,
     /// Abstract CPU operations charged on a metadata provider per tree-node
     /// operation.

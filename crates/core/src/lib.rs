@@ -96,7 +96,7 @@ mod testutil;
 pub mod types;
 pub mod version_manager;
 
-pub use client::{BlobClient, PageLocation};
+pub use client::{BlobClient, PageLocation, Staged};
 pub use cluster::{BlobSeer, Layout, ReaperHandle, ReplicaSync};
 pub use config::{BlobSeerConfig, Timeouts};
 pub use desc_index::DescIndex;

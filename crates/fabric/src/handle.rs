@@ -399,6 +399,40 @@ impl Proc {
         }
     }
 
+    /// Start a request to `dst`: an rpc of `req_bytes` out and
+    /// `resp_bytes` back, then `server_ops` on `dst`'s CPU — what [`Proc::rpc`]
+    /// followed by [`Proc::compute`] charge, in that order. The engine walks
+    /// it without a thread while this proc goes on; [`Pending::wait`]
+    /// collects it. A request nobody waits for still runs to its end. In
+    /// live mode this only notes the bytes, as `rpc` does.
+    pub fn request(
+        &self,
+        dst: NodeId,
+        req_bytes: u64,
+        resp_bytes: u64,
+        server_ops: u64,
+    ) -> Pending {
+        assert_none_held("Proc::request");
+        let id = match &self.fabric.inner {
+            FabricInner::Sim(c) => {
+                let cpu = c.spec.resource(dst, ResourceKind::Cpu);
+                let legs = (self.node, dst);
+                c.request(Script::request(
+                    legs,
+                    (req_bytes, resp_bytes),
+                    cpu,
+                    server_ops,
+                ))
+            }
+            FabricInner::Live(c) => {
+                c.note_transfer(req_bytes);
+                c.note_transfer(resp_bytes);
+                None
+            }
+        };
+        Pending { id, dst }
+    }
+
     /// Sleep `period`, then — in sim mode, while `idle` says this proc's
     /// last heartbeat was idle — keep beating: an [`Proc::rpc`] to `dst`,
     /// then the next sleep, for as long as `idle`'s epoch still reads the
@@ -463,6 +497,26 @@ impl Proc {
                 let res = [c.spec.resource(node, ResourceKind::Cpu)];
                 c.flow(self.pid, &self.parker, &res, ops as f64);
             }
+        }
+    }
+}
+
+/// A request in flight ([`Proc::request`]).
+#[must_use = "a request is collected with `wait`"]
+pub struct Pending {
+    /// The request's id while the engine walks it; `None` once it ended
+    /// inside `request`, and in live mode.
+    id: Option<u64>,
+    dst: NodeId,
+}
+
+impl Pending {
+    /// Block until the request has ended; returns at once if it has. The
+    /// wait is charged to the request's target in `p`'s ledger.
+    pub fn wait(self, p: &Proc) {
+        assert_none_held("Pending::wait");
+        if let (FabricInner::Sim(core), Some(id)) = (&p.fabric.inner, self.id) {
+            core.wait_request(p.pid, &p.parker, id, self.dst);
         }
     }
 }
@@ -1229,6 +1283,234 @@ mod tests {
             at(0, Waited::Wait) + tx + rx + 3 * lat + SECS + 3 * MILLIS,
             lifetime
         );
+    }
+
+    fn sim_core(fx: &Fabric) -> &Arc<SimCore> {
+        match &fx.inner {
+            FabricInner::Sim(core) => core,
+            FabricInner::Live(_) => unreachable!("a sim fabric"),
+        }
+    }
+
+    /// A request runs while its caller streams: the caller pays the longer
+    /// of the two, and its ledger charges the rest of the request's time to
+    /// the request's target.
+    #[test]
+    fn a_request_beside_a_flow_costs_the_longer_not_the_sum() {
+        use crate::ledger::Waited;
+        let spec = ClusterSpec::tiny(3).with_cpu_ops(1e9);
+        let lat = spec.latency_ns;
+        let fx = Fabric::sim(spec);
+        let h = fx.spawn(NodeId(0), "caller", move |p| {
+            let mut took = Vec::new();
+            for (ops, bytes) in [(500_000_000, 117_000_000), (2_000_000_000, 117_000_000)] {
+                let t0 = p.now();
+                let pending = p.request(NodeId(1), 128, 128, ops);
+                p.send_to(NodeId(2), bytes);
+                pending.wait(p);
+                took.push(p.now() - t0);
+            }
+            (took, p.ledger())
+        });
+        fx.run();
+        let (took, ledger) = h.take().unwrap();
+        // A 1 s stream beside a 0.5 s request; a 2 s request beside it.
+        let stream = lat + SECS;
+        assert_eq!(took, [stream, 2 * lat + 2 * SECS]);
+        let waited: u64 = (ledger.charges().iter())
+            .filter(|c| c.node == NodeId(1) && c.waited == Waited::Request)
+            .map(|c| c.ns)
+            .sum();
+        assert_eq!(waited, 2 * lat + 2 * SECS - stream);
+        assert_eq!(fx.stats().requests, 2);
+    }
+
+    /// `request(..).wait()` issued at once is `rpc` + `compute` to the
+    /// event: the same events, seqs, instants and transfers. Only the
+    /// thread wakes differ: the request wakes its caller once.
+    #[test]
+    fn an_awaited_request_is_an_rpc_and_a_compute() {
+        let run = |as_request: bool| {
+            let fx = Fabric::sim_seeded(ClusterSpec::tiny(3), 36);
+            let mut hs = Vec::new();
+            for i in 0..3u32 {
+                hs.push(fx.spawn(NodeId(i), format!("c{i}"), move |p| {
+                    let mut at = Vec::new();
+                    for round in 0..3u64 {
+                        let (dst, ops) = (NodeId((i + 1) % 3), 1_000_000 * (round + 1));
+                        if as_request {
+                            p.request(dst, 128, 20_000, ops).wait(p);
+                        } else {
+                            p.rpc(dst, 128, 20_000);
+                            p.compute(dst, ops);
+                        }
+                        at.push(p.now());
+                    }
+                    at
+                }));
+            }
+            fx.run();
+            let s = fx.stats();
+            let at: Vec<Vec<u64>> = hs.iter().map(|h| h.take().unwrap()).collect();
+            let counters = (
+                s.events,
+                sim_core(&fx).seq(),
+                s.now_ns,
+                s.transfers,
+                s.flows,
+            );
+            (at, counters, s.per_resource, s.wakes)
+        };
+        let (by_rpc, by_request) = (run(false), run(true));
+        assert_eq!(by_request.0, by_rpc.0, "every op's end");
+        assert_eq!(by_request.1, by_rpc.1, "events, seq, now, transfers, flows");
+        assert_eq!(by_request.2, by_rpc.2, "per-resource work");
+        assert_eq!((by_rpc.3, by_request.3), (21, 12), "thread wakes");
+    }
+
+    /// A request whose caller returns without waiting still runs to its
+    /// end, and `run` returns cleanly at that end.
+    #[test]
+    fn an_orphan_request_finishes_and_run_returns() {
+        let spec = ClusterSpec::tiny(2).with_cpu_ops(1e9);
+        let lat = spec.latency_ns;
+        let fx = Fabric::sim(spec);
+        let h = fx.spawn(NodeId(0), "orphaner", |p| {
+            drop(p.request(NodeId(1), 128, 128, 1_000_000));
+            p.now()
+        });
+        fx.run();
+        assert_eq!(h.take(), Some(0));
+        assert_eq!(fx.now(), 2 * lat + MILLIS);
+        let s = fx.stats();
+        assert_eq!((s.requests, s.transfers, s.flows, s.events), (1, 2, 1, 4));
+        // Requests to a proc's own node with no compute end inside the call.
+        let fx = Fabric::sim(ClusterSpec::tiny(1));
+        fx.spawn(NodeId(0), "local", |p| {
+            p.request(NodeId(0), 128, 128, 0).wait(p)
+        });
+        fx.run();
+        assert_eq!(
+            (fx.now(), fx.stats().requests, fx.stats().events),
+            (0, 1, 1)
+        );
+    }
+
+    /// A request's legs are expanded when they start, not when the request
+    /// is made: a delay window that opens during the first leg's latency
+    /// catches the second leg.
+    #[test]
+    fn a_request_takes_a_fault_penalty_when_its_leg_starts() {
+        let spec = ClusterSpec::tiny(2);
+        let lat = spec.latency_ns;
+        let fx = Fabric::sim(spec);
+        fx.inject_net_fault(crate::NetFault::delay(
+            lat / 2,
+            SECS,
+            crate::NodeSet::Any,
+            crate::NodeSet::Any,
+            7 * MILLIS,
+        ));
+        let h = fx.spawn(NodeId(0), "caller", move |p| {
+            p.request(NodeId(1), 128, 128, 0).wait(p);
+            (p.now(), p.ledger())
+        });
+        fx.run();
+        let (took, ledger) = h.take().unwrap();
+        assert_eq!(took, 2 * lat + 7 * MILLIS);
+        assert_eq!(fx.stats().net_fault_hits, 1);
+        assert_eq!(ledger.total(), took);
+    }
+
+    /// A proc blocked on a request is reported with the request's step.
+    #[test]
+    fn the_blocked_report_names_a_proc_waiting_on_a_request() {
+        let spec = ClusterSpec::tiny(3);
+        let lat = spec.latency_ns;
+        let fx = Fabric::sim(spec);
+        fx.spawn(NodeId(0), "owner", |p| {
+            p.request(NodeId(1), 128, 128, 2_000_000).wait(p)
+        });
+        let fx2 = fx.clone();
+        let at = [lat + lat / 2, 2 * lat + 10 * MICROS];
+        let h = fx.spawn(NodeId(2), "watcher", move |p| {
+            at.map(|t| {
+                p.sleep(t - p.now());
+                sim_core(&fx2).report_blocked()
+            })
+        });
+        fx.run();
+        let [in_leg, in_compute] = h.take().unwrap();
+        assert_eq!(
+            in_leg,
+            "  - 'owner' on n0 blocked on request: rpc leg 2/2 to n1 (latency)\n"
+        );
+        assert_eq!(
+            in_compute,
+            "  - 'owner' on n0 blocked on request: compute on n1\n"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 32,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Procs sleep, stream, call, compute, wait on a gate and make
+        /// requests they collect at once, later or never: every proc's
+        /// ledger sums to its virtual lifetime.
+        #[test]
+        fn every_procs_ledger_sums_to_its_lifetime(
+            plans in proptest::collection::vec(
+                proptest::collection::vec((0u8..7, 0u32..4, 1u64..40), 1..12),
+                1..5,
+            ),
+            seed in 0u64..1_000,
+        ) {
+            let fx = Fabric::sim_seeded(ClusterSpec::tiny(4).with_cpu_ops(1e9), seed);
+            let gate = fx.gate();
+            let mut hs = Vec::new();
+            let last = plans.len() - 1;
+            for (i, plan) in plans.into_iter().enumerate() {
+                let gate = gate.clone();
+                hs.push(fx.spawn(NodeId(i as u32 % 4), format!("p{i}"), move |p| {
+                    let t0 = p.now();
+                    let mut held: Option<Pending> = None;
+                    for (action, node, size) in plan {
+                        let node = NodeId(node);
+                        match action {
+                            0 => p.sleep(size * MICROS),
+                            1 => p.send_to(node, size * 100_000),
+                            2 => p.rpc(node, 128, size * 1_000),
+                            3 => p.compute(node, size * 100_000),
+                            4 => p.request(node, 128, size * 1_000, size * 100_000).wait(p),
+                            5 => {
+                                let pending = p.request(node, 128, 128, size * 100_000);
+                                if let Some(old) = held.replace(pending) {
+                                    old.wait(p);
+                                }
+                            }
+                            _ => drop(p.request(node, 128, 128, size * 100_000)),
+                        }
+                    }
+                    if let Some(pending) = held {
+                        pending.wait(p);
+                    }
+                    if i == last {
+                        gate.set();
+                    } else {
+                        gate.wait(p);
+                    }
+                    (p.ledger().total(), p.now() - t0)
+                }));
+            }
+            fx.run();
+            for h in hs {
+                let (total, lifetime) = h.take().unwrap();
+                proptest::prop_assert_eq!(total, lifetime);
+            }
+        }
     }
 
     #[test]

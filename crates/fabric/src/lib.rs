@@ -55,7 +55,7 @@ pub mod topology;
 
 mod parker;
 
-pub use handle::{run_parallel, Fabric, JoinHandle, Proc, TaskFn};
+pub use handle::{run_parallel, Fabric, JoinHandle, Pending, Proc, TaskFn};
 pub use ledger::{Charge, Ledger, Waited};
 pub use net::{NetFault, NetFaultKind, NodeSet};
 pub use payload::Payload;
@@ -69,6 +69,7 @@ pub mod prelude {
     pub use crate::sync::{Gate, Queue};
     pub use crate::{
         ns_to_secs, run_parallel, secs_to_ns, ClusterSpec, Epoch, Fabric, FabricStats, JoinHandle,
-        NetFault, NetFaultKind, NodeId, NodeSet, Payload, Proc, SimTime, MICROS, MILLIS, SECS,
+        NetFault, NetFaultKind, NodeId, NodeSet, Payload, Pending, Proc, SimTime, MICROS, MILLIS,
+        SECS,
     };
 }

@@ -141,6 +141,7 @@ impl LiveCore {
             events: 0,
             wakes: 0,
             fill_scans: 0,
+            requests: 0,
             now_ns: self.now(),
             net_fault_hits: 0,
         }

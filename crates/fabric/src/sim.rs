@@ -77,6 +77,37 @@
 //! epoch only tells the engine *when* to wake it, and its writers bump it
 //! at every change that could turn an idle answer into work.
 //!
+//! # Requests: a script no thread waits on
+//!
+//! `Proc::request` hands the engine a script — an rpc's two legs, then a
+//! compute on the target's CPU, the order `rpc` + `compute` take — and
+//! returns while the engine walks it. The caller works on (streams pages,
+//! say) and collects the request with `Pending::wait`, which blocks only
+//! if the script has not ended yet; its end then resumes the waiter inside
+//! the same step, as a proc's own script end does. A request nobody waits
+//! for still runs to its end.
+//!
+//! A request lives in `procs` with no parker, under an id from a range of
+//! its own (from [`FIRST_REQUEST`] up), because a proc id is not just a
+//! name: every proc's RNG stream is seeded `seed ^ pid·φ` (`handle.rs`), so
+//! a request that took the next proc id would reseed every later spawn. Nor
+//! does it take a seq to start: registering pushes no spawn wake, and its
+//! first walk happens inside the caller's call, as [`SimCore::run_script`]
+//! does, so each seq it takes is the one the caller's own `rpc` and
+//! `compute` would have taken at the same point. An awaited request is
+//! therefore event-, seq- and transfer-identical to `rpc` + `compute`; it
+//! only wakes the caller's thread once instead of twice. It counts in
+//! `live_procs` until its script ends, so `run` does not halt under it.
+//!
+//! # Where a proc's time went
+//!
+//! Every blocked interval is charged to a bucket of the proc's ledger
+//! (module [`crate::ledger`]): `start` notes what a sleep is charged to and
+//! when it began, `resume` charges it; a flow remembers the resource that
+//! froze it at the last refill and since when, and `recompute` charges the
+//! interval whenever a refill moves it, the completion the rest. None of
+//! this reads or moves a virtual number.
+//!
 //! # Why the order of events is what it is
 //!
 //! Every schedulable thing gets a `seq` from one counter at the moment it is
@@ -222,6 +253,8 @@ impl Msg {
 enum Op {
     Sleep(u64),
     Send(Msg),
+    /// A flow of this much work over these resources: a request's compute.
+    Work(Vec<u32>, f64),
     /// End the script if its epoch moved; the flag says whether that end
     /// comes after the messages of the round.
     Check(bool),
@@ -239,6 +272,8 @@ pub(crate) struct Script {
     /// penalties (module [`crate::ledger`]).
     node: NodeId,
     far: NodeId,
+    /// A request's: the proc blocked in [`SimCore::wait_request`] on it.
+    waiter: Option<u64>,
     /// An idle heartbeat walks `ops` again and again while the epoch reads
     /// the value it was given.
     idle: Option<(Epoch, u64)>,
@@ -274,6 +309,7 @@ impl Script {
             peer,
             node,
             far,
+            waiter: None,
             idle,
             pc: 0,
             sub: 0,
@@ -317,6 +353,21 @@ impl Script {
     pub(crate) fn rpc(node: NodeId, dst: NodeId, req: u64, resp: u64) -> Script {
         let legs = Self::legs(node, dst, req, resp).into();
         Script::new(legs, (node, dst), Some(dst), None)
+    }
+
+    /// A request from `node`: an rpc to `dst`, then `ops` on `cpu`, its CPU.
+    /// The order is the one a proc's `rpc` then `compute` takes.
+    pub(crate) fn request(
+        (node, dst): (NodeId, NodeId),
+        (req, resp): (u64, u64),
+        cpu: u32,
+        ops: u64,
+    ) -> Script {
+        let mut steps: Vec<Op> = Self::legs(node, dst, req, resp).into();
+        if ops > 0 {
+            steps.push(Op::Work(vec![cpu], ops as f64));
+        }
+        Script::new(steps, (node, dst), Some(dst), None)
     }
 
     /// Idle heartbeats: [sleep `period`, check, rpc, check] until a check
@@ -389,7 +440,10 @@ impl Script {
                     }
                     continue;
                 }
-                Op::Sleep(_) | Op::Send(_) => {}
+                Op::Work(resources, work) if self.sub == 1 => {
+                    return Next::Act(Act::Flow(resources.clone(), *work));
+                }
+                Op::Sleep(_) | Op::Send(_) | Op::Work(..) => {}
             }
             self.pc += 1;
             self.sub = 0;
@@ -399,9 +453,13 @@ impl Script {
     /// The step the script waits in, for a deadlock report: e.g.
     /// `heartbeat (idle, epoch 42): rpc leg 2/2 to n17 (latency)`. Only an
     /// idle heartbeat can be found waiting there; every other script has
-    /// its next event pending.
+    /// its next event pending. (A proc waiting on a request is reported
+    /// with the request's step.)
     fn describe(&self) -> String {
         let sends = |ops: &[Op]| ops.iter().filter(|op| matches!(op, Op::Send(_))).count();
+        let on = self
+            .peer
+            .map_or(String::new(), |peer| format!(" on {peer}"));
         let step = match (&self.ops[self.pc], self.peer) {
             (Op::Send(_), peer) => {
                 let phase = ["fault penalty", "latency", "flow"][usize::from(self.sub - 1)];
@@ -409,6 +467,7 @@ impl Script {
                 let to = peer.map_or(String::new(), |peer| format!(" to {peer}"));
                 format!("rpc leg {leg}/{legs}{to} ({phase})")
             }
+            (Op::Work(..), _) => format!("compute{on}"),
             (Op::Sleep(_) | Op::Check(_), _) => "sleep".to_string(),
         };
         match &self.idle {
@@ -462,6 +521,10 @@ struct Flow {
 /// A flow's bottleneck before its first refill.
 const NO_BOTTLENECK: u32 = u32::MAX;
 
+/// The first request id; proc ids stay below it (module header,
+/// "Requests").
+const FIRST_REQUEST: u64 = 1 << 62;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
     Runnable,
@@ -472,7 +535,8 @@ enum ProcState {
 struct ProcInfo {
     name: String,
     node: NodeId,
-    parker: Arc<Parker>,
+    /// `None` for a request, which has no thread.
+    parker: Option<Arc<Parker>>,
     state: ProcState,
     /// Incremented on every block; wakes carry the generation they target
     /// so stale ones are discarded.
@@ -513,8 +577,12 @@ struct SimState {
     last_settle: SimTime,
     runnable: u32,
     live_procs: u32,
+    /// Procs and the requests in flight (ids from [`FIRST_REQUEST`] on).
     procs: HashMap<u64, ProcInfo>,
     next_proc_id: u64,
+    next_request_id: u64,
+    /// Requests started, inline ones included.
+    requests: u64,
     panics: Vec<String>,
     transfers: u64,
     flows_started: u64,
@@ -601,6 +669,8 @@ impl SimCore {
                 live_procs: 0,
                 procs: HashMap::new(),
                 next_proc_id: 0,
+                next_request_id: FIRST_REQUEST,
+                requests: 0,
                 panics: Vec::new(),
                 transfers: 0,
                 flows_started: 0,
@@ -641,7 +711,7 @@ impl SimCore {
             ProcInfo {
                 name: name.to_string(),
                 node,
-                parker,
+                parker: Some(parker),
                 state: ProcState::Blocked("spawn"),
                 block_gen: 0,
                 script: None,
@@ -832,9 +902,64 @@ impl SimCore {
         idle && self.state.lock().procs[&pid].beat_end
     }
 
+    /// Start `script`, a request: walk it now, inside the caller's call,
+    /// as [`Self::run_script`] does; if it has to wait, register it under
+    /// an id of its own with its next event pending. Returns that id, or
+    /// `None` if the request ended at once (module header, "Requests").
+    pub(crate) fn request(&self, mut script: Script) -> Option<u64> {
+        let mut st = self.state.lock();
+        st.requests += 1;
+        let act = match script.walk(&mut st, &self.spec) {
+            Next::End(_) => return None,
+            Next::Act(act) => act,
+        };
+        let id = st.next_request_id;
+        st.next_request_id += 1;
+        let now = st.now;
+        let node = script.node;
+        st.procs.insert(
+            id,
+            ProcInfo {
+                name: String::new(),
+                node,
+                parker: None,
+                state: ProcState::Blocked("request"),
+                block_gen: 1,
+                script: Some(script),
+                beat_end: false,
+                ledger: Ledger::default(),
+                mark: now,
+                on: None,
+            },
+        );
+        st.live_procs += 1;
+        Self::start(&mut st, &self.spec, id, 1, act);
+        Some(id)
+    }
+
+    /// Block the calling proc until request `id` ends; its wait is charged
+    /// to `dst`, the request's target. Returns at once if it has ended.
+    pub(crate) fn wait_request(&self, pid: u64, parker: &Parker, id: u64, dst: NodeId) {
+        let mut st = self.state.lock();
+        let Some(request) = st.procs.get_mut(&id) else {
+            return;
+        };
+        let script = request.script.as_mut().expect("a request in flight");
+        script.waiter = Some(pid);
+        let ((), baton) = self.block_locked(&mut st, pid, "request", |st, _| {
+            let now = st.now;
+            let p = st.procs.get_mut(&pid).expect("a blocking process");
+            (p.on, p.mark) = (Some((dst, Waited::Request)), now);
+        });
+        drop(st);
+        baton.pass();
+        self.park(parker);
+    }
+
     /// The event `pid` waited on happened: charge the wait to its ledger,
     /// then walk its script on (blocking it again, as its own next call
-    /// would have), or wake it.
+    /// would have), or wake it. A request that ends is retired and resumes
+    /// the proc waiting on it, if any.
     fn resume(&self, st: &mut SimState, pid: u64) -> Option<Baton> {
         let now = st.now;
         let p = st.procs.get_mut(&pid).expect("resuming unknown process");
@@ -846,6 +971,11 @@ impl SimCore {
             return Some(Self::wake_proc(st, pid));
         };
         match script.walk(st, &self.spec) {
+            Next::End(_) if pid >= FIRST_REQUEST => {
+                st.procs.remove(&pid);
+                st.live_procs -= 1;
+                script.waiter.and_then(|waiter| self.resume(st, waiter))
+            }
             Next::End(after) => {
                 if script.idle.is_some() {
                     st.idle_beats -= 1;
@@ -1209,7 +1339,7 @@ impl SimCore {
         p.state = ProcState::Runnable;
         st.runnable += 1;
         st.wakes_handed += 1;
-        Baton(Some(p.parker.clone()))
+        Baton(p.parker.clone())
     }
 
     /// Does this wake still target a blocked process at the generation it
@@ -1330,19 +1460,7 @@ impl SimCore {
             panic!("{}", panics.join("\n"));
         }
         if st.live_procs > 0 {
-            #[expect(clippy::disallowed_methods, reason = "sorted before it is reported")]
-            let mut blocked: Vec<_> = st
-                .procs
-                .values()
-                .filter_map(|p| match p.state {
-                    ProcState::Blocked(r) => {
-                        let on = p.script.as_ref().map_or(r.to_string(), Script::describe);
-                        Some(format!("  - '{}' on {} blocked on {on}\n", p.name, p.node))
-                    }
-                    ProcState::Runnable => None,
-                })
-                .collect();
-            blocked.sort();
+            let blocked = Self::blocked_report(&st);
             let but = if st.idle_beats > 0 {
                 " but idle heartbeats"
             } else {
@@ -1350,10 +1468,52 @@ impl SimCore {
             };
             drop(st);
             panic!(
-                "fabric deadlock: no runnable process and no pending events{but}.\nBlocked processes:\n{}",
-                blocked.concat()
+                "fabric deadlock: no runnable process and no pending events{but}.\nBlocked processes:\n{blocked}"
             );
         }
+    }
+
+    /// One line per blocked proc, sorted: its name, node and what it waits
+    /// on, down to a script's step (a request's, for a proc waiting on
+    /// one). Requests themselves are not procs and are not listed.
+    fn blocked_report(st: &SimState) -> String {
+        let request_of = |pid: u64| {
+            #[expect(clippy::disallowed_methods, reason = "at most one request matches")]
+            let mut requests = st.procs.values().filter_map(|r| r.script.as_ref());
+            requests.find(|s| s.waiter == Some(pid))
+        };
+        #[expect(clippy::disallowed_methods, reason = "sorted before it is reported")]
+        let mut blocked: Vec<_> = (st.procs.iter())
+            .filter(|(&pid, _)| pid < FIRST_REQUEST)
+            .filter_map(|(&pid, p)| match p.state {
+                ProcState::Blocked("request") => {
+                    let on = request_of(pid).map_or(String::new(), Script::describe);
+                    Some(format!(
+                        "  - '{}' on {} blocked on request: {on}\n",
+                        p.name, p.node
+                    ))
+                }
+                ProcState::Blocked(r) => {
+                    let on = p.script.as_ref().map_or(r.to_string(), Script::describe);
+                    Some(format!("  - '{}' on {} blocked on {on}\n", p.name, p.node))
+                }
+                ProcState::Runnable => None,
+            })
+            .collect();
+        blocked.sort();
+        blocked.concat()
+    }
+
+    /// The next seq the engine will hand out.
+    #[cfg(test)]
+    pub(crate) fn seq(&self) -> u64 {
+        self.state.lock().seq
+    }
+
+    /// [`Self::blocked_report`] of the world as it stands.
+    #[cfg(test)]
+    pub(crate) fn report_blocked(&self) -> String {
+        Self::blocked_report(&self.state.lock())
     }
 
     /// `(wakes in the heap, processes currently blocked)`.
@@ -1381,6 +1541,7 @@ impl SimCore {
             events: st.events_processed,
             wakes: st.wakes_handed,
             fill_scans: st.fill_scans,
+            requests: st.requests,
             now_ns: st.now,
             net_fault_hits: st.net_fault_hits,
         }

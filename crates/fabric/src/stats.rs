@@ -28,6 +28,8 @@ pub struct FabricStats {
     /// summed over every scan (0 in live mode). Every flow start and finish
     /// refills once, so `flows` already counts the refills.
     pub fill_scans: u64,
+    /// Requests started ([`crate::Proc::request`]); 0 in live mode.
+    pub requests: u64,
     /// Current virtual/wall time in nanoseconds.
     pub now_ns: u64,
     /// Times an installed network fault actually penalized a transfer

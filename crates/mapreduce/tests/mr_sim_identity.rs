@@ -10,6 +10,13 @@
 //! as intended (a heartbeat is three engine events, not four: 16 186 →
 //! 12 604 and 124 → 112). (c) was re-recorded twice, once per reason, and
 //! says so at its literals.
+//!
+//! Re-recorded once more, on purpose, when a BSFS append began resolving
+//! its path while its pages stream (`Bsfs::append_all`): every reducer's
+//! output append ends sooner by its namespace lookup, which moves the
+//! literals marked "lookup hidden". The shared file's fingerprints move
+//! because the reducers' appends now reach the version manager in another
+//! order: the file holds the same records in another order.
 
 use std::sync::Arc;
 
@@ -129,7 +136,9 @@ fn ghost_datajoin_on_40_nodes_is_pinned() {
             events: 12_604,
             jobs: vec![[
                 5_182_322_770,
-                595_968_963_927,
+                // Lookup hidden: 595 968 963 927 (20 reducers' appends end
+                // sooner, the last one by 10.2 ms).
+                595_958_772_040,
                 10,
                 6_764_573_490,
                 6_764_573_490,
@@ -189,9 +198,10 @@ fn wordcount_on_tiny_4_is_pinned() {
         Pin {
             now_ns: 20_400_000,
             transfers: 118,
-            events: 112,
+            // Lookup hidden: 112 events, 6 656 920 618 415 253 593.
+            events: 111,
             jobs: vec![[7_150_000, 18_600_001, 3, 226, 202, 82, 3, 0, 6, 2, 1]],
-            outputs: vec![6_656_920_618_415_253_593],
+            outputs: vec![12_923_017_224_315_487_801],
         }
     );
 }
@@ -239,17 +249,22 @@ fn two_jobs_with_ticks_inside_the_plan_window_are_pinned() {
     //    a's tasks start while job b is still being planned, so b's planning
     //    shares node 0 with them (its `started_ns` 93.0 → 117.0 ms), a
     //    finishes at 143.7 and b at 152.0 ms.
+    // Then the lookup hidden: a's appends end sooner and a finishes at
+    // 140.4 ms (was 143.7). The heartbeats that hand out b's maps see a
+    // different cluster, and two of b's maps run remote (24 local → 22 + 2);
+    // transfers 1 554 → 1 558, events 1 474 → 1 467, and both
+    // fingerprints move.
     assert_eq!(
         got,
         Pin {
             now_ns: 154_000_000,
-            transfers: 1_554,
-            events: 1_474,
+            transfers: 1_558,
+            events: 1_467,
             jobs: vec![
-                [74_300_000, 143_680_115, 24, 1_808, 616, 85, 24, 0, 8, 0, 1],
-                [117_000_003, 152_000_008, 24, 1_808, 616, 85, 24, 0, 8, 4, 1],
+                [74_300_000, 140_368_074, 24, 1_808, 616, 85, 24, 0, 8, 0, 1],
+                [117_000_003, 152_000_008, 24, 1_808, 616, 85, 22, 2, 8, 4, 1],
             ],
-            outputs: vec![7_254_120_859_772_724_419; 2],
+            outputs: vec![2_598_855_143_407_743_111; 2],
         }
     );
 }
@@ -305,10 +320,12 @@ fn wordcount_through_two_map_output_losses_is_pinned() {
         Pin {
             now_ns: 51_000_000,
             transfers: 218,
-            events: 262,
-            jobs: vec![[8_550_000, 47_900_000, 11, 1_202, 710, 84, 12, 2, 14, 10, 1]],
+            // Lookup hidden: 262 events, done at 47.9 ms,
+            // 4 823 281 549 984 078 881.
+            events: 261,
+            jobs: vec![[8_550_000, 47_800_000, 11, 1_202, 710, 84, 12, 2, 14, 10, 1]],
             // The loss-free run's bytes.
-            outputs: vec![4_823_281_549_984_078_881],
+            outputs: vec![2_216_548_167_587_753_633],
         }
     );
     assert_eq!(lost, [[(1, vec![1])], [(1, vec![3, 9])]]);
@@ -400,12 +417,14 @@ fn idle_beats_around_late_jobs_and_a_mid_rpc_shutdown_are_pinned() {
         Pin {
             now_ns: 190_000_000,
             transfers: 426,
-            events: 463,
+            // Lookup hidden: 463 events, b done at 182.6 ms,
+            // 7 577 304 142 197 963 170.
+            events: 462,
             jobs: vec![
                 [127_356_700, 155_800_002, 8, 678, 472, 83, 8, 0, 8, 2, 1],
-                [153_800_002, 182_600_000, 8, 678, 456, 83, 8, 0, 8, 2, 1],
+                [153_800_002, 182_500_000, 8, 678, 456, 83, 8, 0, 8, 2, 1],
             ],
-            outputs: vec![7_577_304_142_197_963_170; 2],
+            outputs: vec![14_126_948_059_931_035_082; 2],
         }
     );
 }
