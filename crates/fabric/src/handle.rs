@@ -417,12 +417,8 @@ impl Proc {
             FabricInner::Sim(c) => {
                 let cpu = c.spec.resource(dst, ResourceKind::Cpu);
                 let legs = (self.node, dst);
-                c.request(Script::request(
-                    legs,
-                    (req_bytes, resp_bytes),
-                    cpu,
-                    server_ops,
-                ))
+                let request = Script::request(legs, (req_bytes, resp_bytes), cpu, server_ops);
+                c.request(self.node, request)
             }
             FabricInner::Live(c) => {
                 c.note_transfer(req_bytes);

@@ -265,12 +265,9 @@ enum Op {
 /// its inner events wake no thread (module header, "Scripts").
 pub(crate) struct Script {
     ops: Vec<Op>,
-    /// The node an rpc or a heartbeat asks, for the deadlock report.
-    peer: Option<NodeId>,
-    /// The proc's node, charged with a heartbeat's sleeps, and the far end
-    /// of the script's messages, charged with their latencies and fault
-    /// penalties (module [`crate::ledger`]).
-    node: NodeId,
+    /// The far end of the script's messages (the node an rpc asks),
+    /// charged with their latencies and fault penalties (module
+    /// [`crate::ledger`]) and named in the deadlock report.
     far: NodeId,
     /// A request's: the proc blocked in [`SimCore::wait_request`] on it.
     waiter: Option<u64>,
@@ -285,9 +282,9 @@ pub(crate) struct Script {
 }
 
 /// A script's next wait. A sleep names the ledger bucket it is charged
-/// to; a flow charges its bottleneck.
+/// to, its node `None` for the proc's own; a flow charges its bottleneck.
 enum Act {
-    Sleep(u64, (NodeId, Waited)),
+    Sleep(u64, Option<NodeId>, Waited),
     Flow(Vec<u32>, f64),
 }
 
@@ -298,16 +295,9 @@ enum Next {
 }
 
 impl Script {
-    fn new(
-        ops: Vec<Op>,
-        (node, far): (NodeId, NodeId),
-        peer: Option<NodeId>,
-        idle: Option<(Epoch, u64)>,
-    ) -> Script {
+    fn new(ops: Vec<Op>, far: NodeId, idle: Option<(Epoch, u64)>) -> Script {
         Script {
             ops,
-            peer,
-            node,
             far,
             waiter: None,
             idle,
@@ -320,7 +310,7 @@ impl Script {
     pub(crate) fn transfer(node: NodeId, src: NodeId, dst: NodeId, bytes: u64) -> Script {
         let far = if src == node { dst } else { src };
         let send = Op::Send(Msg::Pair { src, dst, bytes });
-        Script::new(vec![send], (node, far), None, None)
+        Script::new(vec![send], far, None)
     }
 
     /// A proc on `node` moves `bytes` down the pipeline `nodes`.
@@ -331,7 +321,7 @@ impl Script {
             nodes: nodes.to_vec(),
             bytes,
         });
-        Script::new(vec![send], (node, far), None, None)
+        Script::new(vec![send], far, None)
     }
 
     /// `node` asks `dst` and waits for the answer.
@@ -352,7 +342,7 @@ impl Script {
 
     pub(crate) fn rpc(node: NodeId, dst: NodeId, req: u64, resp: u64) -> Script {
         let legs = Self::legs(node, dst, req, resp).into();
-        Script::new(legs, (node, dst), Some(dst), None)
+        Script::new(legs, dst, None)
     }
 
     /// A request from `node`: an rpc to `dst`, then `ops` on `cpu`, its CPU.
@@ -367,7 +357,7 @@ impl Script {
         if ops > 0 {
             steps.push(Op::Work(vec![cpu], ops as f64));
         }
-        Script::new(steps, (node, dst), Some(dst), None)
+        Script::new(steps, dst, None)
     }
 
     /// Idle heartbeats: [sleep `period`, check, rpc, check] until a check
@@ -387,7 +377,7 @@ impl Script {
             leg2,
             Op::Check(true),
         ];
-        Script::new(ops, (node, dst), Some(dst), Some((epoch.clone(), seen)))
+        Script::new(ops, dst, Some((epoch.clone(), seen)))
     }
 
     /// Take the script on, at the current instant, to its next wait or its
@@ -405,7 +395,7 @@ impl Script {
             self.sub += 1;
             match &self.ops[self.pc] {
                 Op::Sleep(period) if self.sub == 1 => {
-                    return Next::Act(Act::Sleep(*period, (self.node, Waited::Sleep)));
+                    return Next::Act(Act::Sleep(*period, None, Waited::Sleep));
                 }
                 Op::Check(after) => {
                     let (epoch, seen) = self.idle.as_ref().expect("checks are an idle beat's");
@@ -424,13 +414,13 @@ impl Script {
                         .max()
                         .unwrap_or(0);
                     if penalty > 0 {
-                        return Next::Act(Act::Sleep(penalty, (self.far, Waited::Fault)));
+                        return Next::Act(Act::Sleep(penalty, Some(self.far), Waited::Fault));
                     }
                     continue;
                 }
                 Op::Send(m) if self.sub == 2 => {
                     if let Some(latency) = m.latency(spec) {
-                        return Next::Act(Act::Sleep(latency, (self.far, Waited::Latency)));
+                        return Next::Act(Act::Sleep(latency, Some(self.far), Waited::Latency));
                     }
                     continue;
                 }
@@ -457,18 +447,15 @@ impl Script {
     /// with the request's step.)
     fn describe(&self) -> String {
         let sends = |ops: &[Op]| ops.iter().filter(|op| matches!(op, Op::Send(_))).count();
-        let on = self
-            .peer
-            .map_or(String::new(), |peer| format!(" on {peer}"));
-        let step = match (&self.ops[self.pc], self.peer) {
-            (Op::Send(_), peer) => {
+        let far = self.far;
+        let step = match &self.ops[self.pc] {
+            Op::Send(_) => {
                 let phase = ["fault penalty", "latency", "flow"][usize::from(self.sub - 1)];
                 let (leg, legs) = (sends(&self.ops[..=self.pc]), sends(&self.ops));
-                let to = peer.map_or(String::new(), |peer| format!(" to {peer}"));
-                format!("rpc leg {leg}/{legs}{to} ({phase})")
+                format!("rpc leg {leg}/{legs} to {far} ({phase})")
             }
-            (Op::Work(..), _) => format!("compute{on}"),
-            (Op::Sleep(_) | Op::Check(_), _) => "sleep".to_string(),
+            Op::Work(..) => format!("compute on {far}"),
+            Op::Sleep(_) | Op::Check(_) => "sleep".to_string(),
         };
         match &self.idle {
             Some((_, seen)) => format!("heartbeat (idle, epoch {seen}): {step}"),
@@ -826,14 +813,8 @@ impl SimCore {
     /// Block the calling process for `dur` nanoseconds of virtual time.
     pub fn sleep(&self, pid: u64, parker: &Parker, dur: u64) {
         let ((), baton) = self.block(pid, "sleep", |st, gen| {
-            let node = st.procs[&pid].node;
-            Self::start(
-                st,
-                &self.spec,
-                pid,
-                gen,
-                Act::Sleep(dur, (node, Waited::Sleep)),
-            );
+            let sleep = Act::Sleep(dur, None, Waited::Sleep);
+            Self::start(st, &self.spec, pid, gen, sleep);
         });
         baton.pass();
         self.park(parker);
@@ -866,8 +847,8 @@ impl SimCore {
         let p = st.procs.get_mut(&pid).expect("a blocking process");
         p.mark = now;
         match act {
-            Act::Sleep(dur, on) => {
-                p.on = Some(on);
+            Act::Sleep(dur, node, waited) => {
+                p.on = Some((node.unwrap_or(p.node), waited));
                 Self::push_wake(st, now.saturating_add(dur), pid, gen);
             }
             Act::Flow(resources, work) => {
@@ -902,11 +883,12 @@ impl SimCore {
         idle && self.state.lock().procs[&pid].beat_end
     }
 
-    /// Start `script`, a request: walk it now, inside the caller's call,
-    /// as [`Self::run_script`] does; if it has to wait, register it under
-    /// an id of its own with its next event pending. Returns that id, or
-    /// `None` if the request ended at once (module header, "Requests").
-    pub(crate) fn request(&self, mut script: Script) -> Option<u64> {
+    /// Start `script`, a request of a proc on `node`: walk it now, inside
+    /// the caller's call, as [`Self::run_script`] does; if it has to wait,
+    /// register it under an id of its own with its next event pending.
+    /// Returns that id, or `None` if the request ended at once (module
+    /// header, "Requests").
+    pub(crate) fn request(&self, node: NodeId, mut script: Script) -> Option<u64> {
         let mut st = self.state.lock();
         st.requests += 1;
         let act = match script.walk(&mut st, &self.spec) {
@@ -916,7 +898,6 @@ impl SimCore {
         let id = st.next_request_id;
         st.next_request_id += 1;
         let now = st.now;
-        let node = script.node;
         st.procs.insert(
             id,
             ProcInfo {

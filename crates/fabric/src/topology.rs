@@ -201,7 +201,7 @@ impl ClusterSpec {
     }
 
     /// The node and kind of resource `idx`; `None` for the backplane.
-    pub fn resource_owner(&self, idx: u32) -> Option<(NodeId, ResourceKind)> {
+    pub(crate) fn resource_owner(&self, idx: u32) -> Option<(NodeId, ResourceKind)> {
         const KINDS: [ResourceKind; RES_PER_NODE] = [
             ResourceKind::Tx,
             ResourceKind::Rx,
