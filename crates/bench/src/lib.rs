@@ -131,6 +131,7 @@ pub fn bsfs_roles(layout: Layout) -> RoleOf {
 
 /// The HDFS deployment's roles.
 pub fn hdfs_roles(layout: HdfsLayout) -> RoleOf {
+    // `namespace` and `providers` in [`ROLES`].
     Box::new(move |n| {
         if n == layout.namenode {
             Some(3)
@@ -174,7 +175,8 @@ impl RoleMs {
     /// Fold `ops` into roles, checking the ledger identity on the way: each
     /// op's buckets sum to its time exactly, so the roles sum to the mean
     /// op time up to rounding. A charge on the op's own node, or on a node
-    /// no service runs on, is the client's.
+    /// no service runs on, is the client's. Sim mode only: a live ledger is
+    /// empty.
     pub fn fold(ops: &[Op], role_of: &RoleOf) -> RoleMs {
         let mut out = RoleMs::default();
         if ops.is_empty() {

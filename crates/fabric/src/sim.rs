@@ -1458,15 +1458,15 @@ impl SimCore {
     /// on, down to a script's step (a request's, for a proc waiting on
     /// one). Requests themselves are not procs and are not listed.
     fn blocked_report(st: &SimState) -> String {
-        let request_of = |pid: u64| {
-            #[expect(clippy::disallowed_methods, reason = "at most one request matches")]
-            let mut requests = st.procs.values().filter_map(|r| r.script.as_ref());
-            requests.find(|s| s.waiter == Some(pid))
-        };
         #[expect(clippy::disallowed_methods, reason = "sorted before it is reported")]
-        let mut blocked: Vec<_> = (st.procs.iter())
-            .filter(|(&pid, _)| pid < FIRST_REQUEST)
-            .filter_map(|(&pid, p)| match p.state {
+        let all: Vec<(u64, &ProcInfo)> = st.procs.iter().map(|(&id, p)| (id, p)).collect();
+        let request_of = |pid: u64| {
+            let mut scripts = all.iter().filter_map(|(_, r)| r.script.as_ref());
+            scripts.find(|s| s.waiter == Some(pid))
+        };
+        let mut blocked: Vec<_> = (all.iter())
+            .filter(|(pid, _)| *pid < FIRST_REQUEST)
+            .filter_map(|&(pid, p)| match p.state {
                 ProcState::Blocked("request") => {
                     let on = request_of(pid).map_or(String::new(), Script::describe);
                     Some(format!(
