@@ -190,7 +190,7 @@ pub struct Services {
 /// counters for benches and diagnostics.
 #[derive(Debug, Default)]
 pub struct ReplicaSync {
-    watermarks: Mutex<HashMap<BlobId, Version>>,
+    watermarks: Mutex<BTreeMap<BlobId, Version>>,
     copied_pages: AtomicU64,
     copied_bytes: AtomicU64,
     rounds: AtomicU64,
@@ -245,7 +245,8 @@ impl Services {
         let mut pages_total = 0u64;
         let mut bytes_total = 0u64;
         // blob_ids is sorted — the sync order is deterministic.
-        for blob in self.vm.blob_ids() {
+        let live = self.vm.blob_ids();
+        for &blob in &live {
             // Deleted blobs (or a VM pause) skip; retry next round.
             let Ok(snap) = self.vm.snapshot(p, blob, None) else {
                 continue;
@@ -263,6 +264,11 @@ impl Services {
                 self.replica_sync.set_watermark(blob, snap.version);
             }
         }
+        // A deleted blob leaves `live` for good: drop its watermark too.
+        self.replica_sync
+            .watermarks
+            .lock()
+            .retain(|b, _| live.binary_search(b).is_ok());
         self.replica_sync
             .copied_pages
             .fetch_add(pages_total, Ordering::Relaxed);
@@ -736,5 +742,27 @@ mod tests {
     #[test]
     fn zero_reaper_interval_is_rejected() {
         rejects_zero("reaper_interval_ns", |t| t.reaper_interval_ns = 0);
+    }
+
+    /// Replica sync keeps a watermark only for blobs the version manager
+    /// still lists: a deleted, collected blob's entry goes on the next round.
+    #[test]
+    fn replica_sync_forgets_a_deleted_blob() {
+        let fx = Fabric::sim(ClusterSpec::tiny(8));
+        let layout = Layout::compact(fx.spec()).with_read_replicas_from_tail(2);
+        let bs = BlobSeer::deploy(&fx, BlobSeerConfig::test_small(1024), layout).unwrap();
+        fx.spawn(NodeId(0), "t", move |p| {
+            let c = bs.client();
+            let blob = c.create(p, None);
+            c.append(p, blob, Payload::from_vec(vec![7; 4096])).unwrap();
+            bs.sync_read_replicas(p);
+            assert_eq!(bs.svc.replica_sync.watermarks.lock().len(), 1);
+            c.delete(p, blob).unwrap();
+            bs.version_manager().gc_registry();
+            bs.version_manager().gc_registry();
+            bs.sync_read_replicas(p);
+            assert!(bs.svc.replica_sync.watermarks.lock().is_empty());
+        });
+        fx.run();
     }
 }
