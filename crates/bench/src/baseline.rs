@@ -155,7 +155,7 @@ impl<P> Baseline<'_, P> {
 
     /// The record as written to disk: one top-level column per line, a
     /// nested section on one line.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let render = |c: &Column| {
             let cells = c.cells.join(", ");
             if c.scalar {
@@ -177,7 +177,7 @@ impl<P> Baseline<'_, P> {
 
     /// Every way this run differs from `base` beyond its gates; empty means
     /// the diff passed.
-    pub fn diff(&self, base: &str) -> Vec<String> {
+    pub(crate) fn diff(&self, base: &str) -> Vec<String> {
         let doc = parse(base);
         let mut failures = Vec::new();
         for (section, cols) in &self.sections {

@@ -12,10 +12,10 @@
 //! Seven drivers also record their run into a committed `BENCH_*.json` and
 //! are gated against it. A driver only *declares* that record — axis,
 //! series, and per series one of three gates (exact / no worse than 1.25× /
-//! record-only); recording, comparing and promoting is [`baseline`]'s one
+//! record-only); recording, comparing and promoting is `baseline`'s one
 //! job, so a new gated series is one declaration line.
 
-pub mod baseline;
+mod baseline;
 
 use std::sync::Arc;
 
@@ -69,7 +69,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Deploy BSFS with the paper layout on a fresh 270-node simulated cluster.
-pub fn paper_bsfs(seed: u64) -> (Fabric, Bsfs) {
+pub(crate) fn paper_bsfs(seed: u64) -> (Fabric, Bsfs) {
     paper_bsfs_with(seed, BlobSeerConfig::paper())
 }
 
@@ -89,7 +89,7 @@ pub fn paper_bsfs_with_layout(seed: u64, config: BlobSeerConfig, layout: Layout)
 
 /// Clients are "launched on the same machines as the datanodes (data
 /// providers, respectively)" (§4.2): nodes 23..270 in the paper layout.
-pub fn provider_node(i: usize) -> NodeId {
+pub(crate) fn provider_node(i: usize) -> NodeId {
     NodeId(23 + (i as u32 % 247))
 }
 
@@ -100,7 +100,7 @@ pub fn path(s: &str) -> DfsPath {
 /// The roles a client op's virtual time folds into (ROADMAP G(1)): the
 /// client's own node first, then the services of the deployment. HDFS folds
 /// its namenode into `namespace` and its datanodes into `providers`.
-pub const ROLES: [&str; 7] = [
+pub(crate) const ROLES: [&str; 7] = [
     "client",
     "vm",
     "pm",
@@ -110,12 +110,12 @@ pub const ROLES: [&str; 7] = [
     "read_replicas",
 ];
 
-/// Where a role of [`ROLES`] sits: its index, or `None` for a node no
+/// Where a role of `ROLES` sits: its index, or `None` for a node no
 /// service runs on.
 pub type RoleOf = Box<dyn Fn(NodeId) -> Option<usize>>;
 
 /// The BSFS deployment's roles.
-pub fn bsfs_roles(layout: Layout) -> RoleOf {
+pub(crate) fn bsfs_roles(layout: Layout) -> RoleOf {
     Box::new(move |n| {
         let services = [
             n == layout.vm,
@@ -130,7 +130,7 @@ pub fn bsfs_roles(layout: Layout) -> RoleOf {
 }
 
 /// The HDFS deployment's roles.
-pub fn hdfs_roles(layout: HdfsLayout) -> RoleOf {
+pub(crate) fn hdfs_roles(layout: HdfsLayout) -> RoleOf {
     // `namespace` and `providers` in [`ROLES`].
     Box::new(move |n| {
         if n == layout.namenode {
@@ -164,7 +164,7 @@ impl Op {
     }
 }
 
-/// The clients' mean op time, in virtual ms, and its split by [`ROLES`].
+/// The clients' mean op time, in virtual ms, and its split by `ROLES`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoleMs {
     pub op_ms: f64,
@@ -177,7 +177,7 @@ impl RoleMs {
     /// op time up to rounding. A charge on the op's own node, or on a node
     /// no service runs on, is the client's. Sim mode only: a live ledger is
     /// empty.
-    pub fn fold(ops: &[Op], role_of: &RoleOf) -> RoleMs {
+    pub(crate) fn fold(ops: &[Op], role_of: &RoleOf) -> RoleMs {
         let mut out = RoleMs::default();
         if ops.is_empty() {
             return out;
@@ -543,7 +543,7 @@ pub enum CombineWorkload {
 
 impl CombineWorkload {
     /// The job name the point runs under.
-    pub fn job_name(&self) -> &'static str {
+    pub(crate) fn job_name(&self) -> &'static str {
         match self {
             CombineWorkload::Wordcount => "fig6-combiners-wordcount",
             CombineWorkload::Datajoin => "fig6-combiners-datajoin",

@@ -120,11 +120,6 @@ impl BsfsReader {
         }
     }
 
-    /// The snapshot version this reader is pinned to.
-    pub fn version(&self) -> blobseer::Version {
-        self.snap.version
-    }
-
     fn cached_range(&self) -> Option<(u64, u64)> {
         self.cache.as_ref().map(|(s, d)| (*s, *s + d.len()))
     }

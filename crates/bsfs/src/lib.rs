@@ -13,6 +13,7 @@
 
 // The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
 #![warn(
+    unreachable_pub,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
@@ -27,7 +28,7 @@
 
 mod file;
 mod fs;
-pub mod namespace;
+mod namespace;
 
 pub use file::{BsfsReader, BsfsWriter};
 pub use fs::Bsfs;

@@ -34,17 +34,13 @@ pub struct NamespaceManager {
 }
 
 impl NamespaceManager {
-    pub fn new(node: NodeId, ctl_msg_bytes: u64, cpu_ops: u64) -> Self {
+    pub(crate) fn new(node: NodeId, ctl_msg_bytes: u64, cpu_ops: u64) -> Self {
         NamespaceManager {
             node,
             ctl_msg_bytes,
             cpu_ops,
             state: Mutex::default(),
         }
-    }
-
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Start the request one namespace operation costs.
@@ -58,7 +54,7 @@ impl NamespaceManager {
     }
 
     /// Create all missing directories down to `path`.
-    pub fn mkdirs(&self, p: &Proc, path: &DfsPath) -> FsResult<()> {
+    pub(crate) fn mkdirs(&self, p: &Proc, path: &DfsPath) -> FsResult<()> {
         self.charge(p);
         self.state.lock().mkdirs(path)
     }
@@ -84,7 +80,7 @@ impl NamespaceManager {
 
     /// Send a lookup of `path` and return at once; [`Lookup::finish`]
     /// waits for the answer. The caller works meanwhile.
-    pub fn begin_lookup<'a>(&'a self, p: &Proc, path: &'a DfsPath) -> Lookup<'a> {
+    pub(crate) fn begin_lookup<'a>(&'a self, p: &Proc, path: &'a DfsPath) -> Lookup<'a> {
         Lookup {
             ns: self,
             path,
@@ -93,7 +89,7 @@ impl NamespaceManager {
     }
 
     /// Children names + entries of a directory, sorted by name.
-    pub fn list(&self, p: &Proc, path: &DfsPath) -> FsResult<Vec<(DfsPath, NsEntry)>> {
+    pub(crate) fn list(&self, p: &Proc, path: &DfsPath) -> FsResult<Vec<(DfsPath, NsEntry)>> {
         self.charge(p);
         let st = self.state.lock();
         let children = st.children(path)?;
@@ -105,7 +101,7 @@ impl NamespaceManager {
 
     /// Atomic rename of a file or directory subtree. Fails when `dst`
     /// exists (Hadoop 0.20 semantics) or `src` is missing.
-    pub fn rename(&self, p: &Proc, src: &DfsPath, dst: &DfsPath) -> FsResult<()> {
+    pub(crate) fn rename(&self, p: &Proc, src: &DfsPath, dst: &DfsPath) -> FsResult<()> {
         self.charge(p);
         self.state.lock().rename(src, dst)
     }
@@ -114,7 +110,7 @@ impl NamespaceManager {
     /// `recursive`. Returns whether anything was removed and the BLOBs of
     /// all deleted files, in path order (so callers garbage-collect them in
     /// the same order in every process).
-    pub fn delete(
+    pub(crate) fn delete(
         &self,
         p: &Proc,
         path: &DfsPath,
@@ -125,16 +121,11 @@ impl NamespaceManager {
         let blobs = removed.iter().flatten().map(|f| f.blob).collect();
         Ok((removed.is_some(), blobs))
     }
-
-    /// Number of entries (diagnostics; includes directories and the root).
-    pub fn entry_count(&self) -> usize {
-        self.state.lock().entry_count()
-    }
 }
 
 /// A lookup in flight ([`NamespaceManager::begin_lookup`]).
 #[must_use = "a lookup is answered by `finish`"]
-pub struct Lookup<'a> {
+pub(crate) struct Lookup<'a> {
     ns: &'a NamespaceManager,
     path: &'a DfsPath,
     pending: Pending,
@@ -143,7 +134,7 @@ pub struct Lookup<'a> {
 impl Lookup<'_> {
     /// Wait for the answer. The namespace is read now, when the answer
     /// arrives, not when the lookup was sent.
-    pub fn finish(self, p: &Proc) -> FsResult<NsEntry> {
+    pub(crate) fn finish(self, p: &Proc) -> FsResult<NsEntry> {
         self.pending.wait(p);
         self.ns.state.lock().get(self.path).cloned()
     }

@@ -28,7 +28,7 @@ use fabric::Proc;
 
 /// Check every invariant; returns one human-readable line per violation
 /// (empty = healthy). Must run at quiescence on a healed deployment.
-pub fn check(p: &Proc, bs: &BlobSeer) -> Vec<String> {
+pub(crate) fn check(p: &Proc, bs: &BlobSeer) -> Vec<String> {
     let mut violations = Vec::new();
 
     for (i, prov) in bs.providers().iter().enumerate() {

@@ -8,7 +8,7 @@
 //! job (wordcount, data join) or a concurrent BSFS churn workload running
 //! on the deterministic fabric simulation. At quiescence (every fault
 //! healed, reaper settled) the deployment is audited against global
-//! [`invariants`]: provider books balance, no lease outstanding, versions
+//! `invariants`: provider books balance, no lease outstanding, versions
 //! dense with none pending, every published version readable through a
 //! fresh client, registry drained.
 //!
@@ -19,6 +19,7 @@
 
 // The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
 #![warn(
+    unreachable_pub,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
@@ -31,9 +32,9 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod invariants;
-pub mod runner;
-pub mod schedule;
+mod invariants;
+mod runner;
+mod schedule;
 
 pub use runner::{budget_for, run_chaos, run_quiet, RunReport, Workload};
 pub use schedule::{ChaosAction, ChaosConfig, ChaosEvent, ChaosSchedule};

@@ -63,7 +63,7 @@ impl Workload {
         Workload::ShuffleStorm,
     ];
 
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Workload::Wordcount => "wordcount",
             Workload::DataJoin => "datajoin",
@@ -90,7 +90,7 @@ impl std::fmt::Display for Workload {
 pub struct RunReport {
     pub workload: Workload,
     pub seed: u64,
-    /// Fingerprint of the generated schedule ([`ChaosSchedule::digest`]).
+    /// Fingerprint of the generated schedule (`ChaosSchedule::digest`).
     pub schedule_digest: u64,
     /// Service fault injections in the schedule.
     pub injections: usize,
@@ -106,7 +106,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// The exact command that replays this run, for failure messages.
-    pub fn replay_command(&self) -> String {
+    pub(crate) fn replay_command(&self) -> String {
         format!(
             "CHAOS_WORKLOAD={} CHAOS_SEED={} cargo test -q -p chaos --test chaos_sweep \
              replay_from_env -- --nocapture",

@@ -88,7 +88,12 @@ pub struct ChaosConfig {
 
 impl ChaosConfig {
     /// A budget with every fault class disabled (fault-free control runs).
-    pub fn quiet(horizon_ns: u64, nodes: u32, providers: usize, meta_servers: usize) -> Self {
+    pub(crate) fn quiet(
+        horizon_ns: u64,
+        nodes: u32,
+        providers: usize,
+        meta_servers: usize,
+    ) -> Self {
         ChaosConfig {
             horizon_ns,
             nodes,
@@ -155,7 +160,7 @@ fn overlaps(a: (u64, u64), b: (u64, u64)) -> bool {
 impl ChaosSchedule {
     /// Generate the schedule for `(cfg, seed)`. Pure function of its
     /// arguments: same inputs, byte-same schedule.
-    pub fn generate(cfg: &ChaosConfig, seed: u64) -> ChaosSchedule {
+    pub(crate) fn generate(cfg: &ChaosConfig, seed: u64) -> ChaosSchedule {
         let mut rng = StdRng::seed_from_u64(seed ^ SCHEDULE_SALT);
         let mut windows: Vec<Window> = Vec::new();
         let draw_window = |rng: &mut StdRng, max_ns: u64| -> (u64, u64) {
@@ -314,7 +319,7 @@ impl ChaosSchedule {
 
     /// Human-readable rendering, one line per event. This text *is* the
     /// schedule's identity: [`Self::digest`] hashes it.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "chaos schedule seed={:#x}", self.seed);
@@ -339,7 +344,7 @@ impl ChaosSchedule {
 
     /// FNV-1a over [`Self::render`]: a stable fingerprint for replay
     /// assertions ("same seed, same schedule").
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in self.render().bytes() {
             h ^= b as u64;
@@ -349,7 +354,7 @@ impl ChaosSchedule {
     }
 
     /// Number of service fault injections (not heals, not net faults).
-    pub fn injections(&self) -> usize {
+    pub(crate) fn injections(&self) -> usize {
         self.events
             .iter()
             .filter(|e| matches!(e.action, ChaosAction::Inject(..)))

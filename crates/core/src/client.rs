@@ -156,7 +156,7 @@ impl BlobClient {
     }
 
     /// Page size of `blob` (cached after first lookup).
-    pub fn page_size(&self, p: &Proc, blob: BlobId) -> BlobResult<u64> {
+    pub(crate) fn page_size(&self, p: &Proc, blob: BlobId) -> BlobResult<u64> {
         if let Some(ps) = self.views.lock().get(&blob).and_then(|v| v.page_size) {
             return Ok(ps);
         }

@@ -99,7 +99,7 @@ impl Layout {
     /// [`BlobSeer::deploy`]; generated topologies (chaos sweeps) probe the
     /// impossible corners on purpose and want a typed rejection, not a panic
     /// deep inside a service.
-    pub fn validate(&self, spec: &ClusterSpec, config: &BlobSeerConfig) -> BlobResult<()> {
+    pub(crate) fn validate(&self, spec: &ClusterSpec, config: &BlobSeerConfig) -> BlobResult<()> {
         spec.validate()
             .map_err(|e| BlobError::InvalidTopology(e.to_string()))?;
         if self.providers.is_empty() {
@@ -165,7 +165,7 @@ impl Layout {
 }
 
 /// Shared service handles (one bundle per deployment).
-pub struct Services {
+pub(crate) struct Services {
     pub vm: Arc<VersionManager>,
     pub pm: Arc<ProviderManager>,
     pub dht: Arc<MetaDht>,
@@ -186,14 +186,10 @@ pub struct Services {
 }
 
 /// Progress state of the read-replica background sync: a published-version
-/// watermark per blob (how far the replica tier has caught up) plus copy
-/// counters for benches and diagnostics.
+/// watermark per live blob (how far the replica tier has caught up).
 #[derive(Debug, Default)]
-pub struct ReplicaSync {
+pub(crate) struct ReplicaSync {
     watermarks: Mutex<BTreeMap<BlobId, Version>>,
-    copied_pages: AtomicU64,
-    copied_bytes: AtomicU64,
-    rounds: AtomicU64,
 }
 
 impl ReplicaSync {
@@ -203,21 +199,6 @@ impl ReplicaSync {
 
     fn set_watermark(&self, blob: BlobId, v: Version) {
         self.watermarks.lock().insert(blob, v);
-    }
-
-    /// Pages copied primary → replica over the deployment's lifetime.
-    pub fn copied_pages(&self) -> u64 {
-        self.copied_pages.load(Ordering::Relaxed)
-    }
-
-    /// Bytes copied primary → replica over the deployment's lifetime.
-    pub fn copied_bytes(&self) -> u64 {
-        self.copied_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Completed sync rounds.
-    pub fn rounds(&self) -> u64 {
-        self.rounds.load(Ordering::Relaxed)
     }
 }
 
@@ -238,7 +219,7 @@ impl Services {
     /// Returns `(pages, bytes)` copied this round. Runs on the reaper tick
     /// when [`BlobSeer::start_reaper`] is active, or whenever
     /// [`BlobSeer::sync_read_replicas`] pumps it explicitly.
-    pub fn sync_read_replicas(&self, p: &Proc) -> (u64, u64) {
+    pub(crate) fn sync_read_replicas(&self, p: &Proc) -> (u64, u64) {
         if self.replicas.is_empty() {
             return (0, 0);
         }
@@ -269,13 +250,6 @@ impl Services {
             .watermarks
             .lock()
             .retain(|b, _| live.binary_search(b).is_ok());
-        self.replica_sync
-            .copied_pages
-            .fetch_add(pages_total, Ordering::Relaxed);
-        self.replica_sync
-            .copied_bytes
-            .fetch_add(bytes_total, Ordering::Relaxed);
-        self.replica_sync.rounds.fetch_add(1, Ordering::Relaxed);
         (pages_total, bytes_total)
     }
 
@@ -406,7 +380,7 @@ impl ReaperHandle {
 impl BlobSeer {
     /// Deploy all services on `fabric` according to `layout`. Impossible
     /// topologies come back as [`BlobError::InvalidTopology`] (see
-    /// [`Layout::validate`]), never a panic.
+    /// `Layout::validate`), never a panic.
     pub fn deploy(fabric: &Fabric, config: BlobSeerConfig, layout: Layout) -> BlobResult<BlobSeer> {
         layout.validate(fabric.spec(), &config)?;
         let pages: Open<Provider> = (Provider::new_mem, Provider::new_persistent_with);
@@ -555,14 +529,8 @@ impl BlobSeer {
         &self.svc.replicas
     }
 
-    /// Book-keeping of the replica sync service (watermarks, copy
-    /// counters).
-    pub fn replica_sync(&self) -> &ReplicaSync {
-        &self.svc.replica_sync
-    }
-
     /// Pump one round of read-replica sync from `p` (see
-    /// [`Services::sync_read_replicas`]). The background reaper runs the
+    /// `Services::sync_read_replicas`). The background reaper runs the
     /// same round every tick; tests and benches call this for explicit
     /// control. Returns `(pages, bytes)` copied.
     pub fn sync_read_replicas(&self, p: &Proc) -> (u64, u64) {
@@ -570,7 +538,7 @@ impl BlobSeer {
     }
 
     /// Inject `fault` into `target`. One surface for hand-written failure
-    /// tests and generated chaos schedules; see [`crate::fault`] for the
+    /// tests and generated chaos schedules; see `crate::fault` for the
     /// supported (target, fault) matrix. Unknown indices come back as
     /// [`BlobError::NoSuchTarget`], unmodeled combinations as
     /// [`BlobError::UnsupportedFault`]. Idempotent; undo with
@@ -612,9 +580,9 @@ impl BlobSeer {
     /// no-op.
     ///
     /// A crash-wiped provider recovers in two steps whose order matters:
-    /// first [`Service::recover`] rebuilds the page index and counters from
+    /// first `Service::recover` rebuilds the page index and counters from
     /// disk (zeroing reservations — the restarted process has no memory of
-    /// promises), then [`ProviderManager::reinstate`] re-reserves the
+    /// promises), then `ProviderManager::reinstate` re-reserves the
     /// outstanding lease entries that straddled the crash, so the capacity
     /// books balance at the next quiescence check.
     pub fn heal(&self, target: FaultTarget) -> BlobResult<()> {

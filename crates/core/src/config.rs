@@ -15,11 +15,11 @@ pub struct Timeouts {
     /// reaper) so one crashed writer cannot stall publication forever, and a
     /// provider reservation lease expires this long after it was opened —
     /// both sides of a write (version + capacity) share one deadline.
-    /// Positive ([`crate::Layout::validate`] rejects 0, which would expire
+    /// Positive (`crate::Layout::validate` rejects 0, which would expire
     /// every write the instant it is assigned).
     pub write_timeout_ns: u64,
     /// Sleep between background-reaper sweeps (`BlobSeer::start_reaper`).
-    /// Positive ([`crate::Layout::validate`] rejects 0).
+    /// Positive (`crate::Layout::validate` rejects 0).
     pub reaper_interval_ns: u64,
 }
 
@@ -142,7 +142,7 @@ impl BlobSeerConfig {
 
     /// [`pstore::StoreOptions`] every durable store of this deployment opens
     /// with.
-    pub fn store_options(&self) -> pstore::StoreOptions {
+    pub(crate) fn store_options(&self) -> pstore::StoreOptions {
         pstore::StoreOptions {
             checkpoint_every_bytes: self.persist_checkpoint_bytes,
             ..pstore::StoreOptions::default()

@@ -83,7 +83,7 @@ impl DescIndex {
         self.version
     }
 
-    pub fn page_size(&self) -> u64 {
+    pub(crate) fn page_size(&self) -> u64 {
         self.page_size
     }
 
@@ -224,7 +224,7 @@ impl DescIndex {
     /// once no matter how many snapshots pin them, and a subtree whose root
     /// was already seen is skipped entirely (its descendants are shared
     /// too). This is the diagnostic behind the desc-index memory bound.
-    pub fn count_nodes(&self, seen: &mut std::collections::HashSet<usize>) -> usize {
+    pub(crate) fn count_nodes(&self, seen: &mut std::collections::HashSet<usize>) -> usize {
         fn walk(node: &Arc<IxNode>, seen: &mut std::collections::HashSet<usize>) -> usize {
             if !seen.insert(Arc::as_ptr(node) as usize) {
                 return 0;

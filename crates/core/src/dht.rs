@@ -8,7 +8,7 @@
 //! servers and scale out — the paper deploys 20 of them on 270 nodes.
 //!
 //! How a metadata server counts what it served, dies and comes back is
-//! [`crate::service`]'s, shared with the data providers, and a `MetaServer`
+//! `crate::service`'s, shared with the data providers, and a `MetaServer`
 //! derefs to it; this file says only what a crash empties and a restart
 //! reloads (the `Nodes` map), and the hot paths.
 
@@ -33,7 +33,7 @@ fn stripe_of(key: &NodeKey) -> usize {
 }
 
 /// One metadata server holding a shard of the tree-node space: a
-/// [`Service`] (node, liveness, served counters, crash-restart — all reached
+/// `Service` (node, liveness, served counters, crash-restart — all reached
 /// by deref) that stores tree nodes.
 ///
 /// The node map is lock-striped (`RwLock<HashMap>` per stripe): a batched
@@ -203,15 +203,6 @@ impl MetaDht {
 
     fn server_index(&self, key: &NodeKey) -> usize {
         (hash_key(key) % self.servers.len() as u64) as usize
-    }
-
-    /// The server responsible for `key`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "server_index() is `% servers.len()`"
-    )]
-    pub fn server_for(&self, key: &NodeKey) -> &Arc<MetaServer> {
-        &self.servers[self.server_index(key)]
     }
 
     pub fn servers(&self) -> &[Arc<MetaServer>] {
@@ -394,7 +385,7 @@ mod tests {
         let d2 = dht(5);
         for v in 1..50 {
             let k = key(v, 2, 4);
-            assert_eq!(d1.server_for(&k).node(), d2.server_for(&k).node());
+            assert_eq!(d1.server_index(&k), d2.server_index(&k));
         }
     }
 

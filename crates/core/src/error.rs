@@ -41,7 +41,7 @@ impl From<pstore::PStoreErrorKind> for PersistenceKind {
 impl BlobError {
     /// Wrap a [`pstore::PStoreError`] raised while operating on the store
     /// rooted at `path`, preserving its cause class.
-    pub fn persistence(path: &Path, e: &pstore::PStoreError) -> BlobError {
+    pub(crate) fn persistence(path: &Path, e: &pstore::PStoreError) -> BlobError {
         BlobError::Persistence {
             kind: e.kind().into(),
             path: path.display().to_string(),

@@ -27,6 +27,7 @@
 
 // The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
 #![warn(
+    unreachable_pub,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
@@ -66,43 +67,49 @@
 ///   otherwise be a hang.
 pub(crate) mod lock_ranks {
     /// Version-manager BLOB registry.
-    pub const REGISTRY: u8 = 1;
+    pub(crate) const REGISTRY: u8 = 1;
     /// Per-blob control state (`BlobSlot::state` — the `meta.rs` lock unit).
-    pub const BLOB_STATE: u8 = 2;
+    pub(crate) const BLOB_STATE: u8 = 2;
     /// Provider-manager lease book.
-    pub const LEASE_BOOK: u8 = 3;
+    pub(crate) const LEASE_BOOK: u8 = 3;
     /// Provider page stripes and metadata-server node stripes.
-    pub const STRIPES: u8 = 4;
+    pub(crate) const STRIPES: u8 = 4;
     /// Client-side read-cache shards and index caches (`read_cache.rs`) —
     /// leaves of the hierarchy: nothing else is ever taken under them, and
     /// no wire traffic happens while one is held.
-    pub const READ_CACHE: u8 = 5;
+    pub(crate) const READ_CACHE: u8 = 5;
 }
 
-pub mod client;
-pub mod cluster;
-pub mod config;
-pub mod desc_index;
+mod client;
+mod cluster;
+mod config;
+mod desc_index;
+// Integration tests build `MetaDht` / `MetaServer` by path.
 pub mod dht;
-pub mod error;
-pub mod fault;
+mod error;
+mod fault;
+// Tests, the micro bench and `benchmark/` reach tree nodes and `plan_write` by path.
 pub mod meta;
+// Tests, `fig4_readers` and `benchmark/` name `provider::Provider`.
 pub mod provider;
+// `tests/pending_pressure.rs` builds a `ProviderManager` by path.
 pub mod provider_manager;
-pub mod read_cache;
-pub mod service;
+mod read_cache;
+mod service;
 #[cfg(test)]
 mod testutil;
+// Tests and `benchmark/` reach `tree_span` and `UpdateKind` by path.
 pub mod types;
+// Integration tests build a `VersionManager` by path.
 pub mod version_manager;
 
 pub use client::{BlobClient, PageLocation, Staged};
-pub use cluster::{BlobSeer, Layout, ReaperHandle, ReplicaSync};
+pub use cluster::{BlobSeer, Layout, ReaperHandle};
 pub use config::{BlobSeerConfig, Timeouts};
 pub use desc_index::DescIndex;
 pub use error::{BlobError, BlobResult, PersistenceKind};
 pub use fault::{Fault, FaultTarget};
 pub use meta::{PageRef, SnapshotInfo};
 pub use provider_manager::LeaseId;
-pub use read_cache::{LruMap, ReadCache, ReadCacheStats};
+pub use read_cache::{ReadCache, ReadCacheStats};
 pub use types::{BlobId, PageId, Version, WriteDesc, WriteKind};

@@ -21,9 +21,9 @@
 //!
 //! All functions here are pure: I/O (the metadata-provider DHT) is abstracted
 //! as a `fetch` closure, so the same code is exercised by in-memory unit
-//! tests and by the costed distributed path in [`crate::client`].
+//! tests and by the costed distributed path in `crate::client`.
 //!
-//! This module also hosts [`BlobState`], the per-BLOB control-plane state
+//! This module also hosts `BlobState`, the per-BLOB control-plane state
 //! machine that is the lock unit of the sharded
 //! [`crate::version_manager::VersionManager`] and the one place the
 //! publication protocol is written: like the tree planners above it performs
@@ -51,14 +51,14 @@ pub struct NodeKey {
 }
 
 impl NodeKey {
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         self.page_hi - self.page_lo == 1
     }
 
     /// Durable-store key: the `n/` namespace tag followed by the four id
     /// fields big-endian, so a prefix scan enumerates nodes in a stable
     /// (blob, version, range) order.
-    pub fn encode(&self) -> [u8; NODE_KEY_BYTES] {
+    pub(crate) fn encode(&self) -> [u8; NODE_KEY_BYTES] {
         let mut k = [0u8; NODE_KEY_BYTES];
         k[..2].copy_from_slice(NODE_KEY_PREFIX);
         k[2..10].copy_from_slice(&self.blob.0.to_be_bytes());
@@ -74,7 +74,7 @@ impl NodeKey {
         clippy::unwrap_used,
         reason = "the length test pins `k` to NODE_KEY_BYTES = 34; every range lies inside it and the four passed to `f` are 8 wide"
     )]
-    pub fn decode(k: &[u8]) -> Option<NodeKey> {
+    pub(crate) fn decode(k: &[u8]) -> Option<NodeKey> {
         if k.len() != NODE_KEY_BYTES || &k[..2] != NODE_KEY_PREFIX {
             return None;
         }
@@ -89,9 +89,9 @@ impl NodeKey {
 }
 
 /// Key namespace for metadata tree nodes inside a server's durable store.
-pub const NODE_KEY_PREFIX: &[u8] = b"n/";
+pub(crate) const NODE_KEY_PREFIX: &[u8] = b"n/";
 /// Encoded [`NodeKey`] length: prefix + 4×u64.
-pub const NODE_KEY_BYTES: usize = 34;
+pub(crate) const NODE_KEY_BYTES: usize = 34;
 
 /// Reference from an inner node to a child subtree (possibly of an older
 /// version).
@@ -129,7 +129,7 @@ pub enum NodeBody {
 impl NodeBody {
     /// Approximate wire size, used to charge the fabric for metadata
     /// messages.
-    pub fn encoded_size(&self) -> u64 {
+    pub(crate) fn encoded_size(&self) -> u64 {
         match self {
             NodeBody::Inner { .. } => 96,
             NodeBody::Leaf(p) => 48 + 8 * p.providers.len() as u64,
@@ -138,7 +138,7 @@ impl NodeBody {
 
     /// Durable-store value: a tag byte (0 = inner, 1 = leaf) followed by
     /// the variant's fields in fixed-width little-endian.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         fn child(out: &mut Vec<u8>, c: &Option<ChildRef>) {
             match c {
                 None => out.push(0),
@@ -177,7 +177,7 @@ impl NodeBody {
         clippy::unwrap_used,
         reason = "each unwrap turns the N-byte slice that `get(at..at + N)?` just returned into `[u8; N]`"
     )]
-    pub fn decode(v: &[u8]) -> Option<NodeBody> {
+    pub(crate) fn decode(v: &[u8]) -> Option<NodeBody> {
         fn u64_at(v: &[u8], at: &mut usize) -> Option<u64> {
             let out = u64::from_le_bytes(v.get(*at..*at + 8)?.try_into().unwrap());
             *at += 8;
@@ -362,7 +362,7 @@ pub struct SnapshotInfo {
 
 impl SnapshotInfo {
     /// Root node key for this snapshot (`None` for the empty version 0).
-    pub fn root(&self, blob: BlobId) -> Option<NodeKey> {
+    pub(crate) fn root(&self, blob: BlobId) -> Option<NodeKey> {
         if self.version == 0 {
             return None;
         }
@@ -436,7 +436,7 @@ pub(crate) struct BlobState {
 }
 
 impl BlobState {
-    pub fn new(blob: BlobId, page_size: u64) -> Self {
+    pub(crate) fn new(blob: BlobId, page_size: u64) -> Self {
         BlobState {
             blob,
             descs: Vec::new(),
@@ -483,7 +483,7 @@ impl BlobState {
     /// `Arc` share). The manifest's length is validated lock-free by the
     /// caller against the immutable page size; `assigned_at` must be read
     /// under the same lock hold (monotone along the window).
-    pub fn assign(
+    pub(crate) fn assign(
         &mut self,
         kind: UpdateKind,
         nbytes: u64,
@@ -584,7 +584,7 @@ impl BlobState {
     /// publishable (publication is strictly in order). Returns the gates of
     /// newly-published versions, in version order, for the caller to set
     /// outside the lock. Idempotent; a version never assigned is an error.
-    pub fn commit(&mut self, version: Version) -> BlobResult<Vec<Gate>> {
+    pub(crate) fn commit(&mut self, version: Version) -> BlobResult<Vec<Gate>> {
         if version > self.assigned() {
             return Err(self.no_such_version(version));
         }
@@ -604,7 +604,7 @@ impl BlobState {
 
     /// The gate a caller waiting for `version` to publish parks on; `None`
     /// when it already is published.
-    pub fn waiter(&self, version: Version) -> BlobResult<Option<Gate>> {
+    pub(crate) fn waiter(&self, version: Version) -> BlobResult<Option<Gate>> {
         if version > self.assigned() {
             return Err(self.no_such_version(version));
         }
@@ -613,7 +613,7 @@ impl BlobState {
 
     /// Snapshot facts for `version` (`None` = latest published). Pending
     /// versions are invisible, matching the paper's reader semantics.
-    pub fn snapshot(&self, version: Option<Version>) -> BlobResult<SnapshotInfo> {
+    pub(crate) fn snapshot(&self, version: Option<Version>) -> BlobResult<SnapshotInfo> {
         let version = version.unwrap_or(self.published);
         if version > self.published {
             return Err(self.no_such_version(version));
@@ -631,7 +631,7 @@ impl BlobState {
 
     /// What a force-completer needs to finish `version` for its writer;
     /// `None` when there is nothing left to do (committed or published).
-    pub fn orphan(&self, version: Version) -> BlobResult<Option<Orphan>> {
+    pub(crate) fn orphan(&self, version: Version) -> BlobResult<Option<Orphan>> {
         if version > self.assigned() {
             return Err(self.no_such_version(version));
         }
@@ -643,7 +643,7 @@ impl BlobState {
 
     /// The BLOB is deleted: the gates of every pending version, in version
     /// order, so parked waiters can be woken to a typed `NoSuchBlob`.
-    pub fn retire(&self) -> Vec<Gate> {
+    pub(crate) fn retire(&self) -> Vec<Gate> {
         self.window.iter().map(|pw| pw.gate.clone()).collect()
     }
 
@@ -652,7 +652,7 @@ impl BlobState {
     /// when nothing expired (the common case): `assigned_at` is monotone
     /// along the window, so the walk stops at the first live entry — the
     /// front.
-    pub fn take_expired(&mut self, now: SimTime, timeout: u64) -> Vec<Version> {
+    pub(crate) fn take_expired(&mut self, now: SimTime, timeout: u64) -> Vec<Version> {
         let mut out = Vec::new();
         for (version, pw) in (self.published + 1..).zip(&mut self.window) {
             if now.saturating_sub(pw.assigned_at) <= timeout {
@@ -669,7 +669,7 @@ impl BlobState {
     /// Give versions taken by [`Self::take_expired`] back, so a failed
     /// force-complete is retried on the next VM interaction instead of being
     /// silently dropped. Versions that published meanwhile are skipped.
-    pub fn give_back(&mut self, versions: &[Version]) {
+    pub(crate) fn give_back(&mut self, versions: &[Version]) {
         for &v in versions {
             if let Some(pw) = self.pending_mut(v) {
                 pw.reaping = false;
@@ -678,19 +678,19 @@ impl BlobState {
     }
 
     /// An O(1) share of the index pinned at the latest published version.
-    pub fn share_published(&self) -> DescIndex {
+    pub(crate) fn share_published(&self) -> DescIndex {
         self.published_index.clone()
     }
 
     /// Number of assigned-but-unpublished versions.
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.window.len()
     }
 
     /// `(pending writes, distinct index nodes)` retained: the live index, the
     /// published index and every pending write's pinned snapshot, with
     /// structurally shared subtrees counted once.
-    pub fn footprint(&self) -> (usize, usize) {
+    pub(crate) fn footprint(&self) -> (usize, usize) {
         let mut seen = HashSet::new();
         let pinned = self.window.iter().map(|pw| &pw.index);
         let nodes = [&self.index, &self.published_index]
@@ -705,7 +705,7 @@ impl BlobState {
 /// Batch node resolver used by [`collect_leaves`]: answers `keys[i]` at
 /// `out[i]` (`None` = node not stored). The DHT-backed implementation is
 /// [`crate::dht::MetaDht::get_batch`].
-pub type BatchFetch<'a> = dyn FnMut(&[NodeKey]) -> BlobResult<Vec<Option<NodeBody>>> + 'a;
+pub(crate) type BatchFetch<'a> = dyn FnMut(&[NodeKey]) -> BlobResult<Vec<Option<NodeBody>>> + 'a;
 
 /// Walk the tree of `snap` and collect the leaves overlapping the byte range
 /// `[byte_lo, byte_hi)`, left to right.

@@ -12,8 +12,8 @@
 //! [`crate::dht::MetaDht::put_batch`]/`get_batch`: [`Provider::put_pages`]
 //! and [`Provider::get_pages`] move N pages in one costed exchange per
 //! provider, with per-page error granularity so replica failover still works
-//! page by page. [`Service::op_counts`] counts pages served,
-//! [`Service::rpc_counts`] counts wire round-trips — the gap between the
+//! page by page. `Service::op_counts` counts pages served,
+//! `Service::rpc_counts` counts wire round-trips — the gap between the
 //! two is the batching win, and the data-plane regression tests pin it.
 //!
 //! The page store is *lock-striped*: the in-memory backend is a fixed array
@@ -27,7 +27,7 @@
 //! relies on a global lock either.
 //!
 //! How a provider counts what it served, dies and comes back is not written
-//! here: that lifecycle is [`crate::service`]'s, shared with the metadata
+//! here: that lifecycle is `crate::service`'s, shared with the metadata
 //! servers, and a `Provider` derefs to it. This file says only what a crash
 //! empties and a restart reconstructs (`Books`), and the hot paths.
 
@@ -56,7 +56,7 @@ fn stripe_of(id: PageId) -> usize {
 /// page counters from exactly this prefix).
 const PAGE_PREFIX: &[u8] = b"p/";
 
-/// One page-storage service instance: a [`Service`] (node, liveness, served
+/// One page-storage service instance: a `Service` (node, liveness, served
 /// counters, crash-restart — all reached by deref) that stores pages.
 pub struct Provider {
     svc: Service,
@@ -148,7 +148,7 @@ impl Provider {
     /// non-empty directory *recovers* it: the page index replays from the
     /// newest checkpoint and `stored_bytes`/`stored_pages` are reconstructed
     /// from the index — never trusted from the dead process.
-    pub fn new_persistent_with(
+    pub(crate) fn new_persistent_with(
         node: NodeId,
         dir: &Path,
         opts: pstore::StoreOptions,
@@ -394,7 +394,7 @@ impl Provider {
     /// Does the provider hold this page? (control query, uncosted — also
     /// answers while the provider is down: the lease reaper uses it to tell
     /// consumed reservations from stranded ones)
-    pub fn has_page(&self, id: PageId) -> bool {
+    pub(crate) fn has_page(&self, id: PageId) -> bool {
         match self.store() {
             #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
             None => self.stripes[stripe_of(id)].read().contains_key(&id),

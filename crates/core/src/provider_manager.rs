@@ -18,7 +18,7 @@
 //! ones were released inline). A dead writer's lease expires:
 //! [`ProviderManager::reap_expired_leases`] — run by the optional background
 //! reaper, or lazily by the next `allocate` — asks each holder whether the
-//! page landed ([`Provider::has_page`]) and releases exactly the reservations
+//! page landed (`Provider::has_page`) and releases exactly the reservations
 //! that never became stored bytes. The deadline queue is peeked O(1) in the
 //! common no-expiry case, mirroring the version manager's per-blob window.
 //!
@@ -37,8 +37,8 @@
 //! The leases live in one `LeaseBook`: private fields, one method per
 //! transition (`register`, `release`, `adopt`, `settle`, `take_expired`,
 //! `entries_on`), the clock passed in. The book is also the
-//! [`crate::service::State`] the lease log under `persist_dir/pm` opens
-//! through — the same [`Durable`] core the providers and metadata servers
+//! `crate::service::State` the lease log under `persist_dir/pm` opens
+//! through — the same `Durable` core the providers and metadata servers
 //! restart through — so a non-empty directory rebuilds it.
 //! `ProviderManager` is the shell around it: it takes the lock, calls one
 //! method, and writes the lease's record to the log under that lock. The RPC
@@ -324,7 +324,11 @@ impl ProviderManager {
     /// capacity books balance from the first allocation. A lease that
     /// straddled the crash is then settled / adopted / reaped exactly like
     /// one registered in this life.
-    pub fn with_persistence(mut self, dir: &Path, opts: pstore::StoreOptions) -> BlobResult<Self> {
+    pub(crate) fn with_persistence(
+        mut self,
+        dir: &Path,
+        opts: pstore::StoreOptions,
+    ) -> BlobResult<Self> {
         self.log = Some(Durable::open(dir, opts, self.leases.clone())?);
         for pr in &self.providers {
             self.reinstate(pr.node());
@@ -345,16 +349,6 @@ impl ProviderManager {
             };
             let _ = s.flush_buffered();
         }
-    }
-
-    /// The node hosting this service.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// All managed providers.
-    pub fn providers(&self) -> &[Arc<Provider>] {
-        &self.providers
     }
 
     /// Choose `replication` distinct providers for each page of an update,
@@ -510,7 +504,7 @@ impl ProviderManager {
     /// the deadlines lapse. Entries whose pages DID land consumed their
     /// reservations (recovery already counts them as stored bytes), so only
     /// the unlanded remainder is restored. Returns the bytes re-reserved.
-    pub fn reinstate(&self, node: NodeId) -> u64 {
+    pub(crate) fn reinstate(&self, node: NodeId) -> u64 {
         let Some(pr) = self.by_node.get(&node) else {
             return 0;
         };
@@ -546,7 +540,7 @@ impl ProviderManager {
         clippy::indexing_slicing,
         reason = "gen_range(0..alive.len()) on the vector the is_empty() test just passed"
     )]
-    pub fn any_alive(&self, p: &Proc, exclude: &[NodeId]) -> BlobResult<Arc<Provider>> {
+    pub(crate) fn any_alive(&self, p: &Proc, exclude: &[NodeId]) -> BlobResult<Arc<Provider>> {
         let mut rng = p.rng();
         let alive: Vec<&Arc<Provider>> = self
             .providers
@@ -819,7 +813,7 @@ mod tests {
             p.sleep(2 * timeout);
             pm.reap_expired_leases(p);
             assert_eq!(pm.outstanding_leases(), 0);
-            for pr in pm.providers() {
+            for pr in &pm.providers {
                 assert_eq!(pr.load_estimate(), pr.stored_bytes());
             }
         });

@@ -42,7 +42,7 @@ use crate::types::{BlobId, PageId, Version};
 /// Given the same sequence of operations the same entries are evicted, on
 /// every run — the property the chaos replay rail and bench baselines need.
 #[derive(Debug)]
-pub struct LruMap<K, V> {
+pub(crate) struct LruMap<K, V> {
     cap_weight: u64,
     used_weight: u64,
     tick: u64,
@@ -61,7 +61,7 @@ struct LruEntry<V> {
 impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// An LRU holding at most `cap_weight` total weight. Zero capacity is a
     /// valid, always-empty map (inserts are dropped).
-    pub fn new(cap_weight: u64) -> Self {
+    pub(crate) fn new(cap_weight: u64) -> Self {
         LruMap {
             cap_weight,
             used_weight: 0,
@@ -72,29 +72,25 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn used_weight(&self) -> u64 {
+    pub(crate) fn used_weight(&self) -> u64 {
         self.used_weight
     }
 
-    pub fn cap_weight(&self) -> u64 {
+    pub(crate) fn cap_weight(&self) -> u64 {
         self.cap_weight
     }
 
     /// Entries evicted over the map's lifetime (not removals).
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
     /// Look up `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    pub(crate) fn get(&mut self, key: &K) -> Option<&V> {
         let tick = self.tick + 1;
         let entry = self.entries.get_mut(key)?;
         let old = entry.tick;
@@ -105,16 +101,11 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         self.entries.get(key).map(|e| &e.value)
     }
 
-    /// Does `key` live in the map? Does *not* refresh recency.
-    pub fn contains(&self, key: &K) -> bool {
-        self.entries.contains_key(key)
-    }
-
     /// Insert `key -> value` with the given weight, evicting
     /// least-recently-used entries until the new total fits. An entry
     /// heavier than the whole capacity is dropped rather than thrashing the
     /// map. Returns the number of entries evicted.
-    pub fn insert(&mut self, key: K, value: V, weight: u64) -> u64 {
+    pub(crate) fn insert(&mut self, key: K, value: V, weight: u64) -> u64 {
         if weight > self.cap_weight {
             // Still displace an existing (now stale-weight) entry under the
             // same key, so the map never lies about containment.
@@ -154,7 +145,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     }
 
     /// Remove `key` (a removal, not an eviction).
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
         let entry = self.entries.remove(key)?;
         self.used_weight -= entry.weight;
         self.recency.remove(&entry.tick);
@@ -223,7 +214,7 @@ const ENTRY_OVERHEAD: u64 = 64;
 
 /// The client-side read cache: bounded, sharded, deterministic.
 ///
-/// All locks rank [`lock_ranks::READ_CACHE`] — above every service lock, so
+/// All locks rank `lock_ranks::READ_CACHE` — above every service lock, so
 /// a cache probe can never participate in a cross-service lock cycle, and
 /// the shim's `wire-while-locked` assertion keeps fabric traffic out of the
 /// critical sections (lookups copy out and drop the guard before any fetch).
@@ -257,12 +248,8 @@ impl ReadCache {
 
     /// A cache that never holds anything (used to compare cached vs uncached
     /// reads, and by deployments that opt out).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Self::new(0)
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.shards.iter().any(|s| s.lock().cap_weight() > 0)
     }
 
     /// Shard selector for `key`. Call sites index `self.shards` with this
@@ -315,7 +302,7 @@ impl ReadCache {
 
     /// Look up the page ref under a metadata-tree leaf of a published
     /// version.
-    pub fn get_leaf(&self, key: NodeKey) -> Option<PageRef> {
+    pub(crate) fn get_leaf(&self, key: NodeKey) -> Option<PageRef> {
         let key = CacheKey::Leaf(key);
         let hit = {
             #[expect(clippy::indexing_slicing, reason = "`% SHARDS` = `shards.len()`")]
@@ -338,7 +325,7 @@ impl ReadCache {
     }
 
     /// Insert a metadata-tree leaf of a **published** version.
-    pub fn put_leaf(&self, key: NodeKey, page: PageRef) {
+    pub(crate) fn put_leaf(&self, key: NodeKey, page: PageRef) {
         // A leaf's budget weight: bookkeeping plus a nominal per-replica
         // cost for the provider list it carries.
         let weight = ENTRY_OVERHEAD + 48 + 8 * page.providers.len() as u64;
@@ -354,7 +341,7 @@ impl ReadCache {
     }
 
     /// Current counters. Resident figures sum over shards at call time.
-    pub fn stats(&self) -> ReadCacheStats {
+    pub(crate) fn stats(&self) -> ReadCacheStats {
         let mut resident_bytes = 0;
         let mut resident_entries = 0;
         let mut evictions = 0;
@@ -410,7 +397,7 @@ mod tests {
         assert_eq!(lru.len(), 2);
         // Oversize entries are dropped and also displace the stale key.
         lru.insert(1, (), 100);
-        assert!(!lru.contains(&1));
+        assert!(lru.get(&1).is_none());
         assert_eq!(lru.used_weight(), 4);
         // A weight-7 insert must evict both residents (4 + 7 > 10).
         let evicted = lru.insert(3, (), 7);
@@ -426,7 +413,7 @@ mod tests {
         // ENTRY_OVERHEAD every real cache entry has weight > 0:
         let mut lru2: LruMap<u32, ()> = LruMap::new(0);
         lru2.insert(1, (), 1);
-        assert!(lru2.is_empty());
+        assert_eq!(lru2.len(), 0);
     }
 
     #[test]
@@ -451,7 +438,6 @@ mod tests {
     #[test]
     fn disabled_cache_never_holds() {
         let cache = ReadCache::disabled();
-        assert!(!cache.is_enabled());
         cache.put_page(BlobId(1), 1, PageId(0, 0), Payload::ghost(10));
         assert!(cache.get_page(BlobId(1), 1, PageId(0, 0)).is_none());
         let s = cache.stats();

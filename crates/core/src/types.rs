@@ -75,23 +75,23 @@ pub struct WriteDesc {
 
 impl WriteDesc {
     /// Number of pages this update wrote.
-    pub fn page_count(&self) -> u64 {
+    pub(crate) fn page_count(&self) -> u64 {
         self.page_hi - self.page_lo
     }
 
     /// True when this update wrote page `page`.
-    pub fn touches_page(&self, page: u64) -> bool {
+    pub(crate) fn touches_page(&self, page: u64) -> bool {
         (self.page_lo..self.page_hi).contains(&page)
     }
 
     /// True when this update wrote any page in `[lo, hi)`.
-    pub fn touches_range(&self, lo: u64, hi: u64) -> bool {
+    pub(crate) fn touches_range(&self, lo: u64, hi: u64) -> bool {
         self.page_lo < hi && lo < self.page_hi
     }
 }
 
 /// Smallest power of two `>= n` (and `>= 1`).
-pub fn next_pow2(n: u64) -> u64 {
+pub(crate) fn next_pow2(n: u64) -> u64 {
     n.max(1).next_power_of_two()
 }
 

@@ -32,7 +32,7 @@
 //! * a registry (`RwLock<HashMap<BlobId, Arc<BlobSlot>>>`) handing out
 //!   per-BLOB slots — read-locked briefly on every operation, write-locked
 //!   only by `create_blob`;
-//! * one `Mutex<`[`BlobState`]`>` per BLOB — operations on distinct BLOBs
+//! * one `Mutex<BlobState>` per BLOB — operations on distinct BLOBs
 //!   never contend.
 //!
 //! The lock unit, `BlobState`, lives in [`crate::meta`] and is the only
@@ -136,14 +136,10 @@ impl VersionManager {
         }
     }
 
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Fault injection: freeze (`true`) or resume (`false`) the service.
     /// While frozen, every request that reaches the VM stalls at entry until
     /// the next poll after the heal. Idempotent.
-    pub fn set_paused(&self, paused: bool) {
+    pub(crate) fn set_paused(&self, paused: bool) {
         self.paused.store(paused, Ordering::Release);
     }
 
@@ -295,7 +291,7 @@ impl VersionManager {
     /// metadata outage mid-force-complete — the affected blob is given its
     /// expired versions back and retries next tick) is reported after the
     /// sweep.
-    pub fn reap_all(&self, p: &Proc) -> BlobResult<()> {
+    pub(crate) fn reap_all(&self, p: &Proc) -> BlobResult<()> {
         let mut first_err = None;
         for blob in self.blob_ids() {
             if let Err(e) = self.reap_expired(p, blob) {
@@ -309,7 +305,7 @@ impl VersionManager {
     }
 
     /// Page size of a BLOB. Immutable, so no per-blob lock is taken.
-    pub fn page_size_of(&self, p: &Proc, blob: BlobId) -> BlobResult<u64> {
+    pub(crate) fn page_size_of(&self, p: &Proc, blob: BlobId) -> BlobResult<u64> {
         self.pause_barrier(p);
         self.charge(p, 0);
         Ok(self.slot(blob)?.page_size)

@@ -24,6 +24,7 @@
 
 // The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
 #![warn(
+    unreachable_pub,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
@@ -36,6 +37,7 @@
     clippy::allow_attributes_without_reason
 )]
 
+// The BSFS and HDFS integration tests run `contract` by path.
 pub mod contract;
 mod error;
 mod fs;

@@ -72,7 +72,7 @@ impl DfsPath {
         clippy::unreachable,
         reason = "repr is absolute by construction: every constructor normalizes to a leading '/', so rfind finds one"
     )]
-    pub fn parent(&self) -> Option<DfsPath> {
+    pub(crate) fn parent(&self) -> Option<DfsPath> {
         if self.is_root() {
             return None;
         }
@@ -95,17 +95,17 @@ impl DfsPath {
     }
 
     /// True for `/`.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.repr == "/"
     }
 
     /// Path components, root yields an empty iterator.
-    pub fn components(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn components(&self) -> impl Iterator<Item = &str> {
         self.repr.split('/').filter(|c| !c.is_empty())
     }
 
     /// True when `self` equals `other` or lies underneath it.
-    pub fn starts_with(&self, other: &DfsPath) -> bool {
+    pub(crate) fn starts_with(&self, other: &DfsPath) -> bool {
         if other.is_root() {
             return true;
         }
@@ -121,7 +121,7 @@ impl DfsPath {
 
     /// Rebase `self` from prefix `from` onto prefix `to` (used by rename of
     /// directories).
-    pub fn rebase(&self, from: &DfsPath, to: &DfsPath) -> FsResult<DfsPath> {
+    pub(crate) fn rebase(&self, from: &DfsPath, to: &DfsPath) -> FsResult<DfsPath> {
         if !self.starts_with(from) {
             return Err(FsError::InvalidPath {
                 path: self.repr.clone(),

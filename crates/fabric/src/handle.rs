@@ -71,14 +71,6 @@ impl Fabric {
         }
     }
 
-    /// The base RNG seed.
-    pub fn seed(&self) -> u64 {
-        match &self.inner {
-            FabricInner::Sim(c) => c.seed,
-            FabricInner::Live(c) => c.seed,
-        }
-    }
-
     /// Current time in nanoseconds (virtual in sim mode, wall in live mode).
     pub fn now(&self) -> SimTime {
         match &self.inner {
@@ -89,7 +81,7 @@ impl Fabric {
 
     /// Spawn a process on `node`. In sim mode the process starts when the
     /// engine first schedules it; in live mode it starts immediately, on a
-    /// reusable worker thread (see [`crate::live`]).
+    /// reusable worker thread (see `crate::live`).
     pub fn spawn<T, F>(&self, node: NodeId, name: impl Into<String>, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
@@ -309,7 +301,7 @@ impl Proc {
     }
 
     /// Where this process's virtual time went so far (module
-    /// [`crate::ledger`]); the difference of two snapshots sums to the
+    /// `crate::ledger`); the difference of two snapshots sums to the
     /// virtual time between them. Empty in live mode.
     pub fn ledger(&self) -> Ledger {
         match &self.fabric.inner {
@@ -329,15 +321,6 @@ impl Proc {
         match &self.fabric.inner {
             FabricInner::Sim(c) => c.sleep(self.pid, &self.parker, ns),
             FabricInner::Live(_) => std::thread::sleep(std::time::Duration::from_nanos(ns)),
-        }
-    }
-
-    /// Let other runnable work proceed before continuing.
-    pub fn yield_now(&self) {
-        assert_none_held("Proc::yield_now");
-        match &self.fabric.inner {
-            FabricInner::Sim(c) => c.sleep(self.pid, &self.parker, 0),
-            FabricInner::Live(_) => std::thread::yield_now(),
         }
     }
 
@@ -598,11 +581,6 @@ impl<T> JoinHandle<T> {
             Some(Err(e)) => panic!("joined process panicked: {e}"),
         }
     }
-
-    /// True once the process has finished (successfully or not).
-    pub fn is_finished(&self) -> bool {
-        self.done.is_set()
-    }
 }
 
 #[cfg(test)]
@@ -679,7 +657,10 @@ mod tests {
         // and pays one latency per hop — also when every hop claims a
         // (here ample) backplane as a third resource.
         for backplane in [None, Some(1e12)] {
-            let spec = ClusterSpec::tiny(4).with_backplane(backplane);
+            let spec = ClusterSpec {
+                backplane_bw: backplane,
+                ..ClusterSpec::tiny(4)
+            };
             let bw = spec.nic_bw;
             let lat = spec.latency_ns;
             let fx = Fabric::sim(spec);
@@ -704,7 +685,10 @@ mod tests {
 
     #[test]
     fn compute_shares_cpu() {
-        let spec = ClusterSpec::tiny(1).with_cpu_ops(1e9);
+        let spec = ClusterSpec {
+            cpu_ops: 1e9,
+            ..ClusterSpec::tiny(1)
+        };
         let fx = Fabric::sim(spec);
         let mut hs = Vec::new();
         for i in 0..2 {
@@ -1121,7 +1105,7 @@ mod tests {
         for _ in 0..1_000 {
             let idle = fx.spawn(NodeId(0), "idle", |_| ());
             fx.run();
-            assert!(idle.is_finished());
+            assert!(idle.done.is_set());
         }
         assert_eq!(resumed_under_lock(&fx), 0, "resumed while a lock was held");
     }
@@ -1294,7 +1278,10 @@ mod tests {
     #[test]
     fn a_request_beside_a_flow_costs_the_longer_not_the_sum() {
         use crate::ledger::Waited;
-        let spec = ClusterSpec::tiny(3).with_cpu_ops(1e9);
+        let spec = ClusterSpec {
+            cpu_ops: 1e9,
+            ..ClusterSpec::tiny(3)
+        };
         let lat = spec.latency_ns;
         let fx = Fabric::sim(spec);
         let h = fx.spawn(NodeId(0), "caller", move |p| {
@@ -1368,7 +1355,10 @@ mod tests {
     /// end, and `run` returns cleanly at that end.
     #[test]
     fn an_orphan_request_finishes_and_run_returns() {
-        let spec = ClusterSpec::tiny(2).with_cpu_ops(1e9);
+        let spec = ClusterSpec {
+            cpu_ops: 1e9,
+            ..ClusterSpec::tiny(2)
+        };
         let lat = spec.latency_ns;
         let fx = Fabric::sim(spec);
         let h = fx.spawn(NodeId(0), "orphaner", |p| {
@@ -1464,7 +1454,7 @@ mod tests {
             ),
             seed in 0u64..1_000,
         ) {
-            let fx = Fabric::sim_seeded(ClusterSpec::tiny(4).with_cpu_ops(1e9), seed);
+            let fx = Fabric::sim_seeded(ClusterSpec { cpu_ops: 1e9, ..ClusterSpec::tiny(4) }, seed);
             let gate = fx.gate();
             let mut hs = Vec::new();
             let last = plans.len() - 1;

@@ -16,7 +16,7 @@
 //!   deterministic and cheap: hundreds of simulated nodes moving tens of
 //!   simulated gigabytes run in seconds on a laptop.
 //! * **Live** ([`Fabric::live`]): processes run on real OS threads (reused
-//!   from proc to proc, see [`live`]), transfers and disk charges are free
+//!   from proc to proc, see `live`), transfers and disk charges are free
 //!   (the real work on real bytes *is* the cost) and the clock is the wall
 //!   clock. Functional tests and the runnable examples use this mode.
 //!
@@ -37,20 +37,23 @@
 // "Static analysis"). The panic-path family is off: the engine fails loud by
 // contract, a broken scheduler invariant invalidates every result.
 #![warn(
+    unreachable_pub,
     clippy::iter_over_hash_type,
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
 )]
 
-pub mod handle;
-pub mod ledger;
-pub mod live;
-pub mod net;
-pub mod payload;
-pub mod sim;
-pub mod stats;
+mod handle;
+mod ledger;
+mod live;
+mod net;
+mod payload;
+mod sim;
+mod stats;
+// Downstream crates and `sim_bit_identity` name `sync::{Gate, Queue}`.
 pub mod sync;
-pub mod time;
+mod time;
+// Fabric's integration tests name `ResourceKind` and `RES_PER_NODE` by path.
 pub mod topology;
 
 mod parker;
@@ -64,7 +67,8 @@ pub use sync::Epoch;
 pub use time::{ns_to_secs, secs_to_ns, SimTime, MICROS, MILLIS, SECS};
 pub use topology::{ClusterSpec, NodeId, SpecError};
 
-/// Convenience prelude for downstream crates.
+/// Convenience prelude for downstream crates. `benchmark/` names
+/// `prelude::Gate`, so it stays until that package next changes.
 pub mod prelude {
     pub use crate::sync::{Gate, Queue};
     pub use crate::{

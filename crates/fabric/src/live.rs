@@ -66,7 +66,7 @@ impl LiveCore {
     // Live mode IS the time boundary: this Instant anchors the wall clock
     // every live-mode timestamp derives from.
     #[expect(clippy::disallowed_methods, reason = "live mode is the time boundary")]
-    pub fn new(spec: ClusterSpec, seed: u64) -> Arc<Self> {
+    pub(crate) fn new(spec: ClusterSpec, seed: u64) -> Arc<Self> {
         Arc::new(LiveCore {
             spec,
             seed,
@@ -81,7 +81,7 @@ impl LiveCore {
         })
     }
 
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.start.elapsed().as_nanos() as SimTime
     }
 
@@ -90,7 +90,11 @@ impl LiveCore {
     /// `body` must have dropped every handle to this world by the time it
     /// returns — the proc is reported finished only after that, so whoever
     /// `run` wakes holds the last handle and joins the workers.
-    pub fn spawn(&self, name: Arc<str>, body: impl FnOnce(u64) -> Option<String> + Send + 'static) {
+    pub(crate) fn spawn(
+        &self,
+        name: Arc<str>,
+        body: impl FnOnce(u64) -> Option<String> + Send + 'static,
+    ) {
         let mut st = self.shared.state.lock();
         st.live += 1;
         let pid = st.next_proc_id;
@@ -113,14 +117,14 @@ impl LiveCore {
         }
     }
 
-    pub fn note_transfer(&self, bytes: u64) {
+    pub(crate) fn note_transfer(&self, bytes: u64) {
         // Statistics only: nothing is published through these counters.
         self.transfers.fetch_add(1, Ordering::Relaxed);
         self.bytes_requested.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Wait for all spawned processes to finish; re-raise collected panics.
-    pub fn run(&self) {
+    pub(crate) fn run(&self) {
         let mut st = self.shared.state.lock();
         while st.live > 0 {
             self.shared.all_done.wait(&mut st);
@@ -132,7 +136,7 @@ impl LiveCore {
         }
     }
 
-    pub fn stats(&self) -> FabricStats {
+    pub(crate) fn stats(&self) -> FabricStats {
         FabricStats {
             per_resource: vec![0.0; self.spec.resource_count()],
             transfers: self.transfers.load(Ordering::Relaxed),
@@ -306,7 +310,9 @@ mod tests {
             .expect_err("run must re-raise");
         let msg = raised.downcast_ref::<String>().expect("string payload");
         assert_eq!(msg, "process 'doomed' panicked: boom 7");
-        assert!(doomed.is_finished());
+        // The proc finished: its handle holds the panic and re-raises it.
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| doomed.take()));
+        assert!(joined.is_err(), "the doomed proc never finished");
         // Same fabric, same worker thread: the next proc runs, and `run`
         // does not raise the old panic again.
         assert_eq!(workers_started(&fx), 1);

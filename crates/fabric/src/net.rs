@@ -35,7 +35,7 @@ pub enum NodeSet {
 }
 
 impl NodeSet {
-    pub fn contains(&self, n: NodeId) -> bool {
+    pub(crate) fn contains(&self, n: NodeId) -> bool {
         match self {
             NodeSet::Any => true,
             NodeSet::One(m) => *m == n,

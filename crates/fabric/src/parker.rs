@@ -19,12 +19,12 @@ pub(crate) struct Parker {
 }
 
 impl Parker {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Block until a permit is available, then consume it.
-    pub fn park(&self) {
+    pub(crate) fn park(&self) {
         let mut permit = self.permit.lock();
         while !*permit {
             self.cv.wait(&mut permit);
@@ -33,7 +33,7 @@ impl Parker {
     }
 
     /// Make a permit available, waking the parked thread if any.
-    pub fn unpark(&self) {
+    pub(crate) fn unpark(&self) {
         *self.permit.lock() = true;
         self.cv.notify_one();
     }

@@ -34,11 +34,6 @@ impl Payload {
         Payload::Bytes(Bytes::from(v))
     }
 
-    /// Wrap a static byte slice.
-    pub fn from_static(s: &'static [u8]) -> Self {
-        Payload::Bytes(Bytes::from_static(s))
-    }
-
     /// Length in bytes.
     pub fn len(&self) -> u64 {
         match self {

@@ -635,7 +635,7 @@ pub(crate) struct SimCore {
 }
 
 impl SimCore {
-    pub fn new(spec: ClusterSpec, seed: u64) -> Arc<Self> {
+    pub(crate) fn new(spec: ClusterSpec, seed: u64) -> Arc<Self> {
         let nres = spec.resource_count();
         Arc::new(SimCore {
             spec,
@@ -682,13 +682,13 @@ impl SimCore {
         })
     }
 
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.state.lock().now
     }
 
     /// Register a new process in Blocked state and schedule its initial wake
     /// at the current virtual time. Returns the process id.
-    pub fn register_proc(&self, node: NodeId, name: &str, parker: Arc<Parker>) -> u64 {
+    pub(crate) fn register_proc(&self, node: NodeId, name: &str, parker: Arc<Parker>) -> u64 {
         let mut st = self.state.lock();
         let pid = st.next_proc_id;
         st.next_proc_id += 1;
@@ -811,7 +811,7 @@ impl SimCore {
     }
 
     /// Block the calling process for `dur` nanoseconds of virtual time.
-    pub fn sleep(&self, pid: u64, parker: &Parker, dur: u64) {
+    pub(crate) fn sleep(&self, pid: u64, parker: &Parker, dur: u64) {
         let ((), baton) = self.block(pid, "sleep", |st, gen| {
             let sleep = Act::Sleep(dur, None, Waited::Sleep);
             Self::start(st, &self.spec, pid, gen, sleep);
@@ -822,7 +822,7 @@ impl SimCore {
 
     /// Block the calling process on a fluid flow of `work` units across
     /// `resources`.
-    pub fn flow(&self, pid: u64, parker: &Parker, resources: &[u32], work: f64) {
+    pub(crate) fn flow(&self, pid: u64, parker: &Parker, resources: &[u32], work: f64) {
         if work <= 0.0 {
             return;
         }
@@ -1023,7 +1023,7 @@ impl SimCore {
     /// Install a network-fault window. Takes effect immediately; transfers
     /// starting inside `[from_ns, until_ns)` that match the rule pay the
     /// fault's cost.
-    pub fn inject_net_fault(&self, fault: NetFault) {
+    pub(crate) fn inject_net_fault(&self, fault: NetFault) {
         assert!(
             fault.from_ns < fault.until_ns,
             "net fault window is empty: [{}, {})",
@@ -1034,7 +1034,7 @@ impl SimCore {
     }
 
     /// Remove every installed network fault (heal the network).
-    pub fn clear_net_faults(&self) {
+    pub(crate) fn clear_net_faults(&self) {
         self.state.lock().net_faults.clear();
     }
 
@@ -1086,12 +1086,12 @@ impl SimCore {
     }
 
     /// Process finished normally.
-    pub fn proc_finished(&self, pid: u64) {
+    pub(crate) fn proc_finished(&self, pid: u64) {
         self.finish(self.state.lock(), pid);
     }
 
     /// Process panicked; the panic is re-raised from `run()`.
-    pub fn proc_panicked(&self, pid: u64, msg: String) {
+    pub(crate) fn proc_panicked(&self, pid: u64, msg: String) {
         let mut st = self.state.lock();
         let name = st
             .procs
@@ -1425,7 +1425,7 @@ impl SimCore {
     /// collected from processes and re-raised here, and so is a deadlock.
     /// Must be called from a thread that is *not* a fabric process
     /// (typically the test/bench main thread).
-    pub fn run(&self) {
+    pub(crate) fn run(&self) {
         let mut st = self.state.lock();
         assert!(!st.running, "SimCore::run is not reentrant");
         st.running = true;
@@ -1512,7 +1512,7 @@ impl SimCore {
         self.state.lock().procs[&pid].ledger.clone()
     }
 
-    pub fn stats(&self) -> FabricStats {
+    pub(crate) fn stats(&self) -> FabricStats {
         let st = self.state.lock();
         FabricStats {
             per_resource: st.res_done.clone(),
@@ -1793,10 +1793,12 @@ mod tests {
         // Three resources of different capacity on one node, five flows:
         // TX saturates first (three ways), the disk then limits the one flow
         // that also crosses the CPU, whose other flow gets the remainder.
-        let spec = ClusterSpec::tiny(1)
-            .with_nic_bw(100.0)
-            .with_disk_bw(400.0)
-            .with_cpu_ops(1000.0);
+        let spec = ClusterSpec {
+            nic_bw: 100.0,
+            disk_bw: 400.0,
+            cpu_ops: 1000.0,
+            ..ClusterSpec::tiny(1)
+        };
         let tx = spec.resource(NodeId(0), ResourceKind::Tx);
         let disk = spec.resource(NodeId(0), ResourceKind::Disk);
         let cpu = spec.resource(NodeId(0), ResourceKind::Cpu);
@@ -1832,7 +1834,10 @@ mod tests {
     /// own, higher one.
     #[test]
     fn a_tie_that_a_freeze_raised_freezes_at_its_own_share() {
-        let spec = ClusterSpec::tiny(6).with_nic_bw(1000.0);
+        let spec = ClusterSpec {
+            nic_bw: 1000.0,
+            ..ClusterSpec::tiny(6)
+        };
         let tx = |n: u32| spec.resource(NodeId(n), ResourceKind::Tx);
         let rx = |n: u32| spec.resource(NodeId(n), ResourceKind::Rx);
         let fixture = [
@@ -1869,11 +1874,13 @@ mod tests {
         fn recompute_matches_the_oracle_under_churn(
             steps in prop::collection::vec((0u8..8, 0u32..4, 0u32..4, 0u32..4, 1u32..50), 1..80),
         ) {
-            let spec = ClusterSpec::tiny(4)
-                .with_nic_bw(100.0)
-                .with_disk_bw(300.0)
-                .with_cpu_ops(1000.0)
-                .with_backplane(Some(250.0));
+            let spec = ClusterSpec {
+                nic_bw: 100.0,
+                disk_bw: 300.0,
+                cpu_ops: 1000.0,
+                backplane_bw: Some(250.0),
+                ..ClusterSpec::tiny(4)
+            };
             let bp = spec.backplane_resource().expect("backplane configured");
             let res = |n: u32, kind| spec.resource(NodeId(n), kind);
             let core = SimCore::new(spec.clone(), 0);
@@ -1925,10 +1932,12 @@ mod tests {
         fn recompute_matches_the_oracle_across_wide_ties(
             steps in prop::collection::vec((0u8..12, 0u32..32, 0u32..32, 0u32..32, 1u32..50), 1..128),
         ) {
-            let spec = ClusterSpec::tiny(32)
-                .with_nic_bw(100.0)
-                .with_disk_bw(300.0)
-                .with_cpu_ops(1000.0);
+            let spec = ClusterSpec {
+                nic_bw: 100.0,
+                disk_bw: 300.0,
+                cpu_ops: 1000.0,
+                ..ClusterSpec::tiny(32)
+            };
             let res = |n: u32, kind| spec.resource(NodeId(n), kind);
             let core = SimCore::new(spec.clone(), 0);
             let mut st = core.state.lock();

@@ -1,7 +1,6 @@
 //! Aggregate counters maintained by the fabric: how many bytes moved through
 //! each resource, how many transfers/flows/events were processed. Tests use
-//! these to assert that work really flowed through the modeled cluster, and
-//! the benchmark harnesses report utilization from them.
+//! these to assert that work really flowed through the modeled cluster.
 
 use crate::topology::{ClusterSpec, NodeId, ResourceKind};
 
@@ -42,54 +41,5 @@ impl FabricStats {
     pub fn resource_total(&self, spec: &ClusterSpec, node: NodeId, kind: ResourceKind) -> f64 {
         let idx = spec.resource(node, kind) as usize;
         self.per_resource.get(idx).copied().unwrap_or(0.0)
-    }
-
-    /// Mean utilization of a resource kind across all nodes over `[0, now]`.
-    pub fn mean_utilization(&self, spec: &ClusterSpec, kind: ResourceKind) -> f64 {
-        if self.now_ns == 0 {
-            return 0.0;
-        }
-        let elapsed = self.now_ns as f64 / 1e9;
-        let mut total = 0.0;
-        let mut cap = 0.0;
-        for n in spec.all_nodes() {
-            total += self.resource_total(spec, n, kind);
-            cap += spec.capacity(spec.resource(n, kind)) * elapsed;
-        }
-        if cap == 0.0 {
-            0.0
-        } else {
-            total / cap
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn utilization_zero_when_idle() {
-        let spec = ClusterSpec::tiny(2);
-        let st = FabricStats {
-            per_resource: vec![0.0; spec.resource_count()],
-            now_ns: 1_000_000_000,
-            ..Default::default()
-        };
-        assert_eq!(st.mean_utilization(&spec, ResourceKind::Tx), 0.0);
-    }
-
-    #[test]
-    fn utilization_accounts_capacity() {
-        let spec = ClusterSpec::tiny(1);
-        let mut per = vec![0.0; spec.resource_count()];
-        per[spec.resource(NodeId(0), ResourceKind::Tx) as usize] = spec.nic_bw; // 1s at full rate
-        let st = FabricStats {
-            per_resource: per,
-            now_ns: 2_000_000_000, // 2s elapsed -> 50% utilization
-            ..Default::default()
-        };
-        let u = st.mean_utilization(&spec, ResourceKind::Tx);
-        assert!((u - 0.5).abs() < 1e-9, "{u}");
     }
 }

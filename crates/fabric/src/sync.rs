@@ -117,16 +117,6 @@ impl<T: Send + 'static> Queue<T> {
         waiters.into_iter().for_each(Waiter::wake);
     }
 
-    /// Number of currently buffered items.
-    pub fn len(&self) -> usize {
-        self.state.lock().items.len()
-    }
-
-    /// True when no items are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Drain all currently buffered items (non-blocking).
     pub fn drain(&self) -> Vec<T> {
         self.state.lock().items.drain(..).collect()
@@ -276,10 +266,10 @@ mod tests {
                 })
             })
             .collect();
-        fx.spawn(NodeId(3), "setter", move |p| {
+        fx.spawn(NodeId(3), "setter", move |_| {
             for g in gates.iter() {
                 g.set();
-                p.yield_now();
+                std::thread::yield_now();
             }
         });
 

@@ -27,19 +27,6 @@ pub fn ns_to_secs(ns: u64) -> f64 {
     ns as f64 / SECS as f64
 }
 
-/// Render a time span as a short human-readable string (for logs/tables).
-pub fn fmt_ns(ns: u64) -> String {
-    if ns >= SECS {
-        format!("{:.3}s", ns_to_secs(ns))
-    } else if ns >= MILLIS {
-        format!("{:.3}ms", ns as f64 / MILLIS as f64)
-    } else if ns >= MICROS {
-        format!("{:.3}us", ns as f64 / MICROS as f64)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,13 +39,5 @@ mod tests {
         assert_eq!(secs_to_ns(-3.0), 0);
         let x = 123.456_789;
         assert!((ns_to_secs(secs_to_ns(x)) - x).abs() < 1e-9);
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_ns(5), "5ns");
-        assert_eq!(fmt_ns(5 * MICROS), "5.000us");
-        assert_eq!(fmt_ns(5 * MILLIS), "5.000ms");
-        assert_eq!(fmt_ns(5 * SECS), "5.000s");
     }
 }

@@ -13,13 +13,6 @@ use crate::time::MICROS;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-impl NodeId {
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "n{}", self.0)
@@ -131,34 +124,9 @@ impl ClusterSpec {
         Self::grid5000(nodes)
     }
 
-    /// Builder-style override of NIC bandwidth.
-    pub fn with_nic_bw(mut self, bw: f64) -> Self {
-        self.nic_bw = bw;
-        self
-    }
-
-    /// Builder-style override of the backplane capacity.
-    pub fn with_backplane(mut self, bw: Option<f64>) -> Self {
-        self.backplane_bw = bw;
-        self
-    }
-
-    /// Builder-style override of disk bandwidth.
-    pub fn with_disk_bw(mut self, bw: f64) -> Self {
-        self.disk_bw = bw;
-        self
-    }
-
-    /// Builder-style override of CPU capacity.
-    pub fn with_cpu_ops(mut self, ops: f64) -> Self {
-        self.cpu_ops = ops;
-        self
-    }
-
     /// Check that this spec describes a runnable cluster: at least one node
-    /// and positive, finite capacities everywhere. Builders stay infallible
-    /// (they just set fields); call this before handing a generated spec to
-    /// [`crate::Fabric::sim`].
+    /// and positive, finite capacities everywhere. Call this before handing
+    /// a generated spec to [`crate::Fabric::sim`].
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.nodes == 0 {
             return Err(SpecError::NoNodes);
@@ -182,7 +150,7 @@ impl ClusterSpec {
     }
 
     /// Total number of fluid resources for this spec.
-    pub fn resource_count(&self) -> usize {
+    pub(crate) fn resource_count(&self) -> usize {
         self.nodes as usize * RES_PER_NODE + usize::from(self.backplane_bw.is_some())
     }
 
@@ -223,7 +191,7 @@ impl ClusterSpec {
     }
 
     /// Capacity of resource `idx` in units/second.
-    pub fn capacity(&self, idx: u32) -> f64 {
+    pub(crate) fn capacity(&self, idx: u32) -> f64 {
         let per_node = self.nodes * RES_PER_NODE as u32;
         if idx >= per_node {
             return self.backplane_bw.expect("backplane not configured");
@@ -249,7 +217,10 @@ mod tests {
 
     #[test]
     fn resource_indexing_is_dense_and_disjoint() {
-        let spec = ClusterSpec::tiny(3).with_backplane(Some(1e9));
+        let spec = ClusterSpec {
+            backplane_bw: Some(1e9),
+            ..ClusterSpec::tiny(3)
+        };
         let mut seen = std::collections::BTreeSet::new();
         for n in spec.all_nodes() {
             for k in [
@@ -304,7 +275,11 @@ mod tests {
         assert_eq!(ClusterSpec::tiny(1).validate(), Ok(()));
         assert_eq!(ClusterSpec::orsay_270().validate(), Ok(()));
         assert_eq!(
-            ClusterSpec::tiny(4).with_backplane(Some(1e9)).validate(),
+            ClusterSpec {
+                backplane_bw: Some(1e9),
+                ..ClusterSpec::tiny(4)
+            }
+            .validate(),
             Ok(())
         );
     }
@@ -313,24 +288,38 @@ mod tests {
     fn validate_rejects_impossible_topologies() {
         assert_eq!(ClusterSpec::tiny(0).validate(), Err(SpecError::NoNodes));
         assert!(matches!(
-            ClusterSpec::tiny(2).with_nic_bw(0.0).validate(),
+            ClusterSpec {
+                nic_bw: 0.0,
+                ..ClusterSpec::tiny(2)
+            }
+            .validate(),
             Err(SpecError::BadCapacity {
                 what: "nic bandwidth",
                 ..
             })
         ));
         assert!(matches!(
-            ClusterSpec::tiny(2).with_disk_bw(-1.0).validate(),
+            ClusterSpec {
+                disk_bw: -1.0,
+                ..ClusterSpec::tiny(2)
+            }
+            .validate(),
             Err(SpecError::BadCapacity { .. })
         ));
         assert!(matches!(
-            ClusterSpec::tiny(2).with_cpu_ops(f64::NAN).validate(),
+            ClusterSpec {
+                cpu_ops: f64::NAN,
+                ..ClusterSpec::tiny(2)
+            }
+            .validate(),
             Err(SpecError::BadCapacity { .. })
         ));
         assert!(matches!(
-            ClusterSpec::tiny(2)
-                .with_backplane(Some(f64::INFINITY))
-                .validate(),
+            ClusterSpec {
+                backplane_bw: Some(f64::INFINITY),
+                ..ClusterSpec::tiny(2)
+            }
+            .validate(),
             Err(SpecError::BadBackplane { .. })
         ));
         // Errors render a human-readable reason.

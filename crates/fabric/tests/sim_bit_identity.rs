@@ -25,7 +25,10 @@ const SENDERS: u32 = 36;
 /// RPCs; a lossy window (seeded draws) over part of the run; a queue fan-in,
 /// a gate fan-out, a replication chain and two levels of `run_parallel`.
 fn scenario() -> (fabric::FabricStats, Vec<u64>, Vec<u32>) {
-    let spec = ClusterSpec::tiny(NODES).with_backplane(Some(4.0 * 117.0e6));
+    let spec = ClusterSpec {
+        backplane_bw: Some(4.0 * 117.0e6),
+        ..ClusterSpec::tiny(NODES)
+    };
     let fx = Fabric::sim_seeded(spec, 0x5EED_0015);
     fx.inject_net_fault(NetFault::drop(
         2 * MILLIS,
@@ -283,7 +286,10 @@ fn tied_flows_complete_in_flow_id_order() {
 /// up its flows' work in flow-id order.
 #[test]
 fn flows_that_reuse_a_finished_flows_place_keep_flow_id_order() {
-    let spec = ClusterSpec::tiny(16).with_backplane(Some(4.0 * 117.0e6));
+    let spec = ClusterSpec {
+        backplane_bw: Some(4.0 * 117.0e6),
+        ..ClusterSpec::tiny(16)
+    };
     let latency = spec.latency_ns;
     let fx = Fabric::sim(spec.clone());
     let done = Arc::new(Mutex::new(Vec::new()));
@@ -377,7 +383,10 @@ fn flows_that_reuse_a_finished_flows_place_keep_flow_id_order() {
 /// them. Each leg's penalty, Drop draw and flow must be taken when that leg
 /// starts, not when its rpc was called.
 fn wire_legs_under_faults() -> (fabric::FabricStats, Vec<u64>) {
-    let spec = ClusterSpec::tiny(NODES).with_backplane(Some(2.0 * 117.0e6));
+    let spec = ClusterSpec {
+        backplane_bw: Some(2.0 * 117.0e6),
+        ..ClusterSpec::tiny(NODES)
+    };
     let fx = Fabric::sim_seeded(spec, 0x5EED_0034);
     let us = MILLIS / 1_000;
     fx.inject_net_fault(NetFault::delay(

@@ -18,7 +18,7 @@ pub struct Datanode {
 }
 
 impl Datanode {
-    pub fn new(node: NodeId) -> Self {
+    pub(crate) fn new(node: NodeId) -> Self {
         Datanode {
             node,
             alive: AtomicBool::new(true),
@@ -31,7 +31,7 @@ impl Datanode {
         self.node
     }
 
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Acquire)
     }
 
@@ -39,11 +39,7 @@ impl Datanode {
         self.alive.store(false, Ordering::Release);
     }
 
-    pub fn revive(&self) {
-        self.alive.store(true, Ordering::Release);
-    }
-
-    pub fn stored_bytes(&self) -> u64 {
+    pub(crate) fn stored_bytes(&self) -> u64 {
         self.stored_bytes.load(Ordering::Relaxed)
     }
 
@@ -53,7 +49,7 @@ impl Datanode {
 
     /// Store a replica. The network cost of the write pipeline is charged by
     /// the client (a single chained flow), so this only records the data.
-    pub fn store_replica(&self, id: u64, data: Payload) -> FsResult<()> {
+    pub(crate) fn store_replica(&self, id: u64, data: Payload) -> FsResult<()> {
         if !self.is_alive() {
             return Err(FsError::Storage(format!("datanode {} is down", self.node)));
         }
@@ -66,7 +62,7 @@ impl Datanode {
 
     /// Serve a whole block to the calling client (charges the
     /// datanode→client transfer).
-    pub fn read_block(&self, p: &Proc, id: u64) -> FsResult<Payload> {
+    pub(crate) fn read_block(&self, p: &Proc, id: u64) -> FsResult<Payload> {
         if !self.is_alive() {
             return Err(FsError::Storage(format!("datanode {} is down", self.node)));
         }
@@ -79,7 +75,7 @@ impl Datanode {
     }
 
     /// Drop a block (GC after file deletion).
-    pub fn drop_block(&self, id: u64) {
+    pub(crate) fn drop_block(&self, id: u64) {
         let mut blocks = self.blocks.lock();
         if let Some(b) = blocks.remove(&id) {
             self.stored_bytes.fetch_sub(b.len(), Ordering::Relaxed);
@@ -119,7 +115,7 @@ mod tests {
             dn.kill();
             assert!(dn.read_block(p, 1).is_err());
             assert!(dn.store_replica(2, Payload::ghost(5)).is_err());
-            dn.revive();
+            dn.alive.store(true, Ordering::Release);
             assert_eq!(dn.read_block(p, 1).unwrap().len(), 10);
         });
         fx.run();

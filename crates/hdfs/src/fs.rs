@@ -136,16 +136,8 @@ impl HdfsSim {
         Self::deploy(fabric, config, layout)
     }
 
-    pub fn namenode(&self) -> &Arc<Namenode> {
-        &self.inner.nn
-    }
-
     pub fn datanodes(&self) -> &[Arc<Datanode>] {
         &self.inner.datanodes
-    }
-
-    pub fn config(&self) -> &HdfsConfig {
-        &self.inner.config
     }
 
     /// Total bytes stored across datanodes (all replicas).

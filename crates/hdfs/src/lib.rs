@@ -13,6 +13,7 @@
 
 // The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
 #![warn(
+    unreachable_pub,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,

@@ -34,7 +34,7 @@ struct NnFile {
 }
 
 /// `(is_dir, len, block_size)` of a path.
-pub type NnStatus = (bool, u64, u64);
+pub(crate) type NnStatus = (bool, u64, u64);
 
 fn entry_status(entry: &Entry<NnFile>) -> NnStatus {
     match entry {
@@ -71,7 +71,7 @@ pub struct Namenode {
 }
 
 impl Namenode {
-    pub fn new(
+    pub(crate) fn new(
         node: NodeId,
         datanodes: Vec<NodeId>,
         replication: usize,
@@ -94,14 +94,6 @@ impl Namenode {
         }
     }
 
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
     fn charge(&self, p: &Proc) {
         p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
         if self.cpu_ops > 0 {
@@ -110,7 +102,7 @@ impl Namenode {
     }
 
     /// Start a new file under construction; returns the write lease.
-    pub fn create_file(&self, p: &Proc, path: &DfsPath, block_size: u64) -> FsResult<Lease> {
+    pub(crate) fn create_file(&self, p: &Proc, path: &DfsPath, block_size: u64) -> FsResult<Lease> {
         self.charge(p);
         let mut st = self.state.lock();
         let lease = Lease(st.next_lease);
@@ -126,7 +118,7 @@ impl Namenode {
 
     /// Allocate the next block of an under-construction file on
     /// `replication` random datanodes.
-    pub fn add_block(&self, p: &Proc, path: &DfsPath, lease: Lease) -> FsResult<BlockInfo> {
+    pub(crate) fn add_block(&self, p: &Proc, path: &DfsPath, lease: Lease) -> FsResult<BlockInfo> {
         self.charge(p);
         let replicas: Vec<NodeId> = {
             let mut rng = p.rng();
@@ -148,7 +140,7 @@ impl Namenode {
     }
 
     /// Record the final length of a block once its pipeline finished.
-    pub fn complete_block(
+    pub(crate) fn complete_block(
         &self,
         p: &Proc,
         path: &DfsPath,
@@ -169,7 +161,7 @@ impl Namenode {
     }
 
     /// Close the file: release the lease and freeze it forever.
-    pub fn complete_file(&self, p: &Proc, path: &DfsPath, lease: Lease) -> FsResult<()> {
+    pub(crate) fn complete_file(&self, p: &Proc, path: &DfsPath, lease: Lease) -> FsResult<()> {
         self.charge(p);
         self.state.lock().leased(path, lease)?.lease = None;
         Ok(())
@@ -177,25 +169,25 @@ impl Namenode {
 
     /// Blocks of a file (readers; includes under-construction files, whose
     /// completed prefix is readable, matching 0.20 behaviour).
-    pub fn get_blocks(&self, p: &Proc, path: &DfsPath) -> FsResult<(Vec<BlockInfo>, u64)> {
+    pub(crate) fn get_blocks(&self, p: &Proc, path: &DfsPath) -> FsResult<(Vec<BlockInfo>, u64)> {
         self.charge(p);
         let st = self.state.lock();
         let file = st.entries.file(path)?;
         Ok((file.blocks.clone(), file.block_size))
     }
 
-    pub fn status(&self, p: &Proc, path: &DfsPath) -> FsResult<NnStatus> {
+    pub(crate) fn status(&self, p: &Proc, path: &DfsPath) -> FsResult<NnStatus> {
         self.charge(p);
         self.state.lock().entries.get(path).map(entry_status)
     }
 
-    pub fn mkdirs(&self, p: &Proc, path: &DfsPath) -> FsResult<()> {
+    pub(crate) fn mkdirs(&self, p: &Proc, path: &DfsPath) -> FsResult<()> {
         self.charge(p);
         self.state.lock().entries.mkdirs(path)
     }
 
     /// Children of a directory with their status, in name order.
-    pub fn list(&self, p: &Proc, path: &DfsPath) -> FsResult<Vec<(DfsPath, NnStatus)>> {
+    pub(crate) fn list(&self, p: &Proc, path: &DfsPath) -> FsResult<Vec<(DfsPath, NnStatus)>> {
         self.charge(p);
         let st = self.state.lock();
         let children = st.entries.children(path)?.into_iter();
@@ -204,24 +196,23 @@ impl Namenode {
             .collect())
     }
 
-    pub fn rename(&self, p: &Proc, src: &DfsPath, dst: &DfsPath) -> FsResult<()> {
+    pub(crate) fn rename(&self, p: &Proc, src: &DfsPath, dst: &DfsPath) -> FsResult<()> {
         self.charge(p);
         self.state.lock().entries.rename(src, dst)
     }
 
     /// Delete; returns `(removed, block ids to GC)`, the ids in path order.
-    pub fn delete(&self, p: &Proc, path: &DfsPath, recursive: bool) -> FsResult<(bool, Vec<u64>)> {
+    pub(crate) fn delete(
+        &self,
+        p: &Proc,
+        path: &DfsPath,
+        recursive: bool,
+    ) -> FsResult<(bool, Vec<u64>)> {
         self.charge(p);
         let removed = self.state.lock().entries.remove(path, recursive)?;
         let blocks = removed.iter().flatten().flat_map(|f| &f.blocks);
         let gc = blocks.map(|b| b.id).collect();
         Ok((removed.is_some(), gc))
-    }
-
-    /// Number of namespace entries (the paper's "file-count problem"
-    /// metric).
-    pub fn entry_count(&self) -> usize {
-        self.state.lock().entries.entry_count()
     }
 }
 
@@ -299,7 +290,7 @@ mod tests {
     #[test]
     fn replication_clamped_to_cluster_size() {
         let nn = Namenode::new(NodeId(0), vec![NodeId(1), NodeId(2)], 3, 64, 0);
-        assert_eq!(nn.replication(), 2);
+        assert_eq!(nn.replication, 2);
     }
 
     #[test]

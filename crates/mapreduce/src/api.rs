@@ -19,7 +19,7 @@ impl KV {
     }
 
     /// Approximate serialized size (used for counters and spill accounting).
-    pub fn encoded_len(&self) -> u64 {
+    pub(crate) fn encoded_len(&self) -> u64 {
         8 + self.key.len() as u64 + self.value.len() as u64
     }
 }
@@ -88,20 +88,6 @@ pub struct GhostProfile {
     /// applied only when the job has a combiner. 1.0 = combining saves
     /// nothing (e.g. unique keys); wordcount-shaped workloads sit far below.
     pub combine_output_ratio: f64,
-}
-
-impl GhostProfile {
-    /// A neutral profile: byte-preserving, modest CPU.
-    pub fn identity() -> GhostProfile {
-        GhostProfile {
-            input_record_bytes: 100,
-            map_output_ratio: 1.0,
-            map_cpu_per_byte: 1.0,
-            reduce_output_ratio: 1.0,
-            reduce_cpu_per_byte: 1.0,
-            combine_output_ratio: 1.0,
-        }
-    }
 }
 
 /// Shared handle to the pair of user functions plus the optional combiner.

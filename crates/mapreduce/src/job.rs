@@ -85,19 +85,19 @@ pub struct JobConf {
 )]
 impl JobConf {
     /// Name of the single shared output file in [`OutputMode::SharedAppendFile`].
-    pub fn shared_output_file(&self) -> DfsPath {
+    pub(crate) fn shared_output_file(&self) -> DfsPath {
         self.output_dir.child("result").expect("valid name")
     }
 
     /// Final name of reducer `r`'s output in [`OutputMode::PerReducerFiles`].
-    pub fn part_file(&self, r: u32) -> DfsPath {
+    pub(crate) fn part_file(&self, r: u32) -> DfsPath {
         self.output_dir
             .child(&format!("part-{r:05}"))
             .expect("valid name")
     }
 
     /// Temporary attempt file for reducer `r` before the rename commit.
-    pub fn temp_part_file(&self, r: u32) -> DfsPath {
+    pub(crate) fn temp_part_file(&self, r: u32) -> DfsPath {
         self.output_dir
             .child("_temporary")
             .and_then(|d| d.child(&format!("attempt-part-{r:05}")))
@@ -136,10 +136,10 @@ pub struct JobCounters {
 
 /// One reducer's output commit: the node it ran on, its virtual time and
 /// what the reducer's ledger gained over it (empty in live mode).
-pub type Commit = (NodeId, u64, Ledger);
+pub(crate) type Commit = (NodeId, u64, Ledger);
 
 impl JobCounters {
-    pub fn add(&self, field: &AtomicU64, n: u64) {
+    pub(crate) fn add(&self, field: &AtomicU64, n: u64) {
         field.fetch_add(n, Ordering::Relaxed);
     }
 }

@@ -33,6 +33,7 @@
 
 // The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
 #![warn(
+    unreachable_pub,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
@@ -45,12 +46,15 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod api;
-pub mod job;
+mod api;
+mod job;
+// The micro bench and the run-oracle and map-side rail tests reach `record` by path.
 pub mod record;
+// `benchmark/` names `shuffle::{SegmentKey, SegmentSource}`.
 pub mod shuffle;
+// `tests/run_oracle_proptest.rs` names `task::MERGE_FANIN`.
 pub mod task;
-pub mod tracker;
+mod tracker;
 
 pub use api::{partition_for, GhostProfile, Mapper, Reducer, UserFns, KV};
 pub use job::{JobConf, JobResult, OutputMode, ShuffleTuning};

@@ -9,7 +9,7 @@
 //! emits one run per partition, the tier-2 node combine merges runs into
 //! runs, the registry publishes runs, and the reducer merges fetched runs
 //! straight into the user's `reduce`. Nothing in between decodes a run into
-//! owned records: [`RunCursor`] walks a segment as borrowed `(key, value)`
+//! owned records: `RunCursor` walks a segment as borrowed `(key, value)`
 //! slices (a torn segment is a typed [`SegmentError`], never a panic or a
 //! silently dropped tail), [`reduce_runs`] k-way-merges cursors and groups
 //! equal keys on the fly, and [`merge_into_run`] writes the result back out
@@ -64,9 +64,11 @@ pub fn split_tab(line: &[u8]) -> (&[u8], &[u8]) {
     }
 }
 
-/// Iterate complete lines of `data` (without trailing newline bytes).
-/// A final unterminated line is yielded too.
-pub fn lines(data: &[u8]) -> impl Iterator<Item = &[u8]> {
+/// Iterate the non-empty lines of `data`, without their newline bytes:
+/// empty lines are skipped, a final unterminated line is yielded. The
+/// reference that [`split_records`] is checked against.
+#[cfg(test)]
+pub(crate) fn lines(data: &[u8]) -> impl Iterator<Item = &[u8]> {
     data.split(|&b| b == b'\n').filter(|l| !l.is_empty())
 }
 
@@ -112,7 +114,7 @@ pub fn split_records(window: &[u8], start: u64, len: u64) -> Vec<&[u8]> {
 /// Refuse a record the run format cannot carry: its length fields are
 /// `u32`s, and a longer key or value would get a header that misdescribes
 /// it. As in `pstore`'s records, a field holds under `u32::MAX` bytes.
-pub fn check_fits(key_len: usize, value_len: usize) -> Result<(), String> {
+pub(crate) fn check_fits(key_len: usize, value_len: usize) -> Result<(), String> {
     for (what, len) in [("key", key_len), ("value", value_len)] {
         if len >= u32::MAX as usize {
             return Err(format!("{what} of {len} bytes does not fit the run format"));
@@ -160,10 +162,10 @@ impl fmt::Display for SegmentError {
 }
 
 /// A `(key, value)` borrowed from the segment that holds it.
-pub type Record<'a> = (&'a [u8], &'a [u8]);
+pub(crate) type Record<'a> = (&'a [u8], &'a [u8]);
 
 /// Borrowing cursor over one segment.
-pub struct RunCursor<'a> {
+pub(crate) struct RunCursor<'a> {
     data: &'a [u8],
     pos: usize,
     run: usize,
@@ -171,12 +173,12 @@ pub struct RunCursor<'a> {
 
 impl<'a> RunCursor<'a> {
     /// `run` is only reported back in errors.
-    pub fn new(run: usize, data: &'a [u8]) -> Self {
+    pub(crate) fn new(run: usize, data: &'a [u8]) -> Self {
         RunCursor { data, pos: 0, run }
     }
 
     /// The next `(key, value)`, `None` at the end of the segment.
-    pub fn next_record(&mut self) -> Result<Option<Record<'a>>, SegmentError> {
+    pub(crate) fn next_record(&mut self) -> Result<Option<Record<'a>>, SegmentError> {
         let rest = self.data.get(self.pos..).unwrap_or_default();
         if rest.is_empty() {
             return Ok(None);
@@ -719,7 +721,7 @@ pub fn encode_kvs(kvs: &[KV]) -> Payload {
 }
 
 /// Reference decoder of the run format (panics on a torn record and
-/// ignores a torn trailing header — [`RunCursor`] reports both).
+/// ignores a torn trailing header — `RunCursor` reports both).
 #[expect(
     clippy::indexing_slicing,
     clippy::unwrap_used,

@@ -34,7 +34,7 @@
 //! set into a numbered flush, and — once the flush is combined — checking
 //! that no loss buried it meanwhile *and* publishing it, in one hold. The
 //! merge and the combiner run before that hold, so one node's flush never
-//! stalls another node's `add`. A loss ([`NodeCombiner::lose_node`]) takes
+//! stalls another node's `add`. A loss (`NodeCombiner::lose_node`) takes
 //! the same lock across burying the buffers and dropping the host's
 //! segments, so on real threads as in sim a flush either publishes before
 //! the loss (and its segments go with the tasks it reports) or finds its
@@ -42,8 +42,8 @@
 //! registry `segments`; nothing takes them the other way round.
 //!
 //! **One re-execution path.** A map task is buffered at most once per job:
-//! a second [`NodeCombiner::add`] of it is refused. A task runs twice only
-//! after a loss reported its output gone ([`NodeCombiner::lose_node`]); the
+//! a second `NodeCombiner::add` of it is refused. A task runs twice only
+//! after a loss reported its output gone (`NodeCombiner::lose_node`); the
 //! re-run ([`MapTaskSpec::rerun`]) bypasses tier 2 and publishes per-task
 //! segments, so the replacement lands promptly and never overlaps a flushed
 //! set. A reducer counts each task once, so a flush it fetched before the
@@ -149,7 +149,7 @@ impl MapOutputRegistry {
     /// Store a partition produced on `host`. A key is published once: a
     /// flush's key carries its node and sequence number, a task's its id,
     /// and a task's re-run publishes only after a loss removed the original
-    /// ([`NodeCombiner::lose_node`]).
+    /// (`NodeCombiner::lose_node`).
     pub fn publish(&self, key: SegmentKey, host: NodeId, data: Payload) {
         self.segments.lock().insert(key, Segment { host, data });
     }
@@ -234,7 +234,7 @@ impl MapOutputRegistry {
 
     /// Drop all segments of a finished job (Hadoop cleans map outputs after
     /// job completion).
-    pub fn drop_job(&self, job: u64) {
+    pub(crate) fn drop_job(&self, job: u64) {
         #[expect(
             clippy::disallowed_methods,
             reason = "the predicate reads only the entry it is given"
@@ -267,9 +267,10 @@ impl MapOutputRegistry {
         lost
     }
 
-    /// Total bytes currently held (diagnostics).
+    /// Total bytes currently held.
+    #[cfg(test)]
     #[expect(clippy::disallowed_methods, reason = "commutative sum")]
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.segments.lock().values().map(|s| s.data.len()).sum()
     }
 }
@@ -334,7 +335,7 @@ pub struct NodeCombiner {
 }
 
 impl NodeCombiner {
-    pub fn new(registry: Arc<MapOutputRegistry>) -> Arc<NodeCombiner> {
+    pub(crate) fn new(registry: Arc<MapOutputRegistry>) -> Arc<NodeCombiner> {
         Arc::new(NodeCombiner {
             registry,
             jobs: Mutex::new(BTreeMap::new()),
@@ -342,7 +343,7 @@ impl NodeCombiner {
     }
 
     /// The wrapped registry (direct publications and fetches go through it).
-    pub fn registry(&self) -> &Arc<MapOutputRegistry> {
+    pub(crate) fn registry(&self) -> &Arc<MapOutputRegistry> {
         &self.registry
     }
 
@@ -350,7 +351,7 @@ impl NodeCombiner {
     /// node. Returns the deliveries this call published (a threshold flush,
     /// or nothing while the buffer accumulates). A task the job already
     /// buffered is refused: a map runs twice only as a per-task re-run.
-    pub fn add(
+    pub(crate) fn add(
         &self,
         p: &Proc,
         ctx: &Arc<JobCtx>,
@@ -388,7 +389,7 @@ impl NodeCombiner {
     /// Flush whatever the calling node still buffers for this job (called
     /// by the tracker once the node's map share is complete). Returns the
     /// delivery to announce, or `None` if the buffer was empty.
-    pub fn complete_node(
+    pub(crate) fn complete_node(
         &self,
         p: &Proc,
         ctx: &Arc<JobCtx>,
@@ -407,7 +408,7 @@ impl NodeCombiner {
     /// under which a flush also checks its generation and publishes: a
     /// flush's segments either go with the loss that reports its tasks, or
     /// are never published.
-    pub fn lose_node(&self, node: NodeId) -> Vec<(u64, Vec<u32>)> {
+    pub(crate) fn lose_node(&self, node: NodeId) -> Vec<(u64, Vec<u32>)> {
         let mut lost: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         let mut jobs = self.jobs.lock();
         for (job, jb) in jobs.iter_mut() {
@@ -441,7 +442,7 @@ impl NodeCombiner {
 
     /// Drop a finished job's buffers (pairs with
     /// [`MapOutputRegistry::drop_job`]).
-    pub fn drop_job(&self, job: u64) {
+    pub(crate) fn drop_job(&self, job: u64) {
         self.jobs.lock().remove(&job);
     }
 
@@ -875,8 +876,12 @@ mod tests {
         );
         // A ghost job with a combiner charges the combine as compute.
         let profile = GhostProfile {
+            input_record_bytes: 100,
+            map_output_ratio: 1.0,
+            map_cpu_per_byte: 1.0,
+            reduce_output_ratio: 1.0,
             reduce_cpu_per_byte: 1_000.0,
-            ..GhostProfile::identity()
+            combine_output_ratio: 1.0,
         };
         let jctx = Arc::new(JobCtx {
             id: base.id,

@@ -56,7 +56,7 @@ const LOOKAHEAD: u64 = 64 * 1024;
     clippy::indexing_slicing,
     reason = "partition_for is `% r` and `collectors` has `r` entries"
 )]
-pub fn run_map_task(
+pub(crate) fn run_map_task(
     p: &Proc,
     fs: &Arc<dyn FileSystem>,
     shuffle: &Arc<NodeCombiner>,
@@ -197,7 +197,7 @@ pub const MERGE_FANIN: usize = 8;
 /// Execute a reduce task: *stream* the shuffle (fetch and merge deliveries
 /// as the jobtracker announces them — no map-phase barrier), then group,
 /// reduce and commit the output.
-pub fn run_reduce_task(
+pub(crate) fn run_reduce_task(
     p: &Proc,
     fs: &Arc<dyn FileSystem>,
     registry: &Arc<MapOutputRegistry>,

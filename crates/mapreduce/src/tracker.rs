@@ -478,7 +478,7 @@ impl JobHandle {
     }
 
     /// Non-blocking result probe.
-    pub fn result(&self) -> Option<JobResult> {
+    pub(crate) fn result(&self) -> Option<JobResult> {
         self.slot.lock().clone()
     }
 }

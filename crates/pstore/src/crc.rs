@@ -208,7 +208,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// CRC-32 over the concatenation of several slices without copying.
-pub fn crc32_multi(parts: &[&[u8]]) -> u32 {
+pub(crate) fn crc32_multi(parts: &[&[u8]]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for part in parts {
         let rest = if part.len() >= CROSSOVER {

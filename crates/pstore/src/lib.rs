@@ -22,6 +22,7 @@
 
 // The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
 #![warn(
+    unreachable_pub,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
@@ -40,4 +41,4 @@ mod store;
 
 pub use crc::crc32;
 pub use error::{PStoreError, PStoreErrorKind, Result};
-pub use store::{Store, StoreOptions, StoreStats};
+pub use store::{Store, StoreOptions};

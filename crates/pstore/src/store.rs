@@ -77,8 +77,9 @@ impl Default for StoreOptions {
 }
 
 /// Occupancy counters (see [`Store::stats`]).
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
-pub struct StoreStats {
+pub(crate) struct StoreStats {
     /// Number of live keys.
     pub keys: usize,
     /// Bytes occupied by the newest record of each live key.
@@ -89,9 +90,10 @@ pub struct StoreStats {
     pub segments: usize,
 }
 
+#[cfg(test)]
 impl StoreStats {
     /// Fraction of on-disk bytes not referenced by the index.
-    pub fn dead_ratio(&self) -> f64 {
+    pub(crate) fn dead_ratio(&self) -> f64 {
         if self.disk_bytes == 0 {
             0.0
         } else {
@@ -624,7 +626,8 @@ impl Store {
     }
 
     /// Number of checkpoint files currently on disk.
-    pub fn checkpoint_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn checkpoint_count(&self) -> usize {
         let g = self.inner.lock();
         std::fs::read_dir(&g.dir)
             .map(|rd| {
@@ -643,7 +646,8 @@ impl Store {
     }
 
     /// Occupancy counters.
-    pub fn stats(&self) -> StoreStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> StoreStats {
         let g = self.inner.lock();
         StoreStats {
             keys: g.index.len(),

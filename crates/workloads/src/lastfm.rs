@@ -46,7 +46,7 @@ impl Default for LastFmSpec {
 }
 
 /// A generated record `(key, tagged_value)`.
-pub type Record = (String, String);
+pub(crate) type Record = (String, String);
 
 fn key_for(spec: &LastFmSpec, rng: &mut StdRng, side: u8) -> String {
     // Keys 0..shared are common to both files; each file also has a private
@@ -90,7 +90,7 @@ pub fn generate(spec: &LastFmSpec, side: u8) -> Vec<Record> {
 }
 
 /// Render records as `key TAB value` lines.
-pub fn to_text(records: &[Record]) -> Vec<u8> {
+pub(crate) fn to_text(records: &[Record]) -> Vec<u8> {
     let mut out = Vec::new();
     for (k, v) in records {
         out.extend_from_slice(k.as_bytes());

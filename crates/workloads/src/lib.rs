@@ -10,11 +10,12 @@
 //!   inner-join producing all combinations of values per shared key,
 //!   plus an in-memory reference oracle for verification and the
 //!   calibrated ghost profile used by the Figure 6 cluster-scale runs.
-//! * [`wordcount`] / [`grep`] — the classic Hadoop examples, used by the
-//!   runnable examples and extra tests.
+//! * [`wordcount`] — the classic Hadoop example, used by the runnable
+//!   examples and extra tests.
 
 // The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
 #![warn(
+    unreachable_pub,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
@@ -27,7 +28,7 @@
     clippy::allow_attributes_without_reason
 )]
 
+// Each module is the namespace of its own `user_fns` and helpers.
 pub mod datajoin;
-pub mod grep;
 pub mod lastfm;
 pub mod wordcount;

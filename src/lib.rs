@@ -14,7 +14,7 @@
 //! | [`bsfs`] | the BlobSeer File System: namespace manager + client caching + **concurrent append** |
 //! | [`hdfs_sim`] | the HDFS 0.20 baseline: write-once, no append |
 //! | [`mapreduce`] | jobtracker/tasktrackers, locality scheduling, shuffle, both output committers |
-//! | [`workloads`] | data join (contrib semantics), wordcount, grep, Last.fm-like generator |
+//! | [`workloads`] | data join (contrib semantics), wordcount, Last.fm-like generator |
 //!
 //! Run the examples (`cargo run --release --example quickstart`) for guided
 //! tours, and `cargo bench` to regenerate every figure of the paper's
@@ -22,6 +22,7 @@
 
 // The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
 #![warn(
+    unreachable_pub,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
