@@ -1041,7 +1041,7 @@ mod tests {
             config,
             layout: Layout::compact(fx.spec()),
             reaper_paused: std::sync::atomic::AtomicBool::new(false),
-            replica_sync: crate::cluster::ReplicaSync::default(),
+            replica_watermarks: Default::default(),
         })
     }
 

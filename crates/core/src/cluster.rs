@@ -181,25 +181,9 @@ pub(crate) struct Services {
     /// Fault injection: while set, background-reaper sweeps are skipped
     /// (the daemon is down); lazy reaping from request paths still runs.
     pub reaper_paused: AtomicBool,
-    /// Book-keeping of the replica sync service.
-    pub replica_sync: ReplicaSync,
-}
-
-/// Progress state of the read-replica background sync: a published-version
-/// watermark per live blob (how far the replica tier has caught up).
-#[derive(Debug, Default)]
-pub(crate) struct ReplicaSync {
-    watermarks: Mutex<BTreeMap<BlobId, Version>>,
-}
-
-impl ReplicaSync {
-    fn watermark(&self, blob: BlobId) -> Version {
-        self.watermarks.lock().get(&blob).copied().unwrap_or(0)
-    }
-
-    fn set_watermark(&self, blob: BlobId, v: Version) {
-        self.watermarks.lock().insert(blob, v);
-    }
+    /// Progress of the read-replica sync: the published version the
+    /// replica tier has caught up to, per live blob.
+    pub replica_watermarks: Mutex<BTreeMap<BlobId, Version>>,
 }
 
 impl Services {
@@ -232,22 +216,22 @@ impl Services {
             let Ok(snap) = self.vm.snapshot(p, blob, None) else {
                 continue;
             };
-            if self.replica_sync.watermark(blob) >= snap.version {
+            let synced = self.replica_watermarks.lock().get(&blob).copied();
+            if synced.unwrap_or(0) >= snap.version {
                 continue;
             }
             if snap.version == 0 || snap.total_bytes == 0 {
-                self.replica_sync.set_watermark(blob, snap.version);
+                self.replica_watermarks.lock().insert(blob, snap.version);
                 continue;
             }
             if let Ok((pages, bytes)) = self.sync_blob(p, blob, &snap) {
                 pages_total += pages;
                 bytes_total += bytes;
-                self.replica_sync.set_watermark(blob, snap.version);
+                self.replica_watermarks.lock().insert(blob, snap.version);
             }
         }
         // A deleted blob leaves `live` for good: drop its watermark too.
-        self.replica_sync
-            .watermarks
+        self.replica_watermarks
             .lock()
             .retain(|b, _| live.binary_search(b).is_ok());
         (pages_total, bytes_total)
@@ -430,7 +414,7 @@ impl BlobSeer {
                 config,
                 layout,
                 reaper_paused: AtomicBool::new(false),
-                replica_sync: ReplicaSync::default(),
+                replica_watermarks: Mutex::default(),
             }),
         })
     }
@@ -724,12 +708,12 @@ mod tests {
             let blob = c.create(p, None);
             c.append(p, blob, Payload::from_vec(vec![7; 4096])).unwrap();
             bs.sync_read_replicas(p);
-            assert_eq!(bs.svc.replica_sync.watermarks.lock().len(), 1);
+            assert_eq!(bs.svc.replica_watermarks.lock().len(), 1);
             c.delete(p, blob).unwrap();
             bs.version_manager().gc_registry();
             bs.version_manager().gc_registry();
             bs.sync_read_replicas(p);
-            assert!(bs.svc.replica_sync.watermarks.lock().is_empty());
+            assert!(bs.svc.replica_watermarks.lock().is_empty());
         });
         fx.run();
     }
