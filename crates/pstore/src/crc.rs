@@ -260,11 +260,13 @@ mod tests {
     }
 
     /// Literal values (zlib's `crc32` of `filler(len)`) at every length where
-    /// a fold path could start or stop: step (16), four-step (64), the 1 KiB
-    /// and 4 KiB marks, a page (64 KiB) and 1 MiB, each with its neighbours.
+    /// a fold path could start or stop: step (16), four-step (64), one and
+    /// two 64-byte lines with 16-byte steps and byte tails after them, the
+    /// 1 KiB and 4 KiB marks, a page (64 KiB) and 1 MiB, each with its
+    /// neighbours.
     #[test]
     fn pinned_values_at_path_boundaries() {
-        const PINNED: [(usize, u32); 19] = [
+        const PINNED: [(usize, u32); 27] = [
             (0, 0x0000_0000),
             (1, 0xD202_EF8D),
             (15, 0x20A6_F16E),
@@ -273,6 +275,14 @@ mod tests {
             (63, 0x6B53_518C),
             (64, 0x06D2_8C3E),
             (65, 0x806C_DF37),
+            (79, 0xAC0A_5FAF),
+            (80, 0x8B1D_D8C5),
+            (81, 0x1E85_85C0),
+            (112, 0x2B93_A456),
+            (127, 0x37FD_09FD),
+            (128, 0x3F8D_91A4),
+            (129, 0x89E3_CC01),
+            (143, 0xBCE5_75BE),
             (1023, 0xBC3E_07D3),
             (1024, 0x7B02_7FD9),
             (1025, 0xD514_29EB),
@@ -291,26 +301,49 @@ mod tests {
         }
         // One 64 KiB + 7 input cut into 2–4 parts: inside the first quarter,
         // on quarter boundaries (16 KiB multiples), inside the last quarter,
-        // and a 3-byte first part ahead of a long one.
+        // a 3-byte first part ahead of a long one, short parts on either
+        // side of the 64-byte mark ahead of a long one, and a long part
+        // followed by a short one.
         let page = &buf[..65_536 + 7];
         for cuts in [
             &[5000][..],
             &[16_384],
             &[60_000],
             &[3],
+            &[15],
+            &[63],
+            &[64],
+            &[15, 79],
+            &[63, 65_536],
+            &[100, 65_490],
             &[1000, 40_000],
             &[16_384, 32_768, 49_152],
             &[3, 16_384, 60_000],
         ] {
-            let mut parts: Vec<&[u8]> = Vec::new();
-            let mut from = 0;
-            for &cut in cuts {
-                parts.push(&page[from..cut]);
-                from = cut;
-            }
-            parts.push(&page[from..]);
-            assert_eq!(crc32_multi(&parts), 0xE697_429B, "cuts {cuts:?}");
+            assert_eq!(crc32_multi(&cut(page, cuts)), 0xE697_429B, "cuts {cuts:?}");
         }
+        // The put path's shape: key length, value length, an 18-byte page
+        // key, then a 4 KiB or a 64 KiB value.
+        for (value, want) in [(4096, 0x3AEE_BB23), (65_536, 0xB9B5_665B)] {
+            let record = &buf[..26 + value];
+            assert_eq!(
+                crc32_multi(&cut(record, &[4, 8, 26])),
+                want,
+                "value {value}"
+            );
+        }
+    }
+
+    /// `data` split at each of `cuts` (ascending offsets).
+    fn cut<'a>(data: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+        let mut parts = Vec::new();
+        let mut from = 0;
+        for &at in cuts {
+            parts.push(&data[from..at]);
+            from = at;
+        }
+        parts.push(&data[from..]);
+        parts
     }
 
     #[test]
