@@ -125,9 +125,12 @@ fn bench_meta(c: &mut Criterion) {
 fn bench_pstore(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("pstore-bench-{}", std::process::id()));
     let page = vec![0xABu8; 64 * 1024];
-    c.bench_function("crc32/64k", |b| {
-        b.iter(|| black_box(pstore::crc32(black_box(&page))));
-    });
+    for (label, size) in [("4k", 4096usize), ("64k", 64 * 1024)] {
+        let data = &page[..size];
+        c.bench_function(&format!("crc32/{label}"), |b| {
+            b.iter(|| black_box(pstore::crc32(black_box(data))));
+        });
+    }
     for (label, size) in [("4k", 4096usize), ("64k", 64 * 1024)] {
         let value = &page[..size];
         // A put with its share of the flush a provider issues per 4-page

@@ -38,6 +38,7 @@
 // contract, a broken scheduler invariant invalidates every result.
 #![warn(
     unreachable_pub,
+    unsafe_code,
     clippy::iter_over_hash_type,
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason

@@ -1,40 +1,50 @@
 //! CRC-32 (IEEE 802.3 polynomial, reflected — zlib's `crc32`), implemented
 //! in-repo to keep the dependency set to the approved list.
 //!
-//! Algorithm: table-driven *slicing-by-16* in four interleaved lanes. The
-//! classic byte-at-a-time loop does one dependent table lookup per input
-//! byte; sixteen 256-entry tables (`TABLES[k][b]` is the CRC of byte `b`
-//! followed by `k` zero bytes) let one step fold sixteen input bytes with
-//! sixteen independent lookups. One register still makes every step wait
-//! for the last, so a long part is cut into [`LANES`] equal contiguous
-//! quarters, each folded into its own register in the same loop: 64
-//! independent lookups per iteration instead of 16.
+//! Algorithm for long parts on x86_64: carry-less-multiply folding, from
+//! Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+//! PCLMULQDQ Instruction" (Intel, 2009), in its bit-reflected form. Four
+//! 128-bit lanes start as the first 64 bytes, the running register XOR-ed
+//! into the lowest. Each further 64-byte line moves every lane 512 bits
+//! forward (two PCLMULQDQs, by `x^(512+32)` and `x^(512-32)` mod P) and
+//! XORs in the lane's next 16 bytes. The lanes then fold into one, and
+//! every remaining 16-byte step into it, the same way by `x^(128±32)`. The
+//! 128-bit remainder folds to 64 bits, then by `x^64` to 32 bits, and a
+//! Barrett reduction by `μ = x^64 div P` leaves the register. The
+//! constants (`clmul::{K512, K128, K64, BARRETT}`) are the paper's
+//! for the reflected IEEE polynomial (Linux's `crc32-pclmul_asm.S` uses
+//! the same); `tests::fold_constants_are_powers_of_x_mod_p` derives each
+//! one from P.
 //!
-//! The lanes are joined by arithmetic in GF(2)\[x\]/P. A CRC register is
-//! linear in its input: the register after `A‖B` is the register after `A`
-//! shifted past `|B|` zero bytes, XOR the register of `B` folded from zero.
-//! Shifting past `n` zero bytes is a multiply by `x^(8n) mod P`; a
-//! compile-time table of `x^(8·2^k) mod P` ([`X8_POW2`]) builds that factor
-//! in one carry-less multiply per set bit of `n`. Lane 0 starts from the
-//! running register, the others from zero, and each join multiplies the
-//! running register by the quarter's factor and XORs in the next lane.
-//!
-//! Parts shorter than [`CROSSOVER`], the tail under `16 · LANES` bytes of a
-//! long part, and the tail under one step of every part fold in one lane on
-//! the same running register, so a checksum streamed over several parts
-//! equals the checksum of their concatenation however the bytes are split.
+//! Every other part (shorter than 64 bytes, or any part on a CPU without
+//! PCLMULQDQ and SSE4.1 or on another architecture) and the tail under
+//! 16 bytes of a long part fold with table-driven *slicing-by-16* on the
+//! same running register, so a checksum streamed over several parts equals
+//! the checksum of their concatenation however the bytes are split.
+//! Sixteen 256-entry tables (`TABLES[k][b]` is the CRC of byte `b` followed
+//! by `k` zero bytes) let one step fold sixteen input bytes with sixteen
+//! independent lookups.
 //!
 //! Measured single-threaded (`taskset -c 0`, Intel Xeon, rustc 1.95,
-//! release), one lane → four lanes: 64 KiB 33.2 → 12.9 µs, 4 KiB 2.05 →
-//! 0.95 µs, 1 KiB 0.49 → 0.37 µs. At 64 KiB the other lane counts give
-//! 2: 17.9, 3: 13.4, 5: 17.6, 6: 17.2, 8: 17.1 µs. The join (three
-//! multiplies, plus one per set bit of the quarter's length) costs ≈ 170 ns,
-//! so lanes break even near 768 bytes.
+//! release), four slicing-by-16 lanes (the previous code) → fold:
+//!
+//! | size | four table lanes | fold |
+//! |---|---|---|
+//! | 4 KiB | @4K_OLD@ µs | @4K_NEW@ µs |
+//! | 64 KiB | @64K_OLD@ µs | @64K_NEW@ µs |
+//! | 1 MiB | @1M_OLD@ µs | @1M_NEW@ µs |
+//!
+//! A host without the fold pays one slicing-by-16 lane: @64K_ONE@ µs per
+//! 64 KiB.
+//!
+//! No VPCLMULQDQ / AVX-512 variant: at @64K_NEW@ µs a 64 KiB page the
+//! checksum is ≈ 5 % of a cold read, so folding twice as wide would save
+//! little and add a second unsafe dispatch.
 //!
 //! Why not CRC-32C with the hardware instruction: every record and
 //! checkpoint already on disk carries an IEEE checksum, and the stored format
-//! stays as it is. The value computed here is bit-identical to the bytewise
-//! loop slicing-by-16 replaced, which survives below as the test oracle.
+//! stays as it is. Both paths are bit-identical to the bytewise loop
+//! slicing-by-16 replaced, which survives below as the test oracle.
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -80,56 +90,6 @@ static TABLES: [[u32; 256]; 16] = {
     t
 };
 
-/// Registers a long part is folded in at once. Four is the fastest count
-/// measured (numbers in the module docs): fewer leave lookup slots idle,
-/// more run out of registers.
-const LANES: usize = 4;
-
-/// Parts at least this long fold in [`LANES`] lanes. Below it the join's
-/// multiplies cost more than the lanes save (break-even ≈ 768 bytes; at
-/// 1 KiB lanes are 1.3× faster).
-const CROSSOVER: usize = 1024;
-
-/// `x^0` in the reflected representation: bit 31 holds the `x^0`
-/// coefficient, bit 0 the `x^31` one.
-const ONE: u32 = 1 << 31;
-
-/// `a·b mod P` over GF(2), operands and result reflected.
-const fn mul(a: u32, mut b: u32) -> u32 {
-    let mut p = 0u32;
-    let mut bit = 0;
-    while bit < 32 {
-        // `b` is the original `b·x^bit` here: add it when `a` has `x^bit`.
-        p ^= b & 0u32.wrapping_sub((a >> (31 - bit)) & 1);
-        b = (b >> 1) ^ (POLY & 0u32.wrapping_sub(b & 1));
-        bit += 1;
-    }
-    p
-}
-
-/// `X8_POW2[k]` is `x^(8·2^k) mod P`: the factor that shifts a register
-/// past `2^k` zero bytes. Each entry squares the one before.
-#[expect(clippy::indexing_slicing, reason = "`k` runs over 1..t.len()")]
-const X8_POW2: [u32; usize::BITS as usize] = {
-    let mut t = [ONE >> 8; usize::BITS as usize]; // x^8
-    let mut k = 1;
-    while k < t.len() {
-        t[k] = mul(t[k - 1], t[k - 1]);
-        k += 1;
-    }
-    t
-};
-
-/// `x^(8n) mod P`, the factor that shifts a register past `n` zero bytes:
-/// one multiply per set bit of `n`.
-fn zeros(n: usize) -> u32 {
-    X8_POW2
-        .iter()
-        .enumerate()
-        .filter(|&(k, _)| (n >> k) & 1 == 1)
-        .fold(ONE, |acc, (_, &x)| mul(acc, x))
-}
-
 /// One slicing-by-16 step: the register after `block`.
 #[expect(
     clippy::indexing_slicing,
@@ -162,7 +122,7 @@ fn step(c: u32, block: &[u8; 16]) -> u32 {
         ^ lane(t0, e, 24)
 }
 
-/// The register after `data` in one lane: step by step, then byte by byte.
+/// The register after `data` by table: step by step, then byte by byte.
 #[expect(
     clippy::indexing_slicing,
     reason = "every subscript is `& 0xFF` into a 256-entry table"
@@ -178,28 +138,107 @@ fn fold_one(mut c: u32, data: &[u8]) -> u32 {
     c
 }
 
-/// The register after `body`, a whole number of steps per lane: each lane
-/// folds its quarter (lane 0 from `c`, the others from zero), then the
-/// running register is shifted past each next quarter and that lane's
-/// register XOR-ed in.
-fn fold_lanes(c: u32, body: &[u8]) -> u32 {
-    let (steps, _) = body.as_chunks::<16>();
-    let q = steps.len() / LANES;
-    let mut lanes: [std::slice::Iter<'_, [u8; 16]>; LANES] =
-        std::array::from_fn(|l| steps.get(l * q..(l + 1) * q).unwrap_or_default().iter());
-    let mut regs = [0u32; LANES];
-    regs[0] = c;
-    for _ in 0..q {
-        for (reg, lane) in regs.iter_mut().zip(&mut lanes) {
-            if let Some(block) = lane.next() {
-                *reg = step(*reg, block);
+/// The carry-less-multiply fold and its constants (x86_64 only).
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    /// `(x^(512-32), x^(512+32))` mod P, bit-reflected and shifted left by one
+    /// (the high and low halves of the multiplier a 64-byte line folds by).
+    pub(super) const K512: (i64, i64) = (0x1_C6E4_1596, 0x1_5444_2BD4);
+    /// `(x^(128-32), x^(128+32))` mod P, in the same form.
+    pub(super) const K128: (i64, i64) = (0x0_CCAA_009E, 0x1_7519_97D0);
+    /// `x^64 mod P`, in the same form.
+    pub(super) const K64: i64 = 0x1_63CD_6124;
+    /// `(μ, P)` for the Barrett reduction: `x^64 div P` and P, bit-reflected
+    /// with the `x^32` term kept.
+    pub(super) const BARRETT: (i64, i64) = (0x1_F701_1641, 0x1_DB71_0641);
+
+    /// The register after `body` (at least 64 bytes, a whole number of
+    /// 16-byte steps) by carry-less multiplication.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn fold(c: u32, body: &[u8]) -> u32 {
+        use std::arch::x86_64::{
+            __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+            _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+        };
+        let load = |block: &[u8; 16]| {
+            let w = u128::from_le_bytes(*block);
+            _mm_set_epi64x((w >> 64) as i64, w as i64)
+        };
+        // The lane moved past 128 (`k` = K128) or 512 (`k` = K512) more bits.
+        let forward = |x: __m128i, k: __m128i| {
+            _mm_xor_si128(
+                _mm_clmulepi64_si128::<0x00>(x, k),
+                _mm_clmulepi64_si128::<0x11>(x, k),
+            )
+        };
+        let k512 = _mm_set_epi64x(K512.0, K512.1);
+        let k128 = _mm_set_epi64x(K128.0, K128.1);
+
+        let (steps, _) = body.as_chunks::<16>();
+        let (lines, rest) = steps.as_chunks::<4>();
+        let Some(([b0, b1, b2, b3], lines)) = lines.split_first() else {
+            return super::fold_one(c, body);
+        };
+        let mut lanes = [
+            _mm_xor_si128(load(b0), _mm_cvtsi32_si128(c as i32)),
+            load(b1),
+            load(b2),
+            load(b3),
+        ];
+        for line in lines {
+            for (lane, block) in lanes.iter_mut().zip(line) {
+                *lane = _mm_xor_si128(forward(*lane, k512), load(block));
             }
         }
+        let [l0, l1, l2, l3] = lanes;
+        let mut x = [l1, l2, l3]
+            .into_iter()
+            .fold(l0, |x, lane| _mm_xor_si128(forward(x, k128), lane));
+        for block in rest {
+            x = _mm_xor_si128(forward(x, k128), load(block));
+        }
+
+        // 128 → 64 bits: the low half moves past the high one (by x^(128-32),
+        // which also appends the 32 zero bits the register needs).
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k128),
+            _mm_srli_si128::<8>(x),
+        );
+        // 64 → 32 bits, then Barrett: the low word of `x` times μ, truncated,
+        // times P, cancels all but the remainder's 32 bits.
+        let low32 = _mm_set_epi64x(0, 0xFFFF_FFFF);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K64)),
+            _mm_srli_si128::<4>(x),
+        );
+        let barrett = _mm_set_epi64x(BARRETT.0, BARRETT.1);
+        let q = _mm_and_si128(
+            _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), barrett),
+            low32,
+        );
+        let x = _mm_xor_si128(x, _mm_clmulepi64_si128::<0x00>(q, barrett));
+        _mm_extract_epi32::<1>(x) as u32
     }
-    let shift = zeros(16 * q);
-    regs.into_iter()
-        .reduce(|c, lane| mul(c, shift) ^ lane)
-        .unwrap_or(c)
+}
+
+/// The register after `part`: the fold for its whole 16-byte steps when
+/// the CPU has it and the part is at least 64 bytes, the table otherwise.
+fn fold(c: u32, part: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if part.len() >= 64
+        && is_x86_feature_detected!("pclmulqdq")
+        && is_x86_feature_detected!("sse4.1")
+    {
+        let (body, tail) = part.split_at(part.len() / 16 * 16);
+        #[expect(
+            unsafe_code,
+            reason = "the one call into the CPU-specific fold, after detection"
+        )]
+        // SAFETY: `clmul::fold` enables exactly the two features detected above.
+        let c = unsafe { clmul::fold(c, body) };
+        return fold_one(c, tail);
+    }
+    fold_one(c, part)
 }
 
 /// CRC-32 of `data` (matches zlib's `crc32(0, data)`).
@@ -209,18 +248,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// CRC-32 over the concatenation of several slices without copying.
 pub(crate) fn crc32_multi(parts: &[&[u8]]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for part in parts {
-        let rest = if part.len() >= CROSSOVER {
-            let (body, tail) = part.split_at(part.len() / (16 * LANES) * (16 * LANES));
-            c = fold_lanes(c, body);
-            tail
-        } else {
-            part
-        };
-        c = fold_one(c, rest);
-    }
-    c ^ 0xFFFF_FFFF
+    !parts.iter().fold(!0, |c, part| fold(c, part))
 }
 
 #[cfg(test)]
@@ -237,6 +265,18 @@ mod tests {
             }
         }
         c ^ 0xFFFF_FFFF
+    }
+
+    /// `crc32_multi` with every part on the table path: the fallback a
+    /// host without the fold runs, which this one never sends a long part.
+    fn crc32_table(parts: &[&[u8]]) -> u32 {
+        !parts.iter().fold(!0, |c, part| fold_one(c, part))
+    }
+
+    /// The dispatching path and the table path: each oracle test wants
+    /// `(want, want)`.
+    fn both(parts: &[&[u8]]) -> (u32, u32) {
+        (crc32_multi(parts), crc32_table(parts))
     }
 
     /// Deterministic non-repeating filler.
@@ -361,6 +401,38 @@ mod tests {
         assert_ne!(before, crc32(&data));
     }
 
+    /// Each constant the fold multiplies by, derived from P: `x^n mod P`
+    /// (or `x^64 div P`) in the normal bit order, then reflected.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_constants_are_powers_of_x_mod_p() {
+        use super::clmul::{BARRETT, K128, K512, K64};
+        const P: u64 = 0x1_04C1_1DB7;
+        let x_mod_p = |n: u32| {
+            (0..n).fold(1u64, |r, _| {
+                let r = r << 1;
+                if r >> 32 & 1 == 1 {
+                    r ^ P
+                } else {
+                    r
+                }
+            })
+        };
+        let k = |n: u32| i64::from((x_mod_p(n) as u32).reverse_bits()) << 1;
+        assert_eq!(K512, (k(512 - 32), k(512 + 32)));
+        assert_eq!(K128, (k(128 - 32), k(128 + 32)));
+        assert_eq!(K64, k(64));
+        // x^64 div P by long division; 33-bit values reflect as 33 bits.
+        let mut rem = 1u128 << 64;
+        let mut mu = 0u64;
+        while let Some(shift @ 0..) = (127 - rem.leading_zeros()).checked_sub(32) {
+            mu |= 1 << shift;
+            rem ^= u128::from(P) << shift;
+        }
+        let reflect33 = |v: u64| (v.reverse_bits() >> 31) as i64;
+        assert_eq!(BARRETT, (reflect33(mu), reflect33(P)));
+    }
+
     #[test]
     fn equals_oracle_at_every_length_and_alignment() {
         let buf = filler(4096 + 17 + 16);
@@ -369,21 +441,15 @@ mod tests {
         for len in 0..=4096 + 17 {
             let head = (len / 16) % 16;
             let data = &buf[head..head + len];
-            assert_eq!(
-                crc32(data),
-                crc32_bytewise(&[data]),
-                "len {len} head {head}"
-            );
+            let want = crc32_bytewise(&[data]);
+            assert_eq!(both(&[data]), (want, want), "len {len} head {head}");
         }
         // Every head/tail alignment of one long input.
         for head in 0..16 {
             for tail in 0..16 {
                 let data = &buf[head..buf.len() - tail];
-                assert_eq!(
-                    crc32(data),
-                    crc32_bytewise(&[data]),
-                    "head {head} tail {tail}"
-                );
+                let want = crc32_bytewise(&[data]);
+                assert_eq!(both(&[data]), (want, want), "head {head} tail {tail}");
             }
         }
     }
@@ -391,15 +457,17 @@ mod tests {
     #[test]
     fn equals_oracle_over_every_split_of_short_inputs() {
         // Every way to cut the input into up to 4 parts (empty parts
-        // included): cuts land inside, at and around a 16-byte step.
-        for len in [0usize, 1, 15, 16, 17, 33, 40] {
+        // included): cuts land inside, at and around a 16-byte step, and
+        // the longer inputs leave a part on either side of the 64-byte
+        // mark where the fold starts.
+        for len in [0usize, 1, 15, 16, 17, 33, 40, 64, 81] {
             let data = filler(len);
             let want = crc32_bytewise(&[&data]);
             for a in 0..=len {
                 for b in a..=len {
                     for c in b..=len {
                         let parts = [&data[..a], &data[a..b], &data[b..c], &data[c..]];
-                        assert_eq!(crc32_multi(&parts), want, "len {len} cuts {a},{b},{c}");
+                        assert_eq!(both(&parts), (want, want), "len {len} cuts {a},{b},{c}");
                     }
                 }
             }
@@ -407,41 +475,23 @@ mod tests {
     }
 
     #[test]
-    fn equals_oracle_around_the_crossover_and_lane_multiples() {
-        // ±80 bytes around where lanes start, and around whole four-lane
-        // bodies of 4 KiB, 64 KiB and 64 KiB + 1 KiB; the start offset walks
-        // with the length so the steps sit at every alignment.
+    fn equals_oracle_around_the_fold_boundaries() {
+        // ±80 bytes around where the fold starts (64), and around whole
+        // 64-byte lines of 4 KiB, 64 KiB and 64 KiB + 1 KiB; the start offset
+        // walks with the length so the steps sit at every alignment.
         let buf = filler(65 * 1024 + 80 + 16);
-        for centre in [
-            CROSSOVER,
-            16 * LANES * 64,
-            16 * LANES * 1024,
-            16 * LANES * 1040,
-        ] {
+        for centre in [80, 4096, 65_536, 66_560] {
             for len in centre - 80..=centre + 80 {
                 let head = len % 16;
                 let data = &buf[head..head + len];
-                assert_eq!(crc32(data), crc32_bytewise(&[data]), "len {len}");
+                let want = crc32_bytewise(&[data]);
+                assert_eq!(both(&[data]), (want, want), "len {len}");
             }
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-        /// The join identity: A's register shifted past |B| zero bytes, XOR
-        /// B's register folded from zero, is the register of A‖B.
-        #[test]
-        fn shift_joins_two_registers(
-            alen in 0usize..4096,
-            blen in 0usize..1 << 18,
-            seed in any::<u32>(),
-        ) {
-            let ab = seeded_filler(alen + blen, seed);
-            let (a, b) = ab.split_at(alen);
-            let joined = mul(fold_one(!0, a), zeros(blen)) ^ fold_one(0, b);
-            prop_assert_eq!(joined, fold_one(!0, &ab), "|A| {} |B| {}", alen, blen);
-        }
 
         #[test]
         fn equals_oracle_over_long_random_lengths_and_splits(
@@ -454,14 +504,8 @@ mod tests {
             at.sort_unstable();
             let want = crc32_bytewise(&[&data]);
             for n in 0..=3usize {
-                let mut parts: Vec<&[u8]> = Vec::new();
-                let mut from = 0;
-                for &cut in &at[..n] {
-                    parts.push(&data[from..cut]);
-                    from = cut;
-                }
-                parts.push(&data[from..]);
-                prop_assert_eq!(crc32_multi(&parts), want, "len {} cuts {:?} n {}", len, &at[..n], n);
+                let parts = cut(&data, &at[..n]);
+                prop_assert_eq!(both(&parts), (want, want), "len {} cuts {:?}", len, &at[..n]);
             }
         }
     }
@@ -482,14 +526,8 @@ mod tests {
             let want = crc32_bytewise(&[data]);
             // 1, 2, 3 and 4 parts: the first n-1 cuts, the rest as one part.
             for n in 0..=3usize {
-                let mut parts: Vec<&[u8]> = Vec::new();
-                let mut from = 0;
-                for &cut in &at[..n] {
-                    parts.push(&data[from..cut]);
-                    from = cut;
-                }
-                parts.push(&data[from..]);
-                prop_assert_eq!(crc32_multi(&parts), want, "len {} cuts {:?} n {}", len, &at[..n], n);
+                let parts = cut(data, &at[..n]);
+                prop_assert_eq!(both(&parts), (want, want), "len {} cuts {:?}", len, &at[..n]);
             }
         }
     }

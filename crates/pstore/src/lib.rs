@@ -23,6 +23,7 @@
 // The source disciplines as lints: see EXPERIMENTS.md, "Static analysis".
 #![warn(
     unreachable_pub,
+    unsafe_code,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
