@@ -25,21 +25,27 @@
 //! by `k` zero bytes) let one step fold sixteen input bytes with sixteen
 //! independent lookups.
 //!
-//! Measured single-threaded (`taskset -c 0`, Intel Xeon, rustc 1.95,
-//! release), four slicing-by-16 lanes (the previous code) → fold:
+//! Measured single-threaded (`taskset -c 0`, 2-vCPU Intel Xeon VM, rustc
+//! 1.95, release; `cargo bench --bench micro -- crc32/`, medians of two
+//! runs), against the four slicing-by-16 lanes joined by a GF(2) shift
+//! that the fold replaced:
 //!
 //! | size | four table lanes | fold |
 //! |---|---|---|
-//! | 4 KiB | @4K_OLD@ µs | @4K_NEW@ µs |
-//! | 64 KiB | @64K_OLD@ µs | @64K_NEW@ µs |
-//! | 1 MiB | @1M_OLD@ µs | @1M_NEW@ µs |
+//! | 4 KiB | 1.05–1.12 µs | 0.18 µs |
+//! | 64 KiB | 14.0–14.4 µs | 2.8 µs |
+//! | 1 MiB | 241–259 µs | 44.5 µs |
 //!
-//! A host without the fold pays one slicing-by-16 lane: @64K_ONE@ µs per
-//! 64 KiB.
+//! Right after a 256 KiB copy (a page fetched from disk has just been
+//! copied) the table lanes took ≈ 30 µs a page and the fold ≈ 3.5 µs: the
+//! tables fall out of L1, and the fold reads none. A host without the fold
+//! pays one slicing-by-16 lane: 38.7–40.6 µs per 64 KiB on the same VM
+//! (33.2 µs when the lanes were measured).
 //!
-//! No VPCLMULQDQ / AVX-512 variant: at @64K_NEW@ µs a 64 KiB page the
-//! checksum is ≈ 5 % of a cold read, so folding twice as wide would save
-//! little and add a second unsafe dispatch.
+//! No VPCLMULQDQ / AVX-512 variant: at ≈ 3 µs a 64 KiB page, the checksums
+//! of a 256 KiB cold read are ≈ 6–8 % of it (`live_read_cold`'s
+//! `client.read_cold_ns` ≈ 180–200 µs), so folding twice as wide would
+//! save little and add a second unsafe dispatch.
 //!
 //! Why not CRC-32C with the hardware instruction: every record and
 //! checkpoint already on disk carries an IEEE checksum, and the stored format
@@ -152,10 +158,12 @@ mod clmul {
     /// with the `x^32` term kept.
     pub(super) const BARRETT: (i64, i64) = (0x1_F701_1641, 0x1_DB71_0641);
 
-    /// The register after `body` (at least 64 bytes, a whole number of
-    /// 16-byte steps) by carry-less multiplication.
+    /// The register after `data`: its 16-byte steps by carry-less
+    /// multiplication, the byte tail (and all of a part under 64 bytes) by
+    /// table. Outside a function that enables both features, the call is
+    /// `unsafe`: the CPU must have them.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
-    pub(super) fn fold(c: u32, body: &[u8]) -> u32 {
+    pub(super) fn fold(c: u32, data: &[u8]) -> u32 {
         use std::arch::x86_64::{
             __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
             _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
@@ -174,10 +182,10 @@ mod clmul {
         let k512 = _mm_set_epi64x(K512.0, K512.1);
         let k128 = _mm_set_epi64x(K128.0, K128.1);
 
-        let (steps, _) = body.as_chunks::<16>();
+        let (steps, tail) = data.as_chunks::<16>();
         let (lines, rest) = steps.as_chunks::<4>();
         let Some(([b0, b1, b2, b3], lines)) = lines.split_first() else {
-            return super::fold_one(c, body);
+            return super::fold_one(c, data);
         };
         let mut lanes = [
             _mm_xor_si128(load(b0), _mm_cvtsi32_si128(c as i32)),
@@ -217,26 +225,21 @@ mod clmul {
             low32,
         );
         let x = _mm_xor_si128(x, _mm_clmulepi64_si128::<0x00>(q, barrett));
-        _mm_extract_epi32::<1>(x) as u32
+        super::fold_one(_mm_extract_epi32::<1>(x) as u32, tail)
     }
 }
 
-/// The register after `part`: the fold for its whole 16-byte steps when
-/// the CPU has it and the part is at least 64 bytes, the table otherwise.
+/// The register after `part`: by carry-less multiplication when the CPU
+/// has it, by table otherwise.
 fn fold(c: u32, part: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if part.len() >= 64
-        && is_x86_feature_detected!("pclmulqdq")
-        && is_x86_feature_detected!("sse4.1")
-    {
-        let (body, tail) = part.split_at(part.len() / 16 * 16);
+    if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1") {
         #[expect(
             unsafe_code,
             reason = "the one call into the CPU-specific fold, after detection"
         )]
         // SAFETY: `clmul::fold` enables exactly the two features detected above.
-        let c = unsafe { clmul::fold(c, body) };
-        return fold_one(c, tail);
+        return unsafe { clmul::fold(c, part) };
     }
     fold_one(c, part)
 }
