@@ -43,8 +43,8 @@
 //! (33.2 µs when the lanes were measured).
 //!
 //! No VPCLMULQDQ / AVX-512 variant: at ≈ 3 µs a 64 KiB page, the checksums
-//! of a 256 KiB cold read are ≈ 6–8 % of it (`live_read_cold`'s
-//! `client.read_cold_ns` ≈ 180–200 µs), so folding twice as wide would
+//! of a 256 KiB cold read are ≈ 6–9 % of it (`live_read_cold`'s
+//! `client.read_cold_ns` ≈ 150–200 µs), so folding twice as wide would
 //! save little and add a second unsafe dispatch.
 //!
 //! Why not CRC-32C with the hardware instruction: every record and
