@@ -69,6 +69,7 @@ pub struct JobConf {
     /// Output directory; `PerReducerFiles` creates `part-NNNNN` files in it,
     /// `SharedAppendFile` creates a single `result` file.
     pub output_dir: DfsPath,
+    /// At least 1: a job without reducers is refused when it is planned.
     pub num_reducers: u32,
     pub output_mode: OutputMode,
     pub user: UserFns,

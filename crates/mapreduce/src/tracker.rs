@@ -752,7 +752,8 @@ impl MrCluster {
 
 /// Plan a job: compute input splits from block locations, prepare the
 /// output directory (and, in shared-append mode, the single output file),
-/// and create the per-reducer delivery feeds.
+/// and create the per-reducer delivery feeds. A job without reducers is
+/// refused.
 fn plan_job(
     p: &Proc,
     fs: &Arc<dyn FileSystem>,
@@ -760,6 +761,14 @@ fn plan_job(
     conf: JobConf,
     handle: JobHandle,
 ) -> Result<JobState, String> {
+    // Every map output goes to one of the reducers' partitions, and the job
+    // finishes when the last reducer does: neither exists without one.
+    if conf.num_reducers == 0 {
+        return Err(format!(
+            "job {}: num_reducers is 0, needs at least 1",
+            conf.name
+        ));
+    }
     fs.mkdirs(p, &conf.output_dir)
         .map_err(|e| format!("mkdir {}: {e}", conf.output_dir))?;
     if conf.output_mode == OutputMode::SharedAppendFile {

@@ -168,6 +168,45 @@ fn shared_append_mode_on_hdfs_fails_loudly() {
     run_wordcount(fs, &fx, OutputMode::SharedAppendFile, 2);
 }
 
+/// Submit a wordcount job with no reducers over `input` on BSFS.
+fn run_without_reducers(input: &'static str) {
+    let (fx, fs, _bsfs) = bsfs_fixture(32);
+    let mr = MrCluster::start(&fx, fs.clone(), MrConfig::compact(fx.spec()));
+    fx.spawn(NodeId(0), "driver", move |p: &Proc| {
+        fs.write_file(p, &d("/input/corpus"), Payload::from_vec(input.into()))
+            .unwrap();
+        let job = JobConf {
+            name: "no-reducers".into(),
+            inputs: vec![d("/input/corpus")],
+            output_dir: d("/out"),
+            num_reducers: 0,
+            output_mode: OutputMode::SharedAppendFile,
+            user: wordcount(),
+            ghost: None,
+            shuffle: ShuffleTuning::default(),
+        };
+        mr.submit(job).wait(p);
+        mr.shutdown();
+    });
+    fx.run();
+}
+
+/// A map has no partition to write into, so the job is refused when it is
+/// planned, by name, before any map divides by the reducer count.
+#[test]
+#[should_panic(expected = "num_reducers")]
+fn a_job_without_reducers_is_refused() {
+    run_without_reducers(CORPUS);
+}
+
+/// With no map to fail, a job without reducers would wait for reduces that
+/// never run.
+#[test]
+#[should_panic(expected = "num_reducers")]
+fn a_job_without_reducers_over_empty_input_is_refused() {
+    run_without_reducers("");
+}
+
 #[test]
 fn map_tasks_prefer_local_blocks() {
     let (fx, fs, _bsfs) = bsfs_fixture(64);
