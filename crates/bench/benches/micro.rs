@@ -246,8 +246,8 @@ fn bench_mapreduce(c: &mut Criterion) {
         let mut collectors = [Collector::default(), Collector::default()];
         for line in split_records(text, 0, text.len() as u64) {
             let (k, v) = split_tab(line);
-            fns.mapper.map(k, v, &mut |kv| {
-                collectors[mapreduce::partition_for(&kv.key, 2) as usize].push(&kv.key, &kv.value);
+            fns.mapper.map_into(k, v, &mut |key, value| {
+                collectors[mapreduce::partition_for(key, 2) as usize].push(key, value);
             });
         }
         collectors.map(|c| c.into_run(fns.combiner.as_deref()).unwrap())

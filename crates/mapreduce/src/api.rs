@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-/// A key/value record.
+/// An owned key/value record: what the owned-record reference code in
+/// [`crate::record`] and the [`Mapper::map`] / [`Reducer::reduce`] adapters
+/// hand around. The engine itself never builds one.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct KV {
     pub key: Vec<u8>,
@@ -17,31 +19,49 @@ impl KV {
             value: value.into(),
         }
     }
-
-    /// Approximate serialized size (used for counters and spill accounting).
-    pub(crate) fn encoded_len(&self) -> u64 {
-        8 + self.key.len() as u64 + self.value.len() as u64
-    }
 }
 
 /// The `map` function: consumes one input record, emits intermediate
-/// records through `out`.
+/// records through `out` as borrowed `(key, value)` slices. The slices need
+/// to live only for the call to `out`, which copies them at once, so a
+/// mapper may emit from its input or from one buffer it reuses.
 pub trait Mapper: Send + Sync {
-    fn map(&self, key: &[u8], value: &[u8], out: &mut dyn FnMut(KV));
+    fn map_into(&self, key: &[u8], value: &[u8], out: &mut dyn FnMut(&[u8], &[u8]));
+
+    /// [`Mapper::map_into`] with owned emissions. The engine never calls
+    /// it: it stays for `benchmark/benches/e2e/probes.rs` and the tests that
+    /// compare owned records, and goes when the probe moves (ROADMAP C(g)).
+    fn map(&self, key: &[u8], value: &[u8], out: &mut dyn FnMut(KV)) {
+        self.map_into(key, value, &mut |k, v| out(KV::new(k, v)))
+    }
 }
 
-/// The `reduce` function: merges all intermediate values of one key.
-/// Also used for optional combiners.
+/// The `reduce` function: merges all intermediate values of one key and
+/// emits through `out` as [`Mapper::map_into`] does. Also used for optional
+/// combiners. The values, like the emissions, live only for the call.
 pub trait Reducer: Send + Sync {
-    fn reduce(&self, key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut dyn FnMut(KV));
+    fn reduce_into(
+        &self,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        out: &mut dyn FnMut(&[u8], &[u8]),
+    );
+
+    /// [`Reducer::reduce_into`] with owned emissions. The engine never
+    /// calls it: it stays for `benchmark/benches/e2e/probes.rs` and the tests
+    /// that compare owned records, and goes when the probe moves (ROADMAP
+    /// C(g)).
+    fn reduce(&self, key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut dyn FnMut(KV)) {
+        self.reduce_into(key, values, &mut |k, v| out(KV::new(k, v)))
+    }
 }
 
 /// Blanket impls so closures can be used in tests and examples.
 impl<F> Mapper for F
 where
-    F: Fn(&[u8], &[u8], &mut dyn FnMut(KV)) + Send + Sync,
+    F: Fn(&[u8], &[u8], &mut dyn FnMut(&[u8], &[u8])) + Send + Sync,
 {
-    fn map(&self, key: &[u8], value: &[u8], out: &mut dyn FnMut(KV)) {
+    fn map_into(&self, key: &[u8], value: &[u8], out: &mut dyn FnMut(&[u8], &[u8])) {
         self(key, value, out)
     }
 }
@@ -49,9 +69,14 @@ where
 /// Blanket impl for reducer closures.
 impl<F> Reducer for F
 where
-    F: Fn(&[u8], &mut dyn Iterator<Item = &[u8]>, &mut dyn FnMut(KV)) + Send + Sync,
+    F: Fn(&[u8], &mut dyn Iterator<Item = &[u8]>, &mut dyn FnMut(&[u8], &[u8])) + Send + Sync,
 {
-    fn reduce(&self, key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut dyn FnMut(KV)) {
+    fn reduce_into(
+        &self,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        out: &mut dyn FnMut(&[u8], &[u8]),
+    ) {
         self(key, values, out)
     }
 }
@@ -127,9 +152,7 @@ mod tests {
 
     #[test]
     fn closure_mappers_work() {
-        let m = |_k: &[u8], v: &[u8], out: &mut dyn FnMut(KV)| {
-            out(KV::new(v.to_vec(), b"1".to_vec()));
-        };
+        let m = |_k: &[u8], v: &[u8], out: &mut dyn FnMut(&[u8], &[u8])| out(v, b"1");
         let mut got = Vec::new();
         Mapper::map(&m, b"k", b"hello", &mut |kv| got.push(kv));
         assert_eq!(got, vec![KV::new("hello", "1")]);

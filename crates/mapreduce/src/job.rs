@@ -192,15 +192,20 @@ pub struct JobCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::KV;
 
     fn dummy_user() -> UserFns {
         struct Nop;
         impl crate::api::Mapper for Nop {
-            fn map(&self, _: &[u8], _: &[u8], _: &mut dyn FnMut(KV)) {}
+            fn map_into(&self, _: &[u8], _: &[u8], _: &mut dyn FnMut(&[u8], &[u8])) {}
         }
         impl crate::api::Reducer for Nop {
-            fn reduce(&self, _: &[u8], _: &mut dyn Iterator<Item = &[u8]>, _: &mut dyn FnMut(KV)) {}
+            fn reduce_into(
+                &self,
+                _: &[u8],
+                _: &mut dyn Iterator<Item = &[u8]>,
+                _: &mut dyn FnMut(&[u8], &[u8]),
+            ) {
+            }
         }
         UserFns {
             mapper: Arc::new(Nop),

@@ -20,9 +20,12 @@
 //! Intermediate data has one representation from the map collector to the
 //! final reduce — the sorted run of [`record`] — and one group-and-reduce
 //! loop ([`record::reduce_runs`]) behind the per-task combiner, the node
-//! combine and the reducer; owned [`KV`]s exist only at the user-function
-//! boundary. The map-side collector stores a repeated record once with a
-//! count, and the same loop reads the counts in place.
+//! combine and the reducer. The user functions emit borrowed `(key, value)`
+//! slices that live only for the call ([`Mapper::map_into`],
+//! [`Reducer::reduce_into`]), so no record is owned anywhere on the way;
+//! [`KV`] is left to the owned-record reference code and adapters. The
+//! map-side collector stores a repeated record once with a count, and the
+//! same loop reads the counts in place.
 //!
 //! Shuffle *bytes* (not just round-trips) are cut by a two-tier combine:
 //! per-task combiners plus a node-local [`shuffle::NodeCombiner`] that

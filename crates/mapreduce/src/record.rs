@@ -8,8 +8,8 @@
 //! intermediate data from the map collector to the final reduce: a map task
 //! emits one run per partition, the tier-2 node combine merges runs into
 //! runs, the registry publishes runs, and the reducer merges fetched runs
-//! straight into the user's `reduce`. Nothing in between decodes a run into
-//! owned records: `RunCursor` walks a segment as borrowed `(key, value)`
+//! straight into the user's `reduce_into`. Nothing in between decodes a run
+//! into owned records: `RunCursor` walks a segment as borrowed `(key, value)`
 //! slices (a torn segment is a typed [`SegmentError`], never a panic or a
 //! silently dropped tail), [`reduce_runs`] k-way-merges cursors and groups
 //! equal keys on the fly, and [`merge_into_run`] writes the result back out
@@ -35,9 +35,11 @@
 //! as over the expanded run: once per key, values in order, same
 //! multiplicity.
 //!
-//! **Owned [`KV`]s exist only at the user-function boundary**: the mapper's
-//! and reducer's `FnMut(KV)` callbacks receive them, and the engine copies
-//! them into a collector or the output text at once.
+//! **No owned record crosses the user-function boundary either**: the
+//! engine calls [`Mapper::map_into`](crate::Mapper::map_into) and
+//! [`Reducer::reduce_into`], whose emissions are borrowed `(key, value)`
+//! slices that live only for the call, and copies each at once into a
+//! collector or the output text.
 //!
 //! [`encode_kvs`], [`decode_kvs`], [`sort_and_group`] and
 //! [`merge_sorted_runs`] are the owned-record reference implementation the
@@ -673,7 +675,7 @@ fn reduce_merge<'a, S: Source<'a>>(
                     value: &[],
                     left: 0,
                 };
-                reducer.reduce(key, &mut group, &mut |kv| sink(&kv.key, &kv.value));
+                reducer.reduce_into(key, &mut group, sink);
                 // Skip what the reducer left unread, a value's repeats at once.
                 group.left = 0;
                 group.for_each(drop);
@@ -989,10 +991,11 @@ mod tests {
     fn reduce_runs_groups_across_runs_and_skips_unread_values() {
         let a = encode_kvs(&[KV::new("a", "1"), KV::new("b", "1"), KV::new("b", "3")]);
         let b = encode_kvs(&[KV::new("b", "2"), KV::new("c", "9")]);
-        let first_only =
-            |key: &[u8], vals: &mut dyn Iterator<Item = &[u8]>, out: &mut dyn FnMut(KV)| {
-                out(KV::new(key, vals.next().unwrap()));
-            };
+        let first_only = |key: &[u8],
+                          vals: &mut dyn Iterator<Item = &[u8]>,
+                          out: &mut dyn FnMut(&[u8], &[u8])| {
+            out(key, vals.next().unwrap());
+        };
         let mut got = Vec::new();
         let read = reduce_runs(
             &[a.bytes(), &[], b.bytes()],

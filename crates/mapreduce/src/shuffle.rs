@@ -585,25 +585,31 @@ mod tests {
 
     struct Nop;
     impl Mapper for Nop {
-        fn map(&self, _: &[u8], _: &[u8], _: &mut dyn FnMut(KV)) {}
+        fn map_into(&self, _: &[u8], _: &[u8], _: &mut dyn FnMut(&[u8], &[u8])) {}
     }
     impl Reducer for Nop {
-        fn reduce(&self, _: &[u8], _: &mut dyn Iterator<Item = &[u8]>, _: &mut dyn FnMut(KV)) {}
+        fn reduce_into(
+            &self,
+            _: &[u8],
+            _: &mut dyn Iterator<Item = &[u8]>,
+            _: &mut dyn FnMut(&[u8], &[u8]),
+        ) {
+        }
     }
 
     /// Wordcount-style combiner: sums integer values per key.
     struct SumReduce;
     impl Reducer for SumReduce {
-        fn reduce(
+        fn reduce_into(
             &self,
             key: &[u8],
             values: &mut dyn Iterator<Item = &[u8]>,
-            out: &mut dyn FnMut(KV),
+            out: &mut dyn FnMut(&[u8], &[u8]),
         ) {
             let sum: u64 = values
                 .map(|v| std::str::from_utf8(v).unwrap().parse::<u64>().unwrap())
                 .sum();
-            out(KV::new(key.to_vec(), sum.to_string()));
+            out(key, sum.to_string().as_bytes());
         }
     }
 

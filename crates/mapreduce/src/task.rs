@@ -7,7 +7,7 @@ use dfs::{DfsPath, FileSystem};
 use fabric::sync::Queue;
 use fabric::{NodeId, Payload, Proc};
 
-use crate::api::{partition_for, KV};
+use crate::api::partition_for;
 use crate::job::{JobCtx, OutputMode};
 use crate::record::{
     check_fits, merge_into_run, put_text, reduce_runs, split_records, Collector, SegmentError,
@@ -135,16 +135,16 @@ pub(crate) fn run_map_task(
         for line in split_records(window, spec.offset, spec.len) {
             in_records += 1;
             let (k, v) = crate::record::split_tab(line);
-            conf.user.mapper.map(k, v, &mut |kv: KV| {
+            conf.user.mapper.map_into(k, v, &mut |key, value| {
                 if unfit.is_ok() {
-                    unfit = check_fits(kv.key.len(), kv.value.len());
+                    unfit = check_fits(key.len(), value.len());
                 }
                 if unfit.is_err() {
                     return;
                 }
                 out_records += 1;
-                out_bytes += kv.encoded_len();
-                collectors[partition_for(&kv.key, r) as usize].push(&kv.key, &kv.value);
+                out_bytes += 8 + key.len() as u64 + value.len() as u64;
+                collectors[partition_for(key, r) as usize].push(key, value);
             });
             unfit
                 .as_ref()
@@ -381,27 +381,27 @@ fn torn_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Mapper, Reducer, UserFns};
+    use crate::api::{Mapper, Reducer, UserFns, KV};
     use crate::job::{JobConf, JobCounters};
     use bsfs::Bsfs;
     use fabric::{ClusterSpec, Fabric};
 
     struct IdentityMap;
     impl Mapper for IdentityMap {
-        fn map(&self, k: &[u8], v: &[u8], out: &mut dyn FnMut(KV)) {
-            out(KV::new(k.to_vec(), v.to_vec()));
+        fn map_into(&self, k: &[u8], v: &[u8], out: &mut dyn FnMut(&[u8], &[u8])) {
+            out(k, v);
         }
     }
     struct ConcatReduce;
     impl Reducer for ConcatReduce {
-        fn reduce(
+        fn reduce_into(
             &self,
             key: &[u8],
             values: &mut dyn Iterator<Item = &[u8]>,
-            out: &mut dyn FnMut(KV),
+            out: &mut dyn FnMut(&[u8], &[u8]),
         ) {
             let joined: Vec<u8> = values.collect::<Vec<_>>().join(&b","[..]);
-            out(KV::new(key.to_vec(), joined));
+            out(key, &joined);
         }
     }
 

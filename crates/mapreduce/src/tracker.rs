@@ -820,7 +820,7 @@ fn plan_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{UserFns, KV};
+    use crate::api::UserFns;
     use crate::job::ShuffleTuning;
     use crate::shuffle::SegmentSource;
     use dfs::DfsPath;
@@ -833,8 +833,9 @@ mod tests {
     /// A planned job: one pending map per entry of `hosts` (the nodes holding
     /// its block), all available since `since`.
     fn job(fx: &Fabric, id: u64, reducers: u32, hosts: &[&[u32]], since: u64) -> JobState {
-        let map = |_: &[u8], _: &[u8], _: &mut dyn FnMut(KV)| {};
-        let reduce = |_: &[u8], _: &mut dyn Iterator<Item = &[u8]>, _: &mut dyn FnMut(KV)| {};
+        let map = |_: &[u8], _: &[u8], _: &mut dyn FnMut(&[u8], &[u8])| {};
+        let reduce =
+            |_: &[u8], _: &mut dyn Iterator<Item = &[u8]>, _: &mut dyn FnMut(&[u8], &[u8])| {};
         let ctx = Arc::new(JobCtx {
             id,
             conf: JobConf {

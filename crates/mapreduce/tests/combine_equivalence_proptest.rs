@@ -12,7 +12,7 @@ use blobseer::{BlobSeerConfig, Layout};
 use bsfs::Bsfs;
 use dfs::{DfsPath, FileSystem};
 use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
-use mapreduce::{JobConf, MrCluster, MrConfig, OutputMode, ShuffleTuning, UserFns, KV};
+use mapreduce::{JobConf, MrCluster, MrConfig, OutputMode, ShuffleTuning, UserFns};
 use proptest::prelude::*;
 
 fn d(s: &str) -> DfsPath {
@@ -23,21 +23,22 @@ fn d(s: &str) -> DfsPath {
 /// shrinks data, so tier-2 bugs (lost runs, double counts, re-run leaks)
 /// surface as wrong totals.
 fn wordcount() -> UserFns {
-    let mapper = |k: &[u8], v: &[u8], out: &mut dyn FnMut(KV)| {
+    let mapper = |k: &[u8], v: &[u8], out: &mut dyn FnMut(&[u8], &[u8])| {
         for w in k
             .split(|&b| b == b' ')
             .chain(v.split(|&b| b == b' '))
             .filter(|w| !w.is_empty())
         {
-            out(KV::new(w.to_vec(), b"1".to_vec()));
+            out(w, b"1");
         }
     };
-    let reducer = |key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut dyn FnMut(KV)| {
-        let total: u64 = values
-            .map(|v| std::str::from_utf8(v).unwrap().parse::<u64>().unwrap())
-            .sum();
-        out(KV::new(key.to_vec(), total.to_string().into_bytes()));
-    };
+    let reducer =
+        |key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut dyn FnMut(&[u8], &[u8])| {
+            let total: u64 = values
+                .map(|v| std::str::from_utf8(v).unwrap().parse::<u64>().unwrap())
+                .sum();
+            out(key, total.to_string().as_bytes());
+        };
     UserFns {
         mapper: Arc::new(mapper),
         reducer: Arc::new(reducer),

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use dfs::DfsPath;
-use mapreduce::{UserFns, KV};
+use mapreduce::UserFns;
 
 pub fn d(s: &str) -> DfsPath {
     DfsPath::new(s).unwrap()
@@ -11,22 +11,23 @@ pub fn d(s: &str) -> DfsPath {
 
 /// Classic wordcount user functions.
 pub fn wordcount() -> UserFns {
-    let mapper = |_k: &[u8], v: &[u8], out: &mut dyn FnMut(KV)| {
+    let mapper = |_k: &[u8], v: &[u8], out: &mut dyn FnMut(&[u8], &[u8])| {
         // Input format: key = line (no tab); count words of the whole line.
         for w in _k
             .split(|&b| b == b' ')
             .chain(v.split(|&b| b == b' '))
             .filter(|w| !w.is_empty())
         {
-            out(KV::new(w.to_vec(), b"1".to_vec()));
+            out(w, b"1");
         }
     };
-    let reducer = |key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut dyn FnMut(KV)| {
-        let total: u64 = values
-            .map(|v| std::str::from_utf8(v).unwrap().parse::<u64>().unwrap())
-            .sum();
-        out(KV::new(key.to_vec(), total.to_string().into_bytes()));
-    };
+    let reducer =
+        |key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut dyn FnMut(&[u8], &[u8])| {
+            let total: u64 = values
+                .map(|v| std::str::from_utf8(v).unwrap().parse::<u64>().unwrap())
+                .sum();
+            out(key, total.to_string().as_bytes());
+        };
     UserFns {
         mapper: Arc::new(mapper),
         reducer: Arc::new(reducer),

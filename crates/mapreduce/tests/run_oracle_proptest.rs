@@ -27,25 +27,30 @@ enum Combine {
 }
 
 impl Reducer for Combine {
-    fn reduce(&self, key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut dyn FnMut(KV)) {
+    fn reduce_into(
+        &self,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        out: &mut dyn FnMut(&[u8], &[u8]),
+    ) {
         match self {
             Combine::Sum => {
                 let total: usize = values.map(|v| 1 + v.len()).sum();
-                out(KV::new(key, total.to_string()));
+                out(key, total.to_string().as_bytes());
             }
             Combine::Nothing => {}
             Combine::TwoOutOfOrder => {
                 let n = values.count();
-                out(KV::new(key, format!("z{n}")));
-                out(KV::new(key, "a"));
+                out(key, format!("z{n}").as_bytes());
+                out(key, b"a");
             }
             Combine::OtherKey => {
                 let flipped: Vec<u8> = key.iter().map(|b| !b).collect();
-                out(KV::new(flipped, values.last().unwrap_or_default()));
+                out(&flipped, values.last().unwrap_or_default());
             }
             Combine::FirstOnly => {
                 let first = values.next().unwrap_or_default();
-                out(KV::new(key, first));
+                out(key, first);
             }
         }
     }

@@ -14,15 +14,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mapreduce::{GhostProfile, UserFns, KV};
+use mapreduce::{GhostProfile, UserFns};
 
 /// Map function: identity on (key, tagged value) — the tag travels in the
 /// value, exactly like contrib datajoin's TaggedMapOutput.
 struct JoinMapper;
 
 impl mapreduce::Mapper for JoinMapper {
-    fn map(&self, key: &[u8], value: &[u8], out: &mut dyn FnMut(KV)) {
-        out(KV::new(key.to_vec(), value.to_vec()));
+    fn map_into(&self, key: &[u8], value: &[u8], out: &mut dyn FnMut(&[u8], &[u8])) {
+        out(key, value);
     }
 }
 
@@ -31,11 +31,15 @@ impl mapreduce::Mapper for JoinMapper {
 struct JoinReducer;
 
 impl mapreduce::Reducer for JoinReducer {
-    fn reduce(&self, key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut dyn FnMut(KV)) {
+    fn reduce_into(
+        &self,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        out: &mut dyn FnMut(&[u8], &[u8]),
+    ) {
         let mut from_a: Vec<&[u8]> = Vec::new();
         let mut from_b: Vec<&[u8]> = Vec::new();
-        let collected: Vec<&[u8]> = values.collect();
-        for v in &collected {
+        for v in values {
             if let Some(rest) = v.strip_prefix(b"a:" as &[u8]) {
                 from_a.push(rest);
             } else if let Some(rest) = v.strip_prefix(b"b:" as &[u8]) {
@@ -43,13 +47,14 @@ impl mapreduce::Reducer for JoinReducer {
             }
             // Untagged values are ignored (malformed input).
         }
+        let mut combined = Vec::new();
         for a in &from_a {
             for b in &from_b {
-                let mut combined = Vec::with_capacity(a.len() + 1 + b.len());
+                combined.clear();
                 combined.extend_from_slice(a);
                 combined.push(b'\t');
                 combined.extend_from_slice(b);
-                out(KV::new(key.to_vec(), combined));
+                out(key, &combined);
             }
         }
     }
@@ -119,7 +124,7 @@ pub fn fig6_profile() -> GhostProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapreduce::{Mapper, Reducer};
+    use mapreduce::{Mapper, Reducer, KV};
 
     fn kv(k: &str, v: &str) -> (String, String) {
         (k.into(), v.into())

@@ -8,7 +8,7 @@
 //! * a datajoin-shaped split in which every record is distinct.
 //!
 //! The map side is `run_map_task`'s: `split_records` → `split_tab` → the
-//! user's mapper → `partition_for` over 2 reducers → one `Collector` per
+//! user's `map_into` → `partition_for` over 2 reducers → one `Collector` per
 //! partition → `into_run`. The run format is the contract every later stage
 //! reads, so these bytes may not move when the collector's internals do.
 //! `run_oracle_proptest` checks the same contract on small inputs; this
@@ -97,11 +97,11 @@ fn map_side(text: &[u8], fns: &UserFns, combine: bool) -> Vec<Partition> {
     let mut distinct = vec![BTreeSet::new(); REDUCERS as usize];
     for line in split_records(text, 0, text.len() as u64) {
         let (k, v) = split_tab(line);
-        fns.mapper.map(k, v, &mut |kv| {
-            let i = partition_for(&kv.key, REDUCERS) as usize;
-            collectors[i].push(&kv.key, &kv.value);
+        fns.mapper.map_into(k, v, &mut |key, value| {
+            let i = partition_for(key, REDUCERS) as usize;
+            collectors[i].push(key, value);
             emissions[i] += 1;
-            distinct[i].insert(kv);
+            distinct[i].insert((key.to_vec(), value.to_vec()));
         });
     }
     let combiner = if combine {
