@@ -143,17 +143,6 @@ fn wordcount_reducer_pins_its_count_parse() {
 }
 
 #[test]
-fn the_wordcount_combiner_is_the_reducer() {
-    let fns = workloads::wordcount::user_fns();
-    let combiner = fns.combiner.as_deref().unwrap();
-    let mut out = Vec::new();
-    combiner.reduce(b"k", &mut [&b"2"[..], b"40"].into_iter(), &mut |kv| {
-        out.push(kv)
-    });
-    assert_eq!(out, [KV::new("k", "42")]);
-}
-
-#[test]
 fn datajoin_mapper_emits_its_input() {
     let fns = workloads::datajoin::user_fns();
     assert_eq!(map(&fns, b"u1", b"a:x"), [KV::new("u1", "a:x")]);
