@@ -4,11 +4,11 @@
 //! A figure driver *declares* its record: the x-axis of its sweep and each
 //! series with a [`Gate`]. [`Baseline::check_and_record`] does the rest:
 //! emit the JSON, write it to `<file>.new`, load the committed file, fail
-//! loudly when a declared key is missing or the sweep shape changed, compare
-//! pointwise, and promote `.new` onto the committed path only after the diff
-//! passed — a regressed run dies with the committed baseline intact and the
-//! fresh numbers in the side file (what CI uploads, so a deliberate
-//! re-record has the data).
+//! loudly when a declared key is missing, a committed key is no longer
+//! declared or the sweep shape changed, compare pointwise, and promote
+//! `.new` onto the committed path only after the diff passed — a regressed
+//! run dies with the committed baseline intact and the fresh numbers in the
+//! side file (what CI uploads, so a deliberate re-record has the data).
 //!
 //! What is compared is what is written: both sides of a gate are the numbers
 //! as rendered in the two files, so a diff can be reproduced from the
@@ -178,14 +178,14 @@ impl<P> Baseline<'_, P> {
     /// Every way this run differs from `base` beyond its gates; empty means
     /// the diff passed.
     pub(crate) fn diff(&self, base: &str) -> Vec<String> {
-        let doc = parse(base);
+        let mut doc = parse(base);
         let mut failures = Vec::new();
         for (section, cols) in &self.sections {
             for col in cols {
                 let nested = if section.is_empty() { "" } else { "." };
                 let path = format!("{section}{nested}{}", col.key);
                 let at = format!("{}: {path}", self.bench);
-                let Some(base_cells) = doc.get(&path) else {
+                let Some(base_cells) = doc.remove(&path) else {
                     failures.push(format!("{at} is missing; re-record deliberately"));
                     continue;
                 };
@@ -205,8 +205,12 @@ impl<P> Baseline<'_, P> {
                         _ => false,
                     };
                     if !holds {
-                        // Name the point by the section's axes.
-                        let axes = cols.iter().filter(|c| c.axis && !col.scalar);
+                        // Name the point by the section's axes, or by the
+                        // top level's when the section has none (a role
+                        // table over the main sweep).
+                        let own = cols.iter().any(|c| c.axis);
+                        let named = if own { cols } else { &self.sections[0].1 };
+                        let axes = named.iter().filter(|c| c.axis && !col.scalar);
                         let x: Vec<String> = axes
                             .filter_map(|c| Some(format!("{}={}", c.key, c.cells.get(i)?)))
                             .collect();
@@ -219,6 +223,13 @@ impl<P> Baseline<'_, P> {
                     }
                 }
             }
+        }
+        // What is left the run no longer declares: promotion would drop it.
+        for path in doc.keys() {
+            failures.push(format!(
+                "{}: {path} is no longer declared; re-record deliberately",
+                self.bench
+            ));
         }
         failures
     }
@@ -353,6 +364,22 @@ mod tests {
     }
 
     #[test]
+    fn a_section_without_axes_names_its_points_by_the_top_level() {
+        let run = |v: f64| {
+            let roles = record(Gate::Exact, [1.0, 2.0]).section("roles");
+            roles
+                .sweep(Vec::leak(vec![1.0, v]))
+                .series("r", Gate::Exact, 1, |v| *v)
+        };
+        let f = run(3.0).diff(&run(2.0).to_json());
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(
+            f[0].contains("t: roles.r at [x=\"b\"]: 2.0 -> 3.0"),
+            "{f:?}"
+        );
+    }
+
+    #[test]
     fn tolerance_gate_holds_at_the_boundary_and_fails_past_it_both_ways() {
         // Lower is better: 100 -> 125 is the last pass.
         assert!(failures(Gate::Lower, [100.0, 100.0], [125.0, 1.0]).is_empty());
@@ -384,6 +411,11 @@ mod tests {
             // key: neither passes vacuously.
             (base.replace(", 2.0", ""), "t: v sweep shape changed"),
             (String::new(), "t: bench is missing"),
+            // A series the run stopped declaring would vanish on promotion.
+            (
+                base.replace("\n}", ",\n  \"gone\": [3, 4]\n}"),
+                "t: gone is no longer declared",
+            ),
         ];
         for (base, expected) in cases {
             let f = now.diff(&base);

@@ -9,7 +9,7 @@
 //! (who wins, what stays flat, where crossings happen) are the reproduction
 //! targets; see EXPERIMENTS.md.
 //!
-//! Seven drivers also record their run into a committed `BENCH_*.json` and
+//! Eight drivers also record their run into a committed `BENCH_*.json` and
 //! are gated against it. A driver only *declares* that record — axis,
 //! series, and per series one of three gates (exact / no worse than 1.25× /
 //! record-only); recording, comparing and promoting is `baseline`'s one
@@ -68,20 +68,15 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Deploy BSFS with the paper layout on a fresh 270-node simulated cluster.
+/// Deploy BSFS with the paper config and layout on a fresh 270-node cluster.
 pub(crate) fn paper_bsfs(seed: u64) -> (Fabric, Bsfs) {
-    paper_bsfs_with(seed, BlobSeerConfig::paper())
+    let layout = Layout::paper(&ClusterSpec::orsay_270());
+    paper_bsfs_with(seed, BlobSeerConfig::paper(), layout)
 }
 
-/// Deploy BSFS with a custom BlobSeer config (ablations).
-pub fn paper_bsfs_with(seed: u64, config: BlobSeerConfig) -> (Fabric, Bsfs) {
-    let fx = Fabric::sim_seeded(ClusterSpec::orsay_270(), seed);
-    let fs = Bsfs::deploy_paper(&fx, config).expect("deploy bsfs");
-    (fx, fs)
-}
-
-/// Deploy BSFS with a custom layout (metadata-provider ablation).
-pub fn paper_bsfs_with_layout(seed: u64, config: BlobSeerConfig, layout: Layout) -> (Fabric, Bsfs) {
+/// Deploy BSFS with `config` and `layout` on a fresh 270-node simulated
+/// cluster.
+pub(crate) fn paper_bsfs_with(seed: u64, config: BlobSeerConfig, layout: Layout) -> (Fabric, Bsfs) {
     let fx = Fabric::sim_seeded(ClusterSpec::orsay_270(), seed);
     let fs = Bsfs::deploy(&fx, config, layout).expect("deploy bsfs");
     (fx, fs)
@@ -211,7 +206,9 @@ impl RoleMs {
         parts.join(", ")
     }
 
-    /// Declare one record-only series per role in a section of its own.
+    /// Declare the mean op time and one series per role in a section of its
+    /// own, all exact: the ledger is deterministic per seed, so a charge that
+    /// moves between roles fails even when the total holds.
     pub fn record<'a, P>(
         b: Baseline<'a, P>,
         section: &'static str,
@@ -219,9 +216,9 @@ impl RoleMs {
     ) -> Baseline<'a, P> {
         let b = b
             .section(section)
-            .series("op", Gate::Record, 2, |p| roles(p).op_ms);
+            .series("op", Gate::Exact, 2, |p| roles(p).op_ms);
         (ROLES.iter().enumerate()).fold(b, |b, (i, role)| {
-            b.series(role, Gate::Record, 2, |p| roles(p).ms[i])
+            b.series(role, Gate::Exact, 2, |p| roles(p).ms[i])
         })
     }
 }
@@ -241,37 +238,26 @@ pub struct Fig3Point {
     pub dht_puts: u64,
     /// Put wire round-trips that carried them (batching win visible).
     pub dht_put_rpcs: u64,
+    /// Bytes the providers hold, every replica counted.
+    pub stored_bytes: u64,
+    /// Metadata tree nodes the DHT holds, and the most on one server.
+    pub meta_nodes: usize,
+    pub max_server_nodes: usize,
     /// Where the appends' virtual time went.
     pub roles: RoleMs,
 }
 
 /// Figure 3 point: N concurrent clients each append one 64 MB chunk to the
-/// same BSFS file; the average per-client throughput plus the deterministic
-/// currencies of the run.
-pub fn fig3_point_detail(n_clients: u32, seed: u64) -> Fig3Point {
-    let (fx, fs) = paper_bsfs(seed);
-    let (per_client_mbps, roles) = fig3_point_on(&fx, &fs, n_clients);
-    let (dht_puts, dht_put_rpcs) = fs
-        .store()
-        .metadata_dht()
-        .servers()
-        .iter()
-        .fold((0, 0), |(n, r), s| {
-            (n + s.op_counts().0, r + s.rpc_counts().0)
-        });
-    Fig3Point {
-        per_client_mbps,
-        sim_secs: fx.now() as f64 / 1e9,
-        transfers: fx.stats().transfers,
-        dht_puts,
-        dht_put_rpcs,
-        roles,
-    }
-}
-
-/// Figure 3 body against an existing deployment (used by ablations too):
-/// the mean per-client MB/s, and where the appends' time went.
-pub fn fig3_point_on(fx: &Fabric, fs: &Bsfs, n_clients: u32) -> (f64, RoleMs) {
+/// same BSFS file, deployed with `config` and `layout` (the paper's, or one
+/// of its constants changed); the average per-client throughput plus the
+/// deterministic currencies of the run.
+pub fn fig3_point_detail(
+    n_clients: u32,
+    seed: u64,
+    config: BlobSeerConfig,
+    layout: Layout,
+) -> Fig3Point {
+    let (fx, fs) = paper_bsfs_with(seed, config, layout);
     let start_gate = fx.gate();
     let file = path("/bench/shared");
     {
@@ -295,8 +281,7 @@ pub fn fig3_point_on(fx: &Fabric, fs: &Bsfs, n_clients: u32) -> (f64, RoleMs) {
             format!("appender{i}"),
             move |p| {
                 g.wait(p);
-                let chunk = fs2.default_block_size();
-                let (done, op) = Op::time(p, || fs2.append_all(p, &f2, Payload::ghost(chunk)));
+                let (done, op) = Op::time(p, || fs2.append_all(p, &f2, Payload::ghost(CHUNK)));
                 done.unwrap();
                 o2.lock().push(op);
             },
@@ -305,10 +290,27 @@ pub fn fig3_point_on(fx: &Fabric, fs: &Bsfs, n_clients: u32) -> (f64, RoleMs) {
     fx.run();
     let ops = ops.lock();
     assert_eq!(ops.len(), n_clients as usize);
-    let chunk = fs.default_block_size();
-    let mean = ops.iter().map(|op| mbps(chunk, op.ns)).sum::<f64>() / n_clients as f64;
-    let roles = RoleMs::fold(&ops, &bsfs_roles(fs.store().layout().clone()));
-    (mean, roles)
+    let per_client_mbps = ops.iter().map(|op| mbps(CHUNK, op.ns)).sum::<f64>() / n_clients as f64;
+    let dht = fs.store().metadata_dht();
+    let (dht_puts, dht_put_rpcs) = (dht.servers().iter()).fold((0, 0), |(n, r), s| {
+        (n + s.op_counts().0, r + s.rpc_counts().0)
+    });
+    Fig3Point {
+        per_client_mbps,
+        sim_secs: fx.now() as f64 / 1e9,
+        transfers: fx.stats().transfers,
+        dht_puts,
+        dht_put_rpcs,
+        stored_bytes: fs.store().total_stored_bytes(),
+        meta_nodes: dht.total_nodes(),
+        max_server_nodes: dht
+            .servers()
+            .iter()
+            .map(|s| s.node_count())
+            .max()
+            .unwrap_or(0),
+        roles: RoleMs::fold(&ops, &bsfs_roles(fs.store().layout().clone())),
+    }
 }
 
 /// One mixed-workload measurement with the deterministic sim currencies the

@@ -5,8 +5,11 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! Set `QUICKSTART_PERSIST_DIR=/some/dir` to deploy the durable storage
-//! plane instead: every service persists to a pstore directory, and the
-//! demo kills a provider mid-session and restarts it from disk.
+//! plane instead: the providers (pages), the metadata servers (tree nodes)
+//! and the provider manager (its lease book) persist to pstore
+//! subdirectories, and the demo kills a provider mid-session and restarts it
+//! from disk. The version manager and the namespace do not persist yet
+//! (ROADMAP item R).
 
 use blobseer::{Fault, FaultTarget};
 use blobseer_repro::testbed;
