@@ -1,22 +1,25 @@
 //! `pstore` — an embedded, log-structured key/value store.
 //!
 //! BlobSeer "offers persistence through a BerkeleyDB layer" (paper §3.1.1):
-//! providers and the namespace manager keep their state in a local embedded
-//! database. This crate is that substitute: a crash-consistent,
-//! CRC-checksummed, append-only segmented log with an in-memory index,
-//! on-demand compaction and recovery-by-scan — the same design family as
-//! Bitcask/BDB's logs, small enough to audit.
+//! each node keeps its state in a local embedded database. This crate is
+//! that substitute, and three services persist through it: the providers
+//! (pages), the metadata servers (tree nodes) and the provider manager
+//! (its lease log). It is a crash-consistent, CRC-checksummed, append-only
+//! segmented log with an ordered in-memory index and recovery-by-scan — the
+//! same design family as Bitcask/BDB's logs, small enough to audit. The log
+//! keeps every record it is given: nothing rewrites or reclaims a segment.
+//! Pages and tree nodes are written once, so its dead records are mostly
+//! the lease log's rewrites and tombstones.
 //!
 //! Guarantees:
-//! * `put`/`delete` are durable after [`Store::flush`] (or `fsync` mode);
+//! * `put`/`delete` are durable after [`Store::flush`];
 //!   [`Store::flush_buffered`] gives the weaker process-crash contract;
 //! * recovery replays segments in order and stops at the first torn/corrupt
 //!   record (prefix consistency), discarding the damaged tail;
 //! * checkpoints ([`Store::checkpoint`] or `checkpoint_every_bytes`) bound
 //!   recovery replay to data-since-last-checkpoint; a damaged checkpoint is
 //!   skipped, never trusted;
-//! * [`Store::compact`] rewrites live records and reclaims dead space while
-//!   preserving the latest value of every key.
+//! * [`Store::scan_prefix`] and [`Store::prefix_meta`] answer in key order.
 //!
 //! The store is `Sync`; all operations take `&self`.
 

@@ -11,28 +11,23 @@
 //! ```
 //!
 //! with `val_len == u32::MAX` marking a tombstone (delete). The CRC covers
-//! everything after itself. The in-memory index maps keys to the segment and
-//! offset of their newest record; recovery rebuilds it by scanning segments
-//! in id order.
+//! everything after itself. The in-memory index is ordered by key and maps
+//! each key to the segment and offset of its newest record; recovery
+//! rebuilds it by scanning segments in id order.
 //!
-//! Optionally, `NNNNNNNN.ckpt` checkpoint files snapshot the index together
-//! with a `(segment, flushed_len)` watermark. Recovery then loads the newest
-//! valid checkpoint and replays only the records written after its
-//! watermark, bounding open cost by data-since-last-checkpoint rather than
-//! total log length. A checkpoint that fails validation (bad CRC, missing
-//! segment, watermark past end-of-file) is skipped silently — older
-//! checkpoints and finally a full scan always remain as fallbacks, so a
-//! damaged checkpoint can never make data unreachable.
+//! Optionally, `NNNNNNNN.ckpt` checkpoint files snapshot the index (in key
+//! order) together with a `(segment, flushed_len)` watermark. Recovery then
+//! loads the newest valid checkpoint and replays only the records written
+//! after its watermark, bounding open cost by data-since-last-checkpoint
+//! rather than total log length. A checkpoint that fails validation (bad
+//! CRC, missing segment, watermark past end-of-file) is skipped silently —
+//! older checkpoints and finally a full scan always remain as fallbacks, so
+//! a damaged checkpoint can never make data unreachable.
 
-#![expect(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    reason = "each unwrap is a fixed-width slice `try_into` or a lookup of a live segment in maps `open_with` / `roll` keep total; corrupt bytes are rejected earlier as PStoreError"
-)]
-
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
+use std::ops::Bound;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -57,9 +52,6 @@ const CKPT_ENTRY: usize = 4 + 8 + 8 + 8;
 pub struct StoreOptions {
     /// Rotate to a new segment once the active one exceeds this size.
     pub max_segment_bytes: u64,
-    /// `fsync` after every write (slow, maximally durable). Default: rely on
-    /// explicit [`Store::flush`].
-    pub fsync_each_write: bool,
     /// Write a checkpoint after this many appended bytes, bounding recovery
     /// replay to data-since-last-checkpoint. `None` (default) disables
     /// automatic checkpoints; [`Store::checkpoint`] stays available.
@@ -70,34 +62,7 @@ impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
             max_segment_bytes: 64 * 1024 * 1024,
-            fsync_each_write: false,
             checkpoint_every_bytes: None,
-        }
-    }
-}
-
-/// Occupancy counters (see [`Store::stats`]).
-#[cfg(test)]
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StoreStats {
-    /// Number of live keys.
-    pub keys: usize,
-    /// Bytes occupied by the newest record of each live key.
-    pub live_bytes: u64,
-    /// Total bytes across all segments, dead records included.
-    pub disk_bytes: u64,
-    /// Number of segment files.
-    pub segments: usize,
-}
-
-#[cfg(test)]
-impl StoreStats {
-    /// Fraction of on-disk bytes not referenced by the index.
-    pub(crate) fn dead_ratio(&self) -> f64 {
-        if self.disk_bytes == 0 {
-            0.0
-        } else {
-            1.0 - (self.live_bytes as f64 / self.disk_bytes as f64)
         }
     }
 }
@@ -112,19 +77,18 @@ struct Loc {
 struct Inner {
     dir: PathBuf,
     opts: StoreOptions,
-    index: HashMap<Vec<u8>, Loc>,
-    /// Handles for sealed + active segments, keyed by id. Shared, so a
-    /// reader can take one out from under the store mutex: segments are
-    /// append-only and a handle outlives compaction's unlink.
+    index: BTreeMap<Vec<u8>, Loc>,
+    /// Handles for sealed + active segments, keyed by id. Shared, so `get`
+    /// can read a record outside the store mutex: segments are append-only,
+    /// so flushed bytes never change under a reader.
     files: BTreeMap<u64, Arc<File>>,
-    /// On-disk length per segment.
-    seg_len: BTreeMap<u64, u64>,
     active: u64,
+    /// The active segment's handle (also in `files`).
+    active_file: Arc<File>,
     /// Bytes appended to the active segment not yet written to the file.
     buf: Vec<u8>,
     /// Bytes of the active segment already in the file.
     flushed: u64,
-    live_bytes: u64,
     /// Bytes appended since the last checkpoint (or open).
     since_ckpt: u64,
     /// Id for the next checkpoint file (strictly monotone).
@@ -147,12 +111,25 @@ fn ckpt_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("{id:08}.ckpt"))
 }
 
+fn open_segment(dir: &Path, id: u64) -> Result<File> {
+    Ok(OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(seg_path(dir, id))?)
+}
+
+/// The `N` bytes at `data[pos..]`, or `None` if they run past the end.
+fn le<const N: usize>(data: &[u8], pos: usize) -> Option<[u8; N]> {
+    data.get(pos..pos.checked_add(N)?)?.try_into().ok()
+}
+
 /// A decoded, validated checkpoint: index snapshot plus the replay watermark
 /// `(segment, flushed_len)` it was taken at.
 struct Checkpoint {
     wseg: u64,
     wlen: u64,
-    index: HashMap<Vec<u8>, Loc>,
+    index: BTreeMap<Vec<u8>, Loc>,
 }
 
 /// Decode + validate a checkpoint file. Any failure — I/O, bad CRC, bad
@@ -160,7 +137,7 @@ struct Checkpoint {
 /// `None`: checkpoints are an optimization, never an authority.
 #[expect(
     clippy::indexing_slicing,
-    reason = "the head is read after `len >= CKPT_HEAD + 4`, each entry and each key after its own `body.len() < pos + …` test"
+    reason = "the magic and body are cut after `len >= CKPT_HEAD + 4`, each key after its own `body.len() < pos + key_len` test"
 )]
 fn load_checkpoint(path: &Path, seg_disk_len: &BTreeMap<u64, u64>) -> Option<Checkpoint> {
     let data = std::fs::read(path).ok()?;
@@ -168,32 +145,29 @@ fn load_checkpoint(path: &Path, seg_disk_len: &BTreeMap<u64, u64>) -> Option<Che
         return None;
     }
     let body = &data[..data.len() - 4];
-    let stored_crc = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
+    let stored_crc = u32::from_le_bytes(le(&data, body.len())?);
     if crc32(body) != stored_crc {
         return None;
     }
-    let u32_at = |p: usize| u32::from_le_bytes(body[p..p + 4].try_into().unwrap());
-    let u64_at = |p: usize| u64::from_le_bytes(body[p..p + 8].try_into().unwrap());
-    if u32_at(4) != CKPT_VERSION {
+    let u32_at = |p: usize| le(body, p).map(u32::from_le_bytes);
+    let u64_at = |p: usize| le(body, p).map(u64::from_le_bytes);
+    if u32_at(4)? != CKPT_VERSION {
         return None;
     }
-    let wseg = u64_at(8);
-    let wlen = u64_at(16);
-    let count = u64_at(24) as usize;
+    let wseg = u64_at(8)?;
+    let wlen = u64_at(16)?;
+    let count = u64_at(24)?;
     if seg_disk_len.get(&wseg).copied().unwrap_or(0) < wlen {
         return None;
     }
-    let mut index = HashMap::with_capacity(count);
+    let mut index = BTreeMap::new();
     let mut pos = CKPT_HEAD;
     for _ in 0..count {
-        if body.len() < pos + CKPT_ENTRY {
-            return None;
-        }
-        let key_len = u32_at(pos) as usize;
+        let key_len = u32_at(pos)? as usize;
         let loc = Loc {
-            seg: u64_at(pos + 4),
-            offset: u64_at(pos + 12),
-            rec_len: u64_at(pos + 20),
+            seg: u64_at(pos + 4)?,
+            offset: u64_at(pos + 12)?,
+            rec_len: u64_at(pos + 20)?,
         };
         pos += CKPT_ENTRY;
         if body.len() < pos + key_len {
@@ -249,7 +223,7 @@ fn encode_record(out: &mut Vec<u8>, key: &[u8], val: Option<&[u8]>) -> u64 {
 /// data.
 #[expect(
     clippy::indexing_slicing,
-    reason = "the header is read after `len >= pos + HEADER`, the body after `len >= end`"
+    reason = "the body is cut after `len >= end`, and `end` is past the header the `le` reads found"
 )]
 #[expect(
     clippy::type_complexity,
@@ -259,12 +233,14 @@ fn parse_record(
     data: &[u8],
     pos: usize,
 ) -> std::result::Result<(&[u8], Option<&[u8]>, u64), String> {
-    if data.len() < pos + HEADER {
-        return Err("truncated header".into());
-    }
-    let crc = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-    let key_len = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap()) as usize;
-    let val_len_raw = u32::from_le_bytes(data[pos + 8..pos + 12].try_into().unwrap());
+    let field = |at: usize| {
+        le(data, pos + at)
+            .map(u32::from_le_bytes)
+            .ok_or("truncated header")
+    };
+    let crc = field(0)?;
+    let key_len = field(4)? as usize;
+    let val_len_raw = field(8)?;
     let val_len = if val_len_raw == TOMBSTONE {
         0
     } else {
@@ -294,6 +270,51 @@ fn parse_record(
     Ok((key, value, (end - pos) as u64))
 }
 
+/// Replay segment `id`'s records from byte `start` into `index`; returns
+/// the segment's length. A torn or corrupt record ends the replay: in the
+/// newest segment (`torn_ok`) it is a crash mid-append and the tail is cut
+/// off, anywhere else it is an error.
+fn replay(
+    f: &mut File,
+    id: u64,
+    start: u64,
+    torn_ok: bool,
+    index: &mut BTreeMap<Vec<u8>, Loc>,
+) -> Result<u64> {
+    let mut data = Vec::new();
+    f.read_to_end(&mut data)?;
+    let mut pos = start as usize;
+    while pos < data.len() {
+        match parse_record(&data, pos) {
+            Ok((key, val, rec_len)) => {
+                if val.is_some() {
+                    let loc = Loc {
+                        seg: id,
+                        offset: pos as u64,
+                        rec_len,
+                    };
+                    index.insert(key.to_vec(), loc);
+                } else {
+                    index.remove(key);
+                }
+                pos += rec_len as usize;
+            }
+            Err(_) if torn_ok => {
+                f.set_len(pos as u64)?;
+                return Ok(pos as u64);
+            }
+            Err(detail) => {
+                return Err(PStoreError::Corrupt {
+                    segment: id,
+                    offset: pos as u64,
+                    detail,
+                })
+            }
+        }
+    }
+    Ok(data.len() as u64)
+}
+
 impl Store {
     /// Open (or create) a store in `dir` with default options.
     pub fn open(dir: impl AsRef<Path>) -> Result<Store> {
@@ -301,10 +322,6 @@ impl Store {
     }
 
     /// Open (or create) a store in `dir`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "every member of `ids` was inserted into `disk_len`, and into `seg_len` by the scan loop; `active` is the newest of them, or the 0 just inserted"
-    )]
     pub fn open_with(dir: impl AsRef<Path>, opts: StoreOptions) -> Result<Store> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -342,94 +359,45 @@ impl Store {
                 break;
             }
         }
-        let (mut index, mut live_bytes, watermark) = match ckpt {
-            Some(c) => {
-                #[expect(clippy::disallowed_methods, reason = "commutative sum")]
-                let live = c.index.values().map(|l| l.rec_len).sum();
-                (c.index, live, Some((c.wseg, c.wlen)))
-            }
-            None => (HashMap::new(), 0u64, None),
+        let (mut index, watermark) = match ckpt {
+            Some(c) => (c.index, Some((c.wseg, c.wlen))),
+            None => (BTreeMap::new(), None),
         };
 
         let mut files = BTreeMap::new();
-        let mut seg_len = BTreeMap::new();
         let mut replayed = 0u64;
-        let newest = ids.last().copied();
+        let mut newest = None;
         for &id in &ids {
-            let path = seg_path(&dir, id);
-            let mut f = OpenOptions::new().read(true).append(true).open(&path)?;
+            let mut f = open_segment(&dir, id)?;
             // Segments fully covered by the checkpoint are not rescanned;
             // the watermark segment replays from its checkpointed length.
             let start = match watermark {
                 Some((wseg, _)) if id < wseg => None,
-                Some((wseg, wlen)) if id == wseg => Some(wlen as usize),
-                _ => Some(0usize),
+                Some((wseg, wlen)) if id == wseg => Some(wlen),
+                _ => Some(0),
             };
-            let Some(start) = start else {
-                seg_len.insert(id, disk_len[&id]);
-                files.insert(id, Arc::new(f));
-                continue;
-            };
-            let mut data = Vec::new();
-            f.read_to_end(&mut data)?;
-            let mut pos = start;
-            while pos < data.len() {
-                match parse_record(&data, pos) {
-                    Ok((key, val, rec_len)) => {
-                        let old = if val.is_some() {
-                            index.insert(
-                                key.to_vec(),
-                                Loc {
-                                    seg: id,
-                                    offset: pos as u64,
-                                    rec_len,
-                                },
-                            )
-                        } else {
-                            index.remove(key)
-                        };
-                        if let Some(o) = old {
-                            live_bytes -= o.rec_len;
-                        }
-                        if val.is_some() {
-                            live_bytes += rec_len;
-                        }
-                        pos += rec_len as usize;
-                    }
-                    Err(detail) => {
-                        if Some(id) == newest {
-                            // Torn tail from a crash mid-append: discard it.
-                            f.set_len(pos as u64)?;
-                            data.truncate(pos);
-                            break;
-                        }
-                        return Err(PStoreError::Corrupt {
-                            segment: id,
-                            offset: pos as u64,
-                            detail,
-                        });
-                    }
+            let len = match start {
+                Some(start) => {
+                    let torn_ok = Some(&id) == ids.last();
+                    let len = replay(&mut f, id, start, torn_ok, &mut index)?;
+                    replayed += len - start;
+                    len
                 }
-            }
-            replayed += (data.len() - start) as u64;
-            seg_len.insert(id, data.len() as u64);
-            files.insert(id, Arc::new(f));
+                None => disk_len.get(&id).copied().unwrap_or(0),
+            };
+            let f = Arc::new(f);
+            files.insert(id, f.clone());
+            newest = Some((id, f, len));
         }
 
-        let active = match newest {
-            Some(id) => id,
+        let (active, active_file, flushed) = match newest {
+            Some(n) => n,
             None => {
-                let f = OpenOptions::new()
-                    .read(true)
-                    .append(true)
-                    .create(true)
-                    .open(seg_path(&dir, 0))?;
-                files.insert(0, Arc::new(f));
-                seg_len.insert(0, 0);
-                0
+                let f = Arc::new(open_segment(&dir, 0)?);
+                files.insert(0, f.clone());
+                (0, f, 0)
             }
         };
-        let flushed = seg_len[&active];
         let next_ckpt = ckpt_ids.last().map_or(0, |c| c + 1);
         Ok(Store {
             inner: Mutex::new(Inner {
@@ -437,11 +405,10 @@ impl Store {
                 opts,
                 index,
                 files,
-                seg_len,
                 active,
+                active_file,
                 buf: Vec::new(),
                 flushed,
-                live_bytes,
                 // Replayed-but-uncheckpointed bytes count against the
                 // checkpoint budget, so crash loops with short uptimes
                 // still converge on bounded replay.
@@ -460,28 +427,10 @@ impl Store {
         check_len("value", val.len())?;
         let mut g = self.inner.lock();
         let inner = &mut *g;
-        inner.maybe_rotate()?;
-        let offset = inner.flushed + inner.buf.len() as u64;
-        let rec_len = encode_record(&mut inner.buf, key, Some(val));
-        let old = inner.index.insert(
-            key.to_vec(),
-            Loc {
-                seg: inner.active,
-                offset,
-                rec_len,
-            },
-        );
-        if let Some(o) = old {
-            inner.live_bytes -= o.rec_len;
-        }
-        inner.live_bytes += rec_len;
-        *inner.seg_len.get_mut(&inner.active).unwrap() = offset + rec_len;
-        inner.since_ckpt += rec_len;
-        if inner.opts.fsync_each_write {
-            inner.flush(true)?;
-        }
+        let loc = inner.append(key, Some(val))?;
+        let replaced = inner.index.insert(key.to_vec(), loc).is_some();
         inner.maybe_checkpoint()?;
-        Ok(old.is_some())
+        Ok(replaced)
     }
 
     /// Fetch the newest value of `key`.
@@ -494,7 +443,7 @@ impl Store {
             let Some(loc) = g.index.get(key).copied() else {
                 return Ok(None);
             };
-            (loc, g.record_src(loc))
+            (loc, g.record_src(loc)?)
         };
         let mut data = src.read(loc)?;
         let (k, v, _) = parse_record(&data, 0).map_err(|detail| PStoreError::Corrupt {
@@ -520,17 +469,8 @@ impl Store {
         if !inner.index.contains_key(key) {
             return Ok(false);
         }
-        inner.maybe_rotate()?;
-        let offset = inner.flushed + inner.buf.len() as u64;
-        let rec_len = encode_record(&mut inner.buf, key, None);
-        if let Some(o) = inner.index.remove(key) {
-            inner.live_bytes -= o.rec_len;
-        }
-        *inner.seg_len.get_mut(&inner.active).unwrap() = offset + rec_len;
-        inner.since_ckpt += rec_len;
-        if inner.opts.fsync_each_write {
-            inner.flush(true)?;
-        }
+        inner.append(key, None)?;
+        inner.index.remove(key);
         inner.maybe_checkpoint()?;
         Ok(true)
     }
@@ -558,28 +498,11 @@ impl Store {
         self.len() == 0
     }
 
-    /// All live keys (unordered).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "documented unordered; its one caller (model_proptest) sorts"
-    )]
-    pub fn keys(&self) -> Vec<Vec<u8>> {
-        self.inner.lock().index.keys().cloned().collect()
-    }
-
     /// All `(key, value)` pairs whose key starts with `prefix`, sorted by key.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let keys: Vec<Vec<u8>> = {
             let g = self.inner.lock();
-            #[expect(clippy::disallowed_methods, reason = "sorted two lines down")]
-            let mut ks: Vec<_> = g
-                .index
-                .keys()
-                .filter(|k| k.starts_with(prefix))
-                .cloned()
-                .collect();
-            ks.sort();
-            ks
+            g.with_prefix(prefix).map(|(k, _)| k.clone()).collect()
         };
         let mut out = Vec::with_capacity(keys.len());
         for k in keys {
@@ -595,15 +518,9 @@ impl Store {
     /// reconstruct byte counters without touching record bodies.
     pub fn prefix_meta(&self, prefix: &[u8]) -> Vec<(Vec<u8>, u64)> {
         let g = self.inner.lock();
-        #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
-        let mut out: Vec<(Vec<u8>, u64)> = g
-            .index
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
+        g.with_prefix(prefix)
             .map(|(k, l)| (k.clone(), l.rec_len - (HEADER + k.len()) as u64))
-            .collect();
-        out.sort();
-        out
+            .collect()
     }
 
     /// Write buffered records to disk and `fsync`.
@@ -613,7 +530,7 @@ impl Store {
 
     /// Write buffered records to the OS without `fsync`: survives process
     /// crashes (the page cache outlives the process) but not power loss.
-    /// Use [`Store::flush`] or `fsync_each_write` for the stronger contract.
+    /// Use [`Store::flush`] for the stronger contract.
     pub fn flush_buffered(&self) -> Result<()> {
         self.inner.lock().flush(false)
     }
@@ -625,135 +542,39 @@ impl Store {
         self.inner.lock().write_checkpoint()
     }
 
-    /// Number of checkpoint files currently on disk.
-    #[cfg(test)]
-    pub(crate) fn checkpoint_count(&self) -> usize {
-        let g = self.inner.lock();
-        std::fs::read_dir(&g.dir)
-            .map(|rd| {
-                rd.filter_map(|e| e.ok())
-                    .filter(|e| e.file_name().to_string_lossy().ends_with(".ckpt"))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
     /// Drop the store *without* the clean-close flush, discarding buffered
     /// (unacknowledged) records — exactly what a process crash would do.
     /// Chaos harnesses use this to model `CrashRestart` honestly.
     pub fn abandon(self) {
         self.inner.lock().buf.clear();
     }
-
-    /// Occupancy counters.
-    #[cfg(test)]
-    pub(crate) fn stats(&self) -> StoreStats {
-        let g = self.inner.lock();
-        StoreStats {
-            keys: g.index.len(),
-            live_bytes: g.live_bytes,
-            disk_bytes: g.seg_len.values().sum(),
-            segments: g.seg_len.len(),
-        }
-    }
-
-    /// Rewrite all live records into fresh segments and delete the old ones,
-    /// reclaiming space held by overwritten/deleted records.
-    pub fn compact(&self) -> Result<()> {
-        let mut g = self.inner.lock();
-        let inner = &mut *g;
-        inner.flush(false)?;
-
-        // Stream live records into fresh segments, oldest location first so
-        // relative age is preserved.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "sorted by (segment, offset) on the next line"
-        )]
-        let mut locs: Vec<(Vec<u8>, Loc)> =
-            inner.index.iter().map(|(k, l)| (k.clone(), *l)).collect();
-        locs.sort_by_key(|(_, l)| (l.seg, l.offset));
-
-        let old_ids: Vec<u64> = inner.seg_len.keys().copied().collect();
-        let first_new = inner.active + 1;
-        let mut new_index: HashMap<Vec<u8>, Loc> = HashMap::with_capacity(locs.len());
-        let mut new_files = BTreeMap::new();
-        let mut new_lens = BTreeMap::new();
-        let mut cur = first_new;
-        let mut cur_file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(seg_path(&inner.dir, cur))?;
-        let mut cur_len = 0u64;
-        let mut live = 0u64;
-        let mut buf = Vec::new();
-        for (key, loc) in locs {
-            let data = inner.record_src(loc).read(loc)?;
-            let (_, val, _) = parse_record(&data, 0).map_err(|detail| PStoreError::Corrupt {
-                segment: loc.seg,
-                offset: loc.offset,
-                detail,
-            })?;
-            buf.clear();
-            let rec_len = encode_record(&mut buf, &key, val);
-            if cur_len > 0 && cur_len + rec_len > inner.opts.max_segment_bytes {
-                cur_file.sync_all()?;
-                new_files.insert(cur, Arc::new(cur_file));
-                new_lens.insert(cur, cur_len);
-                cur += 1;
-                cur_file = OpenOptions::new()
-                    .read(true)
-                    .append(true)
-                    .create(true)
-                    .open(seg_path(&inner.dir, cur))?;
-                cur_len = 0;
-            }
-            cur_file.write_all(&buf)?;
-            new_index.insert(
-                key,
-                Loc {
-                    seg: cur,
-                    offset: cur_len,
-                    rec_len,
-                },
-            );
-            cur_len += rec_len;
-            live += rec_len;
-        }
-        cur_file.sync_all()?;
-        new_files.insert(cur, Arc::new(cur_file));
-        new_lens.insert(cur, cur_len);
-
-        inner.index = new_index;
-        inner.files = new_files;
-        inner.seg_len = new_lens;
-        inner.active = cur;
-        inner.buf.clear();
-        inner.flushed = cur_len;
-        inner.live_bytes = live;
-        for id in old_ids {
-            let _ = std::fs::remove_file(seg_path(&inner.dir, id));
-        }
-        // Existing checkpoints reference the deleted segments; drop them.
-        // Until the next checkpoint, recovery is a full (all-live) scan.
-        inner.drop_checkpoints(u64::MAX);
-        inner.since_ckpt = live;
-        Ok(())
-    }
 }
 
 impl Drop for Store {
     /// Clean close: write out buffered records (crash safety before this
-    /// point is covered by explicit `flush`/fsync mode plus recovery).
+    /// point is covered by an explicit `flush` plus recovery).
     fn drop(&mut self) {
         let _ = self.inner.lock().flush(false);
     }
 }
 
 impl Inner {
+    /// Buffer one record for `key` (a tombstone when `val` is `None`),
+    /// rotating first if the active segment is full; returns where it lands.
+    fn append(&mut self, key: &[u8], val: Option<&[u8]>) -> Result<Loc> {
+        self.maybe_rotate()?;
+        let offset = self.flushed + self.buf.len() as u64;
+        let rec_len = encode_record(&mut self.buf, key, val);
+        self.since_ckpt += rec_len;
+        Ok(Loc {
+            seg: self.active,
+            offset,
+            rec_len,
+        })
+    }
+
     fn flush(&mut self, sync: bool) -> Result<()> {
-        let mut f: &File = self.files.get(&self.active).unwrap();
+        let mut f: &File = &self.active_file;
         if !self.buf.is_empty() {
             f.write_all(&self.buf)?;
             self.flushed += self.buf.len() as u64;
@@ -772,14 +593,10 @@ impl Inner {
         }
         self.flush(true)?;
         let id = self.active + 1;
-        let f = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(seg_path(&self.dir, id))?;
-        self.files.insert(id, Arc::new(f));
-        self.seg_len.insert(id, 0);
+        let f = Arc::new(open_segment(&self.dir, id)?);
+        self.files.insert(id, f.clone());
         self.active = id;
+        self.active_file = f;
         self.flushed = 0;
         Ok(())
     }
@@ -793,8 +610,8 @@ impl Inner {
     }
 
     /// Write a checkpoint: flush + fsync (the watermark must only cover
-    /// durable bytes), snapshot the index, write to a temp file, rename into
-    /// place, then retire older checkpoint files.
+    /// durable bytes), snapshot the index in key order, write to a temp
+    /// file, rename into place, then retire older checkpoint files.
     fn write_checkpoint(&mut self) -> Result<()> {
         self.flush(true)?;
         let mut body = Vec::with_capacity(CKPT_HEAD + self.index.len() * (CKPT_ENTRY + 16));
@@ -803,10 +620,7 @@ impl Inner {
         body.extend_from_slice(&self.active.to_le_bytes());
         body.extend_from_slice(&self.flushed.to_le_bytes());
         body.extend_from_slice(&(self.index.len() as u64).to_le_bytes());
-        #[expect(clippy::disallowed_methods, reason = "sorted by key on the next line")]
-        let mut entries: Vec<(&Vec<u8>, &Loc)> = self.index.iter().collect();
-        entries.sort_by_key(|(k, _)| k.as_slice());
-        for (key, loc) in entries {
+        for (key, loc) in &self.index {
             body.extend_from_slice(&(key.len() as u32).to_le_bytes());
             body.extend_from_slice(&loc.seg.to_le_bytes());
             body.extend_from_slice(&loc.offset.to_le_bytes());
@@ -848,19 +662,33 @@ impl Inner {
         }
     }
 
+    /// The index entries whose key starts with `prefix`, in key order.
+    fn with_prefix<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = (&'a Vec<u8>, &'a Loc)> {
+        self.index
+            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(k, _)| k.starts_with(prefix))
+    }
+
     /// Where the record at `loc` is right now: still in the write buffer
     /// (copied out here, under the caller's lock) or in a segment file.
     #[expect(
         clippy::indexing_slicing,
         reason = "a buffered record was appended to `buf` whole: `offset >= flushed` and `rec_len` ends inside it"
     )]
-    fn record_src(&self, loc: Loc) -> RecordSrc {
+    fn record_src(&self, loc: Loc) -> Result<RecordSrc> {
         if loc.seg == self.active && loc.offset >= self.flushed {
             let start = (loc.offset - self.flushed) as usize;
-            return RecordSrc::Buffered(self.buf[start..start + loc.rec_len as usize].to_vec());
+            let rec = &self.buf[start..start + loc.rec_len as usize];
+            return Ok(RecordSrc::Buffered(rec.to_vec()));
         }
-        let f = self.files.get(&loc.seg).expect("segment file missing");
-        RecordSrc::Segment(f.clone())
+        match self.files.get(&loc.seg) {
+            Some(f) => Ok(RecordSrc::Segment(f.clone())),
+            None => Err(PStoreError::Corrupt {
+                segment: loc.seg,
+                offset: loc.offset,
+                detail: "the index names a segment the store has no file for".into(),
+            }),
+        }
     }
 }
 
@@ -906,6 +734,17 @@ mod tests {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.0);
         }
+    }
+
+    /// Number of files in `dir` whose name ends with `suffix`.
+    fn files_ending(dir: &Path, suffix: &str) -> usize {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().ends_with(suffix)
+            })
+            .count()
     }
 
     #[test]
@@ -961,7 +800,7 @@ mod tests {
             s.put(format!("key-{i}").as_bytes(), &[7u8; 64]).unwrap();
         }
         s.flush().unwrap();
-        assert!(s.stats().segments > 1, "{:?}", s.stats());
+        assert!(files_ending(&td.0, ".seg") > 1);
         drop(s);
         let s = Store::open_with(&td.0, opts).unwrap();
         assert_eq!(s.len(), 50);
@@ -1007,7 +846,7 @@ mod tests {
                 s.put(format!("k{i}").as_bytes(), &[0u8; 32]).unwrap();
             }
             s.flush().unwrap();
-            assert!(s.stats().segments >= 3);
+            assert!(files_ending(&td.0, ".seg") >= 3);
         }
         // Flip a byte in the middle of the first (sealed) segment.
         let path = seg_path(&td.0, 0);
@@ -1020,44 +859,6 @@ mod tests {
             Err(other) => panic!("expected segment-0 corruption error, got {other}"),
             Ok(_) => panic!("expected corruption error, store opened cleanly"),
         }
-    }
-
-    #[test]
-    fn compaction_reclaims_space_and_preserves_data() {
-        let td = TempDir::new("compact");
-        let opts = StoreOptions {
-            max_segment_bytes: 1024,
-            ..Default::default()
-        };
-        let s = Store::open_with(&td.0, opts.clone()).unwrap();
-        for round in 0..10u32 {
-            for i in 0..20u32 {
-                s.put(
-                    format!("k{i}").as_bytes(),
-                    format!("r{round}-{i}").as_bytes(),
-                )
-                .unwrap();
-            }
-        }
-        s.delete(b"k0").unwrap();
-        let before = s.stats();
-        assert!(before.dead_ratio() > 0.5, "{before:?}");
-        s.compact().unwrap();
-        let after = s.stats();
-        assert!(after.disk_bytes < before.disk_bytes / 2, "{after:?}");
-        assert!(after.dead_ratio() < 0.01);
-        assert_eq!(s.get(b"k0").unwrap(), None);
-        for i in 1..20u32 {
-            assert_eq!(
-                s.get(format!("k{i}").as_bytes()).unwrap().unwrap(),
-                format!("r9-{i}").as_bytes()
-            );
-        }
-        // And it survives reopen after compaction.
-        drop(s);
-        let s = Store::open_with(&td.0, opts).unwrap();
-        assert_eq!(s.len(), 19);
-        assert_eq!(s.get(b"k19").unwrap().unwrap(), b"r9-19");
     }
 
     #[test]
@@ -1091,7 +892,7 @@ mod tests {
             }
             s.delete(b"k3").unwrap();
             s.checkpoint().unwrap();
-            assert_eq!(s.checkpoint_count(), 1);
+            assert_eq!(files_ending(&td.0, ".ckpt"), 1);
             // Records after the checkpoint must replay on top of it.
             s.put(b"k7", b"post-ckpt").unwrap();
             s.put(b"late", b"appended-after").unwrap();
@@ -1123,7 +924,6 @@ mod tests {
         let opts = StoreOptions {
             max_segment_bytes: 1024,
             checkpoint_every_bytes: Some(256),
-            ..Default::default()
         };
         let s = Store::open_with(&td.0, opts.clone()).unwrap();
         for i in 0..40u32 {
@@ -1131,35 +931,11 @@ mod tests {
         }
         // Budget 256 with ~44-byte records: many checkpoints written, only
         // the newest retained.
-        assert_eq!(s.checkpoint_count(), 1);
+        assert_eq!(files_ending(&td.0, ".ckpt"), 1);
         drop(s);
         let s = Store::open_with(&td.0, opts).unwrap();
         assert_eq!(s.len(), 40);
         assert_eq!(s.get(b"k39").unwrap().unwrap(), vec![1u8; 32]);
-    }
-
-    #[test]
-    fn compaction_invalidates_checkpoints() {
-        let td = TempDir::new("ckpt-compact");
-        let opts = StoreOptions {
-            max_segment_bytes: 512,
-            ..Default::default()
-        };
-        let s = Store::open_with(&td.0, opts.clone()).unwrap();
-        for round in 0..5u32 {
-            for i in 0..10u32 {
-                s.put(format!("k{i}").as_bytes(), format!("r{round}").as_bytes())
-                    .unwrap();
-            }
-        }
-        s.checkpoint().unwrap();
-        s.compact().unwrap();
-        // The old checkpoint referenced deleted segments; it must be gone.
-        assert_eq!(s.checkpoint_count(), 0);
-        drop(s);
-        let s = Store::open_with(&td.0, opts).unwrap();
-        assert_eq!(s.len(), 10);
-        assert_eq!(s.get(b"k9").unwrap().unwrap(), b"r4");
     }
 
     #[test]

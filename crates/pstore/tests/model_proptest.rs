@@ -1,8 +1,8 @@
 //! Property-based test: a `pstore::Store` driven by a random sequence of
-//! operations (including flushes, compactions and full close/reopen cycles)
-//! must behave exactly like an in-memory `HashMap`.
+//! operations (including flushes and full close/reopen cycles) must behave
+//! exactly like an in-memory `BTreeMap`, key order included.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
@@ -14,7 +14,6 @@ enum Op {
     Delete(u8),
     Get(u8),
     Flush,
-    Compact,
     Reopen,
 }
 
@@ -24,7 +23,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => any::<u8>().prop_map(Op::Delete),
         3 => any::<u8>().prop_map(Op::Get),
         1 => Just(Op::Flush),
-        1 => Just(Op::Compact),
         1 => Just(Op::Reopen),
     ]
 }
@@ -57,11 +55,11 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
-    fn store_matches_hashmap_model(ops in prop::collection::vec(op_strategy(), 1..120)) {
+    fn store_matches_btreemap_model(ops in prop::collection::vec(op_strategy(), 1..120)) {
         let td = TempDir::new();
         let opts = StoreOptions { max_segment_bytes: 512, ..Default::default() };
         let mut store = Store::open_with(&td.0, opts.clone()).unwrap();
-        let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for op in ops {
             match op {
                 Op::Put(k, v) => {
@@ -76,7 +74,6 @@ proptest! {
                     prop_assert_eq!(store.get(&key_bytes(k)).unwrap(), model.get(&key_bytes(k)).cloned());
                 }
                 Op::Flush => store.flush().unwrap(),
-                Op::Compact => store.compact().unwrap(),
                 Op::Reopen => {
                     store.flush().unwrap();
                     drop(store);
@@ -85,19 +82,8 @@ proptest! {
             }
             prop_assert_eq!(store.len(), model.len());
         }
-        // Final full comparison.
-        for (k, v) in &model {
-            let got = store.get(k).unwrap();
-            prop_assert_eq!(got.as_ref(), Some(v));
-        }
-        let mut keys = store.keys();
-        keys.sort();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "sorted on the next line"
-        )]
-        let mut mkeys: Vec<_> = model.keys().cloned().collect();
-        mkeys.sort();
-        prop_assert_eq!(keys, mkeys);
+        // Final full comparison: every key and value, in key order.
+        let contents: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+        prop_assert_eq!(store.scan_prefix(b"").unwrap(), contents);
     }
 }
