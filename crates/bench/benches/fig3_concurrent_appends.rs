@@ -94,8 +94,8 @@ fn main() {
         .sweep(&details)
         .series("sim_secs", Gate::Lower, 2, |d| d.sim_secs)
         .series("transfers", Gate::Lower, 0, |d| d.transfers)
-        .series("dht_puts", Gate::Record, 0, |d| d.dht_puts)
-        .series("dht_put_rpcs", Gate::Lower, 0, |d| d.dht_put_rpcs);
+        .series("dht_puts", Gate::Exact, 0, |d| d.dht_puts)
+        .series("dht_put_rpcs", Gate::Exact, 0, |d| d.dht_put_rpcs);
     let pages = page_size();
     let replicas = replication();
     let metas = meta_providers();

@@ -144,7 +144,7 @@ impl Provider {
     }
 
     /// Provider backed by [`pstore::Store`] with explicit store options
-    /// (segment size, fsync policy, checkpoint cadence). Opening a
+    /// (segment size, checkpoint cadence). Opening a
     /// non-empty directory *recovers* it: the page index replays from the
     /// newest checkpoint and `stored_bytes`/`stored_pages` are reconstructed
     /// from the index — never trusted from the dead process.
