@@ -366,6 +366,7 @@ impl Store {
 
         let mut files = BTreeMap::new();
         let mut replayed = 0u64;
+        // The last segment listed becomes the active one.
         let mut newest = None;
         for &id in &ids {
             let mut f = open_segment(&dir, id)?;
