@@ -367,66 +367,48 @@ fn failed_meta_restart_stays_wiped_and_down() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A lease log that cannot be read back fails the deployment: one bit
-/// flipped in a checkpoint-covered record of `pm/` lets the store open but
-/// fails the scan that reloads the lease book, and `deploy` must answer that
-/// error naming the directory — never come up with an empty lease book whose
-/// stranded reservations nothing would ever reclaim.
+/// A redeploy over a directory starts with an empty lease book: every
+/// lease of the old deployment belonged to a writer that died with it, and
+/// the providers reopen with no reservations, so nothing is re-reserved and
+/// every provider's load is its stored bytes. The provider manager keeps no
+/// store, so no `pm/` appears under the directory.
 #[test]
-fn corrupt_lease_log_fails_the_deployment() {
-    let dir = scratch_dir("pm-corrupt");
-    let cfg = BlobSeerConfig::test_small(PS)
-        .with_persist_dir(Some(dir.clone()))
-        .with_persist_checkpoint_bytes(Some(256));
+fn a_redeploy_starts_clean() {
+    let dir = scratch_dir("redeploy");
+    let cfg = BlobSeerConfig::test_small(PS).with_persist_dir(Some(dir.clone()));
     let deploy = |cfg: &BlobSeerConfig| {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let bs = BlobSeer::deploy(&fx, cfg.clone(), Layout::compact(fx.spec()));
+        let bs = BlobSeer::deploy(&fx, cfg.clone(), Layout::compact(fx.spec())).unwrap();
         (fx, bs)
     };
     let (fx, bs) = deploy(&cfg);
-    let bs = bs.unwrap();
     let bs2 = bs.clone();
     let h = fx.spawn(NodeId(1), "driver", move |p| {
-        // Twelve writers allocate and die: twelve lease records, the first
-        // ones behind a checkpoint.
+        // Twelve writers allocate and die.
         for i in 0..12u64 {
             bs2.provider_manager()
                 .allocate(p, &[(PageId(0xC0, i), PS)], 1, &[])
                 .unwrap();
         }
+        assert_eq!(bs2.provider_manager().outstanding_leases(), 12);
     });
     fx.run();
     h.take().unwrap();
     drop(bs);
 
-    let seg = dir.join("pm").join("00000000.seg");
-    let clean = std::fs::read(&seg).unwrap();
-    let mut flipped = clean.clone();
-    flipped[20] ^= 1;
-    std::fs::write(&seg, &flipped).unwrap();
-    match deploy(&cfg).1 {
-        Ok(_) => panic!("a deployment came up over a corrupt lease log"),
-        Err(e) => assert!(
-            matches!(
-                &e,
-                BlobError::Persistence { kind: PersistenceKind::Corrupt, path, .. }
-                    if Path::new(path) == dir.join("pm")
-            ),
-            "{e}"
-        ),
-    }
-
-    std::fs::write(&seg, &clean).unwrap();
     let (_fx, bs) = deploy(&cfg);
-    let bs = bs.unwrap();
-    assert_eq!(bs.provider_manager().outstanding_leases(), 12);
-    assert_eq!(
-        bs.providers()
-            .iter()
-            .map(|pr| pr.load_estimate())
-            .sum::<u64>(),
-        12 * PS,
-        "every unlanded reservation re-taken"
+    assert_eq!(bs.provider_manager().outstanding_leases(), 0);
+    for pr in bs.providers() {
+        assert_eq!(
+            pr.load_estimate(),
+            pr.stored_bytes(),
+            "provider {} carries a dead writer's reservation",
+            pr.node()
+        );
+    }
+    assert!(
+        !dir.join("pm").exists(),
+        "the provider manager opened a store"
     );
     drop(bs);
     let _ = std::fs::remove_dir_all(&dir);
