@@ -26,11 +26,7 @@ impl Bsfs {
     /// hosted on `ns_node` (the paper gives it a dedicated node, §4.1).
     pub fn new(store: BlobSeer, ns_node: NodeId) -> Bsfs {
         let cfg = store.config();
-        let ns = Arc::new(NamespaceManager::new(
-            ns_node,
-            cfg.ctl_msg_bytes,
-            cfg.vm_cpu_ops,
-        ));
+        let ns = Arc::new(NamespaceManager::new(ns_node, cfg.vm_cpu_ops));
         let client = Arc::new(store.client());
         Bsfs { ns, client, store }
     }

@@ -8,7 +8,7 @@
 //! cached size field.
 
 use dfs::{DfsPath, FsResult, Namespace};
-use fabric::{NodeId, Pending, Proc};
+use fabric::{NodeId, Pending, Proc, CTL_MSG_BYTES};
 use parking_lot::Mutex;
 
 use blobseer::BlobId;
@@ -28,16 +28,14 @@ pub type NsEntry = dfs::Entry<NsFile>;
 /// node).
 pub struct NamespaceManager {
     node: NodeId,
-    ctl_msg_bytes: u64,
     cpu_ops: u64,
     state: Mutex<Namespace<NsFile>>,
 }
 
 impl NamespaceManager {
-    pub(crate) fn new(node: NodeId, ctl_msg_bytes: u64, cpu_ops: u64) -> Self {
+    pub(crate) fn new(node: NodeId, cpu_ops: u64) -> Self {
         NamespaceManager {
             node,
-            ctl_msg_bytes,
             cpu_ops,
             state: Mutex::default(),
         }
@@ -45,8 +43,7 @@ impl NamespaceManager {
 
     /// Start the request one namespace operation costs.
     fn start(&self, p: &Proc) -> Pending {
-        let bytes = self.ctl_msg_bytes;
-        p.request(self.node, bytes, bytes, self.cpu_ops)
+        p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, self.cpu_ops)
     }
 
     fn charge(&self, p: &Proc) {
@@ -160,7 +157,7 @@ mod tests {
     #[test]
     fn create_auto_creates_parents() {
         with_proc(|p| {
-            let ns = NamespaceManager::new(NodeId(1), 64, 0);
+            let ns = NamespaceManager::new(NodeId(1), 0);
             ns.create_file(p, &d("/a/b/f"), BlobId(1), 100).unwrap();
             assert!(ns.lookup(p, &d("/a")).unwrap().is_dir());
             assert!(ns.lookup(p, &d("/a/b")).unwrap().is_dir());
@@ -177,7 +174,7 @@ mod tests {
     #[test]
     fn file_as_directory_component_rejected() {
         with_proc(|p| {
-            let ns = NamespaceManager::new(NodeId(1), 64, 0);
+            let ns = NamespaceManager::new(NodeId(1), 0);
             ns.create_file(p, &d("/f"), BlobId(1), 100).unwrap();
             assert!(matches!(
                 ns.create_file(p, &d("/f/child"), BlobId(2), 100),
@@ -193,7 +190,7 @@ mod tests {
     #[test]
     fn rename_moves_subtrees() {
         with_proc(|p| {
-            let ns = NamespaceManager::new(NodeId(1), 64, 0);
+            let ns = NamespaceManager::new(NodeId(1), 0);
             ns.create_file(p, &d("/x/one"), BlobId(1), 100).unwrap();
             ns.create_file(p, &d("/x/deep/two"), BlobId(2), 100)
                 .unwrap();
@@ -209,7 +206,7 @@ mod tests {
     #[test]
     fn delete_returns_blobs_for_gc() {
         with_proc(|p| {
-            let ns = NamespaceManager::new(NodeId(1), 64, 0);
+            let ns = NamespaceManager::new(NodeId(1), 0);
             // Created out of path order: `Bsfs::delete` retires the BLOBs in
             // the order returned, which must be the same in every process.
             let names = ["m", "c", "k", "a", "sub/z", "h", "b", "sub/y", "j", "e"];
@@ -234,7 +231,7 @@ mod tests {
     #[test]
     fn list_is_sorted_and_shallow() {
         with_proc(|p| {
-            let ns = NamespaceManager::new(NodeId(1), 64, 0);
+            let ns = NamespaceManager::new(NodeId(1), 0);
             ns.create_file(p, &d("/dir/b"), BlobId(1), 100).unwrap();
             ns.create_file(p, &d("/dir/a"), BlobId(2), 100).unwrap();
             ns.create_file(p, &d("/dir/sub/deep"), BlobId(3), 100)

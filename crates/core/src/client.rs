@@ -1023,17 +1023,10 @@ mod tests {
                 fx.clone(),
                 dht.clone(),
                 100,
-                64,
                 0,
                 u64::MAX, // a write timeout no run reaches
             )),
-            pm: Arc::new(ProviderManager::new(
-                NodeId(0),
-                fx.clone(),
-                providers.clone(),
-                64,
-                u64::MAX,
-            )),
+            pm: Arc::new(ProviderManager::new(NodeId(0), providers.clone(), u64::MAX)),
             dht,
             providers,
             replicas: Vec::new(),

@@ -381,25 +381,18 @@ impl BlobSeer {
         let nodes: Open<MetaServer> = (MetaServer::new, MetaServer::new_persistent);
         let meta_servers = deploy_tier(&config, "meta", &layout.meta, nodes)?;
         let dht = Arc::new(MetaDht::new(meta_servers, config.meta_cpu_ops));
-        let mut pm = ProviderManager::new(
+        let pm = Arc::new(ProviderManager::new(
             layout.pm,
-            fabric.clone(),
             providers.clone(),
-            config.ctl_msg_bytes,
             // Reservation leases expire on the VM's write timeout: both
             // sides of a write (version + capacity) share one clock.
             config.timeouts.write_timeout_ns,
-        );
-        if let Some(dir) = &config.persist_dir {
-            pm = pm.with_persistence(&dir.join("pm"), config.store_options())?;
-        }
-        let pm = Arc::new(pm);
+        ));
         let vm = Arc::new(VersionManager::new(
             layout.vm,
             fabric.clone(),
             dht.clone(),
             config.page_size,
-            config.ctl_msg_bytes,
             config.vm_cpu_ops,
             config.timeouts.write_timeout_ns,
         ));

@@ -40,18 +40,15 @@ pub struct BlobSeerConfig {
     pub page_size: u64,
     /// Number of replicas per page (page-level replication, §3.1.1).
     pub replication: usize,
-    /// Modeled size of one control RPC message (version requests, provider
-    /// allocation, ...).
-    pub ctl_msg_bytes: u64,
     /// The deadline and cadence of the deployment (write timeout = lease
     /// expiry, reaper cadence).
     pub timeouts: Timeouts,
-    /// Directory for pstore-backed persistence: providers keep pages, the
-    /// metadata servers their tree nodes and the provider manager its lease
-    /// book under per-service subdirectories, and `Fault::CrashRestart`
-    /// becomes injectable. `None` keeps everything in memory, which matches
-    /// the BlobSeer deployments measured in the paper — BerkeleyDB persisted
-    /// lazily.
+    /// Directory for pstore-backed persistence: providers keep pages and
+    /// the metadata servers their tree nodes under per-service
+    /// subdirectories, and `Fault::CrashRestart` becomes injectable. The
+    /// provider manager's leases stay in memory: a redeploy starts with
+    /// none. `None` keeps everything in memory, which matches the BlobSeer
+    /// deployments measured in the paper — BerkeleyDB persisted lazily.
     pub persist_dir: Option<PathBuf>,
     /// Checkpoint cadence of every durable store in the deployment: after
     /// this many appended log bytes, the store snapshots its index, bounding
@@ -85,7 +82,6 @@ impl Default for BlobSeerConfig {
         BlobSeerConfig {
             page_size: 64 * 1024 * 1024,
             replication: 1,
-            ctl_msg_bytes: 128,
             timeouts: Timeouts::default(),
             persist_dir: None,
             persist_checkpoint_bytes: None,

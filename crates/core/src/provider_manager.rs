@@ -36,93 +36,42 @@
 //!
 //! The leases live in one `LeaseBook`: private fields, one method per
 //! transition (`register`, `release`, `adopt`, `settle`, `take_expired`,
-//! `entries_on`), the clock passed in. The book is also the
-//! `crate::service::State` the lease log under `persist_dir/pm` opens
-//! through — the same `Durable` core the providers and metadata servers
-//! restart through — so a non-empty directory rebuilds it.
-//! `ProviderManager` is the shell around it: it takes the lock, calls one
-//! method, and writes the lease's record to the log under that lock. The RPC
-//! charges and the providers' capacity books (`reserve` / `unreserve` /
-//! `has_page`) stay outside the book.
+//! `entries_on`), the clock passed in. `ProviderManager` is the shell around
+//! it: it takes the lock and calls one method. The RPC charges and the
+//! providers' capacity books (`reserve` / `unreserve` / `has_page`) stay
+//! outside the book.
+//!
+//! The book lives in memory only. Every lease belongs to a writer of this
+//! deployment, so a redeploy over the same `persist_dir` starts with an
+//! empty book: the old writers died with the old deployment, and the
+//! providers reopen with no reservations, so there is nothing to hand back.
 //!
 //! # No global locks
 //!
 //! The capacity books live in per-provider atomics
 //! ([`Provider::load_estimate`]), and the lease book's mutex guards one
-//! transition and its log record — never a fabric call — so concurrent
+//! transition — never a fabric call — so concurrent
 //! allocations from distinct clients serialize on nothing but the modeled
 //! control RPC itself. Placement stays deterministic in sim mode: candidates
 //! keep deployment order and tie-breaks draw from the caller's seeded RNG
 //! stream.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fabric::{Fabric, NodeId, Proc, SimTime};
+use fabric::{NodeId, Proc, SimTime, CTL_MSG_BYTES};
 use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::error::{BlobError, BlobResult};
 use crate::provider::Provider;
-use crate::service::{Durable, State};
 use crate::types::PageId;
-
-/// Key namespace for lease records inside the manager's durable store.
-const LEASE_PREFIX: &[u8] = b"l/";
-
-fn lease_key(id: u64) -> [u8; 10] {
-    let mut k = [0u8; 10];
-    k[..2].copy_from_slice(LEASE_PREFIX);
-    k[2..].copy_from_slice(&id.to_be_bytes());
-    k
-}
 
 /// One reservation a lease holds — provider node, page, bytes — one per
 /// page-replica stream.
 type Entry = (NodeId, PageId, u64);
-
-/// One lease record is the concatenation of its outstanding entries, 28
-/// bytes each: provider node (u32 LE), page id (2×u64 LE), bytes (u64 LE).
-const LEASE_ENTRY_BYTES: usize = 28;
-
-fn encode_lease(entries: &[Entry]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(entries.len() * LEASE_ENTRY_BYTES);
-    for &(node, page, bytes) in entries {
-        out.extend_from_slice(&node.0.to_le_bytes());
-        out.extend_from_slice(&page.0.to_le_bytes());
-        out.extend_from_slice(&page.1.to_le_bytes());
-        out.extend_from_slice(&bytes.to_le_bytes());
-    }
-    out
-}
-
-#[expect(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    reason = "chunks_exact(LEASE_ENTRY_BYTES) yields 28-byte chunks; the four ranges tile 0..28 in widths 4, 8, 8, 8"
-)]
-fn decode_lease(v: &[u8]) -> Option<Vec<Entry>> {
-    if !v.len().is_multiple_of(LEASE_ENTRY_BYTES) {
-        return None;
-    }
-    Some(
-        v.chunks_exact(LEASE_ENTRY_BYTES)
-            .map(|c| {
-                (
-                    NodeId(u32::from_le_bytes(c[..4].try_into().unwrap())),
-                    PageId(
-                        u64::from_le_bytes(c[4..12].try_into().unwrap()),
-                        u64::from_le_bytes(c[12..20].try_into().unwrap()),
-                    ),
-                    u64::from_le_bytes(c[20..].try_into().unwrap()),
-                )
-            })
-            .collect(),
-    )
-}
 
 /// Handle to the lease covering one update's page-replica reservations.
 /// Returned by [`ProviderManager::allocate`]; the writer settles it after
@@ -144,7 +93,7 @@ struct LeaseBook {
     /// O(1), never a scan. Ids settled by their writer are dropped lazily at
     /// the peek.
     deadlines: VecDeque<(SimTime, u64)>,
-    /// The highest id issued (or recovered).
+    /// The highest id issued.
     last_id: u64,
 }
 
@@ -157,45 +106,49 @@ impl LeaseBook {
     }
 
     /// Open a lease over `entries`, due one timeout after `now`.
-    fn register(&mut self, now: SimTime, entries: Vec<Entry>) -> (LeaseId, &[Entry]) {
+    fn register(&mut self, now: SimTime, entries: Vec<Entry>) -> LeaseId {
         self.last_id += 1;
         let id = self.last_id;
         self.deadlines
             .push_back((now.saturating_add(self.timeout), id));
-        (LeaseId(id), self.leases.entry(id).or_insert(entries))
+        self.leases.insert(id, entries);
+        LeaseId(id)
     }
 
-    /// Take the token for `lease`'s reservation of `page` on `node`: what
-    /// the lease still holds if the entry was there, `None` if the reaper
-    /// already took it (and returned its bytes) or the lease never held it.
-    fn release(&mut self, lease: LeaseId, node: NodeId, page: PageId) -> Option<&[Entry]> {
-        let entries = self.leases.get_mut(&lease.0)?;
+    /// Take the token for `lease`'s reservation of `page` on `node`: true
+    /// if the entry was there, false if the reaper already took it (and
+    /// returned its bytes) or the lease never held it.
+    fn release(&mut self, lease: LeaseId, node: NodeId, page: PageId) -> bool {
+        let Some(entries) = self.leases.get_mut(&lease.0) else {
+            return false;
+        };
         let at = entries
             .iter()
-            .position(|&(n, pg, _)| n == node && pg == page)?;
-        entries.swap_remove(at);
-        Some(entries)
+            .position(|&(n, pg, _)| n == node && pg == page);
+        at.map(|at| entries.swap_remove(at)).is_some()
     }
 
     /// Add `entry` to `lease`. A lease the reaper already took is re-opened
     /// under the same id, due one timeout after `now`.
-    fn adopt(&mut self, now: SimTime, lease: LeaseId, entry: Entry) -> &[Entry] {
+    fn adopt(&mut self, now: SimTime, lease: LeaseId, entry: Entry) {
         let (deadlines, due) = (&mut self.deadlines, now.saturating_add(self.timeout));
-        let entries = self.leases.entry(lease.0).or_insert_with(|| {
-            deadlines.push_back((due, lease.0));
-            Vec::new()
-        });
-        entries.push(entry);
-        entries
+        self.leases
+            .entry(lease.0)
+            .or_insert_with(|| {
+                deadlines.push_back((due, lease.0));
+                Vec::new()
+            })
+            .push(entry);
     }
 
-    /// Close `lease`; false if it was not outstanding.
-    fn settle(&mut self, lease: LeaseId) -> bool {
-        self.leases.remove(&lease.0).is_some()
+    /// Close `lease`, if it is outstanding.
+    fn settle(&mut self, lease: LeaseId) {
+        self.leases.remove(&lease.0);
     }
 
-    /// Remove and hand out the first lease due at `now`, or `None`.
-    fn take_expired(&mut self, now: SimTime) -> Option<(LeaseId, Vec<Entry>)> {
+    /// Remove and hand out the entries of the first lease due at `now`, or
+    /// `None`.
+    fn take_expired(&mut self, now: SimTime) -> Option<Vec<Entry>> {
         while let Some(&(due, id)) = self.deadlines.front() {
             if !self.leases.contains_key(&id) {
                 self.deadlines.pop_front();
@@ -205,7 +158,7 @@ impl LeaseBook {
                 return None;
             }
             self.deadlines.pop_front();
-            return self.leases.remove(&id).map(|e| (LeaseId(id), e));
+            return self.leases.remove(&id);
         }
         None
     }
@@ -223,57 +176,6 @@ impl LeaseBook {
     fn len(&self) -> usize {
         self.leases.len()
     }
-
-    fn clear(&mut self) {
-        *self = LeaseBook::new(self.timeout);
-    }
-
-    /// Replace the book with `leases` (ascending id), all due one timeout
-    /// after `now`, and resume the id sequence past the highest.
-    fn recover(&mut self, now: SimTime, leases: impl IntoIterator<Item = (u64, Vec<Entry>)>) {
-        self.clear();
-        let due = now.saturating_add(self.timeout);
-        for (id, entries) in leases {
-            self.last_id = self.last_id.max(id);
-            self.deadlines.push_back((due, id));
-            self.leases.insert(id, entries);
-        }
-    }
-}
-
-/// The lease book behind its lock, with the clock that dates the leases a
-/// restart recovers.
-struct Leases {
-    book: Mutex<LeaseBook>,
-    clock: Fabric,
-}
-
-/// The lease log holds one `l/<id>` record per outstanding lease — its
-/// entries, rewritten whenever they change and deleted when the lease
-/// settles or expires — flushed to the OS at every write so it survives a
-/// process crash. Writes are best-effort: the in-memory book is
-/// authoritative and a log hiccup never fails an allocation; a lost write
-/// leaves a record the book has moved past, which a restart re-reserves and
-/// the reaper hands back when it expires.
-impl State for Leases {
-    fn clear(&self) {
-        self.book.lock().clear();
-    }
-
-    /// Every logged lease comes back due one timeout from now (the dead
-    /// predecessor's clock died with it); a record that does not decode is
-    /// dropped, never a panic.
-    fn rebuild(&self, store: &pstore::Store) -> pstore::Result<()> {
-        let leases = store
-            .scan_prefix(LEASE_PREFIX)?
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let id = <[u8; 8]>::try_from(k.strip_prefix(LEASE_PREFIX)?).ok()?;
-                Some((u64::from_be_bytes(id), decode_lease(&v)?))
-            });
-        self.book.lock().recover(self.clock.now(), leases);
-        Ok(())
-    }
 }
 
 /// Centralized placement service (one instance per deployment, like the
@@ -282,10 +184,7 @@ pub struct ProviderManager {
     node: NodeId,
     providers: Vec<Arc<Provider>>,
     by_node: HashMap<NodeId, Arc<Provider>>,
-    ctl_msg_bytes: u64,
-    leases: Arc<Leases>,
-    /// The lease log (see [`Self::with_persistence`]).
-    log: Option<Durable>,
+    leases: Mutex<LeaseBook>,
     expired_leases: AtomicU64,
     reclaimed_bytes: AtomicU64,
 }
@@ -293,61 +192,16 @@ pub struct ProviderManager {
 impl ProviderManager {
     /// A manager whose leases expire `lease_timeout_ns` after they are
     /// opened (the deployment's write timeout).
-    pub fn new(
-        node: NodeId,
-        fabric: Fabric,
-        providers: Vec<Arc<Provider>>,
-        ctl_msg_bytes: u64,
-        lease_timeout_ns: u64,
-    ) -> Self {
+    pub fn new(node: NodeId, providers: Vec<Arc<Provider>>, lease_timeout_ns: u64) -> Self {
         let by_node = providers.iter().map(|pr| (pr.node(), pr.clone())).collect();
         let book = LeaseBook::new(lease_timeout_ns);
         ProviderManager {
             node,
             providers,
             by_node,
-            ctl_msg_bytes,
-            leases: Arc::new(Leases {
-                book: Mutex::with_rank(book, crate::lock_ranks::LEASE_BOOK),
-                clock: fabric,
-            }),
-            log: None,
+            leases: Mutex::with_rank(book, crate::lock_ranks::LEASE_BOOK),
             expired_leases: AtomicU64::new(0),
             reclaimed_bytes: AtomicU64::new(0),
-        }
-    }
-
-    /// Keep the lease book in a log at `dir`. A non-empty directory
-    /// *recovers* the leases a dead predecessor left behind: the book is
-    /// rebuilt from the log, then every provider re-reserves the recovered
-    /// entries whose pages have not landed ([`Self::reinstate`]), so the
-    /// capacity books balance from the first allocation. A lease that
-    /// straddled the crash is then settled / adopted / reaped exactly like
-    /// one registered in this life.
-    pub(crate) fn with_persistence(
-        mut self,
-        dir: &Path,
-        opts: pstore::StoreOptions,
-    ) -> BlobResult<Self> {
-        self.log = Some(Durable::open(dir, opts, self.leases.clone())?);
-        for pr in &self.providers {
-            self.reinstate(pr.node());
-        }
-        Ok(self)
-    }
-
-    /// Write `lease`'s record to the log — its entries, or a tombstone once
-    /// it is gone. Called under the book's lock, so records land in the
-    /// order of the transitions they mirror.
-    fn record(&self, lease: LeaseId, entries: Option<&[Entry]>) {
-        let Some(log) = &self.log else { return };
-        if let Some(s) = log.read().as_ref() {
-            let key = lease_key(lease.0);
-            let _ = match entries {
-                Some(e) => s.put(&key, &encode_lease(e)),
-                None => s.delete(&key),
-            };
-            let _ = s.flush_buffered();
         }
     }
 
@@ -367,7 +221,7 @@ impl ProviderManager {
         exclude: &[NodeId],
     ) -> BlobResult<(LeaseId, Vec<Vec<Arc<Provider>>>)> {
         self.reap_expired_leases(p);
-        p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
+        p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
         let candidates: Vec<&Arc<Provider>> = self
             .providers
             .iter()
@@ -386,9 +240,7 @@ impl ProviderManager {
             }
             out.push(chosen);
         }
-        let mut book = self.leases.book.lock();
-        let (lease, entries) = book.register(self.leases.clock.now(), entries);
-        self.record(lease, Some(entries));
+        let lease = self.leases.lock().register(p.now(), entries);
         Ok((lease, out))
     }
 
@@ -412,14 +264,10 @@ impl ProviderManager {
         page: PageId,
         bytes: u64,
     ) {
-        p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
-        let mut book = self.leases.book.lock();
-        let Some(left) = book.release(lease, provider.node(), page) else {
-            return;
-        };
-        self.record(lease, Some(left));
-        drop(book);
-        provider.unreserve(bytes);
+        p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
+        if self.leases.lock().release(lease, provider.node(), page) {
+            provider.unreserve(bytes);
+        }
     }
 
     /// Reserve `bytes` on a failover replacement target *under the caller's
@@ -437,23 +285,18 @@ impl ProviderManager {
         page: PageId,
         bytes: u64,
     ) {
-        p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
+        p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
         provider.reserve(bytes);
-        let mut book = self.leases.book.lock();
-        let now = self.leases.clock.now();
-        let entries = book.adopt(now, lease, (provider.node(), page, bytes));
-        self.record(lease, Some(entries));
+        let entry = (provider.node(), page, bytes);
+        self.leases.lock().adopt(p.now(), lease, entry);
     }
 
     /// The writer's page stores are done (each page either landed — consuming
     /// its reservation at the provider — or was released inline): close the
     /// lease so the reaper never considers this write again. Idempotent.
     pub fn settle(&self, p: &Proc, lease: LeaseId) {
-        p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
-        let mut book = self.leases.book.lock();
-        if book.settle(lease) {
-            self.record(lease, None);
-        }
+        p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
+        self.leases.lock().settle(lease);
     }
 
     /// Expire every lease past its deadline and reclaim the reservations
@@ -463,21 +306,14 @@ impl ProviderManager {
     pub fn reap_expired_leases(&self, p: &Proc) -> u64 {
         let mut reclaimed = 0u64;
         loop {
-            let expired = {
-                let mut book = self.leases.book.lock();
-                let expired = book.take_expired(self.leases.clock.now());
-                if let Some((lease, _)) = &expired {
-                    self.record(*lease, None);
-                }
-                expired
-            };
-            let Some((_, entries)) = expired else { break };
+            let expired = self.leases.lock().take_expired(p.now());
+            let Some(entries) = expired else { break };
             self.expired_leases.fetch_add(1, Ordering::Relaxed);
             // One control exchange per expired lease: the manager confirms
             // with the holders which reservations were consumed. A page that
             // landed (`has_page`) consumed its reservation in `put_pages`;
             // everything else is a stranded reservation — hand it back.
-            p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
+            p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
             for (node, page, bytes) in entries {
                 let Some(pr) = self.by_node.get(&node) else {
                     continue;
@@ -496,8 +332,7 @@ impl ProviderManager {
 
     /// Re-reserve, on provider `node`, every outstanding lease entry whose
     /// page has not landed there. Called right after a crash-restarted
-    /// provider [`crate::service::Service::recover`]s, and for every provider
-    /// when the manager itself recovers its book: a restarted provider zeroes
+    /// provider [`crate::service::Service::recover`]s: a restarted provider zeroes
     /// its reservation counter (it has no memory of promises), but leases
     /// that straddled the crash are still live — their writers may yet store
     /// pages, and the reaper will expect the reservations to be there when
@@ -508,7 +343,7 @@ impl ProviderManager {
         let Some(pr) = self.by_node.get(&node) else {
             return 0;
         };
-        let book = self.leases.book.lock();
+        let book = self.leases.lock();
         let mut restored = 0u64;
         for (page, bytes) in book.entries_on(node) {
             if !pr.has_page(page) {
@@ -522,7 +357,7 @@ impl ProviderManager {
     /// Leases currently outstanding (allocated, neither settled nor
     /// expired). Diagnostics.
     pub fn outstanding_leases(&self) -> usize {
-        self.leases.book.lock().len()
+        self.leases.lock().len()
     }
 
     /// `(leases expired, reservation bytes reclaimed)` over this manager's
@@ -590,8 +425,8 @@ mod tests {
     /// A lease lifetime no run reaches.
     const NEVER: u64 = u64::MAX;
 
-    fn pm_on(fx: &Fabric, provs: Vec<Arc<Provider>>, lease_timeout_ns: u64) -> ProviderManager {
-        ProviderManager::new(NodeId(0), fx.clone(), provs, 64, lease_timeout_ns)
+    fn pm_on(provs: Vec<Arc<Provider>>, lease_timeout_ns: u64) -> ProviderManager {
+        ProviderManager::new(NodeId(0), provs, lease_timeout_ns)
     }
 
     fn with_pm<T: Send + 'static>(
@@ -600,7 +435,7 @@ mod tests {
     ) -> T {
         with_proc(move |p| {
             let provs = providers(n_providers);
-            let pm = pm_on(p.fabric(), provs.clone(), NEVER);
+            let pm = pm_on(provs.clone(), NEVER);
             f(p, &pm, &provs)
         })
     }
@@ -612,7 +447,7 @@ mod tests {
         // sims produce identical placements.
         let run = |seed: u64| -> Vec<Vec<u32>> {
             let fx = Fabric::sim_seeded(ClusterSpec::tiny(8), seed);
-            let pm = Arc::new(pm_on(&fx, providers(5), NEVER));
+            let pm = Arc::new(pm_on(providers(5), NEVER));
             let mut handles = Vec::new();
             for w in 0..4u64 {
                 let pm2 = pm.clone();
@@ -701,7 +536,7 @@ mod tests {
         let timeout = 100 * fabric::MILLIS;
         let fx = Fabric::sim(ClusterSpec::tiny(8));
         let provs = providers(3);
-        let pm = pm_on(&fx, provs.clone(), timeout);
+        let pm = pm_on(provs.clone(), timeout);
         let h = fx.spawn(NodeId(0), "t", move |p| {
             // Two pages allocated under one lease; only the first lands.
             let (_, a) = pm.allocate(p, &pages(&[100, 60]), 1, &[]).unwrap();
@@ -731,7 +566,7 @@ mod tests {
         let timeout = 50 * fabric::MILLIS;
         let fx = Fabric::sim(ClusterSpec::tiny(8));
         let provs = providers(2);
-        let pm = pm_on(&fx, provs.clone(), timeout);
+        let pm = pm_on(provs.clone(), timeout);
         let h = fx.spawn(NodeId(0), "t", move |p| {
             // Lease A: page lands, writer settles.
             let (la, a) = pm.allocate(p, &pages(&[40]), 1, &[]).unwrap();
@@ -754,84 +589,12 @@ mod tests {
     }
 
     #[test]
-    fn lease_codec_roundtrips() {
-        let entries = vec![
-            (NodeId(3), PageId(0xDEAD, 0xBEEF), 4096),
-            (NodeId(0), PageId(0, 1), 7),
-            (NodeId(u32::MAX), PageId(u64::MAX, 0), u64::MAX),
-        ];
-        assert_eq!(decode_lease(&encode_lease(&entries)), Some(entries));
-        assert_eq!(decode_lease(&[]), Some(vec![]));
-        assert_eq!(decode_lease(&[1, 2, 3]), None, "truncated record");
-    }
-
-    #[test]
-    fn persisted_leases_survive_a_manager_restart() {
-        let dir = ScratchDir::new("pm-lease");
-        let timeout = 100 * fabric::MILLIS;
-
-        // Life 1: allocate three leases; settle one, partially store another,
-        // then "crash" (drop the manager without settling).
-        let fx = Fabric::sim(ClusterSpec::tiny(8));
-        let provs = providers(2);
-        let pm = pm_on(&fx, provs.clone(), timeout)
-            .with_persistence(&dir, pstore::StoreOptions::default())
-            .unwrap();
-        let d2 = dir.to_path_buf();
-        let h = fx.spawn(NodeId(0), "t", move |p| {
-            let (la, a) = pm.allocate(p, &pages(&[40]), 1, &[]).unwrap();
-            a[0][0].put_page(p, pg(0), Payload::ghost(40)).unwrap();
-            pm.settle(p, la);
-            let (_, b) = pm.allocate(p, &[(pg(1), 60)], 1, &[]).unwrap();
-            b[0][0].put_page(p, pg(1), Payload::ghost(60)).unwrap();
-            let (_, _) = pm.allocate(p, &[(pg(2), 90)], 1, &[]).unwrap();
-            (a[0][0].node(), b[0][0].node())
-        });
-        fx.run();
-        let (_n_a, n_b) = h.take().unwrap();
-
-        // Life 2: fresh fabric, fresh providers (pages are gone — these are
-        // mem providers, modeling the worst case), fresh manager over the
-        // same lease directory.
-        let fx = Fabric::sim(ClusterSpec::tiny(8));
-        let provs = providers(2);
-        let pm = pm_on(&fx, provs.clone(), timeout)
-            .with_persistence(&d2, pstore::StoreOptions::default())
-            .unwrap();
-        // The settled lease is gone; the two unsettled ones were recovered
-        // and their unlanded reservations re-taken.
-        assert_eq!(pm.outstanding_leases(), 2);
-        let reserved: u64 = provs.iter().map(|pr| pr.load_estimate()).sum();
-        assert_eq!(reserved, 150, "pg(1)+pg(2) bytes re-reserved");
-        let _ = n_b;
-        let h = fx.spawn(NodeId(0), "t", move |p| {
-            // New allocations never reuse a recovered lease id.
-            let (lease, _) = pm.allocate(p, &[(pg(9), 10)], 1, &[]).unwrap();
-            assert!(lease.0 > 3, "id sequence resumes past recovery");
-            // The recovered leases expire like natives (their writers died
-            // with the old manager) and the reaper balances the books.
-            p.sleep(2 * timeout);
-            pm.reap_expired_leases(p);
-            assert_eq!(pm.outstanding_leases(), 0);
-            for pr in &pm.providers {
-                assert_eq!(pr.load_estimate(), pr.stored_bytes());
-            }
-        });
-        fx.run();
-        h.take().unwrap();
-    }
-
-    #[test]
     fn reinstate_restores_only_unlanded_reservations() {
         let dir = ScratchDir::new("pm-reinstate");
-        let pdir = dir.join("prov");
-        let ldir = dir.join("pm");
         let timeout = 100 * fabric::MILLIS;
         let fx = Fabric::sim(ClusterSpec::tiny(8));
-        let pr = Arc::new(Provider::new_persistent(NodeId(1), &pdir).unwrap());
-        let pm = pm_on(&fx, vec![pr.clone()], timeout)
-            .with_persistence(&ldir, pstore::StoreOptions::default())
-            .unwrap();
+        let pr = Arc::new(Provider::new_persistent(NodeId(1), &dir).unwrap());
+        let pm = pm_on(vec![pr.clone()], timeout);
         let h = fx.spawn(NodeId(0), "t", move |p| {
             // One lease, two pages: the first lands, the second is still in
             // flight when the provider crash-restarts.
@@ -868,7 +631,7 @@ mod tests {
         let timeout = 50 * fabric::MILLIS;
         let fx = Fabric::sim(ClusterSpec::tiny(8));
         let provs = providers(2);
-        let pm = pm_on(&fx, provs.clone(), timeout);
+        let pm = pm_on(provs.clone(), timeout);
         let h = fx.spawn(NodeId(0), "t", move |p| {
             let (_, _) = pm.allocate(p, &pages(&[500]), 1, &[]).unwrap();
             // Writer dies. A later allocation (no reaper running) reclaims

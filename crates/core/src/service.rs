@@ -2,9 +2,10 @@
 //!
 //! * [`Durable`] is what any durable book opens through: a store directory,
 //!   the store opened from it, and the [`State`] rebuilt from it. It has
-//!   three users — the data providers ([`crate::provider`]) and the
-//!   metadata servers ([`crate::dht`]), which the paper puts on one
-//!   persistency layer (§3.1.1), and the provider manager's lease log
+//!   two users, the data providers ([`crate::provider`]) and the metadata
+//!   servers ([`crate::dht`]), which the paper puts on one persistency
+//!   layer (§3.1.1). The control services keep no durable state: the
+//!   provider manager's lease book lives in memory only
 //!   ([`crate::provider_manager`]).
 //! * [`Service`] is the storage-service shell around one: how a provider or
 //!   a metadata server counts what it served, dies, and comes back. Each of

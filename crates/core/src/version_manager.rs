@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric::sync::Gate;
-use fabric::{Fabric, NodeId, Proc};
+use fabric::{Fabric, NodeId, Proc, CTL_MSG_BYTES};
 use parking_lot::{Mutex, RwLock};
 
 use crate::desc_index::DescIndex;
@@ -97,7 +97,6 @@ pub struct VersionManager {
     node: NodeId,
     fabric: Fabric,
     dht: Arc<MetaDht>,
-    ctl_msg_bytes: u64,
     /// CPU charged on the VM node per request — models the serialization
     /// point the paper calls "low overhead" and lets benches observe it.
     vm_cpu_ops: u64,
@@ -117,7 +116,6 @@ impl VersionManager {
         fabric: Fabric,
         dht: Arc<MetaDht>,
         default_page_size: u64,
-        ctl_msg_bytes: u64,
         vm_cpu_ops: u64,
         write_timeout_ns: u64,
     ) -> Self {
@@ -125,7 +123,6 @@ impl VersionManager {
             node,
             fabric,
             dht,
-            ctl_msg_bytes,
             vm_cpu_ops,
             write_timeout_ns,
             paused: AtomicBool::new(false),
@@ -162,8 +159,8 @@ impl VersionManager {
     fn charge(&self, p: &Proc, extra_response_bytes: u64) {
         p.rpc(
             self.node,
-            self.ctl_msg_bytes,
-            self.ctl_msg_bytes + extra_response_bytes,
+            CTL_MSG_BYTES,
+            CTL_MSG_BYTES + extra_response_bytes,
         );
         if self.vm_cpu_ops > 0 {
             p.compute(self.node, self.vm_cpu_ops);
@@ -512,7 +509,6 @@ mod tests {
             fx.clone(),
             dht,
             PS,
-            64,
             0,
             1_000_000_000,
         ))
@@ -866,7 +862,6 @@ mod tests {
             fx.clone(),
             dht,
             PS,
-            64,
             0,
             1_000_000_000,
         ));

@@ -160,7 +160,6 @@ fn vm_setup(fx: &Fabric, timeout_ns: u64) -> Arc<VersionManager> {
         fx.clone(),
         dht,
         PS,
-        64,
         0,
         timeout_ns,
     ))
@@ -318,7 +317,6 @@ fn scripted_window_scenario_is_pinned_to_literals() {
         fx.clone(),
         dht,
         PS,
-        64,
         20_000,
         TIMEOUT,
     ));
@@ -725,7 +723,7 @@ fn scripted_window_scenario_is_pinned_to_literals() {
         "512395000 script reap: Ok",
         "512605000 script delete again: Err(NoSuchBlob(BlobId(1)))",
         "512605000 script deleted: pending 0 footprint (0, 0)",
-        "fabric: 200 transfers, 20184 bytes, 512605000 ns",
+        "fabric: 200 transfers, 32856 bytes, 512605000 ns",
     ];
     for (i, (got, want)) in got.iter().zip(want).enumerate() {
         assert_eq!(got, want, "transcript line {i}");

@@ -7,11 +7,11 @@
 //! paper's BlobSeer providers persist pages in BerkeleyDB (§3.1.1); these
 //! tests prove our equivalent actually comes back from disk.
 //!
-//! The provider manager's lease log has its rail here too: one scripted
+//! The provider manager's lease book has its rail here too: one scripted
 //! scenario whose whole transcript (every provider's books, the lease book,
-//! the log's size on disk, the fabric's totals) is pinned to literals.
+//! the fabric's totals) is pinned to literals.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use blobseer::provider::Provider;
@@ -414,26 +414,10 @@ fn a_redeploy_starts_clean() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Bytes under `dir`, every file at any depth.
-fn dir_bytes(dir: &Path) -> u64 {
-    std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| {
-            let e = e.unwrap();
-            let meta = e.metadata().unwrap();
-            if meta.is_dir() {
-                dir_bytes(&e.path())
-            } else {
-                meta.len()
-            }
-        })
-        .sum()
-}
-
 /// One line of the lease rail: virtual time, what happened, then every
-/// provider's `load_estimate/stored_bytes`, the lease book, the log's size
-/// on disk and the fabric's transfer count.
-fn lease_line(bs: &BlobSeer, p: &Proc, dir: &Path, what: impl std::fmt::Display) -> String {
+/// provider's `load_estimate/stored_bytes`, the lease book and the fabric's
+/// transfer count.
+fn lease_line(bs: &BlobSeer, p: &Proc, what: impl std::fmt::Display) -> String {
     let pm = bs.provider_manager();
     let books: Vec<String> = bs
         .providers()
@@ -442,12 +426,11 @@ fn lease_line(bs: &BlobSeer, p: &Proc, dir: &Path, what: impl std::fmt::Display)
         .collect();
     let st = p.fabric().stats();
     format!(
-        "{:>11} {what} | books [{}] leases {} reaped {:?} pm {} B, {} transfers",
+        "{:>11} {what} | books [{}] leases {} reaped {:?}, {} transfers",
         st.now_ns,
         books.join(" "),
         pm.outstanding_leases(),
         pm.lease_reap_stats(),
-        dir_bytes(&dir.join("pm")),
         st.transfers
     )
 }
@@ -465,8 +448,10 @@ fn lease_line(bs: &BlobSeer, p: &Proc, dir: &Path, what: impl std::fmt::Display)
 ///    are no-ops), B's fails over and `adopt`s a page under its expired id;
 /// 3. the provider holding B's adopted page crash-restarts and is healed,
 ///    which reinstates the reservation; a fourth lease D lands half;
-/// 4. a fresh deployment over the same directory recovers B and D, issues
-///    its first lease, and reaps the recovered ones once they expire.
+/// 4. a fresh deployment over the same directory starts with an empty lease
+///    book: B's and D's writers died with the old deployment, so nothing is
+///    re-reserved, ids restart at `LeaseId(1)`, lease E is placed by the
+///    providers' stored bytes alone, and the reap finds nothing to reclaim.
 #[test]
 fn scripted_lease_scenario_is_pinned_to_literals() {
     // Past the default 30 s write timeout (= lease lifetime).
@@ -478,10 +463,10 @@ fn scripted_lease_scenario_is_pinned_to_literals() {
 
     let fx = Fabric::sim_seeded(ClusterSpec::tiny(4), 0x5EED_0025);
     let bs = BlobSeer::deploy(&fx, cfg.clone(), Layout::compact(fx.spec())).unwrap();
-    let (bs2, dir2, log2) = (bs.clone(), dir.clone(), log.clone());
+    let (bs2, log2) = (bs.clone(), log.clone());
     let h = fx.spawn(NodeId(1), "script", move |p| {
         let (bs, pm) = (&bs2, bs2.provider_manager());
-        let note = |what: String| log2.lock().push(lease_line(bs, p, &dir2, what));
+        let note = |what: String| log2.lock().push(lease_line(bs, p, what));
         let land = |pr: &Arc<Provider>, page: PageId, len: u64| {
             pr.put_page(p, page, Payload::from_vec(vec![7u8; len as usize]))
                 .unwrap();
@@ -550,10 +535,10 @@ fn scripted_lease_scenario_is_pinned_to_literals() {
     // 4.
     let fx = Fabric::sim_seeded(ClusterSpec::tiny(4), 0x5EED_0025);
     let bs = BlobSeer::deploy(&fx, cfg, Layout::compact(fx.spec())).unwrap();
-    let (bs2, dir2, log2) = (bs.clone(), dir.clone(), log.clone());
+    let (bs2, log2) = (bs.clone(), log.clone());
     let h = fx.spawn(NodeId(1), "reopened", move |p| {
         let (bs, pm) = (&bs2, bs2.provider_manager());
-        let note = |what: String| log2.lock().push(lease_line(bs, p, &dir2, what));
+        let note = |what: String| log2.lock().push(lease_line(bs, p, what));
         note("fresh manager over the same directory".into());
         let (e, pe) = pm.allocate(p, &[(pg(9), 16)], 1, &[]).unwrap();
         note(format!(
@@ -577,24 +562,24 @@ fn scripted_lease_scenario_is_pinned_to_literals() {
     let got = log.lock().clone();
     #[rustfmt::skip]
     let want: &[&str] = &[
-        "          0 deployed | books [0/0 0/0 0/0 0/0] leases 0 reaped (0, 0) pm 0 B, 0 transfers",
-        "     200000 A = LeaseId(1) on [[0, 2], [1, 3]] | books [64/0 40/0 64/0 40/0] leases 1 reaped (0, 0) pm 134 B, 2 transfers",
-        "     400000 B = LeaseId(2) on [[1]] | books [64/0 104/0 64/0 40/0] leases 2 reaped (0, 0) pm 184 B, 4 transfers",
-        "     600000 C = LeaseId(3) on [[3], [0]] | books [88/0 104/0 64/0 104/0] leases 3 reaped (0, 0) pm 262 B, 6 transfers",
-        "     900740 landed all but one replica of pg2 and pg5 | books [88/64 104/104 64/64 104/64] leases 3 reaped (0, 0) pm 262 B, 11 transfers",
-        "    1100740 A released pg2's second replica | books [88/64 104/104 64/64 64/64] leases 3 reaped (0, 0) pm 368 B, 13 transfers",
-        "    1300740 A released it again | books [88/64 104/104 64/64 64/64] leases 3 reaped (0, 0) pm 368 B, 15 transfers",
-        "    1500740 A settled | books [88/64 104/104 64/64 64/64] leases 2 reaped (0, 0) pm 390 B, 17 transfers",
-        "31001900740 reap reclaimed 24 B | books [64/64 104/104 64/64 64/64] leases 0 reaped (2, 24) pm 434 B, 21 transfers",
-        "31002300740 C's late release and settle | books [64/64 104/104 64/64 64/64] leases 0 reaped (2, 24) pm 434 B, 25 transfers",
-        "31002500740 B adopted pg6 on n2 after expiry | books [64/64 104/104 112/64 64/64] leases 1 reaped (2, 24) pm 484 B, 27 transfers",
-        "31002500740 provider[2] crash-wiped | books [64/64 104/104 0/0 64/64] leases 1 reaped (2, 24) pm 484 B, 27 transfers",
-        "31002500740 provider[2] healed | books [64/64 104/104 112/64 64/64] leases 1 reaped (2, 24) pm 484 B, 27 transfers",
-        "31002800900 D = LeaseId(4) on [[0], [3]], pg7 landed | books [128/128 104/104 112/64 96/64] leases 2 reaped (2, 24) pm 562 B, 30 transfers",
-        "          0 fresh manager over the same directory | books [128/128 104/104 112/64 96/64] leases 2 reaped (0, 0) pm 562 B, 0 transfers",
-        "     200000 first lease after the restart: LeaseId(5) on n3 | books [128/128 104/104 112/64 112/64] leases 3 reaped (0, 0) pm 612 B, 2 transfers",
-        "     500040 E landed and settled | books [128/128 104/104 112/64 112/80] leases 2 reaped (0, 0) pm 634 B, 5 transfers",
-        "31000900040 reap reclaimed 80 B | books [128/128 104/104 64/64 80/80] leases 0 reaped (2, 80) pm 678 B, 9 transfers",
+        "          0 deployed | books [0/0 0/0 0/0 0/0] leases 0 reaped (0, 0), 0 transfers",
+        "     200000 A = LeaseId(1) on [[0, 2], [1, 3]] | books [64/0 40/0 64/0 40/0] leases 1 reaped (0, 0), 2 transfers",
+        "     400000 B = LeaseId(2) on [[1]] | books [64/0 104/0 64/0 40/0] leases 2 reaped (0, 0), 4 transfers",
+        "     600000 C = LeaseId(3) on [[3], [0]] | books [88/0 104/0 64/0 104/0] leases 3 reaped (0, 0), 6 transfers",
+        "     900740 landed all but one replica of pg2 and pg5 | books [88/64 104/104 64/64 104/64] leases 3 reaped (0, 0), 11 transfers",
+        "    1100740 A released pg2's second replica | books [88/64 104/104 64/64 64/64] leases 3 reaped (0, 0), 13 transfers",
+        "    1300740 A released it again | books [88/64 104/104 64/64 64/64] leases 3 reaped (0, 0), 15 transfers",
+        "    1500740 A settled | books [88/64 104/104 64/64 64/64] leases 2 reaped (0, 0), 17 transfers",
+        "31001900740 reap reclaimed 24 B | books [64/64 104/104 64/64 64/64] leases 0 reaped (2, 24), 21 transfers",
+        "31002300740 C's late release and settle | books [64/64 104/104 64/64 64/64] leases 0 reaped (2, 24), 25 transfers",
+        "31002500740 B adopted pg6 on n2 after expiry | books [64/64 104/104 112/64 64/64] leases 1 reaped (2, 24), 27 transfers",
+        "31002500740 provider[2] crash-wiped | books [64/64 104/104 0/0 64/64] leases 1 reaped (2, 24), 27 transfers",
+        "31002500740 provider[2] healed | books [64/64 104/104 112/64 64/64] leases 1 reaped (2, 24), 27 transfers",
+        "31002800900 D = LeaseId(4) on [[0], [3]], pg7 landed | books [128/128 104/104 112/64 96/64] leases 2 reaped (2, 24), 30 transfers",
+        "          0 fresh manager over the same directory | books [128/128 104/104 64/64 64/64] leases 0 reaped (0, 0), 0 transfers",
+        "     200000 first lease after the restart: LeaseId(1) on n2 | books [128/128 104/104 80/64 64/64] leases 1 reaped (0, 0), 2 transfers",
+        "     500040 E landed and settled | books [128/128 104/104 80/80 64/64] leases 0 reaped (0, 0), 5 transfers",
+        "31000500040 reap reclaimed 0 B | books [128/128 104/104 80/80 64/64] leases 0 reaped (0, 0), 5 transfers",
     ];
     for (i, (got, want)) in got.iter().zip(want).enumerate() {
         assert_eq!(got, want, "transcript line {i}");

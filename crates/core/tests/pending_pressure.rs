@@ -25,7 +25,6 @@ fn vm_only(fx: &Fabric, timeout_ns: u64) -> Arc<VersionManager> {
         fx.clone(),
         dht,
         PS,
-        64,
         0,
         timeout_ns,
     ))
@@ -154,20 +153,13 @@ fn provider_books_balance_after_mass_reap() {
     let providers: Vec<Arc<Provider>> = (2..6)
         .map(|i| Arc::new(Provider::new_mem(NodeId(i))))
         .collect();
-    let pm = Arc::new(ProviderManager::new(
-        NodeId(1),
-        fx.clone(),
-        providers.clone(),
-        64,
-        timeout,
-    ));
+    let pm = Arc::new(ProviderManager::new(NodeId(1), providers.clone(), timeout));
     let dht = Arc::new(MetaDht::new(vec![Arc::new(MetaServer::new(NodeId(1)))], 0));
     let vm = Arc::new(VersionManager::new(
         NodeId(0),
         fx.clone(),
         dht.clone(),
         PS,
-        64,
         0,
         timeout,
     ));

@@ -68,6 +68,12 @@ pub use sync::Epoch;
 pub use time::{ns_to_secs, secs_to_ns, SimTime, MICROS, MILLIS, SECS};
 pub use topology::{ClusterSpec, NodeId, SpecError};
 
+/// The size, in bytes, of one control message: the request or the response
+/// of a [`Proc::rpc`] that carries no payload. Every control exchange of
+/// both storage stacks and the Map/Reduce heartbeat charges it, so BSFS and
+/// HDFS pay the same control message by construction.
+pub const CTL_MSG_BYTES: u64 = 128;
+
 /// Convenience prelude for downstream crates. `benchmark/` names
 /// `prelude::Gate`, so it stays until that package next changes.
 pub mod prelude {

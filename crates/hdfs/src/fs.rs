@@ -24,8 +24,6 @@ pub struct HdfsConfig {
     pub block_size: u64,
     /// Replication factor (HDFS default 3; clamped to the datanode count).
     pub replication: usize,
-    /// Modeled size of a control RPC.
-    pub ctl_msg_bytes: u64,
     /// CPU charged on the namenode per request.
     pub nn_cpu_ops: u64,
 }
@@ -35,7 +33,6 @@ impl Default for HdfsConfig {
         HdfsConfig {
             block_size: 64 * 1024 * 1024,
             replication: 3,
-            ctl_msg_bytes: 128,
             nn_cpu_ops: 1_000_000,
         }
     }
@@ -53,7 +50,6 @@ impl HdfsConfig {
             block_size,
             replication: 1,
             nn_cpu_ops: 0,
-            ..Self::default()
         }
     }
 
@@ -117,7 +113,6 @@ impl HdfsSim {
             layout.namenode,
             layout.datanodes.clone(),
             config.replication,
-            config.ctl_msg_bytes,
             config.nn_cpu_ops,
         ));
         HdfsSim {

@@ -8,7 +8,7 @@
 //! raised at the FileSystem layer.
 
 use dfs::{DfsPath, Entry, FsError, FsResult, Namespace};
-use fabric::{NodeId, Proc};
+use fabric::{NodeId, Proc, CTL_MSG_BYTES};
 use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 
@@ -65,7 +65,6 @@ pub struct Namenode {
     node: NodeId,
     datanodes: Vec<NodeId>,
     replication: usize,
-    ctl_msg_bytes: u64,
     cpu_ops: u64,
     state: Mutex<NnState>,
 }
@@ -75,7 +74,6 @@ impl Namenode {
         node: NodeId,
         datanodes: Vec<NodeId>,
         replication: usize,
-        ctl_msg_bytes: u64,
         cpu_ops: u64,
     ) -> Self {
         assert!(!datanodes.is_empty(), "namenode needs datanodes");
@@ -84,7 +82,6 @@ impl Namenode {
             node,
             datanodes,
             replication,
-            ctl_msg_bytes,
             cpu_ops,
             state: Mutex::new(NnState {
                 entries: Namespace::default(),
@@ -95,7 +92,7 @@ impl Namenode {
     }
 
     fn charge(&self, p: &Proc) {
-        p.rpc(self.node, self.ctl_msg_bytes, self.ctl_msg_bytes);
+        p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
         if self.cpu_ops > 0 {
             p.compute(self.node, self.cpu_ops);
         }
@@ -233,7 +230,7 @@ mod tests {
     }
 
     fn nn() -> Namenode {
-        Namenode::new(NodeId(0), (1..8).map(NodeId).collect(), 3, 64, 0)
+        Namenode::new(NodeId(0), (1..8).map(NodeId).collect(), 3, 0)
     }
 
     #[test]
@@ -289,7 +286,7 @@ mod tests {
 
     #[test]
     fn replication_clamped_to_cluster_size() {
-        let nn = Namenode::new(NodeId(0), vec![NodeId(1), NodeId(2)], 3, 64, 0);
+        let nn = Namenode::new(NodeId(0), vec![NodeId(1), NodeId(2)], 3, 0);
         assert_eq!(nn.replication, 2);
     }
 

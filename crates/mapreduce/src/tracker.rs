@@ -167,7 +167,7 @@ enum Assignment {
 type Flush = (Arc<JobCtx>, NodeId);
 
 /// The request and the response of a heartbeat, in bytes.
-const BEAT_BYTES: u64 = 128;
+const BEAT_BYTES: u64 = fabric::CTL_MSG_BYTES;
 
 /// The answer to one heartbeat.
 #[derive(Default)]

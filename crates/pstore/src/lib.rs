@@ -2,14 +2,14 @@
 //!
 //! BlobSeer "offers persistence through a BerkeleyDB layer" (paper §3.1.1):
 //! each node keeps its state in a local embedded database. This crate is
-//! that substitute, and three services persist through it: the providers
-//! (pages), the metadata servers (tree nodes) and the provider manager
-//! (its lease log). It is a crash-consistent, CRC-checksummed, append-only
-//! segmented log with an ordered in-memory index and recovery-by-scan — the
-//! same design family as Bitcask/BDB's logs, small enough to audit. The log
-//! keeps every record it is given: nothing rewrites or reclaims a segment.
-//! Pages and tree nodes are written once, so its dead records are mostly
-//! the lease log's rewrites and tombstones.
+//! that substitute, and two services persist through it: the providers
+//! (pages) and the metadata servers (tree nodes). It is a crash-consistent,
+//! CRC-checksummed, append-only segmented log with an ordered in-memory
+//! index and recovery-by-scan — the same design family as Bitcask/BDB's
+//! logs, small enough to audit. The log keeps every record it is given:
+//! nothing rewrites or reclaims a segment. Pages and tree nodes are written
+//! once, so a record goes dead only when its key is written again or
+//! deleted.
 //!
 //! Guarantees:
 //! * `put`/`delete` are durable after [`Store::flush`];

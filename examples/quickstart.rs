@@ -5,11 +5,12 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! Set `QUICKSTART_PERSIST_DIR=/some/dir` to deploy the durable storage
-//! plane instead: the providers (pages), the metadata servers (tree nodes)
-//! and the provider manager (its lease book) persist to pstore
-//! subdirectories, and the demo kills a provider mid-session and restarts it
-//! from disk. The version manager and the namespace do not persist yet
-//! (ROADMAP item R).
+//! plane instead: the providers (pages) and the metadata servers (tree
+//! nodes) persist to pstore subdirectories, and the demo kills a provider
+//! mid-session and restarts it from disk. The control services keep their
+//! state in memory: the provider manager's leases belong to this
+//! deployment's writers, and the version manager and the namespace do not
+//! persist yet (ROADMAP item R).
 
 use blobseer::{Fault, FaultTarget};
 use blobseer_repro::testbed;

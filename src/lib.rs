@@ -73,11 +73,12 @@ pub mod testbed {
         (fx, fs)
     }
 
-    /// Like [`live_bsfs`], but every service persists to a per-service
+    /// Like [`live_bsfs`], but the storage plane persists to a per-service
     /// subdirectory of `dir` (providers their pages, metadata servers their
-    /// tree nodes, the provider manager its lease book), which makes
-    /// `blobseer::Fault::CrashRestart` injectable: a killed service heals
-    /// by replaying its pstore directory.
+    /// tree nodes), which makes `blobseer::Fault::CrashRestart` injectable:
+    /// a killed service heals by replaying its pstore directory. The
+    /// control services (version manager, provider manager, namespace)
+    /// keep their state in memory.
     #[expect(
         clippy::expect_used,
         reason = "test/example deployment helper: panicking on a failed deploy is its contract"
