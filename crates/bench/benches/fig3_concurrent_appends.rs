@@ -93,7 +93,7 @@ fn main() {
         .series("per_client_mbps", Gate::Higher, 2, |avg| *avg)
         .sweep(&details)
         .series("sim_secs", Gate::Lower, 2, |d| d.sim_secs)
-        .series("transfers", Gate::Lower, 0, |d| d.transfers)
+        .series("transfers", Gate::Exact, 0, |d| d.transfers)
         .series("dht_puts", Gate::Exact, 0, |d| d.dht_puts)
         .series("dht_put_rpcs", Gate::Exact, 0, |d| d.dht_put_rpcs);
     let pages = page_size();

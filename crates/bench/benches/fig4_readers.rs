@@ -155,12 +155,12 @@ fn main() {
         .axis("readers", |d| d.readers)
         .axis("replicas", |d| d.replicas)
         .series("cold_mbps", Gate::Higher, 2, |d| d.cold_mbps)
-        .series("cold_primary_gets", Gate::Lower, 0, |d| d.cold_primary_gets)
-        .series("cold_replica_gets", Gate::Lower, 0, |d| d.cold_replica_gets)
-        .series("warm_gets", Gate::Record, 0, |d| d.warm_gets)
+        .series("cold_primary_gets", Gate::Exact, 0, |d| d.cold_primary_gets)
+        .series("cold_replica_gets", Gate::Exact, 0, |d| d.cold_replica_gets)
+        .series("warm_gets", Gate::Exact, 0, |d| d.warm_gets)
         .series("hit_rate", Gate::Record, 4, |d| d.hit_rate)
         .series("sim_secs", Gate::Lower, 2, |d| d.sim_secs)
-        .series("transfers", Gate::Lower, 0, |d| d.transfers)
+        .series("transfers", Gate::Exact, 0, |d| d.transfers)
         .check_and_record("BENCH_fig4_readers.json");
 }
 

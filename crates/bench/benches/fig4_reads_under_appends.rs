@@ -67,8 +67,8 @@ fn main() {
         .series("read_mbps", Gate::Higher, 2, |d| d.read_mbps)
         .series("append_mbps", Gate::Higher, 2, |d| d.append_mbps)
         .series("sim_secs", Gate::Lower, 2, |d| d.sim_secs)
-        .series("transfers", Gate::Lower, 0, |d| d.transfers)
-        .series("put_rpcs", Gate::Lower, 0, |d| d.put_rpcs)
-        .series("get_rpcs", Gate::Lower, 0, |d| d.get_rpcs)
+        .series("transfers", Gate::Exact, 0, |d| d.transfers)
+        .series("put_rpcs", Gate::Exact, 0, |d| d.put_rpcs)
+        .series("get_rpcs", Gate::Exact, 0, |d| d.get_rpcs)
         .check_and_record("BENCH_fig4_reads_under_appends.json");
 }

@@ -74,9 +74,9 @@ fn main() {
         .series("append_mbps", Gate::Higher, 2, |d| d.append_mbps)
         .series("read_mbps", Gate::Higher, 2, |d| d.read_mbps)
         .series("sim_secs", Gate::Lower, 2, |d| d.sim_secs)
-        .series("transfers", Gate::Lower, 0, |d| d.transfers)
-        .series("put_rpcs", Gate::Lower, 0, |d| d.put_rpcs)
-        .series("get_rpcs", Gate::Lower, 0, |d| d.get_rpcs);
+        .series("transfers", Gate::Exact, 0, |d| d.transfers)
+        .series("put_rpcs", Gate::Exact, 0, |d| d.put_rpcs)
+        .series("get_rpcs", Gate::Exact, 0, |d| d.get_rpcs);
     // One op is an appender's run of 10 appends.
     RoleMs::record(record, "append_ledger_ms", |d| d.append_roles)
         .check_and_record("BENCH_fig5_mixed.json");

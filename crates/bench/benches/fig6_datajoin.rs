@@ -156,7 +156,7 @@ fn main() {
         .series("hdfs_secs", Gate::Record, 1, |secs| *secs)
         .sweep(&bsfs_points)
         .series("bsfs_secs", Gate::Lower, 1, |b| b.secs)
-        .series("bsfs_shuffle_transfers", Gate::Record, 0, |b| {
+        .series("bsfs_shuffle_transfers", Gate::Exact, 0, |b| {
             b.shuffle_transfers
         });
     let record = RoleMs::record(record, "bsfs_commit_ledger_ms", |b| b.roles);
@@ -170,7 +170,7 @@ fn main() {
         .param("reducers", 8)
         .param("naive_pulls", naive)
         .scalar("segments", Gate::Exact, 0, segments)
-        .scalar("transfers", Gate::Lower, 0, transfers)
+        .scalar("transfers", Gate::Exact, 0, transfers)
         .scalar("segment_reduction", Gate::Record, 2, reduction)
         .scalar("secs", Gate::Record, 1, stress_secs)
         .check_and_record("BENCH_fig6_shuffle.json");
