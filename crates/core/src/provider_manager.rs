@@ -50,9 +50,9 @@
 //!
 //! The capacity books live in per-provider atomics
 //! ([`Provider::load_estimate`]), and the lease book's mutex guards one
-//! transition — never a fabric call — so concurrent
-//! allocations from distinct clients serialize on nothing but the modeled
-//! control RPC itself. Placement stays deterministic in sim mode: candidates
+//! transition — never a fabric call — so concurrent allocations from
+//! distinct clients serialize on nothing but the modeled control RPC
+//! itself. Placement stays deterministic in sim mode: candidates
 //! keep deployment order and tie-breaks draw from the caller's seeded RNG
 //! stream.
 
