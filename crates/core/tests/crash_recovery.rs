@@ -202,28 +202,175 @@ fn meta_server_crash_restart_recovers_every_version() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// On a memory-only deployment there is no disk to come back from:
-/// `CrashRestart` answers a typed `UnsupportedFault` on every target, and
-/// it is never supported on the version manager or reaper.
+/// What `inject` / `heal` answered, without the text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Answer {
+    Ok,
+    Unsupported,
+    NoSuchTarget,
+}
+
+/// Sort `res` into its [`Answer`]; a refusal's text must name the target,
+/// by its fault-target name or by the node it runs on (`on n5`).
+fn answer(res: Result<(), BlobError>, target: FaultTarget, node: NodeId) -> Answer {
+    let (got, text) = match res {
+        Ok(()) => return Answer::Ok,
+        Err(BlobError::UnsupportedFault(text)) => (Answer::Unsupported, text),
+        Err(BlobError::NoSuchTarget(text)) => (Answer::NoSuchTarget, text),
+        Err(e) => panic!("{target}: unexpected error {e}"),
+    };
+    assert!(
+        text.contains(&target.to_string()) || text.contains(&format!("on {node}")),
+        "{target} on {node}: refusal does not name the target: {text}"
+    );
+    got
+}
+
+/// The whole fault matrix, on a memory-only and on a persistent
+/// deployment: every target kind × every fault answers a pinned outcome,
+/// every refusal names its target, and every injection heals. Each service
+/// runs on a node of its own (version manager n0, metadata servers n3–n4,
+/// providers n5–n6, read replica n7), so naming a node names one target.
+/// Out-of-range indices answer `NoSuchTarget` on `inject` and on `heal`;
+/// healing a target that was never faulted answers `Ok`.
 #[test]
-fn memory_deployment_rejects_crash_restart() {
-    let fx = Fabric::sim(ClusterSpec::tiny(4));
-    let layout = Layout::compact(fx.spec());
-    let bs = BlobSeer::deploy(&fx, BlobSeerConfig::test_small(PS), layout).unwrap();
-    for target in [
-        FaultTarget::Provider(0),
-        FaultTarget::MetaServer(0),
-        FaultTarget::VersionManager,
-        FaultTarget::Reaper,
-    ] {
-        assert!(
-            matches!(
-                bs.inject(target, Fault::CrashRestart),
-                Err(BlobError::UnsupportedFault { .. })
-            ),
-            "{target} accepted CrashRestart on a memory-only deployment"
-        );
+fn fault_matrix_is_pinned_on_both_deployments() {
+    use Answer::{NoSuchTarget, Ok as Yes, Unsupported as No};
+    use Fault::{Crash, CrashRestart, Pause};
+    use FaultTarget::{MetaServer, Provider, ReadReplica, Reaper, VersionManager};
+
+    let dir = scratch_dir("matrix");
+    for persistent in [false, true] {
+        let fx = Fabric::sim(ClusterSpec::tiny(8));
+        let layout = Layout::paper_with_meta(fx.spec(), 2).with_read_replicas_from_tail(1);
+        let cfg = BlobSeerConfig::test_small(PS)
+            .with_persist_dir(persistent.then(|| dir.join("deployment")));
+        let bs = BlobSeer::deploy(&fx, cfg, layout).unwrap();
+        let restart = if persistent { Yes } else { No };
+        // (target, its node, answers to [Crash, Pause, CrashRestart])
+        let matrix = [
+            (Provider(0), NodeId(5), [Yes, No, restart]),
+            (Provider(1), NodeId(6), [Yes, No, restart]),
+            (ReadReplica(0), NodeId(7), [Yes, No, restart]),
+            (MetaServer(0), NodeId(3), [Yes, No, restart]),
+            (MetaServer(1), NodeId(4), [Yes, No, restart]),
+            (VersionManager, NodeId(0), [No, Yes, No]),
+            (Reaper, NodeId(0), [Yes, Yes, No]),
+        ];
+        let storage_alive = |target: FaultTarget| match target {
+            Provider(i) => Some(bs.providers()[i].is_alive()),
+            ReadReplica(i) => Some(bs.read_replicas()[i].is_alive()),
+            MetaServer(i) => Some(bs.metadata_dht().servers()[i].is_alive()),
+            VersionManager | Reaper => None,
+        };
+        for &(target, node, answers) in &matrix {
+            assert_eq!(
+                answer(bs.heal(target), target, node),
+                Yes,
+                "{target}: healing a never-faulted target"
+            );
+            for (fault, want) in [Crash, Pause, CrashRestart].into_iter().zip(answers) {
+                let case = format!("{target} {fault} (persistent: {persistent})");
+                assert_eq!(
+                    answer(bs.inject(target, fault), target, node),
+                    want,
+                    "{case}"
+                );
+                if let Some(alive) = storage_alive(target) {
+                    assert_eq!(alive, want != Yes, "{case}: liveness after inject");
+                }
+                assert_eq!(answer(bs.heal(target), target, node), Yes, "{case}: heal");
+                assert_ne!(storage_alive(target), Some(false), "{case}: heal revives");
+            }
+        }
+        for target in [Provider(2), ReadReplica(1), MetaServer(2), Provider(99)] {
+            let node = NodeId(u32::MAX);
+            for fault in [Crash, Pause, CrashRestart] {
+                assert_eq!(
+                    answer(bs.inject(target, fault), target, node),
+                    NoSuchTarget,
+                    "inject {fault} into {target}"
+                );
+            }
+            assert_eq!(
+                answer(bs.heal(target), target, node),
+                NoSuchTarget,
+                "heal {target}"
+            );
+        }
+        assert!(bs.heal_all().is_empty());
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `create` issued while the version manager is paused stalls until the
+/// heal, then resumes on the next `PAUSE_POLL_NS` (5 ms) step: paused at
+/// 0, healed at 12 ms, the create passes the barrier at 15 ms and answers
+/// 0.7 ms later, what a create costs on a healthy version manager.
+#[test]
+fn a_paused_version_manager_answers_on_the_poll_after_heal() {
+    let fx = Fabric::sim(ClusterSpec::tiny(4));
+    let bs = BlobSeer::deploy(
+        &fx,
+        BlobSeerConfig::test_small(PS),
+        Layout::compact(fx.spec()),
+    )
+    .unwrap();
+    bs.inject(FaultTarget::VersionManager, Fault::Pause)
+        .unwrap();
+    let done: Arc<Mutex<Option<u64>>> = Arc::default();
+    let (bs2, done2) = (bs.clone(), done.clone());
+    fx.spawn(NodeId(1), "creator", move |p| {
+        let c = bs2.client();
+        c.create(p, None);
+        *done2.lock() = Some(p.now());
+        let healthy = p.now();
+        c.create(p, None);
+        assert_eq!(p.now() - healthy, 700_000);
+    });
+    let (bs2, done2) = (bs.clone(), done.clone());
+    let h = fx.spawn(NodeId(2), "healer", move |p| {
+        p.sleep(12 * fabric::MILLIS);
+        assert_eq!(*done2.lock(), None, "the create answered inside the pause");
+        bs2.heal(FaultTarget::VersionManager).unwrap();
+    });
+    fx.run();
+    h.take().unwrap();
+    assert_eq!(*done.lock(), Some(15_700_000));
+}
+
+/// While the reaper is paused its ticks pass without sweeping: a lease
+/// whose writer died expires and stays in the book. The first tick after
+/// the heal sweeps it.
+#[test]
+fn a_paused_reaper_reaps_on_the_first_tick_after_heal() {
+    const TICK: u64 = 100 * fabric::MILLIS;
+    let fx = Fabric::sim(ClusterSpec::tiny(4));
+    let mut cfg = BlobSeerConfig::test_small(PS);
+    cfg.timeouts.write_timeout_ns = 10 * TICK;
+    cfg.timeouts.reaper_interval_ns = TICK;
+    let bs = BlobSeer::deploy(&fx, cfg, Layout::compact(fx.spec())).unwrap();
+    bs.inject(FaultTarget::Reaper, Fault::Pause).unwrap();
+    let reaper = bs.start_reaper(&fx);
+    let (bs2, reaper2) = (bs.clone(), reaper.clone());
+    let h = fx.spawn(NodeId(1), "driver", move |p| {
+        let pm = bs2.provider_manager();
+        pm.allocate(p, &[(PageId(0xDEAD, 1), PS)], 1, &[]).unwrap();
+        // Twenty ticks in, ten past the lease's expiry.
+        p.sleep(20 * TICK);
+        assert_eq!(reaper2.ticks(), 0, "a paused reaper swept");
+        assert_eq!(pm.outstanding_leases(), 1);
+        assert_eq!(pm.lease_reap_stats(), (0, 0));
+        bs2.heal(FaultTarget::Reaper).unwrap();
+        p.sleep(TICK);
+        assert_eq!(reaper2.ticks(), 1, "one tick since the heal");
+        assert_eq!(pm.outstanding_leases(), 0);
+        assert_eq!(pm.lease_reap_stats(), (1, PS));
+        reaper2.stop();
+    });
+    fx.run();
+    h.take().unwrap();
+    assert_eq!(reaper.ticks(), 1);
 }
 
 /// The acceptance run, on the live fabric (real threads, wall-clock time):
