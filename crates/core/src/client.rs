@@ -1033,7 +1033,7 @@ mod tests {
             provider_map,
             config,
             layout: Layout::compact(fx.spec()),
-            reaper_paused: std::sync::atomic::AtomicBool::new(false),
+            reaper: crate::service::Service::new(crate::service::REAPER, NodeId(0)),
             replica_watermarks: Default::default(),
         })
     }

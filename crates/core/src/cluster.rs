@@ -5,7 +5,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
@@ -19,7 +19,7 @@ use crate::fault::{Fault, FaultTarget};
 use crate::meta::{collect_leaves, LeafHit, NodeKey, SnapshotInfo};
 use crate::provider::Provider;
 use crate::provider_manager::ProviderManager;
-use crate::service::Service;
+use crate::service::{Service, REAPER};
 use crate::types::{BlobId, PageId, Version};
 use crate::version_manager::VersionManager;
 
@@ -178,9 +178,9 @@ pub(crate) struct Services {
     pub provider_map: HashMap<NodeId, Arc<Provider>>,
     pub config: BlobSeerConfig,
     pub layout: Layout,
-    /// Fault injection: while set, background-reaper sweeps are skipped
-    /// (the daemon is down); lazy reaping from request paths still runs.
-    pub reaper_paused: AtomicBool,
+    /// The background reaper's shell: while a fault holds it down, ticks
+    /// pass without sweeping; lazy reaping from request paths still runs.
+    pub reaper: Service,
     /// Progress of the read-replica sync: the published version the
     /// replica tier has caught up to, per live blob.
     pub replica_watermarks: Mutex<BTreeMap<BlobId, Version>>,
@@ -294,15 +294,6 @@ pub struct BlobSeer {
     svc: Arc<Services>,
 }
 
-/// What a [`FaultTarget`] names in one deployment.
-enum Resolved<'a> {
-    /// A data provider, read replica or metadata server: they die and come
-    /// back through one lifecycle ([`crate::service`]).
-    Storage(&'a Service),
-    VersionManager,
-    Reaper,
-}
-
 /// The two ways to start one kind of storage service: in memory, or durable
 /// in a directory.
 type Open<S> = (
@@ -405,8 +396,8 @@ impl BlobSeer {
                 replicas,
                 provider_map,
                 config,
+                reaper: Service::new(REAPER, layout.vm),
                 layout,
-                reaper_paused: AtomicBool::new(false),
                 replica_watermarks: Mutex::default(),
             }),
         })
@@ -476,7 +467,7 @@ impl BlobSeer {
                 if stop2.is_set() {
                     break;
                 }
-                if svc.reaper_paused.load(Ordering::Acquire) {
+                if !svc.reaper.is_alive() {
                     continue;
                 }
                 // A failed sweep (metadata outage mid-force-complete) keeps
@@ -521,34 +512,7 @@ impl BlobSeer {
     /// [`BlobError::UnsupportedFault`]. Idempotent; undo with
     /// [`Self::heal`].
     pub fn inject(&self, target: FaultTarget, fault: Fault) -> BlobResult<()> {
-        match (self.resolve(target)?, fault) {
-            (Resolved::Storage(s), Fault::Crash) => s.kill(),
-            (Resolved::Storage(s), Fault::CrashRestart) => s.crash_wipe()?,
-            (Resolved::Storage(_), Fault::Pause) => {
-                return Err(BlobError::UnsupportedFault(format!(
-                    "{target} cannot pause: storage services model crash-stop \
-                     failures; use Fault::Crash"
-                )))
-            }
-            (Resolved::VersionManager, Fault::Pause) => self.svc.vm.set_paused(true),
-            (Resolved::VersionManager, Fault::Crash) => {
-                return Err(BlobError::UnsupportedFault(
-                    "version-manager crash needs the failover subsystem (roadmap); \
-                     use Fault::Pause to model an unresponsive VM"
-                        .into(),
-                ))
-            }
-            (Resolved::Reaper, Fault::Crash | Fault::Pause) => {
-                self.svc.reaper_paused.store(true, Ordering::Release);
-            }
-            (Resolved::VersionManager | Resolved::Reaper, Fault::CrashRestart) => {
-                return Err(BlobError::UnsupportedFault(format!(
-                    "{target} has no durable store to restart from; \
-                     CrashRestart targets providers and metadata servers"
-                )))
-            }
-        }
-        Ok(())
+        self.resolve(target)?.inject(fault)
     }
 
     /// Undo every fault injected into `target` (revive a crashed service,
@@ -563,20 +527,17 @@ impl BlobSeer {
     /// outstanding lease entries that straddled the crash, so the capacity
     /// books balance at the next quiescence check.
     pub fn heal(&self, target: FaultTarget) -> BlobResult<()> {
-        match self.resolve(target)? {
-            Resolved::Storage(s) if s.is_wiped() => {
-                s.recover()?;
-                // Only a primary holds leases. A replica or a metadata
-                // server restarts from its durable state and nothing more
-                // (pages a replica lost beyond disk are re-copied by the
-                // next sync round).
-                if matches!(target, FaultTarget::Provider(_)) {
-                    self.svc.pm.reinstate(s.node());
-                }
-            }
-            Resolved::Storage(s) => s.revive(),
-            Resolved::VersionManager => self.svc.vm.set_paused(false),
-            Resolved::Reaper => self.svc.reaper_paused.store(false, Ordering::Release),
+        let s = self.resolve(target)?;
+        if !s.is_wiped() {
+            s.revive();
+            return Ok(());
+        }
+        s.recover()?;
+        // Only a primary holds leases. A replica or a metadata server
+        // restarts from its durable state and nothing more (pages a replica
+        // lost beyond disk are re-copied by the next sync round).
+        if matches!(target, FaultTarget::Provider(_)) {
+            self.svc.pm.reinstate(s.node());
         }
         Ok(())
     }
@@ -596,8 +557,8 @@ impl BlobSeer {
             .collect()
     }
 
-    /// The one lookup from a fault target to the service it names.
-    fn resolve(&self, target: FaultTarget) -> BlobResult<Resolved<'_>> {
+    /// The one lookup from a fault target to its service's shell.
+    fn resolve(&self, target: FaultTarget) -> BlobResult<&Service> {
         fn at<S: std::ops::Deref<Target = Service>>(
             tier: &[Arc<S>],
             i: usize,
@@ -608,11 +569,10 @@ impl BlobSeer {
             FaultTarget::Provider(i) => at(&self.svc.providers, i),
             FaultTarget::ReadReplica(i) => at(&self.svc.replicas, i),
             FaultTarget::MetaServer(i) => at(self.svc.dht.servers(), i),
-            FaultTarget::VersionManager => return Ok(Resolved::VersionManager),
-            FaultTarget::Reaper => return Ok(Resolved::Reaper),
+            FaultTarget::VersionManager => return Ok(self.svc.vm.shell()),
+            FaultTarget::Reaper => return Ok(&self.svc.reaper),
         };
         found
-            .map(Resolved::Storage)
             .ok_or_else(|| BlobError::NoSuchTarget(format!("{target} (deployment has {deployed})")))
     }
 

@@ -7,10 +7,10 @@
 //! concurrent writers updating different tree paths talk to different
 //! servers and scale out — the paper deploys 20 of them on 270 nodes.
 //!
-//! How a metadata server counts what it served, dies and comes back is
-//! `crate::service`'s, shared with the data providers, and a `MetaServer`
-//! derefs to it; this file says only what a crash empties and a restart
-//! reloads (the `Nodes` map), and the hot paths.
+//! How a metadata server counts what it served, dies and comes back is its
+//! `crate::service::Service` shell's, the one every service has, and a
+//! `MetaServer` derefs to it; this file says only what a crash empties and
+//! a restart reloads (the `Nodes` map), and the hot paths.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -21,7 +21,7 @@ use parking_lot::RwLock;
 
 use crate::error::{BlobError, BlobResult};
 use crate::meta::{NodeBody, NodeKey, NODE_KEY_PREFIX};
-use crate::service::{Durable, Service, State};
+use crate::service::{Service, State, META_SERVER};
 
 /// Stripe count of one server's node map. Keys spread via the upper bits of
 /// the same FNV hash that routes them to a server (the lower bits picked the
@@ -32,9 +32,9 @@ fn stripe_of(key: &NodeKey) -> usize {
     ((hash_key(key) >> 32) % NODE_STRIPES as u64) as usize
 }
 
-/// One metadata server holding a shard of the tree-node space: a
-/// `Service` (node, liveness, served counters, crash-restart — all reached
-/// by deref) that stores tree nodes.
+/// One metadata server holding a shard of the tree-node space: a `Service`
+/// shell (node, liveness, served counters, store, crash-restart — all
+/// reached by deref) that stores tree nodes.
 ///
 /// The node map is lock-striped (`RwLock<HashMap>` per stripe): a batched
 /// `get_batch` takes only read locks — concurrent readers never block each
@@ -94,15 +94,11 @@ impl State for Nodes {
 }
 
 impl MetaServer {
-    fn with(node: NodeId, nodes: Arc<Nodes>, durable: Option<Durable>) -> Self {
-        MetaServer {
-            svc: Service::new("metadata server", node, durable),
-            nodes,
-        }
-    }
-
     pub fn new(node: NodeId) -> Self {
-        Self::with(node, Arc::default(), None)
+        MetaServer {
+            svc: Service::new(META_SERVER, node),
+            nodes: Arc::default(),
+        }
     }
 
     /// Metadata server whose node map is write-through mirrored into a
@@ -116,8 +112,8 @@ impl MetaServer {
         opts: pstore::StoreOptions,
     ) -> BlobResult<Self> {
         let nodes = Arc::new(Nodes::default());
-        let durable = Durable::open(dir, opts, nodes.clone())?;
-        Ok(Self::with(node, nodes, Some(durable)))
+        let svc = Service::open(META_SERVER, node, dir, opts, nodes.clone())?;
+        Ok(MetaServer { svc, nodes })
     }
 
     /// Store one server group of tree nodes: durably first (when
@@ -129,16 +125,15 @@ impl MetaServer {
         reason = "subscripts are stripe_of() (`% NODE_STRIPES`) or enumerate() over a vector built with NODE_STRIPES entries, as `nodes` is"
     )]
     pub(crate) fn store_nodes(&self, nodes: Vec<(NodeKey, NodeBody)>) -> BlobResult<()> {
-        if let Some(d) = self.store() {
-            let g = d.read();
+        if let Some(g) = self.store_guard() {
             let Some(s) = g.as_ref() else {
                 return Err(self.down());
             };
             for (key, body) in &nodes {
                 s.put(&key.encode(), &body.encode())
-                    .map_err(|e| d.err(&e))?;
+                    .map_err(|e| self.err(&e))?;
             }
-            s.flush_buffered().map_err(|e| d.err(&e))?;
+            s.flush_buffered().map_err(|e| self.err(&e))?;
         }
         // Write-lock each touched stripe once for its share; untouched
         // stripes (and their concurrent readers) are never blocked.

@@ -7,15 +7,16 @@
 //! broke. Injection is always paired with [`crate::BlobSeer::heal`]; both
 //! are idempotent.
 //!
-//! Supported combinations (anything else is a typed
-//! [`crate::BlobError::UnsupportedFault`], never a panic):
+//! Both resolve the target to its service shell; the stop fault each kind
+//! models is the shell's `service::Kind` constant. Anything else is the
+//! shell's typed [`crate::BlobError::UnsupportedFault`], never a panic:
 //!
 //! | target            | `Crash`                         | `Pause`                    | `CrashRestart`                      |
 //! |-------------------|---------------------------------|----------------------------|-------------------------------------|
 //! | `Provider(i)`     | rejects stores/fetches          | —                          | wipes memory; heal replays disk ¹   |
 //! | `ReadReplica(i)`  | rejects fetches; reads fail over to primaries | —            | wipes memory; heal replays disk ¹ ² |
 //! | `MetaServer(i)`   | rejects tree-node puts/gets     | —                          | wipes memory; heal replays disk ¹   |
-//! | `VersionManager`  | — (failover is a roadmap item)  | requests stall until heal  | —                                   |
+//! | `VersionManager`  | —                               | requests stall until heal  | —                                   |
 //! | `Reaper`          | sweeps skipped until heal       | sweeps skipped until heal  | —                                   |
 //!
 //! ¹ `CrashRestart` requires a persistent deployment (`persist_dir` set):

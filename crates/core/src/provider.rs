@@ -27,9 +27,10 @@
 //! relies on a global lock either.
 //!
 //! How a provider counts what it served, dies and comes back is not written
-//! here: that lifecycle is `crate::service`'s, shared with the metadata
-//! servers, and a `Provider` derefs to it. This file says only what a crash
-//! empties and a restart reconstructs (`Books`), and the hot paths.
+//! here: that is its `crate::service::Service` shell's, the one every
+//! service has, and a `Provider` derefs to it. This file says only what a
+//! crash empties and a restart reconstructs (`Books`), and the hot paths,
+//! which read the shell's store guard directly.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -40,7 +41,7 @@ use fabric::{NodeId, Payload, Proc};
 use parking_lot::RwLock;
 
 use crate::error::{BlobError, BlobResult, PersistenceKind};
-use crate::service::{Durable, Service, State};
+use crate::service::{Service, State, PROVIDER};
 use crate::types::PageId;
 
 /// Stripe count of the in-memory page map. Page ids are random 128-bit
@@ -56,13 +57,14 @@ fn stripe_of(id: PageId) -> usize {
 /// page counters from exactly this prefix).
 const PAGE_PREFIX: &[u8] = b"p/";
 
-/// One page-storage service instance: a `Service` (node, liveness, served
-/// counters, crash-restart — all reached by deref) that stores pages.
+/// One page-storage service instance: a `Service` shell (node, liveness,
+/// served counters, store, crash-restart — all reached by deref) that
+/// stores pages.
 pub struct Provider {
     svc: Service,
     /// Lock-striped in-memory page map (the configuration the paper
-    /// benchmarks). A durable provider keeps its pages in the
-    /// BerkeleyDB-substitute store instead and leaves the stripes empty.
+    /// benchmarks). A durable provider has no stripes: it keeps its pages
+    /// in the BerkeleyDB-substitute store its `Service` opened.
     stripes: Vec<RwLock<HashMap<PageId, Payload>>>,
     books: Arc<Books>,
 }
@@ -122,19 +124,15 @@ fn page_key(id: PageId) -> [u8; 18] {
 }
 
 impl Provider {
-    fn with(node: NodeId, books: Arc<Books>, durable: Option<Durable>) -> Self {
+    /// In-memory provider on `node`.
+    pub fn new_mem(node: NodeId) -> Self {
         Provider {
-            svc: Service::new("provider", node, durable),
+            svc: Service::new(PROVIDER, node),
             stripes: (0..MEM_STRIPES)
                 .map(|_| RwLock::with_rank(HashMap::new(), crate::lock_ranks::STRIPES))
                 .collect(),
-            books,
+            books: Arc::default(),
         }
-    }
-
-    /// In-memory provider on `node`.
-    pub fn new_mem(node: NodeId) -> Self {
-        Self::with(node, Arc::default(), None)
     }
 
     /// Provider backed by the BerkeleyDB-substitute [`pstore::Store`] with
@@ -154,8 +152,12 @@ impl Provider {
         opts: pstore::StoreOptions,
     ) -> BlobResult<Self> {
         let books = Arc::new(Books::default());
-        let durable = Durable::open(dir, opts, books.clone())?;
-        Ok(Self::with(node, books, Some(durable)))
+        let svc = Service::open(PROVIDER, node, dir, opts, books.clone())?;
+        Ok(Provider {
+            svc,
+            stripes: Vec::new(),
+            books,
+        })
     }
 
     /// Bytes currently stored.
@@ -231,7 +233,7 @@ impl Provider {
             return all_down();
         }
         let mut out = Vec::with_capacity(n);
-        match self.store() {
+        match self.store_guard() {
             None => {
                 for (id, data) in pages {
                     let len = data.len();
@@ -251,14 +253,13 @@ impl Provider {
                     out.push(Ok(()));
                 }
             }
-            Some(d) => {
-                // Held across the whole batch INCLUDING the flush — see
-                // `crate::service`: no page is ever acked and then lost —
-                // and the books: a crash-and-restart cycle landing between
-                // "the index holds the batch" and "the books count it"
-                // would rebuild the books from that index and the late bump
-                // would count the batch twice.
-                let g = d.read();
+            // The guard is held across the whole batch INCLUDING the flush
+            // — see `crate::service`: no page is ever acked and then lost —
+            // and the books: a crash-and-restart cycle landing between "the
+            // index holds the batch" and "the books count it" would rebuild
+            // the books from that index and the late bump would count the
+            // batch twice.
+            Some(g) => {
                 let Some(s) = g.as_ref() else {
                     return all_down();
                 };
@@ -270,10 +271,10 @@ impl Provider {
                         Payload::Bytes(b) => s
                             .put(&page_key(id), b.as_ref())
                             .map(|replaced| !replaced)
-                            .map_err(|e| d.err(&e)),
+                            .map_err(|e| self.err(&e)),
                         Payload::Ghost(_) => Err(BlobError::Persistence {
                             kind: PersistenceKind::Unsupported,
-                            path: d.dir.display().to_string(),
+                            path: self.dir.display().to_string(),
                             detail: "persistent providers require real payload bytes".into(),
                         }),
                     };
@@ -282,7 +283,7 @@ impl Provider {
                 // ...then make them process-crash durable before a single
                 // acknowledgement leaves this provider. A failed flush
                 // fails the batch: nothing unflushed is ever acked.
-                let flush_err = s.flush_buffered().err().map(|e| d.err(&e));
+                let flush_err = s.flush_buffered().err().map(|e| self.err(&e));
                 let mut landed_bytes = 0u64;
                 for (len, res) in staged {
                     let res = match (&flush_err, res) {
@@ -338,7 +339,7 @@ impl Provider {
         p.transfer(p.node(), self.node(), PAGE_REQ_BYTES * n as u64);
         let mut out = Vec::with_capacity(n);
         let mut found_bytes = 0u64;
-        match self.store() {
+        match self.store_guard() {
             None => {
                 for id in ids {
                     // Read lock on one stripe: concurrent readers of the
@@ -357,8 +358,7 @@ impl Provider {
                     });
                 }
             }
-            Some(d) => {
-                let g = d.read();
+            Some(g) => {
                 let Some(s) = g.as_ref() else {
                     // Crash-wiped mid-exchange: the whole batch is lost.
                     return (0..n).map(|_| Err(self.down())).collect();
@@ -366,7 +366,7 @@ impl Provider {
                 for id in ids {
                     let data = s
                         .get(&page_key(*id))
-                        .map_err(|e| d.err(&e))
+                        .map_err(|e| self.err(&e))
                         .map(|b| b.map(Payload::from_vec));
                     out.push(match data {
                         Ok(Some(d)) => {
@@ -395,13 +395,13 @@ impl Provider {
     /// answers while the provider is down: the lease reaper uses it to tell
     /// consumed reservations from stranded ones)
     pub(crate) fn has_page(&self, id: PageId) -> bool {
-        match self.store() {
+        match self.store_guard() {
             #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
             None => self.stripes[stripe_of(id)].read().contains_key(&id),
             // A crash-wiped store holds nothing in memory; any reaper
             // misaccounting in the wipe window is erased when `recover`
             // rebuilds the counters from disk.
-            Some(d) => d.read().as_ref().is_some_and(|s| s.contains(&page_key(id))),
+            Some(g) => g.as_ref().is_some_and(|s| s.contains(&page_key(id))),
         }
     }
 }

@@ -1,20 +1,14 @@
-//! The durable core of `blobseer`, written once, in two layers:
-//!
-//! * [`Durable`] is what any durable book opens through: a store directory,
-//!   the store opened from it, and the [`State`] rebuilt from it. It has
-//!   two users, the data providers ([`crate::provider`]) and the metadata
-//!   servers ([`crate::dht`]), which the paper puts on one persistency
-//!   layer (§3.1.1). The control services keep no durable state: the
-//!   provider manager's lease book lives in memory only
-//!   ([`crate::provider_manager`]).
-//! * [`Service`] is the storage-service shell around one: how a provider or
-//!   a metadata server counts what it served, dies, and comes back. Each of
-//!   them *is* a `Service` (by `Deref`) plus what is its own: its hot paths,
-//!   and a `State` saying what a crash empties and what a restart
-//!   reconstructs.
+//! The one service shell: where a service runs, whether it serves, what it
+//! served, how an injected fault stops it, and how it comes back. Every
+//! [`crate::FaultTarget`] resolves to one: the data providers and metadata
+//! servers *are* a [`Service`] (by `Deref`), the version manager and the
+//! reaper hold one. The storage services, which the paper puts on one
+//! persistency layer (§3.1.1), may be durable: [`Service::open`] opens a
+//! store directory and rebuilds a [`State`] from it, and only such a shell
+//! can `CrashRestart`. The control services keep no durable state.
 //!
 //! **Acknowledged means it survives a process crash.** A write path takes
-//! `Durable::read` once and holds the guard across its whole batch
+//! [`Service::store_guard`] once and holds the guard across its whole batch
 //! *including the flush*; [`Service::crash_wipe`] takes the write side. A
 //! crash therefore serializes entirely before a batch (the guard reads
 //! `None`, every item answers `ProviderDown`) or entirely after it (every
@@ -33,6 +27,7 @@ use fabric::NodeId;
 use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::error::{BlobError, BlobResult};
+use crate::fault::Fault;
 
 /// The in-memory state one kind of service derives from its store.
 pub(crate) trait State: Send + Sync {
@@ -44,79 +39,27 @@ pub(crate) trait State: Send + Sync {
     fn rebuild(&self, store: &pstore::Store) -> pstore::Result<()>;
 }
 
-/// A store directory, the store opened from it while the process is up, and
-/// the state derived from it. Knows nothing about pages, tree nodes or
-/// leases.
-pub(crate) struct Durable {
-    /// `None` while wiped: between a crash and a restart that succeeded.
-    store: RwLock<Option<pstore::Store>>,
-    pub(crate) dir: PathBuf,
-    opts: pstore::StoreOptions,
-    state: Arc<dyn State>,
-}
+/// One kind of service: what error texts call it, and the faults that stop
+/// it until healed. `CrashRestart` is every durable shell's; any other
+/// fault is refused.
+#[derive(Clone, Copy)]
+pub(crate) struct Kind(&'static str, &'static [Fault]);
 
-impl Durable {
-    /// Open `dir`; a non-empty directory *recovers* — `state` is rebuilt
-    /// from what a predecessor left there.
-    pub(crate) fn open(
-        dir: &Path,
-        opts: pstore::StoreOptions,
-        state: Arc<dyn State>,
-    ) -> BlobResult<Durable> {
-        let d = Durable {
-            store: RwLock::new(None),
-            dir: dir.to_path_buf(),
-            opts,
-            state,
-        };
-        d.reopen()?;
-        Ok(d)
-    }
+// Storage services model crash-stop failures, a paused version manager
+// stalls every request, and a reaper stopped either way skips its sweeps.
+pub(crate) const PROVIDER: Kind = Kind("provider", &[Fault::Crash]);
+pub(crate) const META_SERVER: Kind = Kind("metadata server", &[Fault::Crash]);
+pub(crate) const VERSION_MANAGER: Kind = Kind("version manager", &[Fault::Pause]);
+pub(crate) const REAPER: Kind = Kind("reaper", &[Fault::Crash, Fault::Pause]);
 
-    /// The open store, or `None` while wiped. The store is internally
-    /// synchronized (`put` / `get` take `&self`), so data paths share this
-    /// guard.
-    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Option<pstore::Store>> {
-        self.store.read()
-    }
+/// The open store of a durable shell; `None` while wiped, between a crash
+/// and a restart that succeeded.
+type Slot = RwLock<Option<pstore::Store>>;
 
-    /// The one `PStoreError` → [`BlobError`] mapping: cause class kept, the
-    /// directory named.
-    pub(crate) fn err(&self, e: &pstore::PStoreError) -> BlobError {
-        BlobError::persistence(&self.dir, e)
-    }
-
-    /// What a process crash leaves: the directory, minus the records that
-    /// were still buffered (never acknowledged).
-    fn wipe(&self) {
-        if let Some(s) = self.store.write().take() {
-            s.abandon();
-        }
-        self.state.clear();
-    }
-
-    /// Open the directory, rebuild the state from the store, and only then
-    /// install it. Returns the bytes replayed past the newest checkpoint, or
-    /// `None` when the store was open already (nothing ran).
-    fn reopen(&self) -> BlobResult<Option<u64>> {
-        let mut g = self.store.write();
-        if g.is_some() {
-            return Ok(None);
-        }
-        let store =
-            pstore::Store::open_with(&self.dir, self.opts.clone()).map_err(|e| self.err(&e))?;
-        self.state.rebuild(&store).map_err(|e| self.err(&e))?;
-        let replayed = store.replayed_bytes();
-        *g = Some(store);
-        Ok(Some(replayed))
-    }
-}
-
-/// The part of a storage service that is the same for all of them: where it
-/// runs, whether it serves, what it served, and how it restarts.
+/// The part of a service that is the same for all of them: where it runs,
+/// whether it serves, what it served, and how it restarts.
 pub struct Service {
-    /// What error texts call this kind of service.
-    kind: &'static str,
+    kind: Kind,
     node: NodeId,
     alive: AtomicBool,
     put_ops: AtomicU64,
@@ -124,12 +67,18 @@ pub struct Service {
     put_rpcs: AtomicU64,
     get_rpcs: AtomicU64,
     recoveries: AtomicU64,
-    /// `None` for a service that lives in memory only.
-    durable: Option<Durable>,
+    /// `None` for a shell that keeps no durable state; else the store
+    /// opened from `dir` and the state a restart rebuilds from it.
+    store: Option<(Slot, Arc<dyn State>)>,
+    /// The store directory (empty for a shell that keeps no durable state).
+    pub(crate) dir: PathBuf,
+    opts: pstore::StoreOptions,
 }
 
 impl Service {
-    pub(crate) fn new(kind: &'static str, node: NodeId, durable: Option<Durable>) -> Service {
+    /// A shell that keeps no durable state: it stops and revives, but
+    /// cannot crash-restart.
+    pub(crate) fn new(kind: Kind, node: NodeId) -> Service {
         Service {
             kind,
             node,
@@ -139,8 +88,29 @@ impl Service {
             put_rpcs: AtomicU64::new(0),
             get_rpcs: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
-            durable,
+            store: None,
+            dir: PathBuf::new(),
+            opts: pstore::StoreOptions::default(),
         }
+    }
+
+    /// A durable shell over `dir`; a non-empty directory *recovers* —
+    /// `state` is rebuilt from what a predecessor left there.
+    pub(crate) fn open(
+        kind: Kind,
+        node: NodeId,
+        dir: &Path,
+        opts: pstore::StoreOptions,
+        state: Arc<dyn State>,
+    ) -> BlobResult<Service> {
+        let svc = Service {
+            store: Some((RwLock::new(None), state)),
+            dir: dir.to_path_buf(),
+            opts,
+            ..Service::new(kind, node)
+        };
+        svc.reopen()?;
+        Ok(svc)
     }
 
     /// The node hosting this service.
@@ -164,9 +134,50 @@ impl Service {
         self.alive.store(true, Ordering::Release);
     }
 
+    /// Inject `fault`: a stop fault of this kind kills the service,
+    /// `CrashRestart` wipes a durable one, and anything else is refused
+    /// with a typed error naming the service.
+    pub(crate) fn inject(&self, fault: Fault) -> BlobResult<()> {
+        if fault == Fault::CrashRestart {
+            return self.crash_wipe();
+        }
+        if !self.kind.1.contains(&fault) {
+            return Err(self.refuse(fault));
+        }
+        self.kill();
+        Ok(())
+    }
+
+    /// The shell's typed refusal of `fault`, naming the service.
+    fn refuse(&self, fault: Fault) -> BlobError {
+        let Kind(name, stops) = self.kind;
+        let keeps = match self.store {
+            Some(_) => "a durable store",
+            None => "no durable state",
+        };
+        BlobError::UnsupportedFault(format!(
+            "{name} on {} cannot {fault}: it stops by {stops:?} and keeps {keeps}",
+            self.node
+        ))
+    }
+
     /// What a request gets while the service is down or wiped.
     pub(crate) fn down(&self) -> BlobError {
         BlobError::ProviderDown { node: self.node.0 }
+    }
+
+    /// The store of a durable service behind its read guard (`None` inside
+    /// while wiped), or `None` for a shell that keeps no durable state. The
+    /// store is internally synchronized (`put` / `get` take `&self`), so
+    /// data paths share this guard.
+    pub(crate) fn store_guard(&self) -> Option<RwLockReadGuard<'_, Option<pstore::Store>>> {
+        self.store.as_ref().map(|(slot, _)| slot.read())
+    }
+
+    /// The one `PStoreError` → [`BlobError`] mapping: cause class kept, the
+    /// directory named.
+    pub(crate) fn err(&self, e: &pstore::PStoreError) -> BlobError {
+        BlobError::persistence(&self.dir, e)
     }
 
     /// Count one served put round-trip carrying `n` items.
@@ -199,30 +210,21 @@ impl Service {
         )
     }
 
-    /// The durable store, or `None` for a memory-only service.
-    pub(crate) fn store(&self) -> Option<&Durable> {
-        self.durable.as_ref()
-    }
-
-    fn durable_or(&self, otherwise: &str) -> BlobResult<&Durable> {
-        self.durable.as_ref().ok_or_else(|| {
-            BlobError::UnsupportedFault(format!(
-                "{} on {} holds its state in memory only; {otherwise}",
-                self.kind, self.node
-            ))
-        })
-    }
-
     /// Process-crash injection: stop serving, drop ALL in-memory state (the
     /// open store with its buffered unacknowledged records, everything
     /// derived from it, the served counters) and keep only the on-disk
-    /// directory — what a real restart would find. A memory-only service
-    /// cannot model this (nothing would survive) and answers
+    /// directory — what a real restart would find. A shell that keeps no
+    /// durable state cannot model this (nothing would survive) and answers
     /// `UnsupportedFault`.
     pub fn crash_wipe(&self) -> BlobResult<()> {
-        let d = self.durable_or("CrashRestart requires a persist_dir deployment")?;
+        let Some((slot, state)) = &self.store else {
+            return Err(self.refuse(Fault::CrashRestart));
+        };
         self.kill();
-        d.wipe();
+        if let Some(s) = slot.write().take() {
+            s.abandon();
+        }
+        state.clear();
         for c in [&self.put_ops, &self.get_ops, &self.put_rpcs, &self.get_rpcs] {
             c.store(0, Ordering::Relaxed);
         }
@@ -236,7 +238,7 @@ impl Service {
     /// wiped is just revived. On error nothing changed — still wiped, still
     /// down.
     pub fn recover(&self) -> BlobResult<u64> {
-        let replayed = self.durable_or("nothing to recover")?.reopen()?;
+        let replayed = self.reopen()?;
         if replayed.is_some() {
             self.recoveries.fetch_add(1, Ordering::Relaxed);
         }
@@ -244,10 +246,31 @@ impl Service {
         Ok(replayed.unwrap_or(0))
     }
 
+    /// Open the directory, rebuild the state from the store, and only then
+    /// install it. Returns the bytes replayed past the newest checkpoint, or
+    /// `None` when the store was open already (nothing ran).
+    fn reopen(&self) -> BlobResult<Option<u64>> {
+        let Some((slot, state)) = &self.store else {
+            return Err(self.refuse(Fault::CrashRestart));
+        };
+        let mut g = slot.write();
+        if g.is_some() {
+            return Ok(None);
+        }
+        let store =
+            pstore::Store::open_with(&self.dir, self.opts.clone()).map_err(|e| self.err(&e))?;
+        state.rebuild(&store).map_err(|e| self.err(&e))?;
+        let replayed = store.replayed_bytes();
+        *g = Some(store);
+        Ok(Some(replayed))
+    }
+
     /// True between [`Self::crash_wipe`] and a [`Self::recover`] that
     /// succeeded.
     pub fn is_wiped(&self) -> bool {
-        matches!(&self.durable, Some(d) if d.read().is_none())
+        self.store
+            .as_ref()
+            .is_some_and(|(slot, _)| slot.read().is_none())
     }
 
     /// Completed crash-restart recoveries.
@@ -288,15 +311,18 @@ mod tests {
         }
     }
 
+    const WIDGET: Kind = Kind("widget", &[Fault::Crash]);
+
     /// A durable service whose store holds `k`, acknowledged (flushed).
     fn widget(dir: &Path) -> (Service, Arc<SawK>) {
         let state = Arc::new(SawK::default());
-        let d = Durable::open(dir, pstore::StoreOptions::default(), state.clone()).unwrap();
-        if let Some(s) = d.read().as_ref() {
+        let opts = pstore::StoreOptions::default();
+        let svc = Service::open(WIDGET, NodeId(1), dir, opts, state.clone()).unwrap();
+        if let Some(s) = svc.store_guard().unwrap().as_ref() {
             s.put(b"k", b"v").unwrap();
             s.flush_buffered().unwrap();
         }
-        (Service::new("widget", NodeId(1), Some(d)), state)
+        (svc, state)
     }
 
     /// The sequence every storage service goes through, asserted once here
@@ -314,7 +340,7 @@ mod tests {
         svc.crash_wipe().unwrap();
         assert!(svc.is_wiped());
         assert!(!svc.is_alive());
-        assert!(svc.store().unwrap().read().is_none());
+        assert!(svc.store_guard().unwrap().is_none());
         assert!(
             !state.saw_k.load(Ordering::SeqCst),
             "derived state goes too"
@@ -340,7 +366,7 @@ mod tests {
 
         // A memory-only service cannot model a restart, and says which
         // service it is.
-        let mem = Service::new("widget", NodeId(2), None);
+        let mem = Service::new(WIDGET, NodeId(2));
         assert!(!mem.is_wiped());
         for res in [mem.crash_wipe(), mem.recover().map(drop)] {
             let Err(BlobError::UnsupportedFault(text)) = res else {

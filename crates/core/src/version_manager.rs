@@ -61,6 +61,7 @@ use crate::desc_index::DescIndex;
 use crate::dht::MetaDht;
 use crate::error::{BlobError, BlobResult};
 use crate::meta::{plan_write, BlobState, PageRef, SnapshotInfo};
+use crate::service::{Service, VERSION_MANAGER};
 use crate::types::{BlobId, Version, WriteDesc};
 
 pub use crate::types::UpdateKind;
@@ -94,16 +95,16 @@ struct RegistryGc {
 
 /// The centralized version manager service.
 pub struct VersionManager {
-    node: NodeId,
+    /// Where the service runs and whether it answers: while a `Pause`
+    /// holds it down (`BlobSeer::inject`), every request stalls at entry —
+    /// the VM is alive but mute, a GC pause.
+    shell: Service,
     fabric: Fabric,
     dht: Arc<MetaDht>,
     /// CPU charged on the VM node per request — models the serialization
     /// point the paper calls "low overhead" and lets benches observe it.
     vm_cpu_ops: u64,
     write_timeout_ns: u64,
-    /// Fault injection: while set, every request stalls at entry (the VM is
-    /// alive but mute — a GC pause). Set via `BlobSeer::inject`.
-    paused: AtomicBool,
     default_page_size: u64,
     next_blob: AtomicU64,
     blobs: RwLock<HashMap<BlobId, Arc<BlobSlot>>>,
@@ -120,12 +121,11 @@ impl VersionManager {
         write_timeout_ns: u64,
     ) -> Self {
         VersionManager {
-            node,
+            shell: Service::new(VERSION_MANAGER, node),
             fabric,
             dht,
             vm_cpu_ops,
             write_timeout_ns,
-            paused: AtomicBool::new(false),
             default_page_size,
             next_blob: AtomicU64::new(1),
             blobs: RwLock::with_rank(HashMap::new(), crate::lock_ranks::REGISTRY),
@@ -133,11 +133,9 @@ impl VersionManager {
         }
     }
 
-    /// Fault injection: freeze (`true`) or resume (`false`) the service.
-    /// While frozen, every request that reaches the VM stalls at entry until
-    /// the next poll after the heal. Idempotent.
-    pub(crate) fn set_paused(&self, paused: bool) {
-        self.paused.store(paused, Ordering::Release);
+    /// The service's shell, which fault injection stops and heals.
+    pub(crate) fn shell(&self) -> &Service {
+        &self.shell
     }
 
     /// Poll cadence of processes parked behind a paused service; bounds how
@@ -148,7 +146,7 @@ impl VersionManager {
     /// caller's process sleeps in poll steps until the service is healed.
     /// Deliberately *before* `charge` — a frozen service does not even ack.
     fn pause_barrier(&self, p: &Proc) {
-        while self.paused.load(Ordering::Acquire) {
+        while !self.shell.is_alive() {
             p.sleep(Self::PAUSE_POLL_NS);
         }
     }
@@ -158,12 +156,12 @@ impl VersionManager {
     /// control message (the descriptor delta of `assign` / `sync_index`).
     fn charge(&self, p: &Proc, extra_response_bytes: u64) {
         p.rpc(
-            self.node,
+            self.shell.node(),
             CTL_MSG_BYTES,
             CTL_MSG_BYTES + extra_response_bytes,
         );
         if self.vm_cpu_ops > 0 {
-            p.compute(self.node, self.vm_cpu_ops);
+            p.compute(self.shell.node(), self.vm_cpu_ops);
         }
     }
 
