@@ -56,6 +56,82 @@ fn satisfies_the_contract_in_live_mode() {
     h.take().unwrap();
 }
 
+/// The handle cases of the dfs contract on 4 KiB blocks. BSFS ships every
+/// buffered whole block as one append while writing and what is left as
+/// one more at `close`, so a file's appends are its BLOB's versions:
+/// three blocks in one `write` are one append.
+#[test]
+fn handles_buffer_and_window_by_the_contract() {
+    let (fx, fs) = deploy_sim(6, 4096);
+    let h = fx.spawn(NodeId(0), "handles", move |p| {
+        let client = fs.store().client();
+        let appends = |p: &Proc, path: &DfsPath| {
+            let blob = fs.blob_of(p, path).unwrap();
+            client.latest(p, blob).unwrap()
+        };
+        dfs::contract::exercise_handles(&fs, p, &appends)
+    });
+    fx.run();
+    let want = [
+        ("below", 1, 6_150_000),
+        ("at", 1, 5_150_000),
+        ("across", 2, 6_350_000),
+        ("several:write", 1, 4_400_000),
+        ("several:close", 2, 3_250_000),
+        ("empty", 0, 4_000_000),
+        ("reads", 2, 2_800_000),
+        ("snapshot", 3, 4_950_000),
+    ];
+    assert_eq!(h.take().unwrap(), want);
+}
+
+/// A flush that cannot land: with every provider down, the `write` that
+/// fills a block fails with the append's error and the block it carried is
+/// gone; the half block behind it stays buffered, so the first `close`
+/// fails the same way, and the second finds nothing left and closes.
+#[test]
+fn a_failed_flush_returns_the_append_error() {
+    let (fx, fs) = deploy_sim(4, 1000);
+    let h = fx.spawn(NodeId(0), "writer", move |p| {
+        let path = d("/down");
+        let mut w = fs.create(p, &path).unwrap();
+        let store = fs.store();
+        for i in 0..store.providers().len() {
+            store
+                .inject(blobseer::FaultTarget::Provider(i), blobseer::Fault::Crash)
+                .unwrap();
+        }
+        let mut results = Vec::new();
+        results.push(format!(
+            "{:?}",
+            w.write(p, Payload::from_vec(pattern(1500, 1)))
+        ));
+        results.push(format!("{:?}", w.close(p)));
+        results.push(format!("{:?}", w.close(p)));
+        results.push(format!(
+            "{:?}",
+            w.write(p, Payload::from_vec(pattern(1, 2)))
+        ));
+        results.push(format!("written {}", w.written()));
+        store.heal_all();
+        results.push(format!("len {}", fs.status(p, &path).unwrap().len));
+        results.push(format!("time {}", p.now()));
+        results
+    });
+    fx.run();
+    let down = "Err(Storage(\"no live providers available\"))";
+    let want = [
+        down,
+        down,
+        "Ok(())",
+        "Err(HandleClosed)",
+        "written 1500",
+        "len 0",
+        "time 2000000",
+    ];
+    assert_eq!(h.take().unwrap(), want);
+}
+
 #[test]
 fn write_behind_buffers_until_block_boundary() {
     let (fx, fs) = deploy_sim(4, 1000);

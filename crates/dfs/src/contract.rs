@@ -3,7 +3,7 @@
 //! Both BSFS and the HDFS baseline must behave identically on the common
 //! surface (namespace operations, create/read semantics, rename-based
 //! commit); they intentionally differ on `append` support. Each FS crate
-//! calls [`exercise_filesystem`] from its tests.
+//! calls [`exercise_filesystem`] and [`exercise_handles`] from its tests.
 
 #![expect(
     clippy::unwrap_used,
@@ -174,4 +174,138 @@ pub fn exercise_filesystem(fs: &dyn FileSystem, proc_: &Proc) {
             Err(FsError::AppendUnsupported { .. })
         ));
     }
+}
+
+/// The handle cases: block-buffered writes below, at and across a block
+/// boundary and several blocks in one `write`; `close` with nothing
+/// buffered and twice; `write` after `close`; `read`, `seek` and `read_at`
+/// across window edges and at end of file; and, where `append` works, a
+/// reader's snapshot across a concurrent `append_all`. Each write pattern
+/// gets a file of its own, and `commits` counts the units its data
+/// landed in (BSFS: appends; HDFS: blocks). Returns one line per case for
+/// the caller to pin: its name, the commit units its file holds after it,
+/// and the virtual nanoseconds it took. Panics on any violation.
+pub fn exercise_handles(
+    fs: &dyn FileSystem,
+    prc: &Proc,
+    commits: &dyn Fn(&Proc, &DfsPath) -> u64,
+) -> Vec<(&'static str, u64, u64)> {
+    let bs = fs.default_block_size();
+    let len_of = |path: &DfsPath| fs.status(prc, path).unwrap().len;
+    let mut out = Vec::new();
+    fs.mkdirs(prc, &p("/h")).unwrap();
+
+    // Below a block: nothing ships before `close`.
+    let t = prc.now();
+    let below = p("/h/below");
+    let mut w = fs.create(prc, &below).unwrap();
+    w.write(prc, bytes((bs / 2) as usize, 1)).unwrap();
+    assert_eq!(len_of(&below), 0);
+    assert_eq!(commits(prc, &below), 0);
+    w.close(prc).unwrap();
+    assert_eq!(len_of(&below), bs / 2);
+    assert_eq!(w.written(), bs / 2);
+    out.push(("below", commits(prc, &below), prc.now() - t));
+
+    // Exactly one block: it ships on the write, `close` has nothing left.
+    let t = prc.now();
+    let at = p("/h/at");
+    let mut w = fs.create(prc, &at).unwrap();
+    w.write(prc, bytes(bs as usize, 2)).unwrap();
+    assert_eq!(len_of(&at), bs);
+    w.close(prc).unwrap();
+    assert_eq!(len_of(&at), bs);
+    out.push(("at", commits(prc, &at), prc.now() - t));
+
+    // Across a boundary: the first whole block ships, half stays buffered.
+    let t = prc.now();
+    let across = p("/h/across");
+    let mut w = fs.create(prc, &across).unwrap();
+    w.write(prc, bytes((bs / 2) as usize, 3)).unwrap();
+    w.write(prc, bytes(bs as usize, 4)).unwrap();
+    assert_eq!(len_of(&across), bs);
+    w.close(prc).unwrap();
+    assert_eq!(len_of(&across), bs + bs / 2);
+    assert_eq!(w.written(), bs + bs / 2);
+    out.push(("across", commits(prc, &across), prc.now() - t));
+
+    // Several blocks in one `write`, then the quarter-block tail at close.
+    let t = prc.now();
+    let several = p("/h/several");
+    let data = bytes((3 * bs + bs / 4) as usize, 5);
+    let mut w = fs.create(prc, &several).unwrap();
+    w.write(prc, data.clone()).unwrap();
+    assert_eq!(len_of(&several), 3 * bs);
+    out.push(("several:write", commits(prc, &several), prc.now() - t));
+    let t = prc.now();
+    w.close(prc).unwrap();
+    assert_eq!(len_of(&several), data.len());
+    out.push(("several:close", commits(prc, &several), prc.now() - t));
+
+    // `close` with nothing buffered, a second `close`, `write` after it.
+    let t = prc.now();
+    let empty = p("/h/empty");
+    let mut w = fs.create(prc, &empty).unwrap();
+    w.close(prc).unwrap();
+    w.close(prc).unwrap();
+    assert!(matches!(
+        w.write(prc, bytes(1, 6)),
+        Err(FsError::HandleClosed)
+    ));
+    assert!(matches!(
+        w.write(prc, Payload::empty()),
+        Err(FsError::HandleClosed)
+    ));
+    assert_eq!(w.written(), 0);
+    assert_eq!(len_of(&empty), 0);
+    let mut r = fs.open(prc, &empty).unwrap();
+    assert!(r.is_empty());
+    assert!(r.read(prc, 10).unwrap().is_empty());
+    assert!(r.read_at(prc, 0, 10).unwrap().is_empty());
+    out.push(("empty", commits(prc, &empty), prc.now() - t));
+
+    // Reads over the four windows of `several`: a `read` stops at the
+    // edge of the window holding `pos`, a `read_at` crosses edges, and
+    // both stop at end of file.
+    let t = prc.now();
+    let total = data.len();
+    let mut r = fs.open(prc, &several).unwrap();
+    assert_eq!((r.len(), r.pos(), r.is_empty()), (total, 0, false));
+    assert_eq!(r.read(prc, 10).unwrap(), data.slice(0, 10));
+    r.seek(bs - 10).unwrap();
+    assert_eq!(r.read(prc, 100).unwrap(), data.slice(bs - 10, 10));
+    assert_eq!(r.pos(), bs);
+    assert_eq!(r.read(prc, 100).unwrap(), data.slice(bs, 100));
+    let span = r.read_at(prc, bs - 10, bs + 20).unwrap();
+    assert_eq!(span, data.slice(bs - 10, bs + 20));
+    assert_eq!(r.pos(), 2 * bs + 10);
+    assert!(r.read(prc, 0).unwrap().is_empty());
+    r.seek(total - 5).unwrap();
+    assert_eq!(r.read(prc, 100).unwrap(), data.slice(total - 5, 5));
+    assert_eq!(r.pos(), total);
+    assert!(r.read(prc, 100).unwrap().is_empty());
+    r.seek(total + 100).unwrap();
+    assert!(r.read(prc, 1).unwrap().is_empty());
+    assert_eq!(r.pos(), total + 100);
+    assert_eq!(
+        r.read_at(prc, total - 5, 100).unwrap(),
+        data.slice(total - 5, 5)
+    );
+    assert!(r.read_at(prc, total, 10).unwrap().is_empty());
+    assert_eq!(r.read_at(prc, 0, total).unwrap(), data);
+    out.push(("reads", commits(prc, &several), prc.now() - t));
+
+    // A reader keeps the snapshot it opened across a concurrent append.
+    if fs.supports_append() {
+        let t = prc.now();
+        let mut r = fs.open(prc, &across).unwrap();
+        fs.append_all(prc, &across, bytes(100, 7)).unwrap();
+        assert_eq!(r.len(), bs + bs / 2);
+        r.seek(bs).unwrap();
+        assert_eq!(r.read(prc, bs).unwrap().len(), bs / 2);
+        assert!(r.read(prc, 1).unwrap().is_empty());
+        assert_eq!(fs.open(prc, &across).unwrap().len(), bs + bs / 2 + 100);
+        out.push(("snapshot", commits(prc, &across), prc.now() - t));
+    }
+    out
 }

@@ -2,7 +2,7 @@
 //! disabled) plus HDFS-specific semantics the paper leans on.
 
 use dfs::{DfsPath, FileSystem, FsError};
-use fabric::{ClusterSpec, Fabric, NodeId, Payload};
+use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
 use hdfs_sim::{HdfsConfig, HdfsLayout, HdfsSim};
 
 fn d(s: &str) -> DfsPath {
@@ -34,6 +34,87 @@ fn satisfies_the_filesystem_contract_without_append() {
     });
     fx.run();
     h.take().unwrap();
+}
+
+/// The handle cases of the dfs contract on 4 KiB blocks. HDFS ships one
+/// replication pipeline per whole block, then the tail at `close`, so a
+/// file's commit units are its blocks: three blocks in one `write` are
+/// three pipelines.
+#[test]
+fn handles_buffer_and_window_by_the_contract() {
+    let (fx, fs) = deploy(6, 4096);
+    let h = fx.spawn(NodeId(1), "handles", move |p| {
+        let blocks = |p: &Proc, path: &DfsPath| {
+            let locs = fs.block_locations(p, path, 0, u64::MAX).unwrap();
+            locs.len() as u64
+        };
+        dfs::contract::exercise_handles(&fs, p, &blocks)
+    });
+    fx.run();
+    let want = [
+        ("below", 1, 1_700_000),
+        ("at", 1, 1_500_000),
+        ("across", 2, 2_000_000),
+        ("several:write", 3, 2_100_000),
+        ("several:close", 4, 1_100_000),
+        ("empty", 0, 1_000_000),
+        ("reads", 4, 1_200_000),
+    ];
+    assert_eq!(h.take().unwrap(), want);
+}
+
+/// A pipeline that cannot land: with every datanode in every pipeline
+/// (replication = all four) and one of them dead, each block's pipeline
+/// fails at that replica. The failed block is gone from the buffer, but
+/// the blocks behind it stay, so each `close` ships one more block and
+/// fails, until nothing is left and `close` completes the file.
+#[test]
+fn a_failed_pipeline_keeps_the_blocks_behind_it() {
+    let fx = Fabric::sim(ClusterSpec::tiny(4));
+    let fs = HdfsSim::deploy(
+        &fx,
+        HdfsConfig::test_small(1000).with_replication(4),
+        HdfsLayout::compact(fx.spec()),
+    );
+    let h = fx.spawn(NodeId(0), "writer", move |p| {
+        let path = d("/down");
+        let mut w = fs.create(p, &path).unwrap();
+        fs.datanodes()[3].kill();
+        let mut results = Vec::new();
+        results.push(format!(
+            "{:?}",
+            w.write(p, Payload::from_vec(pattern(2500, 1)))
+        ));
+        for _ in 0..3 {
+            results.push(format!("{:?}", w.close(p)));
+        }
+        results.push(format!(
+            "{:?}",
+            w.write(p, Payload::from_vec(pattern(1, 2)))
+        ));
+        results.push(format!("written {}", w.written()));
+        let locs = fs.block_locations(p, &path, 0, u64::MAX).unwrap();
+        results.push(format!(
+            "len {} blocks {}",
+            fs.status(p, &path).unwrap().len,
+            locs.len()
+        ));
+        results.push(format!("time {}", p.now()));
+        results
+    });
+    fx.run();
+    let down = "Err(Storage(\"datanode n3 is down\"))";
+    let want = [
+        down,
+        down,
+        down,
+        "Ok(())",
+        "Err(HandleClosed)",
+        "written 2500",
+        "len 0 blocks 0",
+        "time 1200000",
+    ];
+    assert_eq!(h.take().unwrap(), want);
 }
 
 #[test]
