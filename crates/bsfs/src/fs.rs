@@ -2,13 +2,13 @@
 
 use std::sync::Arc;
 
-use blobseer::{BlobSeer, BlobSeerConfig, Layout, ReaperHandle};
+use blobseer::{BlobId, BlobSeer, BlobSeerConfig, Layout, ReaperHandle};
 use dfs::{
     BlockLocation, DfsPath, FileReader, FileStatus, FileSystem, FileWriter, FsError, FsResult,
 };
 use fabric::{Fabric, NodeId, Payload, Proc};
 
-use crate::file::{to_fs_err, BsfsReader, BsfsWriter};
+use crate::file::{to_fs_err, Appends, SnapshotBlocks};
 use crate::namespace::{NamespaceManager, NsEntry, NsFile};
 
 /// The BlobSeer File System (paper §3.2): a namespace manager mapping files
@@ -62,7 +62,7 @@ impl Bsfs {
     }
 
     /// The BLOB backing `path` (tests/diagnostics).
-    pub fn blob_of(&self, p: &Proc, path: &DfsPath) -> FsResult<blobseer::BlobId> {
+    pub fn blob_of(&self, p: &Proc, path: &DfsPath) -> FsResult<BlobId> {
         Ok(self.file_entry(p, path)?.0)
     }
 
@@ -85,11 +85,17 @@ impl Bsfs {
         })
     }
 
-    fn file_entry(&self, p: &Proc, path: &DfsPath) -> FsResult<(blobseer::BlobId, u64)> {
+    fn file_entry(&self, p: &Proc, path: &DfsPath) -> FsResult<(BlobId, u64)> {
         Self::as_file(path, self.ns.lookup(p, path)?)
     }
 
-    fn as_file(path: &DfsPath, entry: NsEntry) -> FsResult<(blobseer::BlobId, u64)> {
+    /// A writer appending whole blocks to `blob`, all buffered ones at once.
+    fn writer(&self, blob: BlobId, block_size: u64) -> FileWriter {
+        let client = self.client.clone();
+        FileWriter::new(Box::new(Appends { client, blob }), block_size, u64::MAX)
+    }
+
+    fn as_file(path: &DfsPath, entry: NsEntry) -> FsResult<(BlobId, u64)> {
         match entry {
             NsEntry::File(f) => Ok((f.blob, f.block_size)),
             NsEntry::Dir => Err(FsError::IsADirectory(path.clone())),
@@ -98,32 +104,29 @@ impl Bsfs {
 }
 
 impl FileSystem for Bsfs {
-    fn create(&self, p: &Proc, path: &DfsPath) -> FsResult<Box<dyn FileWriter>> {
+    fn create(&self, p: &Proc, path: &DfsPath) -> FsResult<FileWriter> {
         let block_size = self.default_block_size();
         // Namespace insertion first (it owns the AlreadyExists/NotADirectory
         // checks), then bind the fresh BLOB.
         let blob = self.client.create(p, Some(block_size));
         self.ns.create_file(p, path, blob, block_size)?;
-        Ok(Box::new(BsfsWriter::new(
-            self.client.clone(),
-            blob,
-            block_size,
-        )))
+        Ok(self.writer(blob, block_size))
     }
 
-    fn append(&self, p: &Proc, path: &DfsPath) -> FsResult<Box<dyn FileWriter>> {
+    fn append(&self, p: &Proc, path: &DfsPath) -> FsResult<FileWriter> {
         let (blob, block_size) = self.file_entry(p, path)?;
-        Ok(Box::new(BsfsWriter::new(
-            self.client.clone(),
-            blob,
-            block_size,
-        )))
+        Ok(self.writer(blob, block_size))
     }
 
-    fn open(&self, p: &Proc, path: &DfsPath) -> FsResult<Box<dyn FileReader>> {
+    fn open(&self, p: &Proc, path: &DfsPath) -> FsResult<FileReader> {
         let (blob, _) = self.file_entry(p, path)?;
         let snap = self.client.snapshot(p, blob, None).map_err(to_fs_err)?;
-        Ok(Box::new(BsfsReader::new(self.client.clone(), blob, snap)))
+        let len = snap.total_bytes;
+        let client = self.client.clone();
+        Ok(FileReader::new(
+            Box::new(SnapshotBlocks { client, blob, snap }),
+            len,
+        ))
     }
 
     fn delete(&self, p: &Proc, path: &DfsPath, recursive: bool) -> FsResult<bool> {

@@ -2,8 +2,10 @@
 //!
 //! BSFS turns the [`blobseer`] BLOB store into a Hadoop-compatible file
 //! system: a centralized *namespace manager* maps hierarchical file names to
-//! BLOBs, client handles add the caching the paper describes (whole-block
-//! prefetch on read, write-behind until a block fills), and — the point of
+//! BLOBs, [`dfs`]'s shared handles add the caching the paper describes
+//! (whole-block prefetch on read, write-behind until a block fills) over a
+//! sink and a source BSFS supplies — one BLOB append per flushed run, the
+//! block-aligned window of the snapshot pinned at open — and — the point of
 //! the paper — `append` **works**, including many concurrent appenders on
 //! one shared file. Readers pin the snapshot current at `open` and are
 //! never disturbed by in-flight appends.
@@ -31,6 +33,5 @@ mod file;
 mod fs;
 mod namespace;
 
-pub use file::{BsfsReader, BsfsWriter};
 pub use fs::Bsfs;
 pub use namespace::{NamespaceManager, NsEntry, NsFile};

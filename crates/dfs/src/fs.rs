@@ -2,7 +2,8 @@
 
 use fabric::{NodeId, Payload, Proc};
 
-use crate::error::{FsError, FsResult};
+use crate::error::FsResult;
+use crate::handle::{FileReader, FileWriter};
 use crate::path::DfsPath;
 
 /// Metadata of a file or directory.
@@ -29,54 +30,6 @@ pub struct BlockLocation {
     pub hosts: Vec<NodeId>,
 }
 
-/// Streaming writer returned by [`FileSystem::create`] / [`FileSystem::append`].
-///
-/// Writers are sequential; `close` must be called to make the tail of the
-/// data visible (both HDFS and BSFS buffer client-side).
-pub trait FileWriter: Send {
-    /// Append `data` at the writer's current position.
-    fn write(&mut self, p: &Proc, data: Payload) -> FsResult<()>;
-    /// Flush buffered data and release the handle. Idempotent.
-    fn close(&mut self, p: &Proc) -> FsResult<()>;
-    /// Bytes accepted through this writer so far.
-    fn written(&self) -> u64;
-}
-
-/// Streaming reader returned by [`FileSystem::open`].
-///
-/// Readers observe a *snapshot* of the file as of `open` (BSFS pins the
-/// BLOB version; HDFS files are immutable anyway).
-pub trait FileReader: Send {
-    /// Read up to `len` bytes from the current position; an empty payload
-    /// signals end-of-file.
-    fn read(&mut self, p: &Proc, len: u64) -> FsResult<Payload>;
-    /// Reposition the stream.
-    fn seek(&mut self, pos: u64) -> FsResult<()>;
-    /// Current position.
-    fn pos(&self) -> u64;
-    /// Snapshot length of the file at open time.
-    fn len(&self) -> u64;
-    /// True when the snapshot holds no bytes.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Positioned read: `seek(offset)` then read exactly `min(len, remaining)`.
-    fn read_at(&mut self, p: &Proc, offset: u64, len: u64) -> FsResult<Payload> {
-        self.seek(offset)?;
-        let mut parts = Vec::new();
-        let mut got = 0;
-        while got < len {
-            let chunk = self.read(p, len - got)?;
-            if chunk.is_empty() {
-                break;
-            }
-            got += chunk.len();
-            parts.push(chunk);
-        }
-        Ok(Payload::concat(&parts))
-    }
-}
-
 /// The storage-layer interface the Map/Reduce framework programs against —
 /// our `org.apache.hadoop.fs.FileSystem`.
 ///
@@ -85,15 +38,15 @@ pub trait FileReader: Send {
 /// costs are charged (and enables short-circuit local reads).
 pub trait FileSystem: Send + Sync {
     /// Create a new file and open it for writing. Fails with
-    /// [`FsError::AlreadyExists`] if the path exists.
-    fn create(&self, p: &Proc, path: &DfsPath) -> FsResult<Box<dyn FileWriter>>;
+    /// [`crate::FsError::AlreadyExists`] if the path exists.
+    fn create(&self, p: &Proc, path: &DfsPath) -> FsResult<FileWriter>;
 
     /// Open an existing file for appending at its end. File systems without
-    /// append support return [`FsError::AppendUnsupported`].
-    fn append(&self, p: &Proc, path: &DfsPath) -> FsResult<Box<dyn FileWriter>>;
+    /// append support return [`crate::FsError::AppendUnsupported`].
+    fn append(&self, p: &Proc, path: &DfsPath) -> FsResult<FileWriter>;
 
     /// Open a file for reading (snapshot semantics).
-    fn open(&self, p: &Proc, path: &DfsPath) -> FsResult<Box<dyn FileReader>>;
+    fn open(&self, p: &Proc, path: &DfsPath) -> FsResult<FileReader>;
 
     /// Delete a file or directory. Deleting a non-empty directory requires
     /// `recursive`. Returns `true` when something was removed.
@@ -187,18 +140,4 @@ impl std::fmt::Debug for dyn FileSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "FileSystem({})", self.scheme())
     }
-}
-
-#[expect(
-    dead_code,
-    reason = "compile-time check only: the three traits stay object-safe"
-)]
-fn assert_object_safe(_: &dyn FileSystem, _: &dyn FileWriter, _: &dyn FileReader) {}
-
-#[expect(
-    dead_code,
-    reason = "compile-time check only: FsError is nameable from this module"
-)]
-fn assert_error_usable() -> FsError {
-    FsError::HandleClosed
 }

@@ -10,7 +10,10 @@
 //! * [`FileSystem`] — create/open/append/rename/delete/mkdirs/list/status
 //!   plus [`FileSystem::block_locations`], the primitive the jobtracker uses
 //!   for data-location-aware scheduling;
-//! * [`FileWriter`] / [`FileReader`] — streaming handles;
+//! * [`FileWriter`] / [`FileReader`] — the streaming handles, written once
+//!   for both file systems: a block-buffered writer and a block-window
+//!   reader. A file system supplies only where a flushed run goes (a
+//!   [`BlockSink`]) and where a window comes from (a [`WindowSource`]);
 //! * [`DfsPath`] — normalized absolute paths;
 //! * [`Namespace`] — the directory tree both metadata services keep;
 //! * [`FsError`] — the error vocabulary (including
@@ -42,10 +45,12 @@
 pub mod contract;
 mod error;
 mod fs;
+mod handle;
 mod namespace;
 mod path;
 
 pub use error::{FsError, FsResult};
-pub use fs::{BlockLocation, FileReader, FileStatus, FileSystem, FileWriter};
+pub use fs::{BlockLocation, FileStatus, FileSystem};
+pub use handle::{BlockSink, FileReader, FileWriter, WindowSource};
 pub use namespace::{Entry, Namespace};
 pub use path::DfsPath;

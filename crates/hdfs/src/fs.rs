@@ -1,15 +1,17 @@
 //! `HdfsSim`: the [`dfs::FileSystem`] implementation of the HDFS baseline.
 //!
-//! Client-side behaviour follows paper §2.2: writes buffer until a full
-//! 64 MB chunk, which is then streamed through a replication pipeline
-//! (modeled as one cut-through chained flow); reads prefetch whole chunks
+//! Client-side behaviour follows paper §2.2: [`dfs`]'s shared handles
+//! buffer writes until a full 64 MB chunk, which this file's sink streams
+//! through a replication pipeline (modeled as one cut-through chained
+//! flow), and prefetch whole chunks on reads from this file's source
 //! ("readahead buffering"); `append` is not supported.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use dfs::{
-    BlockLocation, DfsPath, FileReader, FileStatus, FileSystem, FileWriter, FsError, FsResult,
+    BlockLocation, BlockSink, DfsPath, FileReader, FileStatus, FileSystem, FileWriter, FsError,
+    FsResult, WindowSource,
 };
 use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
 use rand::seq::SliceRandom;
@@ -152,108 +154,56 @@ impl HdfsSim {
     }
 }
 
-struct HdfsWriter {
+/// Each run the writer flushes is one block, streamed through its own
+/// replication pipeline: the namenode allocates it, the client streams it
+/// through the replica chain as one cut-through flow, the replicas store
+/// it and the namenode records its length. Closing completes the file.
+struct Pipelines {
     inner: Arc<Inner>,
     path: DfsPath,
     lease: Lease,
-    pending: Vec<Payload>,
-    pending_len: u64,
-    written: u64,
-    closed: bool,
 }
 
-impl HdfsWriter {
-    fn flush_blocks(&mut self, p: &Proc, all: bool) -> FsResult<()> {
-        let bs = self.inner.config.block_size;
-        loop {
-            let flush_len = if self.pending_len >= bs {
-                bs
-            } else if all && self.pending_len > 0 {
-                self.pending_len
-            } else {
-                return Ok(());
-            };
-            let buffered = Payload::concat(&self.pending);
-            let block_data = buffered.slice(0, flush_len);
-            let rest = self.pending_len - flush_len;
-            self.pending.clear();
-            if rest > 0 {
-                self.pending.push(buffered.slice(flush_len, rest));
-            }
-            self.pending_len = rest;
-
-            // Pipeline: namenode allocates, the client streams through the
-            // replica chain as one cut-through flow, replicas store.
-            let block = self.inner.nn.add_block(p, &self.path, self.lease)?;
-            let mut chain = Vec::with_capacity(block.replicas.len() + 1);
-            chain.push(p.node());
-            chain.extend_from_slice(&block.replicas);
-            p.transfer_chain(&chain, flush_len);
-            for replica in &block.replicas {
-                let dn = self
-                    .inner
-                    .dn_map
-                    .get(replica)
-                    .ok_or_else(|| FsError::Storage(format!("no datanode on {replica}")))?;
-                dn.store_replica(block.id, block_data.clone())?;
-            }
-            self.inner
-                .nn
-                .complete_block(p, &self.path, self.lease, block.id, flush_len)?;
+impl BlockSink for Pipelines {
+    fn ship(&mut self, p: &Proc, run: Payload) -> FsResult<()> {
+        let block = self.inner.nn.add_block(p, &self.path, self.lease)?;
+        let mut chain = Vec::with_capacity(block.replicas.len() + 1);
+        chain.push(p.node());
+        chain.extend_from_slice(&block.replicas);
+        p.transfer_chain(&chain, run.len());
+        for replica in &block.replicas {
+            let dn = self
+                .inner
+                .dn_map
+                .get(replica)
+                .ok_or_else(|| FsError::Storage(format!("no datanode on {replica}")))?;
+            dn.store_replica(block.id, run.clone())?;
         }
+        self.inner
+            .nn
+            .complete_block(p, &self.path, self.lease, block.id, run.len())
+    }
+
+    fn seal(&mut self, p: &Proc) -> FsResult<()> {
+        self.inner.nn.complete_file(p, &self.path, self.lease)
     }
 }
 
-impl FileWriter for HdfsWriter {
-    fn write(&mut self, p: &Proc, data: Payload) -> FsResult<()> {
-        if self.closed {
-            return Err(FsError::HandleClosed);
-        }
-        if data.is_empty() {
-            return Ok(());
-        }
-        self.written += data.len();
-        self.pending_len += data.len();
-        self.pending.push(data);
-        if self.pending_len >= self.inner.config.block_size {
-            self.flush_blocks(p, false)?;
-        }
-        Ok(())
-    }
-
-    fn close(&mut self, p: &Proc) -> FsResult<()> {
-        if self.closed {
-            return Ok(());
-        }
-        self.flush_blocks(p, true)?;
-        self.inner.nn.complete_file(p, &self.path, self.lease)?;
-        self.closed = true;
-        Ok(())
-    }
-
-    fn written(&self) -> u64 {
-        self.written
-    }
-}
-
-struct HdfsReader {
+/// Readahead (paper §2.2): the window holding a position is the whole
+/// block containing it, from the local replica if there is one, else from
+/// the replicas in random order.
+struct Blocks {
     inner: Arc<Inner>,
-    blocks: Vec<BlockInfo>,
-    /// Cumulative start offset of each block.
-    offsets: Vec<u64>,
-    total: u64,
-    pos: u64,
-    cache: Option<(u64, Payload)>,
+    /// Each block with its start offset in the file.
+    blocks: Vec<(u64, BlockInfo)>,
 }
 
-impl HdfsReader {
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`idx` is read()'s binary-search result over `offsets`, which parallels `blocks`"
-    )]
-    fn fetch_block(&self, p: &Proc, idx: usize) -> FsResult<Payload> {
-        let block = &self.blocks[idx];
-        // Prefer the local replica (short-circuit read), else random order.
+impl WindowSource for Blocks {
+    fn window(&self, p: &Proc, pos: u64) -> FsResult<(u64, Payload)> {
+        let idx = self.blocks.partition_point(|(start, _)| *start <= pos);
+        let Some((start, block)) = idx.checked_sub(1).and_then(|i| self.blocks.get(i)) else {
+            return Err(FsError::Storage(format!("no block holds offset {pos}")));
+        };
         let mut order = block.replicas.clone();
         {
             let mut rng = p.rng();
@@ -268,7 +218,7 @@ impl HdfsReader {
                 continue;
             };
             match dn.read_block(p, block.id) {
-                Ok(data) => return Ok(data),
+                Ok(data) => return Ok((*start, data)),
                 Err(e) => last = e,
             }
         }
@@ -276,88 +226,35 @@ impl HdfsReader {
     }
 }
 
-impl FileReader for HdfsReader {
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::expect_used,
-        reason = "binary search over `offsets` (offsets[0] == 0 <= pos): Ok(i) is in range and Err(i) lands on i - 1; the branch above populated the cache"
-    )]
-    fn read(&mut self, p: &Proc, len: u64) -> FsResult<Payload> {
-        if self.pos >= self.total || len == 0 {
-            return Ok(Payload::empty());
-        }
-        let cached =
-            matches!(&self.cache, Some((s, d)) if self.pos >= *s && self.pos < s + d.len());
-        if !cached {
-            // Readahead: fetch the whole chunk containing `pos` (paper §2.2).
-            let idx = match self.offsets.binary_search(&self.pos) {
-                Ok(i) => i,
-                Err(i) => i - 1,
-            };
-            let data = self.fetch_block(p, idx)?;
-            self.cache = Some((self.offsets[idx], data));
-        }
-        let (s, data) = self.cache.as_ref().expect("populated");
-        let end = s + data.len();
-        let n = len.min(end - self.pos).min(self.total - self.pos);
-        let out = data.slice(self.pos - s, n);
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn seek(&mut self, pos: u64) -> FsResult<()> {
-        self.pos = pos;
-        Ok(())
-    }
-
-    fn pos(&self) -> u64 {
-        self.pos
-    }
-
-    fn len(&self) -> u64 {
-        self.total
-    }
-}
-
 impl FileSystem for HdfsSim {
-    fn create(&self, p: &Proc, path: &DfsPath) -> FsResult<Box<dyn FileWriter>> {
-        let lease = self
-            .inner
-            .nn
-            .create_file(p, path, self.inner.config.block_size)?;
-        Ok(Box::new(HdfsWriter {
+    fn create(&self, p: &Proc, path: &DfsPath) -> FsResult<FileWriter> {
+        let block_size = self.inner.config.block_size;
+        let lease = self.inner.nn.create_file(p, path, block_size)?;
+        let sink = Pipelines {
             inner: self.inner.clone(),
             path: path.clone(),
             lease,
-            pending: Vec::new(),
-            pending_len: 0,
-            written: 0,
-            closed: false,
-        }))
+        };
+        Ok(FileWriter::new(Box::new(sink), block_size, block_size))
     }
 
-    fn append(&self, _p: &Proc, _path: &DfsPath) -> FsResult<Box<dyn FileWriter>> {
+    fn append(&self, _p: &Proc, _path: &DfsPath) -> FsResult<FileWriter> {
         // Faithful to the evaluated HDFS release: the API exists, the
         // implementation refuses (paper §2.1).
         Err(FsError::AppendUnsupported { fs: "hdfs" })
     }
 
-    fn open(&self, p: &Proc, path: &DfsPath) -> FsResult<Box<dyn FileReader>> {
-        let (blocks, _) = self.inner.nn.get_blocks(p, path)?;
-        let mut offsets = Vec::with_capacity(blocks.len());
+    fn open(&self, p: &Proc, path: &DfsPath) -> FsResult<FileReader> {
+        let (infos, _) = self.inner.nn.get_blocks(p, path)?;
+        let mut blocks = Vec::with_capacity(infos.len());
         let mut total = 0;
-        for b in &blocks {
-            offsets.push(total);
-            total += b.len;
+        for b in infos {
+            let len = b.len;
+            blocks.push((total, b));
+            total += len;
         }
-        Ok(Box::new(HdfsReader {
-            inner: self.inner.clone(),
-            blocks,
-            offsets,
-            total,
-            pos: 0,
-            cache: None,
-        }))
+        let inner = self.inner.clone();
+        Ok(FileReader::new(Box::new(Blocks { inner, blocks }), total))
     }
 
     fn delete(&self, p: &Proc, path: &DfsPath, recursive: bool) -> FsResult<bool> {
