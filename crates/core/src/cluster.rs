@@ -19,7 +19,7 @@ use crate::fault::{Fault, FaultTarget};
 use crate::meta::{collect_leaves, LeafHit, NodeKey, SnapshotInfo};
 use crate::provider::Provider;
 use crate::provider_manager::ProviderManager;
-use crate::service::{Service, REAPER};
+use crate::service::{Service, PROVIDER, READ_REPLICA, REAPER};
 use crate::types::{BlobId, PageId, Version};
 use crate::version_manager::VersionManager;
 
@@ -329,6 +329,7 @@ pub struct ReaperHandle {
 #[derive(Default)]
 struct ReaperCounts {
     ticks: AtomicU64,
+    skipped: AtomicU64,
     failed_sweeps: AtomicU64,
 }
 
@@ -342,6 +343,12 @@ impl ReaperHandle {
     /// Completed sweep count (diagnostics).
     pub fn ticks(&self) -> u64 {
         self.counts.ticks.load(Ordering::Relaxed)
+    }
+
+    /// Wakes that skipped their sweep because the reaper was faulted down
+    /// (diagnostics): a paused reaper counts these, a stopped one nothing.
+    pub fn skipped(&self) -> u64 {
+        self.counts.skipped.load(Ordering::Relaxed)
     }
 
     /// Ticks whose `VersionManager::reap_all` failed, e.g. on a metadata
@@ -358,9 +365,16 @@ impl BlobSeer {
     /// `Layout::validate`), never a panic.
     pub fn deploy(fabric: &Fabric, config: BlobSeerConfig, layout: Layout) -> BlobResult<BlobSeer> {
         layout.validate(fabric.spec(), &config)?;
-        let pages: Open<Provider> = (Provider::new_mem, Provider::new_persistent_with);
+        let pages: Open<Provider> = (
+            |node| Provider::mem(PROVIDER, node),
+            |node, dir, opts| Provider::open(PROVIDER, node, dir, opts),
+        );
         let providers = deploy_tier(&config, "provider", &layout.providers, pages)?;
-        let replicas = deploy_tier(&config, "replica", &layout.read_replicas, pages)?;
+        let copies: Open<Provider> = (
+            |node| Provider::mem(READ_REPLICA, node),
+            |node, dir, opts| Provider::open(READ_REPLICA, node, dir, opts),
+        );
+        let replicas = deploy_tier(&config, "replica", &layout.read_replicas, copies)?;
         // Replicas resolve through the same map as primaries (reads are
         // addressed by node id) but are never listed with the provider
         // manager — they take no write allocations.
@@ -453,7 +467,8 @@ impl BlobSeer {
     /// The service runs until [`ReaperHandle::stop`]; in sim mode a driver
     /// process must stop it once the workload is done, or virtual time never
     /// runs out of events. While `inject(FaultTarget::Reaper, ..)` holds the
-    /// daemon down, ticks pass without sweeping.
+    /// daemon down, ticks pass without sweeping and count as
+    /// [`ReaperHandle::skipped`].
     pub fn start_reaper(&self, fabric: &Fabric) -> ReaperHandle {
         let interval_ns = self.svc.config.timeouts.reaper_interval_ns;
         let stop = fabric.gate();
@@ -468,6 +483,7 @@ impl BlobSeer {
                     break;
                 }
                 if !svc.reaper.is_alive() {
+                    counts2.skipped.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
                 // A failed sweep (metadata outage mid-force-complete) keeps

@@ -41,7 +41,7 @@ use fabric::{NodeId, Payload, Proc};
 use parking_lot::RwLock;
 
 use crate::error::{BlobError, BlobResult, PersistenceKind};
-use crate::service::{Service, State, PROVIDER};
+use crate::service::{Kind, Service, State, PROVIDER};
 use crate::types::PageId;
 
 /// Stripe count of the in-memory page map. Page ids are random 128-bit
@@ -126,8 +126,13 @@ fn page_key(id: PageId) -> [u8; 18] {
 impl Provider {
     /// In-memory provider on `node`.
     pub fn new_mem(node: NodeId) -> Self {
+        Self::mem(PROVIDER, node)
+    }
+
+    /// In-memory `kind` of provider (a primary or a read replica) on `node`.
+    pub(crate) fn mem(kind: Kind, node: NodeId) -> Self {
         Provider {
-            svc: Service::new(PROVIDER, node),
+            svc: Service::new(kind, node),
             stripes: (0..MEM_STRIPES)
                 .map(|_| RwLock::with_rank(HashMap::new(), crate::lock_ranks::STRIPES))
                 .collect(),
@@ -138,21 +143,22 @@ impl Provider {
     /// Provider backed by the BerkeleyDB-substitute [`pstore::Store`] with
     /// default store options (real payload bytes only).
     pub fn new_persistent(node: NodeId, dir: &Path) -> BlobResult<Self> {
-        Self::new_persistent_with(node, dir, pstore::StoreOptions::default())
+        Self::open(PROVIDER, node, dir, pstore::StoreOptions::default())
     }
 
-    /// Provider backed by [`pstore::Store`] with explicit store options
-    /// (segment size, checkpoint cadence). Opening a
+    /// `kind` of provider backed by [`pstore::Store`] with explicit store
+    /// options (segment size, checkpoint cadence). Opening a
     /// non-empty directory *recovers* it: the page index replays from the
     /// newest checkpoint and `stored_bytes`/`stored_pages` are reconstructed
     /// from the index — never trusted from the dead process.
-    pub(crate) fn new_persistent_with(
+    pub(crate) fn open(
+        kind: Kind,
         node: NodeId,
         dir: &Path,
         opts: pstore::StoreOptions,
     ) -> BlobResult<Self> {
         let books = Arc::new(Books::default());
-        let svc = Service::open(PROVIDER, node, dir, opts, books.clone())?;
+        let svc = Service::open(kind, node, dir, opts, books.clone())?;
         Ok(Provider {
             svc,
             stripes: Vec::new(),

@@ -48,6 +48,7 @@ pub(crate) struct Kind(&'static str, &'static [Fault]);
 // Storage services model crash-stop failures, a paused version manager
 // stalls every request, and a reaper stopped either way skips its sweeps.
 pub(crate) const PROVIDER: Kind = Kind("provider", &[Fault::Crash]);
+pub(crate) const READ_REPLICA: Kind = Kind("read replica", &[Fault::Crash]);
 pub(crate) const META_SERVER: Kind = Kind("metadata server", &[Fault::Crash]);
 pub(crate) const VERSION_MANAGER: Kind = Kind("version manager", &[Fault::Pause]);
 pub(crate) const REAPER: Kind = Kind("reaper", &[Fault::Crash, Fault::Pause]);

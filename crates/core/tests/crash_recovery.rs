@@ -211,7 +211,8 @@ enum Answer {
 }
 
 /// Sort `res` into its [`Answer`]; a refusal's text must name the target,
-/// by its fault-target name or by the node it runs on (`on n5`).
+/// by its fault-target name or by the node it runs on (`on n5`), and a
+/// read replica's refusal must call it one.
 fn answer(res: Result<(), BlobError>, target: FaultTarget, node: NodeId) -> Answer {
     let (got, text) = match res {
         Ok(()) => return Answer::Ok,
@@ -223,6 +224,12 @@ fn answer(res: Result<(), BlobError>, target: FaultTarget, node: NodeId) -> Answ
         text.contains(&target.to_string()) || text.contains(&format!("on {node}")),
         "{target} on {node}: refusal does not name the target: {text}"
     );
+    if let (FaultTarget::ReadReplica(_), Answer::Unsupported) = (target, got) {
+        assert!(
+            text.contains("read replica"),
+            "{target}: refusal names another service: {text}"
+        );
+    }
     got
 }
 
@@ -339,9 +346,9 @@ fn a_paused_version_manager_answers_on_the_poll_after_heal() {
     assert_eq!(*done.lock(), Some(15_700_000));
 }
 
-/// While the reaper is paused its ticks pass without sweeping: a lease
-/// whose writer died expires and stays in the book. The first tick after
-/// the heal sweeps it.
+/// While the reaper is paused its ticks pass without sweeping: each of
+/// the twenty wakes counts as skipped, and a lease whose writer died
+/// expires and stays in the book. The first tick after the heal sweeps it.
 #[test]
 fn a_paused_reaper_reaps_on_the_first_tick_after_heal() {
     const TICK: u64 = 100 * fabric::MILLIS;
@@ -359,18 +366,20 @@ fn a_paused_reaper_reaps_on_the_first_tick_after_heal() {
         // Twenty ticks in, ten past the lease's expiry.
         p.sleep(20 * TICK);
         assert_eq!(reaper2.ticks(), 0, "a paused reaper swept");
+        assert_eq!(reaper2.skipped(), 20, "a paused reaper still wakes");
         assert_eq!(pm.outstanding_leases(), 1);
         assert_eq!(pm.lease_reap_stats(), (0, 0));
         bs2.heal(FaultTarget::Reaper).unwrap();
         p.sleep(TICK);
         assert_eq!(reaper2.ticks(), 1, "one tick since the heal");
+        assert_eq!(reaper2.skipped(), 20);
         assert_eq!(pm.outstanding_leases(), 0);
         assert_eq!(pm.lease_reap_stats(), (1, PS));
         reaper2.stop();
     });
     fx.run();
     h.take().unwrap();
-    assert_eq!(reaper.ticks(), 1);
+    assert_eq!((reaper.ticks(), reaper.skipped()), (1, 20));
 }
 
 /// The acceptance run, on the live fabric (real threads, wall-clock time):
