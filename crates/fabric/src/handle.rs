@@ -1309,46 +1309,169 @@ mod tests {
     }
 
     /// `request(..).wait()` issued at once is `rpc` + `compute` to the
-    /// event: the same events, seqs, instants and transfers. Only the
-    /// thread wakes differ: the request wakes its caller once.
+    /// event, over the edges the services' exchanges hit: the same op ends,
+    /// events, seqs, instants, transfers, flows, fault hits, per-resource
+    /// work and per-node ledger totals. Two things differ. A request wakes
+    /// its caller once where `rpc` and `compute` each block. And a wait on
+    /// a request is charged to its target whole, so a leg's flow that the
+    /// caller's own NIC froze, which `rpc` charges to the caller's node,
+    /// moves to the target (the one row that says `at_target`).
     #[test]
     fn an_awaited_request_is_an_rpc_and_a_compute() {
-        let run = |as_request: bool| {
-            let fx = Fabric::sim_seeded(ClusterSpec::tiny(3), 36);
-            let mut hs = Vec::new();
-            for i in 0..3u32 {
-                hs.push(fx.spawn(NodeId(i), format!("c{i}"), move |p| {
-                    let mut at = Vec::new();
-                    for round in 0..3u64 {
-                        let (dst, ops) = (NodeId((i + 1) % 3), 1_000_000 * (round + 1));
-                        if as_request {
-                            p.request(dst, 128, 20_000, ops).wait(p);
-                        } else {
-                            p.rpc(dst, 128, 20_000);
-                            p.compute(dst, ops);
-                        }
-                        at.push(p.now());
-                    }
-                    at
-                }));
-            }
-            fx.run();
-            let s = fx.stats();
-            let at: Vec<Vec<u64>> = hs.iter().map(|h| h.take().unwrap()).collect();
-            let counters = (
-                s.events,
-                sim_core(&fx).seq(),
-                s.now_ns,
-                s.transfers,
-                s.flows,
-            );
-            (at, counters, s.per_resource, s.wakes)
+        use std::collections::BTreeMap;
+        /// Where each of the three callers (one per node) sends.
+        #[derive(Clone, Copy)]
+        enum To {
+            /// The next node round the ring.
+            Next,
+            /// The caller's own node.
+            Own,
+            /// Node 0 for all, as `Layout::compact` puts every service
+            /// there beside a client: local for one caller, remote for two.
+            Zero,
+        }
+        struct Row {
+            name: &'static str,
+            to: To,
+            legs: (u64, u64),
+            ops: u64,
+            fault: Option<crate::NetFault>,
+            /// The request's ledger holds all of each caller's time at the
+            /// target, where `rpc`'s puts some at the caller's node.
+            at_target: bool,
+            /// Thread wakes by `rpc` + `compute`, then by `request`.
+            wakes: (u64, u64),
+        }
+        let row = |name, to, legs, ops, wakes| Row {
+            name,
+            to,
+            legs,
+            ops,
+            fault: None,
+            at_target: false,
+            wakes,
         };
-        let (by_rpc, by_request) = (run(false), run(true));
-        assert_eq!(by_request.0, by_rpc.0, "every op's end");
-        assert_eq!(by_request.1, by_rpc.1, "events, seq, now, transfers, flows");
-        assert_eq!(by_request.2, by_rpc.2, "per-resource work");
-        assert_eq!((by_rpc.3, by_request.3), (21, 12), "thread wakes");
+        let (any, cutoff) = (crate::NodeSet::Any, ClusterSpec::tiny(3).small_msg_cutoff);
+        let rows = [
+            row("a long response", To::Next, (128, 20_000), MILLIS, (21, 12)),
+            row("zero ops", To::Next, (128, 128), 0, (12, 12)),
+            row("own node", To::Own, (128, 128), MILLIS, (12, 12)),
+            row("own node, zero ops", To::Own, (128, 128), 0, (3, 3)),
+            row("node 0 for all", To::Zero, (128, 128), MILLIS, (18, 12)),
+            row(
+                "a shared request leg at the cutoff",
+                To::Zero,
+                (cutoff, 16),
+                MILLIS,
+                (21, 12),
+            ),
+            row(
+                "own node, a leg over the cutoff",
+                To::Own,
+                (20_000, 16),
+                MILLIS,
+                (21, 12),
+            ),
+            Row {
+                at_target: true,
+                ..row(
+                    "a lone request leg over the cutoff",
+                    To::Next,
+                    (20_000, 16),
+                    MILLIS,
+                    (21, 12),
+                )
+            },
+            Row {
+                fault: Some(crate::NetFault::delay(
+                    MILLIS / 2,
+                    3 * MILLIS,
+                    any.clone(),
+                    any.clone(),
+                    7 * MILLIS,
+                )),
+                ..row("a delay window", To::Next, (128, 128), MILLIS, (21, 12))
+            },
+            Row {
+                fault: Some(crate::NetFault::drop(
+                    0,
+                    10 * MILLIS,
+                    any.clone(),
+                    any.clone(),
+                    0.5,
+                    MILLIS,
+                )),
+                ..row("a drop window", To::Zero, (128, 128), MILLIS, (18, 12))
+            },
+        ];
+        for row in &rows {
+            let run = |as_request: bool| {
+                let fx = Fabric::sim_seeded(ClusterSpec::tiny(3), 36);
+                if let Some(fault) = &row.fault {
+                    fx.inject_net_fault(fault.clone());
+                }
+                let (to, (req, resp), ops) = (row.to, row.legs, row.ops);
+                let mut hs = Vec::new();
+                for i in 0..3u32 {
+                    hs.push(fx.spawn(NodeId(i), format!("c{i}"), move |p| {
+                        let dst = NodeId(match to {
+                            To::Next => (i + 1) % 3,
+                            To::Own => i,
+                            To::Zero => 0,
+                        });
+                        let mut at = Vec::new();
+                        for round in 1..=3u64 {
+                            if as_request {
+                                p.request(dst, req, resp, ops * round).wait(p);
+                            } else {
+                                p.rpc(dst, req, resp);
+                                p.compute(dst, ops * round);
+                            }
+                            at.push(p.now());
+                        }
+                        let mut by_node = BTreeMap::new();
+                        for c in p.ledger().charges() {
+                            *by_node.entry(c.node).or_insert(0) += c.ns;
+                        }
+                        (at, (dst, by_node))
+                    }));
+                }
+                fx.run();
+                let s = fx.stats();
+                let (at, ledgers): (Vec<_>, Vec<_>) = hs.iter().map(|h| h.take().unwrap()).unzip();
+                let counters = (
+                    s.events,
+                    sim_core(&fx).seq(),
+                    s.now_ns,
+                    s.transfers,
+                    s.flows,
+                    s.net_fault_hits,
+                );
+                (at, counters, s.per_resource, ledgers, s.wakes)
+            };
+            let (by_rpc, by_request) = (run(false), run(true));
+            let name = row.name;
+            assert_eq!(by_request.0, by_rpc.0, "{name}: every op's end");
+            assert_eq!(
+                by_request.1, by_rpc.1,
+                "{name}: events, seq, now, transfers, flows, faults"
+            );
+            assert_eq!(by_request.2, by_rpc.2, "{name}: per-resource work");
+            for ((dst, by_request), (_, by_rpc)) in by_request.3.iter().zip(&by_rpc.3) {
+                let total = |by_node: &BTreeMap<NodeId, u64>| by_node.values().sum::<u64>();
+                if row.at_target {
+                    assert_eq!(by_request.keys().collect::<Vec<_>>(), [dst], "{name}");
+                    assert_eq!(total(by_request), total(by_rpc), "{name}: ledger total");
+                    assert!(
+                        by_rpc.len() > 1,
+                        "{name}: rpc charges the caller's NIC at home"
+                    );
+                } else {
+                    assert_eq!(by_request, by_rpc, "{name}: ledger by node");
+                }
+            }
+            assert_eq!((by_rpc.4, by_request.4), row.wakes, "{name}: thread wakes");
+        }
     }
 
     /// A request whose caller returns without waiting still runs to its
