@@ -67,7 +67,9 @@ fn handles_buffer_and_window_by_the_contract() {
 /// (replication = all four) and one of them dead, each block's pipeline
 /// fails at that replica. The failed block is gone from the buffer, but
 /// the blocks behind it stay, so each `close` ships one more block and
-/// fails, until nothing is left and `close` completes the file.
+/// fails, until nothing is left and `close` completes the file. Each
+/// failed block is abandoned: the namenode forgets it and the replicas
+/// that stored it drop it, so nothing of the file is left on a datanode.
 #[test]
 fn a_failed_pipeline_keeps_the_blocks_behind_it() {
     let fx = Fabric::sim(ClusterSpec::tiny(4));
@@ -99,6 +101,8 @@ fn a_failed_pipeline_keeps_the_blocks_behind_it() {
             fs.status(p, &path).unwrap().len,
             locs.len()
         ));
+        let blocks: Vec<usize> = fs.datanodes().iter().map(|d| d.block_count()).collect();
+        results.push(format!("stored {} in {blocks:?}", fs.total_stored_bytes()));
         results.push(format!("time {}", p.now()));
         results
     });
@@ -112,6 +116,7 @@ fn a_failed_pipeline_keeps_the_blocks_behind_it() {
         "Err(HandleClosed)",
         "written 2500",
         "len 0 blocks 0",
+        "stored 0 in [0, 0, 0, 0]",
         "time 1200000",
     ];
     assert_eq!(h.take().unwrap(), want);
