@@ -55,9 +55,9 @@ pub struct BlobSeerConfig {
     /// crash-recovery replay to the bytes since the last checkpoint. `None`
     /// (default) never checkpoints — recovery replays the whole log.
     pub persist_checkpoint_bytes: Option<u64>,
-    /// Abstract CPU operations charged per control request at two sites:
-    /// on the version-manager node for every version-manager request
-    /// (`VersionManager::charge`), and on the BSFS namespace manager's node
+    /// Abstract CPU operations charged per control request, as the server
+    /// side of its `Proc::request`: on the version-manager node for every
+    /// version-manager request, and on the BSFS namespace manager's node
     /// for every namespace operation (`bsfs::NamespaceManager`, which
     /// `Bsfs::new` builds with this value). The version manager is the
     /// serialization point of the design; a nonzero cost lets the

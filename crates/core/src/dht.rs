@@ -239,10 +239,8 @@ impl MetaDht {
                 return Err(server.down());
             }
             let req: u64 = group.iter().map(|(_, b)| b.encoded_size() + 40).sum();
-            p.rpc(server.node(), req, 16);
-            if self.server_cpu_ops > 0 {
-                p.compute(server.node(), self.server_cpu_ops * group.len() as u64);
-            }
+            let ops = self.server_cpu_ops * group.len() as u64;
+            p.request(server.node(), req, 16, ops).wait(p);
             server.served_put(group.len() as u64);
             server.store_nodes(group)?;
         }
@@ -302,10 +300,9 @@ impl MetaDht {
                     }
                 }
             }
-            p.rpc(server.node(), 56 * group.len() as u64, resp);
-            if self.server_cpu_ops > 0 {
-                p.compute(server.node(), self.server_cpu_ops * group.len() as u64);
-            }
+            let n = group.len() as u64;
+            let ops = self.server_cpu_ops * n;
+            p.request(server.node(), 56 * n, resp, ops).wait(p);
         }
         Ok(out)
     }

@@ -221,7 +221,8 @@ impl ProviderManager {
         exclude: &[NodeId],
     ) -> BlobResult<(LeaseId, Vec<Vec<Arc<Provider>>>)> {
         self.reap_expired_leases(p);
-        p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
+        p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
+            .wait(p);
         let candidates: Vec<&Arc<Provider>> = self
             .providers
             .iter()
@@ -264,7 +265,8 @@ impl ProviderManager {
         page: PageId,
         bytes: u64,
     ) {
-        p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
+        p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
+            .wait(p);
         if self.leases.lock().release(lease, provider.node(), page) {
             provider.unreserve(bytes);
         }
@@ -285,7 +287,8 @@ impl ProviderManager {
         page: PageId,
         bytes: u64,
     ) {
-        p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
+        p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
+            .wait(p);
         provider.reserve(bytes);
         let entry = (provider.node(), page, bytes);
         self.leases.lock().adopt(p.now(), lease, entry);
@@ -295,7 +298,8 @@ impl ProviderManager {
     /// its reservation at the provider — or was released inline): close the
     /// lease so the reaper never considers this write again. Idempotent.
     pub fn settle(&self, p: &Proc, lease: LeaseId) {
-        p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
+        p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
+            .wait(p);
         self.leases.lock().settle(lease);
     }
 
@@ -313,7 +317,8 @@ impl ProviderManager {
             // with the holders which reservations were consumed. A page that
             // landed (`has_page`) consumed its reservation in `put_pages`;
             // everything else is a stranded reservation — hand it back.
-            p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
+            p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
+                .wait(p);
             for (node, page, bytes) in entries {
                 let Some(pr) = self.by_node.get(&node) else {
                     continue;

@@ -151,18 +151,13 @@ impl VersionManager {
         }
     }
 
-    /// One request/response exchange with the service, plus its CPU charge.
+    /// One exchange with the service, its CPU charge included.
     /// `extra_response_bytes` is what rides the answer beyond the plain
     /// control message (the descriptor delta of `assign` / `sync_index`).
     fn charge(&self, p: &Proc, extra_response_bytes: u64) {
-        p.rpc(
-            self.shell.node(),
-            CTL_MSG_BYTES,
-            CTL_MSG_BYTES + extra_response_bytes,
-        );
-        if self.vm_cpu_ops > 0 {
-            p.compute(self.shell.node(), self.vm_cpu_ops);
-        }
+        let resp = CTL_MSG_BYTES + extra_response_bytes;
+        p.request(self.shell.node(), CTL_MSG_BYTES, resp, self.vm_cpu_ops)
+            .wait(p);
     }
 
     /// Wake the waiters of newly published (or retired) versions — always

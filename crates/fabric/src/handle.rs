@@ -367,7 +367,10 @@ impl Proc {
     }
 
     /// A request/response control exchange with `dst` (two latency-dominated
-    /// messages, the response sent when the request arrives).
+    /// messages, the response sent when the request arrives). Services
+    /// charge their exchanges through [`Proc::request`], which also runs
+    /// the server's CPU and wakes the caller once; `rpc` stays as the
+    /// reference a request is tested against, and for the wire alone.
     pub fn rpc(&self, dst: NodeId, req_bytes: u64, resp_bytes: u64) {
         assert_none_held("Proc::transfer");
         match &self.fabric.inner {

@@ -7,17 +7,19 @@
 //! exactly, and the difference of two snapshots a process reads with
 //! [`crate::Proc::ledger`] sums to the virtual time between the reads.
 //!
-//! Services are not processes: an rpc charges the wire legs and the
-//! server's CPU inside the *caller's* process. So the ledger says what a
-//! process waited on, not who did the work:
+//! Services are not processes: a service exchange is a
+//! [`crate::Proc::request`] the *caller's* process waits on. So the ledger
+//! says what a process waited on, not who did the work:
 //!
+//! * a wait on a request ([`crate::Pending`]) goes to the request's
+//!   target, whole: its legs, its faults and the server's CPU are one
+//!   `Request` bucket at the service's node;
 //! * a message's latency and any network-fault penalty go to the far end
-//!   of the message (for an rpc, the server);
+//!   of the message (for a bare [`crate::Proc::rpc`], the server);
 //! * a flow goes to the resource that froze it at each refill, its
 //!   bottleneck, with the interval split whenever a refill moves it;
 //! * a queue or gate wait and any other sleep go to the process's own
-//!   node; a wait on a request ([`crate::Pending`]) to the request's
-//!   target.
+//!   node.
 //!
 //! Live mode keeps no ledger: every snapshot is empty.
 

@@ -92,10 +92,8 @@ impl Namenode {
     }
 
     fn charge(&self, p: &Proc) {
-        p.rpc(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES);
-        if self.cpu_ops > 0 {
-            p.compute(self.node, self.cpu_ops);
-        }
+        p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, self.cpu_ops)
+            .wait(p);
     }
 
     /// Start a new file under construction; returns the write lease.

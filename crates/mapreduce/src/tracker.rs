@@ -12,9 +12,9 @@
 //! that are planned and not yet finished, their FIFO order, their pending
 //! tasks — is one `Mutex<Scheduler>`, a passive caller-pays object like the
 //! version manager, the provider manager or the namespace manager: a
-//! heartbeat is `p.rpc(jobtracker, 128, 128)` paid by the tasktracker's own
-//! proc, which then calls `Scheduler::assign` itself and spawns what it is
-//! handed. It costs two latency legs and the sleep to the next beat, never
+//! heartbeat is `p.request(jobtracker, 128, 128, 0).wait(p)` paid by the
+//! tasktracker's own proc, which then calls `Scheduler::assign` itself and
+//! spawns what it is handed. It costs two latency legs and the sleep to the next beat, never
 //! leaves the tracker's thread, and is answered from the scheduler's state
 //! at that instant — in particular, while the jobtracker is busy planning
 //! or finalising some job, the others keep being scheduled. Its *proc* (on
@@ -642,7 +642,7 @@ impl MrCluster {
                         if mr.shutdown.is_set() {
                             break;
                         }
-                        p.rpc(jt, BEAT_BYTES, BEAT_BYTES);
+                        p.request(jt, BEAT_BYTES, BEAT_BYTES, 0).wait(p);
                     }
                     if mr.shutdown.is_set() {
                         break; // the jobtracker went away mid-beat
