@@ -157,16 +157,18 @@ impl HdfsSim {
 /// Each run the writer flushes is one block, streamed through its own
 /// replication pipeline: the namenode allocates it, the client streams it
 /// through the replica chain as one cut-through flow, the replicas store
-/// it and the namenode records its length. Closing completes the file.
+/// it and the namenode records its length. A pipeline that fails abandons
+/// its block: the namenode forgets it and the datanodes drop it, as
+/// `delete` does. Closing completes the file.
 struct Pipelines {
     inner: Arc<Inner>,
     path: DfsPath,
     lease: Lease,
 }
 
-impl BlockSink for Pipelines {
-    fn ship(&mut self, p: &Proc, run: Payload) -> FsResult<()> {
-        let block = self.inner.nn.add_block(p, &self.path, self.lease)?;
+impl Pipelines {
+    /// Stream `run` down `block`'s replica chain and store it on each.
+    fn pipeline(&self, p: &Proc, block: &BlockInfo, run: Payload) -> FsResult<()> {
         let mut chain = Vec::with_capacity(block.replicas.len() + 1);
         chain.push(p.node());
         chain.extend_from_slice(&block.replicas);
@@ -179,9 +181,22 @@ impl BlockSink for Pipelines {
                 .ok_or_else(|| FsError::Storage(format!("no datanode on {replica}")))?;
             dn.store_replica(block.id, run.clone())?;
         }
-        self.inner
-            .nn
-            .complete_block(p, &self.path, self.lease, block.id, run.len())
+        Ok(())
+    }
+}
+
+impl BlockSink for Pipelines {
+    fn ship(&mut self, p: &Proc, run: Payload) -> FsResult<()> {
+        let (nn, len) = (&self.inner.nn, run.len());
+        let block = nn.add_block(p, &self.path, self.lease)?;
+        if let Err(e) = self.pipeline(p, &block, run) {
+            nn.abandon_block(p, &self.path, self.lease, block.id)?;
+            for dn in &self.inner.datanodes {
+                dn.drop_block(block.id);
+            }
+            return Err(e);
+        }
+        nn.complete_block(p, &self.path, self.lease, block.id, len)
     }
 
     fn seal(&mut self, p: &Proc) -> FsResult<()> {

@@ -155,6 +155,21 @@ impl Namenode {
         Ok(())
     }
 
+    /// Forget a block whose pipeline failed (HDFS's `abandonBlock`); the
+    /// caller drops its replicas from the datanodes.
+    pub(crate) fn abandon_block(
+        &self,
+        p: &Proc,
+        path: &DfsPath,
+        lease: Lease,
+        block_id: u64,
+    ) -> FsResult<()> {
+        self.charge(p);
+        let mut st = self.state.lock();
+        st.leased(path, lease)?.blocks.retain(|b| b.id != block_id);
+        Ok(())
+    }
+
     /// Close the file: release the lease and freeze it forever.
     pub(crate) fn complete_file(&self, p: &Proc, path: &DfsPath, lease: Lease) -> FsResult<()> {
         self.charge(p);
@@ -251,6 +266,23 @@ mod tests {
                 nn.add_block(p, &d("/f"), lease),
                 Err(FsError::LeaseConflict(_))
             ));
+        });
+    }
+
+    #[test]
+    fn an_abandoned_block_leaves_the_file() {
+        with_proc(|p| {
+            let nn = nn();
+            let lease = nn.create_file(p, &d("/f"), 1000).unwrap();
+            let kept = nn.add_block(p, &d("/f"), lease).unwrap();
+            nn.complete_block(p, &d("/f"), lease, kept.id, 1000)
+                .unwrap();
+            let failed = nn.add_block(p, &d("/f"), lease).unwrap();
+            nn.abandon_block(p, &d("/f"), lease, failed.id).unwrap();
+            let (blocks, _) = nn.get_blocks(p, &d("/f")).unwrap();
+            let ids: Vec<u64> = blocks.iter().map(|b| b.id).collect();
+            assert_eq!(ids, [kept.id]);
+            assert_eq!(nn.status(p, &d("/f")).unwrap().1, 1000);
         });
     }
 
