@@ -58,7 +58,7 @@
 /// * **Order.** A thread never acquires a *lower* rank while it holds a
 ///   higher one (equal ranks nest: stripes are disjoint by index). A
 ///   violation panics with `lock-order violation` and both ranks.
-/// * **Wire.** No fabric call that spends virtual time or parks — `rpc`,
+/// * **Wire.** No fabric call that spends virtual time or parks — `request`,
 ///   `transfer*`, `sleep`, `disk_*`, `compute`, `Gate::wait`, `Queue::recv`,
 ///   `JoinHandle::join` — runs while any ranked guard is live: the version
 ///   manager keeps RPC charging and gate waits outside the `BlobState`

@@ -367,10 +367,8 @@ impl Proc {
     }
 
     /// A request/response control exchange with `dst` (two latency-dominated
-    /// messages, the response sent when the request arrives). Services
-    /// charge their exchanges through [`Proc::request`], which also runs
-    /// the server's CPU and wakes the caller once; `rpc` stays as the
-    /// reference a request is tested against, and for the wire alone.
+    /// messages, the response sent when the request arrives). Services use
+    /// [`Proc::request`]; `rpc` stays as the reference it is tested against.
     pub fn rpc(&self, dst: NodeId, req_bytes: u64, resp_bytes: u64) {
         assert_none_held("Proc::transfer");
         match &self.fabric.inner {
@@ -1318,7 +1316,8 @@ mod tests {
     /// its caller once where `rpc` and `compute` each block. And a wait on
     /// a request is charged to its target whole, so a leg's flow that the
     /// caller's own NIC froze, which `rpc` charges to the caller's node,
-    /// moves to the target (the one row that says `at_target`).
+    /// moves to the target (the one row that says `at_target`). A big leg
+    /// is one at or over the small-message cutoff, so it runs as a flow.
     #[test]
     fn an_awaited_request_is_an_rpc_and_a_compute() {
         use std::collections::BTreeMap;
@@ -1354,57 +1353,31 @@ mod tests {
             at_target: false,
             wakes,
         };
+        const OPS: u64 = 1_000_000;
         let (any, cutoff) = (crate::NodeSet::Any, ClusterSpec::tiny(3).small_msg_cutoff);
+        let (delay, lossy) = (
+            crate::NetFault::delay(MILLIS / 2, 3 * MILLIS, any.clone(), any.clone(), 7 * MILLIS),
+            crate::NetFault::drop(0, 10 * MILLIS, any.clone(), any, 0.5, MILLIS),
+        );
         let rows = [
-            row("a long response", To::Next, (128, 20_000), MILLIS, (21, 12)),
+            row("long response", To::Next, (128, 20_000), OPS, (21, 12)),
             row("zero ops", To::Next, (128, 128), 0, (12, 12)),
-            row("own node", To::Own, (128, 128), MILLIS, (12, 12)),
+            row("own node", To::Own, (128, 128), OPS, (12, 12)),
             row("own node, zero ops", To::Own, (128, 128), 0, (3, 3)),
-            row("node 0 for all", To::Zero, (128, 128), MILLIS, (18, 12)),
-            row(
-                "a shared request leg at the cutoff",
-                To::Zero,
-                (cutoff, 16),
-                MILLIS,
-                (21, 12),
-            ),
-            row(
-                "own node, a leg over the cutoff",
-                To::Own,
-                (20_000, 16),
-                MILLIS,
-                (21, 12),
-            ),
+            row("node 0 for all", To::Zero, (128, 128), OPS, (18, 12)),
+            row("shared big leg", To::Zero, (cutoff, 16), OPS, (21, 12)),
+            row("own node, big leg", To::Own, (20_000, 16), OPS, (21, 12)),
             Row {
                 at_target: true,
-                ..row(
-                    "a lone request leg over the cutoff",
-                    To::Next,
-                    (20_000, 16),
-                    MILLIS,
-                    (21, 12),
-                )
+                ..row("lone big leg", To::Next, (20_000, 16), OPS, (21, 12))
             },
             Row {
-                fault: Some(crate::NetFault::delay(
-                    MILLIS / 2,
-                    3 * MILLIS,
-                    any.clone(),
-                    any.clone(),
-                    7 * MILLIS,
-                )),
-                ..row("a delay window", To::Next, (128, 128), MILLIS, (21, 12))
+                fault: Some(delay),
+                ..row("delay window", To::Next, (128, 128), OPS, (21, 12))
             },
             Row {
-                fault: Some(crate::NetFault::drop(
-                    0,
-                    10 * MILLIS,
-                    any.clone(),
-                    any.clone(),
-                    0.5,
-                    MILLIS,
-                )),
-                ..row("a drop window", To::Zero, (128, 128), MILLIS, (18, 12))
+                fault: Some(lossy),
+                ..row("drop window", To::Zero, (128, 128), OPS, (18, 12))
             },
         ];
         for row in &rows {

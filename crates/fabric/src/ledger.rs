@@ -7,19 +7,18 @@
 //! exactly, and the difference of two snapshots a process reads with
 //! [`crate::Proc::ledger`] sums to the virtual time between the reads.
 //!
-//! Services are not processes: a service exchange is a
-//! [`crate::Proc::request`] the *caller's* process waits on. So the ledger
-//! says what a process waited on, not who did the work:
+//! Services are not processes: a service's exchange is a
+//! [`crate::Proc::request`] waited on inside the *caller's* process. So the
+//! ledger says what a process waited on, not who did the work:
 //!
-//! * a wait on a request ([`crate::Pending`]) goes to the request's
-//!   target, whole: its legs, its faults and the server's CPU are one
-//!   `Request` bucket at the service's node;
+//! * a wait on a request ([`crate::Pending`]) goes to its target whole,
+//!   one `Request` bucket for its legs, faults and the server's CPU (even
+//!   a leg's flow that the caller's own NIC froze);
 //! * a message's latency and any network-fault penalty go to the far end
-//!   of the message (for a bare [`crate::Proc::rpc`], the server);
+//!   of the message (for a bare `rpc`, the server);
 //! * a flow goes to the resource that froze it at each refill, its
 //!   bottleneck, with the interval split whenever a refill moves it;
-//! * a queue or gate wait and any other sleep go to the process's own
-//!   node.
+//! * a queue or gate wait and any other sleep go to the process's own node.
 //!
 //! Live mode keeps no ledger: every snapshot is empty.
 

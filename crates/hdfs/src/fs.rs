@@ -166,37 +166,27 @@ struct Pipelines {
     lease: Lease,
 }
 
-impl Pipelines {
-    /// Stream `run` down `block`'s replica chain and store it on each.
-    fn pipeline(&self, p: &Proc, block: &BlockInfo, run: Payload) -> FsResult<()> {
+impl BlockSink for Pipelines {
+    fn ship(&mut self, p: &Proc, run: Payload) -> FsResult<()> {
+        let nn = &self.inner.nn;
+        let block = nn.add_block(p, &self.path, self.lease)?;
         let mut chain = Vec::with_capacity(block.replicas.len() + 1);
         chain.push(p.node());
         chain.extend_from_slice(&block.replicas);
         p.transfer_chain(&chain, run.len());
-        for replica in &block.replicas {
-            let dn = self
-                .inner
-                .dn_map
-                .get(replica)
+        let stored = block.replicas.iter().try_for_each(|replica| {
+            let dn = (self.inner.dn_map.get(replica))
                 .ok_or_else(|| FsError::Storage(format!("no datanode on {replica}")))?;
-            dn.store_replica(block.id, run.clone())?;
-        }
-        Ok(())
-    }
-}
-
-impl BlockSink for Pipelines {
-    fn ship(&mut self, p: &Proc, run: Payload) -> FsResult<()> {
-        let (nn, len) = (&self.inner.nn, run.len());
-        let block = nn.add_block(p, &self.path, self.lease)?;
-        if let Err(e) = self.pipeline(p, &block, run) {
+            dn.store_replica(block.id, run.clone())
+        });
+        if let Err(e) = stored {
             nn.abandon_block(p, &self.path, self.lease, block.id)?;
             for dn in &self.inner.datanodes {
                 dn.drop_block(block.id);
             }
             return Err(e);
         }
-        nn.complete_block(p, &self.path, self.lease, block.id, len)
+        nn.complete_block(p, &self.path, self.lease, block.id, run.len())
     }
 
     fn seal(&mut self, p: &Proc) -> FsResult<()> {
