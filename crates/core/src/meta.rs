@@ -1251,6 +1251,89 @@ mod tests {
         assert!(st.commit(2).unwrap().is_empty());
     }
 
+    /// The index `assign` hands out, the one an orphan carries and
+    /// `share_published()` each answer exactly like an index rebuilt from
+    /// the descriptors up to its version, through appends, interior and
+    /// tail overwrites, out-of-order commits, a drained window and a
+    /// refused write.
+    #[test]
+    fn blob_state_indexes_match_a_rebuild_from_the_descriptors() {
+        use fabric::{ClusterSpec, Fabric};
+        fn check(ix: &DescIndex, descs: &[WriteDesc]) {
+            let mut want = DescIndex::new(PS);
+            for d in descs {
+                want.apply(d);
+            }
+            assert_eq!(ix.version(), want.version());
+            assert_eq!(ix.total_bytes(), want.total_bytes());
+            for page in 0..=want.total_pages() + 1 {
+                assert_eq!(
+                    ix.owner_of_page(page),
+                    want.owner_of_page(page),
+                    "page {page}"
+                );
+                assert_eq!(
+                    ix.byte_offset_of_page(page),
+                    want.byte_offset_of_page(page),
+                    "page {page}"
+                );
+            }
+        }
+        let fx = Fabric::sim(ClusterSpec::tiny(1));
+        let mut st = BlobState::new(BlobId(1), PS);
+        let mut tag = 0;
+        let mut assign = |st: &mut BlobState, kind, nbytes: u64| {
+            tag += 1;
+            let mani = (0..nbytes.div_ceil(PS))
+                .map(|i| PageRef {
+                    id: PageId(tag, i),
+                    byte_len: PS.min(nbytes - i * PS),
+                    providers: vec![NodeId(0)],
+                })
+                .collect();
+            let got = st.assign(kind, nbytes, Arc::new(mani), tag, fx.gate());
+            if let Ok((desc, ix)) = &got {
+                check(ix, &st.descs[..desc.version as usize]);
+            }
+            check(&st.share_published(), &st.descs[..st.published as usize]);
+            got
+        };
+        let write_at = |offset| UpdateKind::WriteAt { offset };
+        let committed = |st: &mut BlobState, v| {
+            st.commit(v).unwrap();
+            check(&st.share_published(), &st.descs[..st.published as usize]);
+        };
+
+        check(&st.share_published(), &[]);
+        assign(&mut st, UpdateKind::Append, 250).unwrap(); // v1: pages 0..3, short tail
+        assign(&mut st, UpdateKind::Append, 100).unwrap(); // v2: page 3
+        assign(&mut st, write_at(100), 100).unwrap(); // v3: interior, page 1
+        assign(&mut st, UpdateKind::Append, 300).unwrap(); // v4: pages 4..7
+        assert!(
+            assign(&mut st, write_at(150), 100).is_err(),
+            "not a boundary"
+        );
+        assert_eq!(st.assigned(), 4, "a refused write assigns nothing");
+        committed(&mut st, 3);
+        committed(&mut st, 2);
+        assert_eq!(st.published, 0);
+        let (desc, ix, _) = st.orphan(1).unwrap().unwrap();
+        assert_eq!(desc.version, 1);
+        check(&ix, &st.descs[..1]);
+        committed(&mut st, 1);
+        assert_eq!(st.published, 3);
+        assign(&mut st, write_at(550), 200).unwrap(); // v5: tail-extending
+        committed(&mut st, 4);
+        committed(&mut st, 5);
+        assert_eq!(st.pending_len(), 0);
+        // A drained window: the next version builds on the published index.
+        assign(&mut st, UpdateKind::Append, 100).unwrap(); // v6
+        assign(&mut st, write_at(0), 200).unwrap(); // v7: interior, pages 0..2
+        committed(&mut st, 6);
+        committed(&mut st, 7);
+        assert_eq!(st.published, 7);
+    }
+
     #[test]
     fn nodes_are_emitted_children_first() {
         let mut h = Harness::new();
