@@ -54,7 +54,7 @@ impl Bsfs {
     }
 
     /// Start the store's background reaper (expired pending writes, expired
-    /// provider leases, registry GC epochs) as an opt-in service — see
+    /// provider leases) as an opt-in service — see
     /// [`BlobSeer::start_reaper`]. Deployments that skip it keep the lazy
     /// piggybacked reaping.
     pub fn start_reaper(&self, fabric: &Fabric) -> ReaperHandle {
@@ -131,10 +131,9 @@ impl FileSystem for Bsfs {
 
     fn delete(&self, p: &Proc, path: &DfsPath, recursive: bool) -> FsResult<bool> {
         // Retire the backing BLOBs of every removed file: their registry
-        // slots become unreachable immediately and are dropped by a later
-        // epoch-based GC pass (run by the background reaper when enabled).
-        // Versions of *live* files are still kept forever, as in the paper —
-        // GC only ever follows a namespace delete.
+        // slots leave the version manager at once. Versions of *live* files
+        // are still kept forever, as in the paper — a BLOB only ever goes
+        // after a namespace delete.
         let (removed, blobs) = self.ns.delete(p, path, recursive)?;
         for blob in blobs {
             // A double delete (e.g. racing clients) is not an FS error.

@@ -448,14 +448,11 @@ fn parallel_shared_and_private_appends_live_mode() {
     h.take().unwrap();
 }
 
-/// Epoch-based registry GC end to end through the namespace: a deleted
-/// file's BLOB is unreachable the moment `delete` returns, its registry
-/// slot survives exactly one GC epoch (so in-flight holders of the slot
-/// `Arc` run out harmlessly), and live files are never disturbed — closing
-/// the ROADMAP's registry-growth item without touching the lock-free read
-/// path.
+/// Registry drain end to end through the namespace: a deleted file's BLOB
+/// is unreachable and its registry slot gone the moment `delete` returns,
+/// and live files are never disturbed.
 #[test]
-fn deleted_files_retire_their_blob_slots_in_epochs() {
+fn deleted_files_drop_their_blob_slots_at_delete() {
     let (fx, fs) = deploy_sim(4, 4096);
     let fs2 = fs.clone();
     let driver = fx.spawn(NodeId(1), "driver", move |p| {
@@ -473,10 +470,7 @@ fn deleted_files_retire_their_blob_slots_in_epochs() {
             fs2.store().client().latest(p, doomed),
             Err(blobseer::BlobError::NoSuchBlob(_))
         ));
-        // ...but its slot waits out one epoch before the sweep drops it.
-        assert_eq!(vm.registry_len(), 3);
-        assert_eq!(vm.gc_registry(), 0);
-        assert_eq!(vm.gc_registry(), 1);
+        // ...and its slot is already gone.
         assert_eq!(vm.registry_len(), 2);
         // Recreating the path binds a fresh BLOB; the survivors are intact.
         let mut w = fs2.create(p, &d("/gc/b")).unwrap();
@@ -486,8 +480,6 @@ fn deleted_files_retire_their_blob_slots_in_epochs() {
         assert_eq!(r.read_at(p, 0, 100).unwrap().bytes(), &pattern(100, 3)[..]);
         // A recursive directory delete retires every file inside at once.
         assert!(fs2.delete(p, &d("/gc"), true).unwrap());
-        vm.gc_registry();
-        assert_eq!(vm.gc_registry(), 3);
         assert_eq!(vm.registry_len(), 0);
     });
     fx.run();

@@ -723,8 +723,8 @@ impl BlobClient {
     /// Retire a BLOB: every subsequent operation on it answers
     /// [`BlobError::NoSuchBlob`], its pending writes are abandoned (their
     /// provider reservations fall to the lease reaper), and its registry
-    /// slot is dropped by a later epoch-based GC pass — see
-    /// [`crate::version_manager::VersionManager::gc_registry`]. BSFS calls
+    /// slot is gone when the call returns — see
+    /// [`crate::version_manager::VersionManager::delete_blob`]. BSFS calls
     /// this when a file is deleted from the namespace.
     pub fn delete(&self, p: &Proc, blob: BlobId) -> BlobResult<()> {
         self.svc.vm.delete_blob(p, blob)?;
@@ -1020,7 +1020,6 @@ mod tests {
         Arc::new(Services {
             vm: Arc::new(VersionManager::new(
                 NodeId(0),
-                fx.clone(),
                 dht.clone(),
                 100,
                 0,

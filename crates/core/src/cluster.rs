@@ -395,7 +395,6 @@ impl BlobSeer {
         ));
         let vm = Arc::new(VersionManager::new(
             layout.vm,
-            fabric.clone(),
             dht.clone(),
             config.page_size,
             config.vm_cpu_ops,
@@ -456,11 +455,10 @@ impl BlobSeer {
 
     /// Start the optional background reaper on the version-manager node:
     /// every `config.timeouts.reaper_interval_ns` it force-completes expired
-    /// pending writes on every BLOB (`VersionManager::reap_all`), reclaims
+    /// pending writes on every BLOB (`VersionManager::reap_all`) and reclaims
     /// expired provider reservation leases
-    /// (`ProviderManager::reap_expired_leases`) and runs one registry GC
-    /// epoch (`VersionManager::gc_registry`) — so dead writers and deleted
-    /// BLOBs are cleaned up without waiting for the next `assign`/`commit`.
+    /// (`ProviderManager::reap_expired_leases`) — so dead writers are cleaned
+    /// up without waiting for the next `assign`/`commit`.
     /// Cheap per tick: both reap checks are O(1) front peeks of deadline
     /// queues when nothing expired.
     ///
@@ -492,7 +490,6 @@ impl BlobSeer {
                     counts2.failed_sweeps.fetch_add(1, Ordering::Relaxed);
                 }
                 svc.pm.reap_expired_leases(p);
-                svc.vm.gc_registry();
                 // Read-replica sync rides the same tick: copy newly
                 // published pages onto the replica tier (no-op without
                 // replicas; failed copies retry next tick).
@@ -679,8 +676,6 @@ mod tests {
             bs.sync_read_replicas(p);
             assert_eq!(bs.svc.replica_watermarks.lock().len(), 1);
             c.delete(p, blob).unwrap();
-            bs.version_manager().gc_registry();
-            bs.version_manager().gc_registry();
             bs.sync_read_replicas(p);
             assert!(bs.svc.replica_watermarks.lock().is_empty());
         });

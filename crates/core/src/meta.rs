@@ -423,9 +423,6 @@ pub(crate) struct BlobState {
     blob: BlobId,
     /// Descriptors of every *assigned* version, dense: `descs[v-1]`.
     descs: Vec<WriteDesc>,
-    /// Incrementally-maintained descriptor index over `descs` — answers all
-    /// latest-version queries in O(log) and snapshots in O(1).
-    index: DescIndex,
     /// Index snapshot pinned at the latest *published* version — what
     /// `VersionManager::sync_index` ships to readers, so their locality
     /// queries never observe assigned-but-unpublished versions.
@@ -440,7 +437,6 @@ impl BlobState {
         BlobState {
             blob,
             descs: Vec::new(),
-            index: DescIndex::new(page_size),
             published_index: DescIndex::new(page_size),
             window: VecDeque::new(),
             published: 0,
@@ -476,13 +472,22 @@ impl BlobState {
         self.window.get_mut(slot as usize)
     }
 
+    /// The index at the highest assigned version: the newest pending
+    /// write's pinned snapshot, or the published one when none is pending.
+    fn latest_index(&self) -> &DescIndex {
+        self.window
+            .back()
+            .map_or(&self.published_index, |pw| &pw.index)
+    }
+
     /// Reserve the next version for an update of `nbytes` in
-    /// `manifest.len()` pages: compute its descriptor, fold it into the index
-    /// and park the pending write at the back of the window. Returns the
-    /// descriptor and the index snapshot pinned at the new version (an O(1)
-    /// `Arc` share). The manifest's length is validated lock-free by the
-    /// caller against the immutable page size; `assigned_at` must be read
-    /// under the same lock hold (monotone along the window).
+    /// `manifest.len()` pages: compute its descriptor, fold it into a share of
+    /// the latest index and park the pending write at the back of the
+    /// window. Returns the descriptor and the index snapshot pinned at the
+    /// new version (an O(1) `Arc` share). The manifest's length is validated
+    /// lock-free by the caller against the immutable page size;
+    /// `assigned_at` must be read under the same lock hold (monotone along
+    /// the window).
     pub(crate) fn assign(
         &mut self,
         kind: UpdateKind,
@@ -492,9 +497,9 @@ impl BlobState {
         gate: Gate,
     ) -> BlobResult<(WriteDesc, DescIndex)> {
         let desc = self.describe(kind, nbytes, manifest.len() as u64)?;
+        let mut index = self.latest_index().clone();
+        index.apply(&desc);
         self.descs.push(desc);
-        self.index.apply(&desc);
-        let index = self.index.clone();
         self.window.push_back(PendingWrite {
             manifest,
             index: index.clone(),
@@ -508,7 +513,8 @@ impl BlobState {
 
     /// The descriptor the next update would get.
     fn describe(&self, kind: UpdateKind, nbytes: u64, k_pages: u64) -> BlobResult<WriteDesc> {
-        let ps = self.index.page_size();
+        let index = self.latest_index();
+        let ps = index.page_size();
         let (cur_pages, cur_bytes) = self
             .descs
             .last()
@@ -527,13 +533,13 @@ impl BlobState {
                 total_bytes: cur_bytes + nbytes,
             }),
             UpdateKind::WriteAt { offset } => {
-                // `self.index` is still at version - 1 here, so these are
-                // O(log) lookups against the pre-update snapshot.
-                let page_lo = self.index.page_at_boundary(offset).ok_or_else(|| {
-                    BlobError::UnalignedWrite {
+                // `index` is at version - 1, so these are O(log) lookups
+                // against the pre-update snapshot.
+                let Some(page_lo) = index.page_at_boundary(offset) else {
+                    return Err(BlobError::UnalignedWrite {
                         detail: format!("offset {offset} is not an existing page boundary"),
-                    }
-                })?;
+                    });
+                };
                 if offset + nbytes >= cur_bytes {
                     // Tail-replacing / extending write.
                     Ok(WriteDesc {
@@ -557,7 +563,7 @@ impl BlobState {
                         });
                     }
                     let end_page = page_lo + k_pages;
-                    if self.index.byte_offset_of_page(end_page) != Some(offset + nbytes) {
+                    if index.byte_offset_of_page(end_page) != Some(offset + nbytes) {
                         return Err(BlobError::UnalignedWrite {
                             detail: format!(
                                 "overwrite end {} does not coincide with page boundary {end_page}",
@@ -625,7 +631,7 @@ impl BlobState {
             version,
             total_pages,
             total_bytes,
-            page_size: self.index.page_size(),
+            page_size: self.published_index.page_size(),
         })
     }
 
@@ -687,14 +693,13 @@ impl BlobState {
         self.window.len()
     }
 
-    /// `(pending writes, distinct index nodes)` retained: the live index, the
-    /// published index and every pending write's pinned snapshot, with
-    /// structurally shared subtrees counted once.
+    /// `(pending writes, distinct index nodes)` retained: the published
+    /// index and every pending write's pinned snapshot, with structurally
+    /// shared subtrees counted once.
     pub(crate) fn footprint(&self) -> (usize, usize) {
         let mut seen = HashSet::new();
         let pinned = self.window.iter().map(|pw| &pw.index);
-        let nodes = [&self.index, &self.published_index]
-            .into_iter()
+        let nodes = std::iter::once(&self.published_index)
             .chain(pinned)
             .map(|ix| ix.count_nodes(&mut seen))
             .sum();

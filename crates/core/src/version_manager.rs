@@ -31,7 +31,7 @@
 //!
 //! * a registry (`RwLock<HashMap<BlobId, Arc<BlobSlot>>>`) handing out
 //!   per-BLOB slots — read-locked briefly on every operation, write-locked
-//!   only by `create_blob`;
+//!   only by `create_blob` and `delete_blob`;
 //! * one `Mutex<BlobState>` per BLOB — operations on distinct BLOBs
 //!   never contend.
 //!
@@ -40,13 +40,13 @@
 //! pending versions are one dense window (`published + 1 ..= assigned`, the
 //! invariant is stated beside the struct), and every verb below calls
 //! exactly one of its methods per lock hold. This file is the shell around
-//! it — the registry and its epoch GC, the `retired` flag, the pause
-//! barrier, lock acquisition, and everything that must *not* happen under
-//! the lock: the wire charge (`charge`, written once),
-//! manifest validation (against the immutable page size), `plan_write` for
-//! force-complete, DHT traffic, gate waits and gate firing. No lock is ever
-//! held across a blocking fabric call, so the same code is safe in live
-//! mode where processes genuinely run in parallel
+//! it — the registry, the `retired` flag, the pause barrier, lock
+//! acquisition, and everything that must *not* happen under the lock: the
+//! wire charge (`charge`, written once), manifest validation (against the
+//! immutable page size), `plan_write` for force-complete, DHT traffic, gate
+//! waits and gate firing. No lock is ever held across a blocking fabric
+//! call, so the same code is safe in live mode where processes genuinely
+//! run in parallel
 //! (`tests/control_plane_concurrency.rs` races it on real threads).
 
 use std::collections::HashMap;
@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric::sync::Gate;
-use fabric::{Fabric, NodeId, Proc, CTL_MSG_BYTES};
+use fabric::{NodeId, Proc, CTL_MSG_BYTES};
 use parking_lot::{Mutex, RwLock};
 
 use crate::desc_index::DescIndex;
@@ -72,25 +72,14 @@ const DESC_WIRE_BYTES: u64 = 48;
 
 /// One BLOB's slot in the sharded registry: the immutable facts live outside
 /// the lock (so `page_size_of` and manifest validation never take it), the
-/// mutable control-plane state inside. `retired` flips when the BLOB is
-/// deleted — readers observe it without any registry write lock; the slot
-/// itself is dropped later by an epoch-based GC pass.
+/// mutable control-plane state inside. `delete_blob` flips `retired` and
+/// drops the slot from the registry at once; an operation that fetched the
+/// `Arc` before that still holds the slot, sees the flag and answers
+/// `NoSuchBlob`, and the slot's memory goes with the last `Arc`.
 struct BlobSlot {
     page_size: u64,
     retired: AtomicBool,
     state: Mutex<BlobState>,
-}
-
-/// Registry garbage collection: retired slots are removed in *epochs*. A
-/// `delete_blob` records the current epoch; a GC pass removes only slots
-/// retired in an earlier epoch, then advances the epoch — so a slot survives
-/// at least one full pass after its retirement (operations that already
-/// fetched the `Arc` run out harmlessly) and the registry write lock is
-/// taken once per pass for the whole ready batch, never on the read path.
-#[derive(Default)]
-struct RegistryGc {
-    epoch: u64,
-    retired: Vec<(u64, BlobId)>,
 }
 
 /// The centralized version manager service.
@@ -99,7 +88,6 @@ pub struct VersionManager {
     /// holds it down (`BlobSeer::inject`), every request stalls at entry —
     /// the VM is alive but mute, a GC pause.
     shell: Service,
-    fabric: Fabric,
     dht: Arc<MetaDht>,
     /// CPU charged on the VM node per request — models the serialization
     /// point the paper calls "low overhead" and lets benches observe it.
@@ -108,13 +96,11 @@ pub struct VersionManager {
     default_page_size: u64,
     next_blob: AtomicU64,
     blobs: RwLock<HashMap<BlobId, Arc<BlobSlot>>>,
-    gc: Mutex<RegistryGc>,
 }
 
 impl VersionManager {
     pub fn new(
         node: NodeId,
-        fabric: Fabric,
         dht: Arc<MetaDht>,
         default_page_size: u64,
         vm_cpu_ops: u64,
@@ -122,14 +108,12 @@ impl VersionManager {
     ) -> Self {
         VersionManager {
             shell: Service::new(VERSION_MANAGER, node),
-            fabric,
             dht,
             vm_cpu_ops,
             write_timeout_ns,
             default_page_size,
             next_blob: AtomicU64::new(1),
             blobs: RwLock::with_rank(HashMap::new(), crate::lock_ranks::REGISTRY),
-            gc: Mutex::new(RegistryGc::default()),
         }
     }
 
@@ -170,8 +154,8 @@ impl VersionManager {
 
     /// The registry slot for `blob`: a brief read lock on the registry, then
     /// lock-free access to the immutable facts and the per-blob mutex. A
-    /// retired (deleted) BLOB answers `NoSuchBlob` whether or not its slot
-    /// was already swept by the epoch GC.
+    /// deleted BLOB answers `NoSuchBlob`: its slot is gone from the map, or,
+    /// for an operation racing the delete, flagged `retired`.
     fn slot(&self, blob: BlobId) -> BlobResult<Arc<BlobSlot>> {
         let slot = self
             .blobs
@@ -201,23 +185,19 @@ impl VersionManager {
     }
 
     /// Retire a BLOB (the namespace deleted its file). The slot flips to
-    /// retired — no registry write lock, so the lock-free read path is never
-    /// touched — and is recorded for a later [`Self::gc_registry`] pass.
-    /// Every subsequent operation answers `NoSuchBlob`; pending writes are
-    /// abandoned (their provider reservations fall to the lease reaper) and
-    /// their gates fire so parked [`Self::wait_published`] callers wake to a
-    /// typed `NoSuchBlob` instead of hanging on versions that can never
-    /// publish.
+    /// retired, then leaves the registry under its write lock, as
+    /// `create_blob` put it there; an operation that already holds the slot
+    /// sees the flag. Every subsequent operation answers `NoSuchBlob`;
+    /// pending writes are abandoned (their provider reservations fall to the
+    /// lease reaper) and their gates fire so parked [`Self::wait_published`]
+    /// callers wake to a typed `NoSuchBlob` instead of hanging on versions
+    /// that can never publish.
     pub fn delete_blob(&self, p: &Proc, blob: BlobId) -> BlobResult<()> {
         self.pause_barrier(p);
         self.charge(p, 0);
         let slot = self.slot(blob)?;
         slot.retired.store(true, Ordering::Release);
-        {
-            let mut gc = self.gc.lock();
-            let epoch = gc.epoch;
-            gc.retired.push((epoch, blob));
-        }
+        self.blobs.write().remove(&blob);
         // The retired flag is set before the gates fire: a woken waiter
         // re-checks it and reports the deletion. Gate wakeups are
         // replay-visible (they reschedule parked fibers): they fire in
@@ -227,49 +207,18 @@ impl VersionManager {
         Ok(())
     }
 
-    /// One epoch-based GC pass over the registry: drop the slots of BLOBs
-    /// retired in an earlier epoch, then advance the epoch. A freshly
-    /// retired slot therefore survives exactly one pass before its memory is
-    /// reclaimed, and the registry write lock is taken once per pass for the
-    /// whole ready batch — the read path never pays for deletions. Returns
-    /// the number of slots dropped. Run by the background reaper, or
-    /// directly by tests.
-    pub fn gc_registry(&self) -> usize {
-        let ready: Vec<BlobId> = {
-            let mut gc = self.gc.lock();
-            let epoch = gc.epoch;
-            gc.epoch += 1;
-            let (ready, keep) = gc.retired.drain(..).partition(|&(e, _)| e < epoch);
-            gc.retired = keep;
-            ready.into_iter().map(|(_, b)| b).collect()
-        };
-        if !ready.is_empty() {
-            let mut reg = self.blobs.write();
-            for b in &ready {
-                reg.remove(b);
-            }
-        }
-        ready.len()
-    }
-
-    /// Number of registry slots currently held (live + retired-but-unswept).
-    /// Diagnostics for the GC tests.
+    /// Number of registry slots currently held: one per live BLOB.
+    /// Diagnostics for the delete tests.
     pub fn registry_len(&self) -> usize {
         self.blobs.read().len()
     }
 
-    /// Ids of every live (non-retired) BLOB — the reaper's work list.
+    /// Ids of every live BLOB — the reaper's work list.
     /// Sorted: callers sweep blobs (and issue any resulting DHT traffic) in
     /// a deterministic order, never the registry map's iteration order.
     pub fn blob_ids(&self) -> Vec<BlobId> {
         #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
-        let mut ids: Vec<BlobId> = self
-            .blobs
-            .read()
-            .iter()
-            .filter(|(_, s)| !s.retired.load(Ordering::Acquire))
-            .map(|(&b, _)| b)
-            .collect();
+        let mut ids: Vec<BlobId> = self.blobs.read().keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -341,13 +290,13 @@ impl VersionManager {
                     ),
                 });
             }
-            let gate = self.fabric.gate();
+            let gate = p.fabric().gate();
             let mut st = slot.state.lock();
             // The assignment timestamp is read under the blob lock: the
             // window's O(1) expiry peek relies on per-blob monotone times,
             // which a pre-lock read would break in live mode (preempted
             // writer admits an older timestamp second).
-            st.assign(kind, nbytes, manifest, self.fabric.now(), gate)
+            st.assign(kind, nbytes, manifest, p.now(), gate)
         })();
         // The descriptor delta rides the assign response (the caller learns
         // every version after its `known` watermark and pays for it on the
@@ -429,11 +378,11 @@ impl VersionManager {
     }
 
     /// Memory-bound diagnostics: `(pending writes, distinct index nodes)`
-    /// retained by this blob's control plane — the live index, the published
-    /// index, and every pending write's pinned snapshot, with structurally
-    /// shared subtrees counted exactly once. This is the number the
-    /// desc-index memory-bound stress tests hold proportional to the live
-    /// pending count (× tree depth), not to pending × pages.
+    /// retained by this blob's control plane — the published index and every
+    /// pending write's pinned snapshot, with structurally shared subtrees
+    /// counted exactly once. This is the number the desc-index memory-bound
+    /// stress tests hold proportional to the live pending count (× tree
+    /// depth), not to pending × pages.
     pub fn pending_footprint(&self, blob: BlobId) -> (usize, usize) {
         self.slot(blob)
             .map_or((0, 0), |slot| slot.state.lock().footprint())
@@ -468,7 +417,7 @@ impl VersionManager {
         let Ok(slot) = self.slot(blob) else {
             return Ok(());
         };
-        let now = self.fabric.now();
+        let now = p.now();
         let expired = slot.state.lock().take_expired(now, self.write_timeout_ns);
         // A concurrent force-completer or a resurrected writer racing us
         // here is fine: node writes are idempotent, commit is too.
@@ -495,16 +444,9 @@ mod tests {
 
     const PS: u64 = 100;
 
-    fn setup(fx: &Fabric) -> Arc<VersionManager> {
+    fn setup() -> Arc<VersionManager> {
         let dht = Arc::new(MetaDht::new(vec![Arc::new(MetaServer::new(NodeId(1)))], 0));
-        Arc::new(VersionManager::new(
-            NodeId(0),
-            fx.clone(),
-            dht,
-            PS,
-            0,
-            1_000_000_000,
-        ))
+        Arc::new(VersionManager::new(NodeId(0), dht, PS, 0, 1_000_000_000))
     }
 
     fn manifest(n: u64, tag: u64, last_len: u64) -> Arc<Vec<PageRef>> {
@@ -522,7 +464,7 @@ mod tests {
     #[test]
     fn append_assign_and_publish_in_order() {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let vm = setup(&fx);
+        let vm = setup();
         let vm2 = vm.clone();
         let h = fx.spawn(NodeId(3), "t", move |p| {
             let blob = vm2.create_blob(p, None);
@@ -565,7 +507,7 @@ mod tests {
     #[test]
     fn sync_index_ships_published_snapshots_only() {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let vm = setup(&fx);
+        let vm = setup();
         let vm2 = vm.clone();
         let h = fx.spawn(NodeId(3), "t", move |p| {
             let blob = vm2.create_blob(p, None);
@@ -597,7 +539,7 @@ mod tests {
     #[test]
     fn pending_versions_are_invisible() {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let vm = setup(&fx);
+        let vm = setup();
         let vm2 = vm.clone();
         let h = fx.spawn(NodeId(3), "t", move |p| {
             let blob = vm2.create_blob(p, None);
@@ -617,7 +559,7 @@ mod tests {
     #[test]
     fn waiters_unblock_on_publication() {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let vm = setup(&fx);
+        let vm = setup();
         let (vma, vmb) = (vm.clone(), vm.clone());
         let blob_gate = fx.gate();
         let (bg1, bg2) = (blob_gate.clone(), blob_gate.clone());
@@ -657,7 +599,7 @@ mod tests {
     #[test]
     fn interior_overwrite_validation() {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let vm = setup(&fx);
+        let vm = setup();
         let vm2 = vm.clone();
         let h = fx.spawn(NodeId(3), "t", move |p| {
             let blob = vm2.create_blob(p, None);
@@ -725,7 +667,7 @@ mod tests {
     #[test]
     fn force_complete_unsticks_a_dead_writer() {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let vm = setup(&fx);
+        let vm = setup();
         let vm2 = vm.clone();
         let h = fx.spawn(NodeId(3), "t", move |p| {
             let blob = vm2.create_blob(p, None);
@@ -756,7 +698,7 @@ mod tests {
     #[test]
     fn zero_byte_appends_rejected() {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let vm = setup(&fx);
+        let vm = setup();
         let vm2 = vm.clone();
         let h = fx.spawn(NodeId(3), "t", move |p| {
             let blob = vm2.create_blob(p, None);
@@ -776,7 +718,7 @@ mod tests {
         // independent per-blob locks, so nothing funnels through a global
         // one (which would park the worker on the hostage below).
         let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let vm = setup(&fx);
+        let vm = setup();
         let locked = fx.gate();
         let vm2 = vm.clone();
         let a = std::sync::Arc::new(std::sync::OnceLock::new());
@@ -818,7 +760,7 @@ mod tests {
         // of order on eight uncommitted versions, wake 1, 2, … 8 when the
         // BLOB goes — the window's order, never the order they parked in.
         let fx = Fabric::sim(ClusterSpec::tiny(4));
-        let vm = setup(&fx);
+        let vm = setup();
         let woken = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let woken2 = woken.clone();
         fx.spawn(NodeId(3), "owner", move |p| {
@@ -850,14 +792,7 @@ mod tests {
         let fx = Fabric::sim(ClusterSpec::tiny(4));
         let server = Arc::new(MetaServer::new(NodeId(1)));
         let dht = Arc::new(MetaDht::new(vec![server.clone()], 0));
-        let vm = Arc::new(VersionManager::new(
-            NodeId(0),
-            fx.clone(),
-            dht,
-            PS,
-            0,
-            1_000_000_000,
-        ));
+        let vm = Arc::new(VersionManager::new(NodeId(0), dht, PS, 0, 1_000_000_000));
         let vm2 = vm.clone();
         let h = fx.spawn(NodeId(3), "t", move |p| {
             let blob = vm2.create_blob(p, None);

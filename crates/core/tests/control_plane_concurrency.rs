@@ -150,19 +150,12 @@ fn per_blob_ordering_survives_sharding() {
     assert_eq!(size, 8 * PS);
 }
 
-fn vm_setup(fx: &Fabric, timeout_ns: u64) -> Arc<VersionManager> {
+fn vm_setup(timeout_ns: u64) -> Arc<VersionManager> {
     let dht = Arc::new(blobseer::dht::MetaDht::new(
         vec![Arc::new(blobseer::dht::MetaServer::new(NodeId(1)))],
         0,
     ));
-    Arc::new(VersionManager::new(
-        NodeId(0),
-        fx.clone(),
-        dht,
-        PS,
-        0,
-        timeout_ns,
-    ))
+    Arc::new(VersionManager::new(NodeId(0), dht, PS, 0, timeout_ns))
 }
 
 fn one_page_manifest(tag: u64) -> Arc<Vec<PageRef>> {
@@ -182,7 +175,7 @@ fn one_page_manifest(tag: u64) -> Arc<Vec<PageRef>> {
 fn reap_commit_wait_races_end_published_not_panicked() {
     let timeout = 500 * fabric::MILLIS;
     let fx = Fabric::sim(ClusterSpec::tiny(8));
-    let vm = vm_setup(&fx, timeout);
+    let vm = vm_setup(timeout);
     let blob_cell: Arc<Mutex<Option<blobseer::BlobId>>> = Arc::new(Mutex::new(None));
     let assigned = fx.gate();
 
@@ -243,7 +236,7 @@ fn reap_commit_wait_races_end_published_not_panicked() {
 fn each_blob_reaps_independently() {
     let timeout = 200 * fabric::MILLIS;
     let fx = Fabric::sim(ClusterSpec::tiny(8));
-    let vm = vm_setup(&fx, timeout);
+    let vm = vm_setup(timeout);
     let vm2 = vm.clone();
     let h = fx.spawn(NodeId(2), "driver", move |p| {
         let blobs: Vec<_> = (0..16).map(|_| vm2.create_blob(p, None)).collect();
@@ -312,14 +305,7 @@ fn scripted_window_scenario_is_pinned_to_literals() {
     let fx = Fabric::sim_seeded(ClusterSpec::tiny(12), 0x5EED_0023);
     let server = Arc::new(blobseer::dht::MetaServer::new(NodeId(1)));
     let dht = Arc::new(blobseer::dht::MetaDht::new(vec![server.clone()], 0));
-    let vm = Arc::new(VersionManager::new(
-        NodeId(0),
-        fx.clone(),
-        dht,
-        PS,
-        20_000,
-        TIMEOUT,
-    ));
+    let vm = Arc::new(VersionManager::new(NodeId(0), dht, PS, 20_000, TIMEOUT));
     let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
 
     let (vm0, log0) = (vm.clone(), log.clone());
@@ -750,15 +736,16 @@ struct Seen {
 /// waiters that poll until their version is assigned and then park on it.
 ///
 /// With `delete_mid_storm` the blob is deleted 30 ms in, right after four
-/// more waiters parked on four fresh, uncommitted versions: every verb that
-/// starts after the deletion and every waiter it wakes answers `NoSuchBlob`.
+/// more waiters parked on four fresh, uncommitted versions: its registry
+/// slot is gone when `delete_blob` returns, and every verb that starts after
+/// the deletion and every waiter it wakes answers `NoSuchBlob`.
 /// Either way nothing hangs: `fx.run()` returns.
 fn live_storm(delete_mid_storm: bool) {
     const WRITERS: u64 = 8;
     const ROUNDS: u64 = 50;
     const N: u64 = WRITERS * ROUNDS;
     let fx = Fabric::live_seeded(ClusterSpec::tiny(17), 0x5EED_0023);
-    let vm = vm_setup(&fx, 50 * fabric::MILLIS);
+    let vm = vm_setup(50 * fabric::MILLIS);
     let seen: Arc<Mutex<Vec<Seen>>> = Arc::new(Mutex::new(Vec::new()));
     // 0 while the blob lives, 1 once `delete_blob` was called, 2 once it
     // returned.
@@ -883,6 +870,9 @@ fn live_storm(delete_mid_storm: bool) {
             phase.store(1, Ordering::SeqCst);
             vm.delete_blob(p, blob).unwrap();
             phase.store(2, Ordering::SeqCst);
+            // The slot left the registry before `delete_blob` returned; the
+            // writers, reapers and waiters still holding it run out below.
+            assert_eq!(vm.registry_len(), 0, "a deleted blob keeps no slot");
             for w in waiters.drain(4..) {
                 w.join(p);
             }

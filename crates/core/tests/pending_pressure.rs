@@ -18,16 +18,9 @@ use fabric::{ClusterSpec, Fabric, NodeId, Payload, Proc};
 
 const PS: u64 = 1024;
 
-fn vm_only(fx: &Fabric, timeout_ns: u64) -> Arc<VersionManager> {
+fn vm_only(timeout_ns: u64) -> Arc<VersionManager> {
     let dht = Arc::new(MetaDht::new(vec![Arc::new(MetaServer::new(NodeId(1)))], 0));
-    Arc::new(VersionManager::new(
-        NodeId(0),
-        fx.clone(),
-        dht,
-        PS,
-        0,
-        timeout_ns,
-    ))
+    Arc::new(VersionManager::new(NodeId(0), dht, PS, 0, timeout_ns))
 }
 
 fn one_page_manifest(tag: u64) -> Arc<Vec<PageRef>> {
@@ -47,7 +40,7 @@ fn one_page_manifest(tag: u64) -> Arc<Vec<PageRef>> {
 fn one_blob_thousand_pending_writers_bounded_retention() {
     const W: u64 = 2_000;
     let fx = Fabric::sim(ClusterSpec::tiny(4));
-    let vm = vm_only(&fx, u64::MAX); // no reaping: keep every write pending
+    let vm = vm_only(u64::MAX); // no reaping: keep every write pending
     let vm2 = vm.clone();
     let h = fx.spawn(NodeId(3), "horde", move |p| {
         let blob = vm2.create_blob(p, None);
@@ -101,7 +94,7 @@ fn many_blobs_pending_writers_bounded_retention() {
     const BLOBS: u64 = 64;
     const W: u64 = 32; // pending writers per blob
     let fx = Fabric::sim(ClusterSpec::tiny(4));
-    let vm = vm_only(&fx, u64::MAX);
+    let vm = vm_only(u64::MAX);
     let vm2 = vm.clone();
     let h = fx.spawn(NodeId(3), "horde", move |p| {
         let blobs: Vec<_> = (0..BLOBS).map(|_| vm2.create_blob(p, None)).collect();
@@ -155,14 +148,7 @@ fn provider_books_balance_after_mass_reap() {
         .collect();
     let pm = Arc::new(ProviderManager::new(NodeId(1), providers.clone(), timeout));
     let dht = Arc::new(MetaDht::new(vec![Arc::new(MetaServer::new(NodeId(1)))], 0));
-    let vm = Arc::new(VersionManager::new(
-        NodeId(0),
-        fx.clone(),
-        dht.clone(),
-        PS,
-        0,
-        timeout,
-    ));
+    let vm = Arc::new(VersionManager::new(NodeId(0), dht.clone(), PS, 0, timeout));
     let vm2 = vm.clone();
     let provs = providers.clone();
     let h = fx.spawn(NodeId(7), "driver", move |p| {

@@ -15,9 +15,8 @@
 //!   `assign` and `commit` publishes through the same reaper without any
 //!   control-plane interaction; a sweep that fails on a metadata outage is
 //!   counted (`ReaperHandle::failed_sweeps`) and retried after heal;
-//! * **registry GC** — deleted BLOBs retire their registry slots via
-//!   epoch-based retirement: immediately unreachable, swept one epoch
-//!   later, never a write lock on the read path;
+//! * **registry drain** — a deleted BLOB is unreachable and its registry
+//!   slot gone the moment `delete` returns;
 //! * **acknowledged means durable, under a race** — on real threads, a
 //!   process crash landing in the middle of four writers' batch streams
 //!   loses nothing a provider or a metadata server acknowledged, tears
@@ -359,12 +358,11 @@ fn delete_blob_fails_parked_waiters_instead_of_stranding_them() {
     );
 }
 
-/// Epoch-based registry GC at the version manager: a deleted BLOB is
-/// unreachable at once, its slot survives exactly one GC epoch before the
-/// sweep drops it, and live BLOBs are never disturbed (the read path takes
-/// no write lock for any of this).
+/// A deleted BLOB leaves the version manager's registry at once: it is
+/// unreachable for every verb and its slot is gone when `delete` returns,
+/// while live BLOBs are never disturbed.
 #[test]
-fn retired_blob_slots_are_swept_one_epoch_later() {
+fn deleted_blob_slots_leave_the_registry_at_delete() {
     let fx = Fabric::sim(ClusterSpec::tiny(4));
     let bs = BlobSeer::deploy(&fx, config(), Layout::compact(fx.spec())).unwrap();
     let bs2 = bs.clone();
@@ -384,12 +382,8 @@ fn retired_blob_slots_are_swept_one_epoch_later() {
             c.append(p, doomed, Payload::ghost(PS)),
             Err(BlobError::NoSuchBlob(_))
         ));
-        // ...but the slot waits for its epoch.
-        assert_eq!(vm.registry_len(), 2, "retired slot awaits its epoch");
-        assert_eq!(vm.gc_registry(), 0, "same-epoch slot survives one pass");
-        assert_eq!(vm.registry_len(), 2);
-        assert_eq!(vm.gc_registry(), 1, "one epoch old: swept");
-        assert_eq!(vm.registry_len(), 1);
+        // ...and its slot is already gone.
+        assert_eq!(vm.registry_len(), 1, "the slot left at delete");
 
         // The live BLOB never noticed; double delete is a typed error.
         assert_eq!(c.latest(p, keep).unwrap(), 1);
