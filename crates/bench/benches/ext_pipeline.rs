@@ -50,7 +50,6 @@ fn pipeline_run(overlap: bool, seed: u64) -> (f64, f64) {
         map_slots: 2,
         reduce_slots: 1,
         heartbeat_ns: 3_000 * fabric::MILLIS,
-        locality_delay_ns: 4_500 * fabric::MILLIS,
     };
     let mr = MrCluster::start(&fx, fs.clone(), mr_cfg);
 

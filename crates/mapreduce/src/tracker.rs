@@ -108,12 +108,10 @@ pub struct MrConfig {
     pub map_slots: u32,
     /// Concurrent reduce tasks per tasktracker (Hadoop default: 2).
     pub reduce_slots: u32,
-    /// Heartbeat period.
+    /// Heartbeat period. A pending map task is also held for data-local
+    /// tasktrackers for 1.5 heartbeats after becoming available; afterwards
+    /// any node may take it (a light form of delay scheduling).
     pub heartbeat_ns: u64,
-    /// A pending map task is held for data-local tasktrackers for this long
-    /// after becoming available; afterwards any node may take it (a light
-    /// form of delay scheduling; 0 = fully greedy like Hadoop 0.20).
-    pub locality_delay_ns: u64,
 }
 
 impl MrConfig {
@@ -128,7 +126,6 @@ impl MrConfig {
             map_slots: 2,
             reduce_slots: 2,
             heartbeat_ns: 1_000 * fabric::MILLIS,
-            locality_delay_ns: 1_500 * fabric::MILLIS,
         }
     }
 
@@ -140,7 +137,6 @@ impl MrConfig {
             map_slots: 2,
             reduce_slots: 2,
             heartbeat_ns: 10 * fabric::MILLIS,
-            locality_delay_ns: 15 * fabric::MILLIS,
         }
     }
 
@@ -152,7 +148,6 @@ impl MrConfig {
 
     pub fn with_heartbeat_ns(mut self, hb: u64) -> Self {
         self.heartbeat_ns = hb;
-        self.locality_delay_ns = hb + hb / 2;
         self
     }
 }
@@ -308,18 +303,18 @@ struct Scheduler {
     /// FIFO priority.
     order: Vec<u64>,
     next_job: u64,
-    locality_delay_ns: u64,
+    locality_delay: u64,
     /// Bumped by every change that can turn an idle beat's answer into work.
     epoch: Epoch,
 }
 
 impl Scheduler {
-    fn new(locality_delay_ns: u64) -> Scheduler {
+    fn new(locality_delay: u64) -> Scheduler {
         Scheduler {
             jobs: HashMap::new(),
             order: Vec::new(),
             next_job: 1,
-            locality_delay_ns,
+            locality_delay,
             epoch: Epoch::new(),
         }
     }
@@ -350,7 +345,7 @@ impl Scheduler {
             let st = self.jobs.get_mut(id).expect("job in order map");
             // Node-local first; non-local only after the task waited
             // `locality_delay` for a local taker (light delay scheduling).
-            let (maps, delay) = (&st.pending_maps, self.locality_delay_ns);
+            let (maps, delay) = (&st.pending_maps, self.locality_delay);
             let pick = if map_wanted {
                 (maps.iter())
                     .position(|(t, _)| t.hosts.contains(&node))
@@ -503,7 +498,8 @@ impl MrCluster {
     /// [`MrCluster::shutdown`] when done so `fabric.run()` can terminate.
     pub fn start(fabric: &Fabric, fs: Arc<dyn FileSystem>, config: MrConfig) -> MrCluster {
         let registry = MapOutputRegistry::new();
-        let scheduler = Scheduler::new(config.locality_delay_ns);
+        let hb = config.heartbeat_ns;
+        let scheduler = Scheduler::new(hb + hb / 2);
         let cluster = MrCluster {
             fabric: fabric.clone(),
             fs,
