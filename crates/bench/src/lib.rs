@@ -92,10 +92,10 @@ pub fn path(s: &str) -> DfsPath {
     DfsPath::new(s).unwrap()
 }
 
-/// The roles a client op's virtual time folds into (ROADMAP G(1)): the
-/// client's own node first, then the services of the deployment. HDFS folds
-/// its namenode into `namespace` and its datanodes into `providers`.
-pub(crate) const ROLES: [&str; 7] = [
+/// The roles a client op's time folds into (ROADMAP G(1)): the client's own
+/// node first, then the services of the deployment. HDFS folds its namenode
+/// into `namespace` and its datanodes into `providers`.
+pub const ROLES: [&str; 7] = [
     "client",
     "vm",
     "pm",
@@ -110,7 +110,7 @@ pub(crate) const ROLES: [&str; 7] = [
 pub type RoleOf = Box<dyn Fn(NodeId) -> Option<usize>>;
 
 /// The BSFS deployment's roles.
-pub(crate) fn bsfs_roles(layout: Layout) -> RoleOf {
+pub fn bsfs_roles(layout: Layout) -> RoleOf {
     Box::new(move |n| {
         let services = [
             n == layout.vm,
@@ -136,8 +136,8 @@ pub(crate) fn hdfs_roles(layout: HdfsLayout) -> RoleOf {
     })
 }
 
-/// One client op: the node it ran on, its virtual time and what its proc's
-/// ledger gained over it.
+/// One client op: the node it ran on, its time and what its proc's ledger
+/// gained over it.
 #[derive(Debug, Clone)]
 pub struct Op {
     pub node: NodeId,
@@ -146,20 +146,27 @@ pub struct Op {
 }
 
 impl Op {
-    /// Run `f` as one op of `p`.
+    /// Run `f` as one op of `p`. Each ledger snapshot follows a clock
+    /// reading, so in live mode it is as of that instant.
     pub fn time<T>(p: &Proc, f: impl FnOnce() -> T) -> (T, Op) {
-        let (before, t0) = (p.ledger(), p.now());
+        let t0 = p.now();
+        let before = p.ledger();
         let out = f();
-        let op = Op {
-            node: p.node(),
-            ns: p.now() - t0,
-            ledger: p.ledger().since(&before),
-        };
-        (out, op)
+        let ns = p.now() - t0;
+        let ledger = p.ledger().since(&before);
+        (
+            out,
+            Op {
+                node: p.node(),
+                ns,
+                ledger,
+            },
+        )
     }
 }
 
-/// The clients' mean op time, in virtual ms, and its split by `ROLES`.
+/// The clients' mean op time, in ms (virtual in sim mode, wall in live
+/// mode), and its split by `ROLES`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoleMs {
     pub op_ms: f64,
@@ -170,9 +177,9 @@ impl RoleMs {
     /// Fold `ops` into roles, checking the ledger identity on the way: each
     /// op's buckets sum to its time exactly, so the roles sum to the mean
     /// op time up to rounding. A charge on the op's own node, or on a node
-    /// no service runs on, is the client's. Sim mode only: a live ledger is
-    /// empty.
-    pub(crate) fn fold(ops: &[Op], role_of: &RoleOf) -> RoleMs {
+    /// no service runs on, is the client's. Both modes: a live ledger names
+    /// its services from inside (`fabric::Proc::serve`).
+    pub fn fold(ops: &[Op], role_of: &RoleOf) -> RoleMs {
         let mut out = RoleMs::default();
         if ops.is_empty() {
             return out;

@@ -8,7 +8,7 @@
 //! cached size field.
 
 use dfs::{DfsPath, FsResult, Namespace};
-use fabric::{NodeId, Pending, Proc, CTL_MSG_BYTES};
+use fabric::{NodeId, Pending, Proc, ResourceKind, CTL_MSG_BYTES};
 use parking_lot::Mutex;
 
 use blobseer::BlobId;
@@ -46,14 +46,16 @@ impl NamespaceManager {
         p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, self.cpu_ops)
     }
 
-    fn charge(&self, p: &Proc) {
+    /// One namespace operation: its request, then `f`, the manager's work
+    /// (a live scope on its node's CPU, [`Proc::serve`]).
+    fn serve<T>(&self, p: &Proc, f: impl FnOnce() -> T) -> T {
         self.start(p).wait(p);
+        p.serve(self.node, ResourceKind::Cpu, f)
     }
 
     /// Create all missing directories down to `path`.
     pub(crate) fn mkdirs(&self, p: &Proc, path: &DfsPath) -> FsResult<()> {
-        self.charge(p);
-        self.state.lock().mkdirs(path)
+        self.serve(p, || self.state.lock().mkdirs(path))
     }
 
     /// Register a new file mapped to `blob`. Auto-creates parent directories
@@ -65,9 +67,10 @@ impl NamespaceManager {
         blob: BlobId,
         block_size: u64,
     ) -> FsResult<()> {
-        self.charge(p);
-        let file = NsFile { blob, block_size };
-        self.state.lock().insert_file(path, file)
+        self.serve(p, || {
+            let file = NsFile { blob, block_size };
+            self.state.lock().insert_file(path, file)
+        })
     }
 
     /// Look up an entry.
@@ -87,20 +90,20 @@ impl NamespaceManager {
 
     /// Children names + entries of a directory, sorted by name.
     pub(crate) fn list(&self, p: &Proc, path: &DfsPath) -> FsResult<Vec<(DfsPath, NsEntry)>> {
-        self.charge(p);
-        let st = self.state.lock();
-        let children = st.children(path)?;
-        Ok(children
-            .into_iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect())
+        self.serve(p, || {
+            let st = self.state.lock();
+            let children = st.children(path)?;
+            Ok(children
+                .into_iter()
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect())
+        })
     }
 
     /// Atomic rename of a file or directory subtree. Fails when `dst`
     /// exists (Hadoop 0.20 semantics) or `src` is missing.
     pub(crate) fn rename(&self, p: &Proc, src: &DfsPath, dst: &DfsPath) -> FsResult<()> {
-        self.charge(p);
-        self.state.lock().rename(src, dst)
+        self.serve(p, || self.state.lock().rename(src, dst))
     }
 
     /// Delete a file or directory. Non-empty directories require
@@ -113,10 +116,11 @@ impl NamespaceManager {
         path: &DfsPath,
         recursive: bool,
     ) -> FsResult<(bool, Vec<BlobId>)> {
-        self.charge(p);
-        let removed = self.state.lock().remove(path, recursive)?;
-        let blobs = removed.iter().flatten().map(|f| f.blob).collect();
-        Ok((removed.is_some(), blobs))
+        self.serve(p, || {
+            let removed = self.state.lock().remove(path, recursive)?;
+            let blobs = removed.iter().flatten().map(|f| f.blob).collect();
+            Ok((removed.is_some(), blobs))
+        })
     }
 }
 
@@ -133,7 +137,10 @@ impl Lookup<'_> {
     /// arrives, not when the lookup was sent.
     pub(crate) fn finish(self, p: &Proc) -> FsResult<NsEntry> {
         self.pending.wait(p);
-        self.ns.state.lock().get(self.path).cloned()
+        let ns = self.ns;
+        p.serve(ns.node, ResourceKind::Cpu, || {
+            ns.state.lock().get(self.path).cloned()
+        })
     }
 }
 

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use fabric::{NodeId, Proc};
+use fabric::{NodeId, Proc, ResourceKind};
 use parking_lot::RwLock;
 
 use crate::error::{BlobError, BlobResult};
@@ -117,23 +117,25 @@ impl MetaServer {
     }
 
     /// Store one server group of tree nodes: durably first (when
-    /// persistent), then into the striped memory map. The store read guard
-    /// is held across the whole group INCLUDING the flush — see
-    /// [`crate::service`]: no node is ever acked and then lost.
+    /// persistent, a live `Disk` scope), then into the striped memory map.
+    /// The store read guard is held across the whole group INCLUDING the
+    /// flush — see [`crate::service`]: no node is ever acked and then lost.
     #[expect(
         clippy::indexing_slicing,
         reason = "subscripts are stripe_of() (`% NODE_STRIPES`) or enumerate() over a vector built with NODE_STRIPES entries, as `nodes` is"
     )]
-    pub(crate) fn store_nodes(&self, nodes: Vec<(NodeKey, NodeBody)>) -> BlobResult<()> {
+    pub(crate) fn store_nodes(&self, p: &Proc, nodes: Vec<(NodeKey, NodeBody)>) -> BlobResult<()> {
         if let Some(g) = self.store_guard() {
             let Some(s) = g.as_ref() else {
                 return Err(self.down());
             };
-            for (key, body) in &nodes {
-                s.put(&key.encode(), &body.encode())
-                    .map_err(|e| self.err(&e))?;
-            }
-            s.flush_buffered().map_err(|e| self.err(&e))?;
+            p.serve(self.node(), ResourceKind::Disk, || {
+                for (key, body) in &nodes {
+                    s.put(&key.encode(), &body.encode())
+                        .map_err(|e| self.err(&e))?;
+                }
+                s.flush_buffered().map_err(|e| self.err(&e))
+            })?;
         }
         // Write-lock each touched stripe once for its share; untouched
         // stripes (and their concurrent readers) are never blocked.
@@ -241,8 +243,10 @@ impl MetaDht {
             let req: u64 = group.iter().map(|(_, b)| b.encoded_size() + 40).sum();
             let ops = self.server_cpu_ops * group.len() as u64;
             p.request(server.node(), req, 16, ops).wait(p);
-            server.served_put(group.len() as u64);
-            server.store_nodes(group)?;
+            p.serve(server.node(), ResourceKind::Cpu, || {
+                server.served_put(group.len() as u64);
+                server.store_nodes(p, group)
+            })?;
         }
         Ok(())
     }
@@ -278,9 +282,9 @@ impl MetaDht {
             if !server.is_alive() {
                 return Err(server.down());
             }
-            server.served_get(group.len() as u64);
-            let mut resp = 0u64;
-            {
+            let resp = p.serve(server.node(), ResourceKind::Cpu, || {
+                server.served_get(group.len() as u64);
+                let mut resp = 0u64;
                 // Read locks only, one per touched stripe: batched readers
                 // share every stripe and never block each other.
                 let mut by_stripe: Vec<Vec<usize>> =
@@ -299,7 +303,8 @@ impl MetaDht {
                         out[i] = body;
                     }
                 }
-            }
+                resp
+            });
             let n = group.len() as u64;
             let ops = self.server_cpu_ops * n;
             p.request(server.node(), 56 * n, resp, ops).wait(p);

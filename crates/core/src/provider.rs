@@ -37,7 +37,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fabric::{NodeId, Payload, Proc};
+use fabric::{NodeId, Payload, Proc, ResourceKind};
 use parking_lot::RwLock;
 
 use crate::error::{BlobError, BlobResult, PersistenceKind};
@@ -222,98 +222,103 @@ impl Provider {
     /// pages that did not land. Successful pages release their capacity
     /// reservation here; the caller releases reservations of failed ones.
     pub fn put_pages(&self, p: &Proc, pages: Vec<(PageId, Payload)>) -> Vec<BlobResult<()>> {
-        let n = pages.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let all_down = || -> Vec<BlobResult<()>> { (0..n).map(|_| Err(self.down())).collect() };
-        if !self.is_alive() {
-            return all_down();
-        }
-        self.served_put(n as u64);
-        let total: u64 = pages.iter().map(|(_, d)| d.len()).sum();
-        p.transfer(p.node(), self.node(), total + PAGE_HDR_BYTES * n as u64);
-        // The transfer took (virtual) time; the provider may have died
-        // mid-stream — then nothing of the batch is acknowledged.
-        if !self.is_alive() {
-            return all_down();
-        }
-        let mut out = Vec::with_capacity(n);
-        match self.store_guard() {
-            None => {
-                for (id, data) in pages {
-                    let len = data.len();
-                    // Only this page's stripe is write-locked; concurrent
-                    // batches for other stripes proceed in parallel.
-                    #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
-                    let mut m = self.stripes[stripe_of(id)].write();
-                    if m.insert(id, data).is_none() {
-                        self.books.stored_pages.fetch_add(1, Ordering::Relaxed);
-                        self.books.stored_bytes.fetch_add(len, Ordering::Relaxed);
-                    }
-                    drop(m);
-                    // A page that landed consumes its capacity reservation
-                    // here — failed pages keep theirs for the caller to
-                    // release.
-                    self.unreserve(len);
-                    out.push(Ok(()));
-                }
+        p.serve(self.node(), ResourceKind::Cpu, || {
+            let n = pages.len();
+            if n == 0 {
+                return Vec::new();
             }
-            // The guard is held across the whole batch INCLUDING the flush
-            // — see `crate::service`: no page is ever acked and then lost —
-            // and the books: a crash-and-restart cycle landing between "the
-            // index holds the batch" and "the books count it" would rebuild
-            // the books from that index and the late bump would count the
-            // batch twice.
-            Some(g) => {
-                let Some(s) = g.as_ref() else {
-                    return all_down();
-                };
-                // Stage every page into the store first...
-                let mut staged: Vec<(u64, BlobResult<bool>)> = Vec::with_capacity(n);
-                for (id, data) in pages {
-                    let len = data.len();
-                    let res = match &data {
-                        Payload::Bytes(b) => s
-                            .put(&page_key(id), b.as_ref())
-                            .map(|replaced| !replaced)
-                            .map_err(|e| self.err(&e)),
-                        Payload::Ghost(_) => Err(BlobError::Persistence {
-                            kind: PersistenceKind::Unsupported,
-                            path: self.dir.display().to_string(),
-                            detail: "persistent providers require real payload bytes".into(),
-                        }),
-                    };
-                    staged.push((len, res));
-                }
-                // ...then make them process-crash durable before a single
-                // acknowledgement leaves this provider. A failed flush
-                // fails the batch: nothing unflushed is ever acked.
-                let flush_err = s.flush_buffered().err().map(|e| self.err(&e));
-                let mut landed_bytes = 0u64;
-                for (len, res) in staged {
-                    let res = match (&flush_err, res) {
-                        (Some(fe), Ok(_)) => Err(fe.clone()),
-                        (_, r) => r,
-                    };
-                    match res {
-                        Ok(newly_stored) => {
-                            if newly_stored {
-                                self.books.stored_pages.fetch_add(1, Ordering::Relaxed);
-                                self.books.stored_bytes.fetch_add(len, Ordering::Relaxed);
-                            }
-                            landed_bytes += len;
-                            self.unreserve(len);
-                            out.push(Ok(()));
+            let all_down = || -> Vec<BlobResult<()>> { (0..n).map(|_| Err(self.down())).collect() };
+            if !self.is_alive() {
+                return all_down();
+            }
+            self.served_put(n as u64);
+            let total: u64 = pages.iter().map(|(_, d)| d.len()).sum();
+            p.transfer(p.node(), self.node(), total + PAGE_HDR_BYTES * n as u64);
+            // The transfer took (virtual) time; the provider may have died
+            // mid-stream — then nothing of the batch is acknowledged.
+            if !self.is_alive() {
+                return all_down();
+            }
+            let mut out = Vec::with_capacity(n);
+            match self.store_guard() {
+                None => {
+                    for (id, data) in pages {
+                        let len = data.len();
+                        // Only this page's stripe is write-locked; concurrent
+                        // batches for other stripes proceed in parallel.
+                        #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
+                        let mut m = self.stripes[stripe_of(id)].write();
+                        if m.insert(id, data).is_none() {
+                            self.books.stored_pages.fetch_add(1, Ordering::Relaxed);
+                            self.books.stored_bytes.fetch_add(len, Ordering::Relaxed);
                         }
-                        Err(e) => out.push(Err(e)),
+                        drop(m);
+                        // A page that landed consumes its capacity reservation
+                        // here — failed pages keep theirs for the caller to
+                        // release.
+                        self.unreserve(len);
+                        out.push(Ok(()));
                     }
                 }
-                drop(g);
-                p.disk_write(self.node(), landed_bytes);
+                // The guard is held across the whole batch INCLUDING the flush
+                // — see `crate::service`: no page is ever acked and then lost —
+                // and the books: a crash-and-restart cycle landing between "the
+                // index holds the batch" and "the books count it" would rebuild
+                // the books from that index and the late bump would count the
+                // batch twice.
+                Some(g) => {
+                    let Some(s) = g.as_ref() else {
+                        return all_down();
+                    };
+                    // Stage every page into the store first...
+                    let (staged, flush_err) = p.serve(self.node(), ResourceKind::Disk, || {
+                        let mut staged: Vec<(u64, BlobResult<bool>)> = Vec::with_capacity(n);
+                        for (id, data) in pages {
+                            let len = data.len();
+                            let res = match &data {
+                                Payload::Bytes(b) => s
+                                    .put(&page_key(id), b.as_ref())
+                                    .map(|replaced| !replaced)
+                                    .map_err(|e| self.err(&e)),
+                                Payload::Ghost(_) => Err(BlobError::Persistence {
+                                    kind: PersistenceKind::Unsupported,
+                                    path: self.dir.display().to_string(),
+                                    detail: "persistent providers require real payload bytes"
+                                        .into(),
+                                }),
+                            };
+                            staged.push((len, res));
+                        }
+                        // ...then make them process-crash durable before a
+                        // single acknowledgement leaves this provider. A failed
+                        // flush fails the batch: nothing unflushed is ever acked.
+                        (staged, s.flush_buffered().err().map(|e| self.err(&e)))
+                    });
+                    let mut landed_bytes = 0u64;
+                    for (len, res) in staged {
+                        let res = match (&flush_err, res) {
+                            (Some(fe), Ok(_)) => Err(fe.clone()),
+                            (_, r) => r,
+                        };
+                        match res {
+                            Ok(newly_stored) => {
+                                if newly_stored {
+                                    self.books.stored_pages.fetch_add(1, Ordering::Relaxed);
+                                    self.books.stored_bytes.fetch_add(len, Ordering::Relaxed);
+                                }
+                                landed_bytes += len;
+                                self.unreserve(len);
+                                out.push(Ok(()));
+                            }
+                            Err(e) => out.push(Err(e)),
+                        }
+                    }
+                    drop(g);
+                    p.disk_write(self.node(), landed_bytes);
+                }
             }
-        }
-        out
+            out
+        })
     }
 
     /// Fetch a page. Charges the provider→client transfer (and provider disk
@@ -334,67 +339,71 @@ impl Provider {
     /// does not hold answer `PageUnavailable` individually, so replica
     /// failover stays page-by-page.
     pub fn get_pages(&self, p: &Proc, ids: &[PageId]) -> Vec<BlobResult<Payload>> {
-        let n = ids.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if !self.is_alive() {
-            return (0..n).map(|_| Err(self.down())).collect();
-        }
-        self.served_get(n as u64);
-        p.transfer(p.node(), self.node(), PAGE_REQ_BYTES * n as u64);
-        let mut out = Vec::with_capacity(n);
-        let mut found_bytes = 0u64;
-        match self.store_guard() {
-            None => {
-                for id in ids {
-                    // Read lock on one stripe: concurrent readers of the
-                    // same stripe share it, writers to other stripes never
-                    // touch it.
-                    #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
-                    let data = self.stripes[stripe_of(*id)].read().get(id).cloned();
-                    out.push(match data {
-                        Some(d) => {
-                            found_bytes += d.len();
-                            Ok(d)
+        p.serve(self.node(), ResourceKind::Cpu, || {
+            let n = ids.len();
+            if n == 0 {
+                return Vec::new();
+            }
+            if !self.is_alive() {
+                return (0..n).map(|_| Err(self.down())).collect();
+            }
+            self.served_get(n as u64);
+            p.transfer(p.node(), self.node(), PAGE_REQ_BYTES * n as u64);
+            let mut out = Vec::with_capacity(n);
+            let mut found_bytes = 0u64;
+            match self.store_guard() {
+                None => {
+                    for id in ids {
+                        // Read lock on one stripe: concurrent readers of the
+                        // same stripe share it, writers to other stripes never
+                        // touch it.
+                        #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
+                        let data = self.stripes[stripe_of(*id)].read().get(id).cloned();
+                        out.push(match data {
+                            Some(d) => {
+                                found_bytes += d.len();
+                                Ok(d)
+                            }
+                            None => Err(BlobError::PageUnavailable {
+                                detail: format!("page {id:?} not on provider {}", self.node()),
+                            }),
+                        });
+                    }
+                }
+                Some(g) => {
+                    let Some(s) = g.as_ref() else {
+                        // Crash-wiped mid-exchange: the whole batch is lost.
+                        return (0..n).map(|_| Err(self.down())).collect();
+                    };
+                    p.serve(self.node(), ResourceKind::Disk, || {
+                        for id in ids {
+                            let data = s
+                                .get(&page_key(*id))
+                                .map_err(|e| self.err(&e))
+                                .map(|b| b.map(Payload::from_vec));
+                            out.push(match data {
+                                Ok(Some(d)) => {
+                                    found_bytes += d.len();
+                                    Ok(d)
+                                }
+                                Ok(None) => Err(BlobError::PageUnavailable {
+                                    detail: format!("page {id:?} not on provider {}", self.node()),
+                                }),
+                                Err(e) => Err(e),
+                            });
                         }
-                        None => Err(BlobError::PageUnavailable {
-                            detail: format!("page {id:?} not on provider {}", self.node()),
-                        }),
                     });
+                    drop(g);
+                    p.disk_read(self.node(), found_bytes);
                 }
             }
-            Some(g) => {
-                let Some(s) = g.as_ref() else {
-                    // Crash-wiped mid-exchange: the whole batch is lost.
-                    return (0..n).map(|_| Err(self.down())).collect();
-                };
-                for id in ids {
-                    let data = s
-                        .get(&page_key(*id))
-                        .map_err(|e| self.err(&e))
-                        .map(|b| b.map(Payload::from_vec));
-                    out.push(match data {
-                        Ok(Some(d)) => {
-                            found_bytes += d.len();
-                            Ok(d)
-                        }
-                        Ok(None) => Err(BlobError::PageUnavailable {
-                            detail: format!("page {id:?} not on provider {}", self.node()),
-                        }),
-                        Err(e) => Err(e),
-                    });
-                }
-                drop(g);
-                p.disk_read(self.node(), found_bytes);
-            }
-        }
-        p.transfer(
-            self.node(),
-            p.node(),
-            found_bytes + PAGE_HDR_BYTES * n as u64,
-        );
-        out
+            p.transfer(
+                self.node(),
+                p.node(),
+                found_bytes + PAGE_HDR_BYTES * n as u64,
+            );
+            out
+        })
     }
 
     /// Does the provider hold this page? (control query, uncosted — also

@@ -60,7 +60,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fabric::{NodeId, Proc, SimTime, CTL_MSG_BYTES};
+use fabric::{NodeId, Proc, ResourceKind, SimTime, CTL_MSG_BYTES};
 use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -205,6 +205,12 @@ impl ProviderManager {
         }
     }
 
+    /// Run `f`, one exchange's work, as this service's: a live scope on its
+    /// node's CPU ([`Proc::serve`]).
+    fn serve<T>(&self, p: &Proc, f: impl FnOnce() -> T) -> T {
+        p.serve(self.node, ResourceKind::Cpu, f)
+    }
+
     /// Choose `replication` distinct providers for each page of an update,
     /// where `pages[i]` is the page's id and the exact byte count it will
     /// store (tail pages may be short). `exclude` removes nodes observed
@@ -220,29 +226,31 @@ impl ProviderManager {
         replication: usize,
         exclude: &[NodeId],
     ) -> BlobResult<(LeaseId, Vec<Vec<Arc<Provider>>>)> {
-        self.reap_expired_leases(p);
-        p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
-            .wait(p);
-        let candidates: Vec<&Arc<Provider>> = self
-            .providers
-            .iter()
-            .filter(|pr| pr.is_alive() && !exclude.contains(&pr.node()))
-            .collect();
-        if candidates.len() < replication {
-            return Err(BlobError::NoProviders);
-        }
-        let mut out = Vec::with_capacity(pages.len());
-        let mut entries = Vec::with_capacity(pages.len() * replication);
-        for &(id, bytes) in pages {
-            let chosen = least_loaded(p, &candidates, replication);
-            for pr in &chosen {
-                pr.reserve(bytes);
-                entries.push((pr.node(), id, bytes));
+        self.serve(p, || {
+            self.reap_expired_leases(p);
+            p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
+                .wait(p);
+            let candidates: Vec<&Arc<Provider>> = self
+                .providers
+                .iter()
+                .filter(|pr| pr.is_alive() && !exclude.contains(&pr.node()))
+                .collect();
+            if candidates.len() < replication {
+                return Err(BlobError::NoProviders);
             }
-            out.push(chosen);
-        }
-        let lease = self.leases.lock().register(p.now(), entries);
-        Ok((lease, out))
+            let mut out = Vec::with_capacity(pages.len());
+            let mut entries = Vec::with_capacity(pages.len() * replication);
+            for &(id, bytes) in pages {
+                let chosen = least_loaded(p, &candidates, replication);
+                for pr in &chosen {
+                    pr.reserve(bytes);
+                    entries.push((pr.node(), id, bytes));
+                }
+                out.push(chosen);
+            }
+            let lease = self.leases.lock().register(p.now(), entries);
+            Ok((lease, out))
+        })
     }
 
     /// Hand back a reservation taken by [`Self::allocate`] (or adopted by a
@@ -265,11 +273,13 @@ impl ProviderManager {
         page: PageId,
         bytes: u64,
     ) {
-        p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
-            .wait(p);
-        if self.leases.lock().release(lease, provider.node(), page) {
-            provider.unreserve(bytes);
-        }
+        self.serve(p, || {
+            p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
+                .wait(p);
+            if self.leases.lock().release(lease, provider.node(), page) {
+                provider.unreserve(bytes);
+            }
+        })
     }
 
     /// Reserve `bytes` on a failover replacement target *under the caller's
@@ -287,20 +297,24 @@ impl ProviderManager {
         page: PageId,
         bytes: u64,
     ) {
-        p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
-            .wait(p);
-        provider.reserve(bytes);
-        let entry = (provider.node(), page, bytes);
-        self.leases.lock().adopt(p.now(), lease, entry);
+        self.serve(p, || {
+            p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
+                .wait(p);
+            provider.reserve(bytes);
+            let entry = (provider.node(), page, bytes);
+            self.leases.lock().adopt(p.now(), lease, entry);
+        })
     }
 
     /// The writer's page stores are done (each page either landed — consuming
     /// its reservation at the provider — or was released inline): close the
     /// lease so the reaper never considers this write again. Idempotent.
     pub fn settle(&self, p: &Proc, lease: LeaseId) {
-        p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
-            .wait(p);
-        self.leases.lock().settle(lease);
+        self.serve(p, || {
+            p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
+                .wait(p);
+            self.leases.lock().settle(lease);
+        })
     }
 
     /// Expire every lease past its deadline and reclaim the reservations
@@ -308,31 +322,33 @@ impl ProviderManager {
     /// background reaper and lazily from [`Self::allocate`]. O(1) when
     /// nothing expired: only the deadline-queue front is examined.
     pub fn reap_expired_leases(&self, p: &Proc) -> u64 {
-        let mut reclaimed = 0u64;
-        loop {
-            let expired = self.leases.lock().take_expired(p.now());
-            let Some(entries) = expired else { break };
-            self.expired_leases.fetch_add(1, Ordering::Relaxed);
-            // One control exchange per expired lease: the manager confirms
-            // with the holders which reservations were consumed. A page that
-            // landed (`has_page`) consumed its reservation in `put_pages`;
-            // everything else is a stranded reservation — hand it back.
-            p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
-                .wait(p);
-            for (node, page, bytes) in entries {
-                let Some(pr) = self.by_node.get(&node) else {
-                    continue;
-                };
-                if !pr.has_page(page) {
-                    pr.unreserve(bytes);
-                    reclaimed += bytes;
+        self.serve(p, || {
+            let mut reclaimed = 0u64;
+            loop {
+                let expired = self.leases.lock().take_expired(p.now());
+                let Some(entries) = expired else { break };
+                self.expired_leases.fetch_add(1, Ordering::Relaxed);
+                // One control exchange per expired lease: the manager confirms
+                // with the holders which reservations were consumed. A page that
+                // landed (`has_page`) consumed its reservation in `put_pages`;
+                // everything else is a stranded reservation — hand it back.
+                p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
+                    .wait(p);
+                for (node, page, bytes) in entries {
+                    let Some(pr) = self.by_node.get(&node) else {
+                        continue;
+                    };
+                    if !pr.has_page(page) {
+                        pr.unreserve(bytes);
+                        reclaimed += bytes;
+                    }
                 }
             }
-        }
-        if reclaimed > 0 {
-            self.reclaimed_bytes.fetch_add(reclaimed, Ordering::Relaxed);
-        }
-        reclaimed
+            if reclaimed > 0 {
+                self.reclaimed_bytes.fetch_add(reclaimed, Ordering::Relaxed);
+            }
+            reclaimed
+        })
     }
 
     /// Re-reserve, on provider `node`, every outstanding lease entry whose

@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric::sync::Gate;
-use fabric::{NodeId, Proc, CTL_MSG_BYTES};
+use fabric::{NodeId, Proc, ResourceKind, CTL_MSG_BYTES};
 use parking_lot::{Mutex, RwLock};
 
 use crate::desc_index::DescIndex;
@@ -135,6 +135,12 @@ impl VersionManager {
         }
     }
 
+    /// Run `f`, one verb's work, as this service's: a live scope on its
+    /// node's CPU ([`Proc::serve`]).
+    fn serve<T>(&self, p: &Proc, f: impl FnOnce() -> T) -> T {
+        p.serve(self.shell.node(), ResourceKind::Cpu, f)
+    }
+
     /// One exchange with the service, its CPU charge included.
     /// `extra_response_bytes` is what rides the answer beyond the plain
     /// control message (the descriptor delta of `assign` / `sync_index`).
@@ -171,17 +177,19 @@ impl VersionManager {
 
     /// Create a BLOB with the given page size (or the deployment default).
     pub fn create_blob(&self, p: &Proc, page_size: Option<u64>) -> BlobId {
-        self.pause_barrier(p);
-        self.charge(p, 0);
-        let id = BlobId(self.next_blob.fetch_add(1, Ordering::Relaxed));
-        let ps = page_size.unwrap_or(self.default_page_size);
-        let slot = Arc::new(BlobSlot {
-            page_size: ps,
-            retired: AtomicBool::new(false),
-            state: Mutex::with_rank(BlobState::new(id, ps), crate::lock_ranks::BLOB_STATE),
-        });
-        self.blobs.write().insert(id, slot);
-        id
+        self.serve(p, || {
+            self.pause_barrier(p);
+            self.charge(p, 0);
+            let id = BlobId(self.next_blob.fetch_add(1, Ordering::Relaxed));
+            let ps = page_size.unwrap_or(self.default_page_size);
+            let slot = Arc::new(BlobSlot {
+                page_size: ps,
+                retired: AtomicBool::new(false),
+                state: Mutex::with_rank(BlobState::new(id, ps), crate::lock_ranks::BLOB_STATE),
+            });
+            self.blobs.write().insert(id, slot);
+            id
+        })
     }
 
     /// Retire a BLOB (the namespace deleted its file). The slot flips to
@@ -193,18 +201,20 @@ impl VersionManager {
     /// callers wake to a typed `NoSuchBlob` instead of hanging on versions
     /// that can never publish.
     pub fn delete_blob(&self, p: &Proc, blob: BlobId) -> BlobResult<()> {
-        self.pause_barrier(p);
-        self.charge(p, 0);
-        let slot = self.slot(blob)?;
-        slot.retired.store(true, Ordering::Release);
-        self.blobs.write().remove(&blob);
-        // The retired flag is set before the gates fire: a woken waiter
-        // re-checks it and reports the deletion. Gate wakeups are
-        // replay-visible (they reschedule parked fibers): they fire in
-        // version order, outside the per-blob lock like every other gate set.
-        let gates = slot.state.lock().retire();
-        Self::fire(gates);
-        Ok(())
+        self.serve(p, || {
+            self.pause_barrier(p);
+            self.charge(p, 0);
+            let slot = self.slot(blob)?;
+            slot.retired.store(true, Ordering::Release);
+            self.blobs.write().remove(&blob);
+            // The retired flag is set before the gates fire: a woken waiter
+            // re-checks it and reports the deletion. Gate wakeups are
+            // replay-visible (they reschedule parked fibers): they fire in
+            // version order, outside the per-blob lock like every other gate set.
+            let gates = slot.state.lock().retire();
+            Self::fire(gates);
+            Ok(())
+        })
     }
 
     /// Number of registry slots currently held: one per live BLOB.
@@ -245,9 +255,11 @@ impl VersionManager {
 
     /// Page size of a BLOB. Immutable, so no per-blob lock is taken.
     pub(crate) fn page_size_of(&self, p: &Proc, blob: BlobId) -> BlobResult<u64> {
-        self.pause_barrier(p);
-        self.charge(p, 0);
-        Ok(self.slot(blob)?.page_size)
+        self.serve(p, || {
+            self.pause_barrier(p);
+            self.charge(p, 0);
+            Ok(self.slot(blob)?.page_size)
+        })
     }
 
     /// Step 2 of the write protocol: reserve a version for an update of
@@ -271,54 +283,58 @@ impl VersionManager {
         manifest: Arc<Vec<PageRef>>,
         known: Version,
     ) -> BlobResult<(WriteDesc, DescIndex)> {
-        self.pause_barrier(p);
-        self.reap_expired(p, blob)?;
-        let result = (|| {
-            if nbytes == 0 {
-                return Err(BlobError::EmptyWrite);
-            }
-            let slot = self.slot(blob)?;
-            let k_pages = nbytes.div_ceil(slot.page_size);
-            if manifest.len() as u64 != k_pages {
-                return Err(BlobError::UnalignedWrite {
-                    detail: format!(
-                        "manifest has {} pages but {} bytes need {} pages of {}",
-                        manifest.len(),
-                        nbytes,
-                        k_pages,
-                        slot.page_size
-                    ),
-                });
-            }
-            let gate = p.fabric().gate();
-            let mut st = slot.state.lock();
-            // The assignment timestamp is read under the blob lock: the
-            // window's O(1) expiry peek relies on per-blob monotone times,
-            // which a pre-lock read would break in live mode (preempted
-            // writer admits an older timestamp second).
-            st.assign(kind, nbytes, manifest, p.now(), gate)
-        })();
-        // The descriptor delta rides the assign response (the caller learns
-        // every version after its `known` watermark and pays for it on the
-        // wire, even though the in-process hand-off is an Arc share). Errors
-        // pay the plain control exchange.
-        let unseen = result
-            .as_ref()
-            .map_or(0, |(desc, _)| desc.version.saturating_sub(known));
-        self.charge(p, unseen * DESC_WIRE_BYTES);
-        result
+        self.serve(p, || {
+            self.pause_barrier(p);
+            self.reap_expired(p, blob)?;
+            let result = (|| {
+                if nbytes == 0 {
+                    return Err(BlobError::EmptyWrite);
+                }
+                let slot = self.slot(blob)?;
+                let k_pages = nbytes.div_ceil(slot.page_size);
+                if manifest.len() as u64 != k_pages {
+                    return Err(BlobError::UnalignedWrite {
+                        detail: format!(
+                            "manifest has {} pages but {} bytes need {} pages of {}",
+                            manifest.len(),
+                            nbytes,
+                            k_pages,
+                            slot.page_size
+                        ),
+                    });
+                }
+                let gate = p.fabric().gate();
+                let mut st = slot.state.lock();
+                // The assignment timestamp is read under the blob lock: the
+                // window's O(1) expiry peek relies on per-blob monotone times,
+                // which a pre-lock read would break in live mode (preempted
+                // writer admits an older timestamp second).
+                st.assign(kind, nbytes, manifest, p.now(), gate)
+            })();
+            // The descriptor delta rides the assign response (the caller learns
+            // every version after its `known` watermark and pays for it on the
+            // wire, even though the in-process hand-off is an Arc share). Errors
+            // pay the plain control exchange.
+            let unseen = result
+                .as_ref()
+                .map_or(0, |(desc, _)| desc.version.saturating_sub(known));
+            self.charge(p, unseen * DESC_WIRE_BYTES);
+            result
+        })
     }
 
     /// Step 4: the writer finished storing its metadata. Publishes the
     /// version once all predecessors are published. Idempotent.
     pub fn commit(&self, p: &Proc, blob: BlobId, version: Version) -> BlobResult<()> {
-        self.pause_barrier(p);
-        self.charge(p, 0);
-        self.reap_expired(p, blob)?;
-        let slot = self.slot(blob)?;
-        let gates = slot.state.lock().commit(version)?;
-        Self::fire(gates);
-        Ok(())
+        self.serve(p, || {
+            self.pause_barrier(p);
+            self.charge(p, 0);
+            self.reap_expired(p, blob)?;
+            let slot = self.slot(blob)?;
+            let gates = slot.state.lock().commit(version)?;
+            Self::fire(gates);
+            Ok(())
+        })
     }
 
     /// Block until `version` is published. Returns immediately when it
@@ -327,16 +343,18 @@ impl VersionManager {
     /// fires every pending gate precisely so no waiter hangs on a version
     /// that can never publish.
     pub fn wait_published(&self, p: &Proc, blob: BlobId, version: Version) -> BlobResult<()> {
-        self.pause_barrier(p);
-        let slot = self.slot(blob)?;
-        let Some(gate) = slot.state.lock().waiter(version)? else {
-            return Ok(());
-        };
-        gate.wait(p);
-        if slot.retired.load(Ordering::Acquire) {
-            return Err(BlobError::NoSuchBlob(blob));
-        }
-        Ok(())
+        self.serve(p, || {
+            self.pause_barrier(p);
+            let slot = self.slot(blob)?;
+            let Some(gate) = slot.state.lock().waiter(version)? else {
+                return Ok(());
+            };
+            gate.wait(p);
+            if slot.retired.load(Ordering::Acquire) {
+                return Err(BlobError::NoSuchBlob(blob));
+            }
+            Ok(())
+        })
     }
 
     /// Snapshot facts for `version` (`None` = latest published). Pending
@@ -347,9 +365,11 @@ impl VersionManager {
         blob: BlobId,
         version: Option<Version>,
     ) -> BlobResult<SnapshotInfo> {
-        self.pause_barrier(p);
-        self.charge(p, 0);
-        self.slot(blob)?.state.lock().snapshot(version)
+        self.serve(p, || {
+            self.pause_barrier(p);
+            self.charge(p, 0);
+            self.slot(blob)?.state.lock().snapshot(version)
+        })
     }
 
     /// Latest published version.
@@ -364,11 +384,13 @@ impl VersionManager {
     /// response — this is how a read-only client gets an index fresh enough
     /// to answer offset→page locality queries without walking the DHT tree.
     pub fn sync_index(&self, p: &Proc, blob: BlobId, known: Version) -> BlobResult<DescIndex> {
-        self.pause_barrier(p);
-        let slot = self.slot(blob)?;
-        let index = slot.state.lock().share_published();
-        self.charge(p, index.version().saturating_sub(known) * DESC_WIRE_BYTES);
-        Ok(index)
+        self.serve(p, || {
+            self.pause_barrier(p);
+            let slot = self.slot(blob)?;
+            let index = slot.state.lock().share_published();
+            self.charge(p, index.version().saturating_sub(known) * DESC_WIRE_BYTES);
+            Ok(index)
+        })
     }
 
     /// Number of assigned-but-unpublished versions (diagnostics).
@@ -395,16 +417,18 @@ impl VersionManager {
     /// races with a resurrected writer are harmless because node writes are
     /// idempotent. The planning and DHT traffic run with no lock held.
     pub fn force_complete(&self, p: &Proc, blob: BlobId, version: Version) -> BlobResult<()> {
-        self.pause_barrier(p);
-        let slot = self.slot(blob)?;
-        let Some((desc, index, manifest)) = slot.state.lock().orphan(version)? else {
-            return Ok(());
-        };
-        self.dht
-            .put_batch(p, plan_write(blob, &index, &desc, &manifest))?;
-        let gates = slot.state.lock().commit(version)?;
-        Self::fire(gates);
-        Ok(())
+        self.serve(p, || {
+            self.pause_barrier(p);
+            let slot = self.slot(blob)?;
+            let Some((desc, index, manifest)) = slot.state.lock().orphan(version)? else {
+                return Ok(());
+            };
+            self.dht
+                .put_batch(p, plan_write(blob, &index, &desc, &manifest))?;
+            let gates = slot.state.lock().commit(version)?;
+            Self::fire(gates);
+            Ok(())
+        })
     }
 
     /// Force-complete every pending version older than the configured write
@@ -413,25 +437,27 @@ impl VersionManager {
     /// peeks the front of the blob's window under its lock — O(1), never a
     /// scan of the pending versions.
     pub fn reap_expired(&self, p: &Proc, blob: BlobId) -> BlobResult<()> {
-        self.pause_barrier(p);
-        let Ok(slot) = self.slot(blob) else {
-            return Ok(());
-        };
-        let now = p.now();
-        let expired = slot.state.lock().take_expired(now, self.write_timeout_ns);
-        // A concurrent force-completer or a resurrected writer racing us
-        // here is fine: node writes are idempotent, commit is too.
-        let mut left = expired.as_slice();
-        while let Some((&version, rest)) = left.split_first() {
-            if let Err(e) = self.force_complete(p, blob, version) {
-                // Give the unprocessed tail back so the next interaction
-                // retries instead of silently dropping the reap.
-                slot.state.lock().give_back(left);
-                return Err(e);
+        self.serve(p, || {
+            self.pause_barrier(p);
+            let Ok(slot) = self.slot(blob) else {
+                return Ok(());
+            };
+            let now = p.now();
+            let expired = slot.state.lock().take_expired(now, self.write_timeout_ns);
+            // A concurrent force-completer or a resurrected writer racing us
+            // here is fine: node writes are idempotent, commit is too.
+            let mut left = expired.as_slice();
+            while let Some((&version, rest)) = left.split_first() {
+                if let Err(e) = self.force_complete(p, blob, version) {
+                    // Give the unprocessed tail back so the next interaction
+                    // retries instead of silently dropping the reap.
+                    slot.state.lock().give_back(left);
+                    return Err(e);
+                }
+                left = rest;
             }
-            left = rest;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 

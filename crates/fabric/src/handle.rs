@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::ledger::Ledger;
+use crate::ledger::{Ledger, LiveBook, Waited};
 use crate::live::LiveCore;
 use crate::net::NetFault;
 use crate::parker::Parker;
@@ -117,6 +117,7 @@ impl Fabric {
                             pid,
                             parker: parker.clone(),
                             baton: Cell::default(),
+                            book: RefCell::default(),
                             rng: RefCell::new(StdRng::seed_from_u64(seed)),
                         };
                         match std::panic::catch_unwind(AssertUnwindSafe(|| f(&p))) {
@@ -142,6 +143,7 @@ impl Fabric {
                 let base_seed = core.seed;
                 let pname: Arc<str> = name.into();
                 core.spawn(pname.clone(), move |pid| {
+                    let born = fabric.now();
                     let p = Proc {
                         fabric,
                         node,
@@ -149,6 +151,7 @@ impl Fabric {
                         pid,
                         parker: Arc::new(Parker::new()),
                         baton: Cell::default(),
+                        book: RefCell::new(LiveBook::new(born)),
                         rng: RefCell::new(StdRng::seed_from_u64(
                             base_seed ^ pid.wrapping_mul(0x9E37_79B9_7F4A_7C15),
                         )),
@@ -235,6 +238,8 @@ pub struct Proc {
     parker: Arc<Parker>,
     /// The engine step [`Proc::waiter`] took, held until [`Proc::park`].
     baton: Cell<Baton>,
+    /// Live mode's ledger; the engine keeps a sim proc's.
+    book: RefCell<LiveBook>,
     rng: RefCell<StdRng>,
 }
 
@@ -283,7 +288,7 @@ impl Proc {
                 self.baton.take().pass();
                 core.park(&self.parker);
             }
-            FabricInner::Live(_) => self.parker.park(),
+            FabricInner::Live(_) => self.scope(self.node, Waited::Wait, || self.parker.park()),
         }
     }
 
@@ -297,17 +302,42 @@ impl Proc {
 
     /// Current time, ns.
     pub fn now(&self) -> SimTime {
-        self.fabric.now()
+        let now = self.fabric.now();
+        self.book.borrow_mut().saw(now);
+        now
     }
 
-    /// Where this process's virtual time went so far (module
-    /// `crate::ledger`); the difference of two snapshots sums to the
-    /// virtual time between them. Empty in live mode.
+    /// Where this process's time went so far (module `crate::ledger`); the
+    /// difference of two snapshots sums to the time between them. A live
+    /// snapshot covers the wall time up to this process's latest reading of
+    /// the clock: read [`Proc::now`] first and the snapshot is as of that
+    /// instant.
     pub fn ledger(&self) -> Ledger {
         match &self.fabric.inner {
             FabricInner::Sim(core) => core.ledger(self.pid),
-            FabricInner::Live(_) => Ledger::default(),
+            FabricInner::Live(_) => self.book.borrow().snapshot(self.node),
         }
+    }
+
+    /// Run `f`, a service's work on `node`, and charge its wall time, less
+    /// that of the scopes nested in it, to `(node, Resource(kind))` of this
+    /// process's live ledger. The sim engine charges a service through its
+    /// [`Proc::request`], so in sim mode this only calls `f`.
+    pub fn serve<T>(&self, node: NodeId, kind: ResourceKind, f: impl FnOnce() -> T) -> T {
+        self.scope(node, Waited::Resource(kind), f)
+    }
+
+    /// A live scope around `f` (module `crate::ledger`).
+    fn scope<T>(&self, node: NodeId, waited: Waited, f: impl FnOnce() -> T) -> T {
+        let FabricInner::Live(core) = &self.fabric.inner else {
+            return f();
+        };
+        if !self.book.borrow_mut().open(node, waited, core.now()) {
+            return f();
+        }
+        let out = f();
+        self.book.borrow_mut().close(core.now());
+        out
     }
 
     /// Deterministic per-process RNG stream.
@@ -320,7 +350,9 @@ impl Proc {
         assert_none_held("Proc::sleep");
         match &self.fabric.inner {
             FabricInner::Sim(c) => c.sleep(self.pid, &self.parker, ns),
-            FabricInner::Live(_) => std::thread::sleep(std::time::Duration::from_nanos(ns)),
+            FabricInner::Live(_) => self.scope(self.node, Waited::Sleep, || {
+                std::thread::sleep(std::time::Duration::from_nanos(ns))
+            }),
         }
     }
 
@@ -1264,6 +1296,72 @@ mod tests {
             at(0, Waited::Wait) + tx + rx + 3 * lat + SECS + 3 * MILLIS,
             lifetime
         );
+    }
+
+    /// A live proc names its time from inside: a service scope on the
+    /// service's node, less what nests in it (a sleep at home, a disk scope
+    /// elsewhere, a same-bucket scope that opens nothing); a gate wait at
+    /// home; the rest is its own CPU. A snapshot with scopes open, and one
+    /// across the whole run, each sum to the wall time they cover. In sim
+    /// mode a scope only runs its body.
+    #[test]
+    fn a_live_ledger_names_each_scope_and_sums_to_the_wall_clock() {
+        use crate::ledger::Waited;
+        let cpu = Waited::Resource(ResourceKind::Cpu);
+        let disk = Waited::Resource(ResourceKind::Disk);
+        for fx in [
+            Fabric::live(ClusterSpec::tiny(3)),
+            Fabric::sim(ClusterSpec::tiny(3)),
+        ] {
+            let (gate, g2) = (fx.gate(), fx.gate());
+            let setter = g2.clone();
+            let h = fx.spawn(NodeId(0), "client", move |p| {
+                let t0 = p.now();
+                let before = p.ledger();
+                let inside = p.serve(NodeId(1), ResourceKind::Cpu, || {
+                    p.sleep(MILLIS);
+                    p.serve(NodeId(1), ResourceKind::Cpu, || ());
+                    p.serve(NodeId(2), ResourceKind::Disk, || {
+                        p.sleep(MILLIS);
+                        let t = p.now();
+                        (p.ledger().since(&before), t - t0)
+                    })
+                });
+                gate.set();
+                g2.wait(p);
+                let t1 = p.now();
+                (p.ledger().since(&before), t1 - t0, inside)
+            });
+            fx.spawn(NodeId(1), "setter", move |p| {
+                p.sleep(5 * MILLIS);
+                setter.set();
+            });
+            fx.run();
+            let (ledger, took, (open, open_took)) = h.take().unwrap();
+            assert_eq!(ledger.total(), took);
+            assert_eq!(open.total(), open_took);
+            let ns = |node: u32, waited| {
+                let mut c = ledger.charges().iter();
+                c.find(|c| c.node == NodeId(node) && c.waited == waited)
+                    .map_or(0, |c| c.ns)
+            };
+            let named = [(0, Waited::Sleep), (0, Waited::Wait), (1, cpu), (2, disk)];
+            match &fx.inner {
+                FabricInner::Live(_) => {
+                    assert!(ns(0, Waited::Sleep) >= 2 * MILLIS, "{ledger:?}");
+                    assert!(ns(0, Waited::Wait) > 0, "{ledger:?}");
+                    assert!(ns(1, cpu) > 0 && ns(2, disk) > 0, "{ledger:?}");
+                    let rest = took - named.iter().map(|&(n, w)| ns(n, w)).sum::<u64>();
+                    assert_eq!(ns(0, cpu), rest, "{ledger:?}");
+                    assert_eq!(ledger.charges().len(), 5, "{ledger:?}");
+                }
+                FabricInner::Sim(_) => {
+                    assert_eq!(ns(0, Waited::Sleep), 2 * MILLIS);
+                    assert_eq!(ns(0, Waited::Wait), 3 * MILLIS);
+                    assert_eq!(ledger.charges().len(), 2, "{ledger:?}");
+                }
+            }
+        }
     }
 
     fn sim_core(fx: &Fabric) -> &Arc<SimCore> {

@@ -20,8 +20,14 @@
 //!   bottleneck, with the interval split whenever a refill moves it;
 //! * a queue or gate wait and any other sleep go to the process's own node.
 //!
-//! Live mode keeps no ledger: every snapshot is empty.
+//! Live mode has no engine to charge waits, so a process names its time
+//! from inside ([`LiveBook`]): a service's work is a scope on the service's
+//! node ([`crate::Proc::serve`]), a park is a `Wait` scope and a sleep a
+//! `Sleep` scope on the process's own node, and a scope is charged its wall
+//! time less that of the scopes nested in it. Whatever no scope covers is
+//! the process's own CPU, so the buckets sum to its wall-clock lifetime.
 
+use crate::time::SimTime;
 use crate::topology::{NodeId, ResourceKind};
 
 /// What a blocked interval waited on.
@@ -102,6 +108,86 @@ impl Ledger {
     }
 }
 
+/// A live process's ledger: what its closed scopes charged, the scopes still
+/// open (innermost last), and the instants that bound the unscoped rest.
+#[derive(Debug, Default)]
+pub(crate) struct LiveBook {
+    born: SimTime,
+    /// The process's latest clock reading; a snapshot covers time up to it.
+    seen: SimTime,
+    ledger: Ledger,
+    open: Vec<Scope>,
+}
+
+#[derive(Debug)]
+struct Scope {
+    node: NodeId,
+    waited: Waited,
+    start: SimTime,
+    /// The time of the closed scopes nested in this one.
+    nested: u64,
+}
+
+impl LiveBook {
+    pub(crate) fn new(born: SimTime) -> Self {
+        LiveBook {
+            born,
+            seen: born,
+            ..LiveBook::default()
+        }
+    }
+
+    /// The process read the clock.
+    pub(crate) fn saw(&mut self, now: SimTime) {
+        self.seen = now;
+    }
+
+    /// Open a scope charged to `(node, waited)` at `now`. Answers `false`,
+    /// and opens nothing, when the innermost open scope charges the same
+    /// bucket: a nested scope there would change no bucket.
+    pub(crate) fn open(&mut self, node: NodeId, waited: Waited, now: SimTime) -> bool {
+        if (self.open.last()).is_some_and(|s| s.node == node && s.waited == waited) {
+            return false;
+        }
+        self.seen = now;
+        self.open.push(Scope {
+            node,
+            waited,
+            start: now,
+            nested: 0,
+        });
+        true
+    }
+
+    /// Close the innermost open scope at `now`.
+    pub(crate) fn close(&mut self, now: SimTime) {
+        let s = self
+            .open
+            .pop()
+            .expect("a live scope closed that was never opened");
+        let elapsed = now - s.start;
+        self.ledger.charge(s.node, s.waited, elapsed - s.nested);
+        if let Some(outer) = self.open.last_mut() {
+            outer.nested += elapsed;
+        }
+        self.seen = now;
+    }
+
+    /// The ledger as of the latest clock reading: the open scopes' time so
+    /// far, and the rest since birth to `(own, Resource(Cpu))`.
+    pub(crate) fn snapshot(&self, own: NodeId) -> Ledger {
+        let mut ledger = self.ledger.clone();
+        let mut inner_start = self.seen;
+        for s in self.open.iter().rev() {
+            ledger.charge(s.node, s.waited, inner_start - s.start - s.nested);
+            inner_start = s.start;
+        }
+        let rest = self.seen - self.born - ledger.total();
+        ledger.charge(own, Waited::Resource(ResourceKind::Cpu), rest);
+        ledger
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,5 +222,38 @@ mod tests {
             ]
         );
         assert_eq!(delta.total(), l.total() - before.total());
+    }
+
+    #[test]
+    fn a_live_scope_is_charged_its_time_less_what_nests_in_it() {
+        let cpu = Waited::Resource(ResourceKind::Cpu);
+        let disk = Waited::Resource(ResourceKind::Disk);
+        let mut b = LiveBook::new(100);
+        assert!(b.open(NodeId(1), cpu, 110));
+        assert!(!b.open(NodeId(1), cpu, 112), "same bucket: no scope");
+        assert!(b.open(NodeId(2), disk, 115));
+        assert!(b.open(NodeId(0), Waited::Wait, 130));
+        b.saw(134);
+        let open = b.snapshot(NodeId(0));
+        let at = |l: &Ledger, node, waited| {
+            let mut c = l.charges().iter();
+            c.find(|c| c.node == NodeId(node) && c.waited == waited)
+                .map_or(0, |c| c.ns)
+        };
+        assert_eq!(open.total(), 34);
+        assert_eq!(at(&open, 0, Waited::Wait), 4);
+        assert_eq!(at(&open, 2, disk), 15);
+        assert_eq!(at(&open, 1, cpu), 5);
+        assert_eq!(at(&open, 0, cpu), 10);
+        b.close(140);
+        b.close(141);
+        b.close(150);
+        b.saw(155);
+        let done = b.snapshot(NodeId(0));
+        assert_eq!(done.total(), 55);
+        assert_eq!(at(&done, 0, Waited::Wait), 10);
+        assert_eq!(at(&done, 2, disk), 16);
+        assert_eq!(at(&done, 1, cpu), 14);
+        assert_eq!(at(&done, 0, cpu), 15);
     }
 }

@@ -66,7 +66,7 @@ pub use payload::Payload;
 pub use stats::FabricStats;
 pub use sync::Epoch;
 pub use time::{ns_to_secs, secs_to_ns, SimTime, MICROS, MILLIS, SECS};
-pub use topology::{ClusterSpec, NodeId, SpecError};
+pub use topology::{ClusterSpec, NodeId, ResourceKind, SpecError};
 
 /// The size, in bytes, of one control message: the request or the response
 /// of a [`Proc::rpc`] that carries no payload. Every control exchange of

@@ -8,7 +8,7 @@
 //! raised at the FileSystem layer.
 
 use dfs::{DfsPath, Entry, FsError, FsResult, Namespace};
-use fabric::{NodeId, Proc, CTL_MSG_BYTES};
+use fabric::{NodeId, Proc, ResourceKind, CTL_MSG_BYTES};
 use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 
@@ -91,47 +91,52 @@ impl Namenode {
         }
     }
 
-    fn charge(&self, p: &Proc) {
+    /// One namenode operation: its request, then `f`, the namenode's work
+    /// (a live scope on its node's CPU, [`Proc::serve`]).
+    fn serve<T>(&self, p: &Proc, f: impl FnOnce() -> T) -> T {
         p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, self.cpu_ops)
             .wait(p);
+        p.serve(self.node, ResourceKind::Cpu, f)
     }
 
     /// Start a new file under construction; returns the write lease.
     pub(crate) fn create_file(&self, p: &Proc, path: &DfsPath, block_size: u64) -> FsResult<Lease> {
-        self.charge(p);
-        let mut st = self.state.lock();
-        let lease = Lease(st.next_lease);
-        let file = NnFile {
-            blocks: Vec::new(),
-            lease: Some(lease),
-            block_size,
-        };
-        st.entries.insert_file(path, file)?;
-        st.next_lease += 1;
-        Ok(lease)
+        self.serve(p, || {
+            let mut st = self.state.lock();
+            let lease = Lease(st.next_lease);
+            let file = NnFile {
+                blocks: Vec::new(),
+                lease: Some(lease),
+                block_size,
+            };
+            st.entries.insert_file(path, file)?;
+            st.next_lease += 1;
+            Ok(lease)
+        })
     }
 
     /// Allocate the next block of an under-construction file on
     /// `replication` random datanodes.
     pub(crate) fn add_block(&self, p: &Proc, path: &DfsPath, lease: Lease) -> FsResult<BlockInfo> {
-        self.charge(p);
-        let replicas: Vec<NodeId> = {
-            let mut rng = p.rng();
-            self.datanodes
-                .choose_multiple(&mut *rng, self.replication)
-                .copied()
-                .collect()
-        };
-        let mut st = self.state.lock();
-        let id = st.next_block;
-        st.next_block += 1;
-        let info = BlockInfo {
-            id,
-            len: 0,
-            replicas,
-        };
-        st.leased(path, lease)?.blocks.push(info.clone());
-        Ok(info)
+        self.serve(p, || {
+            let replicas: Vec<NodeId> = {
+                let mut rng = p.rng();
+                self.datanodes
+                    .choose_multiple(&mut *rng, self.replication)
+                    .copied()
+                    .collect()
+            };
+            let mut st = self.state.lock();
+            let id = st.next_block;
+            st.next_block += 1;
+            let info = BlockInfo {
+                id,
+                len: 0,
+                replicas,
+            };
+            st.leased(path, lease)?.blocks.push(info.clone());
+            Ok(info)
+        })
     }
 
     /// Record the final length of a block once its pipeline finished.
@@ -143,16 +148,17 @@ impl Namenode {
         block_id: u64,
         len: u64,
     ) -> FsResult<()> {
-        self.charge(p);
-        let mut st = self.state.lock();
-        let b = st
-            .leased(path, lease)?
-            .blocks
-            .iter_mut()
-            .find(|b| b.id == block_id)
-            .ok_or_else(|| FsError::Storage(format!("unknown block {block_id}")))?;
-        b.len = len;
-        Ok(())
+        self.serve(p, || {
+            let mut st = self.state.lock();
+            let b = st
+                .leased(path, lease)?
+                .blocks
+                .iter_mut()
+                .find(|b| b.id == block_id)
+                .ok_or_else(|| FsError::Storage(format!("unknown block {block_id}")))?;
+            b.len = len;
+            Ok(())
+        })
     }
 
     /// Forget a block whose pipeline failed (HDFS's `abandonBlock`); the
@@ -164,51 +170,52 @@ impl Namenode {
         lease: Lease,
         block_id: u64,
     ) -> FsResult<()> {
-        self.charge(p);
-        let mut st = self.state.lock();
-        st.leased(path, lease)?.blocks.retain(|b| b.id != block_id);
-        Ok(())
+        self.serve(p, || {
+            let mut st = self.state.lock();
+            st.leased(path, lease)?.blocks.retain(|b| b.id != block_id);
+            Ok(())
+        })
     }
 
     /// Close the file: release the lease and freeze it forever.
     pub(crate) fn complete_file(&self, p: &Proc, path: &DfsPath, lease: Lease) -> FsResult<()> {
-        self.charge(p);
-        self.state.lock().leased(path, lease)?.lease = None;
-        Ok(())
+        self.serve(p, || {
+            self.state.lock().leased(path, lease)?.lease = None;
+            Ok(())
+        })
     }
 
     /// Blocks of a file (readers; includes under-construction files, whose
     /// completed prefix is readable, matching 0.20 behaviour).
     pub(crate) fn get_blocks(&self, p: &Proc, path: &DfsPath) -> FsResult<(Vec<BlockInfo>, u64)> {
-        self.charge(p);
-        let st = self.state.lock();
-        let file = st.entries.file(path)?;
-        Ok((file.blocks.clone(), file.block_size))
+        self.serve(p, || {
+            let st = self.state.lock();
+            let file = st.entries.file(path)?;
+            Ok((file.blocks.clone(), file.block_size))
+        })
     }
 
     pub(crate) fn status(&self, p: &Proc, path: &DfsPath) -> FsResult<NnStatus> {
-        self.charge(p);
-        self.state.lock().entries.get(path).map(entry_status)
+        self.serve(p, || self.state.lock().entries.get(path).map(entry_status))
     }
 
     pub(crate) fn mkdirs(&self, p: &Proc, path: &DfsPath) -> FsResult<()> {
-        self.charge(p);
-        self.state.lock().entries.mkdirs(path)
+        self.serve(p, || self.state.lock().entries.mkdirs(path))
     }
 
     /// Children of a directory with their status, in name order.
     pub(crate) fn list(&self, p: &Proc, path: &DfsPath) -> FsResult<Vec<(DfsPath, NnStatus)>> {
-        self.charge(p);
-        let st = self.state.lock();
-        let children = st.entries.children(path)?.into_iter();
-        Ok(children
-            .map(|(k, v)| (k.clone(), entry_status(v)))
-            .collect())
+        self.serve(p, || {
+            let st = self.state.lock();
+            let children = st.entries.children(path)?.into_iter();
+            Ok(children
+                .map(|(k, v)| (k.clone(), entry_status(v)))
+                .collect())
+        })
     }
 
     pub(crate) fn rename(&self, p: &Proc, src: &DfsPath, dst: &DfsPath) -> FsResult<()> {
-        self.charge(p);
-        self.state.lock().entries.rename(src, dst)
+        self.serve(p, || self.state.lock().entries.rename(src, dst))
     }
 
     /// Delete; returns `(removed, block ids to GC)`, the ids in path order.
@@ -218,11 +225,12 @@ impl Namenode {
         path: &DfsPath,
         recursive: bool,
     ) -> FsResult<(bool, Vec<u64>)> {
-        self.charge(p);
-        let removed = self.state.lock().entries.remove(path, recursive)?;
-        let blocks = removed.iter().flatten().flat_map(|f| &f.blocks);
-        let gc = blocks.map(|b| b.id).collect();
-        Ok((removed.is_some(), gc))
+        self.serve(p, || {
+            let removed = self.state.lock().entries.remove(path, recursive)?;
+            let blocks = removed.iter().flatten().flat_map(|f| &f.blocks);
+            let gc = blocks.map(|b| b.id).collect();
+            Ok((removed.is_some(), gc))
+        })
     }
 }
 

@@ -325,8 +325,10 @@ pub(crate) fn run_reduce_task(
         Payload::from_vec(text)
     };
 
-    // Commit, timed with the reducer's ledger.
-    let (before, t0) = (p.ledger(), p.now());
+    // Commit, timed with the reducer's ledger (each snapshot after a clock
+    // reading, so a live one is as of that instant).
+    let t0 = p.now();
+    let before = p.ledger();
     match conf.output_mode {
         OutputMode::PerReducerFiles => {
             // Original Hadoop (paper Figure 1): unique temp file, then rename
@@ -353,7 +355,8 @@ pub(crate) fn run_reduce_task(
             }
         }
     }
-    let commit = (p.node(), p.now() - t0, p.ledger().since(&before));
+    let ns = p.now() - t0;
+    let commit = (p.node(), ns, p.ledger().since(&before));
     counters.commits.lock().push(commit);
     Ok(())
 }
