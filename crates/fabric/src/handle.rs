@@ -561,18 +561,21 @@ impl Waiter {
 /// A boxed unit of work for [`run_parallel`].
 pub type TaskFn<R> = Box<dyn FnOnce(&Proc) -> R + Send>;
 
-/// Run `tasks` concurrently as sibling processes of `p` on the same node,
-/// blocking until all complete; results come back in task order. A single
-/// task runs inline (no spawn overhead). This is the building block for
-/// client-side parallel I/O (parallel page writes/fetches, shuffle fans).
+/// Run `tasks` as one fan-out of `p` and return their results in task
+/// order: the building block of client-side parallel I/O (page writes and
+/// fetches per provider, shuffle fetches per host). The contract: tasks
+/// never wait on one another, and `p` holds no ranked lock (tasks run under
+/// whatever the caller holds).
+///
+/// In sim mode each task is a sibling process on `p`'s node, so the tasks'
+/// wire time overlaps as BlobSeer's parallel page streams do (a single task
+/// runs inline). Live mode has no wire to overlap: the tasks run on the
+/// caller's thread in index order, and a task's panic is the caller's.
 pub fn run_parallel<R: Send + 'static>(p: &Proc, label: &str, tasks: Vec<TaskFn<R>>) -> Vec<R> {
+    assert_none_held("run_parallel");
     let n = tasks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n == 1 {
-        let t = tasks.into_iter().next().unwrap();
-        return vec![t(p)];
+    if n <= 1 || matches!(p.fabric().inner, FabricInner::Live(_)) {
+        return tasks.into_iter().map(|t| t(p)).collect();
     }
     let q: crate::sync::Queue<(usize, R)> = p.fabric().queue();
     for (i, t) in tasks.into_iter().enumerate() {
@@ -1010,6 +1013,19 @@ mod tests {
                 assert!(msg.starts_with(&expect), "{msg}");
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "wire-while-locked: run_parallel while holding a rank-3 lock")]
+    fn a_fan_out_under_a_ranked_guard_panics() {
+        let fx = Fabric::live(ClusterSpec::tiny(1));
+        let lock = Mutex::with_rank((), 3);
+        fx.spawn(NodeId(0), "caller", move |p| {
+            let _guard = lock.lock();
+            run_parallel::<()>(p, "fan", Vec::new());
+        });
+        fx.run();
     }
 
     #[test]

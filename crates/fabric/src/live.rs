@@ -13,6 +13,8 @@
 //! as [`crate::Fabric::run`] is concerned, and holds no handle to the world;
 //! when the last handle drops, the workers are told to exit and are joined.
 //! Identity — pid, rng stream, name, panic report — belongs to the job.
+//! A proc's fan-out ([`crate::run_parallel`]) starts no proc here: its tasks
+//! run on the caller's thread.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,7 +207,7 @@ impl Drop for LiveCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handle::{run_parallel, Fabric, FabricInner, Proc, TaskFn};
+    use crate::handle::{run_parallel, Fabric, FabricInner, JoinHandle, Proc, TaskFn};
     use crate::time::MILLIS;
     use crate::topology::NodeId;
     use std::sync::Weak;
@@ -221,8 +223,9 @@ mod tests {
         shared_of(fx).state.lock().workers.len()
     }
 
-    /// `width`-way fan-out, `depth` levels deep, every parent waiting for
-    /// its children; runs `leaf` in each leaf and returns the leaf count.
+    /// `width`-way fan-out of spawned procs, `depth` levels deep, every
+    /// parent joining its children; runs `leaf` in each leaf and returns the
+    /// leaf count.
     fn fan_out(
         p: &Proc,
         width: usize,
@@ -233,13 +236,15 @@ mod tests {
             leaf(p);
             return 1;
         }
-        let tasks: Vec<TaskFn<usize>> = (0..width)
-            .map(|_| {
+        let children: Vec<JoinHandle<usize>> = (0..width)
+            .map(|i| {
                 let leaf = leaf.clone();
-                Box::new(move |wp: &Proc| fan_out(wp, width, depth - 1, &leaf)) as TaskFn<usize>
+                p.fabric().spawn(p.node(), format!("fan#{i}"), move |wp| {
+                    fan_out(wp, width, depth - 1, &leaf)
+                })
             })
             .collect();
-        run_parallel(p, "fan", tasks).into_iter().sum()
+        children.iter().map(|c| c.join(p)).sum()
     }
 
     fn no_op() -> Arc<dyn Fn(&Proc) + Send + Sync> {
@@ -283,6 +288,38 @@ mod tests {
         // workers four are always parked.
         let started = workers_started(&fx);
         assert!(started <= 9, "{started} threads for 4001 procs");
+    }
+
+    #[test]
+    fn a_live_fan_out_runs_its_tasks_in_order_on_the_caller() {
+        let fx = Fabric::live(ClusterSpec::tiny(2));
+        let h = fx.spawn(NodeId(1), "caller", |p| {
+            let (caller, order) = (thread::current().id(), Arc::new(Mutex::new(Vec::new())));
+            let tasks: Vec<TaskFn<(usize, String)>> = (0..4usize)
+                .map(|i| {
+                    let order = order.clone();
+                    Box::new(move |wp: &Proc| {
+                        assert_eq!(thread::current().id(), caller);
+                        order.lock().push(i);
+                        (i, wp.name().to_string())
+                    }) as TaskFn<(usize, String)>
+                })
+                .collect();
+            let out = run_parallel(p, "fan", tasks);
+            let doomed: Vec<TaskFn<()>> = vec![Box::new(|_| ()), Box::new(|_| panic!("task 1"))];
+            let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_parallel(p, "doomed", doomed)
+            }));
+            let order = order.lock().clone();
+            (out, order, raised.is_err())
+        });
+        fx.run();
+        let (out, order, raised) = h.take().expect("the caller finished");
+        let named = |i| (i, "caller".to_string());
+        assert_eq!(out, (0..4).map(named).collect::<Vec<_>>());
+        assert_eq!(order, [0, 1, 2, 3]);
+        assert!(raised, "a task's panic is the caller's");
+        assert_eq!(workers_started(&fx), 1, "the caller's worker only");
     }
 
     #[test]
