@@ -4,6 +4,11 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 //!
+//! Each service runs on a node of its own and the client on one running
+//! none, so the live ledger can say where the append's and the read's wall
+//! time went: each service names its work on its node (`Proc::serve`), the
+//! rest is the client's, and the parts sum to the op.
+//!
 //! Set `QUICKSTART_PERSIST_DIR=/some/dir` to deploy the durable storage
 //! plane instead: the providers (pages) and the metadata servers (tree
 //! nodes) persist to pstore subdirectories, and the demo kills a provider
@@ -12,21 +17,19 @@
 //! deployment's writers, and the version manager and the namespace do not
 //! persist yet (ROADMAP item R).
 
+use bench_suite::{bsfs_roles, Op, RoleMs, ROLES};
 use blobseer::{Fault, FaultTarget};
 use blobseer_repro::testbed;
 use dfs::{DfsPath, FileSystem};
 use fabric::{NodeId, Payload};
 
 fn main() {
-    // 4 logical nodes, 4 KB blocks (small so the output is interesting).
+    // 7 logical nodes, 4 KB blocks (small so the output is interesting).
     let persist_dir = std::env::var_os("QUICKSTART_PERSIST_DIR").map(std::path::PathBuf::from);
-    let (fx, fs) = match &persist_dir {
-        Some(dir) => testbed::live_bsfs_persistent(4, 4096, dir),
-        None => testbed::live_bsfs(4, 4096),
-    };
+    let (fx, fs) = testbed::live_bsfs_spread(4096, persist_dir.as_deref());
     let persistent = persist_dir.is_some();
     let fs2 = fs.clone();
-    fx.spawn(NodeId(0), "quickstart", move |p| {
+    fx.spawn(NodeId(6), "quickstart", move |p| {
         let path = DfsPath::new("/demo/log.txt").unwrap();
 
         // Create a file and write some data.
@@ -40,19 +43,34 @@ fn main() {
         );
 
         // Append — the operation HDFS of the era refused.
-        fs2.append_all(p, &path, Payload::from("appended line\n"))
-            .unwrap();
+        let ((), append) = Op::time(p, || {
+            fs2.append_all(p, &path, Payload::from("appended line\n"))
+                .unwrap()
+        });
         println!(
             "appended; file is now {} bytes",
             fs2.status(p, &path).unwrap().len
         );
 
         // Read it back.
-        let content = fs2.read_file(p, &path).unwrap();
+        let (content, read) = Op::time(p, || fs2.read_file(p, &path).unwrap());
         print!(
             "--- {path} ---\n{}",
             String::from_utf8_lossy(content.bytes())
         );
+
+        // Where the two ops' wall time went, by role. `fold` asserts that
+        // each op's parts sum to its time.
+        let roles = bsfs_roles(fs2.store().layout().clone());
+        for (what, op) in [("append", append), ("read", read)] {
+            let split = RoleMs::fold(&[op], &roles);
+            println!("--- where the {what} went: {:.1} us ---", split.op_ms * 1e3);
+            for (role, ms) in ROLES.iter().zip(split.ms) {
+                if ms > 0.0 {
+                    println!("  {role:<10} {:>7.1} us", ms * 1e3);
+                }
+            }
+        }
 
         // Versioning: the BLOB behind the file keeps every snapshot.
         let blob = fs2.blob_of(p, &path).unwrap();

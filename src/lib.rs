@@ -52,7 +52,7 @@ pub mod testbed {
     use blobseer::{BlobSeerConfig, Layout};
     use bsfs::Bsfs;
     use dfs::FileSystem;
-    use fabric::{ClusterSpec, Fabric};
+    use fabric::{ClusterSpec, Fabric, NodeId};
     use hdfs_sim::{HdfsConfig, HdfsLayout, HdfsSim};
     use mapreduce::{MrCluster, MrConfig};
 
@@ -73,28 +73,36 @@ pub mod testbed {
         (fx, fs)
     }
 
-    /// Like [`live_bsfs`], but the storage plane persists to a per-service
-    /// subdirectory of `dir` (providers their pages, metadata servers their
-    /// tree nodes), which makes `blobseer::Fault::CrashRestart` injectable:
-    /// a killed service heals by replaying its pstore directory. The
-    /// control services (version manager, provider manager, namespace)
-    /// keep their state in memory.
+    /// The quickstart's live BSFS world, `block_size`-byte pages: one node
+    /// for each control service (version manager 0, provider manager 1,
+    /// namespace 2), a metadata server on 3, providers on 4 and 5, and node
+    /// 6 running none, so a client there sees each service's work on a node
+    /// of its own in its ledger. With `persist_dir`, the storage plane
+    /// persists to a per-service subdirectory of it (providers their pages,
+    /// metadata servers their tree nodes), which makes
+    /// `blobseer::Fault::CrashRestart` injectable: a killed service heals by
+    /// replaying its pstore directory. The control services keep their
+    /// state in memory.
     #[expect(
         clippy::expect_used,
         reason = "test/example deployment helper: panicking on a failed deploy is its contract"
     )]
-    pub fn live_bsfs_persistent(
-        nodes: u32,
+    pub fn live_bsfs_spread(
         block_size: u64,
-        dir: &std::path::Path,
+        persist_dir: Option<&std::path::Path>,
     ) -> (Fabric, Bsfs) {
-        let fx = Fabric::live(ClusterSpec::tiny(nodes));
-        let fs = Bsfs::deploy(
-            &fx,
-            BlobSeerConfig::test_small(block_size).with_persist_dir(Some(dir.to_path_buf())),
-            Layout::compact(fx.spec()),
-        )
-        .expect("deploy persistent BSFS");
+        let fx = Fabric::live(ClusterSpec::tiny(7));
+        let layout = Layout {
+            vm: NodeId(0),
+            pm: NodeId(1),
+            namespace: NodeId(2),
+            meta: vec![NodeId(3)],
+            providers: vec![NodeId(4), NodeId(5)],
+            read_replicas: Vec::new(),
+        };
+        let config = BlobSeerConfig::test_small(block_size)
+            .with_persist_dir(persist_dir.map(|d| d.to_path_buf()));
+        let fs = Bsfs::deploy(&fx, config, layout).expect("deploy BSFS");
         (fx, fs)
     }
 

@@ -16,12 +16,13 @@ fn p(s: &str) -> DfsPath {
     DfsPath::new(s).unwrap()
 }
 
-/// `examples/quickstart.rs`: live BSFS, 4 nodes, 4 KB blocks.
+/// `examples/quickstart.rs`: live BSFS, one node per service, 4 KB blocks,
+/// the client on the node that runs none.
 #[test]
 fn quickstart_testbed_builds_and_appends() {
-    let (fx, fs) = testbed::live_bsfs(4, 4096);
+    let (fx, fs) = testbed::live_bsfs_spread(4096, None);
     let fs2 = fs.clone();
-    fx.spawn(NodeId(0), "smoke", move |pr| {
+    fx.spawn(NodeId(6), "smoke", move |pr| {
         let path = p("/smoke/log.txt");
         fs2.write_file(pr, &path, Payload::from("first\n")).unwrap();
         // The op the paper adds to the Hadoop world: append.
