@@ -332,7 +332,7 @@ impl Proc {
         let FabricInner::Live(core) = &self.fabric.inner else {
             return f();
         };
-        if !self.book.borrow_mut().open(node, waited, core.now()) {
+        if !self.book.borrow_mut().open(node, waited, || core.now()) {
             return f();
         }
         let out = f();
@@ -1322,15 +1322,14 @@ mod tests {
     /// mode a scope only runs its body.
     #[test]
     fn a_live_ledger_names_each_scope_and_sums_to_the_wall_clock() {
-        use crate::ledger::Waited;
         let cpu = Waited::Resource(ResourceKind::Cpu);
         let disk = Waited::Resource(ResourceKind::Disk);
         for fx in [
             Fabric::live(ClusterSpec::tiny(3)),
             Fabric::sim(ClusterSpec::tiny(3)),
         ] {
-            let (gate, g2) = (fx.gate(), fx.gate());
-            let setter = g2.clone();
+            let go = fx.gate();
+            let setter = go.clone();
             let h = fx.spawn(NodeId(0), "client", move |p| {
                 let t0 = p.now();
                 let before = p.ledger();
@@ -1343,8 +1342,7 @@ mod tests {
                         (p.ledger().since(&before), t - t0)
                     })
                 });
-                gate.set();
-                g2.wait(p);
+                go.wait(p);
                 let t1 = p.now();
                 (p.ledger().since(&before), t1 - t0, inside)
             });

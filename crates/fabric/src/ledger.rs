@@ -142,13 +142,20 @@ impl LiveBook {
         self.seen = now;
     }
 
-    /// Open a scope charged to `(node, waited)` at `now`. Answers `false`,
-    /// and opens nothing, when the innermost open scope charges the same
-    /// bucket: a nested scope there would change no bucket.
-    pub(crate) fn open(&mut self, node: NodeId, waited: Waited, now: SimTime) -> bool {
+    /// Open a scope charged to `(node, waited)` at `clock()`. Answers
+    /// `false`, and neither opens a scope nor reads the clock, when the
+    /// innermost open scope charges the same bucket: a nested scope there
+    /// would change no bucket.
+    pub(crate) fn open(
+        &mut self,
+        node: NodeId,
+        waited: Waited,
+        clock: impl FnOnce() -> SimTime,
+    ) -> bool {
         if (self.open.last()).is_some_and(|s| s.node == node && s.waited == waited) {
             return false;
         }
+        let now = clock();
         self.seen = now;
         self.open.push(Scope {
             node,
@@ -229,10 +236,13 @@ mod tests {
         let cpu = Waited::Resource(ResourceKind::Cpu);
         let disk = Waited::Resource(ResourceKind::Disk);
         let mut b = LiveBook::new(100);
-        assert!(b.open(NodeId(1), cpu, 110));
-        assert!(!b.open(NodeId(1), cpu, 112), "same bucket: no scope");
-        assert!(b.open(NodeId(2), disk, 115));
-        assert!(b.open(NodeId(0), Waited::Wait, 130));
+        assert!(b.open(NodeId(1), cpu, || 110));
+        assert!(
+            !b.open(NodeId(1), cpu, || unreachable!()),
+            "same bucket: no scope"
+        );
+        assert!(b.open(NodeId(2), disk, || 115));
+        assert!(b.open(NodeId(0), Waited::Wait, || 130));
         b.saw(134);
         let open = b.snapshot(NodeId(0));
         let at = |l: &Ledger, node, waited| {
