@@ -302,9 +302,14 @@ impl Proc {
 
     /// Current time, ns.
     pub fn now(&self) -> SimTime {
-        let now = self.fabric.now();
-        self.book.borrow_mut().saw(now);
-        now
+        match &self.fabric.inner {
+            FabricInner::Sim(c) => c.now(),
+            FabricInner::Live(c) => {
+                let now = c.now();
+                self.book.borrow_mut().saw(now);
+                now
+            }
+        }
     }
 
     /// Where this process's time went so far (module `crate::ledger`); the
