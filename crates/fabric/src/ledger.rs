@@ -1,4 +1,5 @@
-//! Where a process's virtual time went.
+//! Where a process's time went: virtual time in sim mode, wall time in
+//! live mode.
 //!
 //! In sim mode the engine charges every interval a process spends blocked
 //! to one bucket of that process's [`Ledger`], keyed by the node and the
@@ -38,12 +39,14 @@ pub enum Waited {
     /// A network fault's penalty: a stall, a delay or a retransmission.
     Fault,
     /// A flow, while a resource of this kind on the node was its
-    /// bottleneck. A compute is `Resource(Cpu)`.
+    /// bottleneck. A compute is `Resource(Cpu)`. In live mode, a scope of
+    /// a service's work ([`crate::Proc::serve`]), and the process's own
+    /// unscoped time as `Resource(Cpu)` on its node.
     Resource(ResourceKind),
     /// A flow, while the shared backplane was its bottleneck (charged to
     /// the waiting process's own node).
     Backplane,
-    /// A queue receive or a gate wait.
+    /// A queue receive or a gate wait (in live mode, any park).
     Wait,
     /// A wait for a request to end.
     Request,
@@ -59,7 +62,7 @@ pub struct Charge {
     pub ns: u64,
 }
 
-/// A process's virtual time, bucketed by `(node, what it waited on)`.
+/// A process's time, bucketed by `(node, what it waited on)`.
 /// Buckets appear in the order they were first charged; a process touches
 /// few, so they live in a small `Vec` searched from the back.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -89,7 +92,7 @@ impl Ledger {
         &self.charges
     }
 
-    /// Every bucket summed: the virtual time the ledger covers.
+    /// Every bucket summed: the time the ledger covers.
     pub fn total(&self) -> u64 {
         self.charges.iter().map(|c| c.ns).sum()
     }
