@@ -205,9 +205,11 @@ impl ProviderManager {
         }
     }
 
-    /// Run `f`, one exchange's work, as this service's: a live scope on its
-    /// node's CPU ([`Proc::serve`]).
+    /// One exchange with the manager: its request, then `f`, the manager's
+    /// work (a live scope on its node's CPU, [`Proc::serve`]).
     fn serve<T>(&self, p: &Proc, f: impl FnOnce() -> T) -> T {
+        p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
+            .wait(p);
         p.serve(self.node, ResourceKind::Cpu, f)
     }
 
@@ -226,10 +228,8 @@ impl ProviderManager {
         replication: usize,
         exclude: &[NodeId],
     ) -> BlobResult<(LeaseId, Vec<Vec<Arc<Provider>>>)> {
+        self.reap_expired_leases(p);
         self.serve(p, || {
-            self.reap_expired_leases(p);
-            p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
-                .wait(p);
             let candidates: Vec<&Arc<Provider>> = self
                 .providers
                 .iter()
@@ -274,8 +274,6 @@ impl ProviderManager {
         bytes: u64,
     ) {
         self.serve(p, || {
-            p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
-                .wait(p);
             if self.leases.lock().release(lease, provider.node(), page) {
                 provider.unreserve(bytes);
             }
@@ -298,8 +296,6 @@ impl ProviderManager {
         bytes: u64,
     ) {
         self.serve(p, || {
-            p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
-                .wait(p);
             provider.reserve(bytes);
             let entry = (provider.node(), page, bytes);
             self.leases.lock().adopt(p.now(), lease, entry);
@@ -311,8 +307,6 @@ impl ProviderManager {
     /// lease so the reaper never considers this write again. Idempotent.
     pub fn settle(&self, p: &Proc, lease: LeaseId) {
         self.serve(p, || {
-            p.request(self.node, CTL_MSG_BYTES, CTL_MSG_BYTES, 0)
-                .wait(p);
             self.leases.lock().settle(lease);
         })
     }
@@ -322,7 +316,7 @@ impl ProviderManager {
     /// background reaper and lazily from [`Self::allocate`]. O(1) when
     /// nothing expired: only the deadline-queue front is examined.
     pub fn reap_expired_leases(&self, p: &Proc) -> u64 {
-        self.serve(p, || {
+        p.serve(self.node, ResourceKind::Cpu, || {
             let mut reclaimed = 0u64;
             loop {
                 let expired = self.leases.lock().take_expired(p.now());
