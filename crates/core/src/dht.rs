@@ -507,4 +507,32 @@ mod tests {
             assert_eq!(d.total_nodes(), 1);
         });
     }
+
+    /// A node's content is a pure function of its key, so rewriting one
+    /// with other content is a bug the debug build catches on either kind
+    /// of server.
+    #[cfg(debug_assertions)]
+    fn rewrite_with_other_content(server: MetaServer) {
+        let d = MetaDht::new(vec![Arc::new(server)], 0);
+        with_proc(move |p| {
+            d.put(p, key(1, 0, 1), leaf(1)).unwrap();
+            d.put(p, key(1, 0, 1), leaf(2)).unwrap();
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rewritten with different content")]
+    fn a_rewrite_with_other_content_panics_in_memory() {
+        rewrite_with_other_content(MetaServer::new(NodeId(0)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rewritten with different content")]
+    fn a_rewrite_with_other_content_panics_on_a_durable_server() {
+        let dir = ScratchDir::new("meta-rewrite");
+        let opts = pstore::StoreOptions::default();
+        rewrite_with_other_content(MetaServer::new_persistent(NodeId(0), &dir, opts).unwrap());
+    }
 }
