@@ -9,8 +9,8 @@
 //!
 //! How a metadata server counts what it served, dies and comes back is its
 //! `crate::service::Service` shell's, the one every service has, and a
-//! `MetaServer` derefs to it; this file says only what a crash empties and
-//! a restart reloads (the `Nodes` map), and the hot paths.
+//! `MetaServer` derefs to it; this file says where a server keeps its nodes
+//! (in memory, or only in its store when durable), and the hot paths.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -19,33 +19,27 @@ use std::sync::Arc;
 use fabric::{NodeId, Proc, ResourceKind};
 use parking_lot::RwLock;
 
-use crate::error::{BlobError, BlobResult};
+use crate::error::{BlobError, BlobResult, PersistenceKind};
 use crate::meta::{NodeBody, NodeKey, NODE_KEY_PREFIX};
 use crate::service::{Service, State, META_SERVER};
 
-/// Stripe count of one server's node map. Keys spread via the upper bits of
-/// the same FNV hash that routes them to a server (the lower bits picked the
-/// server, so within a server the upper bits stay uniform).
+/// Stripe count of an in-memory server's node map.
 const NODE_STRIPES: usize = 16;
-
-fn stripe_of(key: &NodeKey) -> usize {
-    ((hash_key(key) >> 32) % NODE_STRIPES as u64) as usize
-}
 
 /// One metadata server holding a shard of the tree-node space: a `Service`
 /// shell (node, liveness, served counters, store, crash-restart — all
 /// reached by deref) that stores tree nodes.
 ///
-/// The node map is lock-striped (`RwLock<HashMap>` per stripe): a batched
-/// `get_batch` takes only read locks — concurrent readers never block each
-/// other — and a `put_batch` write-locks exactly the stripes its share of
-/// nodes hashes to, never the whole server for the whole batch.
+/// An in-memory server keeps its nodes in a lock-striped map
+/// (`RwLock<HashMap>` per stripe): a batched `get_batch` takes only read
+/// locks — concurrent readers never block each other — and a `put_batch`
+/// write-locks one stripe per node, never the whole server. A durable
+/// server (see [`Self::new_persistent`]) has no stripes: its store holds
+/// the one copy, read and written under the shell's store guard, as a
+/// durable provider's does.
 pub struct MetaServer {
-    /// When durable (see [`Self::new_persistent`]), the store is a
-    /// write-through mirror that exists to survive a crash-restart; the
-    /// striped in-memory map stays the authoritative read path.
     svc: Service,
-    nodes: Arc<Nodes>,
+    stripes: Vec<RwLock<HashMap<NodeKey, NodeBody>>>,
 }
 
 impl std::ops::Deref for MetaServer {
@@ -56,40 +50,17 @@ impl std::ops::Deref for MetaServer {
     }
 }
 
-struct Nodes(Vec<RwLock<HashMap<NodeKey, NodeBody>>>);
+/// What a durable server rebuilds at a (re)start: nothing, since it serves
+/// from its store. It still reads every node record back once: the store's
+/// open does not re-read a record a checkpoint vouches for, and a restart
+/// over a corrupt one must fail rather than come up serving it.
+struct ReadBack;
 
-impl Default for Nodes {
-    fn default() -> Self {
-        let stripe = || RwLock::with_rank(HashMap::new(), crate::lock_ranks::STRIPES);
-        Nodes((0..NODE_STRIPES).map(|_| stripe()).collect())
-    }
-}
+impl State for ReadBack {
+    fn clear(&self) {}
 
-impl State for Nodes {
-    fn clear(&self) {
-        for stripe in &self.0 {
-            stripe.write().clear();
-        }
-    }
-
-    /// Reload the striped map from the store's `n/` namespace (replacing
-    /// whatever the stripes hold). The scan is the fallible step and runs
-    /// first, so a failed reload changes nothing.
     fn rebuild(&self, store: &pstore::Store) -> pstore::Result<()> {
-        let records = store.scan_prefix(NODE_KEY_PREFIX)?;
-        self.clear();
-        for (k, v) in records {
-            let (Some(key), Some(body)) = (NodeKey::decode(&k), NodeBody::decode(&v)) else {
-                // Malformed record: skip it — the write path only ever
-                // stores codec output, so this is corruption the CRC
-                // already let through; losing one node degrades to a
-                // MetadataMissing read error, never a panic.
-                continue;
-            };
-            #[expect(clippy::indexing_slicing, reason = "stripe_of is `% NODE_STRIPES`")]
-            self.0[stripe_of(&key)].write().insert(key, body);
-        }
-        Ok(())
+        store.scan_prefix(NODE_KEY_PREFIX).map(drop)
     }
 }
 
@@ -97,74 +68,112 @@ impl MetaServer {
     pub fn new(node: NodeId) -> Self {
         MetaServer {
             svc: Service::new(META_SERVER, node),
-            nodes: Arc::default(),
+            stripes: (0..NODE_STRIPES)
+                .map(|_| RwLock::with_rank(HashMap::new(), crate::lock_ranks::STRIPES))
+                .collect(),
         }
     }
 
-    /// Metadata server whose node map is write-through mirrored into a
-    /// [`pstore::Store`] at `dir`. Opening a non-empty directory *recovers*
-    /// it: every stored tree node is decoded back into the striped map, so
-    /// a restarted server answers exactly what it acknowledged before the
-    /// crash.
+    /// Metadata server whose nodes live only in a [`pstore::Store`] at
+    /// `dir`. Opening a non-empty directory *recovers* it, so a restarted
+    /// server answers exactly what it acknowledged before the crash.
     pub fn new_persistent(
         node: NodeId,
         dir: &Path,
         opts: pstore::StoreOptions,
     ) -> BlobResult<Self> {
-        let nodes = Arc::new(Nodes::default());
-        let svc = Service::open(META_SERVER, node, dir, opts, nodes.clone())?;
-        Ok(MetaServer { svc, nodes })
+        let svc = Service::open(META_SERVER, node, dir, opts, Arc::new(ReadBack))?;
+        Ok(MetaServer {
+            svc,
+            stripes: Vec::new(),
+        })
     }
 
-    /// Store one server group of tree nodes: durably first (when
-    /// persistent, a live `Disk` scope), then into the striped memory map.
-    /// The store read guard is held across the whole group INCLUDING the
-    /// flush — see [`crate::service`]: no node is ever acked and then lost.
+    /// An in-memory server's stripe for `key`, picked by the upper bits of
+    /// the FNV hash whose lower bits picked the server.
     #[expect(
         clippy::indexing_slicing,
-        reason = "subscripts are stripe_of() (`% NODE_STRIPES`) or enumerate() over a vector built with NODE_STRIPES entries, as `nodes` is"
+        reason = "`% NODE_STRIPES`, and only an in-memory server, built with NODE_STRIPES stripes, has a store guard of None"
     )]
-    pub(crate) fn store_nodes(&self, p: &Proc, nodes: Vec<(NodeKey, NodeBody)>) -> BlobResult<()> {
-        if let Some(g) = self.store_guard() {
-            let Some(s) = g.as_ref() else {
-                return Err(self.down());
-            };
-            p.serve(self.node(), ResourceKind::Disk, || {
-                for (key, body) in &nodes {
-                    s.put(&key.encode(), &body.encode())
-                        .map_err(|e| self.err(&e))?;
-                }
-                s.flush_buffered().map_err(|e| self.err(&e))
-            })?;
-        }
-        // Write-lock each touched stripe once for its share; untouched
-        // stripes (and their concurrent readers) are never blocked.
-        let mut by_stripe: Vec<Vec<(NodeKey, NodeBody)>> =
-            (0..NODE_STRIPES).map(|_| Vec::new()).collect();
-        for (key, body) in nodes {
-            by_stripe[stripe_of(&key)].push((key, body));
-        }
-        for (si, share) in by_stripe.into_iter().enumerate() {
-            if share.is_empty() {
-                continue;
-            }
-            let mut stored = self.nodes.0[si].write();
-            for (key, body) in share {
-                if let Some(prev) = stored.get(&key) {
-                    debug_assert_eq!(
-                        prev, &body,
-                        "metadata node {key:?} rewritten with different content"
-                    );
-                }
-                stored.insert(key, body);
-            }
-        }
-        Ok(())
+    fn stripe(&self, key: &NodeKey) -> &RwLock<HashMap<NodeKey, NodeBody>> {
+        &self.stripes[((hash_key(key) >> 32) % NODE_STRIPES as u64) as usize]
     }
 
-    /// Number of tree nodes stored on this server.
+    /// Store one server group of tree nodes. A durable server writes them
+    /// in one live `Disk` scope and holds the store read guard across the
+    /// whole group INCLUDING the flush — see [`crate::service`]: no node is
+    /// ever acked and then lost.
+    pub(crate) fn store_nodes(&self, p: &Proc, nodes: Vec<(NodeKey, NodeBody)>) -> BlobResult<()> {
+        const REWRITE: &str = "rewritten with different content";
+        let Some(g) = self.store_guard() else {
+            for (key, body) in nodes {
+                let mut stripe = self.stripe(&key).write();
+                debug_assert!(
+                    stripe.get(&key).is_none_or(|prev| *prev == body),
+                    "metadata node {key:?} {REWRITE}"
+                );
+                stripe.insert(key, body);
+            }
+            return Ok(());
+        };
+        let Some(s) = g.as_ref() else {
+            return Err(self.down());
+        };
+        p.serve(self.node(), ResourceKind::Disk, || {
+            for (key, body) in &nodes {
+                let k = key.encode();
+                debug_assert!(
+                    (s.get(&k).ok().flatten())
+                        .and_then(|prev| NodeBody::decode(&prev))
+                        .is_none_or(|prev| prev == *body),
+                    "metadata node {key:?} {REWRITE}"
+                );
+                s.put(&k, &body.encode()).map_err(|e| self.err(&e))?;
+            }
+            s.flush_buffered().map_err(|e| self.err(&e))
+        })
+    }
+
+    /// The nodes stored under `keys`, in order. A durable server reads them
+    /// in one live `Disk` scope under the store read guard; a record that
+    /// fails its checksum or does not decode answers a `Corrupt`
+    /// persistence error, never `None`.
+    fn load_nodes<'k>(
+        &self,
+        p: &Proc,
+        keys: impl Iterator<Item = &'k NodeKey>,
+    ) -> BlobResult<Vec<Option<NodeBody>>> {
+        let Some(g) = self.store_guard() else {
+            return Ok(keys
+                .map(|k| self.stripe(k).read().get(k).cloned())
+                .collect());
+        };
+        let Some(s) = g.as_ref() else {
+            return Err(self.down());
+        };
+        p.serve(self.node(), ResourceKind::Disk, || {
+            keys.map(|key| {
+                let Some(v) = s.get(&key.encode()).map_err(|e| self.err(&e))? else {
+                    return Ok(None);
+                };
+                let corrupt = || BlobError::Persistence {
+                    kind: PersistenceKind::Corrupt,
+                    path: self.dir.display().to_string(),
+                    detail: format!("metadata node {key:?} does not decode"),
+                };
+                NodeBody::decode(&v).map(Some).ok_or_else(corrupt)
+            })
+            .collect()
+        })
+    }
+
+    /// Number of tree nodes stored on this server (a durable server's store
+    /// holds nothing else; a wiped one holds none).
     pub fn node_count(&self) -> usize {
-        self.nodes.0.iter().map(|s| s.read().len()).sum()
+        match self.store_guard() {
+            None => self.stripes.iter().map(|s| s.read().len()).sum(),
+            Some(g) => g.as_ref().map_or(0, |s| s.len()),
+        }
     }
 }
 
@@ -266,7 +275,7 @@ impl MetaDht {
     /// level.
     #[expect(
         clippy::indexing_slicing,
-        reason = "`out` is sized to keys.len() and `i` enumerates `keys`; the rest are server_index() / stripe_of() or enumerate() over vectors sized to servers / stripes"
+        reason = "`out` is sized to keys.len() and `i` enumerates `keys`; the rest are server_index() or enumerate() over a vector sized to servers"
     )]
     pub fn get_batch(&self, p: &Proc, keys: &[NodeKey]) -> BlobResult<Vec<Option<NodeBody>>> {
         let mut out: Vec<Option<NodeBody>> = vec![None; keys.len()];
@@ -284,27 +293,14 @@ impl MetaDht {
             }
             let resp = p.serve(server.node(), ResourceKind::Cpu, || {
                 server.served_get(group.len() as u64);
+                let found = server.load_nodes(p, group.iter().map(|&i| &keys[i]))?;
                 let mut resp = 0u64;
-                // Read locks only, one per touched stripe: batched readers
-                // share every stripe and never block each other.
-                let mut by_stripe: Vec<Vec<usize>> =
-                    (0..NODE_STRIPES).map(|_| Vec::new()).collect();
-                for &i in &group {
-                    by_stripe[stripe_of(&keys[i])].push(i);
+                for (&i, body) in group.iter().zip(found) {
+                    resp += body.as_ref().map_or(16, |b| b.encoded_size() + 16);
+                    out[i] = body;
                 }
-                for (si, idxs) in by_stripe.into_iter().enumerate() {
-                    if idxs.is_empty() {
-                        continue;
-                    }
-                    let stored = server.nodes.0[si].read();
-                    for i in idxs {
-                        let body = stored.get(&keys[i]).cloned();
-                        resp += body.as_ref().map_or(16, |b| b.encoded_size() + 16);
-                        out[i] = body;
-                    }
-                }
-                resp
-            });
+                Ok::<_, BlobError>(resp)
+            })?;
             let n = group.len() as u64;
             let ops = self.server_cpu_ops * n;
             p.request(server.node(), 56 * n, resp, ops).wait(p);
@@ -505,6 +501,39 @@ mod tests {
             d.put(p, key(1, 0, 1), leaf(1)).unwrap();
             d.put(p, key(1, 0, 1), leaf(1)).unwrap();
             assert_eq!(d.total_nodes(), 1);
+        });
+    }
+
+    /// A durable server keeps no memory copy to answer from: a node record
+    /// that rots on disk after the store opened answers a `Corrupt`
+    /// persistence error, never `Ok(None)` and never a panic.
+    #[test]
+    fn a_node_record_corrupted_after_open_answers_corrupt() {
+        let dir = ScratchDir::new("meta-rot");
+        let d2 = dir.to_path_buf();
+        with_proc(move |p| {
+            let opts = pstore::StoreOptions::default();
+            let server = MetaServer::new_persistent(NodeId(0), &d2, opts).unwrap();
+            let d = MetaDht::new(vec![Arc::new(server)], 0);
+            d.put(p, key(1, 0, 1), leaf(1)).unwrap();
+
+            // The put flushed its record; its last byte ends the value.
+            let seg = d2.join("00000000.seg");
+            let mut bytes = std::fs::read(&seg).unwrap();
+            *bytes.last_mut().unwrap() ^= 1;
+            std::fs::write(&seg, &bytes).unwrap();
+
+            let got = d.get_batch(p, &[key(1, 0, 1)]);
+            assert!(
+                matches!(
+                    got,
+                    Err(BlobError::Persistence {
+                        kind: PersistenceKind::Corrupt,
+                        ..
+                    })
+                ),
+                "{got:?}"
+            );
         });
     }
 

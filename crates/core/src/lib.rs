@@ -48,7 +48,7 @@
 /// | 1 | `blobs` — VM registry `RwLock<HashMap<BlobId, Arc<BlobSlot>>>` | `version_manager.rs` |
 /// | 2 | `state` — per-BLOB `Mutex<BlobState>`; the lock unit and its dense pending window live in `meta.rs`, one method call per hold | `version_manager.rs` |
 /// | 3 | `leases` — provider-manager lease book `Mutex<LeaseBook>` | `provider_manager.rs` |
-/// | 4 | `stripes` / `nodes` — provider page stripes, metadata-server node stripes | `provider.rs`, `dht.rs` |
+/// | 4 | `stripes` — an in-memory provider's page stripes, an in-memory metadata server's node stripes (a durable one keeps neither) | `provider.rs`, `dht.rs` |
 /// | 5 | `shards` / `views` — read-cache shards, the client's per-BLOB index views | `read_cache.rs`, `client.rs` |
 ///
 /// Two rules, both enforced by the debug-only assertions in the
@@ -73,7 +73,9 @@ pub(crate) mod lock_ranks {
     pub(crate) const BLOB_STATE: u8 = 2;
     /// Provider-manager lease book.
     pub(crate) const LEASE_BOOK: u8 = 3;
-    /// Provider page stripes and metadata-server node stripes.
+    /// Page stripes of in-memory providers and node stripes of in-memory
+    /// metadata servers; durable ones have no stripes (their store is the
+    /// one copy).
     pub(crate) const STRIPES: u8 = 4;
     /// Client-side read-cache shards and index caches (`read_cache.rs`) —
     /// leaves of the hierarchy: nothing else is ever taken under them, and

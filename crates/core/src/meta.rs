@@ -67,25 +67,6 @@ impl NodeKey {
         k[26..].copy_from_slice(&self.page_hi.to_be_bytes());
         k
     }
-
-    /// Inverse of [`Self::encode`]; `None` on any structural mismatch.
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::unwrap_used,
-        reason = "the length test pins `k` to NODE_KEY_BYTES = 34; every range lies inside it and the four passed to `f` are 8 wide"
-    )]
-    pub(crate) fn decode(k: &[u8]) -> Option<NodeKey> {
-        if k.len() != NODE_KEY_BYTES || &k[..2] != NODE_KEY_PREFIX {
-            return None;
-        }
-        let f = |r: std::ops::Range<usize>| u64::from_be_bytes(k[r].try_into().unwrap());
-        Some(NodeKey {
-            blob: BlobId(f(2..10)),
-            version: f(10..18),
-            page_lo: f(18..26),
-            page_hi: f(26..34),
-        })
-    }
 }
 
 /// Key namespace for metadata tree nodes inside a server's durable store.
@@ -823,12 +804,12 @@ mod tests {
             },
         ];
         for k in keys {
-            let enc = k.encode();
-            assert!(enc.starts_with(NODE_KEY_PREFIX));
-            assert_eq!(NodeKey::decode(&enc), Some(k));
+            assert!(k.encode().starts_with(NODE_KEY_PREFIX));
         }
-        assert_eq!(NodeKey::decode(b"n/short"), None);
-        assert_eq!(NodeKey::decode(&[0u8; NODE_KEY_BYTES]), None, "bad prefix");
+        assert!(
+            keys[0].encode() < keys[1].encode(),
+            "store keys sort in (blob, version, range) order"
+        );
 
         let bodies = [
             NodeBody::Inner {

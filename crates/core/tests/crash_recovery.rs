@@ -427,10 +427,11 @@ fn live_mode_provider_kill_and_restart_mid_workload() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A restart that cannot rebuild its state is a *failed* restart: one bit
-/// flipped in a checkpoint-covered record lets the store open (the
+/// A restart that cannot read its state back is a *failed* restart: one
+/// bit flipped in a checkpoint-covered record lets the store open (the
 /// checkpoint vouches for the record without re-reading it) but fails the
-/// scan that reloads the node map. The server must stay wiped and down —
+/// pass that reads every node record back before the server serves from
+/// the store again. The server must stay wiped and down —
 /// never come up alive and empty, answering `Ok(None)` for nodes it
 /// acknowledged — and `heal` must return the cause instead of reviving it;
 /// `heal_all` reports it by target where it used to discard it.
