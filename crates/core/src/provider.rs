@@ -435,6 +435,11 @@ mod tests {
                 .unwrap();
             assert_eq!(prov.stored_pages(), 1);
             assert_eq!(prov.stored_bytes(), 64 * 1024);
+            // A re-put of the same page id stores nothing new.
+            prov.put_page(p, id, Payload::from_vec(vec![9u8; 64 * 1024]))
+                .unwrap();
+            assert_eq!(prov.stored_pages(), 1, "a re-put counts once");
+            assert_eq!(prov.stored_bytes(), 64 * 1024, "a re-put counts once");
             let got = prov.get_page(p, id).unwrap();
             assert_eq!(got.bytes().as_ref(), &[9u8; 64 * 1024][..]);
             assert!(prov.has_page(id));
@@ -645,9 +650,14 @@ mod tests {
             }
             assert_eq!(prov.stored_pages(), 5);
             assert_eq!(prov.stored_bytes(), 500);
+            // A re-put of the same page id stores nothing new.
+            prov.put_page(p, PageId(7, 0), Payload::from_vec(vec![0u8; 100]))
+                .unwrap();
+            assert_eq!(prov.stored_pages(), 5, "a re-put counts once");
+            assert_eq!(prov.stored_bytes(), 500, "a re-put counts once");
         });
         let d3 = dir.to_path_buf();
-        with_proc(move |_p| {
+        with_proc(move |p| {
             let prov = Provider::new_persistent(NodeId(1), &d3).unwrap();
             assert_eq!(prov.stored_pages(), 5, "page count rebuilt from index");
             assert_eq!(prov.stored_bytes(), 500, "byte count rebuilt from index");
@@ -657,6 +667,11 @@ mod tests {
                 "no reservations cross a restart"
             );
             assert_eq!(prov.op_counts(), (0, 0), "op counters are per-process");
+            // A page stored before the reopen is not new after it either.
+            prov.put_page(p, PageId(7, 4), Payload::from_vec(vec![4u8; 100]))
+                .unwrap();
+            assert_eq!(prov.stored_pages(), 5, "a reopened re-put counts once");
+            assert_eq!(prov.stored_bytes(), 500, "a reopened re-put counts once");
         });
     }
 
