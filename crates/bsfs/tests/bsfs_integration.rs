@@ -487,8 +487,9 @@ fn deleted_files_drop_their_blob_slots_at_delete() {
 }
 
 /// Live-mode (real OS threads) storage-plane variant: concurrent writers
-/// drive the striped provider page maps and sharded metadata stripes in
-/// genuine parallelism while the background reaper reclaims a dead
+/// drive the page maps of in-memory providers and the node maps of
+/// in-memory metadata servers in genuine parallelism while the background
+/// reaper reclaims a dead
 /// allocator's lease on the wall clock. Content, capacity books and the
 /// lease table all come out exact.
 #[test]

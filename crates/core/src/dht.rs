@@ -23,23 +23,19 @@ use crate::error::{BlobError, BlobResult, PersistenceKind};
 use crate::meta::{NodeBody, NodeKey, NODE_KEY_PREFIX};
 use crate::service::{Service, State, META_SERVER};
 
-/// Stripe count of an in-memory server's node map.
-const NODE_STRIPES: usize = 16;
-
 /// One metadata server holding a shard of the tree-node space: a `Service`
 /// shell (node, liveness, served counters, store, crash-restart — all
 /// reached by deref) that stores tree nodes.
 ///
-/// An in-memory server keeps its nodes in a lock-striped map
-/// (`RwLock<HashMap>` per stripe): a batched `get_batch` takes only read
-/// locks — concurrent readers never block each other — and a `put_batch`
-/// write-locks one stripe per node, never the whole server. A durable
-/// server (see [`Self::new_persistent`]) has no stripes: its store holds
-/// the one copy, read and written under the shell's store guard, as a
-/// durable provider's does.
+/// An in-memory server keeps its nodes in one `RwLock<HashMap>`, taken
+/// once per server group: a `get_batch` takes its read side, so concurrent
+/// readers never block each other. A durable server (see
+/// [`Self::new_persistent`]) leaves the map empty: its store holds the one
+/// copy, read and written under the shell's store guard, as a durable
+/// provider's does.
 pub struct MetaServer {
     svc: Service,
-    stripes: Vec<RwLock<HashMap<NodeKey, NodeBody>>>,
+    nodes: RwLock<HashMap<NodeKey, NodeBody>>,
 }
 
 impl std::ops::Deref for MetaServer {
@@ -68,9 +64,7 @@ impl MetaServer {
     pub fn new(node: NodeId) -> Self {
         MetaServer {
             svc: Service::new(META_SERVER, node),
-            stripes: (0..NODE_STRIPES)
-                .map(|_| RwLock::with_rank(HashMap::new(), crate::lock_ranks::STRIPES))
-                .collect(),
+            nodes: RwLock::with_rank(HashMap::new(), crate::lock_ranks::MAPS),
         }
     }
 
@@ -85,18 +79,8 @@ impl MetaServer {
         let svc = Service::open(META_SERVER, node, dir, opts, Arc::new(ReadBack))?;
         Ok(MetaServer {
             svc,
-            stripes: Vec::new(),
+            nodes: RwLock::with_rank(HashMap::new(), crate::lock_ranks::MAPS),
         })
-    }
-
-    /// An in-memory server's stripe for `key`, picked by the upper bits of
-    /// the FNV hash whose lower bits picked the server.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`% NODE_STRIPES`, and only an in-memory server, built with NODE_STRIPES stripes, has a store guard of None"
-    )]
-    fn stripe(&self, key: &NodeKey) -> &RwLock<HashMap<NodeKey, NodeBody>> {
-        &self.stripes[((hash_key(key) >> 32) % NODE_STRIPES as u64) as usize]
     }
 
     /// Store one server group of tree nodes. A durable server writes them
@@ -106,13 +90,13 @@ impl MetaServer {
     pub(crate) fn store_nodes(&self, p: &Proc, nodes: Vec<(NodeKey, NodeBody)>) -> BlobResult<()> {
         const REWRITE: &str = "rewritten with different content";
         let Some(g) = self.store_guard() else {
+            let mut map = self.nodes.write();
             for (key, body) in nodes {
-                let mut stripe = self.stripe(&key).write();
                 debug_assert!(
-                    stripe.get(&key).is_none_or(|prev| *prev == body),
+                    map.get(&key).is_none_or(|prev| *prev == body),
                     "metadata node {key:?} {REWRITE}"
                 );
-                stripe.insert(key, body);
+                map.insert(key, body);
             }
             return Ok(());
         };
@@ -144,9 +128,8 @@ impl MetaServer {
         keys: impl Iterator<Item = &'k NodeKey>,
     ) -> BlobResult<Vec<Option<NodeBody>>> {
         let Some(g) = self.store_guard() else {
-            return Ok(keys
-                .map(|k| self.stripe(k).read().get(k).cloned())
-                .collect());
+            let map = self.nodes.read();
+            return Ok(keys.map(|k| map.get(k).cloned()).collect());
         };
         let Some(s) = g.as_ref() else {
             return Err(self.down());
@@ -171,7 +154,7 @@ impl MetaServer {
     /// holds nothing else; a wiped one holds none).
     pub fn node_count(&self) -> usize {
         match self.store_guard() {
-            None => self.stripes.iter().map(|s| s.read().len()).sum(),
+            None => self.nodes.read().len(),
             Some(g) => g.as_ref().map_or(0, |s| s.len()),
         }
     }

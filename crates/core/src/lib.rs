@@ -48,7 +48,7 @@
 /// | 1 | `blobs` — VM registry `RwLock<HashMap<BlobId, Arc<BlobSlot>>>` | `version_manager.rs` |
 /// | 2 | `state` — per-BLOB `Mutex<BlobState>`; the lock unit and its dense pending window live in `meta.rs`, one method call per hold | `version_manager.rs` |
 /// | 3 | `leases` — provider-manager lease book `Mutex<LeaseBook>` | `provider_manager.rs` |
-/// | 4 | `stripes` — an in-memory provider's page stripes, an in-memory metadata server's node stripes (a durable one keeps neither) | `provider.rs`, `dht.rs` |
+/// | 4 | `pages` / `nodes` — an in-memory provider's page map, an in-memory metadata server's node map (a durable one leaves its map empty) | `provider.rs`, `dht.rs` |
 /// | 5 | `shards` / `views` — read-cache shards, the client's per-BLOB index views | `read_cache.rs`, `client.rs` |
 ///
 /// Two rules, both enforced by the debug-only assertions in the
@@ -56,8 +56,9 @@
 /// test executes — tier-1 and the chaos sweep — and by nothing else:
 ///
 /// * **Order.** A thread never acquires a *lower* rank while it holds a
-///   higher one (equal ranks nest: stripes are disjoint by index). A
-///   violation panics with `lock-order violation` and both ranks.
+///   higher one. Equal ranks may nest, though no path a test runs takes
+///   two locks of one rank at once. A violation panics with
+///   `lock-order violation` and both ranks.
 /// * **Wire.** No fabric call that spends virtual time or parks — `request`,
 ///   `transfer*`, `sleep`, `disk_*`, `compute`, `Gate::wait`, `Queue::recv`,
 ///   `JoinHandle::join` — runs while any ranked guard is live: the version
@@ -73,10 +74,10 @@ pub(crate) mod lock_ranks {
     pub(crate) const BLOB_STATE: u8 = 2;
     /// Provider-manager lease book.
     pub(crate) const LEASE_BOOK: u8 = 3;
-    /// Page stripes of in-memory providers and node stripes of in-memory
-    /// metadata servers; durable ones have no stripes (their store is the
-    /// one copy).
-    pub(crate) const STRIPES: u8 = 4;
+    /// The page map of an in-memory provider and the node map of an
+    /// in-memory metadata server, one per service; durable ones leave
+    /// theirs empty (their store is the one copy).
+    pub(crate) const MAPS: u8 = 4;
     /// Client-side read-cache shards and index caches (`read_cache.rs`) —
     /// leaves of the hierarchy: nothing else is ever taken under them, and
     /// no wire traffic happens while one is held.

@@ -16,15 +16,13 @@
 //! `Service::rpc_counts` counts wire round-trips — the gap between the
 //! two is the batching win, and the data-plane regression tests pin it.
 //!
-//! The page store is *lock-striped*: the in-memory backend is a fixed array
-//! of `RwLock<HashMap>` stripes keyed by page id, so concurrent `get_pages`
-//! / `put_pages` from distinct clients touch distinct stripes (or share a
-//! read lock) instead of funneling through one provider-wide mutex — in
-//! live mode N clients hitting one node genuinely proceed in parallel. The
-//! persistent backend ([`pstore::Store`]) is internally synchronized and
-//! needs no outer lock at all. All counters (`stored_*`, `op_counts`,
-//! `rpc_counts`, reservations) are atomics, so nothing about the accounting
-//! relies on a global lock either.
+//! The in-memory backend is one `RwLock<HashMap>` keyed by page id: a batch
+//! takes it once, after its transfer, so it is never held across a wire
+//! call, and concurrent `get_pages` share its read side. The persistent
+//! backend ([`pstore::Store`]) is internally synchronized and needs no outer
+//! lock at all. The page count is read from whichever of the two holds the
+//! pages; the other counters (`stored_bytes`, `op_counts`, `rpc_counts`,
+//! reservations) are atomics.
 //!
 //! How a provider counts what it served, dies and comes back is not written
 //! here: that is its `crate::service::Service` shell's, the one every
@@ -44,17 +42,8 @@ use crate::error::{BlobError, BlobResult, PersistenceKind};
 use crate::service::{Kind, Service, State, PROVIDER};
 use crate::types::PageId;
 
-/// Stripe count of the in-memory page map. Page ids are random 128-bit
-/// values, so a cheap xor spreads them uniformly; 16 stripes is plenty to
-/// decorrelate the handful of OS threads live mode runs per node.
-const MEM_STRIPES: usize = 16;
-
-fn stripe_of(id: PageId) -> usize {
-    ((id.0 ^ id.1.rotate_left(32)) % MEM_STRIPES as u64) as usize
-}
-
 /// Key namespace for pages inside a provider's store (recovery rebuilds the
-/// page counters from exactly this prefix).
+/// byte book from exactly this prefix).
 const PAGE_PREFIX: &[u8] = b"p/";
 
 /// One page-storage service instance: a `Service` shell (node, liveness,
@@ -62,10 +51,10 @@ const PAGE_PREFIX: &[u8] = b"p/";
 /// stores pages.
 pub struct Provider {
     svc: Service,
-    /// Lock-striped in-memory page map (the configuration the paper
-    /// benchmarks). A durable provider has no stripes: it keeps its pages
-    /// in the BerkeleyDB-substitute store its `Service` opened.
-    stripes: Vec<RwLock<HashMap<PageId, Payload>>>,
+    /// In-memory page map (the configuration the paper benchmarks). A
+    /// durable provider leaves it empty: it keeps its pages in the
+    /// BerkeleyDB-substitute store its `Service` opened.
+    pages: RwLock<HashMap<PageId, Payload>>,
     books: Arc<Books>,
 }
 
@@ -80,8 +69,9 @@ impl std::ops::Deref for Provider {
 /// What a provider holds and what it has promised.
 #[derive(Default)]
 struct Books {
+    /// Bytes currently stored: the least-loaded policy reads it for every
+    /// candidate on every allocation, so it is kept, not summed.
     stored_bytes: AtomicU64,
-    stored_pages: AtomicU64,
     /// Bytes promised to in-flight writes by the provider manager; lets the
     /// least-loaded policy spread concurrent writers before their data lands.
     reserved_bytes: AtomicU64,
@@ -89,22 +79,19 @@ struct Books {
 
 impl State for Books {
     fn clear(&self) {
-        for c in [&self.stored_bytes, &self.stored_pages, &self.reserved_bytes] {
+        for c in [&self.stored_bytes, &self.reserved_bytes] {
             c.store(0, Ordering::Relaxed);
         }
     }
 
-    /// Reconstruct `stored_pages`/`stored_bytes` from the store's page index
-    /// (metadata only — no value reads) and zero the reservation book: a
-    /// freshly (re)opened provider has no in-flight writers yet; the
-    /// provider manager re-reserves for leases that straddled the restart
+    /// Reconstruct `stored_bytes` from the store's page index (metadata
+    /// only — no value reads) and zero the reservation book: a freshly
+    /// (re)opened provider has no in-flight writers yet; the provider
+    /// manager re-reserves for leases that straddled the restart
     /// (`ProviderManager::reinstate`).
     fn rebuild(&self, store: &pstore::Store) -> pstore::Result<()> {
-        let meta = store.prefix_meta(PAGE_PREFIX);
-        self.stored_pages
-            .store(meta.len() as u64, Ordering::Relaxed);
-        self.stored_bytes
-            .store(meta.iter().map(|(_, n)| *n).sum(), Ordering::Relaxed);
+        let bytes = store.prefix_meta(PAGE_PREFIX).iter().map(|(_, n)| n).sum();
+        self.stored_bytes.store(bytes, Ordering::Relaxed);
         self.reserved_bytes.store(0, Ordering::Relaxed);
         Ok(())
     }
@@ -133,9 +120,7 @@ impl Provider {
     pub(crate) fn mem(kind: Kind, node: NodeId) -> Self {
         Provider {
             svc: Service::new(kind, node),
-            stripes: (0..MEM_STRIPES)
-                .map(|_| RwLock::with_rank(HashMap::new(), crate::lock_ranks::STRIPES))
-                .collect(),
+            pages: RwLock::with_rank(HashMap::new(), crate::lock_ranks::MAPS),
             books: Arc::default(),
         }
     }
@@ -149,8 +134,8 @@ impl Provider {
     /// `kind` of provider backed by [`pstore::Store`] with explicit store
     /// options (segment size, checkpoint cadence). Opening a
     /// non-empty directory *recovers* it: the page index replays from the
-    /// newest checkpoint and `stored_bytes`/`stored_pages` are reconstructed
-    /// from the index — never trusted from the dead process.
+    /// newest checkpoint and `stored_bytes` is reconstructed from the index
+    /// — never trusted from the dead process.
     pub(crate) fn open(
         kind: Kind,
         node: NodeId,
@@ -161,7 +146,7 @@ impl Provider {
         let svc = Service::open(kind, node, dir, opts, books.clone())?;
         Ok(Provider {
             svc,
-            stripes: Vec::new(),
+            pages: RwLock::with_rank(HashMap::new(), crate::lock_ranks::MAPS),
             books,
         })
     }
@@ -171,9 +156,13 @@ impl Provider {
         self.books.stored_bytes.load(Ordering::Relaxed)
     }
 
-    /// Pages currently stored.
+    /// Pages currently stored, counted where they are held (a durable
+    /// provider's store holds nothing else; a wiped one holds none).
     pub fn stored_pages(&self) -> u64 {
-        self.books.stored_pages.load(Ordering::Relaxed)
+        match self.store_guard() {
+            None => self.pages.read().len() as u64,
+            Some(g) => g.as_ref().map_or(0, |s| s.len() as u64),
+        }
     }
 
     /// Load metric used by the least-loaded allocation policy.
@@ -188,19 +177,9 @@ impl Provider {
     }
 
     pub(crate) fn unreserve(&self, bytes: u64) {
-        let mut cur = self.books.reserved_bytes.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self.books.reserved_bytes.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
+        let sub = |cur: u64| Some(cur.saturating_sub(bytes));
+        // `sub` always answers `Some`, so the update cannot fail.
+        let _ = (self.books.reserved_bytes).fetch_update(Ordering::Relaxed, Ordering::Relaxed, sub);
     }
 
     /// Store a page. Charges the client→provider transfer and (if
@@ -242,17 +221,12 @@ impl Provider {
             let mut out = Vec::with_capacity(n);
             match self.store_guard() {
                 None => {
+                    let mut m = self.pages.write();
                     for (id, data) in pages {
                         let len = data.len();
-                        // Only this page's stripe is write-locked; concurrent
-                        // batches for other stripes proceed in parallel.
-                        #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
-                        let mut m = self.stripes[stripe_of(id)].write();
                         if m.insert(id, data).is_none() {
-                            self.books.stored_pages.fetch_add(1, Ordering::Relaxed);
                             self.books.stored_bytes.fetch_add(len, Ordering::Relaxed);
                         }
-                        drop(m);
                         // A page that landed consumes its capacity reservation
                         // here — failed pages keep theirs for the caller to
                         // release.
@@ -303,7 +277,6 @@ impl Provider {
                         match res {
                             Ok(newly_stored) => {
                                 if newly_stored {
-                                    self.books.stored_pages.fetch_add(1, Ordering::Relaxed);
                                     self.books.stored_bytes.fetch_add(len, Ordering::Relaxed);
                                 }
                                 landed_bytes += len;
@@ -353,16 +326,12 @@ impl Provider {
             let mut found_bytes = 0u64;
             match self.store_guard() {
                 None => {
+                    let m = self.pages.read();
                     for id in ids {
-                        // Read lock on one stripe: concurrent readers of the
-                        // same stripe share it, writers to other stripes never
-                        // touch it.
-                        #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
-                        let data = self.stripes[stripe_of(*id)].read().get(id).cloned();
-                        out.push(match data {
+                        out.push(match m.get(id) {
                             Some(d) => {
                                 found_bytes += d.len();
-                                Ok(d)
+                                Ok(d.clone())
                             }
                             None => Err(BlobError::PageUnavailable {
                                 detail: format!("page {id:?} not on provider {}", self.node()),
@@ -411,8 +380,7 @@ impl Provider {
     /// consumed reservations from stranded ones)
     pub(crate) fn has_page(&self, id: PageId) -> bool {
         match self.store_guard() {
-            #[expect(clippy::indexing_slicing, reason = "stripe_of is `% MEM_STRIPES`")]
-            None => self.stripes[stripe_of(id)].read().contains_key(&id),
+            None => self.pages.read().contains_key(&id),
             // A crash-wiped store holds nothing in memory; any reaper
             // misaccounting in the wipe window is erased when `recover`
             // rebuilds the counters from disk.
@@ -561,8 +529,8 @@ mod tests {
 
     #[test]
     fn partial_batch_failure_keeps_per_page_books_exact() {
-        // A batch that partially fails under the striped backend must keep
-        // the PR 2/3 contract bit-for-bit: failed pages answer their own
+        // A batch that partially fails must keep the per-page contract
+        // bit-for-bit: failed pages answer their own
         // error, landed pages consume exactly their reservation, and the
         // failed pages' reservations stay for the caller to release. The
         // persistent backend rejects ghosts per page, which makes a genuine

@@ -164,9 +164,9 @@ fn provider_crash_restart_recovers_pages_and_books() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A metadata server dies and loses its stripes; while it is down reads
-/// needing its tree nodes fail typed (not garbage), and after the heal every
-/// historical version walks the rebuilt tree byte-identically.
+/// A metadata server dies and is wiped; while it is down reads needing its
+/// tree nodes fail typed (not garbage), and after the heal every historical
+/// version reads byte-identically from the nodes its store kept.
 #[test]
 fn meta_server_crash_restart_recovers_every_version() {
     let dir = scratch_dir("meta");

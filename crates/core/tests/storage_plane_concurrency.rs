@@ -114,10 +114,11 @@ fn disjoint_provider_writers_are_independent() {
     }
 }
 
-/// The same pin with every writer fanning into ONE provider: the striped
-/// page map (and atomic counters) keep the provider itself from becoming a
-/// lock bottleneck — with latency-only transfers, N-way fan-in costs the
-/// same sim-time as a single writer.
+/// The same pin with every writer fanning into ONE provider: with
+/// latency-only transfers, N-way fan-in costs the same sim-time as a single
+/// writer. The sim runs one proc at a time, so no lock is ever contended
+/// here and none can move this pin: it holds because the provider's costed
+/// work shares no serializing resource across clients.
 #[test]
 fn single_provider_fanin_stays_unserialized() {
     let t1 = storage_write_time(1, 1, 8);

@@ -58,7 +58,7 @@ pub mod lock_order {
                         rank >= max,
                         "lock-order violation: acquiring a rank-{rank} lock while holding \
                          rank {max} (hierarchy: VM registry(1) -> blob slot(2) -> \
-                         lease book(3) -> provider/meta stripes(4) -> client caches(5))"
+                         lease book(3) -> provider/meta maps(4) -> client caches(5))"
                     );
                 }
                 held.push(rank);
