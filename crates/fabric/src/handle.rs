@@ -805,6 +805,28 @@ mod tests {
     }
 
     #[test]
+    fn both_modes_derive_the_same_rng_stream_per_spawn() {
+        let draws = |fx: Fabric| {
+            let hs: Vec<JoinHandle<Vec<u64>>> = (0..3u32)
+                .map(|i| {
+                    fx.spawn(NodeId(i), format!("p{i}"), |p| {
+                        let mut rng = p.rng();
+                        (0..4).map(|_| rand::Rng::gen::<u64>(&mut *rng)).collect()
+                    })
+                })
+                .collect();
+            fx.run();
+            hs.iter().map(|h| h.take().unwrap()).collect::<Vec<_>>()
+        };
+        let sim = draws(Fabric::sim(ClusterSpec::tiny(3)));
+        assert_eq!(sim, draws(Fabric::live(ClusterSpec::tiny(3))));
+        assert!(
+            sim[0] != sim[1] && sim[1] != sim[2],
+            "each proc its own stream"
+        );
+    }
+
+    #[test]
     fn live_mode_smoke() {
         let fx = Fabric::live(ClusterSpec::tiny(2));
         let q = fx.queue::<u32>();
