@@ -293,8 +293,8 @@ fn bench_fabric(c: &mut Criterion) {
             black_box(fx.now())
         });
     });
-    // One live proc, spawned and waited for on a reused worker thread. A
-    // live `run_parallel` spawns none: its tasks run on the caller.
+    // One live proc, spawned on a thread of its own and waited for. A live
+    // `run_parallel` spawns none: its tasks run on the caller.
     c.bench_function("fabric/live_spawn", |b| {
         let fx = Fabric::live(ClusterSpec::tiny(1));
         b.iter(|| {

@@ -446,10 +446,9 @@ impl BlobClient {
         offset: u64,
         len: u64,
     ) -> BlobResult<Payload> {
-        let snap = self.svc.vm.snapshot(p, blob, version)?;
         // The VM only answers snapshots for published versions — this read's
         // version is now known-published and its pages/leaves cacheable.
-        self.note_published(blob, snap.version);
+        let snap = self.snapshot(p, blob, version)?;
         self.read_snapshot_inner(p, blob, &snap, offset, len, version.is_none())
     }
 
@@ -488,19 +487,15 @@ impl BlobClient {
         len: u64,
         latest_requested: bool,
     ) -> BlobResult<Payload> {
-        let end = offset.saturating_add(len).min(snap.total_bytes);
-        if offset >= end {
-            return Ok(Payload::empty());
-        }
         // Published versions are immutable, so the read cache is consulted
         // before any fabric traffic — but only at or below this client's
         // published-version floor: a pending version's tree can still be
         // rewritten (write-timeout force-complete), so it is never cached.
         let published = self.is_published(blob, snap.version);
-        let hits = match self.leaves_via_index(p, blob, snap, offset, end, latest_requested)? {
-            Some(hits) => hits,
-            None => self.leaves(p, blob, snap, offset, end)?,
-        };
+        let (end, hits) = self.locate(p, blob, snap, offset, len, latest_requested)?;
+        if hits.is_empty() {
+            return Ok(Payload::empty());
+        }
         let slice_to_range = |hit: &LeafHit, full: &Payload| {
             let (a, b) = (
                 offset.max(hit.blob_byte_off),
@@ -586,45 +581,48 @@ impl BlobClient {
         collect_leaves(&mut fetch, blob, snap, byte_lo, byte_hi)
     }
 
-    /// The fresh-snapshot shortcut shared by [`Self::read`] and
-    /// [`Self::page_locations`]: when a descriptor-index snapshot pinned at
-    /// exactly `snap.version` is available, answer which pages overlap
-    /// `[byte_lo, byte_hi)` — and where each starts — locally, and fetch
-    /// *only* the leaf (provider-set) nodes in one batched DHT get per
-    /// metadata server: zero inner tree-node gets. `None` means no pinned
-    /// index can be had (historical version, empty BLOB, or a publication
-    /// race) and the caller must walk the tree.
-    ///
-    /// The caller clamps: requires `byte_lo < byte_hi <= snap.total_bytes`.
+    /// The pages of `snap` overlapping `[offset, offset + len)` clamped to
+    /// EOF, and the clamped end: the one locate step of [`Self::read`] and
+    /// [`Self::page_locations`]. When a descriptor-index snapshot pinned at
+    /// exactly `snap.version` can be had, answer which pages overlap — and
+    /// where each starts — locally, and fetch *only* the leaf
+    /// (provider-set) nodes in one batched DHT get per metadata server:
+    /// zero inner tree-node gets. Otherwise (historical version, empty
+    /// BLOB, or a publication race) walk the tree. A range that is empty
+    /// after the clamp locates no page.
     #[expect(
         clippy::indexing_slicing,
         reason = "`keys`, `byte_offs`, `pages` are parallel arrays and `missing` holds indices drawn from `0..keys.len()`"
     )]
-    fn leaves_via_index(
+    fn locate(
         &self,
         p: &Proc,
         blob: BlobId,
         snap: &SnapshotInfo,
-        byte_lo: u64,
-        byte_hi: u64,
+        offset: u64,
+        len: u64,
         latest_requested: bool,
-    ) -> BlobResult<Option<Vec<LeafHit>>> {
+    ) -> BlobResult<(u64, Vec<LeafHit>)> {
+        let end = offset.saturating_add(len).min(snap.total_bytes);
+        if offset >= end {
+            return Ok((end, Vec::new()));
+        }
         let Some(ix) = self.index_at(p, blob, snap, latest_requested)? else {
-            return Ok(None);
+            return Ok((end, self.leaves(p, blob, snap, offset, end)?));
         };
         // The index answers which pages overlap the range and who owns each
         // (the owner version's tree is the one holding the live leaf).
-        // The caller clamps the range below EOF, so a miss here means the
+        // The range is clamped below EOF, so a miss here means the
         // pinned index disagrees with its own snapshot descriptor — an
         // internal contract breach, not a user error.
         let index_gap = |what: &str| BlobError::Internal {
             detail: format!("pinned index at v{} has no {what}", snap.version),
         };
         let page_lo = ix
-            .page_containing(byte_lo)
+            .page_containing(offset)
             .ok_or_else(|| index_gap("page containing the clamped offset"))?;
         let page_hi = ix
-            .page_containing(byte_hi - 1)
+            .page_containing(end - 1)
             .ok_or_else(|| index_gap("page containing the clamped end"))?
             + 1;
         let mut keys = Vec::with_capacity((page_hi - page_lo) as usize);
@@ -693,7 +691,7 @@ impl BlobClient {
                 })
             })
             .collect::<BlobResult<Vec<LeafHit>>>()
-            .map(Some)
+            .map(|hits| (end, hits))
     }
 
     /// Snapshot facts for a version (`None` = latest published).
@@ -755,20 +753,8 @@ impl BlobClient {
         offset: u64,
         len: u64,
     ) -> BlobResult<Vec<PageLocation>> {
-        let snap = self.svc.vm.snapshot(p, blob, version)?;
-        self.note_published(blob, snap.version);
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let end = offset.saturating_add(len).min(snap.total_bytes);
-        if offset >= end {
-            return Ok(Vec::new());
-        }
-        let hits = match self.leaves_via_index(p, blob, &snap, offset, end, version.is_none())? {
-            Some(hits) => hits,
-            // Historical version (or a publication race): walk the tree.
-            None => self.leaves(p, blob, &snap, offset, end)?,
-        };
+        let snap = self.snapshot(p, blob, version)?;
+        let (_, hits) = self.locate(p, blob, &snap, offset, len, version.is_none())?;
         Ok(hits
             .into_iter()
             .map(|h| PageLocation {

@@ -183,6 +183,13 @@ fn reads_clamp_at_eof_like_page_locations() {
         assert!(c.read(p, blob, None, 250, 10).unwrap().is_empty());
         assert!(c.page_locations(p, blob, None, 250, 10).unwrap().is_empty());
 
+        // Zero length, inside the blob and at EOF: empty, like a range past EOF.
+        for offset in [100, 250] {
+            assert!(c.read(p, blob, None, offset, 0).unwrap().is_empty());
+            let locs = c.page_locations(p, blob, None, offset, 0).unwrap();
+            assert!(locs.is_empty());
+        }
+
         // Past EOF: empty, not an error.
         assert!(c.read(p, blob, None, 300, 10).unwrap().is_empty());
         assert!(c.page_locations(p, blob, None, 300, 10).unwrap().is_empty());

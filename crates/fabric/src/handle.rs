@@ -79,9 +79,9 @@ impl Fabric {
         }
     }
 
-    /// Spawn a process on `node`. In sim mode the process starts when the
-    /// engine first schedules it; in live mode it starts immediately, on a
-    /// reusable worker thread (see `crate::live`).
+    /// Spawn a process on `node`, on an OS thread of its own. In sim mode
+    /// the process starts when the engine first schedules it; in live mode
+    /// it starts immediately.
     pub fn spawn<T, F>(&self, node: NodeId, name: impl Into<String>, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
@@ -92,82 +92,50 @@ impl Fabric {
             "spawn on {node} but cluster has {} nodes",
             self.spec().nodes
         );
-        let name = name.into();
+        let name: Arc<str> = name.into().into();
         let result: Arc<Mutex<Option<Result<T, String>>>> = Arc::new(Mutex::new(None));
         let done = self.gate();
-        match &self.inner {
-            FabricInner::Sim(core) => {
-                let parker = Arc::new(Parker::new());
-                let pid = core.register_proc(node, &name, parker.clone());
-                let fabric = self.clone();
-                let core2 = core.clone();
-                let r2 = result.clone();
-                let d2 = done.clone();
-                let seed = core.seed ^ pid.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let pname: Arc<str> = name.clone().into();
-                std::thread::Builder::new()
-                    .name(format!("sim:{name}"))
-                    .stack_size(1 << 20)
-                    .spawn(move || {
-                        core2.park(&parker);
-                        let p = Proc {
-                            fabric,
-                            node,
-                            name: pname,
-                            pid,
-                            parker: parker.clone(),
-                            baton: Cell::default(),
-                            book: RefCell::default(),
-                            rng: RefCell::new(StdRng::seed_from_u64(seed)),
-                        };
-                        match std::panic::catch_unwind(AssertUnwindSafe(|| f(&p))) {
-                            Ok(v) => {
-                                *r2.lock() = Some(Ok(v));
-                                d2.set();
-                                core2.proc_finished(pid);
-                            }
-                            Err(e) => {
-                                let msg = panic_msg(e);
-                                *r2.lock() = Some(Err(msg.clone()));
-                                d2.set();
-                                core2.proc_panicked(pid, msg);
-                            }
-                        }
-                    })
-                    .expect("failed to spawn sim process thread");
-            }
-            FabricInner::Live(core) => {
-                let fabric = self.clone();
-                let r2 = result.clone();
-                let d2 = done.clone();
-                let base_seed = core.seed;
-                let pname: Arc<str> = name.into();
-                core.spawn(pname.clone(), move |pid| {
-                    let born = fabric.now();
-                    let p = Proc {
-                        fabric,
-                        node,
-                        name: pname,
-                        pid,
-                        parker: Arc::new(Parker::new()),
-                        baton: Cell::default(),
-                        book: RefCell::new(LiveBook::new(born)),
-                        rng: RefCell::new(StdRng::seed_from_u64(
-                            base_seed ^ pid.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        )),
-                    };
-                    let outcome =
-                        std::panic::catch_unwind(AssertUnwindSafe(|| f(&p))).map_err(panic_msg);
-                    // The proc's handle to the world goes before anyone can
-                    // learn that the proc has finished.
-                    drop(p);
-                    let panicked = outcome.as_ref().err().cloned();
-                    *r2.lock() = Some(outcome);
-                    d2.set();
-                    panicked
-                });
-            }
-        }
+        let parker = Arc::new(Parker::new());
+        let (pid, seed) = match &self.inner {
+            FabricInner::Sim(core) => (core.register_proc(node, &name, parker.clone()), core.seed),
+            FabricInner::Live(core) => (core.proc_started(), core.seed),
+        };
+        let seed = seed ^ pid.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let fabric = self.clone();
+        let (r2, d2) = (result.clone(), done.clone());
+        std::thread::Builder::new()
+            .name(name.to_string())
+            .stack_size(1 << 20)
+            .spawn(move || {
+                let book = match &fabric.inner {
+                    FabricInner::Sim(core) => {
+                        core.park(&parker);
+                        LiveBook::default()
+                    }
+                    FabricInner::Live(core) => LiveBook::new(core.now()),
+                };
+                let p = Proc {
+                    fabric,
+                    node,
+                    name,
+                    pid,
+                    parker,
+                    baton: Cell::default(),
+                    book: RefCell::new(book),
+                    rng: RefCell::new(StdRng::seed_from_u64(seed)),
+                };
+                let outcome =
+                    std::panic::catch_unwind(AssertUnwindSafe(|| f(&p))).map_err(panic_msg);
+                let panicked = outcome.as_ref().err().cloned();
+                *r2.lock() = Some(outcome);
+                d2.set();
+                match (&p.fabric.inner, panicked) {
+                    (FabricInner::Sim(core), None) => core.proc_finished(pid),
+                    (FabricInner::Sim(core), Some(msg)) => core.proc_panicked(pid, msg),
+                    (FabricInner::Live(core), panicked) => core.proc_ended(&p.name, panicked),
+                }
+            })
+            .expect("failed to spawn process thread");
         JoinHandle { result, done }
     }
 
@@ -396,11 +364,6 @@ impl Proc {
     /// Convenience: transfer from this process's node to `dst`.
     pub fn send_to(&self, dst: NodeId, bytes: u64) {
         self.transfer(self.node, dst, bytes);
-    }
-
-    /// Convenience: transfer from `src` to this process's node.
-    pub fn fetch_from(&self, src: NodeId, bytes: u64) {
-        self.transfer(src, self.node, bytes);
     }
 
     /// A request/response control exchange with `dst` (two latency-dominated

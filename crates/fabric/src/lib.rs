@@ -15,10 +15,10 @@
 //!   wakeups are routed through the event queue, so simulations are
 //!   deterministic and cheap: hundreds of simulated nodes moving tens of
 //!   simulated gigabytes run in seconds on a laptop.
-//! * **Live** ([`Fabric::live`]): processes run on real OS threads (reused
-//!   from proc to proc, see `live`), transfers and disk charges are free
-//!   (the real work on real bytes *is* the cost) and the clock is the wall
-//!   clock. Functional tests and the runnable examples use this mode.
+//! * **Live** ([`Fabric::live`]): processes run on real OS threads, one
+//!   each, transfers and disk charges are free (the real work on real bytes
+//!   *is* the cost) and the clock is the wall clock. Functional tests and the
+//!   runnable examples use this mode.
 //!
 //! The [`Payload`] type carries either real bytes (live mode / small sims) or
 //! a *ghost* length (cluster-scale sims), so experiments that shuffle 6.3 GB

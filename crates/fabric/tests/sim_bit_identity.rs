@@ -80,7 +80,7 @@ fn scenario() -> (fabric::FabricStats, Vec<u64>, Vec<u32>) {
                                 Box::new(move |p: &fabric::Proc| {
                                     p.disk_write(p.node(), 1_000_000);
                                     p.compute(p.node(), 50_000_000);
-                                    p.fetch_from(NodeId(8 + (a + b) % 3), 3_000_000);
+                                    p.transfer(NodeId(8 + (a + b) % 3), p.node(), 3_000_000);
                                     p.transfer(p.node(), p.node(), 5_000_000);
                                     p.now()
                                 }) as TaskFn<u64>
