@@ -457,4 +457,44 @@ mod tests {
         assert!(s.resident_bytes <= cap, "{} > {cap}", s.resident_bytes);
         assert!(s.evictions > 0);
     }
+
+    #[test]
+    fn a_page_under_the_budget_is_cached_whole() {
+        // 2 000 bytes is a quarter of the budget: it must be cached, not
+        // measured against a slice of it.
+        let cache = ReadCache::new(8 * 1024);
+        cache.put_page(BlobId(1), 1, PageId(0, 0), Payload::ghost(2_000));
+        assert_eq!(
+            cache.get_page(BlobId(1), 1, PageId(0, 0)).map(|p| p.len()),
+            Some(2_000)
+        );
+        assert_eq!(cache.stats().page_hits, 1);
+    }
+
+    #[test]
+    fn recency_spans_the_whole_cache() {
+        // Four pages of 2 048 budget bytes each fill the 8 KiB exactly.
+        let cache = ReadCache::new(8 * 1024);
+        let page = |i: u64| PageId(i, 3 * i + 1);
+        let put = |i: u64| {
+            cache.put_page(
+                BlobId(2),
+                1,
+                page(i),
+                Payload::ghost(2_048 - ENTRY_OVERHEAD),
+            )
+        };
+        (0..4).for_each(put);
+        assert_eq!(cache.stats().evictions, 0);
+        // Touch the oldest, then make room for one more.
+        assert!(cache.get_page(BlobId(2), 1, page(0)).is_some());
+        put(4);
+        let s = cache.stats();
+        assert_eq!((s.evictions, s.resident_entries), (1, 4));
+        assert!(cache.get_page(BlobId(2), 1, page(0)).is_some());
+        assert!(cache.get_page(BlobId(2), 1, page(1)).is_none());
+        for i in 2..5 {
+            assert!(cache.get_page(BlobId(2), 1, page(i)).is_some(), "page {i}");
+        }
+    }
 }
