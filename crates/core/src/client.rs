@@ -97,7 +97,7 @@ impl BlobClient {
     /// A client whose read cache never holds anything — every read takes
     /// the full fabric path. Used to compare cached vs uncached reads.
     pub(crate) fn uncached(svc: Arc<Services>) -> Self {
-        Self::with_cache(svc, ReadCache::disabled())
+        Self::with_cache(svc, ReadCache::new(0))
     }
 
     fn with_cache(svc: Arc<Services>, cache: ReadCache) -> Self {

@@ -87,7 +87,7 @@ impl Default for BlobSeerConfig {
             persist_checkpoint_bytes: None,
             vm_cpu_ops: 1_000_000,
             meta_cpu_ops: 100_000,
-            // Room for a handful of paper-scale 64 MB pages per shard.
+            // Room for 15 paper-scale 64 MB pages.
             read_cache_bytes: 1024 * 1024 * 1024,
             client_index_cache_entries: 1024,
         }

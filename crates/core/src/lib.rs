@@ -49,15 +49,14 @@
 /// | 2 | `state` — per-BLOB `Mutex<BlobState>`; the lock unit and its dense pending window live in `meta.rs`, one method call per hold | `version_manager.rs` |
 /// | 3 | `leases` — provider-manager lease book `Mutex<LeaseBook>` | `provider_manager.rs` |
 /// | 4 | `pages` / `nodes` — an in-memory provider's page map, an in-memory metadata server's node map (a durable one leaves its map empty) | `provider.rs`, `dht.rs` |
-/// | 5 | `shards` / `views` — read-cache shards, the client's per-BLOB index views | `read_cache.rs`, `client.rs` |
+/// | 5 | `inner` / `views` — a client's read cache, its per-BLOB index views | `read_cache.rs`, `client.rs` |
 ///
 /// Two rules, both enforced by the debug-only assertions in the
 /// `parking_lot` shim ([`parking_lot::lock_order`]) on every path a debug
 /// test executes — tier-1 and the chaos sweep — and by nothing else:
 ///
-/// * **Order.** A thread never acquires a *lower* rank while it holds a
-///   higher one. Equal ranks may nest, though no path a test runs takes
-///   two locks of one rank at once. A violation panics with
+/// * **Order.** A thread never acquires a rank at or below one it holds,
+///   so two locks of one rank never nest. A violation panics with
 ///   `lock-order violation` and both ranks.
 /// * **Wire.** No fabric call that spends virtual time or parks — `request`,
 ///   `transfer*`, `sleep`, `disk_*`, `compute`, `Gate::wait`, `Queue::recv`,
@@ -78,9 +77,9 @@ pub(crate) mod lock_ranks {
     /// in-memory metadata server, one per service; durable ones leave
     /// theirs empty (their store is the one copy).
     pub(crate) const MAPS: u8 = 4;
-    /// Client-side read-cache shards and index caches (`read_cache.rs`) —
-    /// leaves of the hierarchy: nothing else is ever taken under them, and
-    /// no wire traffic happens while one is held.
+    /// A client's read cache and its index views (`read_cache.rs`,
+    /// `client.rs`) — leaves of the hierarchy: nothing else is ever taken
+    /// under them, and no wire traffic happens while one is held.
     pub(crate) const READ_CACHE: u8 = 5;
 }
 

@@ -16,7 +16,8 @@
 //!   monotone tick in a `BTreeMap`, so eviction order is a pure function of
 //!   the access sequence — no hash-iteration order, no wall clock). Also
 //!   reused to bound the client's descriptor/page-size caches.
-//! * [`ReadCache`] — the sharded page + leaf cache proper, with
+//! * [`ReadCache`] — the page + leaf cache proper: one [`LruMap`] over the
+//!   whole byte budget behind one lock, with
 //!   [`FabricStats`](fabric::FabricStats)-style counters
 //!   ([`ReadCacheStats`]) so benches can gate on deterministic currencies.
 //!
@@ -26,7 +27,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use fabric::Payload;
 use parking_lot::Mutex;
@@ -80,10 +80,6 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         self.used_weight
     }
 
-    pub(crate) fn cap_weight(&self) -> u64 {
-        self.cap_weight
-    }
-
     /// Entries evicted over the map's lifetime (not removals).
     pub(crate) fn evictions(&self) -> u64 {
         self.evictions
@@ -104,19 +100,18 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// Insert `key -> value` with the given weight, evicting
     /// least-recently-used entries until the new total fits. An entry
     /// heavier than the whole capacity is dropped rather than thrashing the
-    /// map. Returns the number of entries evicted.
-    pub(crate) fn insert(&mut self, key: K, value: V, weight: u64) -> u64 {
+    /// map. Returns whether the map kept the entry.
+    pub(crate) fn insert(&mut self, key: K, value: V, weight: u64) -> bool {
         if weight > self.cap_weight {
             // Still displace an existing (now stale-weight) entry under the
             // same key, so the map never lies about containment.
             self.remove(&key);
-            return 0;
+            return false;
         }
         if let Some(old) = self.entries.remove(&key) {
             self.used_weight -= old.weight;
             self.recency.remove(&old.tick);
         }
-        let mut evicted = 0;
         while self.used_weight + weight > self.cap_weight {
             let Some((&oldest, _)) = self.recency.iter().next() else {
                 break;
@@ -125,7 +120,6 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
                 if let Some(e) = self.entries.remove(&k) {
                     self.used_weight -= e.weight;
                     self.evictions += 1;
-                    evicted += 1;
                 }
             }
         }
@@ -141,7 +135,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
             },
         );
         self.used_weight += weight;
-        evicted
+        true
     }
 
     /// Remove `key` (a removal, not an eviction).
@@ -203,125 +197,85 @@ enum CacheVal {
     Leaf(PageRef),
 }
 
-/// Fixed shard count: enough to keep reader threads in live mode off each
-/// other's locks, few enough that the per-shard capacity still fits whole
-/// paper-scale (64 MB) pages under the default budget.
-const SHARDS: usize = 8;
-
 /// Per-entry bookkeeping overhead charged against the byte budget, so a
 /// million tiny leaves cannot hide from the cap.
 const ENTRY_OVERHEAD: u64 = 64;
 
-/// The client-side read cache: bounded, sharded, deterministic.
+/// The client-side read cache: one bounded, deterministic LRU over the
+/// whole byte budget.
 ///
-/// All locks rank `lock_ranks::READ_CACHE` — above every service lock, so
-/// a cache probe can never participate in a cross-service lock cycle, and
-/// the shim's `wire-while-locked` assertion keeps fabric traffic out of the
-/// critical sections (lookups copy out and drop the guard before any fetch).
+/// One lock guards the map and its counters. It ranks
+/// `lock_ranks::READ_CACHE` — above every service lock, so a cache probe
+/// can never participate in a cross-service lock cycle, and the shim's
+/// `wire-while-locked` assertion keeps fabric traffic out of the critical
+/// section (lookups copy out and drop the guard before any fetch). Nothing
+/// contends it in practice: a live fan-out runs on its caller's thread,
+/// the sim runs one proc at a time, and each benchmark reader has a client
+/// of its own.
 #[derive(Debug)]
 pub struct ReadCache {
-    shards: Vec<Mutex<LruMap<CacheKey, CacheVal>>>,
-    page_hits: AtomicU64,
-    page_misses: AtomicU64,
-    leaf_hits: AtomicU64,
-    leaf_misses: AtomicU64,
-    insertions: AtomicU64,
+    inner: Mutex<Inner>,
+}
+
+#[derive(Debug)]
+struct Inner {
+    lru: LruMap<CacheKey, CacheVal>,
+    /// Lookup and insertion counts; `stats` reads the rest from `lru`.
+    counts: ReadCacheStats,
 }
 
 impl ReadCache {
-    /// A cache bounded to `cap_bytes` logical bytes (split evenly across
-    /// shards). `cap_bytes == 0` disables caching entirely: every lookup
-    /// misses, every insert is dropped.
+    /// A cache bounded to `cap_bytes` logical bytes. `cap_bytes == 0`
+    /// disables caching entirely: every lookup misses, every insert is
+    /// dropped.
     pub fn new(cap_bytes: u64) -> Self {
-        let per_shard = cap_bytes / SHARDS as u64;
+        let inner = Inner {
+            lru: LruMap::new(cap_bytes),
+            counts: ReadCacheStats::default(),
+        };
         ReadCache {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::with_rank(LruMap::new(per_shard), lock_ranks::READ_CACHE))
-                .collect(),
-            page_hits: AtomicU64::new(0),
-            page_misses: AtomicU64::new(0),
-            leaf_hits: AtomicU64::new(0),
-            leaf_misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-        }
-    }
-
-    /// A cache that never holds anything (used to compare cached vs uncached
-    /// reads, and by deployments that opt out).
-    pub(crate) fn disabled() -> Self {
-        Self::new(0)
-    }
-
-    /// Shard selector for `key`. Call sites index `self.shards` with this
-    /// modulo `SHARDS` directly, so the bound stands beside the
-    /// `#[expect(clippy::indexing_slicing)]` that cites it.
-    fn shard_mix(key: &CacheKey) -> u64 {
-        match key {
-            CacheKey::Page(_, _, id) => id.0 ^ id.1,
-            CacheKey::Leaf(k) => k.blob.0 ^ k.version ^ k.page_lo ^ k.page_hi.rotate_left(17),
+            inner: Mutex::with_rank(inner, lock_ranks::READ_CACHE),
         }
     }
 
     /// Look up a full page of a published version. Returns a cheap clone of
     /// the payload (payloads are refcounted byte buffers / ghost lengths).
     pub fn get_page(&self, blob: BlobId, version: Version, id: PageId) -> Option<Payload> {
-        let key = CacheKey::Page(blob, version, id);
-        let hit = {
-            #[expect(clippy::indexing_slicing, reason = "`% SHARDS` = `shards.len()`")]
-            let mut shard = self.shards[Self::shard_mix(&key) as usize % SHARDS].lock();
-            match shard.get(&key) {
-                Some(CacheVal::Page(p)) => Some(p.clone()),
-                _ => None,
-            }
+        let mut inner = self.inner.lock();
+        let hit = match inner.lru.get(&CacheKey::Page(blob, version, id)) {
+            Some(CacheVal::Page(p)) => Some(p.clone()),
+            _ => None,
         };
         match hit {
-            Some(p) => {
-                self.page_hits.fetch_add(1, Ordering::Relaxed);
-                Some(p)
-            }
-            None => {
-                self.page_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            Some(_) => inner.counts.page_hits += 1,
+            None => inner.counts.page_misses += 1,
         }
+        hit
     }
 
     /// Insert a full page of a **published** version.
     pub fn put_page(&self, blob: BlobId, version: Version, id: PageId, payload: Payload) {
         let weight = payload.len() + ENTRY_OVERHEAD;
-        let key = CacheKey::Page(blob, version, id);
-        #[expect(clippy::indexing_slicing, reason = "`% SHARDS` = `shards.len()`")]
-        let mut shard = self.shards[Self::shard_mix(&key) as usize % SHARDS].lock();
-        if shard.cap_weight() == 0 {
-            return;
-        }
-        shard.insert(key, CacheVal::Page(payload), weight);
-        drop(shard);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.insert(
+            CacheKey::Page(blob, version, id),
+            CacheVal::Page(payload),
+            weight,
+        );
     }
 
     /// Look up the page ref under a metadata-tree leaf of a published
     /// version.
     pub(crate) fn get_leaf(&self, key: NodeKey) -> Option<PageRef> {
-        let key = CacheKey::Leaf(key);
-        let hit = {
-            #[expect(clippy::indexing_slicing, reason = "`% SHARDS` = `shards.len()`")]
-            let mut shard = self.shards[Self::shard_mix(&key) as usize % SHARDS].lock();
-            match shard.get(&key) {
-                Some(CacheVal::Leaf(page)) => Some(page.clone()),
-                _ => None,
-            }
+        let mut inner = self.inner.lock();
+        let hit = match inner.lru.get(&CacheKey::Leaf(key)) {
+            Some(CacheVal::Leaf(page)) => Some(page.clone()),
+            _ => None,
         };
         match hit {
-            Some(page) => {
-                self.leaf_hits.fetch_add(1, Ordering::Relaxed);
-                Some(page)
-            }
-            None => {
-                self.leaf_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            Some(_) => inner.counts.leaf_hits += 1,
+            None => inner.counts.leaf_misses += 1,
         }
+        hit
     }
 
     /// Insert a metadata-tree leaf of a **published** version.
@@ -329,37 +283,25 @@ impl ReadCache {
         // A leaf's budget weight: bookkeeping plus a nominal per-replica
         // cost for the provider list it carries.
         let weight = ENTRY_OVERHEAD + 48 + 8 * page.providers.len() as u64;
-        let key = CacheKey::Leaf(key);
-        #[expect(clippy::indexing_slicing, reason = "`% SHARDS` = `shards.len()`")]
-        let mut shard = self.shards[Self::shard_mix(&key) as usize % SHARDS].lock();
-        if shard.cap_weight() == 0 {
-            return;
-        }
-        shard.insert(key, CacheVal::Leaf(page), weight);
-        drop(shard);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.insert(CacheKey::Leaf(key), CacheVal::Leaf(page), weight);
     }
 
-    /// Current counters. Resident figures sum over shards at call time.
-    pub(crate) fn stats(&self) -> ReadCacheStats {
-        let mut resident_bytes = 0;
-        let mut resident_entries = 0;
-        let mut evictions = 0;
-        for shard in &self.shards {
-            let s = shard.lock();
-            resident_bytes += s.used_weight();
-            resident_entries += s.len() as u64;
-            evictions += s.evictions();
+    /// Insert one entry, counting it only if the map kept it.
+    fn insert(&self, key: CacheKey, val: CacheVal, weight: u64) {
+        let mut inner = self.inner.lock();
+        if inner.lru.insert(key, val, weight) {
+            inner.counts.insertions += 1;
         }
+    }
+
+    /// Current counters.
+    pub(crate) fn stats(&self) -> ReadCacheStats {
+        let inner = self.inner.lock();
         ReadCacheStats {
-            page_hits: self.page_hits.load(Ordering::Relaxed),
-            page_misses: self.page_misses.load(Ordering::Relaxed),
-            leaf_hits: self.leaf_hits.load(Ordering::Relaxed),
-            leaf_misses: self.leaf_misses.load(Ordering::Relaxed),
-            evictions,
-            insertions: self.insertions.load(Ordering::Relaxed),
-            resident_bytes,
-            resident_entries,
+            evictions: inner.lru.evictions(),
+            resident_bytes: inner.lru.used_weight(),
+            resident_entries: inner.lru.len() as u64,
+            ..inner.counts
         }
     }
 }
@@ -376,8 +318,7 @@ mod tests {
         lru.insert(3, "c", 1);
         // Touch 1 so 2 becomes the LRU victim.
         assert_eq!(lru.get(&1), Some(&"a"));
-        let evicted = lru.insert(4, "d", 1);
-        assert_eq!(evicted, 1);
+        assert!(lru.insert(4, "d", 1));
         assert!(lru.get(&2).is_none());
         assert!(lru.get(&1).is_some());
         assert!(lru.get(&3).is_some());
@@ -396,12 +337,12 @@ mod tests {
         assert_eq!(lru.used_weight(), 6);
         assert_eq!(lru.len(), 2);
         // Oversize entries are dropped and also displace the stale key.
-        lru.insert(1, (), 100);
+        assert!(!lru.insert(1, (), 100));
         assert!(lru.get(&1).is_none());
         assert_eq!(lru.used_weight(), 4);
-        // A weight-7 insert must evict both residents (4 + 7 > 10).
-        let evicted = lru.insert(3, (), 7);
-        assert_eq!(evicted, 1);
+        // A weight-7 insert must evict the one resident (4 + 7 > 10).
+        assert!(lru.insert(3, (), 7));
+        assert_eq!(lru.evictions(), 1);
         assert_eq!(lru.used_weight(), 7);
     }
 
@@ -437,7 +378,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_holds() {
-        let cache = ReadCache::disabled();
+        let cache = ReadCache::new(0);
         cache.put_page(BlobId(1), 1, PageId(0, 0), Payload::ghost(10));
         assert!(cache.get_page(BlobId(1), 1, PageId(0, 0)).is_none());
         let s = cache.stats();
@@ -446,8 +387,17 @@ mod tests {
     }
 
     #[test]
+    fn a_page_over_the_budget_is_not_counted_as_inserted() {
+        let cache = ReadCache::new(8 * 1024);
+        cache.put_page(BlobId(1), 1, PageId(0, 0), Payload::ghost(8 * 1024));
+        assert!(cache.get_page(BlobId(1), 1, PageId(0, 0)).is_none());
+        let s = cache.stats();
+        assert_eq!((s.insertions, s.resident_entries), (0, 0));
+    }
+
+    #[test]
     fn cache_capacity_bounds_resident_bytes() {
-        // Tiny cache: every shard holds ~2 small pages.
+        // Tiny cache: room for 16 small pages.
         let cap = 8 * 256;
         let cache = ReadCache::new(cap);
         for i in 0..1000u64 {

@@ -3,8 +3,10 @@
 //! aligned overwrites, tail replaces and read-replica crash-restarts, for
 //! the latest and every historical version. The deployment runs a
 //! replica-bearing persistent layout, so every read exercises the full
-//! stack the tentpole added: published-floor gating, the page/leaf cache,
-//! replica preference and the per-page `has_page` staleness gate.
+//! read stack: published-floor gating, the page/leaf cache, replica
+//! preference and the per-page `has_page` staleness gate. The cache budget
+//! is drawn from a few pages up to the default, so most cases compare the
+//! three while the cached client's LRU evicts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,6 +55,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A read-cache budget: mostly 3–47 full pages (a page's budget weight is
+/// its bytes plus the cache's 64-byte entry overhead), else the default.
+fn budget_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        3 => (3u64..48).prop_map(|pages| pages * (PS + 64)),
+        1 => Just(BlobSeerConfig::default().read_cache_bytes),
+    ]
+}
+
 fn pattern(len: u64, tag: u8) -> Vec<u8> {
     (0..len)
         .map(|i| tag.wrapping_add((i % 253) as u8))
@@ -63,7 +74,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     #[test]
-    fn cached_reads_match_uncached_and_model(ops in prop::collection::vec(op_strategy(), 1..28)) {
+    fn cached_reads_match_uncached_and_model(
+        ops in prop::collection::vec(op_strategy(), 1..28),
+        budget in budget_strategy(),
+    ) {
         let dir = std::env::temp_dir().join(format!(
             "blobseer-read-cache-prop-{}-{}",
             std::process::id(),
@@ -72,7 +86,9 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         let fx = Fabric::sim(ClusterSpec::tiny(8));
         let layout = Layout::compact(fx.spec()).with_read_replicas_from_tail(2);
-        let config = BlobSeerConfig::test_small(PS).with_persist_dir(Some(dir.clone()));
+        let config = BlobSeerConfig::test_small(PS)
+            .with_read_cache_bytes(budget)
+            .with_persist_dir(Some(dir.clone()));
         let bs = BlobSeer::deploy(&fx, config, layout).unwrap();
         let bs2 = bs.clone();
         let h = fx.spawn(NodeId(7), "driver", move |p| {
@@ -191,6 +207,8 @@ proptest! {
                     );
                 }
             }
+            let resident = cached.cache_stats().resident_bytes;
+            assert!(resident <= budget, "cache holds {resident} > {budget} bytes");
         });
         fx.run();
         h.take().unwrap();

@@ -1,7 +1,10 @@
 //! Integration suite for the snapshot-scoped read cache and the dedicated
 //! read-replica tier: bounded client memory under blob churn, hit/miss
 //! accounting, the published-only feeding rule, replica preference for
-//! published reads, and per-page failover around dead or stale replicas.
+//! published reads, per-page failover around dead or stale replicas, and
+//! one client's cache shared by live readers on real threads.
+
+use std::sync::Arc;
 
 use blobseer::{BlobSeer, BlobSeerConfig, Fault, FaultTarget, Layout};
 use fabric::{ClusterSpec, Fabric, NodeId, Payload};
@@ -285,4 +288,69 @@ fn crash_restarted_replica_recovers_and_resyncs() {
     h.take().unwrap();
     drop(bs);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// BSFS's shape on real threads: every task of a job reads through the file
+/// system's one client. Four live readers share one `Arc<BlobClient>` and
+/// read overlapping ranges of two published versions, 96 distinct pages,
+/// through a cache with room for 16. Every read's bytes must be right,
+/// every page lookup counted exactly once, and the budget held while the
+/// LRU evicts.
+#[test]
+fn live_readers_share_one_client_whose_cache_churns() {
+    const READERS: u64 = 4;
+    const READS: u64 = 60;
+    const BUDGET: u64 = 16 * (PS + 64); // a full page plus the entry overhead
+    let fx = Fabric::live(ClusterSpec::tiny(6));
+    let config = BlobSeerConfig::test_small(PS).with_read_cache_bytes(BUDGET);
+    let bs = BlobSeer::deploy(&fx, config, Layout::compact(fx.spec())).unwrap();
+    let client = Arc::new(bs.client());
+    let c = client.clone();
+    let h = fx.spawn(NodeId(5), "driver", move |p| {
+        let blob = c.create(p, None);
+        let v1 = pattern(32 * PS, 1);
+        c.append(p, blob, Payload::from_vec(v1.clone())).unwrap();
+        let mut v2 = v1;
+        let tail = pattern(32 * PS, 2);
+        c.append(p, blob, Payload::from_vec(tail.clone())).unwrap();
+        v2.extend_from_slice(&tail);
+        let snapshots = Arc::new([Vec::new(), v2[..32 * PS as usize].to_vec(), v2]);
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                let (c, snapshots) = (c.clone(), snapshots.clone());
+                p.fabric()
+                    .spawn(NodeId(r as u32), format!("reader{r}"), move |p| {
+                        let mut x = 0x9E37_79B9_7F4A_7C15 ^ r;
+                        let mut next = move || {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            x
+                        };
+                        let mut looked_up = 0;
+                        for _ in 0..READS {
+                            let v = 1 + next() % 2;
+                            let want = &snapshots[v as usize];
+                            let off = next() % want.len() as u64;
+                            let len = (1 + next() % (6 * PS)).min(want.len() as u64 - off);
+                            let got = c.read(p, blob, Some(v), off, len).unwrap();
+                            assert_eq!(
+                                got.bytes().as_ref(),
+                                &want[off as usize..(off + len) as usize],
+                                "reader {r}: v{v} [{off}, {off}+{len}) diverged"
+                            );
+                            looked_up += (off + len - 1) / PS - off / PS + 1;
+                        }
+                        looked_up
+                    })
+            })
+            .collect();
+        readers.iter().map(|h| h.join(p)).sum::<u64>()
+    });
+    fx.run();
+    let looked_up = h.take().unwrap();
+    let s = client.cache_stats();
+    assert_eq!(s.page_hits + s.page_misses, looked_up, "{s:?}");
+    assert!(s.resident_bytes <= BUDGET, "{s:?}");
+    assert!(s.evictions > 0, "{s:?}");
 }

@@ -24,13 +24,13 @@ use std::time::Duration;
 ///
 /// A lock may be given a hierarchy rank with [`Mutex::set_rank`] /
 /// [`RwLock::set_rank`] (or constructed ranked via `with_rank`). In debug
-/// builds every acquisition of a *ranked* lock asserts that the rank is `>=`
-/// every rank this thread already holds — acquiring down the hierarchy
-/// panics with both ranks named — and [`lock_order::assert_none_held`],
-/// which `fabric` calls wherever a process spends virtual time or parks,
-/// panics if the thread holds any ranked lock at all. Unranked locks (rank
-/// 0, the default) are never checked. Release builds compile the whole
-/// mechanism to nothing.
+/// builds every acquisition of a *ranked* lock asserts that the rank is `>`
+/// every rank this thread already holds — acquiring down the hierarchy, or
+/// a second lock of a rank already held, panics with both ranks named —
+/// and [`lock_order::assert_none_held`], which `fabric` calls wherever a
+/// process spends virtual time or parks, panics if the thread holds any
+/// ranked lock at all. Unranked locks (rank 0, the default) are never
+/// checked. Release builds compile the whole mechanism to nothing.
 ///
 /// These two assertions are the only enforcement of the hierarchy declared
 /// in `blobseer::lock_ranks`: they check the paths a test executes, so every
@@ -55,7 +55,7 @@ pub mod lock_order {
                 let mut held = h.borrow_mut();
                 if let Some(&max) = held.iter().max() {
                     assert!(
-                        rank >= max,
+                        rank > max,
                         "lock-order violation: acquiring a rank-{rank} lock while holding \
                          rank {max} (hierarchy: VM registry(1) -> blob slot(2) -> \
                          lease book(3) -> provider/meta maps(4) -> client caches(5))"
@@ -419,10 +419,18 @@ mod tests {
     fn ranked_acquisition_up_hierarchy_is_allowed() {
         let a = Mutex::with_rank((), 1);
         let b = RwLock::with_rank((), 2);
-        let c = Mutex::with_rank((), 2); // same rank as b: allowed
         let _ga = a.lock();
         let _gb = b.read();
-        let _gc = c.lock();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock-order violation: acquiring a rank-2 lock while holding rank 2")]
+    fn ranked_acquisition_at_a_held_rank_panics() {
+        let a = RwLock::with_rank((), 2);
+        let b = Mutex::with_rank((), 2);
+        let _ga = a.read();
+        let _gb = b.lock();
     }
 
     #[test]
