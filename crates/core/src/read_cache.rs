@@ -208,10 +208,10 @@ const ENTRY_OVERHEAD: u64 = 64;
 /// `lock_ranks::READ_CACHE` — above every service lock, so a cache probe
 /// can never participate in a cross-service lock cycle, and the shim's
 /// `wire-while-locked` assertion keeps fabric traffic out of the critical
-/// section (lookups copy out and drop the guard before any fetch). Nothing
-/// contends it in practice: a live fan-out runs on its caller's thread,
-/// the sim runs one proc at a time, and each benchmark reader has a client
-/// of its own.
+/// section (lookups copy out and drop the guard before any fetch). One
+/// lock is enough: a live fan-out runs on its caller's thread, the sim
+/// runs one proc at a time, and each benchmark reader has a client of its
+/// own; only BSFS shares one client between the tasks of a job.
 #[derive(Debug)]
 pub struct ReadCache {
     inner: Mutex<Inner>,

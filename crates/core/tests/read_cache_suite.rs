@@ -291,11 +291,11 @@ fn crash_restarted_replica_recovers_and_resyncs() {
 }
 
 /// BSFS's shape on real threads: every task of a job reads through the file
-/// system's one client. Four live readers share one `Arc<BlobClient>` and
-/// read overlapping ranges of two published versions, 96 distinct pages,
-/// through a cache with room for 16. Every read's bytes must be right,
-/// every page lookup counted exactly once, and the budget held while the
-/// LRU evicts.
+/// system's one client. Four live readers share one `Arc<BlobClient>`,
+/// start together and read overlapping ranges of two published versions,
+/// 96 distinct pages, through a cache with room for 16. Every read's bytes
+/// must be right, every page lookup counted exactly once, and the budget
+/// held while the LRU evicts.
 #[test]
 fn live_readers_share_one_client_whose_cache_churns() {
     const READERS: u64 = 4;
@@ -305,21 +305,19 @@ fn live_readers_share_one_client_whose_cache_churns() {
     let config = BlobSeerConfig::test_small(PS).with_read_cache_bytes(BUDGET);
     let bs = BlobSeer::deploy(&fx, config, Layout::compact(fx.spec())).unwrap();
     let client = Arc::new(bs.client());
-    let c = client.clone();
+    let (c, start) = (client.clone(), fx.gate());
     let h = fx.spawn(NodeId(5), "driver", move |p| {
         let blob = c.create(p, None);
-        let v1 = pattern(32 * PS, 1);
-        c.append(p, blob, Payload::from_vec(v1.clone())).unwrap();
-        let mut v2 = v1;
-        let tail = pattern(32 * PS, 2);
+        let (head, tail) = (pattern(32 * PS, 1), pattern(32 * PS, 2));
+        c.append(p, blob, Payload::from_vec(head.clone())).unwrap();
         c.append(p, blob, Payload::from_vec(tail.clone())).unwrap();
-        v2.extend_from_slice(&tail);
-        let snapshots = Arc::new([Vec::new(), v2[..32 * PS as usize].to_vec(), v2]);
+        let snapshots = Arc::new([Vec::new(), head.clone(), [head, tail].concat()]);
         let readers: Vec<_> = (0..READERS)
             .map(|r| {
-                let (c, snapshots) = (c.clone(), snapshots.clone());
+                let (c, snapshots, start) = (c.clone(), snapshots.clone(), start.clone());
                 p.fabric()
                     .spawn(NodeId(r as u32), format!("reader{r}"), move |p| {
+                        start.wait(p);
                         let mut x = 0x9E37_79B9_7F4A_7C15 ^ r;
                         let mut next = move || {
                             x ^= x << 13;
@@ -345,6 +343,7 @@ fn live_readers_share_one_client_whose_cache_churns() {
                     })
             })
             .collect();
+        start.set();
         readers.iter().map(|h| h.join(p)).sum::<u64>()
     });
     fx.run();
